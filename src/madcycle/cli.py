@@ -106,6 +106,12 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _vertex(g, v: int, flag: str) -> int:
+    if not 0 <= v < g.n:
+        raise PreconditionError(f"{flag}: vertex {v} out of range, n={g.n}")
+    return v
+
+
 def run_cli(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -207,13 +213,14 @@ def _dispatch(args, out) -> int:
                 print("cycle", " ".join(map(str, cert.vertices)), file=out)
             return EXIT_YES
         if args.which == "stpath":
-            best = oracles.oracle_longest_st_path(g, args.s, args.t)
+            s, t = _vertex(g, args.s, "--s"), _vertex(g, args.t, "--t")
+            best = oracles.oracle_longest_st_path(g, s, t)
             print(f"max_vertices {best}", file=out)
             return EXIT_YES
         if args.which == "mad":
             print(oracles.oracle_mad(g), file=out)
             return EXIT_YES
-        T = {int(x) for x in args.T.split(",") if x != ""}
+        T = {_vertex(g, int(x), "--T") for x in args.T.split(",") if x != ""}
         ok = oracles.oracle_segments(g, T, args.r, args.p)
         print("yes" if ok else "no", file=out)
         return EXIT_YES if ok else EXIT_NO

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PreconditionError
+from .errors import ConstructionFailure, PreconditionError
 from .graph import Graph
 
 
@@ -47,27 +47,37 @@ class _Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(v: int, f: int) -> int:
-                if v == t:
-                    return f
-                while it[v] < len(head[v]):
-                    e = head[v][it[v]]
-                    w = to[e]
-                    if cap[e] > 0 and level[w] == level[v] + 1:
-                        d = dfs(w, min(f, cap[e]))
-                        if d > 0:
-                            cap[e] -= d
-                            cap[e ^ 1] += d
-                            return d
-                    it[v] += 1
-                return 0
-
+            # blocking flow: walk admissible arcs from s, keeping the arcs of
+            # the current walk in `path`; at t augment by the bottleneck and
+            # restart from s; at a dead end retreat one arc and skip past it
+            path: list[int] = []
+            v = s
             while True:
-                f = dfs(s, 1 << 300)
-                if f == 0:
+                if v == t:
+                    f = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    flow += f
+                    path.clear()
+                    v = s
+                arcs = head[v]
+                i = it[v]
+                nxt = level[v] + 1
+                while i < len(arcs):
+                    e = arcs[i]
+                    if cap[e] > 0 and level[to[e]] == nxt:
+                        break
+                    i += 1
+                it[v] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    v = to[arcs[i]]
+                elif path:
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
                     break
-                flow += f
 
     def min_cut_source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network (call after max_flow)."""
@@ -136,30 +146,31 @@ def _density_of(g: Graph, vs) -> Fraction:
 
 @lru_cache(maxsize=512)
 def mad_with_witness(g: Graph) -> DensityWitness:
-    """Densest induced subgraph, exactly.
+    """Densest induced subgraph, exactly, by Dinkelbach iteration.
 
-    Binary search over the guess; candidate densities p/q have q <= n, so two
-    distinct candidates differ by at least 1/n^2 and the search stops once the
-    open interval above the best achieved density is narrower than that.
+    Starting from the density of V, each `densest_decision` call at the best
+    density so far returns a strictly denser set, whose density becomes the
+    next guess, until the call returns None: the guess is then the maximum
+    density. A last probe at a guess just below the optimum, closer to it
+    than any other candidate density p/q (q <= n), returns the minimal
+    source side of the min cut: the union of all sets of maximum density,
+    which is the witness.
     """
     if g.m == 0:
         raise PreconditionError("mad of an edgeless graph")
     n = g.n
     best_set = frozenset(range(n))
     best = _density_of(g, best_set)
-    hi = Fraction(n - 1, 2)
-    gap = Fraction(1, n * n)
-    while hi - best >= gap:
-        mid = (best + hi) / 2
-        found = densest_decision(g, mid)
+    while True:
+        found = densest_decision(g, best)
         if found is None:
-            hi = mid
-        else:
-            d = _density_of(g, found)
-            assert d > mid
-            best, best_set = d, found
-    # recovery probe: the minimal source-side cut at a guess just below the
-    # optimum gives a canonical witness of exactly optimal density
+            break
+        d = _density_of(g, found)
+        if d <= best:
+            raise ConstructionFailure(
+                f"min cut at density {best} returned a set of density {d}"
+            )
+        best, best_set = d, found
     probe = best - Fraction(1, 2 * n * n)
     if probe >= 0:
         found = densest_decision(g, probe)

@@ -179,13 +179,56 @@ def is_connected(g: Graph, vertices=None) -> bool:
 
 
 def is_biconnected(g: Graph) -> bool:
-    """2-connected per the standard definition: n > 2 and no cut vertex."""
-    if g.n <= 2:
-        return False
-    if not is_connected(g):
-        return False
-    _, cuts = blocks_and_cut_vertices(g)
-    return not cuts
+    """2-connected per the standard definition: n > 2, connected, no cut vertex."""
+    return g.n > 2 and _cut_vertices(g) == []
+
+
+def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
+    """Ascending cut vertices of g - skip, or None if g - skip is disconnected.
+
+    Iterative Hopcroft-Tarjan lowpoint DFS that records no blocks. skip = -1
+    removes nothing; g - skip must keep at least one vertex.
+    """
+    n, adj = g.n, g.adj
+    disc = [-1] * n
+    low = [0] * n
+    if skip >= 0:
+        # marked visited, and with a time above every other so it lowers no lowpoint
+        disc[skip] = n
+    root = 1 if skip == 0 else 0
+    disc[root] = 0
+    timer = 1
+    cuts = set()
+    root_children = 0
+    # the tree edge back to the parent is scanned as a back edge; that lowers
+    # low[v] to at most disc[parent], which leaves the test low[v] >= disc[u]
+    # unchanged, so no parent has to be tracked
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if u == root:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    cuts.add(u)
+    if timer < n - (skip >= 0):
+        return None
+    if root_children > 1:
+        cuts.add(root)
+    return sorted(cuts)
 
 
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
@@ -253,34 +296,18 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
 
 
 def two_separators(g: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs {x,y} whose removal disconnects a 2-connected g."""
+    """All unordered pairs {x,y} whose removal disconnects a 2-connected g.
+
+    {x,y} separates g exactly when y is a cut vertex of g - x, so one lowpoint
+    DFS per x finds every pair: O(n(n+m)) time. Pairs come as (x, y) with
+    x < y, in ascending order.
+    """
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
     # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity.
     if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
         return []
-    full = (1 << g.n) - 1
-    out = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            alive = full & ~(1 << x) & ~(1 << y)
-            if alive == 0:
-                continue
-            start = (alive & -alive).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= g.masks[v]
-                frontier = nxt & alive & ~comp
-                comp |= frontier
-            if comp != alive:
-                out.append((x, y))
-    return out
+    return [(x, y) for x in range(g.n) for y in _cut_vertices(g, x) if y > x]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ def write_bowtie(tmp_path):
     return str(f)
 
 
+def write_c5(tmp_path):
+    f = tmp_path / "c5.el"
+    f.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    return str(f)
+
+
 class TestSolve:
     def test_k4_k0_json(self, tmp_path):
         code, out, _ = run(["solve", write_k4(tmp_path), "-k", "0", "--json"])
@@ -130,6 +136,16 @@ class TestErrors:
         f.write_text("0 0\n")
         code, _, err = run(["solve", str(f), "-k", "0"])
         assert code == 65 and "data error" in err
+
+    def test_oracle_segments_vertex_out_of_range(self, tmp_path):
+        code, _, err = run(["oracle", "segments", write_c5(tmp_path), "--T", "0,99"])
+        assert code == 64 and "vertex 99" in err
+
+    def test_oracle_stpath_vertex_out_of_range(self, tmp_path):
+        code, _, err = run(
+            ["oracle", "stpath", write_c5(tmp_path), "--s", "0", "--t", "9"]
+        )
+        assert code == 64 and "vertex 9" in err
 
     def test_missing_file(self):
         code, _, err = run(["mad", "/nonexistent/graph.el"])

@@ -1,18 +1,63 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from madcycle import density
 from madcycle.density import degeneracy, densest_decision, mad_with_witness
 from madcycle.errors import PreconditionError
 from madcycle.graph import avg_degree, build_graph, induced_subgraph
 from madcycle.oracles import all_subsets_density, oracle_mad
 
-from conftest import bowtie, cycle_graph, random_graph
+from conftest import bowtie, complete_minus_matching, cycle_graph, random_graph
 
 
 def brute_best_density(g):
     return max(d for d, _ in all_subsets_density(g))
+
+
+def _density(g, vs):
+    sub, _ = induced_subgraph(g, vs)
+    return Fraction(sub.m, sub.n)
+
+
+def bisection_mad(g):
+    """Reference search: bisect the guess until the open interval above the
+    best density found is narrower than 1/n^2, the least gap between two
+    candidate densities p/q with q <= n; then take the minimal source side
+    at a guess 1/(2n^2) below the optimum as the witness."""
+    n = g.n
+    best_set = frozenset(range(n))
+    best = _density(g, best_set)
+    hi = Fraction(n - 1, 2)
+    while hi - best >= Fraction(1, n * n):
+        mid = (best + hi) / 2
+        found = densest_decision(g, mid)
+        if found is None:
+            hi = mid
+        else:
+            best, best_set = _density(g, found), found
+    found = densest_decision(g, best - Fraction(1, 2 * n * n))
+    if found is not None and _density(g, found) == best:
+        best_set = found
+    return best_set, best
+
+
+def ladder(rungs):
+    """2-connected ladder: rungs (2i, 2i+1), both rails, closed by (0, n-1)."""
+    n = 2 * rungs
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i, 2 * i + 2) for i in range(rungs - 1)]
+    edges += [(2 * i + 1, 2 * i + 3) for i in range(rungs - 1)]
+    return build_graph(edges + [(0, n - 1)], n)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestDensestDecision:
@@ -90,6 +135,54 @@ class TestMadWithWitness:
             if g.m == 0:
                 continue
             assert mad_with_witness(g).mad == oracle_mad(g)
+
+    def test_witness_is_union_of_densest_sets(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(2, 11), rng.choice([0.2, 0.4, 0.7]))
+            if g.m == 0:
+                continue
+            subsets = list(all_subsets_density(g))
+            best = max(d for d, _ in subsets)
+            union = frozenset().union(*(sub for d, sub in subsets if d == best))
+            w = mad_with_witness(g)
+            assert w.density == best
+            assert w.vertices == union
+
+    def test_witness_matches_bisection_reference(self):
+        rng = random.Random(37)
+        for _ in range(25):
+            n = rng.randint(20, 60)
+            g = random_graph(rng, n, rng.choice([2 / n, 4 / n, 0.2, 0.5]))
+            if g.m == 0:
+                continue
+            w = mad_with_witness(g)
+            assert (w.vertices, w.density) == bisection_mad(g)
+
+    def test_regular_graph_needs_few_cuts(self, monkeypatch):
+        calls = []
+
+        def counting(g, guess):
+            calls.append(guess)
+            return densest_decision(g, guess)
+
+        monkeypatch.setattr(density, "densest_decision", counting)
+        g = complete_minus_matching(40)
+        # bypass the cache so that the cuts are made here
+        w = mad_with_witness.__wrapped__(g)
+        assert w.mad == 38 and w.vertices == frozenset(range(40))
+        assert 1 <= len(calls) <= 3
+
+    def test_deep_augmenting_paths_need_no_recursion(self):
+        g = ladder(400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 120)
+        try:
+            w = mad_with_witness.__wrapped__(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w.density == Fraction(3 * 400 - 1, 800)
+        assert w.vertices == frozenset(range(800))
 
 
 class TestOrderings:

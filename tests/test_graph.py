@@ -13,6 +13,7 @@ from madcycle.graph import (
     blocks_and_cut_vertices,
     build_graph,
     eg_bound,
+    is_biconnected,
     is_potentially_cyclable,
     normalize_pair_chain,
     two_separators,
@@ -29,6 +30,58 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
+
+
+def separates(g, removed):
+    """Exhaustive check: is g minus `removed` disconnected?"""
+    rest = [v for v in range(g.n) if v not in removed]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        v = stack.pop()
+        for w in g.adj[v]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(rest)
+
+
+def brute_two_separators(g):
+    return [
+        (x, y) for x in range(g.n) for y in range(x + 1, g.n) if separates(g, {x, y})
+    ]
+
+
+def brute_is_biconnected(g):
+    return (
+        g.n > 2
+        and not separates(g, set())
+        and not any(separates(g, {v}) for v in range(g.n))
+    )
+
+
+def random_ear_graph(rng, n):
+    """2-connected graph on about n vertices, mean degree about 3: a cycle
+    plus ears of 0-3 new vertices between distinct old vertices."""
+    size = rng.randint(3, min(n, 8))
+    edges = [(i, (i + 1) % size) for i in range(size)]
+    while size < n:
+        a, b = rng.sample(range(size), 2)
+        inner = list(range(size, min(n, size + rng.randint(0, 3))))
+        size += len(inner)
+        chain = [a, *inner, b]
+        edges += zip(chain, chain[1:])
+    return build_graph(edges, size)
+
+
+def theta_graph(lengths):
+    """Two poles 0 and 1 joined by internally disjoint paths of these lengths."""
+    edges, n = [], 2
+    for length in lengths:
+        chain = [0, *range(n, n + length - 1), 1]
+        n += length - 1
+        edges += zip(chain, chain[1:])
+    return build_graph(edges, n)
 
 
 class TestBuildGraph:
@@ -120,22 +173,7 @@ class TestTwoSeparators:
 
     def test_glued_k5s_exactly_glue_pair(self):
         g = glued_k5s()
-        # independent exhaustive check of every pair
-        expect = []
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                rest = [v for v in range(g.n) if v not in (x, y)]
-                seen = {rest[0]}
-                stack = [rest[0]]
-                while stack:
-                    v = stack.pop()
-                    for w in g.adj[v]:
-                        if w in rest and w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                if len(seen) < len(rest):
-                    expect.append((x, y))
-        assert expect == [(3, 4)]
+        assert brute_two_separators(g) == [(3, 4)]
         assert two_separators(g) == [(3, 4)]
 
     def test_not_biconnected_rejected(self):
@@ -144,26 +182,25 @@ class TestTwoSeparators:
 
     def test_empty_means_three_connected(self):
         rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(4, 10)
-            g = random_graph(rng, n, 0.6)
-            try:
-                seps = two_separators(g)
-            except PreconditionError:
+        graphs = [random_graph(rng, rng.randint(4, 10), 0.6) for _ in range(25)]
+        graphs += [random_ear_graph(rng, rng.randint(4, 30)) for _ in range(40)]
+        graphs += [cycle_graph(n) for n in range(3, 13)]
+        graphs += [
+            theta_graph([rng.randint(1, 5), rng.randint(2, 5), rng.randint(2, 5)])
+            for _ in range(15)
+        ]
+        with_separators = 0
+        for g in graphs:
+            biconnected = brute_is_biconnected(g)
+            assert is_biconnected(g) == biconnected
+            if not biconnected:
+                with pytest.raises(PreconditionError):
+                    two_separators(g)
                 continue
-            for x in range(n):
-                for y in range(x + 1, n):
-                    rest = [v for v in range(n) if v not in (x, y)]
-                    seen = {rest[0]}
-                    stack = [rest[0]]
-                    while stack:
-                        v = stack.pop()
-                        for w in g.adj[v]:
-                            if w in rest and w not in seen:
-                                seen.add(w)
-                                stack.append(w)
-                    disconnected = len(seen) < len(rest)
-                    assert disconnected == ((x, y) in seps)
+            seps = two_separators(g)
+            assert seps == brute_two_separators(g)
+            with_separators += bool(seps)
+        assert with_separators >= 50
 
 
 class TestVerifyCycle:

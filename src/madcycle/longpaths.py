@@ -24,7 +24,6 @@ from .graph import (
     verify_path_certificate,
 )
 
-DET_N_CAP = 18
 RANDOM_Q_CAP = 18
 DEFAULT_TRIAL_CAP = 500
 EXTRA_TARGETS = 2  # randomized mode also probes slightly longer exact lengths

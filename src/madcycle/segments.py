@@ -2,9 +2,18 @@
 
 Two-stage DP: stage one tabulates colorful single segments between anchor
 pairs; stage two peels one segment per level, distinguishing a shared next
-endpoint (its color returns to the pool) from a fresh one. The identity
-coloring turns the Monte Carlo search into an exact subset DP, used
-automatically on small hosts.
+endpoint (its color returns to the pool) from a fresh one. Level r depends
+only on level r-1, so an engine builds each level on the first query that
+asks for it.
+
+The identity coloring turns the Monte Carlo search into an exact subset DP.
+A `SegmentSearch` owns one identity engine for one (g, T, A), sized for the
+whole probe range of a case analysis and built on its first probe; every
+probe of that case is answered from it. A state with p <= P is derived only
+from states with p <= P, in the same order and from the same predecessor, so
+a larger range changes no answer and no reconstruction. When the engine's
+state budget trips, the search's remaining probes run Monte Carlo colorings,
+one set per probe. Nothing is cached beyond the search object.
 """
 
 from __future__ import annotations
@@ -12,12 +21,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import PreconditionError
+from .errors import ConstructionFailure, PreconditionError
 from .graph import Graph, PathCertificate, verify_path_certificate
 
-DET_N_CAP = 18
 RANDOM_Q_CAP = 18
 DEFAULT_TRIAL_CAP = 500
 DET_STATE_BUDGET = 400_000
@@ -121,7 +128,11 @@ def validate_segment_system(
 
 
 class _SegmentEngine:
-    """One coloring's worth of the two-stage DP, reusable across queries."""
+    """One coloring's worth of the two-stage DP, reusable across queries.
+
+    Levels are built on demand, up to rmax; states exceeding pmax internals,
+    smax A-segments or tmax B-segments are never created.
+    """
 
     def __init__(
         self,
@@ -145,11 +156,12 @@ class _SegmentEngine:
         self.tmax = tmax
         self._budget = state_budget
         self._states = 0
-        self._alpha: dict[int, list[tuple[int, int]]] = {}
         self._alpha_walk: dict[int, dict[int, int]] = {}
+        # per x in sorted T with a gated alpha entry: (x, color bit of x,
+        # entries (y, ykey, internals, A-segment 0/1, B-segment 0/1))
+        self._rows: list[tuple[int, int, list[tuple[int, int, int, int, int]]]] = []
         self._build_alpha()
         self._levels: list[dict] = []
-        self._build_levels()
 
     def _tick(self, k: int = 1):
         if self._budget is not None:
@@ -159,16 +171,16 @@ class _SegmentEngine:
 
     # stage one: colorful single segments
     def _build_alpha(self):
-        g, T, c = self.g, self.T, self.coloring
-        outside = [v for v in g.vertices() if v not in T]
-        out_mask = 0
-        for v in outside:
-            out_mask |= 1 << v
+        g, T, A, c = self.g, self.T, self.A, self.coloring
+        t_mask = 0
+        for y in T:
+            t_mask |= 1 << y
+        out_mask = ((1 << g.n) - 1) & ~t_mask
+        max_pop = self.pmax + 1  # x plus at most pmax internals
         for x in sorted(T):
             reach: dict[int, int] = {1 << c[x]: 1 << x}
             queue = [1 << c[x]]
             qi = 0
-            max_pop = self.pmax + 1  # x plus at most pmax internals
             while qi < len(queue):
                 ckey = queue[qi]
                 qi += 1
@@ -193,93 +205,81 @@ class _SegmentEngine:
                             queue.append(nkey)
                             self._tick()
                         reach[nkey] |= 1 << u
-            entries: list[tuple[int, int]] = []
+            entries: set[tuple[int, int]] = set()
             for ckey, ends in reach.items():
                 if ckey.bit_count() < 2:
                     continue  # need at least one internal vertex
-                e = ends
+                e = ends & ~(1 << x)
                 while e:
                     v = (e & -e).bit_length() - 1
                     e &= e - 1
-                    if v == x:
-                        continue
-                    tmask = self.g.masks[v]
-                    for y in sorted(T):
-                        if y == x or not tmask >> y & 1:
-                            continue
+                    ys = g.masks[v] & t_mask & ~(1 << x)
+                    while ys:
+                        y = (ys & -ys).bit_length() - 1
+                        ys &= ys - 1
                         cy = c[y]
                         if ckey >> cy & 1:
                             continue
-                        entries.append((y, ckey | (1 << cy)))
+                        entries.add((y, ckey | (1 << cy)))
                         self._tick()
-            self._alpha[x] = sorted(set(entries))
             self._alpha_walk[x] = reach
-
-    def _gate(self, x: int, y: int, ykey: int) -> bool:
-        """alpha*: reject |Y|<=2 and one-internal A-segments."""
-        size = ykey.bit_count()
-        if size <= 2:
-            return False
-        if size == 3 and x in self.A and y in self.A:
-            return False
-        return True
+            # alpha*: reject |Y| <= 2 and one-internal A-segments, and any
+            # segment past the engine's own caps
+            x_in_a = x in A
+            gated = []
+            for y, ykey in sorted(entries):
+                dp = ykey.bit_count() - 2
+                da = 1 if (x_in_a and y in A) else 0
+                db = 1 if (not x_in_a and y not in A) else 0
+                if dp < 1 or (dp == 1 and da):
+                    continue
+                if dp > self.pmax or da > self.smax or db > self.tmax:
+                    continue
+                gated.append((y, ykey, dp, da, db))
+            if gated:
+                self._rows.append((x, 1 << c[x], gated))
 
     # stage two: peel segments level by level
-    def _build_levels(self):
-        A = self.A
-        level1: dict[tuple, tuple] = {}
-        for x in sorted(self.T):
-            for y, ykey in self._alpha[x]:
-                if not self._gate(x, y, ykey):
-                    continue
-                p = ykey.bit_count() - 2
-                da = 1 if (x in A and y in A) else 0
-                db = 1 if (x not in A and y not in A) else 0
-                if p > self.pmax or da > self.smax or db > self.tmax:
-                    continue
-                key = (x, p, da, db, ykey)
-                if key not in level1:
-                    level1[key] = (None, x, y, ykey, False)
-                    self._tick()
-        self._levels = [level1]
-        for _ in range(2, self.rmax + 1):
-            prev = self._levels[-1]
-            cur: dict[tuple, tuple] = {}
-            for pkey in prev:
+    def _next_level(self) -> dict:
+        c = self.coloring
+        pmax, smax, tmax = self.pmax, self.smax, self.tmax
+        # level 1 extends the empty system: no endpoint, nothing counted
+        prev = self._levels[-1] if self._levels else {None: None}
+        cur: dict[tuple, tuple] = {}
+        for pkey in prev:
+            if pkey is None:
+                w, p0, s0, t0, x0, cw_bit = -1, 0, 0, 0, 0, 0
+            else:
                 w, p0, s0, t0, x0 = pkey
-                cw_bit = 1 << self.coloring[w]
-                for x in sorted(self.T):
-                    if x0 >> self.coloring[x] & 1:
+                cw_bit = 1 << c[w]
+            for x, x_bit, gated in self._rows:
+                if x0 & x_bit:
+                    continue
+                for y, ykey, dp, da, db in gated:
+                    overlap = ykey & x0
+                    if y == w:
+                        # a shared endpoint: only its color may repeat
+                        if overlap != cw_bit:
+                            continue
+                    elif overlap or x == w:
                         continue
-                    for y, ykey in self._alpha[x]:
-                        if not self._gate(x, y, ykey):
-                            continue
-                        overlap = ykey & x0
-                        if y == w:
-                            if overlap != cw_bit or not ykey & cw_bit:
-                                continue
-                        else:
-                            if overlap:
-                                continue
-                            if x0 >> self.coloring[y] & 1:
-                                continue
-                            if w == y or w == x:
-                                continue
-                        p = p0 + ykey.bit_count() - 2
-                        da = s0 + (1 if (x in A and y in A) else 0)
-                        db = t0 + (1 if (x not in A and y not in A) else 0)
-                        if p > self.pmax or da > self.smax or db > self.tmax:
-                            continue
-                        key = (x, p, da, db, x0 | ykey)
-                        if key not in cur:
-                            cur[key] = (pkey, x, y, ykey, y == w)
-                            self._tick()
-            self._levels.append(cur)
+                    p = p0 + dp
+                    sa = s0 + da
+                    tb = t0 + db
+                    if p > pmax or sa > smax or tb > tmax:
+                        continue
+                    key = (x, p, sa, tb, x0 | ykey)
+                    if key not in cur:
+                        cur[key] = (pkey, x, y, ykey, y == w)
+                        self._tick()
+        return cur
 
     def query(self, r: int, p: int, s: int, t: int):
         """One accepting state for exact counts (r, p, s, t), or None."""
-        if r < 1 or r > len(self._levels):
+        if r < 1 or r > self.rmax:
             return None
+        while len(self._levels) < r:
+            self._levels.append(self._next_level())
         for key in self._levels[r - 1]:
             if key[1] == p and key[2] == s and key[3] == t:
                 return (r, key)
@@ -312,7 +312,8 @@ class _SegmentEngine:
                 cur = v
                 break
             e &= e - 1
-        assert cur is not None, "alpha table inconsistent"
+        if cur is None:
+            raise ConstructionFailure("segment DP: alpha table inconsistent")
         while cur != x:
             seq.append(cur)
             ckey &= ~(1 << c[cur])
@@ -326,88 +327,108 @@ class _SegmentEngine:
                     continue
                 nxt = v
                 break
-            assert nxt is not None, "alpha walk broke"
+            if nxt is None:
+                raise ConstructionFailure("segment DP: alpha walk broke")
             cur = nxt
         seq.append(x)
         seq.reverse()
         return seq
 
 
-def _bucket(x: int) -> int:
-    b = 4
-    while b < x:
-        b *= 2
-    return b
+class SegmentSearch:
+    """The segment searches of one case analysis over one (g, T, A).
 
+    Probes with r <= rmax and p <= pmax are answered exactly from one
+    identity-coloring engine, built on the first probe, until its state
+    budget trips; from then on every probe runs Monte Carlo colorings of its
+    own. det_cap skips the identity engine on hosts with more vertices (a
+    test hook).
+    """
 
-_overbudget_keys: set = set()
+    def __init__(self, g: Graph, T, A, pmax: int, rmax: int,
+                 det_cap: int | None = None):
+        self.g = g
+        self.T = frozenset(T)
+        self.A = frozenset(A)
+        if any(v < 0 or v >= g.n for v in self.T):
+            raise PreconditionError("T contains out-of-range vertices")
+        if not self.A <= self.T:
+            raise PreconditionError("A must be a subset of T")
+        self.pmax = pmax
+        self.rmax = rmax
+        self.exact = det_cap is None or g.n <= det_cap
+        self.engine: _SegmentEngine | None = None
 
+    def _check(self, g: Graph, T: frozenset, A: frozenset, r: int, p: int):
+        if g is not self.g or T != self.T or A != self.A:
+            raise PreconditionError("probe does not match the search's (g, T, A)")
+        if r > self.rmax or p > self.pmax:
+            raise PreconditionError(
+                f"probe (r={r}, p={p}) outside the search's range "
+                f"(r <= {self.rmax}, p <= {self.pmax})"
+            )
 
-@lru_cache(maxsize=64)
-def _identity_engine(g: Graph, T: frozenset, A: frozenset, pmax: int, rmax: int
-                     ) -> _SegmentEngine:
-    return _SegmentEngine(
-        g, T, A, tuple(range(g.n)), pmax, rmax, smax=rmax, tmax=rmax,
-        state_budget=DET_STATE_BUDGET,
-    )
-
-
-def _search(
-    g: Graph,
-    T: frozenset[int],
-    A: frozenset[int],
-    r: int,
-    p: int,
-    s: int,
-    t: int,
-    seed: int,
-    trials: int | None,
-    trial_offset: int,
-    skip_identity: bool = False,
-    report: dict | None = None,
-) -> SegmentSystem | None:
-    # deterministic identity coloring first: exact whenever its reachable
-    # state space fits the budget (always at oracle scale)
-    key = (g, T, A, _bucket(p), _bucket(r))
-    if not skip_identity and key not in _overbudget_keys:
-        try:
-            engine = _identity_engine(g, T, A, _bucket(p), _bucket(r))
-            if report is not None:
-                report["deterministic"] = True
+    def find(
+        self,
+        r: int,
+        p: int,
+        s: int,
+        t: int,
+        seed: int,
+        trials: int | None,
+        trial_offset: int,
+        report: dict | None,
+    ) -> SegmentSystem | None:
+        g, T, A = self.g, self.T, self.A
+        if self.exact:
+            try:
+                if self.engine is None:
+                    self.engine = _SegmentEngine(
+                        g, T, A, tuple(range(g.n)), self.pmax, self.rmax,
+                        smax=self.rmax, tmax=self.rmax,
+                        state_budget=DET_STATE_BUDGET,
+                    )
+                hit = self.engine.query(r, p, s, t)
+            except _EngineBudget:
+                self.exact = False
+                self.engine = None
+            else:
+                if report is not None:
+                    report["deterministic"] = True
+                if hit is None:
+                    return None
+                return _assemble(g, T, A, self.engine, hit, p, s, t)
+        if report is not None:
+            report["deterministic"] = False
+        q = p + 2 * r
+        if q > RANDOM_Q_CAP:
+            return None
+        if trials is None:
+            trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
+        for trial in range(trial_offset, trial_offset + trials):
+            rng = random.Random(seed * 2654435761 + trial)
+            coloring = tuple(rng.randrange(q) for _ in range(g.n))
+            engine = _SegmentEngine(g, T, A, coloring, p, r, s, t)
             hit = engine.query(r, p, s, t)
-            if hit is None:
-                return None
-            return _assemble(g, T, A, engine, hit)
-        except _EngineBudget:
-            _overbudget_keys.add(key)
-    if report is not None:
-        report["deterministic"] = False
-    q = p + 2 * r
-    if q > RANDOM_Q_CAP:
+            if hit is not None:
+                return _assemble(g, T, A, engine, hit, p, s, t)
         return None
-    if trials is None:
-        trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
-    for trial in range(trial_offset, trial_offset + trials):
-        rng = random.Random(seed * 2654435761 + trial)
-        coloring = tuple(rng.randrange(q) for _ in range(g.n))
-        engine = _SegmentEngine(g, T, A, coloring, p, r, s, t)
-        hit = engine.query(r, p, s, t)
-        if hit is not None:
-            return _assemble(g, T, A, engine, hit)
-    return None
 
 
-def _assemble(g, T, A, engine, hit) -> SegmentSystem:
+def _assemble(g, T, A, engine, hit, p, s, t) -> SegmentSystem:
     r, key = hit
     raw = engine.reconstruct(r, key)
     paths = tuple(PathCertificate(tuple(seq)) for seq in raw)
-    s_cnt = sum(1 for pp in paths if pp.vertices[0] in A and pp.vertices[-1] in A)
-    t_cnt = sum(
-        1 for pp in paths if pp.vertices[0] not in A and pp.vertices[-1] not in A
+    system = SegmentSystem(paths, T, (s, t))
+    ok, reason = validate_segment_system(
+        g, system, T,
+        partition=(A, T - A),
+        expect=(r, p),
+        expect_st=(s, t),
+        require_a_two_internals=True,
     )
-    system = SegmentSystem(paths, T, (s_cnt, t_cnt))
-    ok, reason = validate_segment_system(g, system, T, partition=(A, T - A))
-    assert ok, f"segment DP produced an invalid system: {reason}"
+    if not ok:
+        raise ConstructionFailure(f"segment DP produced an invalid system: {reason}")
     return system
 
 
@@ -421,31 +442,33 @@ def find_segments(
     trial_offset: int = 0,
     det_cap: int | None = None,
     report: dict | None = None,
+    search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices.
 
     Returned systems always validate; a None answer is exact when the
     identity-coloring mode ran (report["deterministic"]) and one-sided Monte
     Carlo otherwise. det_cap forces the Monte Carlo path on larger hosts
-    (a test hook). r > p is immediately infeasible.
+    (a test hook). r > p is immediately infeasible. A search made for
+    (g, T, A=()) answers the probe from its shared engine; without one, a
+    search for this probe alone is made.
     """
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")
     T = frozenset(T)
-    if any(v < 0 or v >= g.n for v in T):
-        raise PreconditionError("T contains out-of-range vertices")
+    if search is None:
+        search = SegmentSearch(g, T, (), p, r, det_cap=det_cap)
+    elif det_cap is not None:
+        raise PreconditionError("det_cap belongs to the search, not the probe")
     if r > p:
         if report is not None:
             report["deterministic"] = True
         return None
-    skip_identity = det_cap is not None and g.n > det_cap
-    sys_ = _search(
-        g, T, frozenset(), r, p, 0, r, seed, trials, trial_offset,
-        skip_identity, report,
-    )
-    if sys_ is None:
+    search._check(g, T, frozenset(), r, p)
+    system = search.find(r, p, 0, r, seed, trials, trial_offset, report)
+    if system is None:
         return None
-    return SegmentSystem(sys_.paths, T, None)
+    return SegmentSystem(system.paths, T, None)
 
 
 def find_segments_partitioned(
@@ -462,9 +485,11 @@ def find_segments_partitioned(
     trial_offset: int = 0,
     det_cap: int | None = None,
     report: dict | None = None,
+    search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """Partitioned search: s A-segments, t B-segments, A-segments have >= 2
-    internal vertices. Exact counts, as in the plain search."""
+    internal vertices. Exact counts, as in the plain search; search, when
+    given, must have been made for (g, T, A)."""
     T, A, B = frozenset(T), frozenset(A), frozenset(B)
     if A | B != T or A & B:
         raise PreconditionError("A and B must partition T")
@@ -474,24 +499,13 @@ def find_segments_partitioned(
         raise PreconditionError("s and t must be nonnegative")
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")
+    if search is None:
+        search = SegmentSearch(g, T, A, p, r, det_cap=det_cap)
+    elif det_cap is not None:
+        raise PreconditionError("det_cap belongs to the search, not the probe")
     if r > p:
         if report is not None:
             report["deterministic"] = True
         return None
-    skip_identity = det_cap is not None and g.n > det_cap
-    system = _search(
-        g, T, A, r, p, s, t, seed, trials, trial_offset, skip_identity, report
-    )
-    if system is None:
-        return None
-    ok, reason = validate_segment_system(
-        g,
-        system,
-        T,
-        partition=(A, B),
-        expect=(r, p),
-        expect_st=(s, t),
-        require_a_two_internals=True,
-    )
-    assert ok, f"partitioned segment DP invalid: {reason}"
-    return system
+    search._check(g, T, A, r, p)
+    return search.find(r, p, s, t, seed, trials, trial_offset, report)

@@ -213,13 +213,15 @@ def case_small_dense(
                 assert check, check.reason
                 return SolveResult("yes", certificate=cert, stats=stats, **base)
 
-    # (b) segment systems with T = H
+    # (b) segment systems with T = H, all answered by one search
+    search = segments.SegmentSearch(g, H, (), 2 * k_prime - 2, k_prime)
     for r in range(1, k_prime + 1):
         for p in range(max(k_prime, r), 2 * k_prime - 1):
             stats["segment_probes"] += 1
             report = {}
             system = segments.find_segments(
-                g, H, r, p, seed=budget.seed, trials=budget.trials, report=report
+                g, H, r, p, seed=budget.seed, trials=budget.trials, report=report,
+                search=search,
             )
             if system is None:
                 if not report.get("deterministic", False):
@@ -320,6 +322,7 @@ def case_bipartite_dense(
                 assert check, check.reason
                 return SolveResult("yes", certificate=cert, stats=stats, **base)
 
+    search = segments.SegmentSearch(g, H, A, 3 * k_prime - 2, k_prime)
     for r in range(1, k_prime + 1):
         for s in range(0, min(r, k_prime) + 1):
             for t in range(0, min(r - s, k_prime) + 1):
@@ -331,6 +334,7 @@ def case_bipartite_dense(
                     system = segments.find_segments_partitioned(
                         g, H, A, B, r, p, s, t,
                         seed=budget.seed, trials=budget.trials, report=report,
+                        search=search,
                     )
                     if system is None:
                         if not report.get("deterministic", False):
@@ -446,7 +450,13 @@ def solve(
             return SolveResult(
                 "yes", certificate=cert, branch="case_ii", trace=trace, **base
             )
-        res = case_small_dense(g, H, k_prime, mad, k, bud)
+        try:
+            res = case_small_dense(g, H, k_prime, mad, k, bud)
+        except ConstructionFailure as exc:
+            return SolveResult(
+                "unknown", branch="case_ii", trace=trace,
+                stats={"reason": f"construction failed: {exc}"}, **base,
+            )
         res.trace = trace
         return _downgrade_out_of_range(res, in_strict_range)
 
@@ -468,6 +478,14 @@ def solve(
         assert verify_cycle_certificate(g, cert)
         return SolveResult(
             "yes", certificate=cert, branch="case_iii", trace=trace, **base
+        )
+    if 2 * len(A) < 3 * k_prime:
+        # case (iii) needs |A| >= 3k'/2; without it nothing is claimed
+        return SolveResult(
+            "unknown", branch="case_iii", trace=trace,
+            stats={"reason": f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, "
+                             f"k'={k_prime}"},
+            **base,
         )
     try:
         res = case_bipartite_dense(g, H, A, B, k_prime, mad, k, bud)

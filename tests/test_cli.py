@@ -74,6 +74,21 @@ class TestSolve:
             for s in obj["trace"]
         )
 
+    def test_small_side_a_is_unknown_not_usage_error(self, tmp_path):
+        # K8 joined to 80 independent vertices at k=10: case (iii) is reached
+        # with |A| = 8 < 3k'/2, which is valid input with no decided answer
+        code, graph, _ = run(["gen", "lemma7_trace", "--param", "branch=bip_dense"])
+        assert code == 0
+        f = tmp_path / "bip.el"
+        f.write_text(graph)
+        code, out, err = run(
+            ["solve", str(f), "-k", "10", "--mode", "relaxed", "--json"]
+        )
+        assert code == 2 and err == ""
+        obj = json.loads(out)
+        assert obj["answer"] == "unknown" and obj["branch"] == "case_iii"
+        assert "3k'/2" in obj["stats"]["reason"]
+
     def test_path_mode(self, tmp_path):
         code, out, _ = run(["solve", write_k4(tmp_path), "-k", "1", "--path", "--json"])
         assert code == 0

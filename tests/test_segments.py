@@ -1,11 +1,16 @@
+import gc
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
-from madcycle.errors import PreconditionError
+from madcycle import segments, solver
+from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import build_graph
-from madcycle.oracles import oracle_segments
+from madcycle.oracles import SEGMENTS_P_CAP, oracle_segments
 from madcycle.segments import (
+    SegmentSearch,
     find_segments,
     find_segments_partitioned,
     validate_segment_system,
@@ -138,3 +143,154 @@ class TestTrialIndependence:
                     for path in got.paths:
                         span |= set(path.vertices)
                     assert len(span) <= p + 2 * r
+
+
+def _case_iii_probes(k):
+    """(r, p, s, t) in the order case (iii) probes them."""
+    for r in range(1, k + 1):
+        for s in range(0, min(r, k) + 1):
+            for t in range(0, min(r - s, k) + 1):
+                for p in range(max(k + s - t, r, 1), 3 * k - 1):
+                    yield r, p, s, t
+
+
+def _case_ii_probes(k):
+    """(r, p) in the order case (ii) probes them."""
+    for r in range(1, k + 1):
+        for p in range(max(k, r), 2 * k - 1):
+            yield r, p
+
+
+def _split_with_ears(a, ears):
+    """Clique on a vertices joined to 10a independent vertices, plus
+    one-vertex ears between disjoint pairs of independent vertices."""
+    n = 11 * a
+    edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    edges += [(i, a + j) for i in range(a) for j in range(10 * a)]
+    for e in range(ears):
+        edges += [(a + 2 * e, n), (n, a + 2 * e + 1)]
+        n += 1
+    return build_graph(edges, n)
+
+
+class TestSharedSearch:
+    def test_shared_engine_matches_fresh_searches(self):
+        # one search walked through a case analysis's whole probe order
+        # answers every probe exactly as a search made for that probe alone
+        rng = random.Random(17)
+        probes, found, found_two_a = 0, 0, 0
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.35, 0.75))
+            T = frozenset(rng.sample(range(g.n), rng.randint(3, min(6, g.n - 2))))
+            A = frozenset(v for v in T if rng.random() < 0.6)
+            for k in (2, 3):
+                search = SegmentSearch(g, T, A, 3 * k - 2, k)
+                for r, p, s, t in _case_iii_probes(k):
+                    rep_shared, rep_fresh = {}, {}
+                    shared = find_segments_partitioned(
+                        g, T, A, T - A, r, p, s, t, seed=4, report=rep_shared,
+                        search=search,
+                    )
+                    fresh = find_segments_partitioned(
+                        g, T, A, T - A, r, p, s, t, seed=4, report=rep_fresh
+                    )
+                    assert rep_shared["deterministic"] and rep_fresh["deterministic"]
+                    assert (shared is None) == (fresh is None)
+                    if shared is not None:
+                        assert shared.paths == fresh.paths
+                        found += 1
+                        found_two_a += s >= 2
+                    if p <= SEGMENTS_P_CAP:
+                        want = oracle_segments(
+                            g, T, r, p, partition=(A, T - A), s=s, t=t
+                        )
+                        assert (shared is not None) == want, (
+                            g.adj, sorted(T), sorted(A), r, p, s, t,
+                        )
+                    probes += 1
+                search = SegmentSearch(g, T, (), 2 * k - 2, k)
+                for r, p in _case_ii_probes(k):
+                    shared = find_segments(g, T, r, p, seed=9, search=search)
+                    fresh = find_segments(g, T, r, p, seed=9)
+                    assert (shared is None) == (fresh is None)
+                    if shared is not None:
+                        assert shared.paths == fresh.paths
+                    assert (shared is not None) == oracle_segments(g, T, r, p)
+                    probes += 1
+        assert probes > 1000 and found > 100 and found_two_a >= 5
+
+    def test_probe_must_match_search(self):
+        g = cycle_graph(6)
+        search = SegmentSearch(g, {0, 3}, {0}, 4, 2)
+        with pytest.raises(PreconditionError):
+            find_segments_partitioned(g, {0, 3}, {3}, {0}, 1, 2, 0, 0, search=search)
+        with pytest.raises(PreconditionError):
+            find_segments_partitioned(g, {0, 3}, {0}, {3}, 3, 5, 0, 0, search=search)
+        with pytest.raises(PreconditionError):
+            find_segments(g, {0, 3}, 1, 2, search=search)
+
+    def test_budget_trip_falls_back_to_monte_carlo(self, monkeypatch):
+        monkeypatch.setattr(segments, "DET_STATE_BUDGET", 3)
+        g = cycle_graph(8)
+        search = SegmentSearch(g, {0, 4}, (), 4, 2)
+        for p in (3, 4):
+            report = {}
+            got = find_segments(g, {0, 4}, 1, p, seed=1, report=report, search=search)
+            assert report["deterministic"] is False
+            assert search.engine is None
+            if got is not None:
+                ok, reason = validate_segment_system(g, got, {0, 4}, expect=(1, p))
+                assert ok, reason
+
+    def test_budget_trip_never_answers_no(self, monkeypatch):
+        # an A-A outside path with one internal vertex is gated off, so the
+        # exact case (iii) answers no; past the budget it may not
+        a, b = 8, 80
+        edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+        edges += [(i, a + j) for i in range(a) for j in range(b)]
+        g = build_graph(edges + [(0, 88), (88, 1)], 89)
+        args = (g, frozenset(range(88)), frozenset(range(8)), frozenset(range(8, 88)),
+                1, Fraction(16), 0)
+        assert solver.case_bipartite_dense(*args, solver._Budget()).answer == "no"
+        monkeypatch.setattr(segments, "DET_STATE_BUDGET", 0)
+        res = solver.case_bipartite_dense(*args, solver._Budget())
+        assert res.answer == "unknown" and "randomized" in res.stats["reason"]
+        for k in (2, 3, 4):
+            res = solver.solve(_split_with_ears(8, 1), k, strict=False, budget=2)
+            assert res.answer != "no"
+            assert res.branch == "case_iii" and "randomized" in res.stats["reason"]
+
+    def test_solve_leaves_no_engine_alive(self, monkeypatch):
+        made = []
+
+        class Recorded(segments._SegmentEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(segments, "_SegmentEngine", Recorded)
+        res = solver.solve(_split_with_ears(8, 6), 3, strict=False)
+        assert res.answer == "yes" and res.stats["segment_probes"] > 1
+        assert made
+        gc.collect()
+        assert all(ref() is None for ref in made)
+
+
+class TestChecksRaise:
+    def test_invalid_system_raises_construction_failure(self, monkeypatch):
+        # the check must hold under python -O, so it is not an assert
+        monkeypatch.setattr(
+            segments, "validate_segment_system", lambda *a, **kw: (False, "forced")
+        )
+        with pytest.raises(ConstructionFailure):
+            find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {3}, 1, 2, 0, 0)
+        with pytest.raises(ConstructionFailure):
+            find_segments(cycle_graph(6), {0, 3}, 1, 2)
+
+    def test_broken_alpha_walk_raises_construction_failure(self):
+        g = cycle_graph(6)
+        engine = segments._SegmentEngine(
+            g, frozenset({0, 3}), frozenset(), tuple(range(6)), 2, 1, 0, 1
+        )
+        with pytest.raises(ConstructionFailure):
+            engine._walk_segment(0, 3, 1 << 0 | 1 << 3 | 1 << 4)

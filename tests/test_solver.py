@@ -200,6 +200,23 @@ class TestCaseBipartiteDense:
 
 
 class TestRelaxedMode:
+    def test_case_ii_construction_failure_is_unknown(self, monkeypatch):
+        from madcycle import solver
+        from madcycle.errors import ConstructionFailure
+
+        def broken(*args, **kwargs):
+            raise ConstructionFailure("forced")
+
+        # K26 minus a perfect matching plus a one-vertex ear reaches case (ii)
+        edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
+                 if not (v == u + 1 and u % 2 == 0)]
+        g = build_graph(edges + [(0, 26), (26, 1)], 27)
+        assert solve(g, 3, strict=False).branch == "case_ii"
+        monkeypatch.setattr(solver, "case_small_dense", broken)
+        res = solve(g, 3, strict=False)
+        assert res.answer == "unknown" and res.branch == "case_ii"
+        assert "construction failed: forced" in res.stats["reason"]
+
     def test_relaxed_yes_with_certificate(self):
         from madcycle.instances import gen_instance
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error, 65 data error.
+Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error, 65 data error,
+70 internal error.
 Identical (argv, input, seed) always produces byte-identical stdout.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import oracles
 from .errors import CapExceeded, GraphInputError, PreconditionError
@@ -26,6 +28,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 
 class _Usage(Exception):
@@ -64,7 +67,6 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1, help="reserved; runs serially")
 
     sp = sub.add_parser("verify", help="check a cycle certificate")
     add_input(sp)
@@ -130,6 +132,11 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except (PreconditionError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, never to be read as an answer
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        traceback.print_exc(file=err)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args, out) -> int:

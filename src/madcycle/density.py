@@ -23,13 +23,14 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int):
+    def add_edge(self, u: int, v: int, cap: int, back_cap: int = 0):
+        """Arc u->v and its reverse v->u, as arcs e and e ^ 1."""
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back_cap)
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -106,9 +107,13 @@ def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
     """Some nonempty S with |E(G[S])|/|S| > guess, or None if no such set exists.
 
     Goldberg's network: source->v with capacity m*b, v->sink with capacity
-    m*b + 2a - b*d(v), both arcs of every edge with capacity b, for guess a/b.
-    The cut value for source side S is n*m*b + 2(a|S| - b|E(G[S])|), so the
-    min cut drops below n*m*b exactly when a denser-than-guess set exists.
+    m*b + 2a - b*d(v), and capacity b both ways across every edge, for guess
+    a/b. The cut value for source side S is n*m*b + 2(a|S| - b|E(G[S])|), so
+    the min cut drops below n*m*b exactly when a denser-than-guess set exists.
+    Each edge is one arc pair, and every path source->v->sink is saturated
+    before Dinic runs. Neither changes the max-flow value or the minimal min
+    cut source side, which every maximum flow shares, so the returned set
+    does not depend on them.
     """
     if g.n == 0:
         raise PreconditionError("empty graph")
@@ -121,13 +126,17 @@ def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
     n, m = g.n, g.m
     s, t = n, n + 1
     net = _Dinic(n + 2)
+    flow = 0
     for v in range(n):
-        net.add_edge(s, v, m * b)
-        net.add_edge(v, t, m * b + 2 * a - b * g.degree(v))
+        # the two arcs' residuals after pushing min(m*b, sink capacity)
+        sink_cap = m * b + 2 * a - b * g.degree(v)
+        pushed = min(m * b, sink_cap)
+        flow += pushed
+        net.add_edge(s, v, m * b - pushed, pushed)
+        net.add_edge(v, t, sink_cap - pushed, pushed)
     for u, v in g.edges():
-        net.add_edge(u, v, b)
-        net.add_edge(v, u, b)
-    flow = net.max_flow(s, t)
+        net.add_edge(u, v, b, b)
+    flow += net.max_flow(s, t)
     if flow >= n * m * b:
         return None
     side = net.min_cut_source_side(s)

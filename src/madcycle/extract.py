@@ -450,7 +450,10 @@ def find_dense(
             "reduced core is too small to host cycles (graph too sparse)"
         )
 
-    seps = two_separators(sub) if is_biconnected(sub) else []
+    # the reduction's last rule-4 round already scanned this core
+    seps = trace.final_separators
+    if seps is None:
+        seps = two_separators(sub) if is_biconnected(sub) else []
     if seps:
         cyc = _glue_cycle(g, sub, ids, seps[0])
         if strict and len(cyc) < threshold:

@@ -348,17 +348,6 @@ def _partitioned_signatures(g, T, A, segs, max_p):
     return frozenset(sigs)
 
 
-def oracle_circumference_at_least(g: Graph, threshold: int, cap: int = 18) -> bool:
-    """Convenience wrapper: does some cycle of length >= threshold exist?"""
-    length, _ = oracle_longest_cycle(g, cap=cap)
-    return length >= threshold
-
-
-def oracle_hamiltonian(g: Graph, cap: int = 18) -> bool:
-    length, _ = oracle_longest_cycle(g, cap=cap)
-    return length == g.n
-
-
 def all_subsets_density(g: Graph):
     """(density, subset) pairs for every nonempty subset; test helper scale only."""
     if g.n > MAD_CAP:

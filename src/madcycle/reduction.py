@@ -17,6 +17,7 @@ from .graph import (
     blocks_and_cut_vertices,
     eg_bound,
     induced_subgraph,
+    is_biconnected,
     is_connected,
     subset_components,
     two_separators,
@@ -35,6 +36,10 @@ class ReductionStep:
 class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
     final_vertices: frozenset[int] = frozenset()
+    # every 2-separator of the final core, labelled as in
+    # induced_subgraph(g, final_vertices); None when the last round did not
+    # scan them (the core is not 2-connected or has fewer than 4 vertices)
+    final_separators: list[tuple[int, int]] | None = None
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -53,13 +58,16 @@ def _sub_eg(g: Graph, vs) -> Fraction:
     return eg_bound(sub)
 
 
-def apply_rule(g: Graph, vertices, rule: int) -> tuple[frozenset[int], frozenset[int]] | None:
+def apply_rule(
+    g: Graph, vertices, rule: int, report: dict | None = None
+) -> tuple[frozenset[int], frozenset[int]] | None:
     """One application of a reduction rule to the induced subgraph g[vertices].
 
     Returns (survivors, removed) or None when the rule does not apply.
     Deterministic choices: maximize the surviving 2m/(n-1), ties to the part
     with the smallest vertex id; rule 3 removes the smallest qualifying vertex;
-    rule 4 uses the lexicographically first (separator, component).
+    rule 4 uses the lexicographically first (separator, component). Rule 4
+    stores the 2-separators it scanned in report["separators"].
     """
     vs = frozenset(vertices)
     if len(vs) < 2:
@@ -113,11 +121,14 @@ def apply_rule(g: Graph, vertices, rule: int) -> tuple[frozenset[int], frozenset
     if rule == 4:
         if sub.n < 4:
             return None
-        if not is_connected(sub) or blocks_and_cut_vertices(sub)[1]:
+        if not is_biconnected(sub):
             raise PreconditionError("rule 4 needs a 2-connected graph")
         before = eg_bound(sub)
         threshold = Fraction(2, 3) * before
-        for x, y in two_separators(sub):
+        seps = two_separators(sub)
+        if report is not None:
+            report["separators"] = seps
+        for x, y in seps:
             comps = subset_components(sub, set(range(sub.n)) - {x, y})
             comps.sort(key=min)
             for comp in comps:
@@ -139,6 +150,8 @@ def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], Reductio
 
     Claim safety: 2m/(n-1) never decreases across a step. The survivor of a
     run starting from a graph with an edge always keeps at least one edge.
+    When rule 4 is the last rule tried, its scan covered the whole final core,
+    and the trace keeps the separators it found.
     """
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
@@ -149,20 +162,22 @@ def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], Reductio
 
     trace = ReductionTrace()
     while True:
-        before = _sub_eg(g, vs)
-        fired = None
         sub, _ = induced_subgraph(g, vs)
+        before = eg_bound(sub)
+        fired = None
         connected = is_connected(sub)
+        report: dict = {}
         for rule in (1, 2, 3, 4):
             if rule == 2 and not connected:
                 continue
-            if rule == 4 and (not connected or sub.n < 3 or blocks_and_cut_vertices(sub)[1]):
+            if rule == 4 and not is_biconnected(sub):
                 continue
-            res = apply_rule(g, vs, rule)
+            res = apply_rule(g, vs, rule, report=report)
             if res is not None:
                 fired = (rule, res)
                 break
         if fired is None:
+            trace.final_separators = report.get("separators")
             break
         rule, (keep, removed) = fired
         after = _sub_eg(g, keep)

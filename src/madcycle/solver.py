@@ -29,13 +29,30 @@ from .graph import (
     induced_subgraph,
     is_biconnected,
     is_connected,
+    subset_components,
     verify_cycle_certificate,
     verify_path_certificate,
 )
 from .reduction import reduce_exhaustive
 
 FALLBACK_N_CAP = 24
-FALLBACK_DP_CAP = 18
+
+
+def _certify(
+    g: Graph, cert: CycleCertificate | PathCertificate
+) -> CycleCertificate | PathCertificate:
+    """The certificate itself once it verifies against g.
+
+    Raises ConstructionFailure otherwise, so no unverified certificate is
+    ever returned, also under python -O.
+    """
+    if isinstance(cert, PathCertificate):
+        check = verify_path_certificate(g, cert)
+    else:
+        check = verify_cycle_certificate(g, cert)
+    if not check:
+        raise ConstructionFailure(f"certificate failed verification: {check.reason}")
+    return cert
 
 
 @dataclass
@@ -65,9 +82,7 @@ def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     sub, ids = induced_subgraph(g, core)
     cyc = longpaths.dirac_cycle(sub)
     mapped = tuple(ids[v] for v in cyc.vertices)
-    cert = CycleCertificate(mapped, ceil_frac(witness.mad))
-    check = verify_cycle_certificate(g, cert)
-    assert check, check.reason
+    cert = _certify(g, CycleCertificate(mapped, ceil_frac(witness.mad)))
     if not Fraction(len(mapped)) > witness.mad:
         raise ConstructionFailure("constructive cycle does not exceed mad")
     return cert
@@ -93,8 +108,7 @@ def exact_longest_cycle_fallback(
         )
     found = cyclesearch.find_cycle_at_least(g, want, node_budget=None)
     if found is not None:
-        cert = CycleCertificate(tuple(found), want)
-        assert verify_cycle_certificate(g, cert)
+        cert = _certify(g, CycleCertificate(tuple(found), want))
         return SolveResult("yes", certificate=cert, **base)
     return SolveResult("no", **base)
 
@@ -141,6 +155,73 @@ def _splice_segments(
     return out
 
 
+def _outside_path(
+    g: Graph, H: frozenset[int], target: int, budget: _Budget, stats: dict
+) -> PathCertificate | None:
+    """An (s,t)-path with >= target vertices, s < t in H, all others outside H.
+
+    Pairs are tried in lexicographic order. The internal vertices of such a
+    path lie in one component C of G - H that touches both s and t and has
+    at least target - 2 vertices. So a pair is probed only when such a C
+    exists, and only on those components plus {s, t}: there the identity DP
+    visits the states that can still reach t in the order it visits them on
+    all of G - H plus {s, t}, and returns the same path. stats["st_probes"]
+    counts the probes run.
+    """
+    outside = [v for v in g.vertices() if v not in H]
+    comps = [c for c in subset_components(g, outside) if len(c) + 2 >= target]
+    touching: dict[int, set[int]] = {}  # vertex of H -> kept components it touches
+    for i, comp in enumerate(comps):
+        for v in comp:
+            for w in g.adj[v]:
+                if w in H:
+                    touching.setdefault(w, set()).add(i)
+    anchors = sorted(touching)
+    for j, s in enumerate(anchors):
+        for t in anchors[j + 1 :]:
+            shared = touching[s] & touching[t]
+            if not shared:
+                continue
+            host, ids = induced_subgraph(g, {s, t}.union(*(comps[i] for i in shared)))
+            stats["st_probes"] += 1
+            report: dict = {}
+            found = longpaths.st_path_at_least(
+                host,
+                ids.index(s),
+                ids.index(t),
+                target,
+                seed=budget.seed,
+                trials=budget.trials,
+                report=report,
+            )
+            if found is not None:
+                return PathCertificate(tuple(ids[v] for v in found.vertices))
+            if not report.get("deterministic", False):
+                budget.randomized_used = True
+    return None
+
+
+def _spliced_yes(
+    g: Graph,
+    routed: CycleCertificate,
+    system: segments.SegmentSystem,
+    stats: dict,
+    base: dict,
+) -> SolveResult:
+    """Yes with the routed cycle, the system spliced in, as its certificate."""
+    out = _splice_segments(g, routed, system)
+    cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+    return SolveResult("yes", certificate=cert, stats=stats, **base)
+
+
+def _exhausted(budget: _Budget, stats: dict, base: dict) -> SolveResult:
+    """No witness found: no if every search was exact, else unknown."""
+    if budget.randomized_used:
+        stats["reason"] = "randomized searches exhausted without a witness"
+        return SolveResult("unknown", stats=stats, **base)
+    return SolveResult("no", stats=stats, **base)
+
+
 def case_small_dense(
     g: Graph,
     H,
@@ -162,63 +243,27 @@ def case_small_dense(
         raise PreconditionError("case_small_dense needs k' >= 1")
     sub_h, ids_h = induced_subgraph(g, H)
     back = {orig: i for i, orig in enumerate(ids_h)}
-    outside = [v for v in g.vertices() if v not in H]
     stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
 
-    # (a) all pairs s,t in H, path outside H with >= k'+2 vertices; only
-    # vertices of H with an outside neighbor can start such a path
-    if outside:
-        outside_set = set(outside)
-        anchors = sorted(
-            v for v in H if any(w in outside_set for w in g.adj[v])
+    def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
+        pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
+        ham = routing.hamiltonian_through_pairs(
+            sub_h, pair_set, k=k_prime + 1, mode="relaxed"
         )
-        restricted, ids_r = induced_subgraph(g, outside_set | H)
-        pos_r = {orig: i for i, orig in enumerate(ids_r)}
-        allowed_outside = {pos_r[v] for v in outside}
-        for s in anchors:
-            for t in anchors:
-                if s >= t:
-                    continue
-                rs, rt = pos_r[s], pos_r[t]
-                sub_universe = sorted(allowed_outside | {rs, rt})
-                gg, ids_gg = induced_subgraph(restricted, sub_universe)
-                stats["st_probes"] += 1
-                report: dict = {}
-                found = longpaths.st_path_at_least(
-                    gg,
-                    ids_gg.index(rs),
-                    ids_gg.index(rt),
-                    k_prime + 2,
-                    seed=budget.seed,
-                    trials=budget.trials,
-                    report=report,
-                )
-                if found is None:
-                    if not report.get("deterministic", False):
-                        budget.randomized_used = True
-                    continue
-                orig_path = [ids_r[ids_gg[v]] for v in found.vertices]
-                ham = routing.hamiltonian_through_pairs(
-                    sub_h, {(back[s], back[t])}, k=k_prime + 1, mode="relaxed"
-                )
-                mapped = CycleCertificate(
-                    tuple(ids_h[v] for v in ham.vertices), len(ham)
-                )
-                system = segments.SegmentSystem(
-                    (PathCertificate(tuple(orig_path)),), H
-                )
-                out = _splice_segments(g, mapped, system)
-                cert = CycleCertificate(tuple(out), threshold)
-                check = verify_cycle_certificate(g, cert)
-                assert check, check.reason
-                return SolveResult("yes", certificate=cert, stats=stats, **base)
+        return CycleCertificate(tuple(ids_h[v] for v in ham.vertices), len(ham))
+
+    # (a) one path outside H between two of its vertices
+    path = _outside_path(g, H, k_prime + 2, budget, stats)
+    if path is not None:
+        system = segments.SegmentSystem((path,), H)
+        return _spliced_yes(g, routed_cycle(system), system, stats, base)
 
     # (b) segment systems with T = H, all answered by one search
     search = segments.SegmentSearch(g, H, (), 2 * k_prime - 2, k_prime)
     for r in range(1, k_prime + 1):
         for p in range(max(k_prime, r), 2 * k_prime - 1):
             stats["segment_probes"] += 1
-            report = {}
+            report: dict = {}
             system = segments.find_segments(
                 g, H, r, p, seed=budget.seed, trials=budget.trials, report=report,
                 search=search,
@@ -227,21 +272,8 @@ def case_small_dense(
                 if not report.get("deterministic", False):
                     budget.randomized_used = True
                 continue
-            pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
-            ham = routing.hamiltonian_through_pairs(
-                sub_h, pair_set, k=k_prime + 1, mode="relaxed"
-            )
-            mapped = CycleCertificate(tuple(ids_h[v] for v in ham.vertices), len(ham))
-            out = _splice_segments(g, mapped, system)
-            cert = CycleCertificate(tuple(out), threshold)
-            check = verify_cycle_certificate(g, cert)
-            assert check, check.reason
-            return SolveResult("yes", certificate=cert, stats=stats, **base)
-
-    if budget.randomized_used:
-        stats["reason"] = "randomized searches exhausted without a witness"
-        return SolveResult("unknown", stats=stats, **base)
-    return SolveResult("no", stats=stats, **base)
+            return _spliced_yes(g, routed_cycle(system), system, stats, base)
+    return _exhausted(budget, stats, base)
 
 
 def case_bipartite_dense(
@@ -271,57 +303,23 @@ def case_bipartite_dense(
     back = {orig: i for i, orig in enumerate(ids_h)}
     a_local = frozenset(back[v] for v in A)
     b_local = frozenset(back[v] for v in B)
-    outside = [v for v in g.vertices() if v not in H]
     stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
     routing_k = max(1, -(-len(A) // 10))  # largest k the lemma scale allows
 
-    def routed_cycle(pair_set) -> CycleCertificate:
+    def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
+        pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
         cyc = routing.cover_side_through_pairs(
             sub_h, a_local, b_local, pair_set, k=routing_k, mode="relaxed"
         )
         return CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), len(cyc))
 
-    if outside:
-        outside_set = set(outside)
-        anchors = sorted(
-            v for v in H if any(w in outside_set for w in g.adj[v])
-        )
-        restricted, ids_r = induced_subgraph(g, outside_set | H)
-        pos_r = {orig: i for i, orig in enumerate(ids_r)}
-        allowed_outside = {pos_r[v] for v in outside}
-        for s in anchors:
-            for t in anchors:
-                if s >= t:
-                    continue
-                rs, rt = pos_r[s], pos_r[t]
-                sub_universe = sorted(allowed_outside | {rs, rt})
-                gg, ids_gg = induced_subgraph(restricted, sub_universe)
-                stats["st_probes"] += 1
-                report: dict = {}
-                found = longpaths.st_path_at_least(
-                    gg,
-                    ids_gg.index(rs),
-                    ids_gg.index(rt),
-                    k_prime + 3,
-                    seed=budget.seed,
-                    trials=budget.trials,
-                    report=report,
-                )
-                if found is None:
-                    if not report.get("deterministic", False):
-                        budget.randomized_used = True
-                    continue
-                orig_path = [ids_r[ids_gg[v]] for v in found.vertices]
-                mapped = routed_cycle({(back[s], back[t])})
-                system = segments.SegmentSystem(
-                    (PathCertificate(tuple(orig_path)),), H
-                )
-                out = _splice_segments(g, mapped, system)
-                cert = CycleCertificate(tuple(out), threshold)
-                check = verify_cycle_certificate(g, cert)
-                assert check, check.reason
-                return SolveResult("yes", certificate=cert, stats=stats, **base)
+    # (a) one path outside H between two of its vertices
+    path = _outside_path(g, H, k_prime + 3, budget, stats)
+    if path is not None:
+        system = segments.SegmentSystem((path,), H)
+        return _spliced_yes(g, routed_cycle(system), system, stats, base)
 
+    # (b) partitioned segment systems, all answered by one search
     search = segments.SegmentSearch(g, H, A, 3 * k_prime - 2, k_prime)
     for r in range(1, k_prime + 1):
         for s in range(0, min(r, k_prime) + 1):
@@ -330,7 +328,7 @@ def case_bipartite_dense(
                 hi = 3 * k_prime - 2
                 for p in range(lo, hi + 1):
                     stats["segment_probes"] += 1
-                    report = {}
+                    report: dict = {}
                     system = segments.find_segments_partitioned(
                         g, H, A, B, r, p, s, t,
                         seed=budget.seed, trials=budget.trials, report=report,
@@ -340,20 +338,8 @@ def case_bipartite_dense(
                         if not report.get("deterministic", False):
                             budget.randomized_used = True
                         continue
-                    pair_set = {
-                        (back[a], back[b]) for a, b in system.endpoint_pairs()
-                    }
-                    mapped = routed_cycle(pair_set)
-                    out = _splice_segments(g, mapped, system)
-                    cert = CycleCertificate(tuple(out), threshold)
-                    check = verify_cycle_certificate(g, cert)
-                    assert check, check.reason
-                    return SolveResult("yes", certificate=cert, stats=stats, **base)
-
-    if budget.randomized_used:
-        stats["reason"] = "randomized searches exhausted without a witness"
-        return SolveResult("unknown", stats=stats, **base)
-    return SolveResult("no", stats=stats, **base)
+                    return _spliced_yes(g, routed_cycle(system), system, stats, base)
+    return _exhausted(budget, stats, base)
 
 
 def solve(
@@ -387,8 +373,7 @@ def solve(
 
     if k == 0:
         cert = k0_constructive_cycle(g)
-        cert = CycleCertificate(cert.vertices, threshold)
-        assert verify_cycle_certificate(g, cert)
+        cert = _certify(g, CycleCertificate(cert.vertices, threshold))
         res = SolveResult("yes", certificate=cert, branch="k0", **base)
         if with_trace:
             _, tr = reduce_exhaustive(g, mad_with_witness(g).vertices)
@@ -425,8 +410,7 @@ def solve(
     if isinstance(witness, FoundCycle):
         cert = witness.cycle
         if len(cert) >= threshold:
-            cert = CycleCertificate(cert.vertices, threshold)
-            assert verify_cycle_certificate(g, cert)
+            cert = _certify(g, CycleCertificate(cert.vertices, threshold))
             return SolveResult(
                 "yes", certificate=cert, branch="find_dense", trace=trace, **base
             )
@@ -443,10 +427,9 @@ def solve(
             ham = routing.hamiltonian_through_pairs(
                 sub_h, set(), k=k + 1, mode="relaxed"
             )
-            cert = CycleCertificate(
-                tuple(ids_h[v] for v in ham.vertices), threshold
+            cert = _certify(
+                g, CycleCertificate(tuple(ids_h[v] for v in ham.vertices), threshold)
             )
-            assert verify_cycle_certificate(g, cert)
             return SolveResult(
                 "yes", certificate=cert, branch="case_ii", trace=trace, **base
             )
@@ -474,8 +457,9 @@ def solve(
             k=max(1, len(A) // 10),
             mode="relaxed",
         )
-        cert = CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), threshold)
-        assert verify_cycle_certificate(g, cert)
+        cert = _certify(
+            g, CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), threshold)
+        )
         return SolveResult(
             "yes", certificate=cert, branch="case_iii", trace=trace, **base
         )
@@ -547,9 +531,7 @@ def _solve_path(g, k, seed, budget, strict, with_trace) -> SolveResult:
             i = seq.index(u)
             seq = seq[i + 1 :] + seq[:i]
         # a cycle avoiding u is already a path of G when read linearly
-        path = PathCertificate(tuple(seq))
-        check = verify_path_certificate(g, path)
-        assert check, check.reason
+        path = _certify(g, PathCertificate(tuple(seq)))
         if len(path) < want_vertices:
             raise ConstructionFailure("path-mode conversion too short")
         res.path_certificate = path

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from madcycle.cli import run_cli
 
 
@@ -165,3 +167,20 @@ class TestErrors:
     def test_missing_file(self):
         code, _, err = run(["mad", "/nonexistent/graph.el"])
         assert code == 65
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), IndexError("list index")])
+    def test_internal_failure_exits_70(self, tmp_path, monkeypatch, exc):
+        from madcycle import cli
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve", broken)
+        code, out, err = run(["solve", write_k4(tmp_path), "-k", "0"])
+        assert code == cli.EXIT_INTERNAL == 70
+        assert out == ""
+        assert err.startswith("internal error: ") and str(exc) in err
+
+    def test_jobs_flag_is_gone(self, tmp_path):
+        code, _, err = run(["solve", write_k4(tmp_path), "-k", "0", "--jobs", "2"])
+        assert code == 64 and "usage error" in err

@@ -195,3 +195,45 @@ class TestOrderings:
             mad = mad_with_witness(g).mad
             assert mad >= avg_degree(g)
             assert mad >= degeneracy(g)
+
+
+def densest_decision_two_arc_pairs(g, guess):
+    """The min-cut decision on Goldberg's network as first built: two arc
+    pairs per edge, and no flow pushed before Dinic runs."""
+    a, b = guess.numerator, guess.denominator
+    n, m = g.n, g.m
+    s, t = n, n + 1
+    net = density._Dinic(n + 2)
+    for v in range(n):
+        net.add_edge(s, v, m * b)
+        net.add_edge(v, t, m * b + 2 * a - b * g.degree(v))
+    for u, v in g.edges():
+        net.add_edge(u, v, b)
+        net.add_edge(v, u, b)
+    if net.max_flow(s, t) >= n * m * b:
+        return None
+    side = net.min_cut_source_side(s)
+    return frozenset(v for v in side if v < n) or None
+
+
+class TestPresaturatedNetwork:
+    def test_same_set_as_two_arc_pair_network(self):
+        rng = random.Random(47)
+        returned = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 14), rng.uniform(0.15, 0.9))
+            if g.m == 0:
+                continue
+            guesses = {Fraction(0), Fraction(g.m, g.n)}
+            guesses |= {_density(g, vs) for vs in (range(g.n), range(g.n // 2 + 1))}
+            guesses |= {Fraction(rng.randint(0, 4 * g.n), rng.randint(1, 3 * g.n))
+                        for _ in range(6)}
+            best = mad_with_witness(g).density
+            guesses |= {best, best - Fraction(1, 2 * g.n * g.n)}
+            for guess in sorted(guesses):
+                if guess < 0:
+                    continue
+                expect = densest_decision_two_arc_pairs(g, guess)
+                assert densest_decision(g, guess) == expect, (g.adj, guess)
+                returned += expect is not None
+        assert returned >= 100

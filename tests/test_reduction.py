@@ -9,12 +9,18 @@ from madcycle.graph import (
     eg_bound,
     induced_subgraph,
     is_biconnected,
+    two_separators,
     verify_cycle_certificate,
     CycleCertificate,
 )
 from madcycle.reduction import apply_rule, reduce_exhaustive
 
-from conftest import bowtie, complete, random_connected_graph
+from conftest import (
+    bowtie,
+    complete,
+    random_2connected_graph,
+    random_connected_graph,
+)
 
 
 class TestApplyRule:
@@ -110,3 +116,45 @@ class TestReduceExhaustive:
     def test_too_small_rejected(self):
         with pytest.raises(PreconditionError):
             reduce_exhaustive(build_graph([], 1))
+
+
+def _glued(rng):
+    """Two random 2-connected graphs glued along the vertex pair {0, 1}."""
+    g1 = random_2connected_graph(rng, rng.randint(4, 9), rng.uniform(0.4, 0.9))
+    g2 = random_2connected_graph(rng, rng.randint(4, 9), rng.uniform(0.4, 0.9))
+    shift = {0: 0, 1: 1, **{v: g1.n + v - 2 for v in range(2, g2.n)}}
+    edges = list(g1.edges()) + [(shift[u], shift[v]) for u, v in g2.edges()]
+    return build_graph(edges, g1.n + g2.n - 2)
+
+
+class TestFinalSeparators:
+    def test_equal_two_separators_of_core(self, monkeypatch):
+        from madcycle import extract
+        from madcycle.density import mad_with_witness
+
+        def no_rescan(sub):
+            raise AssertionError("find_dense scanned the core again")
+
+        rng = random.Random(29)
+        scanned = nonempty = 0
+        for i in range(100):
+            if i % 2:
+                g = random_2connected_graph(rng, rng.randint(5, 16), rng.uniform(0.2, 0.6))
+            else:
+                g = _glued(rng)
+            core, trace = reduce_exhaustive(g, mad_with_witness(g).vertices)
+            sub, _ = induced_subgraph(g, core)
+            if trace.final_separators is None:
+                assert not (sub.n >= 4 and is_biconnected(sub))
+                continue
+            scanned += 1
+            assert trace.final_separators == two_separators(sub)
+            nonempty += bool(trace.final_separators)
+            # find_dense takes the list from the trace and scans nothing
+            with monkeypatch.context() as m:
+                m.setattr(extract, "two_separators", no_rescan)
+                witness, info = extract.find_dense(g, 1, strict=False)
+            assert info.trace.final_separators == trace.final_separators
+            if trace.final_separators:
+                assert isinstance(witness, extract.FoundCycle)
+        assert scanned >= 80 and nonempty >= 20

@@ -5,10 +5,17 @@ import pytest
 
 from madcycle.density import mad_with_witness
 from madcycle.errors import PreconditionError
-from madcycle.graph import build_graph, ceil_frac, verify_cycle_certificate
+from madcycle.graph import (
+    build_graph,
+    ceil_frac,
+    induced_subgraph,
+    verify_cycle_certificate,
+)
+from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_cycle, oracle_longest_st_path
 from madcycle.solver import (
     _Budget,
+    _outside_path,
     case_bipartite_dense,
     case_small_dense,
     exact_longest_cycle_fallback,
@@ -285,3 +292,129 @@ class TestPathMode:
     def test_path_mode_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             solve(build_graph([(0, 1)], 3), 0, mode="path")
+
+
+def _all_pairs_outside_path(g, H, target):
+    """The outside-path probe as it was: every anchor pair s < t, each on all
+    of G - H plus {s, t}. Returns the first path found, in original ids."""
+    outside = [v for v in g.vertices() if v not in H]
+    if not outside:
+        return None, 0
+    outside_set = set(outside)
+    anchors = sorted(v for v in H if any(w in outside_set for w in g.adj[v]))
+    restricted, ids_r = induced_subgraph(g, outside_set | H)
+    pos_r = {orig: i for i, orig in enumerate(ids_r)}
+    allowed_outside = {pos_r[v] for v in outside}
+    probes = 0
+    for s in anchors:
+        for t in anchors:
+            if s >= t:
+                continue
+            rs, rt = pos_r[s], pos_r[t]
+            gg, ids_gg = induced_subgraph(restricted, sorted(allowed_outside | {rs, rt}))
+            probes += 1
+            report = {}
+            found = st_path_at_least(
+                gg, ids_gg.index(rs), ids_gg.index(rt), target, report=report
+            )
+            assert report["deterministic"]
+            if found is not None:
+                return tuple(ids_r[ids_gg[v]] for v in found.vertices), probes
+    return None, probes
+
+
+def _core_with_outside_components(rng):
+    """A dense core H plus disjoint outside components of 1-6 vertices, each
+    joined to one to three vertices of H."""
+    h = rng.randint(5, 9)
+    edges = [(i, j) for i in range(h) for j in range(i + 1, h) if rng.random() < 0.8]
+    n = h
+    for _ in range(rng.randint(1, 5)):
+        size = rng.randint(1, 6)
+        comp = list(range(n, n + size))
+        for i in range(1, size):
+            edges.append((comp[rng.randrange(i)], comp[i]))  # a random tree
+        edges += [(u, v) for u in comp for v in comp if u < v and rng.random() < 0.3]
+        for _ in range(rng.randint(1, 3)):
+            edges.append((rng.choice(comp), rng.randrange(h)))
+        n += size
+    return build_graph(edges, n), frozenset(range(h))
+
+
+class TestOutsidePathProbe:
+    def test_matches_all_pairs_probe(self):
+        rng = random.Random(4242)
+        found = 0
+        for _ in range(60):
+            g, H = _core_with_outside_components(rng)
+            for k_prime in range(1, 5):
+                for target in (k_prime + 2, k_prime + 3):
+                    expect, old_probes = _all_pairs_outside_path(g, H, target)
+                    budget = _Budget()
+                    stats = {"st_probes": 0}
+                    path = _outside_path(g, H, target, budget, stats)
+                    got = None if path is None else path.vertices
+                    assert got == expect, (g.adj, sorted(H), target)
+                    assert not budget.randomized_used
+                    assert stats["st_probes"] <= old_probes
+                    found += got is not None
+        assert found >= 40
+
+    def test_one_vertex_components_run_no_probe(self):
+        # every outside component has one vertex: no path has 4+ vertices
+        g0 = complete(6)
+        g = build_graph(list(g0.edges()) + [(0, 6), (6, 1), (2, 7), (7, 3)], 8)
+        stats = {"st_probes": 0}
+        assert _outside_path(g, frozenset(range(6)), 4, _Budget(), stats) is None
+        assert stats["st_probes"] == 0
+        path = _outside_path(g, frozenset(range(6)), 3, _Budget(), stats)
+        assert path.vertices == (0, 6, 1) and stats["st_probes"] == 1
+
+
+class TestCertificatesAreChecked:
+    """Every yes of solve passes a certificate check that python -O keeps."""
+
+    def _instances(self):
+        from madcycle.instances import gen_instance
+
+        glued = [(i, j) for i in range(14) for j in range(i + 1, 14)]
+        glued += [(i, j) for i in range(12, 26) for j in range(i + 1, 26)]
+        km = [(u, v) for u in range(26) for v in range(u + 1, 26)
+              if not (v == u + 1 and u % 2 == 0)]
+        bip, _ = gen_instance("lemma7_trace", {"branch": "bip_dense_yes"}, 0)
+        return [
+            (complete(4), dict(k=0), "k0"),
+            (petersen(), dict(k=1), "fallback"),
+            (build_graph(glued, 26), dict(k=1, strict=False), "find_dense"),
+            (build_graph(km + [(0, 26), (26, 1)], 27), dict(k=3, strict=False),
+             "case_ii"),
+            (build_graph(km + [(0, 26), (26, 27), (27, 28), (28, 1)], 29),
+             dict(k=3, strict=False), "case_ii"),
+            (bip, dict(k=1, strict=False), "case_iii"),
+            (petersen(), dict(k=1, mode="path"), "path_k0"),
+            (petersen(), dict(k=4, mode="path"), "path[fallback]"),
+        ]
+
+    def test_rejecting_verifier_never_yields_yes(self, monkeypatch):
+        from madcycle import solver
+        from madcycle.errors import ConstructionFailure
+        from madcycle.graph import VerifyOutcome
+
+        cases = self._instances()
+        for g, kwargs, branch in cases:
+            res = solve(g, **kwargs)
+            assert res.answer == "yes" and res.branch == branch
+
+        def reject(*args, **kwargs):
+            return VerifyOutcome(False, "rejected for the test")
+
+        monkeypatch.setattr(solver, "verify_cycle_certificate", reject)
+        monkeypatch.setattr(solver, "verify_path_certificate", reject)
+        for g, kwargs, branch in cases:
+            try:
+                res = solve(g, **kwargs)
+            except ConstructionFailure as exc:
+                assert "rejected for the test" in str(exc)
+                continue
+            assert res.answer != "yes", branch
+            assert "rejected for the test" in res.stats["reason"]

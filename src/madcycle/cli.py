@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error, 65 data error,
-70 internal error.
+Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error, 65 data error
+(malformed, missing or unreadable input, or a failed write), 70 internal
+error.
 Identical (argv, input, seed) always produces byte-identical stdout.
 """
 
@@ -126,7 +127,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
 
     try:
         return _dispatch(args, out)
-    except (GraphInputError, FileNotFoundError) as exc:
+    except (GraphInputError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return EXIT_DATA
     except (PreconditionError, CapExceeded, ValueError) as exc:

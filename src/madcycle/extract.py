@@ -452,8 +452,6 @@ def find_dense(
 
     # the reduction's last rule-4 round already scanned this core
     seps = trace.final_separators
-    if seps is None:
-        seps = two_separators(sub) if is_biconnected(sub) else []
     if seps:
         cyc = _glue_cycle(g, sub, ids, seps[0])
         if strict and len(cyc) < threshold:

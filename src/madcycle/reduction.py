@@ -37,9 +37,9 @@ class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
     final_vertices: frozenset[int] = frozenset()
     # every 2-separator of the final core, labelled as in
-    # induced_subgraph(g, final_vertices); None when the last round did not
-    # scan them (the core is not 2-connected or has fewer than 4 vertices)
-    final_separators: list[tuple[int, int]] | None = None
+    # induced_subgraph(g, final_vertices); empty when the core is not
+    # 2-connected or has fewer than 4 vertices
+    final_separators: list[tuple[int, int]] = field(default_factory=list)
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -177,7 +177,7 @@ def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], Reductio
                 fired = (rule, res)
                 break
         if fired is None:
-            trace.final_separators = report.get("separators")
+            trace.final_separators = report.get("separators", [])
             break
         rule, (keep, removed) = fired
         after = _sub_eg(g, keep)

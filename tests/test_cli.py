@@ -168,6 +168,10 @@ class TestErrors:
         code, _, err = run(["mad", "/nonexistent/graph.el"])
         assert code == 65
 
+    def test_unreadable_input_is_data_error(self, tmp_path):
+        code, _, err = run(["solve", str(tmp_path), "-k", "1"])
+        assert code == 65 and "data error" in err
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), IndexError("list index")])
     def test_internal_failure_exits_70(self, tmp_path, monkeypatch, exc):
         from madcycle import cli

@@ -144,8 +144,8 @@ class TestFinalSeparators:
                 g = _glued(rng)
             core, trace = reduce_exhaustive(g, mad_with_witness(g).vertices)
             sub, _ = induced_subgraph(g, core)
-            if trace.final_separators is None:
-                assert not (sub.n >= 4 and is_biconnected(sub))
+            if not (sub.n >= 4 and is_biconnected(sub)):
+                assert trace.final_separators == []
                 continue
             scanned += 1
             assert trace.final_separators == two_separators(sub)

@@ -153,51 +153,73 @@ def _density_of(g: Graph, vs) -> Fraction:
     return Fraction(edges, len(vs))
 
 
+def _peel(g: Graph) -> tuple[int, Fraction]:
+    """One minimum-degree peeling: the degeneracy, and the highest density
+    |E(S)|/|S| among the vertex sets S left before each removal, V included.
+
+    The second is Charikar's (2000) bound, at least half the maximum
+    density. A bucket queue keyed by current degree (Matula-Beck) finds each
+    minimum: after a removal at degree d the minimum is at least d - 1, and a
+    vertex enters a bucket once per degree it takes, so the loop is O(n + m).
+    """
+    n, adj = g.n, g.adj
+    deg = [len(a) for a in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    removed = [False] * n
+    edges, best_edges, best_size = g.m, g.m, max(n, 1)
+    core = d = 0
+    for left in range(n - 1, -1, -1):
+        while True:
+            while not buckets[d]:
+                d += 1
+            v = buckets[d].pop()
+            if not removed[v] and deg[v] == d:
+                break
+        removed[v] = True
+        core = max(core, d)
+        edges -= d
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+        if left and edges * best_size > best_edges * left:
+            best_edges, best_size = edges, left
+        d = max(d - 1, 0)
+    return core, Fraction(best_edges, best_size)
+
+
 @lru_cache(maxsize=512)
 def mad_with_witness(g: Graph) -> DensityWitness:
-    """Densest induced subgraph, exactly, by Dinkelbach iteration.
+    """Densest induced subgraph, exactly, by Dinkelbach iteration from a
+    peeling bound; usually one min cut.
 
-    Starting from the density of V, each `densest_decision` call at the best
-    density so far returns a strictly denser set, whose density becomes the
-    next guess, until the call returns None: the guess is then the maximum
-    density. A last probe at a guess just below the optimum, closer to it
-    than any other candidate density p/q (q <= n), returns the minimal
-    source side of the min cut: the union of all sets of maximum density,
-    which is the witness.
+    `best` starts as the peeling bound (`_peel`), the density of an actual
+    vertex set. Each step cuts at best - 1/(2n^3) and takes the minimal
+    source side T, the set maximising f(S) = |E(S)| - guess*|S|. Candidate
+    densities p/q (q <= n) differ by at least 1/n^2, so when density(T) ==
+    best no set is denser (f(T) <= 1/(2n^2) would lose to it), and T is the
+    union of all densest sets, the witness. A denser T becomes the next
+    `best`; a sparser T, or none, contradicts the cut.
     """
     if g.m == 0:
         raise PreconditionError("mad of an edgeless graph")
     n = g.n
-    best_set = frozenset(range(n))
-    best = _density_of(g, best_set)
+    _, best = _peel(g)
+    slack = Fraction(1, 2 * n**3)
     while True:
-        found = densest_decision(g, best)
-        if found is None:
-            break
-        d = _density_of(g, found)
-        if d <= best:
+        found = densest_decision(g, best - slack)
+        d = None if found is None else _density_of(g, found)
+        if d is None or d < best:
             raise ConstructionFailure(
-                f"min cut at density {best} returned a set of density {d}"
+                f"min cut just below density {best} returned a set of density {d}"
             )
-        best, best_set = d, found
-    probe = best - Fraction(1, 2 * n * n)
-    if probe >= 0:
-        found = densest_decision(g, probe)
-        if found is not None and _density_of(g, found) == best:
-            best_set = found
-    return DensityWitness(frozenset(best_set), best)
+        if d == best:
+            return DensityWitness(found, best)
+        best = d
 
 
 def degeneracy(g: Graph) -> int:
-    """Degeneracy by repeated minimum-degree peeling."""
-    alive = set(g.vertices())
-    deg = {v: g.degree(v) for v in alive}
-    best = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        best = max(best, deg[v])
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    return best
+    """Degeneracy by minimum-degree peeling."""
+    return _peel(g)[0]

@@ -25,6 +25,7 @@ from .graph import (
     ceil_frac,
     induced_subgraph,
     is_biconnected,
+    require_verified,
     subset_components,
     two_separators,
     verify_cycle_certificate,
@@ -274,13 +275,13 @@ def corollary5_engine(
     grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
     if len(grown) > len(C):
         cert = CycleCertificate(tuple(grown), len(C) + 1)
-        assert verify_cycle_certificate(h, cert)
+        require_verified(verify_cycle_certificate(h, cert))
         return LongerCycle(cert)
 
     found = cyclesearch.long_cycle_search_best(h, len(C) + 1, rotation_budget=budget)
     if found is not None and len(found) > len(C):
         cert = CycleCertificate(tuple(found), len(C) + 1)
-        assert verify_cycle_certificate(h, cert)
+        require_verified(verify_cycle_certificate(h, cert))
         return LongerCycle(cert)
 
     bound = delta + 2 * k
@@ -459,7 +460,7 @@ def find_dense(
                 "glue cycle shorter than mad+k despite strict preconditions"
             )
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)
-        assert verify_cycle_certificate(g, cert)
+        require_verified(verify_cycle_certificate(g, cert))
         return FoundCycle(cert), info
 
     delta = sub.min_degree()
@@ -471,7 +472,7 @@ def find_dense(
         mapped = [ids[v] for v in dc.vertices]
         if len(mapped) >= threshold:
             cert = CycleCertificate(tuple(mapped), threshold)
-            assert verify_cycle_certificate(g, cert)
+            require_verified(verify_cycle_certificate(g, cert))
             return FoundCycle(cert), info
         if len(mapped) != sub.n:
             raise ConstructionFailure(
@@ -487,7 +488,7 @@ def find_dense(
         if len(cyc) >= 2 * delta + k_prime:
             mapped = [ids[v] for v in cyc.vertices]
             cert = CycleCertificate(tuple(mapped), threshold)
-            assert verify_cycle_certificate(g, cert)
+            require_verified(verify_cycle_certificate(g, cert))
             return FoundCycle(cert), info
         outcome = corollary5_engine(
             sub, k_prime, cyc, budget=budget, check_preconditions=strict
@@ -499,7 +500,7 @@ def find_dense(
             mapped = [ids[v] for v in cyc.vertices]
             if len(mapped) >= threshold:
                 cert = CycleCertificate(tuple(mapped), threshold)
-                assert verify_cycle_certificate(g, cert)
+                require_verified(verify_cycle_certificate(g, cert))
                 return FoundCycle(cert), info
             _check_small_dense(g, core, mad, k)
             return SmallDense(core), info

@@ -20,6 +20,7 @@ from .graph import (
     avg_degree_of_set,
     ceil_frac,
     is_biconnected,
+    require_verified,
     verify_cycle_certificate,
     verify_path_certificate,
 )
@@ -49,19 +50,19 @@ def dirac_cycle(g: Graph, rotation_budget: int = 0) -> CycleCertificate:
     cyc = cyclesearch.long_cycle_search_best(g, want, rotation_budget)
     if cyc is not None and len(cyc) >= want:
         cert = CycleCertificate(tuple(cyc), want)
-        assert verify_cycle_certificate(g, cert)
+        require_verified(verify_cycle_certificate(g, cert))
         return cert
     if cyc is not None:
         grown = cyclesearch.grow_cycle(g, cyc, target=want)
         if len(grown) >= want:
             cert = CycleCertificate(tuple(grown), want)
-            assert verify_cycle_certificate(g, cert)
+            require_verified(verify_cycle_certificate(g, cert))
             return cert
     budget = None if g.n <= 20 else 2_000_000
     found = cyclesearch.find_cycle_at_least(g, want, budget)
     if found is not None:
         cert = CycleCertificate(tuple(found), want)
-        assert verify_cycle_certificate(g, cert)
+        require_verified(verify_cycle_certificate(g, cert))
         return cert
     raise ConstructionFailure(
         f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
@@ -84,7 +85,7 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
     path = _grow_st_path(g, s, t, want_vertices)
     if path is not None and len(path) >= want_vertices:
         cert = PathCertificate(tuple(path))
-        assert verify_path_certificate(g, cert)
+        require_verified(verify_path_certificate(g, cert))
         return cert
 
     # dense case: a Hamiltonian cycle through the forced pair yields a
@@ -93,6 +94,9 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
 
     try:
         cyc = routing.hamiltonian_through_pairs(g, {(s, t)}, k=1, mode="relaxed")
+    except (ConstructionFailure, PreconditionError):
+        cyc = None
+    if cyc is not None:
         seq = list(cyc.vertices)
         i = seq.index(s)
         rotated = seq[i:] + seq[:i]
@@ -100,16 +104,14 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
             rotated = [rotated[0]] + rotated[:0:-1]
         if rotated[-1] == t:
             cert = PathCertificate(tuple(rotated))
-            assert verify_path_certificate(g, cert)
+            require_verified(verify_path_certificate(g, cert))
             return cert
-    except (ConstructionFailure, PreconditionError):
-        pass
 
     budget = None if g.n <= 18 else 2_000_000
     found = cyclesearch.find_st_path_at_least(g, s, t, want_vertices, budget)
     if found is not None:
         cert = PathCertificate(tuple(found))
-        assert verify_path_certificate(g, cert)
+        require_verified(verify_path_certificate(g, cert))
         return cert
     raise ConstructionFailure(
         f"fan_path could not reach length {want_vertices - 1} between {s} and {t}"
@@ -271,7 +273,7 @@ def st_path_at_least(
             if found is None:
                 return None
             cert = PathCertificate(tuple(found))
-            assert verify_path_certificate(g, cert)
+            require_verified(verify_path_certificate(g, cert))
             return cert
         except _StBudget:
             pass
@@ -289,6 +291,6 @@ def st_path_at_least(
             found = _colorful_st_path(g, s, t, coloring, q, full)
             if found is not None:
                 cert = PathCertificate(tuple(found))
-                assert verify_path_certificate(g, cert)
+                require_verified(verify_path_certificate(g, cert))
                 return cert
     return None

@@ -29,6 +29,7 @@ from .graph import (
     induced_subgraph,
     is_biconnected,
     is_connected,
+    require_verified,
     subset_components,
     verify_cycle_certificate,
     verify_path_certificate,
@@ -47,11 +48,9 @@ def _certify(
     ever returned, also under python -O.
     """
     if isinstance(cert, PathCertificate):
-        check = verify_path_certificate(g, cert)
+        require_verified(verify_path_certificate(g, cert))
     else:
-        check = verify_cycle_certificate(g, cert)
-    if not check:
-        raise ConstructionFailure(f"certificate failed verification: {check.reason}")
+        require_verified(verify_cycle_certificate(g, cert))
     return cert
 
 

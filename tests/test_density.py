@@ -6,7 +6,7 @@ import pytest
 
 from madcycle import density
 from madcycle.density import degeneracy, densest_decision, mad_with_witness
-from madcycle.errors import PreconditionError
+from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import avg_degree, build_graph, induced_subgraph
 from madcycle.oracles import all_subsets_density, oracle_mad
 
@@ -171,7 +171,47 @@ class TestMadWithWitness:
         # bypass the cache so that the cuts are made here
         w = mad_with_witness.__wrapped__(g)
         assert w.mad == 38 and w.vertices == frozenset(range(40))
-        assert 1 <= len(calls) <= 3
+        # the peeling bound is already the optimum: one cut proves it
+        assert len(calls) == 1
+
+    def test_cut_count_and_witness_on_random_graphs(self, monkeypatch):
+        calls = []
+
+        def counting(g, guess):
+            calls.append(guess)
+            return densest_decision(g, guess)
+
+        monkeypatch.setattr(density, "densest_decision", counting)
+        rng = random.Random(43)
+        multi = 0
+        for _ in range(80):
+            n = rng.randint(6, 60)
+            g = random_graph(rng, n, rng.choice([2 / n, 3 / n, 5 / n, 0.2, 0.5]))
+            if g.m == 0:
+                continue
+            calls.clear()
+            w = mad_with_witness.__wrapped__(g)
+            multi += len(calls) >= 2
+            assert (w.vertices, w.density) == bisection_mad(g)
+            if n <= 11:
+                subsets = list(all_subsets_density(g))
+                best = max(d for d, _ in subsets)
+                union = frozenset().union(*(vs for d, vs in subsets if d == best))
+                assert (w.vertices, w.density) == (union, best)
+        assert multi >= 1
+
+    @pytest.mark.parametrize("answer", ["sparser", "none"])
+    def test_contradicting_cut_raises(self, monkeypatch, answer):
+        g = build_graph(
+            [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (5, 6)], 7
+        )
+
+        def wrong(g, guess):
+            return frozenset({5, 6}) if answer == "sparser" else None
+
+        monkeypatch.setattr(density, "densest_decision", wrong)
+        with pytest.raises(ConstructionFailure):
+            mad_with_witness.__wrapped__(g)
 
     def test_deep_augmenting_paths_need_no_recursion(self):
         g = ladder(400)
@@ -185,7 +225,42 @@ class TestMadWithWitness:
         assert w.vertices == frozenset(range(800))
 
 
+def degeneracy_by_min_scan(g):
+    """Reference: peel a vertex of least degree, found by a scan, n times."""
+    alive = set(g.vertices())
+    deg = {v: g.degree(v) for v in alive}
+    best = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        best = max(best, deg[v])
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return best
+
+
 class TestOrderings:
+    def test_degeneracy_matches_min_scan(self):
+        rng = random.Random(53)
+        graphs = [build_graph([], 0), build_graph([], 3), complete_minus_matching(12)]
+        graphs += [
+            random_graph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.9))
+            for _ in range(120)
+        ]
+        for g in graphs:
+            assert degeneracy(g) == degeneracy_by_min_scan(g)
+
+    def test_peeling_bound_is_a_set_density_below_mad(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.7))
+            if g.m == 0:
+                continue
+            _, bound = density._peel(g)
+            assert bound.denominator <= g.n
+            assert Fraction(g.m, g.n) <= bound <= mad_with_witness(g).density <= 2 * bound
+
     def test_mad_ad_degeneracy_chain(self):
         rng = random.Random(41)
         for _ in range(40):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from madcycle.errors import PreconditionError
+from madcycle import extract
+from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.extract import (
     BipartiteDense,
     FoundCycle,
@@ -20,6 +21,7 @@ from madcycle.extract import (
 from madcycle.graph import (
     CycleCertificate,
     PathCertificate,
+    VerifyOutcome,
     avg_degree,
     build_graph,
     induced_subgraph,
@@ -220,6 +222,22 @@ class TestFindDense:
         assert isinstance(w, FoundCycle)
         assert len(w.cycle) == 14
         assert verify_cycle_certificate(g, w.cycle)
+
+    @pytest.mark.parametrize("branch", ["glue", "dirac"])
+    def test_rejecting_verifier_raises(self, monkeypatch, branch):
+        def reject(*args, **kwargs):
+            return VerifyOutcome(False, "rejected for the test")
+
+        if branch == "glue":
+            e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+            e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
+            g = build_graph(e, 14)
+        else:
+            g = complete(12)
+        monkeypatch.setattr(extract, "verify_cycle_certificate", reject)
+        monkeypatch.setattr(extract, "verify_path_certificate", reject)
+        with pytest.raises(ConstructionFailure, match="rejected for the test"):
+            find_dense(g, 1, strict=False)
 
     def test_bipartite_dense_branch_relaxed(self):
         g = split_graph(8, 80)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madcycle import graph
 from madcycle.errors import GraphInputError, PreconditionError
 from madcycle.graph import (
     CycleCertificate,
+    _sparse_certificate,
     avg_degree,
     avg_degree_of_set,
     blocks_and_cut_vertices,
@@ -201,6 +203,69 @@ class TestTwoSeparators:
             assert seps == brute_two_separators(g)
             with_separators += bool(seps)
         assert with_separators >= 50
+
+
+def block_chain(rng, sizes):
+    """Blocks K_s (s in sizes), each edge kept with probability 0.85, where
+    consecutive blocks share a vertex pair."""
+    edges, start, n = [], 0, 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(u, v) for u in block for v in block if u < v and rng.random() < 0.85]
+        n = start + size
+        start = n - 2
+    return build_graph(edges, n)
+
+
+class TestSparseCertificate:
+    def test_screened_scan_matches_brute_force_on_dense_graphs(self):
+        rng = random.Random(13)
+        graphs = [
+            block_chain(rng, [rng.randint(5, 8) for _ in range(rng.randint(1, 3))])
+            for _ in range(60)
+        ]
+        graphs += [
+            random_graph(rng, rng.randint(5, 16), rng.uniform(0.25, 0.8))
+            for _ in range(120)
+        ]
+        tested = dropped = with_separators = 0
+        for g in graphs:
+            if not brute_is_biconnected(g):
+                continue
+            h = _sparse_certificate(g, 3)
+            assert h.n == g.n and h.m <= 3 * (g.n - 1)
+            assert all(g.has_edge(u, v) for u, v in h.edges())
+            assert brute_is_biconnected(h)
+            seps = two_separators(g)
+            assert seps == brute_two_separators(g)
+            tested += 1
+            dropped += h.m < g.m
+            with_separators += bool(seps)
+        assert tested >= 100
+        assert dropped >= tested * 2 // 3
+        assert with_separators >= 30
+
+    @pytest.mark.parametrize("forests", [1, 2])
+    def test_exact_with_a_weaker_screen(self, monkeypatch, forests):
+        # fewer forests keep H spanning but not 3-connected where g is, so
+        # H - x has spurious cut vertices (2 forests) or falls apart (1 forest,
+        # a spanning tree): the scan of g - x must still give g's list
+        certificate = graph._sparse_certificate
+        monkeypatch.setattr(
+            graph, "_sparse_certificate", lambda g, k: certificate(g, forests)
+        )
+        rng = random.Random(17)
+        tested = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.3, 0.8))
+            if brute_is_biconnected(g):
+                assert two_separators(g) == brute_two_separators(g)
+                tested += 1
+        assert tested >= 30
+
+    def test_keeps_every_edge_of_a_sparse_graph(self):
+        g = theta_graph([2, 3, 4])
+        assert _sparse_certificate(g, 3) == g
 
 
 class TestVerifyCycle:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from madcycle.errors import PreconditionError
+from madcycle import longpaths
+from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import (
+    VerifyOutcome,
     avg_degree_of_set,
     ceil_frac,
     induced_subgraph,
@@ -130,3 +132,32 @@ class TestStPathAtLeast:
         p = st_path_at_least(g, 0, 5, 6, seed=1, trials=40, det_cap=10)
         assert p is not None and len(p) >= 6
         assert verify_path_certificate(g, p)
+
+
+class TestExplicitCertificateChecks:
+    """Every certificate check raises ConstructionFailure, also under python -O."""
+
+    @pytest.fixture(autouse=True)
+    def rejecting_verifiers(self, monkeypatch):
+        def reject(*args, **kwargs):
+            return VerifyOutcome(False, "rejected for the test")
+
+        monkeypatch.setattr(longpaths, "verify_cycle_certificate", reject)
+        monkeypatch.setattr(longpaths, "verify_path_certificate", reject)
+
+    @pytest.mark.parametrize("g", [complete(6), cycle_graph(5), petersen()])
+    def test_dirac_cycle(self, g):
+        with pytest.raises(ConstructionFailure, match="rejected for the test"):
+            dirac_cycle(g)
+
+    @pytest.mark.parametrize("s,t", [(0, 2), (0, 1)])
+    def test_fan_path(self, s, t):
+        with pytest.raises(ConstructionFailure, match="rejected for the test"):
+            fan_path(complete(5), s, t)
+        with pytest.raises(ConstructionFailure, match="rejected for the test"):
+            fan_path(cycle_graph(6), s, t)
+
+    @pytest.mark.parametrize("det_cap", [None, 10])
+    def test_st_path_at_least(self, det_cap):
+        with pytest.raises(ConstructionFailure, match="rejected for the test"):
+            st_path_at_least(complete(24), 0, 5, 6, seed=1, trials=40, det_cap=det_cap)

@@ -5,6 +5,7 @@ Library layout (one module per concern):
 - graph:      immutable graphs, exact density quantities, certificates
 - density:    exact densest subgraph / mad via parametric min cuts
 - reduction:  density-preserving pruning rules
+- cyclesearch: rotation-extension, short-detour and insertion moves, exact DFS
 - longpaths:  Dirac cycles, Fan (s,t)-paths, color-coded st-paths
 - segments:   systems of T-segments by color coding
 - routing:    cycles through prescribed pairs in dense graphs

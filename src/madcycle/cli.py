@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error, 65 data error
-(malformed, missing or unreadable input, or a failed write), 70 internal
-error.
+Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error (PreconditionError
+or CapExceeded), 65 data error (malformed, missing or unreadable input, or a
+failed write), 70 internal error, a bare ValueError included.
 Identical (argv, input, seed) always produces byte-identical stdout.
 """
 
@@ -130,7 +130,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except (GraphInputError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return EXIT_DATA
-    except (PreconditionError, CapExceeded, ValueError) as exc:
+    except (PreconditionError, CapExceeded) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except Exception as exc:

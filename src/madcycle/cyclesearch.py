@@ -1,12 +1,14 @@
 """Shared search machinery: rotation-extension, chord closures, insertion growth.
 
-Used by the Dirac constructor, the Fan path search, and the cycle engine.
-All scanning is in sorted vertex order, so results are deterministic.
+Used by the Dirac constructor, the Fan path search, the cycle engine and the
+pair routing, which share one short-detour move. All scanning is in sorted
+vertex order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .errors import PreconditionError
+from .graph import Graph, bits_off, lowest_off, reach
 
 
 def greedy_extend(g: Graph, path: list[int]) -> list[int]:
@@ -103,6 +105,69 @@ def closures(g: Graph, path: list[int]) -> list[list[int]]:
     return out
 
 
+def short_detour(
+    g: Graph, x: int, y: int, banned, ends_banned
+) -> list[int] | None:
+    """Inner vertices of a short x..y path: [z], else [u, v], else [u, w, v].
+
+    z is the lowest common neighbour of x and y; u is a neighbour of x and v
+    one of y, taken first in ascending (u, v) order. The middle vertices z
+    and w avoid `banned`, the ends u and v avoid `ends_banned`. None when no
+    such detour exists.
+    """
+    z = lowest_off(g.masks[x] & g.masks[y], banned)
+    if z is not None:
+        return [z]
+    us = bits_off(g.masks[x], ends_banned)
+    vs = bits_off(g.masks[y], ends_banned)
+    for u in us:
+        mu = g.masks[u]
+        for v in vs:
+            if mu >> v & 1:
+                return [u, v]
+    for u in us:
+        mu = g.masks[u]
+        for v in vs:
+            if u != v:
+                w = lowest_off(mu & g.masks[v], banned)
+                if w is not None:
+                    return [u, w, v]
+    return None
+
+
+def _open_edges(cycle: list[int], skip) -> list[tuple[int, int, int]]:
+    """(i, x, y) for each cycle edge x = cycle[i], y = cycle[i+1] not in skip."""
+    n = len(cycle)
+    out = []
+    for i in range(n):
+        x, y = cycle[i], cycle[(i + 1) % n]
+        if (min(x, y), max(x, y)) not in skip:
+            out.append((i, x, y))
+    return out
+
+
+def insertion_move(g: Graph, cycle: list[int], on, skip):
+    """(i, [v]): the lowest outside v adjacent to both ends of open edge i."""
+    edges = _open_edges(cycle, skip)
+    for v in range(g.n):
+        if v in on:
+            continue
+        mv = g.masks[v]
+        for i, x, y in edges:
+            if mv >> x & 1 and mv >> y & 1:
+                return i, [v]
+    return None
+
+
+def detour_move(g: Graph, cycle: list[int], on, skip):
+    """(i, detour): a short detour of the first open edge i that has one."""
+    for i, x, y in _open_edges(cycle, skip):
+        ins = short_detour(g, x, y, on, on)
+        if ins is not None:
+            return i, ins
+    return None
+
+
 def grow_cycle(
     g: Graph,
     cycle: list[int],
@@ -112,83 +177,19 @@ def grow_cycle(
     """Lengthen a cycle by local moves until stuck (or target reached).
 
     Moves, in order: insert an outside vertex between adjacent-on-cycle
-    neighbors; replace a non-forbidden cycle edge xy by x-z-y, x-u-v-y or
-    x-u-w-v-y with all new vertices outside the cycle.
+    neighbors; replace a non-forbidden cycle edge xy by a short detour
+    x-z-y, x-u-v-y or x-u-w-v-y with all new vertices outside the cycle.
     """
-    forbidden = {(min(a, b), max(a, b)) for a, b in forbidden_pairs}
+    skip = {(min(a, b), max(a, b)) for a, b in forbidden_pairs}
     cyc = list(cycle)
     while target is None or len(cyc) < target:
         on = set(cyc)
-        n = len(cyc)
-        move = None
-        for v in range(g.n):
-            if v in on:
-                continue
-            mv = g.masks[v]
-            for i in range(n):
-                x, y = cyc[i], cyc[(i + 1) % n]
-                if (min(x, y), max(x, y)) in forbidden:
-                    continue
-                if mv >> x & 1 and mv >> y & 1:
-                    move = (i, [v])
-                    break
-            if move:
-                break
-        if move is None:
-            for i in range(n):
-                x, y = cyc[i], cyc[(i + 1) % n]
-                if (min(x, y), max(x, y)) in forbidden:
-                    continue
-                mx, my = g.masks[x], g.masks[y]
-                common = mx & my
-                z = _lowest_off(common, on)
-                if z is not None:
-                    move = (i, [z])
-                    break
-                found = None
-                us = _bits_off(mx, on)
-                vs = _bits_off(my, on)
-                for u in us:
-                    for v in vs:
-                        if u == v:
-                            continue
-                        if g.has_edge(u, v):
-                            found = [u, v]
-                            break
-                        wcand = _lowest_off(
-                            g.masks[u] & g.masks[v], on | {u, v}
-                        )
-                        if wcand is not None and found is None:
-                            found = [u, wcand, v]
-                    if found and len(found) == 2:
-                        break
-                if found:
-                    move = (i, found)
-                    break
+        move = insertion_move(g, cyc, on, skip) or detour_move(g, cyc, on, skip)
         if move is None:
             break
         i, ins = move
         cyc = cyc[: i + 1] + ins + cyc[i + 1 :]
     return cyc
-
-
-def _lowest_off(mask: int, on: set[int]) -> int | None:
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        if v not in on:
-            return v
-        mask &= mask - 1
-    return None
-
-
-def _bits_off(mask: int, on: set[int]) -> list[int]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        if v not in on:
-            out.append(v)
-        mask &= mask - 1
-    return out
 
 
 def long_cycle_search_best(
@@ -260,7 +261,6 @@ def long_cycle_search_best(
 def _reopen(g: Graph, cycle: list[int]) -> list[int] | None:
     """Cycle + one attached outside vertex, opened into a longer path."""
     on = set(cycle)
-    n = len(cycle)
     for idx, c in enumerate(cycle):
         for w in g.adj[c]:
             if w not in on:
@@ -280,21 +280,6 @@ def find_cycle_at_least(
     want = max(want, 3)
     if g.n < want:
         return None
-    nodes = [0]
-
-    def reach_mask(start_mask: int, alive: int) -> int:
-        comp = start_mask & alive
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.masks[v]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        return comp
 
     full = (1 << g.n) - 1
     for root in range(g.n - want + 1):
@@ -309,7 +294,7 @@ def find_cycle_at_least(
             if len(path) >= want and g.has_edge(v, root):
                 return path
             alive = high & ~mask | (1 << root)
-            rm = reach_mask(g.masks[v] & alive, alive)
+            rm = reach(g, g.masks[v], alive)
             if not rm >> root & 1 and len(path) > 1:
                 continue
             if len(path) + (rm & ~mask).bit_count() < want:
@@ -334,7 +319,7 @@ def find_st_path_at_least(
     vertex set (s and t are always usable).
     """
     if s == t:
-        raise ValueError("s and t must differ")
+        raise PreconditionError("s and t must differ")
     if allowed is None:
         universe = (1 << g.n) - 1
     else:
@@ -342,20 +327,6 @@ def find_st_path_at_least(
         for v in allowed:
             universe |= 1 << v
         universe |= (1 << s) | (1 << t)
-
-    def reach_mask(start_mask: int, alive: int) -> int:
-        comp = start_mask & alive
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.masks[v]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        return comp
 
     stack: list[tuple[int, int, list[int]]] = [(s, 1 << s, [s])]
     while stack:
@@ -369,7 +340,7 @@ def find_st_path_at_least(
                 return path
             continue
         alive = universe & ~mask | (1 << t)
-        rm = reach_mask(g.masks[v] & alive, alive)
+        rm = reach(g, g.masks[v], alive)
         if not rm >> t & 1:
             continue
         if len(path) + (rm & ~mask).bit_count() < want_vertices:

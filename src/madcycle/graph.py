@@ -138,6 +138,43 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(vs), adj), vs
 
 
+def lowest_off(mask: int, off) -> int | None:
+    """The lowest vertex of `mask` not in `off`, or None."""
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        if v not in off:
+            return v
+        mask &= mask - 1
+    return None
+
+
+def bits_off(mask: int, off=()) -> list[int]:
+    """The vertices of `mask` not in `off`, ascending."""
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        if v not in off:
+            out.append(v)
+        mask &= mask - 1
+    return out
+
+
+def reach(g: Graph, start_mask: int, alive: int) -> int:
+    """Mask of the vertices reachable inside `alive` from start_mask & alive."""
+    comp = start_mask & alive
+    frontier = comp
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= g.masks[v]
+        frontier = nxt & alive & ~comp
+        comp |= frontier
+    return comp
+
+
 def subset_components(g: Graph, vertices) -> list[list[int]]:
     """Connected components of g restricted to `vertices`, as sorted lists."""
     alive = 0
@@ -145,37 +182,20 @@ def subset_components(g: Graph, vertices) -> list[list[int]]:
         alive |= 1 << v
     comps = []
     while alive:
-        start = (alive & -alive).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.masks[v]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        comps.append(_mask_to_list(comp))
+        comp = reach(g, alive & -alive, alive)
+        comps.append(bits_off(comp))
         alive &= ~comp
     return comps
 
 
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return out
-
-
 def is_connected(g: Graph, vertices=None) -> bool:
-    vs = list(g.vertices()) if vertices is None else sorted(set(vertices))
-    if not vs:
-        return True
-    return len(subset_components(g, vs)) == 1
+    if vertices is None:
+        alive = (1 << g.n) - 1
+    else:
+        alive = 0
+        for v in vertices:
+            alive |= 1 << v
+    return reach(g, alive & -alive, alive) == alive
 
 
 def is_biconnected(g: Graph) -> bool:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .errors import GraphInputError, PreconditionError
-from .graph import Graph, build_graph, eg_bound, is_biconnected
+from .graph import Graph, build_graph, eg_bound, is_biconnected, is_potentially_cyclable
 from .solver import SolveResult
 
 
@@ -71,14 +71,14 @@ def _parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphInputError(f"line {lineno}: bad problem line {raw!r}")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], lineno)
             continue
         if parts[0] == "e":
             if n is None:
                 raise GraphInputError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphInputError(f"line {lineno}: bad edge line {raw!r}")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _dimacs_int(parts[1], lineno), _dimacs_int(parts[2], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphInputError(f"line {lineno}: vertex id out of range")
             if u == v:
@@ -89,6 +89,13 @@ def _parse_dimacs(text: str) -> Graph:
     if n is None:
         raise GraphInputError("missing problem line")
     return build_graph(edges, n)
+
+
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphInputError(f"line {lineno}: non-integer {token!r}") from None
 
 
 def emit_graph(g: Graph, fmt: str = "edgelist") -> bytes:
@@ -182,9 +189,17 @@ def gen_instance(family: str, params: dict, seed: int = 0) -> tuple[Graph, dict]
     raise PreconditionError(f"unknown family {family!r}")
 
 
+def _param(params: dict, key: str, default, kind):
+    """params[key] (or the default) as `kind`; a bad value is the caller's fault."""
+    try:
+        return kind(params.get(key, default))
+    except (TypeError, ValueError):
+        raise PreconditionError(f"bad parameter {key}={params[key]!r}") from None
+
+
 def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:
-    n = int(params.get("n", 10))
-    prob = float(params.get("prob", 0.5))
+    n = _param(params, "n", 10, int)
+    prob = _param(params, "prob", 0.5, float)
     if n < 3:
         raise PreconditionError("gnp2c needs n >= 3")
     for attempt in range(5000):
@@ -198,9 +213,9 @@ def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:
 
 
 def _gen_near_complete(params: dict, rng: random.Random) -> tuple[Graph, dict]:
-    n = int(params.get("n", 64))
-    min_degree = int(params.get("min_degree", (11 * n + 19) // 20))
-    removals = int(params.get("removals", 2 * n))
+    n = _param(params, "n", 64, int)
+    min_degree = _param(params, "min_degree", (11 * n + 19) // 20, int)
+    removals = _param(params, "removals", 2 * n, int)
     adj = {i: set(range(n)) - {i} for i in range(n)}
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(all_pairs)
@@ -224,12 +239,12 @@ def _gen_near_complete(params: dict, rng: random.Random) -> tuple[Graph, dict]:
 
 
 def _gen_bipartite_dense(params: dict, rng: random.Random) -> tuple[Graph, dict]:
-    p = int(params.get("p", 20))
-    k = int(params.get("k", 2))
-    q = int(params.get("q", 3 * p))
+    p = _param(params, "p", 20, int)
+    k = _param(params, "k", 2, int)
+    q = _param(params, "q", 3 * p, int)
     if q < 2 * p:
         raise PreconditionError("bipartite_dense needs q >= 2p for the A-degree floor")
-    prob = float(params.get("prob", 0.85))
+    prob = _param(params, "prob", 0.85, float)
     A = list(range(p))
     B = list(range(p, p + q))
     adj = {v: set() for v in range(p + q)}
@@ -272,32 +287,13 @@ def random_cyclable_pairs(
     """A random potentially cyclable pair set over the given vertices."""
     verts = sorted(vertices)
     pairs: list[tuple[int, int]] = []
-    deg: dict[int, int] = {}
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     guard = 0
     while len(pairs) < count and guard < 200 * (count + 1):
         guard += 1
         u, v = rng.sample(verts, 2)
         key = (min(u, v), max(u, v))
-        if key in pairs:
-            continue
-        if deg.get(u, 0) >= 2 or deg.get(v, 0) >= 2:
-            continue
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        if find(u) == find(v):
-            continue
-        pairs.append(key)
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        parent[find(u)] = find(v)
+        if is_potentially_cyclable(pairs + [key]):
+            pairs.append(key)
     return pairs
 
 

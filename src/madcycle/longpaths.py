@@ -18,8 +18,10 @@ from .graph import (
     Graph,
     PathCertificate,
     avg_degree_of_set,
+    bits_off,
     ceil_frac,
     is_biconnected,
+    lowest_off,
     require_verified,
     verify_cycle_certificate,
     verify_path_certificate,
@@ -146,15 +148,15 @@ def _grow_st_path(g: Graph, s: int, t: int, want_vertices: int) -> list[int] | N
         for i in range(len(path) - 1):
             x, y = path[i], path[i + 1]
             common = g.masks[x] & g.masks[y]
-            z = cyclesearch._lowest_off(common, on)
+            z = lowest_off(common, on)
             if z is not None:
                 move = (i, [z])
                 break
         if move is None:
             for i in range(len(path) - 1):
                 x, y = path[i], path[i + 1]
-                us = cyclesearch._bits_off(g.masks[x], on)
-                vs = cyclesearch._bits_off(g.masks[y], on)
+                us = bits_off(g.masks[x], on)
+                vs = bits_off(g.masks[y], on)
                 done = None
                 for u in us:
                     for v2 in vs:

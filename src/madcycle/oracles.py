@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, PreconditionError
 from .graph import CycleCertificate, Graph
 
 LONGEST_CYCLE_CAP = 18
@@ -88,7 +88,7 @@ def oracle_longest_st_path(
     if g.n > cap:
         raise CapExceeded(f"longest-st-path oracle capped at n <= {cap}, got {g.n}")
     if s == t:
-        raise ValueError("s and t must differ")
+        raise PreconditionError("s and t must differ")
     start = 1 << s
     reach: dict[int, int] = {start: 1 << s}
     queue = [start]
@@ -124,7 +124,7 @@ def oracle_mad(g: Graph, cap: int = MAD_CAP) -> Fraction:
     if g.n > cap:
         raise CapExceeded(f"mad oracle capped at n <= {cap}, got {g.n}")
     if g.n == 0:
-        raise ValueError("empty graph")
+        raise PreconditionError("empty graph")
     edge_count = [0] * (1 << g.n)
     best = Fraction(0)
     for mask in range(1, 1 << g.n):
@@ -143,7 +143,6 @@ def _segment_paths(g: Graph, T: frozenset[int], max_internal: int):
     Each undirected segment appears once, oriented with the smaller endpoint
     first (ties by internal sequence).
     """
-    outside = [v for v in g.vertices() if v not in T]
     segs = []
 
     def extend(path: list[int], used: set[int]):
@@ -169,80 +168,6 @@ def _segment_paths(g: Graph, T: frozenset[int], max_internal: int):
     return sorted(dedup)
 
 
-@lru_cache(maxsize=128)
-def _system_signatures(
-    g: Graph, T: frozenset[int], A: frozenset[int] | None, max_p: int
-) -> frozenset[tuple[int, int, int, int]]:
-    """Signatures (r, p, s, t) of all systems of T-segments with <= max_p internals.
-
-    When A is None the s/t slots count A/B endpoints of an empty partition
-    (always 0/r shape is not meaningful); callers pass A for partitioned use.
-    """
-    segs = _segment_paths(g, T, max_p)
-    sigs: set[tuple[int, int, int, int]] = set()
-
-    def pair_of(seg):
-        return (min(seg[0], seg[-1]), max(seg[0], seg[-1]))
-
-    def forest_ok(pairs):
-        seen = set()
-        deg: dict[int, int] = {}
-        parent: dict[int, int] = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in pairs:
-            if (u, v) in seen:
-                return False
-            seen.add((u, v))
-            for x in (u, v):
-                parent.setdefault(x, x)
-                deg[x] = deg.get(x, 0) + 1
-                if deg[x] > 2:
-                    return False
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def rec(idx: int, chosen: list[int], internals: set[int], total_p: int):
-        if chosen:
-            pairs = [pair_of(segs[i]) for i in chosen]
-            if forest_ok(pairs):
-                s_cnt = t_cnt = 0
-                if A is not None:
-                    for i in chosen:
-                        a, b = segs[i][0], segs[i][-1]
-                        if a in A and b in A:
-                            s_cnt += 1
-                        elif a not in A and b not in A:
-                            t_cnt += 1
-                sigs.add((len(chosen), total_p, s_cnt, t_cnt))
-        for i in range(idx, len(segs)):
-            seg = segs[i]
-            inner = set(seg[1:-1])
-            if total_p + len(inner) > max_p:
-                continue
-            if inner & internals:
-                continue
-            # internal disjointness also forbids internals hitting endpoints
-            if any(v in internals for v in (seg[0], seg[-1])):
-                continue
-            if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):
-                continue
-            chosen.append(i)
-            rec(i + 1, chosen, internals | inner, total_p + len(inner))
-            chosen.pop()
-
-    rec(0, [], set(), 0)
-    return frozenset(sigs)
-
-
 def oracle_segments(
     g: Graph,
     T,
@@ -264,70 +189,74 @@ def oracle_segments(
     if p > p_cap:
         raise CapExceeded(f"segments oracle capped at p <= {p_cap}, got {p}")
     T = frozenset(T)
+    segs = _segment_paths(g, T, p)
     if partition is None:
-        sigs = _system_signatures(g, T, None, p)
+        sigs = _partitioned_signatures(frozenset(), tuple(segs), p)
         return any(sig[0] == r and sig[1] == p for sig in sigs)
     A, B = partition
     A, B = frozenset(A), frozenset(B)
     if A | B != T or A & B:
-        raise ValueError("partition must split T")
+        raise PreconditionError("partition must split T")
     if s is None or t is None:
-        raise ValueError("partitioned oracle needs s and t")
-    segs = _segment_paths(g, T, p)
+        raise PreconditionError("partitioned oracle needs s and t")
     # A-segments need >= 2 internal vertices: filter before recombining
     keep = [
         seg
         for seg in segs
         if not (seg[0] in A and seg[-1] in A and len(seg) - 2 < 2)
     ]
-    sigs = _partitioned_signatures(g, T, A, tuple(keep), p)
+    sigs = _partitioned_signatures(A, tuple(keep), p)
     return (r, p, s, t) in sigs
 
 
+def _forest_ok(pairs) -> bool:
+    """True iff the (min, max) pairs are distinct and form a linear forest.
+
+    A union-find of its own: the oracle stays independent of
+    graph.is_potentially_cyclable, which the code under test uses.
+    """
+    seen = set()
+    deg: dict[int, int] = {}
+    parent: dict[int, int] = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in pairs:
+        if (u, v) in seen:
+            return False
+        seen.add((u, v))
+        for x in (u, v):
+            parent.setdefault(x, x)
+            deg[x] = deg.get(x, 0) + 1
+            if deg[x] > 2:
+                return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 @lru_cache(maxsize=128)
-def _partitioned_signatures(g, T, A, segs, max_p):
+def _partitioned_signatures(
+    A: frozenset[int], segs: tuple[tuple[int, ...], ...], max_p: int
+) -> frozenset[tuple[int, int, int, int]]:
+    """Signatures (r, p, s, t) of all systems of `segs` with <= max_p internals.
+
+    s counts the chosen segments with both ends in A, t those with neither.
+    """
     sigs: set[tuple[int, int, int, int]] = set()
-
-    def pair_of(seg):
-        return (min(seg[0], seg[-1]), max(seg[0], seg[-1]))
-
-    def forest_ok(pairs):
-        seen = set()
-        deg: dict[int, int] = {}
-        parent: dict[int, int] = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in pairs:
-            if (u, v) in seen:
-                return False
-            seen.add((u, v))
-            for x in (u, v):
-                parent.setdefault(x, x)
-                deg[x] = deg.get(x, 0) + 1
-                if deg[x] > 2:
-                    return False
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
 
     def rec(idx, chosen, internals, total_p):
         if chosen:
-            pairs = [pair_of(segs[i]) for i in chosen]
-            if forest_ok(pairs):
-                s_cnt = t_cnt = 0
-                for i in chosen:
-                    a, b = segs[i][0], segs[i][-1]
-                    if a in A and b in A:
-                        s_cnt += 1
-                    elif a not in A and b not in A:
-                        t_cnt += 1
+            ends = [(segs[i][0], segs[i][-1]) for i in chosen]
+            if _forest_ok([(min(a, b), max(a, b)) for a, b in ends]):
+                s_cnt = sum(1 for a, b in ends if a in A and b in A)
+                t_cnt = sum(1 for a, b in ends if a not in A and b not in A)
                 sigs.add((len(chosen), total_p, s_cnt, t_cnt))
         for i in range(idx, len(segs)):
             seg = segs[i]
@@ -336,6 +265,7 @@ def _partitioned_signatures(g, T, A, segs, max_p):
                 continue
             if inner & internals:
                 continue
+            # internal disjointness also forbids internals hitting endpoints
             if any(v in internals for v in (seg[0], seg[-1])):
                 continue
             if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):

@@ -142,7 +142,7 @@ def apply_rule(
                     return vs - removed, removed
         return None
 
-    raise ValueError(f"unknown rule {rule}")
+    raise PreconditionError(f"unknown rule {rule}")
 
 
 def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], ReductionTrace]:

@@ -16,29 +16,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cyclesearch import detour_move, insertion_move, short_detour
 from .errors import ConstructionFailure, PreconditionError
 from .graph import (
     CycleCertificate,
     Graph,
     avg_degree,
-    is_potentially_cyclable,
+    bits_off,
+    build_graph,
+    lowest_off,
     normalize_pair_chain,
     verify_cycle_certificate,
 )
-
-
-def _first_common(g: Graph, a: int, b: int, banned: set[int]) -> int | None:
-    mask = g.masks[a] & g.masks[b]
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        if v not in banned:
-            return v
-        mask &= mask - 1
-    return None
-
-
-def _neighbors_off(g: Graph, v: int, banned: set[int]) -> list[int]:
-    return [w for w in g.adj[v] if w not in banned]
 
 
 def _normalize_pairs(S) -> list[tuple[int, int]]:
@@ -69,8 +58,7 @@ def hamiltonian_through_pairs(
         if first is None:
             raise PreconditionError("graph has no edge to substitute for empty S")
         S = [first]
-    if not is_potentially_cyclable(S):
-        raise PreconditionError("S is not potentially cyclable")
+    chain = normalize_pair_chain(S)
     d = avg_degree(h)
     if mode == "strict":
         if not (0 < k and Fraction(k) <= d / 60):
@@ -85,93 +73,26 @@ def hamiltonian_through_pairs(
     gp = h.add_pairs(S)
     low_threshold = Fraction(4, 5) * d
     low = {v for v in h.vertices() if h.degree(v) <= low_threshold}
-    chain = normalize_pair_chain(S)
     endpoints = {v for pair in chain for v in pair}
 
     path = [chain[0][0], chain[0][1]]
     for i in range(1, len(chain)):
         x, y = chain[i]
-        prev = path[-1]
-        if prev == x:
-            path.append(y)
-            continue
-        banned = set(path) | endpoints
-        if gp.has_edge(prev, x):
-            path += [x, y]
-            continue
-        z = _first_common(gp, prev, x, banned)
-        if z is not None:
-            path += [z, x, y]
-            continue
-        wide = banned | low
-        done = False
-        us = _neighbors_off(gp, prev, wide)
-        vs = _neighbors_off(gp, x, wide)
-        for u in us:
-            for v in vs:
-                if u != v and gp.has_edge(u, v):
-                    path += [u, v, x, y]
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            continue
-        for u in us:
-            for v in vs:
-                if u == v:
-                    continue
-                w = _first_common(gp, u, v, banned | {u, v})
-                if w is not None:
-                    path += [u, w, v, x, y]
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            raise ConstructionFailure(
-                f"could not join pair {i} of the chain (density too low)"
-            )
+        if path[-1] != x:
+            banned = set(path) | endpoints
+            path += _connect(gp, path[-1], x, banned, banned | low,
+                             f"could not join pair {i} of the chain (density too low)")
+            path.append(x)
+        path.append(y)
 
     # absorb every low-degree vertex at the tail end
     for z_i in sorted(low):
         if z_i in path:
             continue
-        tail = path[-1]
         on = set(path)
-        if gp.has_edge(tail, z_i):
-            path.append(z_i)
-            continue
-        v = _first_common(gp, tail, z_i, on)
-        if v is not None:
-            path += [v, z_i]
-            continue
-        wide = on | low
-        done = False
-        us = _neighbors_off(gp, tail, wide)
-        vs = _neighbors_off(gp, z_i, wide)
-        for u in us:
-            for v in vs:
-                if u != v and gp.has_edge(u, v):
-                    path += [u, v, z_i]
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            for u in us:
-                for v in vs:
-                    if u == v:
-                        continue
-                    w = _first_common(gp, u, v, on | {u, v})
-                    if w is not None:
-                        path += [u, w, v, z_i]
-                        done = True
-                        break
-                if done:
-                    break
-        if not done:
-            raise ConstructionFailure(f"could not absorb low-degree vertex {z_i}")
+        path += _connect(gp, path[-1], z_i, on, on | low,
+                         f"could not absorb low-degree vertex {z_i}")
+        path.append(z_i)
 
     cycle = _close_path(gp, path)
     cycle = _extend_hamiltonian(gp, cycle, set(S), d)
@@ -183,83 +104,37 @@ def hamiltonian_through_pairs(
     return cert
 
 
+def _connect(gp: Graph, a: int, b: int, banned, ends_banned, failure: str) -> list[int]:
+    """Inner vertices of a short a..b path: none over an edge, else a detour."""
+    if gp.has_edge(a, b):
+        return []
+    ins = short_detour(gp, a, b, banned, ends_banned)
+    if ins is None:
+        raise ConstructionFailure(failure)
+    return ins
+
+
 def _close_path(gp: Graph, path: list[int]) -> list[int]:
     head, tail = path[0], path[-1]
-    on = set(path)
     if len(path) >= 3 and gp.has_edge(head, tail):
         return list(path)
-    v = _first_common(gp, head, tail, on)
-    if v is not None:
-        return path + [v]
-    us = _neighbors_off(gp, head, on)
-    vs = _neighbors_off(gp, tail, on)
-    for u in us:
-        for v in vs:
-            if u != v and gp.has_edge(u, v):
-                return path + [v, u]
-    for u in us:
-        for v in vs:
-            if u == v:
-                continue
-            w = _first_common(gp, u, v, on | {u, v})
-            if w is not None:
-                return path + [v, w, u]
-    raise ConstructionFailure("could not close the pair chain into a cycle")
-
-
-def _cycle_edges_not_in(cycle: list[int], skip: set[tuple[int, int]]):
-    n = len(cycle)
-    for i in range(n):
-        x, y = cycle[i], cycle[(i + 1) % n]
-        if (min(x, y), max(x, y)) not in skip:
-            yield i, x, y
+    on = set(path)
+    ins = short_detour(gp, head, tail, on, on)
+    if ins is None:
+        raise ConstructionFailure("could not close the pair chain into a cycle")
+    return path + ins[::-1]
 
 
 def _extend_hamiltonian(
     gp: Graph, cycle: list[int], S: set[tuple[int, int]], d: Fraction
 ) -> list[int]:
+    """Grow to all of gp: detours first while the cycle is short, else insertions."""
     while len(cycle) < gp.n:
         on = set(cycle)
-        move = None
-        case1_first = Fraction(len(cycle)) <= d / 2
-        for attempt in (0, 1):
-            do_case1 = case1_first if attempt == 0 else not case1_first
-            if do_case1:
-                for i, x, y in _cycle_edges_not_in(cycle, S):
-                    z = _first_common(gp, x, y, on)
-                    if z is not None:
-                        move = (i, [z])
-                        break
-                    us = _neighbors_off(gp, x, on)
-                    vs = _neighbors_off(gp, y, on)
-                    got = None
-                    for u in us:
-                        for v in vs:
-                            if u != v and gp.has_edge(u, v):
-                                got = [u, v]
-                                break
-                            if u != v and got is None:
-                                w = _first_common(gp, u, v, on | {u, v})
-                                if w is not None:
-                                    got = [u, w, v]
-                        if got is not None and len(got) == 2:
-                            break
-                    if got is not None:
-                        move = (i, got)
-                        break
-            else:
-                for v in range(gp.n):
-                    if v in on:
-                        continue
-                    mv = gp.masks[v]
-                    for i, x, y in _cycle_edges_not_in(cycle, S):
-                        if mv >> x & 1 and mv >> y & 1:
-                            move = (i, [v])
-                            break
-                    if move:
-                        break
-            if move:
-                break
+        first, second = insertion_move, detour_move
+        if Fraction(len(cycle)) <= d / 2:
+            first, second = second, first
+        move = first(gp, cycle, on, S) or second(gp, cycle, on, S)
         if move is None:
             raise ConstructionFailure(
                 f"could not extend cycle past {len(cycle)}/{gp.n} vertices"
@@ -307,7 +182,7 @@ def cover_side_through_pairs(
 
     # bipartite reduction: A-B edges only
     edges = [(u, v) for u, v in h.edges() if (u in A) != (v in A)]
-    hb = Graph(h.n, _adj_from_edges(h.n, edges))
+    hb = build_graph(edges, h.n)
 
     S = _normalize_pairs(S)
     if not S:
@@ -315,8 +190,7 @@ def cover_side_through_pairs(
         if first is None:
             raise PreconditionError("no A-B edge to substitute for empty S")
         S = [first]
-    if not is_potentially_cyclable(S):
-        raise PreconditionError("S is not potentially cyclable")
+    chain = normalize_pair_chain(S)
     s_cnt = sum(1 for u, v in S if u in A and v in A)
     t_cnt = sum(1 for u, v in S if u in B and v in B)
     if mode == "strict":
@@ -330,7 +204,6 @@ def cover_side_through_pairs(
             raise PreconditionError("strict mode needs |S| <= ceil(9k/4)")
 
     gp = hb.add_pairs(S)
-    chain = normalize_pair_chain(S)
     endpoints = {v for pair in chain for v in pair}
 
     path = [chain[0][0], chain[0][1]]
@@ -367,14 +240,6 @@ def cover_side_through_pairs(
     return cert
 
 
-def _adj_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        sets[u].add(v)
-        sets[v].add(u)
-    return tuple(tuple(sorted(s)) for s in sets)
-
-
 def _bip_connector(
     hb: Graph, A: frozenset[int], a: int, b: int, banned: set[int]
 ) -> list[int] | None:
@@ -384,33 +249,18 @@ def _bip_connector(
     an A-A pair whose fresh B-neighbors lack a direct common A-neighbor.
     """
     a_in, b_in = a in A, b in A
+    if a_in and b_in:
+        # hb has no B-B edge, so this detour is [z] or [u, w, v]
+        return short_detour(hb, a, b, banned, banned)
     if not a_in and not b_in:
-        v = _first_common(hb, a, b, banned)
+        v = lowest_off(hb.masks[a] & hb.masks[b], banned)
         return None if v is None else [v]
-    if a_in and not b_in:
-        for u in _neighbors_off(hb, a, banned):
-            v = _first_common(hb, u, b, banned | {u})
-            if v is not None:
-                return [u, v]
-        return None
-    if not a_in and b_in:
-        for v in _neighbors_off(hb, b, banned):
-            u = _first_common(hb, a, v, banned | {v})
-            if u is not None:
-                return [u, v]
-        return None
-    v = _first_common(hb, a, b, banned)
-    if v is not None:
-        return [v]
-    us = _neighbors_off(hb, a, banned)
-    vs = _neighbors_off(hb, b, banned)
-    for u in us:
-        for v in vs:
-            if u == v:
-                continue
-            w = _first_common(hb, u, v, banned | {u, v})
-            if w is not None:
-                return [u, w, v]
+    # one step from the A end into B, then a common neighbour with the other end
+    x, y = (a, b) if a_in else (b, a)
+    for u in bits_off(hb.masks[x], banned):
+        v = lowest_off(hb.masks[u] & hb.masks[y], banned)
+        if v is not None:
+            return [u, v] if a_in else [v, u]
     return None
 
 
@@ -466,8 +316,8 @@ def _bip_case1(hb, A, B, cycle, S, on):
             ax, by = y, x
         else:
             continue
-        for u in _neighbors_off(hb, ax, on):
-            v = _first_common(hb, u, by, on | {u})
+        for u in bits_off(hb.masks[ax], on):
+            v = lowest_off(hb.masks[u] & hb.masks[by], on)
             if v is not None:
                 ins = [u, v] if x == ax else [v, u]
                 return cycle[: i + 1] + ins + cycle[i + 1 :]
@@ -478,7 +328,7 @@ def _bip_case2(hb, A, B, cycle, S, on, missing):
     """Replace a segment x-z-y (x,y in A, z in B, non-pair edges) by x-v-u-w-y."""
     n = len(cycle)
     for u in missing:
-        fresh = _neighbors_off(hb, u, on)
+        fresh = bits_off(hb.masks[u], on)
         if len(fresh) < 2:
             continue
         for i in range(n):

@@ -23,7 +23,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConstructionFailure, PreconditionError
-from .graph import Graph, PathCertificate, verify_path_certificate
+from .graph import (
+    Graph,
+    PathCertificate,
+    is_potentially_cyclable,
+    verify_path_certificate,
+)
 
 RANDOM_Q_CAP = 18
 DEFAULT_TRIAL_CAP = 500
@@ -88,25 +93,8 @@ def validate_segment_system(
     pairs = system.endpoint_pairs()
     if len(set(pairs)) != len(pairs):
         return False, "duplicate endpoint pair"
-    deg: dict[int, int] = {}
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        for x in (u, v):
-            parent.setdefault(x, x)
-            deg[x] = deg.get(x, 0) + 1
-            if deg[x] > 2:
-                return False, "endpoint pairs do not form a linear forest"
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False, "endpoint pairs do not form a linear forest"
-        parent[ru] = rv
+    if not is_potentially_cyclable(pairs):
+        return False, "endpoint pairs do not form a linear forest"
     if expect is not None:
         if system.r != expect[0]:
             return False, f"expected {expect[0]} paths, got {system.r}"

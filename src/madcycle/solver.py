@@ -34,7 +34,7 @@ from .graph import (
     verify_cycle_certificate,
     verify_path_certificate,
 )
-from .reduction import reduce_exhaustive
+from .reduction import ReductionTrace, reduce_exhaustive
 
 FALLBACK_N_CAP = 24
 
@@ -74,17 +74,22 @@ def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     then a Dirac cycle of the core. Both min(n_core, 2*delta_core) branches
     exceed mad because the core keeps 2m/(n-1) at least mad's level.
     """
+    return _k0_cycle(g)[0]
+
+
+def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
+    """k0_constructive_cycle's cycle and the trace of its one reduction."""
     witness = mad_with_witness(g)
     if witness.mad < 2:
         raise PreconditionError("no cycle exists below mad = 2")
-    core, _ = reduce_exhaustive(g, witness.vertices)
+    core, trace = reduce_exhaustive(g, witness.vertices)
     sub, ids = induced_subgraph(g, core)
     cyc = longpaths.dirac_cycle(sub)
     mapped = tuple(ids[v] for v in cyc.vertices)
     cert = _certify(g, CycleCertificate(mapped, ceil_frac(witness.mad)))
     if not Fraction(len(mapped)) > witness.mad:
         raise ConstructionFailure("constructive cycle does not exceed mad")
-    return cert
+    return cert, trace
 
 
 def exact_longest_cycle_fallback(
@@ -100,16 +105,17 @@ def exact_longest_cycle_fallback(
     mad = mad_with_witness(g).mad if g.m else Fraction(0)
     base = dict(k=0, mad=mad, threshold_len=want, branch="fallback")
     if g.n > n_cap:
-        return SolveResult(
-            "unknown",
-            stats={"reason": f"fallback cap exceeded: n={g.n} > {n_cap}"},
-            **base,
-        )
+        return _unknown(f"fallback cap exceeded: n={g.n} > {n_cap}", **base)
     found = cyclesearch.find_cycle_at_least(g, want, node_budget=None)
     if found is not None:
         cert = _certify(g, CycleCertificate(tuple(found), want))
         return SolveResult("yes", certificate=cert, **base)
     return SolveResult("no", **base)
+
+
+def _unknown(reason: str, **fields) -> SolveResult:
+    """Unknown, with the reason nothing stronger could be claimed."""
+    return SolveResult("unknown", stats={"reason": reason}, **fields)
 
 
 @dataclass
@@ -371,13 +377,10 @@ def solve(
     base = dict(k=k, mad=mad, threshold_len=threshold)
 
     if k == 0:
-        cert = k0_constructive_cycle(g)
+        cert, tr = _k0_cycle(g)
         cert = _certify(g, CycleCertificate(cert.vertices, threshold))
-        res = SolveResult("yes", certificate=cert, branch="k0", **base)
-        if with_trace:
-            _, tr = reduce_exhaustive(g, mad_with_witness(g).vertices)
-            res.trace = tr.to_jsonable()
-        return res
+        trace = tr.to_jsonable() if with_trace else None
+        return SolveResult("yes", certificate=cert, branch="k0", trace=trace, **base)
 
     in_strict_range = Fraction(k) <= mad / 88 - 1
     if in_strict_range:
@@ -395,15 +398,9 @@ def solve(
     try:
         witness, info = find_dense(g, k, strict=dense_strict, budget=budget)
     except EngineIncomplete as exc:
-        return SolveResult(
-            "unknown", branch="find_dense",
-            stats={"reason": f"engine incomplete: {exc}"}, **base,
-        )
+        return _unknown(f"engine incomplete: {exc}", branch="find_dense", **base)
     except ConstructionFailure as exc:
-        return SolveResult(
-            "unknown", branch="find_dense",
-            stats={"reason": f"construction failed: {exc}"}, **base,
-        )
+        return _unknown(f"construction failed: {exc}", branch="find_dense", **base)
     trace = info.trace.to_jsonable() if with_trace else None
 
     if isinstance(witness, FoundCycle):
@@ -413,10 +410,8 @@ def solve(
             return SolveResult(
                 "yes", certificate=cert, branch="find_dense", trace=trace, **base
             )
-        return SolveResult(
-            "unknown", branch="find_dense", trace=trace,
-            stats={"reason": "relaxed-mode cycle below threshold"}, **base,
-        )
+        return _unknown("relaxed-mode cycle below threshold", branch="find_dense",
+                        trace=trace, **base)
 
     if isinstance(witness, SmallDense):
         H = witness.vertices
@@ -435,10 +430,8 @@ def solve(
         try:
             res = case_small_dense(g, H, k_prime, mad, k, bud)
         except ConstructionFailure as exc:
-            return SolveResult(
-                "unknown", branch="case_ii", trace=trace,
-                stats={"reason": f"construction failed: {exc}"}, **base,
-            )
+            return _unknown(f"construction failed: {exc}", branch="case_ii",
+                            trace=trace, **base)
         res.trace = trace
         return _downgrade_out_of_range(res, in_strict_range)
 
@@ -464,19 +457,13 @@ def solve(
         )
     if 2 * len(A) < 3 * k_prime:
         # case (iii) needs |A| >= 3k'/2; without it nothing is claimed
-        return SolveResult(
-            "unknown", branch="case_iii", trace=trace,
-            stats={"reason": f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, "
-                             f"k'={k_prime}"},
-            **base,
-        )
+        return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
+                        branch="case_iii", trace=trace, **base)
     try:
         res = case_bipartite_dense(g, H, A, B, k_prime, mad, k, bud)
     except ConstructionFailure as exc:
-        return SolveResult(
-            "unknown", branch="case_iii", trace=trace,
-            stats={"reason": f"construction failed: {exc}"}, **base,
-        )
+        return _unknown(f"construction failed: {exc}", branch="case_iii",
+                        trace=trace, **base)
     res.trace = trace
     return _downgrade_out_of_range(res, in_strict_range)
 

@@ -172,7 +172,11 @@ class TestErrors:
         code, _, err = run(["solve", str(tmp_path), "-k", "1"])
         assert code == 65 and "data error" in err
 
-    @pytest.mark.parametrize("exc", [RuntimeError("boom"), IndexError("list index")])
+    @pytest.mark.parametrize(
+        "exc",
+        [RuntimeError("boom"), IndexError("list index"),
+         ValueError("max() arg is an empty sequence")],
+    )
     def test_internal_failure_exits_70(self, tmp_path, monkeypatch, exc):
         from madcycle import cli
 
@@ -184,6 +188,28 @@ class TestErrors:
         assert code == cli.EXIT_INTERNAL == 70
         assert out == ""
         assert err.startswith("internal error: ") and str(exc) in err
+
+    def test_oracle_stpath_equal_ends_is_usage_error(self, tmp_path):
+        code, _, err = run(
+            ["oracle", "stpath", write_c5(tmp_path), "--s", "1", "--t", "1"]
+        )
+        assert code == 64 and "s and t must differ" in err
+
+    def test_oracle_mad_of_empty_graph_is_usage_error(self, tmp_path):
+        f = tmp_path / "empty.el"
+        f.write_text("n 0\n")
+        code, _, err = run(["oracle", "mad", str(f)])
+        assert code == 64 and "empty graph" in err
+
+    def test_non_integer_dimacs_is_data_error(self, tmp_path):
+        f = tmp_path / "bad.dimacs"
+        f.write_text("p edge 3 1\ne 1 x\n")
+        code, _, err = run(["mad", str(f), "--format", "dimacs"])
+        assert code == 65 and "non-integer" in err
+
+    def test_bad_generator_parameter_is_usage_error(self):
+        code, _, err = run(["gen", "gnp2c", "--param", "n=abc"])
+        assert code == 64 and "bad parameter n='abc'" in err
 
     def test_jobs_flag_is_gone(self, tmp_path):
         code, _, err = run(["solve", write_k4(tmp_path), "-k", "0", "--jobs", "2"])

@@ -1,0 +1,187 @@
+"""Golden outputs: answers, branches and the exact emitted bytes of fixed solves.
+
+Each case is a generator instance (or one with a few outside ears attached)
+and solve arguments; the fixture `golden_fixture.json` holds its answer, its
+branch and the SHA-256 of `emit_result`. The routing cases pin the cycles of
+`hamiltonian_through_pairs` and `cover_side_through_pairs` on chained pair
+sets, whose joins, absorbs and closes take every short-detour shape. A change that
+alters any output re-records the fixture and says why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from madcycle.errors import ConstructionFailure
+from madcycle.graph import build_graph
+from madcycle.instances import emit_result, gen_instance, random_cyclable_pairs
+from madcycle.routing import cover_side_through_pairs, hamiltonian_through_pairs
+from madcycle.solver import solve
+
+FIXTURE = Path(__file__).with_name("golden_fixture.json")
+
+
+def _gen(family, seed=0, **params):
+    return gen_instance(family, params, seed)[0]
+
+
+def _l7(branch):
+    return _gen("lemma7_trace", branch=branch)
+
+
+def _k_minus_matching(n):
+    return build_graph(
+        [(u, v) for u in range(n) for v in range(u + 1, n)
+         if not (v == u + 1 and u % 2 == 0)],
+        n,
+    )
+
+
+def _with_ears(g, ears):
+    """g plus, per (a, length, b), a path a..b through `length` fresh vertices."""
+    edges, n = list(g.edges()), g.n
+    for a, length, b in ears:
+        prev = a
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, b))
+    return build_graph(edges, n)
+
+
+def _solve_cases():
+    km = _k_minus_matching(26)
+    bip = _l7("bip_dense")
+    gnp30 = _gen("gnp2c", seed=1, n=30, prob=0.2)
+    return [
+        ("glue k0", _l7("glue"), dict(k=0)),
+        ("glue k0 trace", _l7("glue"), dict(k=0, with_trace=True)),
+        ("glue k1 strict", _l7("glue"), dict(k=1)),
+        ("dirac_found k0", _l7("dirac_found"), dict(k=0)),
+        ("dirac_found k2 strict", _l7("dirac_found"), dict(k=2)),
+        ("small_dense k3 relaxed", _l7("small_dense"), dict(k=3, strict=False)),
+        ("bip_dense k0 trace", bip, dict(k=0, with_trace=True)),
+        ("bip_dense k1 strict", bip, dict(k=1)),
+        ("bip_dense k2 relaxed", bip, dict(k=2, strict=False)),
+        ("bip_dense_yes k1 relaxed trace", _l7("bip_dense_yes"),
+         dict(k=1, strict=False, with_trace=True)),
+        ("bip_dense_yes k2 relaxed", _l7("bip_dense_yes"), dict(k=2, strict=False)),
+        ("bip_dense_yes k3 relaxed", _l7("bip_dense_yes"), dict(k=3, strict=False)),
+        ("bip+bb3 k3 relaxed", _with_ears(bip, [(8, 3, 9)]), dict(k=3, strict=False)),
+        ("bip+bb3 k4 path", _with_ears(bip, [(8, 3, 9)]),
+         dict(k=4, strict=False, mode="path")),
+        ("bip+aa2bb1 k2 relaxed", _with_ears(bip, [(0, 2, 1), (8, 1, 9)]),
+         dict(k=2, strict=False)),
+        ("bip+aa2bb1 k3 relaxed", _with_ears(bip, [(0, 2, 1), (8, 1, 9)]),
+         dict(k=3, strict=False)),
+        ("gnp8 s0 k0", _gen("gnp2c", seed=0, n=8, prob=0.5), dict(k=0)),
+        ("gnp8 s0 k2 path", _gen("gnp2c", seed=0, n=8, prob=0.5), dict(k=2, mode="path")),
+        ("gnp12 s2 k1 path", _gen("gnp2c", seed=2, n=12, prob=0.4), dict(k=1, mode="path")),
+        ("gnp16 s1 k2 relaxed", _gen("gnp2c", seed=1, n=16, prob=0.3),
+         dict(k=2, strict=False)),
+        ("gnp30 s0 k0 path", _gen("gnp2c", seed=0, n=30, prob=0.2), dict(k=0, mode="path")),
+        ("gnp30 s0 k1 strict", _gen("gnp2c", seed=0, n=30, prob=0.2), dict(k=1)),
+        ("gnp30 s1 k1 relaxed trace", gnp30, dict(k=1, strict=False, with_trace=True)),
+        ("gnp30 s1 k2 relaxed path", gnp30, dict(k=2, strict=False, mode="path")),
+        ("near_complete30 k0", _gen("near_complete", seed=1, n=30), dict(k=0)),
+        ("near_complete30 k2 relaxed", _gen("near_complete", seed=1, n=30),
+         dict(k=2, strict=False)),
+        ("near_complete20 k3 relaxed", _gen("near_complete", seed=1, n=20),
+         dict(k=3, strict=False)),
+        ("bipartite_dense6 k1 relaxed", _gen("bipartite_dense", seed=1, p=6, k=1),
+         dict(k=1, strict=False)),
+        ("km26 k2 relaxed", km, dict(k=2, strict=False)),
+        ("km26+1 k3 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=3, strict=False)),
+        ("km26+1 k4 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=4, strict=False)),
+        ("km26+3 k5 relaxed", _with_ears(km, [(0, 3, 1)]), dict(k=5, strict=False)),
+        ("km26+1+1 k4 relaxed", _with_ears(km, [(0, 1, 2), (3, 1, 5)]),
+         dict(k=4, strict=False)),
+        ("km26+1+1 k4 path", _with_ears(km, [(0, 1, 2), (3, 1, 5)]),
+         dict(k=4, strict=False, mode="path")),
+        ("km26+2+2 k5 relaxed", _with_ears(km, [(0, 2, 2), (3, 2, 6)]),
+         dict(k=5, strict=False)),
+        ("km26+1+1+1 k5 relaxed", _with_ears(km, [(0, 1, 2), (3, 1, 5), (7, 1, 9)]),
+         dict(k=5, strict=False)),
+        ("km26+1+1+1 k5 relaxed trace", _with_ears(km, [(0, 1, 2), (3, 1, 5), (7, 1, 9)]),
+         dict(k=5, strict=False, with_trace=True)),
+    ]
+
+
+def _routing_cases():
+    """(name, thunk returning a cycle) for chained pair sets.
+
+    The dense hosts join and close by one-vertex detours; the sparse G(n, p)
+    hosts also take the [u, v] and [u, w, v] detours, and some fail.
+    """
+    out = []
+    for n, prob, seed in ((20, 0.3, 1), (20, 0.3, 2), (24, 0.35, 0), (24, 0.35, 2),
+                          (30, 0.25, 0), (30, 0.25, 1)):
+        h = _gen("gnp2c", seed=seed, n=n, prob=prob)
+        S = random_cyclable_pairs(range(n), 3, random.Random(seed))
+        out.append((f"ham gnp{n} s{seed}",
+                    lambda h=h, S=S: hamiltonian_through_pairs(h, S, k=3, mode="relaxed")))
+    for seed, n in ((1, 30), (2, 40), (3, 50)):
+        h = _gen("near_complete", seed=seed, n=n)
+        S = random_cyclable_pairs(range(n), 4, random.Random(seed))
+        out.append((f"ham near_complete{n} s{seed}",
+                    lambda h=h, S=S: hamiltonian_through_pairs(h, S, k=5, mode="relaxed")))
+    for seed in (1, 2):
+        h = _gen("bipartite_dense", seed=seed, p=10, k=2)
+        S = random_cyclable_pairs(range(h.n), 2, random.Random(seed))
+        A, B = range(10), range(10, h.n)
+        out.append((f"cover bipartite_dense10 s{seed}",
+                    lambda h=h, A=A, B=B, S=S: cover_side_through_pairs(
+                        h, A, B, S, k=2, mode="relaxed")))
+    return out
+
+
+def _record_solve(g, kwargs):
+    res = solve(g, **kwargs)
+    return [res.answer, res.branch, hashlib.sha256(emit_result(res)).hexdigest()]
+
+
+def _record_routing(thunk):
+    try:
+        cyc = list(thunk().vertices)
+    except ConstructionFailure as exc:  # a failure is an output too
+        return ["raise", type(exc).__name__, str(exc)]
+    return ["cycle", hashlib.sha256(json.dumps(cyc).encode()).hexdigest()]
+
+
+def _load():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize(
+    "name,g,kwargs", [pytest.param(*case, id=case[0]) for case in _solve_cases()]
+)
+def test_solve_matches_golden(name, g, kwargs):
+    assert _record_solve(g, kwargs) == _load()["solve"][name]
+
+
+@pytest.mark.parametrize(
+    "name,thunk", [pytest.param(*case, id=case[0]) for case in _routing_cases()]
+)
+def test_routing_matches_golden(name, thunk):
+    assert _record_routing(thunk) == _load()["routing"][name]
+
+
+def test_fixture_covers_every_branch():
+    branches = {row[1] for row in _load()["solve"].values()}
+    assert {"k0", "fallback", "find_dense", "case_ii", "case_iii"} <= branches
+    assert len(_load()["solve"]) == len(_solve_cases())
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({
+        "solve": {name: _record_solve(g, kw) for name, g, kw in _solve_cases()},
+        "routing": {name: _record_routing(t) for name, t in _routing_cases()},
+    }, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {FIXTURE}")

@@ -319,3 +319,34 @@ class TestPairSets:
 
     def test_duplicate_rejected(self):
         assert not is_potentially_cyclable([(0, 1), (1, 0)])
+
+
+class TestBitPrimitives:
+    """reach, lowest_off and bits_off against plain set-based versions."""
+
+    def test_reach_matches_bfs(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 18), rng.uniform(0.05, 0.5))
+            alive = {v for v in range(g.n) if rng.random() < 0.7}
+            start = {v for v in range(g.n) if rng.random() < 0.2}
+            seen = start & alive
+            queue = list(seen)
+            while queue:
+                v = queue.pop()
+                for w in g.adj[v]:
+                    if w in alive and w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            mask = graph.reach(g, sum(1 << v for v in start), sum(1 << v for v in alive))
+            assert mask == sum(1 << v for v in seen)
+
+    def test_lowest_off_and_bits_off(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            mask = rng.getrandbits(rng.randint(0, 40))
+            off = {v for v in range(40) if rng.random() < 0.3}
+            kept = [v for v in range(40) if mask >> v & 1 and v not in off]
+            assert graph.bits_off(mask, off) == kept
+            assert graph.lowest_off(mask, off) == (kept[0] if kept else None)
+            assert graph.bits_off(mask) == [v for v in range(40) if mask >> v & 1]

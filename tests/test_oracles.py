@@ -85,6 +85,96 @@ class TestSegmentsOracle:
         )
 
 
+def _old_forest_ok(pairs):
+    seen, deg, parent = set(), {}, {}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for u, v in pairs:
+        if (u, v) in seen:
+            return False
+        seen.add((u, v))
+        for x in (u, v):
+            parent.setdefault(x, x)
+            deg[x] = deg.get(x, 0) + 1
+            if deg[x] > 2:
+                return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _old_signatures(segs, A, max_p):
+    """The signature enumeration both removed oracle copies shared.
+
+    A None reproduces the plain-systems copy (s and t stay 0); a set
+    reproduces the partitioned copy.
+    """
+    sigs = set()
+
+    def rec(idx, chosen, internals, total_p):
+        if chosen:
+            pairs = [(min(segs[i][0], segs[i][-1]), max(segs[i][0], segs[i][-1]))
+                     for i in chosen]
+            if _old_forest_ok(pairs):
+                s_cnt = t_cnt = 0
+                if A is not None:
+                    for i in chosen:
+                        a, b = segs[i][0], segs[i][-1]
+                        if a in A and b in A:
+                            s_cnt += 1
+                        elif a not in A and b not in A:
+                            t_cnt += 1
+                sigs.add((len(chosen), total_p, s_cnt, t_cnt))
+        for i in range(idx, len(segs)):
+            seg = segs[i]
+            inner = set(seg[1:-1])
+            if total_p + len(inner) > max_p or inner & internals:
+                continue
+            if any(v in internals for v in (seg[0], seg[-1])):
+                continue
+            if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):
+                continue
+            chosen.append(i)
+            rec(i + 1, chosen, internals | inner, total_p + len(inner))
+            chosen.pop()
+
+    rec(0, [], set(), 0)
+    return sigs
+
+
+class TestMergedSignatures:
+    def test_matches_both_old_signature_functions(self):
+        from madcycle.oracles import _partitioned_signatures, _segment_paths
+
+        rng = random.Random(31)
+        nonempty = 0
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.2, 0.6))
+            T = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+            A = frozenset(v for v in T if rng.random() < 0.5)
+            max_p = rng.randint(1, 3)
+            segs = tuple(_segment_paths(g, T, max_p))
+            # plain systems: the old copy with A None, compared on (r, p)
+            plain = _partitioned_signatures(frozenset(), segs, max_p)
+            assert {sig[:2] for sig in plain} == {
+                sig[:2] for sig in _old_signatures(segs, None, max_p)
+            }
+            # partitioned systems: the old copy on the same segment list
+            keep = tuple(seg for seg in segs
+                         if not (seg[0] in A and seg[-1] in A and len(seg) < 4))
+            assert _partitioned_signatures(A, keep, max_p) == _old_signatures(
+                keep, A, max_p
+            )
+            nonempty += bool(plain)
+        assert nonempty >= 40
+
+
 def all_labeled_connected_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):

@@ -95,6 +95,29 @@ class TestK0Constructive:
             assert verify_cycle_certificate(g, cert)
             assert Fraction(len(cert)) > mad
 
+    def test_trace_comes_from_the_one_reduction(self, monkeypatch):
+        # K6 plus a vertex on three of its vertices: rule 3 drops that vertex
+        from madcycle import solver
+        from madcycle.reduction import reduce_exhaustive
+
+        e = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        g = build_graph(e + [(6, 0), (6, 1), (6, 2)], 7)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reduce_exhaustive(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "reduce_exhaustive", counting)
+        res = solve(g, 0, with_trace=True)
+        assert len(calls) == 1
+        assert res.trace == [{
+            "rule": 3, "removed": [6],
+            "eg_before": {"num": 6, "den": 1}, "eg_after": {"num": 6, "den": 1},
+        }]
+        assert res.trace == reduce_exhaustive(g, mad_with_witness(g).vertices)[1].to_jsonable()
+        assert solve(g, 0).trace is None
+
 
 class TestFallback:
     def test_petersen_threshold4(self):

@@ -293,11 +293,11 @@ def find_cycle_at_least(
             v, mask, path = stack.pop()
             if len(path) >= want and g.has_edge(v, root):
                 return path
-            alive = high & ~mask | (1 << root)
-            rm = reach(g, g.masks[v], alive)
-            if not rm >> root & 1 and len(path) > 1:
-                continue
-            if len(path) + (rm & ~mask).bit_count() < want:
+            # the cycle still needs more vertices: they are unused vertices
+            # above root, reached from v without passing root, and the last
+            # one is a neighbour of root
+            rm = reach(g, g.masks[v], high & ~mask)
+            if not g.masks[root] & rm or len(path) + rm.bit_count() < want:
                 continue
             for w in reversed(g.adj[v]):
                 if w > root and not mask >> w & 1:

@@ -38,7 +38,7 @@ class ReductionTrace:
     final_vertices: frozenset[int] = frozenset()
     # every 2-separator of the final core, labelled as in
     # induced_subgraph(g, final_vertices); empty when the core is not
-    # 2-connected or has fewer than 4 vertices
+    # 2-connected, has fewer than 4 vertices, or rule 4 was not in the set
     final_separators: list[tuple[int, int]] = field(default_factory=list)
 
     def to_jsonable(self) -> list[dict]:
@@ -145,13 +145,22 @@ def apply_rule(
     raise PreconditionError(f"unknown rule {rule}")
 
 
-def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], ReductionTrace]:
-    """Apply rules 1..4 until none fires; priority order 1, 2, 3, 4.
+ALL_RULES = (1, 2, 3, 4)
+K0_RULES = (1, 2, 3)  # enough for the k = 0 cycle: see k0_constructive_cycle
 
-    Claim safety: 2m/(n-1) never decreases across a step. The survivor of a
-    run starting from a graph with an edge always keeps at least one edge.
-    When rule 4 is the last rule tried, its scan covered the whole final core,
-    and the trace keeps the separators it found.
+
+def reduce_exhaustive(
+    g: Graph, vertices=None, rules: tuple[int, ...] = ALL_RULES
+) -> tuple[frozenset[int], ReductionTrace]:
+    """Apply the given rules until none fires, lowest-numbered rule first.
+
+    `rules` is the rule set: ALL_RULES for the dense-subgraph trichotomy,
+    K0_RULES for the k = 0 cycle, which so never runs the 2-separator scan
+    of rule 4. Claim safety: 2m/(n-1) never decreases across a step.
+    The survivor of a run starting from a graph with an edge always keeps at
+    least one edge. When rule 4 is in the set, it is the last rule tried, so
+    its scan covered the whole final core, and the trace keeps the
+    separators it found; without rule 4 they stay empty.
     """
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
@@ -167,7 +176,7 @@ def reduce_exhaustive(g: Graph, vertices=None) -> tuple[frozenset[int], Reductio
         fired = None
         connected = is_connected(sub)
         report: dict = {}
-        for rule in (1, 2, 3, 4):
+        for rule in sorted(rules):
             if rule == 2 and not connected:
                 continue
             if rule == 4 and not is_biconnected(sub):

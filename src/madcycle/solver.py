@@ -1,10 +1,10 @@
 """Decide whether a 2-connected graph has a cycle of length >= mad(G)+k.
 
-Dispatch: k = 0 is answered constructively (densest core, reduction, Dirac
-cycle); large k relative to mad goes to an exact fallback; otherwise the
-dense-subgraph trichotomy drives the two case analyses, searching for one
-long outside path or a system of outside segments and splicing them into a
-routed cycle through the core.
+Dispatch: k = 0 is answered constructively (densest core, reduction by
+rules 1-3, Dirac cycle); large k relative to mad goes to an exact fallback;
+otherwise the dense-subgraph trichotomy drives the two case analyses,
+searching for one long outside path or a system of outside segments and
+splicing them into a routed cycle through the core.
 
 Answers are three-valued. Yes always carries a verified certificate whose
 length meets the exact rational threshold. Unknown is reserved for exhausted
@@ -34,7 +34,7 @@ from .graph import (
     verify_cycle_certificate,
     verify_path_certificate,
 )
-from .reduction import ReductionTrace, reduce_exhaustive
+from .reduction import K0_RULES, ReductionTrace, reduce_exhaustive
 
 FALLBACK_N_CAP = 24
 
@@ -70,9 +70,18 @@ class SolveResult:
 def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     """A verified cycle of length strictly greater than mad(G).
 
-    Works on any graph with mad >= 3: densest witness, exhaustive reduction,
-    then a Dirac cycle of the core. Both min(n_core, 2*delta_core) branches
-    exceed mad because the core keeps 2m/(n-1) at least mad's level.
+    Works on any graph with mad >= 3: densest witness, reduction by rules
+    1-3, then a Dirac cycle of the core, of length >= min(n, 2*delta) of
+    the core. Both terms exceed mad; write eg = 2m/(n-1) for the core:
+    - the witness has eg > 2m/n = mad, and no rule lowers eg, so the
+      core's eg > mad;
+    - at the rule-2 fixpoint the core is one block, with n >= 3 by the
+      last point and mad >= 2, so it is 2-connected and dirac_cycle applies;
+    - at the rule-3 fixpoint every degree exceeds eg/2, so 2*delta > mad;
+    - n >= eg, since 2m <= n(n-1), so n > mad.
+    Rule 4 (the 2-separator scan) is not needed and not run. The length is
+    still checked, and a cycle not longer than mad raises
+    ConstructionFailure.
     """
     return _k0_cycle(g)[0]
 
@@ -82,7 +91,7 @@ def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
     witness = mad_with_witness(g)
     if witness.mad < 2:
         raise PreconditionError("no cycle exists below mad = 2")
-    core, trace = reduce_exhaustive(g, witness.vertices)
+    core, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
     sub, ids = induced_subgraph(g, core)
     cyc = longpaths.dirac_cycle(sub)
     mapped = tuple(ids[v] for v in cyc.vertices)

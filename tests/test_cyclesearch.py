@@ -1,14 +1,15 @@
-"""The short-detour primitive against the searches it replaced."""
+"""The short-detour primitive against the searches it replaced, and the
+exhaustive cycle search against its earlier reachability bound."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
 
-from madcycle.cyclesearch import grow_cycle, short_detour
-from madcycle.graph import Graph
+from madcycle.cyclesearch import find_cycle_at_least, grow_cycle, short_detour
+from madcycle.graph import Graph, build_graph, reach
 
-from conftest import random_connected_graph
+from conftest import complete_minus_matching, random_connected_graph
 
 
 def _lowest_off(mask, on):
@@ -126,3 +127,65 @@ class TestGrowCycle:
             assert all(g.has_edge(u, v) for u, v in zip(grown, grown[1:] + grown[:1]))
             pos = {v: i for i, v in enumerate(grown)}
             assert (pos[a] - pos[b]) % len(grown) in (1, len(grown) - 1)
+
+
+def old_find_cycle_at_least(g: Graph, want: int, node_budget=None):
+    """find_cycle_at_least with its earlier bound, which let the reachability
+    pass run through the root and so counted vertices reachable only that way."""
+    want = max(want, 3)
+    if g.n < want:
+        return None
+    full = (1 << g.n) - 1
+    for root in range(g.n - want + 1):
+        high = full & ~((1 << root) - 1)
+        stack = [(root, 1 << root, [root])]
+        while stack:
+            if node_budget is not None:
+                node_budget -= 1
+                if node_budget <= 0:
+                    return None
+            v, mask, path = stack.pop()
+            if len(path) >= want and g.has_edge(v, root):
+                return path
+            rm = reach(g, g.masks[v], high & ~mask | (1 << root))
+            if not rm >> root & 1 and len(path) > 1:
+                continue
+            if len(path) + (rm & ~mask).bit_count() < want:
+                continue
+            for w in reversed(g.adj[v]):
+                if w > root and not mask >> w & 1:
+                    stack.append((w, mask | (1 << w), path + [w]))
+    return None
+
+
+def _ear_on_k20_minus_matching():
+    """K20 minus the matching {(0,1), (2,3), ...}, plus vertex 20 on 0 and 1:
+    Hamiltonian, and 20 is reachable from the rest only through 0 or 1."""
+    g = complete_minus_matching(20)
+    return build_graph(list(g.edges()) + [(0, 20), (1, 20)], 21)
+
+
+class TestFindCycleAtLeast:
+    def test_vertex_behind_the_root_does_not_stall_the_search(self):
+        g = _ear_on_k20_minus_matching()
+        found = find_cycle_at_least(g, 21, node_budget=1000)
+        assert found is not None and sorted(found) == list(range(21))
+        assert all(g.has_edge(a, b) for a, b in zip(found, found[1:] + found[:1]))
+        assert old_find_cycle_at_least(g, 21, node_budget=1000) is None
+
+    def test_matches_the_earlier_bound(self):
+        # the tighter bound prunes only branches that cannot close a long
+        # enough cycle, so the depth-first order finds the same cycle
+        rng = random.Random(15)
+        found = 0
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.randint(4, 14), rng.uniform(0.2, 0.7))
+            want = rng.randint(3, g.n)
+            got = find_cycle_at_least(g, want)
+            assert got == old_find_cycle_at_least(g, want)
+            found += got is not None
+            # with a budget, whatever the earlier bound finds is found too
+            old = old_find_cycle_at_least(g, want, node_budget=40)
+            if old is not None:
+                assert find_cycle_at_least(g, want, node_budget=40) == old
+        assert 100 <= found <= 280, found

@@ -10,6 +10,7 @@ from madcycle.graph import (
     ceil_frac,
     induced_subgraph,
     verify_cycle_certificate,
+    verify_path_certificate,
 )
 from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_cycle, oracle_longest_st_path
@@ -98,7 +99,7 @@ class TestK0Constructive:
     def test_trace_comes_from_the_one_reduction(self, monkeypatch):
         # K6 plus a vertex on three of its vertices: rule 3 drops that vertex
         from madcycle import solver
-        from madcycle.reduction import reduce_exhaustive
+        from madcycle.reduction import K0_RULES, reduce_exhaustive
 
         e = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         g = build_graph(e + [(6, 0), (6, 1), (6, 2)], 7)
@@ -115,8 +116,76 @@ class TestK0Constructive:
             "rule": 3, "removed": [6],
             "eg_before": {"num": 6, "den": 1}, "eg_after": {"num": 6, "den": 1},
         }]
-        assert res.trace == reduce_exhaustive(g, mad_with_witness(g).vertices)[1].to_jsonable()
+        again = reduce_exhaustive(g, mad_with_witness(g).vertices, rules=K0_RULES)
+        assert res.trace == again[1].to_jsonable()
         assert solve(g, 0).trace is None
+
+
+def _block_chain(rng, sizes):
+    """Random 2-connected blocks of the given sizes, consecutive blocks
+    sharing a vertex pair."""
+    edges, start = [], 0
+    for size in sizes:
+        block = random_2connected_graph(rng, size, rng.uniform(0.4, 0.9))
+        edges += [(start + u, start + v) for u, v in block.edges()]
+        start += size - 2
+    return build_graph(edges, start + 2)
+
+
+def _k0_samples(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield random_2connected_graph(rng, rng.randint(6, 40), rng.uniform(0.15, 0.5))
+        else:
+            yield _block_chain(rng, [rng.randint(4, 9) for _ in range(rng.randint(2, 4))])
+
+
+class TestK0WithoutSeparatorScan:
+    """k = 0 reduces with rules 1-3 only, so it never scans for 2-separators."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        from madcycle import graph, reduction
+
+        def scan(g):
+            raise AssertionError("the k = 0 path ran the 2-separator scan")
+
+        monkeypatch.setattr(graph, "two_separators", scan)
+        monkeypatch.setattr(reduction, "two_separators", scan)
+
+    def test_every_k0_entry_point_exceeds_mad(self):
+        path_k0 = 0
+        for g in _k0_samples(41, 60):
+            mad = mad_with_witness(g).mad
+            for with_trace in (False, True):
+                r = solve(g, 0, with_trace=with_trace)
+                assert r.answer == "yes" and r.branch == "k0"
+                assert verify_cycle_certificate(g, r.certificate)
+                assert Fraction(len(r.certificate)) > mad
+                assert (r.trace is not None) == with_trace
+                assert all(step["rule"] in (1, 2, 3) for step in r.trace or [])
+            cert = k0_constructive_cycle(g)
+            assert verify_cycle_certificate(g, cert) and Fraction(len(cert)) > mad
+            r = solve(g, 0, mode="path")
+            assert r.answer == "yes"
+            assert verify_path_certificate(g, r.path_certificate)
+            assert len(r.path_certificate) >= r.threshold_len
+            path_k0 += r.branch == "path_k0"
+        assert path_k0 >= 50, path_k0
+
+    def test_core_with_a_separator_keeps_its_hamiltonian_cycle(self):
+        # rule 4 would cut {0, 5} off at the separator {1, 3} and leave a
+        # 4-cycle; rules 1-3 keep all six vertices, which form a 6-cycle
+        g = build_graph(
+            [(0, 1), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5)], 6
+        )
+        assert mad_with_witness(g).mad == Fraction(8, 3)
+        r = solve(g, 0, with_trace=True)
+        assert r.answer == "yes" and r.trace == []
+        assert r.certificate.vertices == (3, 5, 0, 1, 2, 4)
+        assert verify_cycle_certificate(g, r.certificate)
+        assert k0_constructive_cycle(g).vertices == (3, 5, 0, 1, 2, 4)
 
 
 class TestFallback:

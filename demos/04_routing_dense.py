@@ -24,7 +24,7 @@ def positions(cert, pairs):
 
 g, meta = gen_instance("near_complete", {"n": 64, "min_degree": 36}, seed=9)
 S = [(0, 9), (9, 33), (40, 41)]
-cert = hamiltonian_through_pairs(g, S, k=3, mode="relaxed")
+cert = hamiltonian_through_pairs(g, S)
 print(f"near-complete n={g.n} (min degree {g.min_degree()}), pairs {S}")
 print(f"  Hamiltonian cycle of length {len(cert)}; pair positions {positions(cert, S)}\n")
 
@@ -34,7 +34,7 @@ rng = random.Random(2)
 S = random_cyclable_pairs(range(g.n), 3, rng)
 s = sum(1 for u, v in S if u in A and v in A)
 t = sum(1 for u, v in S if u in B and v in B)
-cert = cover_side_through_pairs(g, A, B, S, k=2, mode="strict")
+cert = cover_side_through_pairs(g, A, B, S, k=2)
 print(f"bipartite-dense p=20: pairs {S} with (A-pairs, B-pairs) = ({s}, {t})")
 print(f"  covering cycle length {len(cert)} == 2p - s + t = {2 * 20 - s + t}")
 print(f"  covers all of A: {A <= set(cert.vertices)}")

@@ -27,7 +27,6 @@ from .graph import (
     is_biconnected,
     require_verified,
     subset_components,
-    two_separators,
     verify_cycle_certificate,
     verify_path_certificate,
 )
@@ -238,29 +237,21 @@ def _matching_size(g: Graph, left, right) -> int:
 
 
 def corollary5_engine(
-    h: Graph,
-    k: int,
-    C: CycleCertificate,
-    budget: int | None = None,
-    check_preconditions: bool = True,
+    h: Graph, k: int, C: CycleCertificate, budget: int | None = None
 ) -> EngineOutcome:
     """Longer cycle, small vertex cover, or a Hamiltonicity report.
 
     Cheapest first: Hamiltonicity check, Dirac re-dispatch when 2*delta >= n,
     insertion/rotation enlargement, then a vertex cover by matching
-    2-approximation with an exact bounded branch-and-bound behind it.
+    2-approximation with an exact bounded branch-and-bound behind it. The
+    corollary's preconditions (h 3-connected, 0 < k <= delta/24,
+    |C| < 2*delta + k) are not checked: each outcome is verified and holds
+    without them.
     """
     chk = verify_cycle_certificate(h, C)
     if not chk:
         raise PreconditionError(f"C is not a cycle of h: {chk.reason}")
     delta = h.min_degree()
-    if check_preconditions:
-        if not (h.n > 3 and is_biconnected(h) and not two_separators(h)):
-            raise PreconditionError("engine needs a 3-connected graph")
-        if not (0 < k and 24 * k <= delta):
-            raise PreconditionError("engine needs 0 < k <= delta/24")
-        if len(C) >= 2 * delta + k:
-            raise PreconditionError("engine needs |C| < 2*delta + k")
     if budget is None:
         budget = 200 * h.n
 
@@ -422,16 +413,15 @@ class FindDenseInfo:
 
 
 def find_dense(
-    g: Graph,
-    k: int,
-    strict: bool = True,
-    budget: int | None = None,
+    g: Graph, k: int, budget: int | None = None
 ) -> tuple[DenseWitness, FindDenseInfo]:
     """The trichotomy: long cycle, small dense subgraph, or bipartite-dense pair.
 
-    Strict mode enforces 0 < k <= mad/80 - 1 and then every emitted witness
-    carries its guarantee; relaxed mode runs the same pipeline on any k >= 1.
-    Certificates are verified before being returned either way.
+    One pipeline for every k >= 1; certificates are verified before being
+    returned. Two bounds are left to the caller, since only a "no" rests on
+    them: a FoundCycle may be shorter than mad + k (its certificate then
+    claims length 3; the paper rules this out for k <= mad/80 - 1), and the
+    side A of a BipartiteDense is not checked against 2|A| >= mad - 8k.
     """
     if g.n < 2:
         raise PreconditionError("find_dense needs at least two vertices")
@@ -439,8 +429,6 @@ def find_dense(
         raise PreconditionError("k must be positive")
     witness = mad_with_witness(g)
     mad = witness.mad
-    if strict and Fraction(k) > mad / 80 - 1:
-        raise PreconditionError("strict mode needs 0 < k <= mad/80 - 1")
     threshold = ceil_frac(mad) + k  # integer cycle-length target
 
     core, trace = reduce_exhaustive(g, witness.vertices)
@@ -455,10 +443,6 @@ def find_dense(
     seps = trace.final_separators
     if seps:
         cyc = _glue_cycle(g, sub, ids, seps[0])
-        if strict and len(cyc) < threshold:
-            raise ConstructionFailure(
-                "glue cycle shorter than mad+k despite strict preconditions"
-            )
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)
         require_verified(verify_cycle_certificate(g, cert))
         return FoundCycle(cert), info
@@ -490,9 +474,7 @@ def find_dense(
             cert = CycleCertificate(tuple(mapped), threshold)
             require_verified(verify_cycle_certificate(g, cert))
             return FoundCycle(cert), info
-        outcome = corollary5_engine(
-            sub, k_prime, cyc, budget=budget, check_preconditions=strict
-        )
+        outcome = corollary5_engine(sub, k_prime, cyc, budget=budget)
         if isinstance(outcome, LongerCycle):
             cyc = outcome.cycle
             continue
@@ -512,8 +494,6 @@ def find_dense(
                 )
             A = frozenset(ids[v] for v in refined.A)
             B = frozenset(ids[v] for v in refined.B)
-            if strict and Fraction(2 * len(A)) < mad - 8 * k:
-                raise EngineIncomplete("refined side A smaller than mad/2 - 4k")
             return BipartiteDense(A | B, A, B), info
         raise EngineIncomplete(outcome.reason)
 

@@ -37,7 +37,7 @@ class _StBudget(Exception):
     """Identity-mode state budget tripped; fall back to random colorings."""
 
 
-def dirac_cycle(g: Graph, rotation_budget: int = 0) -> CycleCertificate:
+def dirac_cycle(g: Graph) -> CycleCertificate:
     """A cycle of length >= min(n, 2*min_degree) in a 2-connected graph.
 
     Rotation-extension with crossing-chord closure; when 2*delta >= n the
@@ -49,7 +49,7 @@ def dirac_cycle(g: Graph, rotation_budget: int = 0) -> CycleCertificate:
         raise PreconditionError("dirac_cycle needs a 2-connected graph")
     want = min(g.n, 2 * g.min_degree())
     want = max(want, 3)
-    cyc = cyclesearch.long_cycle_search_best(g, want, rotation_budget)
+    cyc = cyclesearch.long_cycle_search_best(g, want)
     if cyc is not None and len(cyc) >= want:
         cert = CycleCertificate(tuple(cyc), want)
         require_verified(verify_cycle_certificate(g, cert))
@@ -95,7 +95,7 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
     from . import routing
 
     try:
-        cyc = routing.hamiltonian_through_pairs(g, {(s, t)}, k=1, mode="relaxed")
+        cyc = routing.hamiltonian_through_pairs(g, {(s, t)})
     except (ConstructionFailure, PreconditionError):
         cyc = None
     if cyc is not None:

@@ -7,9 +7,9 @@ extends to a Hamiltonian cycle. In a dense bipartite graph the same chaining
 respects the sides and the final cycle covers the small side exactly, giving
 length 2p - s + t.
 
-Strict mode enforces the lemmas' numeric preconditions (then success is
-guaranteed); relaxed mode runs the identical construction and reports failure
-honestly. No mode ever emits an unverified certificate.
+The lemmas' numeric preconditions, which guarantee success, are not checked:
+each construction raises ConstructionFailure where it gets stuck, and every
+cycle it returns is verified.
 """
 
 from __future__ import annotations
@@ -41,17 +41,13 @@ def _normalize_pairs(S) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def hamiltonian_through_pairs(
-    h: Graph, S, k: int, mode: str = "strict"
-) -> CycleCertificate:
+def hamiltonian_through_pairs(h: Graph, S) -> CycleCertificate:
     """Hamiltonian cycle of h+S containing every pair of S as a cycle edge.
 
     An empty S is replaced by the lowest edge of h, so the construction always
-    has a seed pair. Raises ConstructionFailure when the (relaxed-mode) search
-    cannot complete; never returns an unverified cycle.
+    has a seed pair. Raises ConstructionFailure when the search cannot
+    complete; never returns an unverified cycle.
     """
-    if mode not in ("strict", "relaxed"):
-        raise PreconditionError(f"unknown mode {mode!r}")
     S = _normalize_pairs(S)
     if not S:
         first = next(h.edges(), None)
@@ -60,16 +56,6 @@ def hamiltonian_through_pairs(
         S = [first]
     chain = normalize_pair_chain(S)
     d = avg_degree(h)
-    if mode == "strict":
-        if not (0 < k and Fraction(k) <= d / 60):
-            raise PreconditionError("strict mode needs 0 < k <= ad/60")
-        if not (Fraction(h.min_degree()) >= d / 2):
-            raise PreconditionError("strict mode needs min degree >= ad/2")
-        if not (d + k > h.n):
-            raise PreconditionError("strict mode needs ad + k > n")
-        if len(S) > k:
-            raise PreconditionError("strict mode needs |S| <= k")
-
     gp = h.add_pairs(S)
     low_threshold = Fraction(4, 5) * d
     low = {v for v in h.vertices() if h.degree(v) <= low_threshold}
@@ -158,17 +144,13 @@ def _check_pairs_on_cycle(cycle: list[int], S) -> None:
 # bipartite-dense covering
 
 
-def cover_side_through_pairs(
-    h: Graph, A, B, S, k: int, mode: str = "strict"
-) -> CycleCertificate:
+def cover_side_through_pairs(h: Graph, A, B, S, k: int) -> CycleCertificate:
     """Cycle of h+S through every pair of S covering all of A, length 2p-s+t.
 
     A and B partition V(h) with B independent; only A-B edges of h are used
     (edges inside A, if any, are ignored), which pins the exact length. An
-    empty S is replaced by the lowest A-B edge.
+    empty S is replaced by the lowest A-B edge. k only orders the moves.
     """
-    if mode not in ("strict", "relaxed"):
-        raise PreconditionError(f"unknown mode {mode!r}")
     A, B = frozenset(A), frozenset(B)
     if A & B or A | B != frozenset(h.vertices()):
         raise PreconditionError("A and B must partition the vertex set")
@@ -193,15 +175,6 @@ def cover_side_through_pairs(
     chain = normalize_pair_chain(S)
     s_cnt = sum(1 for u, v in S if u in A and v in A)
     t_cnt = sum(1 for u, v in S if u in B and v in B)
-    if mode == "strict":
-        if not (0 < k and 10 * k <= p):
-            raise PreconditionError("strict mode needs 0 < k <= p/10")
-        if any(hb.degree(v) < 2 * p for v in A):
-            raise PreconditionError("strict mode needs d(v) >= 2p on A")
-        if any(hb.degree(v) < p - k for v in B):
-            raise PreconditionError("strict mode needs d(v) >= p-k on B")
-        if len(S) > -((-9 * k) // 4):
-            raise PreconditionError("strict mode needs |S| <= ceil(9k/4)")
 
     gp = hb.add_pairs(S)
     endpoints = {v for pair in chain for v in pair}

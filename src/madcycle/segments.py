@@ -357,14 +357,7 @@ class SegmentSearch:
             )
 
     def find(
-        self,
-        r: int,
-        p: int,
-        s: int,
-        t: int,
-        seed: int,
-        trials: int | None,
-        trial_offset: int,
+        self, r: int, p: int, s: int, t: int, seed: int, trials: int | None,
         report: dict | None,
     ) -> SegmentSystem | None:
         g, T, A = self.g, self.T, self.A
@@ -393,7 +386,7 @@ class SegmentSearch:
             return None
         if trials is None:
             trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
-        for trial in range(trial_offset, trial_offset + trials):
+        for trial in range(trials):
             rng = random.Random(seed * 2654435761 + trial)
             coloring = tuple(rng.randrange(q) for _ in range(g.n))
             engine = _SegmentEngine(g, T, A, coloring, p, r, s, t)
@@ -427,7 +420,6 @@ def find_segments(
     p: int,
     seed: int = 0,
     trials: int | None = None,
-    trial_offset: int = 0,
     det_cap: int | None = None,
     report: dict | None = None,
     search: SegmentSearch | None = None,
@@ -453,7 +445,7 @@ def find_segments(
             report["deterministic"] = True
         return None
     search._check(g, T, frozenset(), r, p)
-    system = search.find(r, p, 0, r, seed, trials, trial_offset, report)
+    system = search.find(r, p, 0, r, seed, trials, report)
     if system is None:
         return None
     return SegmentSystem(system.paths, T, None)
@@ -470,7 +462,6 @@ def find_segments_partitioned(
     t: int,
     seed: int = 0,
     trials: int | None = None,
-    trial_offset: int = 0,
     det_cap: int | None = None,
     report: dict | None = None,
     search: SegmentSearch | None = None,
@@ -496,4 +487,4 @@ def find_segments_partitioned(
             report["deterministic"] = True
         return None
     search._check(g, T, A, r, p)
-    return search.find(r, p, s, t, seed, trials, trial_offset, report)
+    return search.find(r, p, s, t, seed, trials, report)

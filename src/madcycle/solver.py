@@ -1,14 +1,16 @@
 """Decide whether a 2-connected graph has a cycle of length >= mad(G)+k.
 
 Dispatch: k = 0 is answered constructively (densest core, reduction by
-rules 1-3, Dirac cycle); large k relative to mad goes to an exact fallback;
-otherwise the dense-subgraph trichotomy drives the two case analyses,
-searching for one long outside path or a system of outside segments and
-splicing them into a routed cycle through the core.
+rules 1-3, Dirac cycle); k above the paper's range k <= mad/88 - 1 goes to
+an exact fallback; otherwise the dense-subgraph trichotomy drives the two
+case analyses, searching for one long outside path or a system of outside
+segments and splicing them into a routed cycle through the core.
 
 Answers are three-valued. Yes always carries a verified certificate whose
-length meets the exact rational threshold. Unknown is reserved for exhausted
-randomized budgets and engine incompleteness; it never masquerades as no.
+length meets the exact rational threshold. No is claimed only where the
+search was exact and the paper proves the case analysis complete, which
+`_downgrade` decides in one place. Otherwise the answer is unknown, with a
+reason; it never masquerades as no.
 """
 
 from __future__ import annotations
@@ -101,20 +103,18 @@ def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
     return cert, trace
 
 
-def exact_longest_cycle_fallback(
-    g: Graph, threshold: Fraction | int, n_cap: int = FALLBACK_N_CAP
-) -> SolveResult:
+def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveResult:
     """Exact decision 'exists a cycle of length >= threshold' for small n.
 
     Branch-and-bound DFS with reachability pruning; independent of the
-    subset-DP oracle. Above the cap the answer is unknown with a diagnostic.
+    subset-DP oracle. Above FALLBACK_N_CAP vertices the answer is unknown.
     """
     threshold = Fraction(threshold)
     want = max(ceil_frac(threshold), 3)
     mad = mad_with_witness(g).mad if g.m else Fraction(0)
     base = dict(k=0, mad=mad, threshold_len=want, branch="fallback")
-    if g.n > n_cap:
-        return _unknown(f"fallback cap exceeded: n={g.n} > {n_cap}", **base)
+    if g.n > FALLBACK_N_CAP:
+        return _unknown(f"fallback cap exceeded: n={g.n} > {FALLBACK_N_CAP}", **base)
     found = cyclesearch.find_cycle_at_least(g, want, node_budget=None)
     if found is not None:
         cert = _certify(g, CycleCertificate(tuple(found), want))
@@ -131,7 +131,6 @@ def _unknown(reason: str, **fields) -> SolveResult:
 class _Budget:
     seed: int = 0
     trials: int | None = None
-    engine: int | None = None
     randomized_used: bool = False
 
 
@@ -261,9 +260,7 @@ def case_small_dense(
 
     def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
         pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
-        ham = routing.hamiltonian_through_pairs(
-            sub_h, pair_set, k=k_prime + 1, mode="relaxed"
-        )
+        ham = routing.hamiltonian_through_pairs(sub_h, pair_set)
         return CycleCertificate(tuple(ids_h[v] for v in ham.vertices), len(ham))
 
     # (a) one path outside H between two of its vertices
@@ -323,7 +320,7 @@ def case_bipartite_dense(
     def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
         pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
         cyc = routing.cover_side_through_pairs(
-            sub_h, a_local, b_local, pair_set, k=routing_k, mode="relaxed"
+            sub_h, a_local, b_local, pair_set, k=routing_k
         )
         return CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), len(cyc))
 
@@ -366,7 +363,12 @@ def solve(
     with_trace: bool = False,
 ) -> SolveResult:
     """Decide a cycle of length >= mad(G)+k (or a path with >= mad(G)+k
-    vertices in path mode). See the module docstring for the dispatch."""
+    vertices in path mode). See the module docstring for the dispatch.
+
+    strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
+    than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
+    relaxed runs the dense pipeline, where _downgrade turns no into unknown.
+    """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if mode == "path":
@@ -392,20 +394,17 @@ def solve(
         return SolveResult("yes", certificate=cert, branch="k0", trace=trace, **base)
 
     in_strict_range = Fraction(k) <= mad / 88 - 1
-    if in_strict_range:
-        pass
-    elif strict or g.n <= FALLBACK_N_CAP:
+    if not in_strict_range and (strict or g.n <= FALLBACK_N_CAP):
         # the paper dispatch: out-of-range k goes to the exact fallback
         res = exact_longest_cycle_fallback(g, mad + k)
         res.k, res.mad, res.threshold_len = k, mad, threshold
         return res
-    # relaxed mode past the fallback cap: run the dense pipeline best-effort;
-    # yes stays certified, but no downgrades to unknown below
+    # in range, or relaxed mode past the fallback cap: one dense pipeline;
+    # yes stays certified, and _downgrade decides whether no may stand
 
     bud = _Budget(seed=seed, trials=budget)
-    dense_strict = strict and in_strict_range
     try:
-        witness, info = find_dense(g, k, strict=dense_strict, budget=budget)
+        witness, info = find_dense(g, k, budget=budget)
     except EngineIncomplete as exc:
         return _unknown(f"engine incomplete: {exc}", branch="find_dense", **base)
     except ConstructionFailure as exc:
@@ -427,9 +426,7 @@ def solve(
         k_prime = threshold - len(H)
         if k_prime <= 0:
             sub_h, ids_h = induced_subgraph(g, H)
-            ham = routing.hamiltonian_through_pairs(
-                sub_h, set(), k=k + 1, mode="relaxed"
-            )
+            ham = routing.hamiltonian_through_pairs(sub_h, set())
             cert = _certify(
                 g, CycleCertificate(tuple(ids_h[v] for v in ham.vertices), threshold)
             )
@@ -442,7 +439,7 @@ def solve(
             return _unknown(f"construction failed: {exc}", branch="case_ii",
                             trace=trace, **base)
         res.trace = trace
-        return _downgrade_out_of_range(res, in_strict_range)
+        return _downgrade(res, in_strict_range, _OUT_OF_RANGE)
 
     assert isinstance(witness, BipartiteDense)
     H, A, B = witness.vertices, witness.A, witness.B
@@ -456,7 +453,6 @@ def solve(
             frozenset(back[v] for v in B),
             set(),
             k=max(1, len(A) // 10),
-            mode="relaxed",
         )
         cert = _certify(
             g, CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), threshold)
@@ -474,17 +470,22 @@ def solve(
         return _unknown(f"construction failed: {exc}", branch="case_iii",
                         trace=trace, **base)
     res.trace = trace
-    return _downgrade_out_of_range(res, in_strict_range)
+    # case (iii) is complete only in range and with 2|A| >= mad - 8k
+    if not in_strict_range:
+        return _downgrade(res, False, _OUT_OF_RANGE)
+    why = f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
+    return _downgrade(res, 2 * len(A) >= mad - 8 * k, why)
 
 
-def _downgrade_out_of_range(res: SolveResult, in_strict_range: bool) -> SolveResult:
-    """Out of the strict k-range the case analyses lose their completeness
-    guarantee, so an exhausted search is honestly unknown rather than no."""
-    if res.answer == "no" and not in_strict_range:
+_OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
+
+
+def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
+    """The one gate on a case analysis's no: it stands only where the paper
+    proves the analysis complete (may_claim_no), else it is unknown, why."""
+    if res.answer == "no" and not may_claim_no:
         res.answer = "unknown"
-        res.stats["reason"] = (
-            "relaxed-mode search exhausted; no-guarantee outside the strict k range"
-        )
+        res.stats["reason"] = why
     return res
 
 

@@ -144,7 +144,7 @@ def test_criterion_06_dense_routing_hamiltonian(certificate_registry):
         )
         assert g.min_degree() >= floor
         S = random_cyclable_pairs(range(n), 1, rng)
-        cert = hamiltonian_through_pairs(g, S, 1, mode="relaxed")
+        cert = hamiltonian_through_pairs(g, S)
         host = g.add_pairs(S)
         assert len(cert) == n
         assert verify_cycle_certificate(host, cert)
@@ -161,7 +161,7 @@ def test_criterion_07_bipartite_routing_exact_length(certificate_registry):
         S = random_cyclable_pairs(range(g.n), rng.randint(1, 5), rng)
         s_cnt = sum(1 for u, v in S if u in A and v in A)
         t_cnt = sum(1 for u, v in S if u in B and v in B)
-        cert = cover_side_through_pairs(g, A, B, S, 2, mode="strict")
+        cert = cover_side_through_pairs(g, A, B, S, 2)
         host = g.add_pairs(S)
         assert len(cert) == 2 * 20 - s_cnt + t_cnt
         assert A <= set(cert.vertices)

@@ -24,6 +24,7 @@ from madcycle.graph import (
     VerifyOutcome,
     avg_degree,
     build_graph,
+    ceil_frac,
     induced_subgraph,
     verify_cycle_certificate,
 )
@@ -90,19 +91,19 @@ class TestEngine:
     def test_hamiltonian_outcome(self):
         g = complete(30)
         c = CycleCertificate(tuple(range(30)), 3)
-        out = corollary5_engine(g, 1, c, check_preconditions=True)
+        out = corollary5_engine(g, 1, c)
         assert isinstance(out, Hamiltonian)
 
     def test_k60_longer_cycle(self):
         g = complete(60)
         c = CycleCertificate(tuple(range(59)), 3)
-        out = corollary5_engine(g, 2, c, check_preconditions=True)
+        out = corollary5_engine(g, 2, c)
         assert isinstance(out, LongerCycle) and len(out.cycle) == 60
 
     def test_split_graph_cover(self):
         g = split_graph(8, 80)
         c = dirac_cycle(g)
-        out = corollary5_engine(g, 1, c, check_preconditions=False)
+        out = corollary5_engine(g, 1, c)
         assert isinstance(out, VertexCover)
         assert out.vertices == frozenset(range(8))
         assert len(out.vertices) <= g.min_degree() + 2
@@ -124,7 +125,7 @@ class TestEngine:
                 continue
             if len(c) >= g.n:
                 continue
-            out = corollary5_engine(g, 1, c, check_preconditions=False)
+            out = corollary5_engine(g, 1, c)
             if isinstance(out, LongerCycle):
                 assert len(out.cycle) > len(c)
                 assert verify_cycle_certificate(g, out.cycle)
@@ -138,11 +139,13 @@ class TestEngine:
             else:
                 assert isinstance(out, Incomplete)
 
-    def test_engine_precondition_gate(self):
+    def test_runs_without_corollary_preconditions(self):
+        # k = 1 > delta/24 on K10: the engine still answers, and soundly
         g = complete(10)
         c = CycleCertificate(tuple(range(9)), 3)
-        with pytest.raises(PreconditionError):
-            corollary5_engine(g, 1, c, check_preconditions=True)  # k > delta/24
+        out = corollary5_engine(g, 1, c)
+        assert isinstance(out, LongerCycle) and len(out.cycle) == 10
+        assert verify_cycle_certificate(g, out.cycle)
 
 
 class TestRefine:
@@ -187,7 +190,7 @@ class TestRefine:
 class TestFindDense:
     def test_k200_found_cycle(self):
         g = complete(200)
-        w, info = find_dense(g, 1, strict=True)
+        w, info = find_dense(g, 1)
         assert isinstance(w, FoundCycle)
         assert len(w.cycle) == 200
         assert verify_cycle_certificate(g, w.cycle)
@@ -195,7 +198,7 @@ class TestFindDense:
 
     def test_k350_minus_matching_small_dense(self):
         g = complete_minus_matching(350)
-        w, info = find_dense(g, 3, strict=True)
+        w, info = find_dense(g, 3)
         assert isinstance(w, SmallDense)
         assert w.vertices == frozenset(range(350))
         sub, _ = induced_subgraph(g, w.vertices)
@@ -208,17 +211,30 @@ class TestFindDense:
             [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)], 6
         )
         with pytest.raises(PreconditionError):
-            find_dense(g, 0, strict=True)
+            find_dense(g, 0)
 
-    def test_strict_range_enforced(self):
-        with pytest.raises(PreconditionError):
-            find_dense(complete(10), 1, strict=True)  # mad/80 - 1 < 1
+    def test_any_k_runs_the_one_pipeline(self):
+        # k far above mad/80 - 1: every witness is still verified, and a glue
+        # cycle short of mad + k comes back claiming only length 3
+        g = complete(10)
+        w, info = find_dense(g, 1)
+        assert isinstance(w, FoundCycle) and len(w.cycle) == 10
+        w, info = find_dense(g, 5)
+        assert isinstance(w, SmallDense) and w.vertices == frozenset(range(10))
+        e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
+        g = build_graph(e, 14)
+        w, info = find_dense(g, 7)
+        assert isinstance(w, FoundCycle) and info.trace.final_separators
+        assert len(w.cycle) == 14 < ceil_frac(info.mad) + 7
+        assert w.cycle.claimed_min_length == 3
+        assert verify_cycle_certificate(g, w.cycle)
 
     def test_glue_branch_relaxed(self):
         e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
         g = build_graph(e, 14)
-        w, info = find_dense(g, 1, strict=False)
+        w, info = find_dense(g, 1)
         assert isinstance(w, FoundCycle)
         assert len(w.cycle) == 14
         assert verify_cycle_certificate(g, w.cycle)
@@ -237,11 +253,11 @@ class TestFindDense:
         monkeypatch.setattr(extract, "verify_cycle_certificate", reject)
         monkeypatch.setattr(extract, "verify_path_certificate", reject)
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
-            find_dense(g, 1, strict=False)
+            find_dense(g, 1)
 
     def test_bipartite_dense_branch_relaxed(self):
         g = split_graph(8, 80)
-        w, info = find_dense(g, 1, strict=False)
+        w, info = find_dense(g, 1)
         assert isinstance(w, BipartiteDense)
         assert w.A == frozenset(range(8))
         mad = info.mad

@@ -126,19 +126,19 @@ def _routing_cases():
         h = _gen("gnp2c", seed=seed, n=n, prob=prob)
         S = random_cyclable_pairs(range(n), 3, random.Random(seed))
         out.append((f"ham gnp{n} s{seed}",
-                    lambda h=h, S=S: hamiltonian_through_pairs(h, S, k=3, mode="relaxed")))
+                    lambda h=h, S=S: hamiltonian_through_pairs(h, S)))
     for seed, n in ((1, 30), (2, 40), (3, 50)):
         h = _gen("near_complete", seed=seed, n=n)
         S = random_cyclable_pairs(range(n), 4, random.Random(seed))
         out.append((f"ham near_complete{n} s{seed}",
-                    lambda h=h, S=S: hamiltonian_through_pairs(h, S, k=5, mode="relaxed")))
+                    lambda h=h, S=S: hamiltonian_through_pairs(h, S)))
     for seed in (1, 2):
         h = _gen("bipartite_dense", seed=seed, p=10, k=2)
         S = random_cyclable_pairs(range(h.n), 2, random.Random(seed))
         A, B = range(10), range(10, h.n)
         out.append((f"cover bipartite_dense10 s{seed}",
                     lambda h=h, A=A, B=B, S=S: cover_side_through_pairs(
-                        h, A, B, S, k=2, mode="relaxed")))
+                        h, A, B, S, k=2)))
     return out
 
 

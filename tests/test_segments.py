@@ -117,20 +117,6 @@ class TestOracleEquivalence:
 
 
 class TestTrialIndependence:
-    def test_or_of_split_runs(self):
-        # existential monotonicity across disjoint seed streams
-        g = build_graph(
-            [(0, 5), (5, 6), (6, 1), (2, 7), (7, 3), (0, 2), (4, 8), (8, 9)], 10
-        )
-        T = {0, 1, 2, 3}
-        t1, t2 = 7, 9
-        full = find_segments(g, T, 2, 3, seed=2, trials=t1 + t2, det_cap=4)
-        first = find_segments(g, T, 2, 3, seed=2, trials=t1, det_cap=4)
-        second = find_segments(
-            g, T, 2, 3, seed=2, trials=t2, trial_offset=t1, det_cap=4
-        )
-        assert (full is not None) == ((first is not None) or (second is not None))
-
     def test_color_budget_bound(self):
         # a feasible system spans at most p + 2r vertices
         rng = random.Random(11)

@@ -12,6 +12,7 @@ from madcycle.graph import (
     verify_cycle_certificate,
     verify_path_certificate,
 )
+from madcycle.instances import emit_result
 from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_cycle, oracle_longest_st_path
 from madcycle.solver import (
@@ -59,8 +60,16 @@ class TestSolveDispatch:
         with pytest.raises(PreconditionError):
             solve(path_graph(4), 0)
 
+    @staticmethod
+    def _both_modes(g, k):
+        """solve(g, k), after checking that strict and relaxed mode emit the
+        same bytes: in the k range the two modes run one pipeline."""
+        strict = solve(g, k, strict=True)
+        assert emit_result(solve(g, k, strict=False)) == emit_result(strict)
+        return strict
+
     def test_strict_pipeline_k200(self):
-        r = solve(complete(200), 1)
+        r = self._both_modes(complete(200), 1)
         assert r.answer == "yes" and r.branch == "find_dense"
         assert len(r.certificate) == 200 and r.threshold_len == 200
 
@@ -68,7 +77,7 @@ class TestSolveDispatch:
         # K356 minus a perfect matching, k=3 (inside the k <= mad/88 - 1
         # dispatch range): threshold 357 exceeds the circumference 356
         g = complete_minus_matching(356)
-        r = solve(g, 3)
+        r = self._both_modes(g, 3)
         assert r.branch == "case_ii"
         assert r.answer == "no"
 
@@ -77,7 +86,7 @@ class TestSolveDispatch:
         g0 = complete_minus_matching(356)
         edges = list(g0.edges()) + [(0, 356), (356, 357), (357, 2)]
         g = build_graph(edges, 358)
-        r = solve(g, 3)
+        r = self._both_modes(g, 3)
         assert r.branch == "case_ii"
         assert r.answer == "yes"
         assert len(r.certificate) >= r.threshold_len == 357
@@ -339,6 +348,43 @@ class TestRelaxedMode:
         g, _ = gen_instance("lemma7_trace", {"branch": "bip_dense"}, 0)
         res = solve(g, 1, strict=True)
         assert res.answer == "unknown" and "cap" in res.stats["reason"]
+
+
+class TestNoGate:
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("size_a, answer", [(80, "unknown"), (86, "no")])
+    def test_case_iii_no_needs_side_a_of_half_mad(self, monkeypatch, size_a, answer,
+                                                   strict):
+        # K180 at k=1 is in range (1 <= 179/88 - 1), threshold 180. A
+        # bipartite-dense witness with |A| = 80 has k' = 20 and passes
+        # |A| >= 3k'/2 but not |A| >= mad/2 - 4k = 85.5, so an exhausted
+        # case (iii) proves nothing; with |A| = 86 (k' = 8) it proves no.
+        from madcycle import solver
+        from madcycle.extract import BipartiteDense, FindDenseInfo
+        from madcycle.reduction import ReductionTrace
+
+        g = complete(180)
+        A = frozenset(range(size_a))
+        witness = BipartiteDense(frozenset(range(180)), A, frozenset(range(size_a, 180)))
+
+        def fake_find_dense(g, k, **kwargs):
+            info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace(),
+                                 core=witness.vertices)
+            return witness, info
+
+        def exhausted(g, H, A, B, k_prime, mad, k, budget):
+            assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
+            return solver.SolveResult("no", k=k, mad=mad, threshold_len=180,
+                                      branch="case_iii", stats={"k_prime": k_prime})
+
+        monkeypatch.setattr(solver, "find_dense", fake_find_dense)
+        monkeypatch.setattr(solver, "case_bipartite_dense", exhausted)
+        res = solve(g, 1, strict=strict)
+        assert res.answer == answer and res.branch == "case_iii"
+        if answer == "unknown":
+            assert "mad/2 - 4k" in res.stats["reason"]
+        else:
+            assert "reason" not in res.stats
 
 
 class TestOracleEquivalence:

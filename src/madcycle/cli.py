@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         "--budget",
         type=int,
         default=None,
-        help="cap on randomized coloring trials and engine search steps",
+        help="at least 1: Monte Carlo trials per probe and engine rotation steps",
     )
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--json", action="store_true")

@@ -22,3 +22,8 @@ class ConstructionFailure(RuntimeError):
 
 class EngineIncomplete(RuntimeError):
     """The cycle/cover engine exhausted its budget without any contractual outcome."""
+
+
+class StateBudgetExceeded(Exception):
+    """An identity-coloring search passed DET_STATE_BUDGET states; its caller
+    falls back to Monte Carlo colorings."""

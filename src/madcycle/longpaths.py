@@ -12,7 +12,7 @@ import math
 import random
 
 from . import cyclesearch
-from .errors import ConstructionFailure, PreconditionError
+from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from .graph import (
     CycleCertificate,
     Graph,
@@ -30,11 +30,7 @@ from .graph import (
 RANDOM_Q_CAP = 18
 DEFAULT_TRIAL_CAP = 500
 EXTRA_TARGETS = 2  # randomized mode also probes slightly longer exact lengths
-DET_STATE_BUDGET = 400_000
-
-
-class _StBudget(Exception):
-    """Identity-mode state budget tripped; fall back to random colorings."""
+DET_STATE_BUDGET = 400_000  # states an identity coloring may create
 
 
 def dirac_cycle(g: Graph) -> CycleCertificate:
@@ -228,7 +224,7 @@ def _colorful_st_path(
                     if state_budget is not None:
                         states += 1
                         if states > state_budget:
-                            raise _StBudget()
+                            raise StateBudgetExceeded()
     if accept is None:
         return None
     ckey, v = accept
@@ -247,38 +243,34 @@ def st_path_at_least(
     target_vertices: int,
     seed: int = 0,
     trials: int | None = None,
-    det_cap: int | None = None,
     report: dict | None = None,
 ) -> PathCertificate | None:
     """A simple (s,t)-path with >= target_vertices vertices, if one is found.
 
     The identity coloring gives an exact decision whenever its reachable
-    state space fits a fixed budget (report["deterministic"] says whether it
-    did); otherwise one-sided Monte Carlo with target_vertices colors, where
-    None only means none found at the configured confidence. det_cap forces
-    the Monte Carlo path on larger hosts (a test hook).
+    state space fits DET_STATE_BUDGET (report["deterministic"] says whether
+    it did); otherwise one-sided Monte Carlo with target_vertices colors,
+    where None only means none found at the configured confidence.
     """
     if s == t:
         raise PreconditionError("st_path_at_least needs distinct endpoints")
     target_vertices = max(target_vertices, 2)
     full = (1 << g.n) - 1
-    skip_identity = det_cap is not None and g.n > det_cap
-    if not skip_identity:
-        identity = list(range(g.n))
-        try:
-            found = _colorful_st_path(
-                g, s, t, identity, target_vertices, full,
-                state_budget=DET_STATE_BUDGET,
-            )
-            if report is not None:
-                report["deterministic"] = True
-            if found is None:
-                return None
-            cert = PathCertificate(tuple(found))
-            require_verified(verify_path_certificate(g, cert))
-            return cert
-        except _StBudget:
-            pass
+    identity = list(range(g.n))
+    try:
+        found = _colorful_st_path(
+            g, s, t, identity, target_vertices, full,
+            state_budget=DET_STATE_BUDGET,
+        )
+        if report is not None:
+            report["deterministic"] = True
+        if found is None:
+            return None
+        cert = PathCertificate(tuple(found))
+        require_verified(verify_path_certificate(g, cert))
+        return cert
+    except StateBudgetExceeded:
+        pass
     if report is not None:
         report["deterministic"] = False
     if trials is None:

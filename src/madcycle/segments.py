@@ -14,6 +14,8 @@ from states with p <= P, in the same order and from the same predecessor, so
 a larger range changes no answer and no reconstruction. When the engine's
 state budget trips, the search's remaining probes run Monte Carlo colorings,
 one set per probe. Nothing is cached beyond the search object.
+`find_segments_partitioned` is the one probe, and `find_segments` is its
+probe (r, p, 0, r) with A empty.
 """
 
 from __future__ import annotations
@@ -22,21 +24,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConstructionFailure, PreconditionError
+from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from .graph import (
     Graph,
     PathCertificate,
     is_potentially_cyclable,
     verify_path_certificate,
 )
-
-RANDOM_Q_CAP = 18
-DEFAULT_TRIAL_CAP = 500
-DET_STATE_BUDGET = 400_000
-
-
-class _EngineBudget(Exception):
-    """Identity-mode state budget tripped; fall back to random colorings."""
+from .longpaths import DEFAULT_TRIAL_CAP, DET_STATE_BUDGET, RANDOM_Q_CAP
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ class _SegmentEngine:
         if self._budget is not None:
             self._states += k
             if self._states > self._budget:
-                raise _EngineBudget()
+                raise StateBudgetExceeded()
 
     # stage one: colorful single segments
     def _build_alpha(self):
@@ -327,14 +322,12 @@ class SegmentSearch:
     """The segment searches of one case analysis over one (g, T, A).
 
     Probes with r <= rmax and p <= pmax are answered exactly from one
-    identity-coloring engine, built on the first probe, until its state
-    budget trips; from then on every probe runs Monte Carlo colorings of its
-    own. det_cap skips the identity engine on hosts with more vertices (a
-    test hook).
+    identity-coloring engine, built on the first probe, until its
+    DET_STATE_BUDGET trips; from then on every probe runs Monte Carlo
+    colorings of its own.
     """
 
-    def __init__(self, g: Graph, T, A, pmax: int, rmax: int,
-                 det_cap: int | None = None):
+    def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
         self.g = g
         self.T = frozenset(T)
         self.A = frozenset(A)
@@ -344,17 +337,8 @@ class SegmentSearch:
             raise PreconditionError("A must be a subset of T")
         self.pmax = pmax
         self.rmax = rmax
-        self.exact = det_cap is None or g.n <= det_cap
+        self.exact = True
         self.engine: _SegmentEngine | None = None
-
-    def _check(self, g: Graph, T: frozenset, A: frozenset, r: int, p: int):
-        if g is not self.g or T != self.T or A != self.A:
-            raise PreconditionError("probe does not match the search's (g, T, A)")
-        if r > self.rmax or p > self.pmax:
-            raise PreconditionError(
-                f"probe (r={r}, p={p}) outside the search's range "
-                f"(r <= {self.rmax}, p <= {self.pmax})"
-            )
 
     def find(
         self, r: int, p: int, s: int, t: int, seed: int, trials: int | None,
@@ -370,7 +354,7 @@ class SegmentSearch:
                         state_budget=DET_STATE_BUDGET,
                     )
                 hit = self.engine.query(r, p, s, t)
-            except _EngineBudget:
+            except StateBudgetExceeded:
                 self.exact = False
                 self.engine = None
             else:
@@ -420,35 +404,18 @@ def find_segments(
     p: int,
     seed: int = 0,
     trials: int | None = None,
-    det_cap: int | None = None,
     report: dict | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices.
 
-    Returned systems always validate; a None answer is exact when the
-    identity-coloring mode ran (report["deterministic"]) and one-sided Monte
-    Carlo otherwise. det_cap forces the Monte Carlo path on larger hosts
-    (a test hook). r > p is immediately infeasible. A search made for
-    (g, T, A=()) answers the probe from its shared engine; without one, a
-    search for this probe alone is made.
+    This is the partitioned probe (r, p, 0, r) with A empty, so every
+    segment counts as a B-segment; its classification is dropped.
     """
-    if r < 1 or p < 1:
-        raise PreconditionError("need r >= 1 and p >= 1")
-    T = frozenset(T)
-    if search is None:
-        search = SegmentSearch(g, T, (), p, r, det_cap=det_cap)
-    elif det_cap is not None:
-        raise PreconditionError("det_cap belongs to the search, not the probe")
-    if r > p:
-        if report is not None:
-            report["deterministic"] = True
-        return None
-    search._check(g, T, frozenset(), r, p)
-    system = search.find(r, p, 0, r, seed, trials, report)
-    if system is None:
-        return None
-    return SegmentSystem(system.paths, T, None)
+    system = find_segments_partitioned(
+        g, T, (), T, r, p, 0, r, seed=seed, trials=trials, report=report, search=search
+    )
+    return None if system is None else SegmentSystem(system.paths, system.T)
 
 
 def find_segments_partitioned(
@@ -462,13 +429,21 @@ def find_segments_partitioned(
     t: int,
     seed: int = 0,
     trials: int | None = None,
-    det_cap: int | None = None,
     report: dict | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
-    """Partitioned search: s A-segments, t B-segments, A-segments have >= 2
-    internal vertices. Exact counts, as in the plain search; search, when
-    given, must have been made for (g, T, A)."""
+    """A system of exactly r T-segments with exactly p internal vertices, s
+    of them A-segments (both ends in A, >= 2 internal vertices each) and t
+    B-segments (both ends in B).
+
+    Returned systems always validate; a None answer is exact when the
+    identity-coloring mode ran (report["deterministic"]) and one-sided Monte
+    Carlo otherwise. r > p is immediately infeasible. A search made for
+    (g, T, A) answers the probe from its shared engine; without one, a
+    search for this probe alone is made.
+    """
+    if r < 1 or p < 1:
+        raise PreconditionError("need r >= 1 and p >= 1")
     T, A, B = frozenset(T), frozenset(A), frozenset(B)
     if A | B != T or A & B:
         raise PreconditionError("A and B must partition T")
@@ -476,15 +451,17 @@ def find_segments_partitioned(
         raise PreconditionError("s + t must not exceed r")
     if s < 0 or t < 0:
         raise PreconditionError("s and t must be nonnegative")
-    if r < 1 or p < 1:
-        raise PreconditionError("need r >= 1 and p >= 1")
     if search is None:
-        search = SegmentSearch(g, T, A, p, r, det_cap=det_cap)
-    elif det_cap is not None:
-        raise PreconditionError("det_cap belongs to the search, not the probe")
+        search = SegmentSearch(g, T, A, p, r)
     if r > p:
         if report is not None:
             report["deterministic"] = True
         return None
-    search._check(g, T, A, r, p)
+    if g is not search.g or T != search.T or A != search.A:
+        raise PreconditionError("probe does not match the search's (g, T, A)")
+    if r > search.rmax or p > search.pmax:
+        raise PreconditionError(
+            f"probe (r={r}, p={p}) outside the search's range "
+            f"(r <= {search.rmax}, p <= {search.pmax})"
+        )
     return search.find(r, p, s, t, seed, trials, report)

@@ -2,9 +2,10 @@
 
 Dispatch: k = 0 is answered constructively (densest core, reduction by
 rules 1-3, Dirac cycle); k above the paper's range k <= mad/88 - 1 goes to
-an exact fallback; otherwise the dense-subgraph trichotomy drives the two
-case analyses, searching for one long outside path or a system of outside
-segments and splicing them into a routed cycle through the core.
+an exact fallback; otherwise the dense-subgraph trichotomy gives a core H.
+Cases (ii) and (iii) run one case analysis and differ only in its data
+(target, segment window, side A): one long outside path, else a system of
+outside segments, spliced into a cycle routed through H.
 
 Answers are three-valued. Yes always carries a verified certificate whose
 length meets the exact rational threshold. No is claimed only where the
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import cyclesearch, longpaths, routing, segments
 from .density import mad_with_witness
 from .errors import ConstructionFailure, EngineIncomplete, PreconditionError
-from .extract import BipartiteDense, FoundCycle, SmallDense, find_dense
+from .extract import FoundCycle, SmallDense, find_dense
 from .graph import (
     CycleCertificate,
     Graph,
@@ -142,10 +143,7 @@ def _splice_segments(
     The assembly identity holds by construction: every segment with p_i
     internal vertices lengthens the cycle by exactly p_i.
     """
-    by_pair: dict[tuple[int, int], PathCertificate] = {}
-    for path in system.paths:
-        a, b = path.endpoints
-        by_pair[(min(a, b), max(a, b))] = path
+    by_pair = dict(zip(system.endpoint_pairs(), system.paths))
     cyc = list(base_cycle.vertices)
     n = len(cyc)
     out: list[int] = []
@@ -214,25 +212,65 @@ def _outside_path(
     return None
 
 
-def _spliced_yes(
-    g: Graph,
-    routed: CycleCertificate,
-    system: segments.SegmentSystem,
-    stats: dict,
-    base: dict,
-) -> SolveResult:
-    """Yes with the routed cycle, the system spliced in, as its certificate."""
-    out = _splice_segments(g, routed, system)
-    cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
-    return SolveResult("yes", certificate=cert, stats=stats, **base)
-
-
 def _exhausted(budget: _Budget, stats: dict, base: dict) -> SolveResult:
     """No witness found: no if every search was exact, else unknown."""
     if budget.randomized_used:
         stats["reason"] = "randomized searches exhausted without a witness"
         return SolveResult("unknown", stats=stats, **base)
     return SolveResult("no", stats=stats, **base)
+
+
+def _routed(g: Graph, H, A, pairs) -> CycleCertificate:
+    """A cycle of g[H] through the pairs, in g's labels: Hamiltonian when A
+    is empty, else covering A. The bipartite routing lemma needs 10k <= |A|,
+    so k = floor(|A|/10), at least 1; k only orders the covering moves."""
+    sub_h, ids_h = induced_subgraph(g, H)
+    back = {orig: i for i, orig in enumerate(ids_h)}
+    local = {(back[a], back[b]) for a, b in pairs}
+    if A:
+        a_local = frozenset(back[v] for v in A)
+        b_local = frozenset(range(sub_h.n)) - a_local
+        cyc = routing.cover_side_through_pairs(
+            sub_h, a_local, b_local, local, k=max(1, len(A) // 10)
+        )
+    else:
+        cyc = routing.hamiltonian_through_pairs(sub_h, local)
+    return CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), len(cyc))
+
+
+def _case_analysis(
+    g: Graph, H: frozenset[int], A: frozenset[int], k_prime: int, target: int,
+    pmax: int, probes, budget: _Budget, base: dict,
+) -> SolveResult:
+    """Cases (ii) and (iii): (a) one outside (s,t)-path with >= target
+    vertices, else (b) the first outside segment system of the probes
+    (r, p, s, t), all answered by one search over (g, H, A); either is
+    spliced into the cycle _routed through H."""
+    if k_prime < 1:
+        raise PreconditionError(f"{base['branch']} needs k' >= 1")
+    stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
+    path = _outside_path(g, H, target, budget, stats)
+    if path is not None:
+        system = segments.SegmentSystem((path,), H)
+    else:
+        search = segments.SegmentSearch(g, H, A, pmax, k_prime)
+        for r, p, s, t in probes:
+            stats["segment_probes"] += 1
+            report: dict = {}
+            system = segments.find_segments_partitioned(
+                g, H, A, H - A, r, p, s, t,
+                seed=budget.seed, trials=budget.trials, report=report,
+                search=search,
+            )
+            if system is not None:
+                break
+            if not report.get("deterministic", False):
+                budget.randomized_used = True
+        else:
+            return _exhausted(budget, stats, base)
+    out = _splice_segments(g, _routed(g, H, A, system.endpoint_pairs()), system)
+    cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+    return SolveResult("yes", certificate=cert, stats=stats, **base)
 
 
 def case_small_dense(
@@ -249,42 +287,14 @@ def case_small_dense(
     most k' outside segments carrying between k' and 2k'-2 internal vertices;
     either splices into a Hamiltonian cycle of H through the forced pairs.
     """
-    H = frozenset(H)
-    threshold = ceil_frac(mad) + k
-    base = dict(k=k, mad=mad, threshold_len=threshold, branch="case_ii")
-    if k_prime < 1:
-        raise PreconditionError("case_small_dense needs k' >= 1")
-    sub_h, ids_h = induced_subgraph(g, H)
-    back = {orig: i for i, orig in enumerate(ids_h)}
-    stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
-
-    def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
-        pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
-        ham = routing.hamiltonian_through_pairs(sub_h, pair_set)
-        return CycleCertificate(tuple(ids_h[v] for v in ham.vertices), len(ham))
-
-    # (a) one path outside H between two of its vertices
-    path = _outside_path(g, H, k_prime + 2, budget, stats)
-    if path is not None:
-        system = segments.SegmentSystem((path,), H)
-        return _spliced_yes(g, routed_cycle(system), system, stats, base)
-
-    # (b) segment systems with T = H, all answered by one search
-    search = segments.SegmentSearch(g, H, (), 2 * k_prime - 2, k_prime)
-    for r in range(1, k_prime + 1):
-        for p in range(max(k_prime, r), 2 * k_prime - 1):
-            stats["segment_probes"] += 1
-            report: dict = {}
-            system = segments.find_segments(
-                g, H, r, p, seed=budget.seed, trials=budget.trials, report=report,
-                search=search,
-            )
-            if system is None:
-                if not report.get("deterministic", False):
-                    budget.randomized_used = True
-                continue
-            return _spliced_yes(g, routed_cycle(system), system, stats, base)
-    return _exhausted(budget, stats, base)
+    base = dict(k=k, mad=mad, threshold_len=ceil_frac(mad) + k, branch="case_ii")
+    probes = (
+        (r, p, 0, r)
+        for r in range(1, k_prime + 1)
+        for p in range(max(k_prime, r), 2 * k_prime - 1)
+    )
+    return _case_analysis(g, frozenset(H), frozenset(), k_prime, k_prime + 2,
+                          2 * k_prime - 2, probes, budget, base)
 
 
 def case_bipartite_dense(
@@ -304,53 +314,20 @@ def case_bipartite_dense(
     internals in [k'+s-t, 3k'-2]); splice into the A-covering routed cycle.
     """
     H, A, B = frozenset(H), frozenset(A), frozenset(B)
-    threshold = ceil_frac(mad) + k
-    base = dict(k=k, mad=mad, threshold_len=threshold, branch="case_iii")
-    if k_prime < 1:
-        raise PreconditionError("case_bipartite_dense needs k' >= 1")
+    if A & B or A | B != H:
+        raise PreconditionError("A and B must partition H")
     if 2 * len(A) < 3 * k_prime:
         raise PreconditionError("case_bipartite_dense needs |A| >= 3k'/2")
-    sub_h, ids_h = induced_subgraph(g, H)
-    back = {orig: i for i, orig in enumerate(ids_h)}
-    a_local = frozenset(back[v] for v in A)
-    b_local = frozenset(back[v] for v in B)
-    stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
-    routing_k = max(1, -(-len(A) // 10))  # largest k the lemma scale allows
-
-    def routed_cycle(system: segments.SegmentSystem) -> CycleCertificate:
-        pair_set = {(back[a], back[b]) for a, b in system.endpoint_pairs()}
-        cyc = routing.cover_side_through_pairs(
-            sub_h, a_local, b_local, pair_set, k=routing_k
-        )
-        return CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), len(cyc))
-
-    # (a) one path outside H between two of its vertices
-    path = _outside_path(g, H, k_prime + 3, budget, stats)
-    if path is not None:
-        system = segments.SegmentSystem((path,), H)
-        return _spliced_yes(g, routed_cycle(system), system, stats, base)
-
-    # (b) partitioned segment systems, all answered by one search
-    search = segments.SegmentSearch(g, H, A, 3 * k_prime - 2, k_prime)
-    for r in range(1, k_prime + 1):
-        for s in range(0, min(r, k_prime) + 1):
-            for t in range(0, min(r - s, k_prime) + 1):
-                lo = max(k_prime + s - t, r, 1)
-                hi = 3 * k_prime - 2
-                for p in range(lo, hi + 1):
-                    stats["segment_probes"] += 1
-                    report: dict = {}
-                    system = segments.find_segments_partitioned(
-                        g, H, A, B, r, p, s, t,
-                        seed=budget.seed, trials=budget.trials, report=report,
-                        search=search,
-                    )
-                    if system is None:
-                        if not report.get("deterministic", False):
-                            budget.randomized_used = True
-                        continue
-                    return _spliced_yes(g, routed_cycle(system), system, stats, base)
-    return _exhausted(budget, stats, base)
+    base = dict(k=k, mad=mad, threshold_len=ceil_frac(mad) + k, branch="case_iii")
+    probes = (
+        (r, p, s, t)
+        for r in range(1, k_prime + 1)
+        for s in range(r + 1)
+        for t in range(r - s + 1)
+        for p in range(max(k_prime + s - t, r), 3 * k_prime - 1)
+    )
+    return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes,
+                          budget, base)
 
 
 def solve(
@@ -368,9 +345,13 @@ def solve(
     strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
     than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
     relaxed runs the dense pipeline, where _downgrade turns no into unknown.
+    budget (>= 1; None for the defaults) caps the Monte Carlo trials per
+    probe and the cover engine's rotation steps.
     """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
+    if budget is not None and budget < 1:
+        raise PreconditionError("budget must be at least 1")
     if mode == "path":
         return _solve_path(g, k, seed, budget, strict, with_trace)
     if mode != "cycle":
@@ -421,60 +402,34 @@ def solve(
         return _unknown("relaxed-mode cycle below threshold", branch="find_dense",
                         trace=trace, **base)
 
+    H = witness.vertices
     if isinstance(witness, SmallDense):
-        H = witness.vertices
+        A, sides, case, branch = frozenset(), (), case_small_dense, "case_ii"
         k_prime = threshold - len(H)
-        if k_prime <= 0:
-            sub_h, ids_h = induced_subgraph(g, H)
-            ham = routing.hamiltonian_through_pairs(sub_h, set())
-            cert = _certify(
-                g, CycleCertificate(tuple(ids_h[v] for v in ham.vertices), threshold)
-            )
-            return SolveResult(
-                "yes", certificate=cert, branch="case_ii", trace=trace, **base
-            )
-        try:
-            res = case_small_dense(g, H, k_prime, mad, k, bud)
-        except ConstructionFailure as exc:
-            return _unknown(f"construction failed: {exc}", branch="case_ii",
-                            trace=trace, **base)
-        res.trace = trace
-        return _downgrade(res, in_strict_range, _OUT_OF_RANGE)
-
-    assert isinstance(witness, BipartiteDense)
-    H, A, B = witness.vertices, witness.A, witness.B
-    k_prime = threshold - 2 * len(A)
+        may_claim_no, why = in_strict_range, _OUT_OF_RANGE
+    else:
+        A, sides, case = witness.A, (witness.A, witness.B), case_bipartite_dense
+        branch = "case_iii"
+        k_prime = threshold - 2 * len(A)
+        # case (iii) is complete only in range and with 2|A| >= mad - 8k
+        may_claim_no = in_strict_range and 2 * len(A) >= mad - 8 * k
+        why = _OUT_OF_RANGE if not in_strict_range else (
+            f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
+        )
     if k_prime <= 0:
-        sub_h, ids_h = induced_subgraph(g, H)
-        back = {orig: i for i, orig in enumerate(ids_h)}
-        cyc = routing.cover_side_through_pairs(
-            sub_h,
-            frozenset(back[v] for v in A),
-            frozenset(back[v] for v in B),
-            set(),
-            k=max(1, len(A) // 10),
-        )
-        cert = _certify(
-            g, CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), threshold)
-        )
-        return SolveResult(
-            "yes", certificate=cert, branch="case_iii", trace=trace, **base
-        )
-    if 2 * len(A) < 3 * k_prime:
+        cyc = _routed(g, H, A, ())
+        cert = _certify(g, CycleCertificate(cyc.vertices, threshold))
+        return SolveResult("yes", certificate=cert, branch=branch, trace=trace, **base)
+    if A and 2 * len(A) < 3 * k_prime:
         # case (iii) needs |A| >= 3k'/2; without it nothing is claimed
         return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
-                        branch="case_iii", trace=trace, **base)
+                        branch=branch, trace=trace, **base)
     try:
-        res = case_bipartite_dense(g, H, A, B, k_prime, mad, k, bud)
+        res = case(g, H, *sides, k_prime, mad, k, bud)
     except ConstructionFailure as exc:
-        return _unknown(f"construction failed: {exc}", branch="case_iii",
-                        trace=trace, **base)
+        return _unknown(f"construction failed: {exc}", branch=branch, trace=trace, **base)
     res.trace = trace
-    # case (iii) is complete only in range and with 2|A| >= mad - 8k
-    if not in_strict_range:
-        return _downgrade(res, False, _OUT_OF_RANGE)
-    why = f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
-    return _downgrade(res, 2 * len(A) >= mad - 8 * k, why)
+    return _downgrade(res, may_claim_no, why)
 
 
 _OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"

@@ -154,6 +154,11 @@ class TestErrors:
         code, _, err = run(["solve", str(f), "-k", "0"])
         assert code == 65 and "data error" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_usage_error(self, tmp_path, budget):
+        code, out, err = run(["solve", write_k4(tmp_path), "-k", "1", "--budget", budget])
+        assert code == 64 and out == "" and "budget" in err
+
     def test_oracle_segments_vertex_out_of_range(self, tmp_path):
         code, _, err = run(["oracle", "segments", write_c5(tmp_path), "--T", "0,99"])
         assert code == 64 and "vertex 99" in err

@@ -126,10 +126,13 @@ class TestStPathAtLeast:
                     assert len(found) >= target
                     assert verify_path_certificate(g, found)
 
-    def test_randomized_mode_finds_witness(self):
-        # n > det cap forces the Monte Carlo path; one-sided soundness
+    def test_randomized_mode_finds_witness(self, monkeypatch):
+        # a zero state budget forces the Monte Carlo path; one-sided soundness
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         g = complete(24)
-        p = st_path_at_least(g, 0, 5, 6, seed=1, trials=40, det_cap=10)
+        report = {}
+        p = st_path_at_least(g, 0, 5, 6, seed=1, trials=40, report=report)
+        assert report["deterministic"] is False
         assert p is not None and len(p) >= 6
         assert verify_path_certificate(g, p)
 
@@ -157,7 +160,9 @@ class TestExplicitCertificateChecks:
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
             fan_path(cycle_graph(6), s, t)
 
-    @pytest.mark.parametrize("det_cap", [None, 10])
-    def test_st_path_at_least(self, det_cap):
+    @pytest.mark.parametrize("state_budget", [None, 0], ids=["identity", "monte_carlo"])
+    def test_st_path_at_least(self, monkeypatch, state_budget):
+        if state_budget is not None:
+            monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", state_budget)
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
-            st_path_at_least(complete(24), 0, 5, 6, seed=1, trials=40, det_cap=det_cap)
+            st_path_at_least(complete(24), 0, 5, 6, seed=1, trials=40)

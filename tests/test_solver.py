@@ -27,6 +27,7 @@ from madcycle.solver import (
 
 from conftest import (
     complete,
+    complete_bipartite,
     complete_minus_matching,
     path_graph,
     petersen,
@@ -385,6 +386,75 @@ class TestNoGate:
             assert "mad/2 - 4k" in res.stats["reason"]
         else:
             assert "reason" not in res.stats
+
+
+class TestRouteOnly:
+    """k' <= 0: the witness core alone carries the threshold, so solve routes
+    a cycle through it without a case analysis."""
+
+    @staticmethod
+    def _fake_find_dense(monkeypatch, witness):
+        from madcycle import solver
+        from madcycle.extract import FindDenseInfo
+        from madcycle.reduction import ReductionTrace
+
+        def fake_find_dense(g, k, **kwargs):
+            info = FindDenseInfo(mad=mad_with_witness(g).mad, trace=ReductionTrace(),
+                                 core=witness.vertices)
+            return witness, info
+
+        monkeypatch.setattr(solver, "find_dense", fake_find_dense)
+
+    def test_small_dense_core_is_routed_hamiltonian(self, monkeypatch):
+        # K30 at k=1: mad 29, threshold 30 = |H|, so k' = 0; k is out of
+        # range and n > 24, so only relaxed mode reaches the witness
+        from madcycle.extract import SmallDense
+
+        g = complete(30)
+        self._fake_find_dense(monkeypatch, SmallDense(frozenset(range(30))))
+        res = solve(g, 1, strict=False)
+        assert res.answer == "yes" and res.branch == "case_ii"
+        assert res.stats == {} and len(res.certificate) == 30
+        assert verify_cycle_certificate(g, res.certificate)
+
+    def test_bipartite_core_is_routed_with_the_case_iii_k(self, monkeypatch):
+        # K15,15 at k=1: mad 15, threshold 16, |A| = 15, so k' = -14
+        from madcycle import routing
+        from madcycle.extract import BipartiteDense
+
+        A, B = frozenset(range(15)), frozenset(range(15, 30))
+        ks = []
+        real = routing.cover_side_through_pairs
+
+        def spy(h, a, b, pairs, k):
+            ks.append(k)
+            return real(h, a, b, pairs, k)
+
+        monkeypatch.setattr(routing, "cover_side_through_pairs", spy)
+        g = complete_bipartite(15, 15)
+        self._fake_find_dense(monkeypatch, BipartiteDense(A | B, A, B))
+        res = solve(g, 1, strict=False)
+        assert res.answer == "yes" and res.branch == "case_iii"
+        assert len(res.certificate) == 30
+        assert verify_cycle_certificate(g, res.certificate)
+        # the same A in a case analysis: an A-A ear 0-30-31-1 splices in
+        ear = [(0, 30), (30, 31), (31, 1)]
+        host = build_graph(list(g.edges()) + ear, 32)
+        spliced = case_bipartite_dense(host, A | B, A, B, 1, Fraction(15), 1, _Budget())
+        assert spliced.answer == "yes" and len(spliced.certificate) == 31
+        assert ks == [1, 1]  # floor(|A| / 10): the lemma needs 10k <= |A|
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("mode", ["cycle", "path"])
+    def test_budget_below_one_is_a_precondition_error(self, budget, mode):
+        with pytest.raises(PreconditionError, match="budget"):
+            solve(complete(6), 1, mode=mode, budget=budget)
+
+    def test_budget_one_runs(self):
+        # K6 at k=1: mad 5, threshold 6, so a Hamiltonian cycle is a yes
+        assert solve(complete(6), 1, budget=1).answer == "yes"
 
 
 class TestOracleEquivalence:

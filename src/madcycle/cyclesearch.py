@@ -32,37 +32,58 @@ def greedy_extend(g: Graph, path: list[int]) -> list[int]:
     return path
 
 
+def _index(q: int, cuts, l: int) -> int:
+    """Index q of a path, carried through the rotations at cuts, in order."""
+    for i in cuts:
+        if q > i:
+            q = l + i + 1 - q
+    return q
+
+
+def rotated(path: list[int], cuts) -> list[int]:
+    """path rotated at each cut i in turn: p -> p[:i+1] + p[:i:-1]."""
+    for i in cuts:
+        path = path[: i + 1] + path[:i:-1]
+    return path
+
+
 def rotation_round(g: Graph, path: list[int], step_budget: list[int]):
     """One Posa round rotating the last endpoint, first endpoint fixed.
 
-    Returns ('extend', longer_path) as soon as any rotated endpoint can leave
-    the path, else ('stuck', {endpoint: rotated_path}).
+    A variant is (end, cuts): `rotated(path, cuts)`, whose last vertex is
+    end; it is kept as its cuts, and a list is built only for the variant
+    that extends. Index j of the parent is j in the child rotated at i when
+    j <= i, else l+i+1-j (l = len(path)-1). Returns ('extend', longer_path)
+    as soon as any rotated endpoint can leave the path, else
+    ('stuck', (pos, variants)): pos maps each vertex to its index in path,
+    variants is in discovery order, path itself first. Variants left
+    unexpanded when step_budget runs out are included.
     """
-    on = set(path)
-    variants = {path[-1]: path}
-    queue = [path[-1]]
+    pos = {v: i for i, v in enumerate(path)}
+    l = len(path) - 1
+    variants = [(path[-1], ())]
+    seen = {path[-1]}
     qi = 0
-    while qi < len(queue):
+    while qi < len(variants):
         if step_budget[0] <= 0:
             break
-        end = queue[qi]
+        end, cuts = variants[qi]
         qi += 1
-        p = variants[end]
         for w in g.adj[end]:
-            if w not in on:
-                return "extend", p + [w]
-        pos = {v: i for i, v in enumerate(p)}
+            if w not in pos:
+                return "extend", rotated(path, cuts) + [w]
+        back = cuts[::-1]
         for w in g.adj[end]:
-            i = pos[w]
-            if i + 1 >= len(p) - 1:
+            i = _index(pos[w], cuts, l)
+            if i + 1 >= l:
                 continue
-            new_end = p[i + 1]
-            if new_end in variants:
+            new_end = path[_index(i + 1, back, l)]
+            if new_end in seen:
                 continue
             step_budget[0] -= 1
-            variants[new_end] = p[: i + 1] + p[: i : -1]
-            queue.append(new_end)
-    return "stuck", variants
+            seen.add(new_end)
+            variants.append((new_end, cuts + (i,)))
+    return "stuck", (pos, variants)
 
 
 def closures(g: Graph, path: list[int]) -> list[list[int]]:
@@ -70,6 +91,8 @@ def closures(g: Graph, path: list[int]) -> list[list[int]]:
 
     The two-chord closure v0..vb vl..va (va in N(v0), vb in N(vl), a > b) has
     length len(path)+1-(a-b); a-b == 1 is the crossing-chord full closure.
+    `closure_lengths` gives their lengths without building them; the
+    rotation search builds closures only for the variant that wins a round.
     """
     out = []
     u, w = path[0], path[-1]
@@ -79,16 +102,7 @@ def closures(g: Graph, path: list[int]) -> list[list[int]]:
     mu, mw = g.masks[u], g.masks[w]
     a_idx = [i for i in range(1, l + 1) if mu >> path[i] & 1]
     b_idx = [i for i in range(0, l) if mw >> path[i] & 1]
-    # minimize a-b over a > b with a two-pointer sweep
-    best = None
-    j = 0
-    for a in a_idx:
-        while j < len(b_idx) and b_idx[j] < a:
-            j += 1
-        if j > 0:
-            b = b_idx[j - 1]
-            if best is None or a - b < best[0]:
-                best = (a - b, a, b)
+    best = _min_gap(a_idx, b_idx)
     if best is not None:
         _, a, b = best
         cyc = path[: b + 1] + path[l : a - 1 : -1]
@@ -102,6 +116,65 @@ def closures(g: Graph, path: list[int]) -> list[list[int]]:
         b = b_idx[0]
         if l - b + 1 >= 3:
             out.append(path[b:])
+    return out
+
+
+def _min_gap(a_idx: list[int], b_idx: list[int]):
+    """(a-b, a, b) least over a > b, both lists ascending; the first a wins ties.
+
+    A two-pointer sweep, shared by closures and closure_lengths.
+    """
+    best = None
+    j = 0
+    for a in a_idx:
+        while j < len(b_idx) and b_idx[j] < a:
+            j += 1
+        if j > 0:
+            b = b_idx[j - 1]
+            if best is None or a - b < best[0]:
+                best = (a - b, a, b)
+    return best
+
+
+def _indices(g: Graph, v: int, pos, cuts, l: int, flip: bool) -> list[int]:
+    """Sorted indices, in the variant, of v's neighbours on the path."""
+    out = []
+    for x in g.adj[v]:
+        q = pos.get(x)
+        if q is not None:
+            for i in cuts:  # _index, inlined: this is the scorer's inner loop
+                if q > i:
+                    q = l + i + 1 - q
+            out.append(l - q if flip else q)
+    out.sort()
+    return out
+
+
+def closure_lengths(
+    g: Graph, path: list[int], pos, variant, flip: bool = False
+) -> list[int]:
+    """[len(c) for c in closures(g, var)], without building var or any c.
+
+    var is the rotation variant (end, cuts) of path (see `rotation_round`),
+    reversed when flip; pos maps each vertex of path to its index. Reads
+    only the indices of the ends' neighbours, O((deg(u) + deg(w)) * len(cuts))
+    steps, where closures scans the whole path.
+    """
+    end, cuts = variant
+    l = len(path) - 1
+    u, w = (end, path[0]) if flip else (path[0], end)
+    a_idx = _indices(g, u, pos, cuts, l, flip)
+    b_idx = _indices(g, w, pos, cuts, l, flip)
+    out = []
+    if l + 1 >= 3 and g.has_edge(u, w):
+        out.append(l + 1)
+    best = _min_gap(a_idx, b_idx)
+    if best is not None and l + 2 - best[0] >= 3:
+        out.append(l + 2 - best[0])
+    if a_idx and a_idx[-1] + 1 >= 3:
+        out.append(a_idx[-1] + 1)
+    if b_idx and l - b_idx[0] + 1 >= 3:
+        out.append(l - b_idx[0] + 1)
     return out
 
 
@@ -202,6 +275,11 @@ def long_cycle_search_best(
     vertex. Every reopen strictly lengthens the working path, so the loop
     terminates. When 2*delta >= n a maximal path always has a crossing
     chord, so this provably reaches a Hamiltonian cycle.
+
+    Each round scores the closures of every rotation variant by length
+    (`closure_lengths`, in `closures` order, last-end variants first) and
+    builds only two: the first of greatest length, which replaces best if
+    longer, and the first full closure, when it is reopened.
     """
     if g.n < 3:
         return None
@@ -217,29 +295,32 @@ def long_cycle_search_best(
             if res == "extend":
                 path = greedy_extend(g, payload)
                 continue
-            variants_last = payload
-            res, payload = rotation_round(g, path[::-1], budget)
+            last = (path, *payload, False)
+            back = path[::-1]
+            res, payload = rotation_round(g, back, budget)
             if res == "extend":
                 path = greedy_extend(g, payload)
                 continue
-            variants_first = payload
+            first = (back, *payload, True)
             break
-        candidates: list[list[int]] = []
-        full = None
-        for var in list(variants_last.values()) + [
-            p[::-1] for p in variants_first.values()
-        ]:
-            for c in closures(g, var):
-                candidates.append(c)
-                if len(c) == len(var) and (full is None or len(c) > len(full)):
-                    full = c
-        for c in candidates:
-            if best is None or len(c) > len(best):
-                best = c
+        full_len = len(path)
+        top = len(best) if best is not None else 0
+        win = full = None
+        for root, pos, variants, flip in (last, first):
+            for var in variants:
+                for idx, length in enumerate(
+                    closure_lengths(g, root, pos, var, flip)
+                ):
+                    if length > top:
+                        top, win = length, (root, var[1], flip, idx)
+                    if full is None and length == full_len:
+                        full = (root, var[1], flip, idx)
+        if win is not None:
+            best = _closure(g, *win)
         if best is not None and len(best) >= want:
             return best
-        if full is not None and len(full) < g.n:
-            reopened = _reopen(g, full)
+        if full is not None and full_len < g.n:
+            reopened = _reopen(g, _closure(g, *full))
             if reopened is not None and len(reopened) > len(path):
                 path = greedy_extend(g, reopened)
                 continue
@@ -256,6 +337,12 @@ def long_cycle_search_best(
                     continue
         break
     return best
+
+
+def _closure(g: Graph, root: list[int], cuts, flip: bool, idx: int) -> list[int]:
+    """Closure idx of the rotation variant of root at cuts (reversed if flip)."""
+    var = rotated(root, cuts)
+    return closures(g, var[::-1] if flip else var)[idx]
 
 
 def _reopen(g: Graph, cycle: list[int]) -> list[int] | None:

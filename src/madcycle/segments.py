@@ -253,7 +253,7 @@ class _SegmentEngine:
                         continue
                     key = (x, p, sa, tb, x0 | ykey)
                     if key not in cur:
-                        cur[key] = (pkey, x, y, ykey, y == w)
+                        cur[key] = (pkey, x, y, ykey)
                         self._tick()
         return cur
 
@@ -272,7 +272,7 @@ class _SegmentEngine:
         paths = []
         level = r
         while key is not None:
-            pred, x, y, ykey, _shared = self._levels[level - 1][key]
+            pred, x, y, ykey = self._levels[level - 1][key]
             paths.append(self._walk_segment(x, y, ykey))
             key = pred
             level -= 1

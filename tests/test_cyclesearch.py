@@ -1,15 +1,36 @@
-"""The short-detour primitive against the searches it replaced, and the
-exhaustive cycle search against its earlier reachability bound."""
+"""The short-detour primitive against the searches it replaced, the
+exhaustive cycle search against its earlier reachability bound, and the
+scored rotation search against the search that built every closure."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
 
-from madcycle.cyclesearch import find_cycle_at_least, grow_cycle, short_detour
-from madcycle.graph import Graph, build_graph, reach
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import complete_minus_matching, random_connected_graph
+from madcycle.cyclesearch import (
+    closure_lengths,
+    closures,
+    find_cycle_at_least,
+    greedy_extend,
+    grow_cycle,
+    long_cycle_search_best,
+    rotated,
+    rotation_round,
+    short_detour,
+)
+from madcycle.density import mad_with_witness
+from madcycle.graph import Graph, build_graph, induced_subgraph, reach
+from madcycle.instances import gen_instance
+from madcycle.reduction import K0_RULES, reduce_exhaustive
+
+from conftest import (
+    complete_minus_matching,
+    random_2connected_graph,
+    random_connected_graph,
+)
 
 
 def _lowest_off(mask, on):
@@ -189,3 +210,215 @@ class TestFindCycleAtLeast:
             if old is not None:
                 assert find_cycle_at_least(g, want, node_budget=40) == old
         assert 100 <= found <= 280, found
+
+
+# The rotation search as it was when it built every closure of every
+# rotation variant, copied verbatim (greedy_extend and grow_cycle are
+# unchanged and shared).
+
+
+def old_rotation_round(g: Graph, path: list[int], step_budget: list[int]):
+    on = set(path)
+    variants = {path[-1]: path}
+    queue = [path[-1]]
+    qi = 0
+    while qi < len(queue):
+        if step_budget[0] <= 0:
+            break
+        end = queue[qi]
+        qi += 1
+        p = variants[end]
+        for w in g.adj[end]:
+            if w not in on:
+                return "extend", p + [w]
+        pos = {v: i for i, v in enumerate(p)}
+        for w in g.adj[end]:
+            i = pos[w]
+            if i + 1 >= len(p) - 1:
+                continue
+            new_end = p[i + 1]
+            if new_end in variants:
+                continue
+            step_budget[0] -= 1
+            variants[new_end] = p[: i + 1] + p[: i : -1]
+            queue.append(new_end)
+    return "stuck", variants
+
+
+def old_closures(g: Graph, path: list[int]) -> list[list[int]]:
+    out = []
+    u, w = path[0], path[-1]
+    l = len(path) - 1
+    if l + 1 >= 3 and g.has_edge(u, w):
+        out.append(list(path))
+    mu, mw = g.masks[u], g.masks[w]
+    a_idx = [i for i in range(1, l + 1) if mu >> path[i] & 1]
+    b_idx = [i for i in range(0, l) if mw >> path[i] & 1]
+    best = None
+    j = 0
+    for a in a_idx:
+        while j < len(b_idx) and b_idx[j] < a:
+            j += 1
+        if j > 0:
+            b = b_idx[j - 1]
+            if best is None or a - b < best[0]:
+                best = (a - b, a, b)
+    if best is not None:
+        _, a, b = best
+        cyc = path[: b + 1] + path[l : a - 1 : -1]
+        if len(cyc) >= 3:
+            out.append(cyc)
+    if a_idx:
+        a = a_idx[-1]
+        if a + 1 >= 3:
+            out.append(path[: a + 1])
+    if b_idx:
+        b = b_idx[0]
+        if l - b + 1 >= 3:
+            out.append(path[b:])
+    return out
+
+
+def old_reopen(g: Graph, cycle: list[int]) -> list[int] | None:
+    on = set(cycle)
+    for idx, c in enumerate(cycle):
+        for w in g.adj[c]:
+            if w not in on:
+                return [w] + cycle[idx:] + cycle[:idx]
+    return None
+
+
+def old_long_cycle_search_best(
+    g: Graph, want: int, rotation_budget: int = 0
+) -> list[int] | None:
+    if g.n < 3:
+        return None
+    budget = [rotation_budget if rotation_budget > 0 else 50 * g.n]
+    best: list[int] | None = None
+    path = greedy_extend(g, [0])
+    guard = 0
+    while guard <= 2 * g.n + 5:
+        guard += 1
+        while True:
+            res, payload = old_rotation_round(g, path, budget)
+            if res == "extend":
+                path = greedy_extend(g, payload)
+                continue
+            variants_last = payload
+            res, payload = old_rotation_round(g, path[::-1], budget)
+            if res == "extend":
+                path = greedy_extend(g, payload)
+                continue
+            variants_first = payload
+            break
+        candidates: list[list[int]] = []
+        full = None
+        for var in list(variants_last.values()) + [
+            p[::-1] for p in variants_first.values()
+        ]:
+            for c in old_closures(g, var):
+                candidates.append(c)
+                if len(c) == len(var) and (full is None or len(c) > len(full)):
+                    full = c
+        for c in candidates:
+            if best is None or len(c) > len(best):
+                best = c
+        if best is not None and len(best) >= want:
+            return best
+        if full is not None and len(full) < g.n:
+            reopened = old_reopen(g, full)
+            if reopened is not None and len(reopened) > len(path):
+                path = greedy_extend(g, reopened)
+                continue
+        if best is not None:
+            grown = grow_cycle(g, best, target=want)
+            if len(grown) > len(best):
+                best = grown
+                if len(best) >= want:
+                    return best
+            if len(grown) >= len(path) and len(grown) < g.n:
+                reopened = old_reopen(g, grown)
+                if reopened is not None and len(reopened) > len(path):
+                    path = greedy_extend(g, reopened)
+                    continue
+        break
+    return best
+
+
+@st.composite
+def _graph_path_cuts(draw):
+    """A random graph, a sequence of its vertices and rotation cuts on it."""
+    n = draw(st.integers(3, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(draw(st.lists(st.sampled_from(pairs), unique=True)), n)
+    path = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    cuts = tuple(draw(st.lists(st.integers(0, len(path) - 1), max_size=4)))
+    return g, path, cuts
+
+
+class TestClosureLengths:
+    @settings(max_examples=400, deadline=None)
+    @given(_graph_path_cuts(), st.booleans())
+    def test_scorer_equals_built_closures(self, case, flip):
+        g, path, cuts = case
+        var = rotated(path, cuts)
+        pos = {v: i for i, v in enumerate(path)}
+        got = closure_lengths(g, path, pos, (var[-1], cuts), flip)
+        built = closures(g, var[::-1] if flip else var)
+        assert got == [len(c) for c in built]
+        assert closures(g, var) == old_closures(g, var)
+
+
+def _k0_core(seed):
+    g, _ = gen_instance("gnp2c", {"n": 150, "prob": 8 / 149}, seed)
+    core, _ = reduce_exhaustive(g, mad_with_witness(g).vertices, rules=K0_RULES)
+    return induced_subgraph(g, core)[0]
+
+
+def _wants(rng, g):
+    dirac = max(3, min(g.n, 2 * g.min_degree()))
+    return {dirac, g.n, rng.randint(3, g.n)}
+
+
+class TestRotationSearch:
+    def test_variants_equal_the_built_rotations(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            n = rng.randint(5, 40)
+            g = random_connected_graph(rng, n, rng.uniform(2.5, 8) / n)
+            path = greedy_extend(g, [rng.randrange(n)])
+            budget = rng.choice([1, 3, 1000])
+            res, payload = rotation_round(g, path, [budget])
+            old_res, old = old_rotation_round(g, path, [budget])
+            assert res == old_res
+            if res == "extend":
+                assert payload == old
+                continue
+            pos, variants = payload
+            assert pos == {v: i for i, v in enumerate(path)}
+            assert [end for end, _ in variants] == list(old)
+            assert [rotated(path, cuts) for _, cuts in variants] == list(old.values())
+
+    def test_same_cycle_as_building_every_closure(self):
+        rng = random.Random(33)
+        short = 0
+        for _ in range(120):
+            n = rng.randint(5, 60)
+            g = random_2connected_graph(rng, n, min(1.0, rng.uniform(3, 9) / n))
+            for want in _wants(rng, g):
+                for budget in (1, 5, 0):
+                    got = long_cycle_search_best(g, want, rotation_budget=budget)
+                    assert got == old_long_cycle_search_best(g, want, budget)
+                    # a search that falls short ran every round it could
+                    short += got is not None and len(got) < want
+        assert short >= 20, short
+
+    def test_same_cycle_on_sparse_k0_cores(self):
+        rng = random.Random(47)
+        for seed in (1, 2, 3):
+            core = _k0_core(seed)
+            assert core.n >= 100
+            for want in _wants(rng, core):
+                for budget in (1, 5, 0):
+                    got = long_cycle_search_best(core, want, rotation_budget=budget)
+                    assert got == old_long_cycle_search_best(core, want, budget)

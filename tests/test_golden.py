@@ -90,6 +90,9 @@ def _solve_cases():
         ("gnp30 s0 k1 strict", _gen("gnp2c", seed=0, n=30, prob=0.2), dict(k=1)),
         ("gnp30 s1 k1 relaxed trace", gnp30, dict(k=1, strict=False, with_trace=True)),
         ("gnp30 s1 k2 relaxed path", gnp30, dict(k=2, strict=False, mode="path")),
+        # sparse_k0-sized cores, where the rotation search runs many rounds
+        ("gnp150 s1 k0", _gen("gnp2c", seed=1, n=150, prob=0.054), dict(k=0)),
+        ("gnp150 s2 k0", _gen("gnp2c", seed=2, n=150, prob=0.054), dict(k=0)),
         ("near_complete30 k0", _gen("near_complete", seed=1, n=30), dict(k=0)),
         ("near_complete30 k2 relaxed", _gen("near_complete", seed=1, n=30),
          dict(k=2, strict=False)),

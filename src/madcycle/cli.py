@@ -213,23 +213,29 @@ def _dispatch(args, out) -> int:
 
     if args.command == "oracle":
         g = parse_graph(_read(args.file), args.format)
+
+        def cap(default: int) -> int:
+            # --cap replaces the oracle's own cap on n whenever it is given
+            return default if args.cap is None else args.cap
+
         if args.which == "cycle":
-            cap = args.cap if args.cap else oracles.LONGEST_CYCLE_CAP
-            length, cert = oracles.oracle_longest_cycle(g, cap=cap)
+            length, cert = oracles.oracle_longest_cycle(g, cap=cap(oracles.LONGEST_CYCLE_CAP))
             print(f"circumference {length}", file=out)
             if cert is not None:
                 print("cycle", " ".join(map(str, cert.vertices)), file=out)
             return EXIT_YES
         if args.which == "stpath":
             s, t = _vertex(g, args.s, "--s"), _vertex(g, args.t, "--t")
-            best = oracles.oracle_longest_st_path(g, s, t)
+            best = oracles.oracle_longest_st_path(
+                g, s, t, cap=cap(oracles.LONGEST_ST_PATH_CAP))
             print(f"max_vertices {best}", file=out)
             return EXIT_YES
         if args.which == "mad":
-            print(oracles.oracle_mad(g), file=out)
+            print(oracles.oracle_mad(g, cap=cap(oracles.MAD_CAP)), file=out)
             return EXIT_YES
         T = {_vertex(g, int(x), "--T") for x in args.T.split(",") if x != ""}
-        ok = oracles.oracle_segments(g, T, args.r, args.p)
+        ok = oracles.oracle_segments(g, T, args.r, args.p,
+                                    n_cap=cap(oracles.SEGMENTS_N_CAP))
         print("yes" if ok else "no", file=out)
         return EXIT_YES if ok else EXIT_NO
 

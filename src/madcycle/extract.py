@@ -1,11 +1,11 @@
 """From (G, k) to a long cycle, a small dense core, or a bipartite-dense core.
 
-Pipeline: densest induced subgraph, exhaustive reduction, then either a
-two-separator glue cycle, a Dirac cycle (k' <= 0), or iterated calls to the
-cycle/cover engine. The engine honors the contract longer-cycle / vertex
-cover of size <= delta+2k / Hamiltonian, with an explicit Incomplete outcome
-when its search budget runs out; outcomes are always verified, so Incomplete
-signals incompleteness, never incorrectness.
+Pipeline: densest induced subgraph, exhaustive reduction, then on the
+reduced core either a two-separator glue cycle or iterated calls to the
+cycle/cover engine from a Dirac cycle. The engine honors the contract
+longer-cycle / vertex cover of size <= delta+2k / Hamiltonian, with an
+explicit Incomplete outcome when its search budget runs out; outcomes are
+always verified, so Incomplete signals incompleteness, never incorrectness.
 """
 
 from __future__ import annotations
@@ -407,9 +407,7 @@ def refine_vertex_cover_to_partition(h: Graph, X, k: int) -> RefinedPartition:
 class FindDenseInfo:
     mad: Fraction
     trace: ReductionTrace
-    core: frozenset[int]
     k_prime: int | None = None
-    engine_rounds: int = 0
 
 
 def find_dense(
@@ -432,8 +430,8 @@ def find_dense(
     threshold = ceil_frac(mad) + k  # integer cycle-length target
 
     core, trace = reduce_exhaustive(g, witness.vertices)
-    info = FindDenseInfo(mad=mad, trace=trace, core=core)
-    sub, ids = induced_subgraph(g, core)
+    info = FindDenseInfo(mad=mad, trace=trace)
+    sub, ids = trace.core, trace.core_ids
     if sub.n < 3:
         raise ConstructionFailure(
             "reduced core is too small to host cycles (graph too sparse)"
@@ -448,45 +446,21 @@ def find_dense(
         return FoundCycle(cert), info
 
     delta = sub.min_degree()
-    k_prime = ceil_frac(mad) + k - 2 * delta
+    k_prime = threshold - 2 * delta
     info.k_prime = k_prime
 
-    if k_prime <= 0:
-        dc = longpaths.dirac_cycle(sub)
-        mapped = [ids[v] for v in dc.vertices]
-        if len(mapped) >= threshold:
-            cert = CycleCertificate(tuple(mapped), threshold)
-            require_verified(verify_cycle_certificate(g, cert))
-            return FoundCycle(cert), info
-        if len(mapped) != sub.n:
-            raise ConstructionFailure(
-                "Dirac cycle neither reaches the target nor is Hamiltonian"
-            )
-        _check_small_dense(g, core, mad, k)
-        return SmallDense(core), info
-
-    # k' > 0: iterate the engine from a Dirac cycle
+    # iterate the engine from a Dirac cycle, of length >= min(n, 2*delta):
+    # when k' <= 0 a cycle below the threshold is Hamiltonian, and the
+    # engine's first check says so
     cyc = longpaths.dirac_cycle(sub)
-    while True:
-        info.engine_rounds += 1
-        if len(cyc) >= 2 * delta + k_prime:
-            mapped = [ids[v] for v in cyc.vertices]
-            cert = CycleCertificate(tuple(mapped), threshold)
-            require_verified(verify_cycle_certificate(g, cert))
-            return FoundCycle(cert), info
+    while len(cyc) < threshold:
         outcome = corollary5_engine(sub, k_prime, cyc, budget=budget)
         if isinstance(outcome, LongerCycle):
             cyc = outcome.cycle
-            continue
-        if isinstance(outcome, Hamiltonian):
-            mapped = [ids[v] for v in cyc.vertices]
-            if len(mapped) >= threshold:
-                cert = CycleCertificate(tuple(mapped), threshold)
-                require_verified(verify_cycle_certificate(g, cert))
-                return FoundCycle(cert), info
-            _check_small_dense(g, core, mad, k)
+        elif isinstance(outcome, Hamiltonian):
+            _check_small_dense(sub, mad, k)
             return SmallDense(core), info
-        if isinstance(outcome, VertexCover):
+        elif isinstance(outcome, VertexCover):
             refined = refine_vertex_cover_to_partition(sub, outcome.vertices, k)
             if not refined.ok:
                 raise EngineIncomplete(
@@ -495,7 +469,11 @@ def find_dense(
             A = frozenset(ids[v] for v in refined.A)
             B = frozenset(ids[v] for v in refined.B)
             return BipartiteDense(A | B, A, B), info
-        raise EngineIncomplete(outcome.reason)
+        else:
+            raise EngineIncomplete(outcome.reason)
+    cert = CycleCertificate(tuple(ids[v] for v in cyc.vertices), threshold)
+    require_verified(verify_cycle_certificate(g, cert))
+    return FoundCycle(cert), info
 
 
 def _glue_cycle(g: Graph, sub: Graph, ids, sep: tuple[int, int]) -> list[int]:
@@ -520,8 +498,7 @@ def _glue_cycle(g: Graph, sub: Graph, ids, sep: tuple[int, int]) -> list[int]:
     return first + second[-2:0:-1]
 
 
-def _check_small_dense(g: Graph, core: frozenset[int], mad: Fraction, k: int) -> None:
-    sub, _ = induced_subgraph(g, core)
+def _check_small_dense(sub: Graph, mad: Fraction, k: int) -> None:
     ad = avg_degree(sub)
     if ad < mad - 1:
         raise ConstructionFailure("small-dense witness: ad(H) < mad - 1")

@@ -34,9 +34,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
 
@@ -129,8 +126,14 @@ def ceil_frac(x: Fraction | int) -> int:
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Relabelled induced subgraph plus the sorted original-id map."""
+    """Relabelled induced subgraph plus the sorted original-id map.
+
+    Labels follow ascending original ids. When the vertex set is all of g,
+    g itself is returned, with the identity map.
+    """
     vs = tuple(sorted(set(vertices)))
+    if len(vs) == g.n and (not vs or (vs[0] == 0 and vs[-1] == g.n - 1)):
+        return g, vs
     index = {v: i for i, v in enumerate(vs)}
     adj = tuple(
         tuple(index[w] for w in g.adj[v] if w in index) for v in vs

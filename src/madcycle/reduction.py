@@ -2,7 +2,9 @@
 
 Rules operate on an induced subgraph of a host graph, tracked as a vertex
 set with original ids preserved, so any cycle found in the survivor is
-verbatim a cycle of the host.
+verbatim a cycle of the host. The reduction builds the core once per round,
+and its trace hands the final core graph forward with its map to the host's
+ids: every later step works on that one graph.
 """
 
 from __future__ import annotations
@@ -34,11 +36,17 @@ class ReductionStep:
 
 @dataclass
 class ReductionTrace:
+    """The steps of a reduction and the core it ends with.
+
+    `core` is the final core as a graph of its own, labelled 0..n-1 in
+    ascending host id, and `core_ids[i]` is the host id of its vertex i.
+    """
+
     steps: list[ReductionStep] = field(default_factory=list)
-    final_vertices: frozenset[int] = frozenset()
-    # every 2-separator of the final core, labelled as in
-    # induced_subgraph(g, final_vertices); empty when the core is not
-    # 2-connected, has fewer than 4 vertices, or rule 4 was not in the set
+    core: Graph | None = None
+    core_ids: tuple[int, ...] = ()
+    # every 2-separator of core, in its labels; empty when core is not
+    # 2-connected, has < 4 vertices, or rule 4 was not in the set
     final_separators: list[tuple[int, int]] = field(default_factory=list)
 
     def to_jsonable(self) -> list[dict]:
@@ -160,18 +168,19 @@ def reduce_exhaustive(
     The survivor of a run starting from a graph with an edge always keeps at
     least one edge. When rule 4 is in the set, it is the last rule tried, so
     its scan covered the whole final core, and the trace keeps the
-    separators it found; without rule 4 they stay empty.
+    separators it found; without rule 4 they stay empty. Each round builds
+    the core once and runs the rules on it; its labels ascend with the
+    host's ids, so every min-id and lexicographic tie-break picks as in g.
     """
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
         raise PreconditionError("reduction needs at least two vertices")
-    sub, _ = induced_subgraph(g, vs)
+    sub, ids = induced_subgraph(g, vs)
     if sub.m == 0:
         raise PreconditionError("reduction needs at least one edge")
 
     trace = ReductionTrace()
     while True:
-        sub, _ = induced_subgraph(g, vs)
         before = eg_bound(sub)
         fired = None
         connected = is_connected(sub)
@@ -181,7 +190,7 @@ def reduce_exhaustive(
                 continue
             if rule == 4 and not is_biconnected(sub):
                 continue
-            res = apply_rule(g, vs, rule, report=report)
+            res = apply_rule(sub, range(sub.n), rule, report=report)
             if res is not None:
                 fired = (rule, res)
                 break
@@ -189,8 +198,9 @@ def reduce_exhaustive(
             trace.final_separators = report.get("separators", [])
             break
         rule, (keep, removed) = fired
-        after = _sub_eg(g, keep)
-        trace.steps.append(ReductionStep(rule, removed, before, after))
-        vs = keep
-    trace.final_vertices = vs
-    return vs, trace
+        sub, local = induced_subgraph(sub, keep)
+        removed = frozenset(ids[v] for v in removed)
+        ids = tuple(ids[v] for v in local)
+        trace.steps.append(ReductionStep(rule, removed, before, eg_bound(sub)))
+    trace.core, trace.core_ids = sub, ids
+    return frozenset(ids), trace

@@ -94,10 +94,9 @@ def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
     witness = mad_with_witness(g)
     if witness.mad < 2:
         raise PreconditionError("no cycle exists below mad = 2")
-    core, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
-    sub, ids = induced_subgraph(g, core)
-    cyc = longpaths.dirac_cycle(sub)
-    mapped = tuple(ids[v] for v in cyc.vertices)
+    _, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
+    cyc = longpaths.dirac_cycle(trace.core)
+    mapped = tuple(trace.core_ids[v] for v in cyc.vertices)
     cert = _certify(g, CycleCertificate(mapped, ceil_frac(witness.mad)))
     if not Fraction(len(mapped)) > witness.mad:
         raise ConstructionFailure("constructive cycle does not exceed mad")

@@ -200,6 +200,21 @@ class TestErrors:
         )
         assert code == 64 and "s and t must differ" in err
 
+    @pytest.mark.parametrize("which, cap, code, first", [
+        ("cycle", "0", 64, None), ("stpath", "2", 64, None), ("mad", "2", 64, None),
+        ("cycle", "3", 0, "circumference 3"), ("stpath", "3", 0, "max_vertices 3"),
+        ("mad", "3", 0, "2"), ("segments", "2", 64, None), ("segments", "3", 0, "yes"),
+    ])
+    def test_oracle_cap_is_used_whenever_given(self, tmp_path, which, cap, code, first):
+        f = tmp_path / "c3.el"
+        f.write_text("0 1\n1 2\n2 0\n")
+        got, out, err = run(["oracle", which, str(f), "--cap", cap, "--T", "0,1"])
+        assert got == code
+        if code:
+            assert out == "" and f"<= {cap}, got 3" in err
+        else:
+            assert out.splitlines()[0] == first
+
     def test_oracle_mad_of_empty_graph_is_usage_error(self, tmp_path):
         f = tmp_path / "empty.el"
         f.write_text("n 0\n")

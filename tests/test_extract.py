@@ -206,6 +206,15 @@ class TestFindDense:
         assert ad == 348
         assert Fraction(sub.n) < ad + 3 + 1
 
+    def test_k26_minus_matching_hamiltonian_dirac_cycle_is_small_dense(self):
+        # mad 24, threshold 27 > n = 26, so k' = 27 - 2*24 = -21: the Dirac
+        # cycle is Hamiltonian and short, and the engine says Hamiltonian
+        g = complete_minus_matching(26)
+        w, info = find_dense(g, 3)
+        assert isinstance(w, SmallDense) and w.vertices == frozenset(range(26))
+        assert info.k_prime == -21
+        assert info.trace.core is g and info.trace.core_ids == tuple(range(26))
+
     def test_k_zero_rejected(self):
         g = build_graph(
             [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)], 6

@@ -350,3 +350,25 @@ class TestBitPrimitives:
             assert graph.bits_off(mask, off) == kept
             assert graph.lowest_off(mask, off) == (kept[0] if kept else None)
             assert graph.bits_off(mask) == [v for v in range(40) if mask >> v & 1]
+
+
+class TestInducedSubgraph:
+    def test_whole_vertex_set_is_the_graph_itself(self):
+        g = petersen()
+        for vs in (range(g.n), list(reversed(range(g.n))), frozenset(range(g.n))):
+            sub, ids = graph.induced_subgraph(g, vs)
+            assert sub is g and ids == tuple(range(g.n))
+
+    def test_proper_subset_relabels_in_ascending_order(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.7))
+            vs = [v for v in range(g.n) if rng.random() < 0.6]
+            rng.shuffle(vs)
+            sub, ids = graph.induced_subgraph(g, vs)
+            assert ids == tuple(sorted(vs))
+            if len(vs) < g.n:
+                assert sub is not g
+            assert sub.n == len(ids)
+            for i, u in enumerate(ids):
+                assert sub.adj[i] == tuple(j for j, w in enumerate(ids) if g.has_edge(u, w))

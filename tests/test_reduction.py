@@ -9,11 +9,18 @@ from madcycle.graph import (
     eg_bound,
     induced_subgraph,
     is_biconnected,
+    is_connected,
     two_separators,
     verify_cycle_certificate,
     CycleCertificate,
 )
-from madcycle.reduction import apply_rule, reduce_exhaustive
+from madcycle.reduction import (
+    ALL_RULES,
+    K0_RULES,
+    ReductionStep,
+    apply_rule,
+    reduce_exhaustive,
+)
 
 from conftest import (
     bowtie,
@@ -169,3 +176,124 @@ class TestFinalSeparators:
             if trace.final_separators:
                 assert isinstance(witness, extract.FoundCycle)
         assert scanned >= 80 and nonempty >= 20
+
+
+def _chain(rng):
+    """Random 2-connected blocks in a row, each glued to the last at one or
+    two vertices: cut vertices for rule 2, 2-separators for rule 4."""
+    edges = list(random_2connected_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.9)).edges())
+    n = 1 + max(v for e in edges for v in e)
+    for _ in range(rng.randint(1, 4)):
+        block = random_2connected_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.9))
+        glue = rng.sample(range(n), rng.randint(1, 2))
+        shift = {i: v for i, v in enumerate(glue)}
+        shift.update({v: n + v - len(glue) for v in range(len(glue), block.n)})
+        edges += [(shift[u], shift[v]) for u, v in block.edges()]
+        n += block.n - len(glue)
+    return build_graph(edges, n)
+
+
+def _reduce_per_rule_on_host(g, vertices=None, rules=ALL_RULES):
+    """The reduction loop as it was when every rule ran on the host as
+    apply_rule(g, vs, ...); returns (core, steps, final separators)."""
+    vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
+    if len(vs) < 2:
+        raise PreconditionError("reduction needs at least two vertices")
+    sub, _ = induced_subgraph(g, vs)
+    if sub.m == 0:
+        raise PreconditionError("reduction needs at least one edge")
+
+    steps = []
+    while True:
+        sub, _ = induced_subgraph(g, vs)
+        before = eg_bound(sub)
+        fired = None
+        connected = is_connected(sub)
+        report: dict = {}
+        for rule in sorted(rules):
+            if rule == 2 and not connected:
+                continue
+            if rule == 4 and not is_biconnected(sub):
+                continue
+            res = apply_rule(g, vs, rule, report=report)
+            if res is not None:
+                fired = (rule, res)
+                break
+        if fired is None:
+            final_separators = report.get("separators", [])
+            break
+        rule, (keep, removed) = fired
+        after = eg_bound(induced_subgraph(g, keep)[0])
+        steps.append(ReductionStep(rule, removed, before, after))
+        vs = keep
+    return vs, steps, final_separators
+
+
+def _differential_inputs():
+    rng = random.Random(31)
+    out = []
+    for _ in range(40):
+        n = rng.randint(4, 40)
+        out.append(random_2connected_graph(rng, n, min(0.9, rng.uniform(5, 12) / n)))
+    for _ in range(30):
+        out.append(_chain(rng))
+    for _ in range(15):  # two chains side by side, for rule 1
+        a, b = _chain(rng), _chain(rng)
+        edges = list(a.edges()) + [(a.n + u, a.n + v) for u, v in b.edges()]
+        out.append(build_graph(edges, a.n + b.n))
+    for i in range(40):
+        if i % 2:
+            out.append(random_2connected_graph(rng, rng.randint(5, 16), rng.uniform(0.2, 0.6)))
+        else:
+            out.append(_glued(rng))
+    return out
+
+
+class TestOneCorePerRound:
+    """reduce_exhaustive builds each round's core once and runs the rules on
+    it; it must reduce exactly as the loop that ran them on the host."""
+
+    @pytest.mark.parametrize("rules", [ALL_RULES, K0_RULES], ids=["all", "k0"])
+    def test_same_reduction_as_the_per_rule_host_loop(self, rules):
+        from madcycle.density import mad_with_witness
+
+        fired = set()
+        for g in _differential_inputs():
+            for start in (None, mad_with_witness(g).vertices):
+                if start is not None and len(start) < 2:
+                    continue
+                core, trace = reduce_exhaustive(g, start, rules=rules)
+                want_core, want_steps, want_seps = _reduce_per_rule_on_host(g, start, rules)
+                assert core == want_core
+                assert trace.steps == want_steps
+                assert trace.final_separators == want_seps
+                sub, ids = induced_subgraph(g, core)
+                assert trace.core_ids == ids == tuple(sorted(core))
+                assert (trace.core.n, trace.core.adj) == (sub.n, sub.adj)
+                fired |= {s.rule for s in trace.steps}
+        assert fired == set(rules)
+
+    def test_k0_solve_builds_the_core_once(self, monkeypatch):
+        # on a G(150, 8/149) instance no rule fires, so the only proper
+        # induced subgraph a k = 0 solve needs is the densest witness
+        from madcycle import extract, graph, reduction, solver
+        from madcycle.density import mad_with_witness
+        from madcycle.instances import gen_instance
+
+        g, _ = gen_instance("gnp2c", {"n": 150, "prob": 8 / 149}, 1)
+        witness = mad_with_witness(g).vertices
+        assert len(witness) < g.n
+        _, trace = reduce_exhaustive(g, witness, rules=K0_RULES)
+        assert trace.steps == []
+
+        proper = []
+
+        def counted(h, vertices):
+            vs = set(vertices)
+            proper.append(len(vs) < h.n)
+            return graph.induced_subgraph(h, vs)
+
+        for mod in (reduction, extract, solver):
+            monkeypatch.setattr(mod, "induced_subgraph", counted, raising=False)
+        res = solver.solve(g, 0)
+        assert res.answer == "yes" and sum(proper) == 1

@@ -369,8 +369,7 @@ class TestNoGate:
         witness = BipartiteDense(frozenset(range(180)), A, frozenset(range(size_a, 180)))
 
         def fake_find_dense(g, k, **kwargs):
-            info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace(),
-                                 core=witness.vertices)
+            info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace())
             return witness, info
 
         def exhausted(g, H, A, B, k_prime, mad, k, budget):
@@ -399,8 +398,7 @@ class TestRouteOnly:
         from madcycle.reduction import ReductionTrace
 
         def fake_find_dense(g, k, **kwargs):
-            info = FindDenseInfo(mad=mad_with_witness(g).mad, trace=ReductionTrace(),
-                                 core=witness.vertices)
+            info = FindDenseInfo(mad=mad_with_witness(g).mad, trace=ReductionTrace())
             return witness, info
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)

@@ -2,7 +2,7 @@
 
 Walks through the three density quantities the library is built on: the
 cycle-length bound 2m/(n-1), the average degree 2m/n, and the maximum
-average degree over induced subgraphs (computed by parametric min cuts and
+average degree over induced subgraphs (computed by load flows and
 cross-checked against subset enumeration).
 """
 

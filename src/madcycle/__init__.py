@@ -3,7 +3,7 @@
 Library layout (one module per concern):
 
 - graph:      immutable graphs, exact density quantities, certificates
-- density:    exact densest subgraph / mad via parametric min cuts
+- density:    exact densest subgraph / mad via load flows, with a checkable certificate
 - reduction:  density-preserving pruning rules
 - cyclesearch: rotation-extension, short-detour and insertion moves, exact DFS
 - longpaths:  Dirac cycles, Fan (s,t)-paths, color-coded st-paths

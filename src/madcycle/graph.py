@@ -462,6 +462,43 @@ def require_verified(check: VerifyOutcome) -> None:
         raise ConstructionFailure(f"certificate failed verification: {check.reason}")
 
 
+def verify_density_certificate(g: Graph, vertices, density, splits) -> VerifyOutcome:
+    """Check in O(n + m) that the densest vertex sets of g have exactly
+    `density` = p/q, and that `vertices` is one of them.
+
+    Lower bound: `vertices` has density p/q. Upper bound: splits[i] =
+    (x, y) shares q units between the ends of the i-th edge (u, v) of
+    g.edges(), x on u and y on v, and no vertex receives more than p. A set
+    S receives all q|E(S)| units of its own edges, so q|E(S)| <= p|S|.
+    """
+    density = Fraction(density)
+    p, q = density.numerator, density.denominator
+    vs = set(vertices)
+    if not vs:
+        return VerifyOutcome(False, "empty witness")
+    for v in vs:
+        if not (0 <= v < g.n):
+            return VerifyOutcome(False, f"vertex {v} out of range")
+    if len(splits) != g.m:
+        return VerifyOutcome(False, f"{len(splits)} splits for {g.m} edges")
+    load = [0] * g.n
+    inside = 0
+    for (u, v), (x, y) in zip(g.edges(), splits):
+        if x < 0 or y < 0 or x + y != q:
+            return VerifyOutcome(False, f"edge ({u},{v}) splits as ({x},{y}), not {q} units")
+        load[u] += x
+        load[v] += y
+        inside += u in vs and v in vs
+    for v, units in enumerate(load):
+        if units > p:
+            return VerifyOutcome(False, f"vertex {v} receives {units} > {p} units")
+    if inside * q != p * len(vs):
+        return VerifyOutcome(
+            False, f"witness density {Fraction(inside, len(vs))}, not {density}"
+        )
+    return VerifyOutcome(True)
+
+
 def verify_path_certificate(g: Graph, cert: PathCertificate) -> VerifyOutcome:
     vs = cert.vertices
     for v in vs:

@@ -219,11 +219,18 @@ def _exhausted(budget: _Budget, stats: dict, base: dict) -> SolveResult:
     return SolveResult("no", stats=stats, **base)
 
 
-def _routed(g: Graph, H, A, pairs) -> CycleCertificate:
+def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
     """A cycle of g[H] through the pairs, in g's labels: Hamiltonian when A
     is empty, else covering A. The bipartite routing lemma needs 10k <= |A|,
-    so k = floor(|A|/10), at least 1; k only orders the covering moves."""
-    sub_h, ids_h = induced_subgraph(g, H)
+    so k = floor(|A|/10), at least 1; k only orders the covering moves.
+
+    core, a reduced core and its ascending host ids (`ReductionTrace.core`,
+    `core_ids`), is taken as g[H] when its ids are H, and nothing is built.
+    """
+    if core is not None and H == frozenset(core[1]):
+        sub_h, ids_h = core
+    else:
+        sub_h, ids_h = induced_subgraph(g, H)
     back = {orig: i for i, orig in enumerate(ids_h)}
     local = {(back[a], back[b]) for a, b in pairs}
     if A:
@@ -239,7 +246,7 @@ def _routed(g: Graph, H, A, pairs) -> CycleCertificate:
 
 def _case_analysis(
     g: Graph, H: frozenset[int], A: frozenset[int], k_prime: int, target: int,
-    pmax: int, probes, budget: _Budget, base: dict,
+    pmax: int, probes, budget: _Budget, base: dict, core=None,
 ) -> SolveResult:
     """Cases (ii) and (iii): (a) one outside (s,t)-path with >= target
     vertices, else (b) the first outside segment system of the probes
@@ -267,7 +274,7 @@ def _case_analysis(
                 budget.randomized_used = True
         else:
             return _exhausted(budget, stats, base)
-    out = _splice_segments(g, _routed(g, H, A, system.endpoint_pairs()), system)
+    out = _splice_segments(g, _routed(g, H, A, system.endpoint_pairs(), core), system)
     cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
     return SolveResult("yes", certificate=cert, stats=stats, **base)
 
@@ -279,6 +286,7 @@ def case_small_dense(
     mad: Fraction,
     k: int,
     budget: _Budget,
+    core=None,
 ) -> SolveResult:
     """Case (ii): route through a small dense core H.
 
@@ -293,7 +301,7 @@ def case_small_dense(
         for p in range(max(k_prime, r), 2 * k_prime - 1)
     )
     return _case_analysis(g, frozenset(H), frozenset(), k_prime, k_prime + 2,
-                          2 * k_prime - 2, probes, budget, base)
+                          2 * k_prime - 2, probes, budget, base, core)
 
 
 def case_bipartite_dense(
@@ -305,6 +313,7 @@ def case_bipartite_dense(
     mad: Fraction,
     k: int,
     budget: _Budget,
+    core=None,
 ) -> SolveResult:
     """Case (iii): route through a bipartite-dense core covering side A.
 
@@ -326,7 +335,7 @@ def case_bipartite_dense(
         for p in range(max(k_prime + s - t, r), 3 * k_prime - 1)
     )
     return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes,
-                          budget, base)
+                          budget, base, core)
 
 
 def solve(
@@ -390,6 +399,7 @@ def solve(
     except ConstructionFailure as exc:
         return _unknown(f"construction failed: {exc}", branch="find_dense", **base)
     trace = info.trace.to_jsonable() if with_trace else None
+    core = (info.trace.core, info.trace.core_ids)
 
     if isinstance(witness, FoundCycle):
         cert = witness.cycle
@@ -416,7 +426,7 @@ def solve(
             f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
         )
     if k_prime <= 0:
-        cyc = _routed(g, H, A, ())
+        cyc = _routed(g, H, A, (), core)
         cert = _certify(g, CycleCertificate(cyc.vertices, threshold))
         return SolveResult("yes", certificate=cert, branch=branch, trace=trace, **base)
     if A and 2 * len(A) < 3 * k_prime:
@@ -424,7 +434,7 @@ def solve(
         return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
                         branch=branch, trace=trace, **base)
     try:
-        res = case(g, H, *sides, k_prime, mad, k, bud)
+        res = case(g, H, *sides, k_prime, mad, k, bud, core=core)
     except ConstructionFailure as exc:
         return _unknown(f"construction failed: {exc}", branch=branch, trace=trace, **base)
     res.trace = trace

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,13 @@ import pytest
 from madcycle import density
 from madcycle.density import degeneracy, densest_decision, mad_with_witness
 from madcycle.errors import ConstructionFailure, PreconditionError
-from madcycle.graph import avg_degree, build_graph, induced_subgraph
+from madcycle.graph import (
+    avg_degree,
+    build_graph,
+    induced_subgraph,
+    verify_density_certificate,
+)
+from madcycle.instances import gen_instance
 from madcycle.oracles import all_subsets_density, oracle_mad
 
 from conftest import bowtie, complete_minus_matching, cycle_graph, random_graph
@@ -161,27 +168,29 @@ class TestMadWithWitness:
 
     def test_regular_graph_needs_few_cuts(self, monkeypatch):
         calls = []
+        load_flow = density._load_flow
 
-        def counting(g, guess):
-            calls.append(guess)
-            return densest_decision(g, guess)
+        def counting(g, rank, p, q):
+            calls.append(Fraction(p, q))
+            return load_flow(g, rank, p, q)
 
-        monkeypatch.setattr(density, "densest_decision", counting)
+        monkeypatch.setattr(density, "_load_flow", counting)
         g = complete_minus_matching(40)
-        # bypass the cache so that the cuts are made here
+        # bypass the cache so that the flows are run here
         w = mad_with_witness.__wrapped__(g)
         assert w.mad == 38 and w.vertices == frozenset(range(40))
-        # the peeling bound is already the optimum: one cut proves it
-        assert len(calls) == 1
+        # the peeling bound is already the optimum: one flow proves it
+        assert calls == [19]
 
     def test_cut_count_and_witness_on_random_graphs(self, monkeypatch):
         calls = []
+        load_flow = density._load_flow
 
-        def counting(g, guess):
-            calls.append(guess)
-            return densest_decision(g, guess)
+        def counting(g, rank, p, q):
+            calls.append(Fraction(p, q))
+            return load_flow(g, rank, p, q)
 
-        monkeypatch.setattr(density, "densest_decision", counting)
+        monkeypatch.setattr(density, "_load_flow", counting)
         rng = random.Random(43)
         multi = 0
         for _ in range(80):
@@ -206,10 +215,11 @@ class TestMadWithWitness:
             [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (5, 6)], 7
         )
 
-        def wrong(g, guess):
-            return frozenset({5, 6}) if answer == "sparser" else None
+        def wrong(g, rank, p, q):
+            # an overflowing flow whose cut is sparser than p/q, or absent
+            return (frozenset({5, 6}) if answer == "sparser" else None), None
 
-        monkeypatch.setattr(density, "densest_decision", wrong)
+        monkeypatch.setattr(density, "_load_flow", wrong)
         with pytest.raises(ConstructionFailure):
             mad_with_witness.__wrapped__(g)
 
@@ -257,7 +267,8 @@ class TestOrderings:
             g = random_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.7))
             if g.m == 0:
                 continue
-            _, bound = density._peel(g)
+            _, bound, rank = density._peel(g)
+            assert sorted(rank) == list(range(g.n))
             assert bound.denominator <= g.n
             assert Fraction(g.m, g.n) <= bound <= mad_with_witness(g).density <= 2 * bound
 
@@ -309,6 +320,238 @@ class TestPresaturatedNetwork:
                 if guess < 0:
                     continue
                 expect = densest_decision_two_arc_pairs(g, guess)
+                assert densest_decision(g, guess) == expect, (g.adj, guess)
+                returned += expect is not None
+        assert returned >= 100
+
+
+class TestDensityCertificate:
+    def certified(self, g):
+        w = mad_with_witness(g)
+        found, splits = density._load_flow(
+            g, density._peel(g)[2], w.density.numerator, w.density.denominator
+        )
+        assert found == w.vertices and splits is not None
+        return w, splits
+
+    def test_load_flow_certificate_verifies(self):
+        rng = random.Random(61)
+        graphs = [bowtie(), complete_minus_matching(12), ladder(6)]
+        graphs += [random_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.8))
+                   for _ in range(40)]
+        for g in graphs:
+            if g.m == 0:
+                continue
+            w, splits = self.certified(g)
+            assert verify_density_certificate(g, w.vertices, w.density, splits)
+
+    def test_rejects_an_overloaded_vertex(self):
+        # K5 plus a pendant edge: density 2, so each vertex may take 2 units
+        g = build_graph(
+            [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)], 6
+        )
+        w, splits = self.certified(g)
+        assert w.density == 2
+        # every edge whole on its lower end: vertex 0 takes all 5 of its edges
+        lower = [(1, 0)] * len(splits)
+        check = verify_density_certificate(g, w.vertices, w.density, lower)
+        assert not check and check.reason == "vertex 0 receives 5 > 2 units"
+
+    def test_rejects_a_split_that_does_not_sum_to_q(self):
+        g = bowtie()
+        w, splits = self.certified(g)
+        q = w.density.denominator
+        for broken in ((q, 1), (q - 1, 0), (-1, q + 1)):
+            bad = [broken] + splits[1:]
+            check = verify_density_certificate(g, w.vertices, w.density, bad)
+            assert not check and "splits as" in check.reason
+        check = verify_density_certificate(g, w.vertices, w.density, splits[:-1])
+        assert not check
+
+    def test_rejects_a_sparser_witness(self):
+        g = build_graph(
+            [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (5, 6)], 7
+        )
+        w, splits = self.certified(g)
+        assert w.vertices == frozenset(range(5))
+        for sparser in ({5, 6}, set(range(7)), set(range(4)), set()):
+            assert not verify_density_certificate(g, sparser, w.density, splits)
+        # the loads still bound every set, but the witness must meet them
+        assert not verify_density_certificate(g, w.vertices, w.density + 1, splits)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        load_flow = density._load_flow
+
+        def overloaded(g, rank, p, q):
+            found, splits = load_flow(g, rank, p, q)
+            return found, splits and [(q, 0)] * len(splits)
+
+        monkeypatch.setattr(density, "_load_flow", overloaded)
+        with pytest.raises(ConstructionFailure, match="receives"):
+            mad_with_witness.__wrapped__(complete_minus_matching(10))
+
+
+class _GoldbergDinic:
+    """Verbatim copy of the Dinic max flow that Goldberg's network ran on."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int, back_cap: int = 0):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(back_cap)
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        to, cap, head = self.to, self.cap, self.head
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            dq = deque([s])
+            while dq:
+                v = dq.popleft()
+                for e in head[v]:
+                    if cap[e] > 0 and level[to[e]] < 0:
+                        level[to[e]] = level[v] + 1
+                        dq.append(to[e])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            path: list[int] = []
+            v = s
+            while True:
+                if v == t:
+                    f = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    flow += f
+                    path.clear()
+                    v = s
+                arcs = head[v]
+                i = it[v]
+                nxt = level[v] + 1
+                while i < len(arcs):
+                    e = arcs[i]
+                    if cap[e] > 0 and level[to[e]] == nxt:
+                        break
+                    i += 1
+                it[v] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    v = to[arcs[i]]
+                elif path:
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
+                    break
+
+    def min_cut_source_side(self, s: int) -> set[int]:
+        seen = {s}
+        dq = deque([s])
+        while dq:
+            v = dq.popleft()
+            for e in self.head[v]:
+                if self.cap[e] > 0 and self.to[e] not in seen:
+                    seen.add(self.to[e])
+                    dq.append(self.to[e])
+        return seen
+
+
+def goldberg_densest_decision(g, guess):
+    """Verbatim copy of the min-cut decision on Goldberg's network (source->v
+    m*b, v->sink m*b + 2a - b*d(v), b both ways across each edge, the
+    source-vertex-sink paths saturated first)."""
+    if g.m == 0:
+        return None
+    a, b = guess.numerator, guess.denominator
+    n, m = g.n, g.m
+    s, t = n, n + 1
+    net = _GoldbergDinic(n + 2)
+    flow = 0
+    for v in range(n):
+        sink_cap = m * b + 2 * a - b * g.degree(v)
+        pushed = min(m * b, sink_cap)
+        flow += pushed
+        net.add_edge(s, v, m * b - pushed, pushed)
+        net.add_edge(v, t, sink_cap - pushed, pushed)
+    for u, v in g.edges():
+        net.add_edge(u, v, b, b)
+    flow += net.max_flow(s, t)
+    if flow >= n * m * b:
+        return None
+    side = net.min_cut_source_side(s)
+    side.discard(s)
+    chosen = frozenset(v for v in side if v < n)
+    if not chosen:
+        return None
+    return chosen
+
+
+def goldberg_mad_with_witness(g):
+    """Verbatim copy of the Dinkelbach loop over Goldberg cuts just below
+    the best density found, from the same peeling bound."""
+    n = g.n
+    best = density._peel(g)[1]
+    slack = Fraction(1, 2 * n**3)
+    while True:
+        found = goldberg_densest_decision(g, best - slack)
+        d = None if found is None else _density(g, found)
+        if d is None or d < best:
+            raise ConstructionFailure("contradicting cut")
+        if d == best:
+            return found, best
+        best = d
+
+
+class TestAgainstGoldbergNetwork:
+    def graphs(self):
+        rng = random.Random(67)
+        out = []
+        for _ in range(36):
+            n = rng.randint(2, 60)
+            out.append(random_graph(rng, n, rng.choice([2 / n, 4 / n, 8 / n, 0.2, 0.5])))
+        out += [random_graph(rng, 150, 8 / 149) for _ in range(4)]
+        out.append(complete_minus_matching(40))
+        # peeling bounds below the optimum: the flow at the bound overflows
+        out += [gen_instance("gnp2c", {"n": 30, "prob": 0.2}, seed)[0] for seed in (1, 2, 27)]
+        out += [gen_instance("gnp2c", {"n": 60, "prob": 0.1}, seed)[0] for seed in (1, 4)]
+        return [g for g in out if g.m]
+
+    def test_same_witness_as_goldberg_dinkelbach(self, monkeypatch):
+        flows = []
+        load_flow = density._load_flow
+
+        def counting(g, rank, p, q):
+            flows.append(Fraction(p, q))
+            return load_flow(g, rank, p, q)
+
+        monkeypatch.setattr(density, "_load_flow", counting)
+        multi = 0
+        for g in self.graphs():
+            flows.clear()
+            w = mad_with_witness.__wrapped__(g)
+            multi += len(flows) >= 2
+            assert (w.vertices, w.density) == goldberg_mad_with_witness(g), g.adj
+        assert multi >= 5
+
+    def test_same_decision_as_goldberg_network(self):
+        rng = random.Random(71)
+        returned = 0
+        for g in self.graphs():
+            n, best = g.n, mad_with_witness(g).density
+            guesses = {best, best - Fraction(1, 2 * n**3), Fraction(0)}
+            guesses |= {Fraction(rng.randint(0, 2 * n), rng.randint(1, n)) for _ in range(4)}
+            guesses |= {best * Fraction(rng.randint(1, 2 * n), n) for _ in range(2)}
+            for guess in sorted(guesses):
+                expect = goldberg_densest_decision(g, guess)
                 assert densest_decision(g, guess) == expect, (g.adj, guess)
                 returned += expect is not None
         assert returned >= 100

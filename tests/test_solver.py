@@ -372,7 +372,7 @@ class TestNoGate:
             info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace())
             return witness, info
 
-        def exhausted(g, H, A, B, k_prime, mad, k, budget):
+        def exhausted(g, H, A, B, k_prime, mad, k, budget, core=None):
             assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
             return solver.SolveResult("no", k=k, mad=mad, threshold_len=180,
                                       branch="case_iii", stats={"k_prime": k_prime})
@@ -624,3 +624,49 @@ class TestCertificatesAreChecked:
                 continue
             assert res.answer != "yes", branch
             assert "rejected for the test" in res.stats["reason"]
+
+
+class TestRoutedTakesTheTraceCore:
+    """_routed takes the reduced core that find_dense's trace holds instead of
+    building g[H] again, with the same output."""
+
+    @staticmethod
+    def _graphs():
+        from madcycle.instances import gen_instance
+
+        km = complete_minus_matching(26)
+        ears = [(0, 26), (26, 2), (3, 27), (27, 5)]
+        bip, _ = gen_instance("lemma7_trace", {"branch": "bip_dense_yes"})
+        return [
+            (build_graph(list(km.edges()) + ears, 28), 4, "case_ii"),
+            (bip, 1, "case_iii"),
+            (bip, 2, "case_iii"),
+        ]
+
+    def test_no_rebuild_of_the_core_and_same_bytes(self, monkeypatch):
+        from madcycle import solver
+
+        real_routed, real_induced = solver._routed, solver.induced_subgraph
+        taken, built = [], []
+
+        def routed(g, H, A, pairs, core=None):
+            taken.append((frozenset(H), core is not None and H == frozenset(core[1])))
+            return real_routed(g, H, A, pairs, core)
+
+        def induced(g, vs):
+            built.append(frozenset(vs))
+            return real_induced(g, vs)
+
+        for g, k, branch in self._graphs():
+            monkeypatch.setattr(solver, "_routed", routed)
+            monkeypatch.setattr(solver, "induced_subgraph", induced)
+            taken.clear(), built.clear()
+            res = solve(g, k, strict=False, with_trace=True)
+            assert res.answer == "yes" and res.branch == branch
+            [(H, is_core)] = taken
+            assert is_core and H not in built
+            # the same solve, with g[H] built as before
+            monkeypatch.setattr(solver, "_routed",
+                                lambda g, H, A, pairs, core=None: real_routed(g, H, A, pairs))
+            again = solve(g, k, strict=False, with_trace=True)
+            assert emit_result(res) == emit_result(again)

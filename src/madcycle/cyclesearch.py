@@ -86,44 +86,8 @@ def rotation_round(g: Graph, path: list[int], step_budget: list[int]):
     return "stuck", (pos, variants)
 
 
-def closures(g: Graph, path: list[int]) -> list[list[int]]:
-    """Candidate cycles from one path: direct edge, best two-chord, both fans.
-
-    The two-chord closure v0..vb vl..va (va in N(v0), vb in N(vl), a > b) has
-    length len(path)+1-(a-b); a-b == 1 is the crossing-chord full closure.
-    `closure_lengths` gives their lengths without building them; the
-    rotation search builds closures only for the variant that wins a round.
-    """
-    out = []
-    u, w = path[0], path[-1]
-    l = len(path) - 1
-    if l + 1 >= 3 and g.has_edge(u, w):
-        out.append(list(path))
-    mu, mw = g.masks[u], g.masks[w]
-    a_idx = [i for i in range(1, l + 1) if mu >> path[i] & 1]
-    b_idx = [i for i in range(0, l) if mw >> path[i] & 1]
-    best = _min_gap(a_idx, b_idx)
-    if best is not None:
-        _, a, b = best
-        cyc = path[: b + 1] + path[l : a - 1 : -1]
-        if len(cyc) >= 3:
-            out.append(cyc)
-    if a_idx:
-        a = a_idx[-1]
-        if a + 1 >= 3:
-            out.append(path[: a + 1])
-    if b_idx:
-        b = b_idx[0]
-        if l - b + 1 >= 3:
-            out.append(path[b:])
-    return out
-
-
 def _min_gap(a_idx: list[int], b_idx: list[int]):
-    """(a-b, a, b) least over a > b, both lists ascending; the first a wins ties.
-
-    A two-pointer sweep, shared by closures and closure_lengths.
-    """
+    """(a-b, a, b) least over a > b, both lists ascending; the first a wins ties."""
     best = None
     j = 0
     for a in a_idx:
@@ -134,6 +98,32 @@ def _min_gap(a_idx: list[int], b_idx: list[int]):
             if best is None or a - b < best[0]:
                 best = (a - b, a, b)
     return best
+
+
+def _shapes(l: int, direct: bool, a_idx: list[int], b_idx: list[int]):
+    """The closures of a path v0..vl, as slice bounds (s, e, t).
+
+    The closure is the cycle path[s:e] + path[l:t-1:-1], of length
+    e - s + l + 1 - t; a_idx and b_idx are the ascending indices of the
+    neighbours of v0 and of vl on the path, direct says whether v0vl is an
+    edge. In order: the direct edge, the best two-chord closure
+    v0..vb vl..va (va in N(v0), vb in N(vl), a > b, length l+2-(a-b);
+    a-b == 1 is the crossing-chord full closure), then the fans v0..va and
+    vb..vl of the last a and the first b. Each is kept only with >= 3
+    vertices.
+    """
+    out = []
+    if direct and l + 1 >= 3:
+        out.append((0, l + 1, l + 1))
+    best = _min_gap(a_idx, b_idx)
+    if best is not None and l + 2 - best[0] >= 3:
+        _, a, b = best
+        out.append((0, b + 1, a))
+    if a_idx and a_idx[-1] + 1 >= 3:
+        out.append((0, a_idx[-1] + 1, l + 1))
+    if b_idx and l - b_idx[0] + 1 >= 3:
+        out.append((b_idx[0], l + 1, l + 1))
+    return out
 
 
 def _indices(g: Graph, v: int, pos, cuts, l: int, flip: bool) -> list[int]:
@@ -153,29 +143,20 @@ def _indices(g: Graph, v: int, pos, cuts, l: int, flip: bool) -> list[int]:
 def closure_lengths(
     g: Graph, path: list[int], pos, variant, flip: bool = False
 ) -> list[int]:
-    """[len(c) for c in closures(g, var)], without building var or any c.
+    """The lengths of the closures (`_shapes`) of a rotation variant of path.
 
-    var is the rotation variant (end, cuts) of path (see `rotation_round`),
-    reversed when flip; pos maps each vertex of path to its index. Reads
-    only the indices of the ends' neighbours, O((deg(u) + deg(w)) * len(cuts))
-    steps, where closures scans the whole path.
+    variant is (end, cuts), `rotated(path, cuts)` (see `rotation_round`),
+    read reversed when flip; pos maps each vertex of path to its index.
+    Builds neither the variant nor any closure: reads only the indices of
+    the ends' neighbours, O((deg(u) + deg(w)) * len(cuts)) steps.
     """
     end, cuts = variant
     l = len(path) - 1
     u, w = (end, path[0]) if flip else (path[0], end)
     a_idx = _indices(g, u, pos, cuts, l, flip)
     b_idx = _indices(g, w, pos, cuts, l, flip)
-    out = []
-    if l + 1 >= 3 and g.has_edge(u, w):
-        out.append(l + 1)
-    best = _min_gap(a_idx, b_idx)
-    if best is not None and l + 2 - best[0] >= 3:
-        out.append(l + 2 - best[0])
-    if a_idx and a_idx[-1] + 1 >= 3:
-        out.append(a_idx[-1] + 1)
-    if b_idx and l - b_idx[0] + 1 >= 3:
-        out.append(l - b_idx[0] + 1)
-    return out
+    shapes = _shapes(l, g.has_edge(u, w), a_idx, b_idx)
+    return [e - s + l + 1 - t for s, e, t in shapes]
 
 
 def short_detour(
@@ -273,22 +254,20 @@ def long_cycle_search_best(
     Repeats: grow a maximal path, rotate at both ends, close (full or chord
     closures), reopen non-spanning full closures through an attached outside
     vertex. Every reopen strictly lengthens the working path, so the loop
-    terminates. When 2*delta >= n a maximal path always has a crossing
-    chord, so this provably reaches a Hamiltonian cycle.
+    runs at most n rounds. When 2*delta >= n a maximal path always has a
+    crossing chord, so this provably reaches a Hamiltonian cycle. A result
+    shorter than want has been grown by `grow_cycle` as far as it goes.
 
-    Each round scores the closures of every rotation variant by length
-    (`closure_lengths`, in `closures` order, last-end variants first) and
-    builds only two: the first of greatest length, which replaces best if
-    longer, and the first full closure, when it is reopened.
+    Each round scores the closures of the rotation variants by length
+    (`_score`) and builds at most two: the first of greatest length, which
+    replaces best if longer, and the first full closure, when it is reopened.
     """
     if g.n < 3:
         return None
     budget = [rotation_budget if rotation_budget > 0 else 50 * g.n]
     best: list[int] | None = None
     path = greedy_extend(g, [0])
-    guard = 0
-    while guard <= 2 * g.n + 5:
-        guard += 1
+    while True:
         # rotate both ends until no extension applies
         while True:
             res, payload = rotation_round(g, path, budget)
@@ -303,23 +282,13 @@ def long_cycle_search_best(
                 continue
             first = (back, *payload, True)
             break
-        full_len = len(path)
         top = len(best) if best is not None else 0
-        win = full = None
-        for root, pos, variants, flip in (last, first):
-            for var in variants:
-                for idx, length in enumerate(
-                    closure_lengths(g, root, pos, var, flip)
-                ):
-                    if length > top:
-                        top, win = length, (root, var[1], flip, idx)
-                    if full is None and length == full_len:
-                        full = (root, var[1], flip, idx)
+        win, full = _score(g, (last, first), top, len(path))
         if win is not None:
             best = _closure(g, *win)
         if best is not None and len(best) >= want:
             return best
-        if full is not None and full_len < g.n:
+        if full is not None and len(path) < g.n:
             reopened = _reopen(g, _closure(g, *full))
             if reopened is not None and len(reopened) > len(path):
                 path = greedy_extend(g, reopened)
@@ -335,14 +304,40 @@ def long_cycle_search_best(
                 if reopened is not None and len(reopened) > len(path):
                     path = greedy_extend(g, reopened)
                     continue
-        break
-    return best
+        return best
+
+
+def _score(g: Graph, rounds, top: int, full_len: int):
+    """(win, full): the first closure longer than top of greatest length and
+    the first full closure, each as (root, cuts, flip, idx) or None.
+
+    Scans the variants of both rounds in order (last-end variants first),
+    each variant's closures in `_shapes` order, and stops at the first full
+    closure: no closure is longer than the path, so none after it can win.
+    """
+    win = None
+    for root, pos, variants, flip in rounds:
+        for var in variants:
+            for idx, length in enumerate(closure_lengths(g, root, pos, var, flip)):
+                if length > top:
+                    top, win = length, (root, var[1], flip, idx)
+                if length == full_len:
+                    return win, (root, var[1], flip, idx)
+    return win, None
 
 
 def _closure(g: Graph, root: list[int], cuts, flip: bool, idx: int) -> list[int]:
-    """Closure idx of the rotation variant of root at cuts (reversed if flip)."""
-    var = rotated(root, cuts)
-    return closures(g, var[::-1] if flip else var)[idx]
+    """Closure idx (`_shapes` order) of the variant of root at cuts, reversed
+    if flip."""
+    path = rotated(root, cuts)
+    if flip:
+        path = path[::-1]
+    l = len(path) - 1
+    mu, mw = g.masks[path[0]], g.masks[path[-1]]
+    a_idx = [i for i, v in enumerate(path) if mu >> v & 1]
+    b_idx = [i for i, v in enumerate(path) if mw >> v & 1]
+    s, e, t = _shapes(l, g.has_edge(path[0], path[-1]), a_idx, b_idx)[idx]
+    return path[s:e] + path[l : t - 1 : -1]
 
 
 def _reopen(g: Graph, cycle: list[int]) -> list[int] | None:
@@ -393,28 +388,15 @@ def find_cycle_at_least(
 
 
 def find_st_path_at_least(
-    g: Graph,
-    s: int,
-    t: int,
-    want_vertices: int,
-    node_budget: int | None = None,
-    allowed: set[int] | None = None,
+    g: Graph, s: int, t: int, want_vertices: int, node_budget: int | None = None
 ) -> list[int] | None:
     """DFS search for an (s,t)-path with >= want_vertices vertices.
 
-    Exhaustive when node_budget is None. `allowed` restricts the usable
-    vertex set (s and t are always usable).
+    Exhaustive when node_budget is None.
     """
     if s == t:
         raise PreconditionError("s and t must differ")
-    if allowed is None:
-        universe = (1 << g.n) - 1
-    else:
-        universe = 0
-        for v in allowed:
-            universe |= 1 << v
-        universe |= (1 << s) | (1 << t)
-
+    full = (1 << g.n) - 1
     stack: list[tuple[int, int, list[int]]] = [(s, 1 << s, [s])]
     while stack:
         if node_budget is not None:
@@ -426,13 +408,11 @@ def find_st_path_at_least(
             if len(path) >= want_vertices:
                 return path
             continue
-        alive = universe & ~mask | (1 << t)
-        rm = reach(g, g.masks[v], alive)
-        if not rm >> t & 1:
-            continue
-        if len(path) + (rm & ~mask).bit_count() < want_vertices:
+        # t ends every path it is on, so it is outside mask here
+        rm = reach(g, g.masks[v], full & ~mask)
+        if not rm >> t & 1 or len(path) + rm.bit_count() < want_vertices:
             continue
         for w in reversed(g.adj[v]):
-            if universe >> w & 1 and not mask >> w & 1:
+            if not mask >> w & 1:
                 stack.append((w, mask | (1 << w), path + [w]))
     return None

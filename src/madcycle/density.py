@@ -27,14 +27,14 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, back_cap: int = 0):
-        """Arc u->v and its reverse v->u, as arcs e and e ^ 1."""
+    def add_edge(self, u: int, v: int, cap: int):
+        """Arc u->v and its empty reverse v->u, as arcs e and e ^ 1."""
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(back_cap)
+        self.cap.append(0)
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0

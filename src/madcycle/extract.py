@@ -347,7 +347,8 @@ def _bounded_min_cover(h: Graph, bound: int) -> set[int] | None:
         rec(chosen | {v}, [e for e in uncov if v not in e], limit - 1)
         if best is not None:
             return
-        nbrs = set(h.adj[v])
+        # without v, every neighbour not yet chosen must join the cover
+        nbrs = set(h.adj[v]) - chosen
         if len(nbrs) <= limit:
             rec(
                 chosen | nbrs,

@@ -191,14 +191,9 @@ def subset_components(g: Graph, vertices) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph, vertices=None) -> bool:
-    if vertices is None:
-        alive = (1 << g.n) - 1
-    else:
-        alive = 0
-        for v in vertices:
-            alive |= 1 << v
-    return reach(g, alive & -alive, alive) == alive
+def is_connected(g: Graph) -> bool:
+    alive = (1 << g.n) - 1
+    return reach(g, 1, alive) == alive
 
 
 def is_biconnected(g: Graph) -> bool:

@@ -39,32 +39,24 @@ def dirac_cycle(g: Graph) -> CycleCertificate:
     Rotation-extension with crossing-chord closure; when 2*delta >= n the
     crossing chord always exists for a maximal path, so the loop provably
     reaches a Hamiltonian cycle. Below that threshold a bounded exact search
-    backs up the heuristic.
+    backs up the heuristic. A short heuristic cycle has already been grown
+    by `cyclesearch.grow_cycle` as far as it goes, so it is not grown again.
     """
     if not is_biconnected(g):
         raise PreconditionError("dirac_cycle needs a 2-connected graph")
     want = min(g.n, 2 * g.min_degree())
     want = max(want, 3)
     cyc = cyclesearch.long_cycle_search_best(g, want)
-    if cyc is not None and len(cyc) >= want:
-        cert = CycleCertificate(tuple(cyc), want)
-        require_verified(verify_cycle_certificate(g, cert))
-        return cert
-    if cyc is not None:
-        grown = cyclesearch.grow_cycle(g, cyc, target=want)
-        if len(grown) >= want:
-            cert = CycleCertificate(tuple(grown), want)
-            require_verified(verify_cycle_certificate(g, cert))
-            return cert
-    budget = None if g.n <= 20 else 2_000_000
-    found = cyclesearch.find_cycle_at_least(g, want, budget)
-    if found is not None:
-        cert = CycleCertificate(tuple(found), want)
-        require_verified(verify_cycle_certificate(g, cert))
-        return cert
-    raise ConstructionFailure(
-        f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
-    )
+    if cyc is None or len(cyc) < want:
+        budget = None if g.n <= 20 else 2_000_000
+        cyc = cyclesearch.find_cycle_at_least(g, want, budget)
+    if cyc is None:
+        raise ConstructionFailure(
+            f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
+        )
+    cert = CycleCertificate(tuple(cyc), want)
+    require_verified(verify_cycle_certificate(g, cert))
+    return cert
 
 
 def fan_path(g: Graph, s: int, t: int) -> PathCertificate:

@@ -73,7 +73,7 @@ class SolveResult:
 def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     """A verified cycle of length strictly greater than mad(G).
 
-    Works on any graph with mad >= 3: densest witness, reduction by rules
+    Works on any graph with mad >= 2: densest witness, reduction by rules
     1-3, then a Dirac cycle of the core, of length >= min(n, 2*delta) of
     the core. Both terms exceed mad; write eg = 2m/(n-1) for the core:
     - the witness has eg > 2m/n = mad, and no rule lowers eg, so the

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from madcycle.cyclesearch import (
+    _closure,
     closure_lengths,
-    closures,
     find_cycle_at_least,
+    find_st_path_at_least,
     greedy_extend,
     grow_cycle,
     long_cycle_search_best,
@@ -24,6 +25,7 @@ from madcycle.cyclesearch import (
 from madcycle.density import mad_with_witness
 from madcycle.graph import Graph, build_graph, induced_subgraph, reach
 from madcycle.instances import gen_instance
+from madcycle.oracles import oracle_longest_st_path
 from madcycle.reduction import K0_RULES, reduce_exhaustive
 
 from conftest import (
@@ -212,6 +214,25 @@ class TestFindCycleAtLeast:
         assert 100 <= found <= 280, found
 
 
+class TestFindStPathAtLeast:
+    def test_exact_against_the_oracle(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(200):
+            g = random_connected_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.7))
+            s, t = rng.sample(range(g.n), 2)
+            want = rng.randint(2, g.n)
+            got = find_st_path_at_least(g, s, t, want)
+            if oracle_longest_st_path(g, s, t) < want:
+                assert got is None
+                continue
+            found += 1
+            assert got[0] == s and got[-1] == t and len(got) >= want
+            assert len(set(got)) == len(got)
+            assert all(g.has_edge(a, b) for a, b in zip(got, got[1:]))
+        assert 40 <= found <= 180, found
+
+
 # The rotation search as it was when it built every closure of every
 # rotation variant, copied verbatim (greedy_extend and grow_cycle are
 # unchanged and shared).
@@ -364,9 +385,11 @@ class TestClosureLengths:
         var = rotated(path, cuts)
         pos = {v: i for i, v in enumerate(path)}
         got = closure_lengths(g, path, pos, (var[-1], cuts), flip)
-        built = closures(g, var[::-1] if flip else var)
+        built = old_closures(g, var[::-1] if flip else var)
         assert got == [len(c) for c in built]
-        assert closures(g, var) == old_closures(g, var)
+        # each shape builds the closure it scores
+        for idx, c in enumerate(built):
+            assert _closure(g, path, cuts, flip, idx) == c
 
 
 def _k0_core(seed):
@@ -411,6 +434,22 @@ class TestRotationSearch:
                     assert got == old_long_cycle_search_best(g, want, budget)
                     # a search that falls short ran every round it could
                     short += got is not None and len(got) < want
+        assert short >= 20, short
+
+    def test_short_results_are_growth_fixpoints(self):
+        # the search grows its best cycle before it gives up, so growing a
+        # short result again never lengthens it
+        rng = random.Random(33)
+        short = 0
+        for _ in range(120):
+            n = rng.randint(5, 60)
+            g = random_2connected_graph(rng, n, min(1.0, rng.uniform(3, 9) / n))
+            for want in _wants(rng, g):
+                for budget in (1, 5, 0):
+                    got = long_cycle_search_best(g, want, rotation_budget=budget)
+                    if got is not None and len(got) < want:
+                        short += 1
+                        assert grow_cycle(g, got, target=want) == got
         assert short >= 20, short
 
     def test_same_cycle_on_sparse_k0_cores(self):

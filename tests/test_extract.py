@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from madcycle import extract
+from madcycle import extract, longpaths
+from madcycle.cyclesearch import find_cycle_at_least, grow_cycle
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.extract import (
     BipartiteDense,
@@ -30,7 +32,14 @@ from madcycle.graph import (
 )
 from madcycle.longpaths import dirac_cycle
 
-from conftest import complete, complete_bipartite, complete_minus_matching, split_graph
+from conftest import (
+    complete,
+    complete_bipartite,
+    complete_minus_matching,
+    petersen,
+    random_graph,
+    split_graph,
+)
 
 
 def make_dirac_decomposition():
@@ -139,6 +148,38 @@ class TestEngine:
             else:
                 assert isinstance(out, Incomplete)
 
+    def test_growth_longer_cycle(self):
+        # C10 plus a vertex on the edge 01: 2*delta < n, and one insertion
+        # move lengthens the cycle
+        g = build_graph([(i, (i + 1) % 10) for i in range(10)] + [(0, 10), (1, 10)], 11)
+        c = CycleCertificate(tuple(range(10)), 3)
+        out = corollary5_engine(g, 1, c)
+        assert isinstance(out, LongerCycle) and len(out.cycle) == 11
+        assert verify_cycle_certificate(g, out.cycle)
+
+    def test_rotation_search_longer_cycle(self):
+        # C8 plus an outside path 0-8-9-10-11-12-4: no local move lengthens
+        # the C8, but the rotation search finds the cycle through the path
+        e = [(i, (i + 1) % 8) for i in range(8)]
+        e += [(0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 4)]
+        g = build_graph(e, 13)
+        assert grow_cycle(g, list(range(8)), target=9) == list(range(8))
+        c = CycleCertificate(tuple(range(8)), 3)
+        out = corollary5_engine(g, 1, c)
+        assert isinstance(out, LongerCycle) and len(out.cycle) > 8
+        assert verify_cycle_certificate(g, out.cycle)
+
+    def test_incomplete_without_longer_cycle_or_small_cover(self):
+        # the Petersen graph has 9-cycles but no 10-cycle, and its least
+        # vertex cover has 6 > delta + 2k = 5 vertices
+        g = petersen()
+        c = CycleCertificate(tuple(find_cycle_at_least(g, 9)), 9)
+        assert verify_cycle_certificate(g, c) and len(c) == 9
+        out = corollary5_engine(g, 1, c)
+        assert isinstance(out, Incomplete)
+        assert find_cycle_at_least(g, 10) is None
+        assert _min_cover_size(g) == 6
+
     def test_runs_without_corollary_preconditions(self):
         # k = 1 > delta/24 on K10: the engine still answers, and soundly
         g = complete(10)
@@ -146,6 +187,39 @@ class TestEngine:
         out = corollary5_engine(g, 1, c)
         assert isinstance(out, LongerCycle) and len(out.cycle) == 10
         assert verify_cycle_certificate(g, out.cycle)
+
+
+def _min_cover_size(g) -> int:
+    edges = list(g.edges())
+    for size in range(g.n + 1):
+        for c in combinations(range(g.n), size):
+            if all(u in c or v in c for u, v in edges):
+                return size
+
+
+class TestBoundedMinCover:
+    def test_exclude_branch_charges_only_new_neighbours(self):
+        # the only least cover is {2, 3, 4}; it is found only if the branch
+        # without a vertex charges just its neighbours not yet chosen
+        g = build_graph(
+            [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)], 6
+        )
+        assert _min_cover_size(g) == 3
+        assert extract._bounded_min_cover(g, 3) == {2, 3, 4}
+
+    def test_against_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(600):
+            n = rng.randint(2, 11)
+            g = random_graph(rng, n, rng.random())
+            least = _min_cover_size(g)
+            for bound in range(max(0, least - 1), least + 2):
+                cover = extract._bounded_min_cover(g, bound)
+                if cover is None:
+                    assert least > bound
+                    continue
+                assert len(cover) <= bound
+                assert all(u in cover or v in cover for u, v in g.edges())
 
 
 class TestRefine:
@@ -214,6 +288,25 @@ class TestFindDense:
         assert isinstance(w, SmallDense) and w.vertices == frozenset(range(26))
         assert info.k_prime == -21
         assert info.trace.core is g and info.trace.core_ids == tuple(range(26))
+
+    def test_engine_longer_cycle_steps_the_loop(self, monkeypatch):
+        # on natural inputs the Dirac cycle reaches the threshold or the engine
+        # ends the loop at once; start it one vertex short on K12 instead
+        real = longpaths.dirac_cycle
+        calls = []
+
+        def short_first(h):
+            calls.append(h.n)
+            if len(calls) == 1:
+                return CycleCertificate(tuple(range(h.n - 1)), 3)
+            return real(h)
+
+        monkeypatch.setattr(longpaths, "dirac_cycle", short_first)
+        g = complete(12)
+        w, info = find_dense(g, 1)
+        assert isinstance(w, FoundCycle) and len(w.cycle) == 12
+        assert verify_cycle_certificate(g, w.cycle)
+        assert calls == [12, 12]  # the engine re-dispatched to Dirac once
 
     def test_k_zero_rejected(self):
         g = build_graph(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from madcycle import longpaths
+from madcycle import cyclesearch, longpaths
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import (
     VerifyOutcome,
@@ -60,6 +60,26 @@ class TestDiracCycle:
             c = dirac_cycle(g)
             assert len(c) >= want
             assert verify_cycle_certificate(g, c)
+
+    @pytest.mark.parametrize("short", [None, [0, 1, 2, 3, 4]], ids=["none", "c5"])
+    def test_exact_search_backs_up_a_short_rotation_search(self, monkeypatch, short):
+        # the rotation search reaches the bound on every natural input, so
+        # make it fall short; the exhaustive search then finds the cycle
+        monkeypatch.setattr(
+            cyclesearch, "long_cycle_search_best", lambda g, want: short
+        )
+        g = petersen()
+        c = dirac_cycle(g)
+        assert len(c) >= 6 and c.claimed_min_length == 6
+        assert verify_cycle_certificate(g, c)
+
+    def test_no_tier_reaching_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(cyclesearch, "long_cycle_search_best", lambda g, want: None)
+        monkeypatch.setattr(
+            cyclesearch, "find_cycle_at_least", lambda g, want, budget: None
+        )
+        with pytest.raises(ConstructionFailure, match="could not reach"):
+            dirac_cycle(petersen())
 
 
 class TestFanPath:

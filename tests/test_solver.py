@@ -106,6 +106,24 @@ class TestK0Constructive:
             assert verify_cycle_certificate(g, cert)
             assert Fraction(len(cert)) > mad
 
+    def test_exceeds_mad_below_three(self):
+        # the proof needs only mad >= 2: cycles with a few chords
+        rng = random.Random(29)
+        below = 0
+        for _ in range(40):
+            n = rng.randint(5, 30)
+            e = [(i, (i + 1) % n) for i in range(n)]
+            e += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n // 4))]
+            g = build_graph(e, n)
+            mad = mad_with_witness(g).mad
+            if mad >= 3:
+                continue
+            below += 1
+            cert = k0_constructive_cycle(g)
+            assert verify_cycle_certificate(g, cert)
+            assert Fraction(len(cert)) > mad
+        assert below >= 20, below
+
     def test_trace_comes_from_the_one_reduction(self, monkeypatch):
         # K6 plus a vertex on three of its vertices: rule 3 drops that vertex
         from madcycle import solver

@@ -3,7 +3,9 @@
 The Dirac and Fan routines layer a rotation-extension heuristic over an exact
 bounded fallback, so the classical guarantees hold at desk scale while dense
 instances stay polynomial in practice. st_path_at_least is color coding; the
-identity coloring makes it an exact decision on small hosts.
+identity coloring makes it an exact decision on small hosts. It returns the
+path (or None) with a flag saying whether the search was exact, so a None
+proves absence only when the flag is True.
 """
 
 from __future__ import annotations
@@ -173,13 +175,10 @@ def _colorful_st_path(
     t: int,
     coloring: list[int],
     want_vertices: int,
-    allowed_mask: int,
     state_budget: int | None = None,
 ) -> list[int] | None:
-    """A path s..t inside allowed_mask whose vertices carry distinct colors
-    and number at least want_vertices. Subset DP over color sets."""
-    if not (allowed_mask >> s & 1 and allowed_mask >> t & 1):
-        return None
+    """A path s..t whose vertices carry distinct colors and number at least
+    want_vertices. Subset DP over color sets."""
     states = 0
     start_key = 1 << coloring[s]
     reach: dict[int, int] = {start_key: 1 << s}
@@ -201,8 +200,6 @@ def _colorful_st_path(
                     break
                 continue
             for w in g.adj[v]:
-                if not allowed_mask >> w & 1:
-                    continue
                 cw = coloring[w]
                 if ckey >> cw & 1:
                     continue
@@ -235,36 +232,31 @@ def st_path_at_least(
     target_vertices: int,
     seed: int = 0,
     trials: int | None = None,
-    report: dict | None = None,
-) -> PathCertificate | None:
-    """A simple (s,t)-path with >= target_vertices vertices, if one is found.
+) -> tuple[PathCertificate | None, bool]:
+    """A simple (s,t)-path with >= target_vertices vertices, if one is found,
+    and whether the search was exact.
 
     The identity coloring gives an exact decision whenever its reachable
-    state space fits DET_STATE_BUDGET (report["deterministic"] says whether
-    it did); otherwise one-sided Monte Carlo with target_vertices colors,
-    where None only means none found at the configured confidence.
+    state space fits DET_STATE_BUDGET; otherwise one-sided Monte Carlo with
+    target_vertices colors runs, the flag is False, and None only means none
+    found at the configured confidence.
     """
     if s == t:
         raise PreconditionError("st_path_at_least needs distinct endpoints")
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise PreconditionError("st_path_at_least endpoint out of range")
     target_vertices = max(target_vertices, 2)
-    full = (1 << g.n) - 1
-    identity = list(range(g.n))
     try:
         found = _colorful_st_path(
-            g, s, t, identity, target_vertices, full,
-            state_budget=DET_STATE_BUDGET,
+            g, s, t, list(range(g.n)), target_vertices, state_budget=DET_STATE_BUDGET
         )
-        if report is not None:
-            report["deterministic"] = True
         if found is None:
-            return None
+            return None, True
         cert = PathCertificate(tuple(found))
         require_verified(verify_path_certificate(g, cert))
-        return cert
+        return cert, True
     except StateBudgetExceeded:
         pass
-    if report is not None:
-        report["deterministic"] = False
     if trials is None:
         trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(target_vertices)))
     for extra in range(EXTRA_TARGETS + 1):
@@ -274,9 +266,9 @@ def st_path_at_least(
         for trial in range(trials):
             rng = random.Random(seed * 2654435761 + q * 1000003 + trial)
             coloring = [rng.randrange(q) for _ in range(g.n)]
-            found = _colorful_st_path(g, s, t, coloring, q, full)
+            found = _colorful_st_path(g, s, t, coloring, q)
             if found is not None:
                 cert = PathCertificate(tuple(found))
                 require_verified(verify_path_certificate(g, cert))
-                return cert
-    return None
+                return cert, False
+    return None, False

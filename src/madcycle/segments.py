@@ -13,9 +13,10 @@ probe of that case is answered from it. A state with p <= P is derived only
 from states with p <= P, in the same order and from the same predecessor, so
 a larger range changes no answer and no reconstruction. When the engine's
 state budget trips, the search's remaining probes run Monte Carlo colorings,
-one set per probe. Nothing is cached beyond the search object.
-`find_segments_partitioned` is the one probe, and `find_segments` is its
-probe (r, p, 0, r) with A empty.
+one set per probe, and `SegmentSearch.exact` turns False for good: a None
+probe answer proves absence only while it is True. Nothing is cached beyond
+the search object. `find_segments_partitioned` is the one probe, and
+`find_segments` is its probe (r, p, 0, r) with A empty.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ class SegmentSearch:
     Probes with r <= rmax and p <= pmax are answered exactly from one
     identity-coloring engine, built on the first probe, until its
     DET_STATE_BUDGET trips; from then on every probe runs Monte Carlo
-    colorings of its own.
+    colorings of its own, and exact is False.
     """
 
     def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
@@ -341,8 +342,7 @@ class SegmentSearch:
         self.engine: _SegmentEngine | None = None
 
     def find(
-        self, r: int, p: int, s: int, t: int, seed: int, trials: int | None,
-        report: dict | None,
+        self, r: int, p: int, s: int, t: int, seed: int, trials: int | None
     ) -> SegmentSystem | None:
         g, T, A = self.g, self.T, self.A
         if self.exact:
@@ -358,13 +358,9 @@ class SegmentSearch:
                 self.exact = False
                 self.engine = None
             else:
-                if report is not None:
-                    report["deterministic"] = True
                 if hit is None:
                     return None
                 return _assemble(g, T, A, self.engine, hit, p, s, t)
-        if report is not None:
-            report["deterministic"] = False
         q = p + 2 * r
         if q > RANDOM_Q_CAP:
             return None
@@ -404,7 +400,6 @@ def find_segments(
     p: int,
     seed: int = 0,
     trials: int | None = None,
-    report: dict | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices.
@@ -413,7 +408,7 @@ def find_segments(
     segment counts as a B-segment; its classification is dropped.
     """
     system = find_segments_partitioned(
-        g, T, (), T, r, p, 0, r, seed=seed, trials=trials, report=report, search=search
+        g, T, (), T, r, p, 0, r, seed=seed, trials=trials, search=search
     )
     return None if system is None else SegmentSystem(system.paths, system.T)
 
@@ -429,18 +424,17 @@ def find_segments_partitioned(
     t: int,
     seed: int = 0,
     trials: int | None = None,
-    report: dict | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices, s
     of them A-segments (both ends in A, >= 2 internal vertices each) and t
     B-segments (both ends in B).
 
-    Returned systems always validate; a None answer is exact when the
-    identity-coloring mode ran (report["deterministic"]) and one-sided Monte
-    Carlo otherwise. r > p is immediately infeasible. A search made for
-    (g, T, A) answers the probe from its shared engine; without one, a
-    search for this probe alone is made.
+    Returned systems always validate. A search made for (g, T, A) answers
+    the probe from its shared engine; without one, a search for this probe
+    alone is made. A None answer is exact while search.exact is True after
+    the probe, and one-sided Monte Carlo otherwise. A probe with r > p is
+    checked against the search like any other and answers None, exactly.
     """
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")
@@ -453,10 +447,6 @@ def find_segments_partitioned(
         raise PreconditionError("s and t must be nonnegative")
     if search is None:
         search = SegmentSearch(g, T, A, p, r)
-    if r > p:
-        if report is not None:
-            report["deterministic"] = True
-        return None
     if g is not search.g or T != search.T or A != search.A:
         raise PreconditionError("probe does not match the search's (g, T, A)")
     if r > search.rmax or p > search.pmax:
@@ -464,4 +454,6 @@ def find_segments_partitioned(
             f"probe (r={r}, p={p}) outside the search's range "
             f"(r <= {search.rmax}, p <= {search.pmax})"
         )
-    return search.find(r, p, s, t, seed, trials, report)
+    if r > p:
+        return None
+    return search.find(r, p, s, t, seed, trials)

@@ -127,13 +127,6 @@ def _unknown(reason: str, **fields) -> SolveResult:
     return SolveResult("unknown", stats={"reason": reason}, **fields)
 
 
-@dataclass
-class _Budget:
-    seed: int = 0
-    trials: int | None = None
-    randomized_used: bool = False
-
-
 def _splice_segments(
     g: Graph, base_cycle: CycleCertificate, system: segments.SegmentSystem
 ) -> list[int]:
@@ -166,9 +159,11 @@ def _splice_segments(
 
 
 def _outside_path(
-    g: Graph, H: frozenset[int], target: int, budget: _Budget, stats: dict
-) -> PathCertificate | None:
-    """An (s,t)-path with >= target vertices, s < t in H, all others outside H.
+    g: Graph, H: frozenset[int], target: int, seed: int, trials: int | None,
+    stats: dict,
+) -> tuple[PathCertificate | None, bool]:
+    """An (s,t)-path with >= target vertices, s < t in H, all others outside H,
+    and whether every probe run was exact.
 
     Pairs are tried in lexicographic order. The internal vertices of such a
     path lie in one component C of G - H that touches both s and t and has
@@ -176,7 +171,7 @@ def _outside_path(
     exists, and only on those components plus {s, t}: there the identity DP
     visits the states that can still reach t in the order it visits them on
     all of G - H plus {s, t}, and returns the same path. stats["st_probes"]
-    counts the probes run.
+    counts the probes run. A None proves absence only when the flag is True.
     """
     outside = [v for v in g.vertices() if v not in H]
     comps = [c for c in subset_components(g, outside) if len(c) + 2 >= target]
@@ -187,6 +182,7 @@ def _outside_path(
                 if w in H:
                     touching.setdefault(w, set()).add(i)
     anchors = sorted(touching)
+    exact = True
     for j, s in enumerate(anchors):
         for t in anchors[j + 1 :]:
             shared = touching[s] & touching[t]
@@ -194,29 +190,13 @@ def _outside_path(
                 continue
             host, ids = induced_subgraph(g, {s, t}.union(*(comps[i] for i in shared)))
             stats["st_probes"] += 1
-            report: dict = {}
-            found = longpaths.st_path_at_least(
-                host,
-                ids.index(s),
-                ids.index(t),
-                target,
-                seed=budget.seed,
-                trials=budget.trials,
-                report=report,
+            found, probe_exact = longpaths.st_path_at_least(
+                host, ids.index(s), ids.index(t), target, seed=seed, trials=trials
             )
+            exact = exact and probe_exact
             if found is not None:
-                return PathCertificate(tuple(ids[v] for v in found.vertices))
-            if not report.get("deterministic", False):
-                budget.randomized_used = True
-    return None
-
-
-def _exhausted(budget: _Budget, stats: dict, base: dict) -> SolveResult:
-    """No witness found: no if every search was exact, else unknown."""
-    if budget.randomized_used:
-        stats["reason"] = "randomized searches exhausted without a witness"
-        return SolveResult("unknown", stats=stats, **base)
-    return SolveResult("no", stats=stats, **base)
+                return PathCertificate(tuple(ids[v] for v in found.vertices)), exact
+    return None, exact
 
 
 def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
@@ -246,34 +226,33 @@ def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
 
 def _case_analysis(
     g: Graph, H: frozenset[int], A: frozenset[int], k_prime: int, target: int,
-    pmax: int, probes, budget: _Budget, base: dict, core=None,
+    pmax: int, probes, seed: int, trials: int | None, base: dict, core=None,
 ) -> SolveResult:
     """Cases (ii) and (iii): (a) one outside (s,t)-path with >= target
     vertices, else (b) the first outside segment system of the probes
     (r, p, s, t), all answered by one search over (g, H, A); either is
-    spliced into the cycle _routed through H."""
+    spliced into the cycle _routed through H. Without either, the answer is
+    no if both searches were exact, else unknown."""
     if k_prime < 1:
         raise PreconditionError(f"{base['branch']} needs k' >= 1")
     stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
-    path = _outside_path(g, H, target, budget, stats)
+    path, path_exact = _outside_path(g, H, target, seed, trials, stats)
     if path is not None:
         system = segments.SegmentSystem((path,), H)
     else:
         search = segments.SegmentSearch(g, H, A, pmax, k_prime)
         for r, p, s, t in probes:
             stats["segment_probes"] += 1
-            report: dict = {}
             system = segments.find_segments_partitioned(
-                g, H, A, H - A, r, p, s, t,
-                seed=budget.seed, trials=budget.trials, report=report,
-                search=search,
+                g, H, A, H - A, r, p, s, t, seed=seed, trials=trials, search=search
             )
             if system is not None:
                 break
-            if not report.get("deterministic", False):
-                budget.randomized_used = True
         else:
-            return _exhausted(budget, stats, base)
+            if path_exact and search.exact:
+                return SolveResult("no", stats=stats, **base)
+            stats["reason"] = "randomized searches exhausted without a witness"
+            return SolveResult("unknown", stats=stats, **base)
     out = _splice_segments(g, _routed(g, H, A, system.endpoint_pairs(), core), system)
     cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
     return SolveResult("yes", certificate=cert, stats=stats, **base)
@@ -285,7 +264,8 @@ def case_small_dense(
     k_prime: int,
     mad: Fraction,
     k: int,
-    budget: _Budget,
+    seed: int = 0,
+    trials: int | None = None,
     core=None,
 ) -> SolveResult:
     """Case (ii): route through a small dense core H.
@@ -301,7 +281,7 @@ def case_small_dense(
         for p in range(max(k_prime, r), 2 * k_prime - 1)
     )
     return _case_analysis(g, frozenset(H), frozenset(), k_prime, k_prime + 2,
-                          2 * k_prime - 2, probes, budget, base, core)
+                          2 * k_prime - 2, probes, seed, trials, base, core)
 
 
 def case_bipartite_dense(
@@ -312,7 +292,8 @@ def case_bipartite_dense(
     k_prime: int,
     mad: Fraction,
     k: int,
-    budget: _Budget,
+    seed: int = 0,
+    trials: int | None = None,
     core=None,
 ) -> SolveResult:
     """Case (iii): route through a bipartite-dense core covering side A.
@@ -335,7 +316,7 @@ def case_bipartite_dense(
         for p in range(max(k_prime + s - t, r), 3 * k_prime - 1)
     )
     return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes,
-                          budget, base, core)
+                          seed, trials, base, core)
 
 
 def solve(
@@ -391,7 +372,6 @@ def solve(
     # in range, or relaxed mode past the fallback cap: one dense pipeline;
     # yes stays certified, and _downgrade decides whether no may stand
 
-    bud = _Budget(seed=seed, trials=budget)
     try:
         witness, info = find_dense(g, k, budget=budget)
     except EngineIncomplete as exc:
@@ -434,7 +414,7 @@ def solve(
         return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
                         branch=branch, trace=trace, **base)
     try:
-        res = case(g, H, *sides, k_prime, mad, k, bud, core=core)
+        res = case(g, H, *sides, k_prime, mad, k, seed, budget, core=core)
     except ConstructionFailure as exc:
         return _unknown(f"construction failed: {exc}", branch=branch, trace=trace, **base)
     res.trace = trace

@@ -120,17 +120,22 @@ class TestFanPath:
 
 class TestStPathAtLeast:
     def test_path4_target4(self):
-        p = st_path_at_least(path_graph(4), 0, 3, 4)
-        assert p is not None and p.vertices == (0, 1, 2, 3)
+        p, exact = st_path_at_least(path_graph(4), 0, 3, 4)
+        assert exact and p is not None and p.vertices == (0, 1, 2, 3)
 
     def test_path4_target5_absent(self):
-        assert st_path_at_least(path_graph(4), 0, 3, 5) is None
+        assert st_path_at_least(path_graph(4), 0, 3, 5) == (None, True)
+
+    @pytest.mark.parametrize("s,t", [(0, 4), (4, 0), (-1, 3)])
+    def test_endpoint_out_of_range_rejected(self, s, t):
+        with pytest.raises(PreconditionError, match="out of range"):
+            st_path_at_least(path_graph(4), s, t, 2)
 
     def test_petersen_hamiltonian_nonadjacent(self):
         g = petersen()
         assert oracle_longest_st_path(g, 0, 2) == 10
-        p = st_path_at_least(g, 0, 2, 10)
-        assert p is not None and len(p) == 10
+        p, exact = st_path_at_least(g, 0, 2, 10)
+        assert exact and p is not None and len(p) == 10
         assert verify_path_certificate(g, p)
 
     def test_matches_oracle_random(self):
@@ -140,8 +145,8 @@ class TestStPathAtLeast:
             s, t = rng.sample(range(g.n), 2)
             best = oracle_longest_st_path(g, s, t)
             for target in range(2, g.n + 1):
-                found = st_path_at_least(g, s, t, target)
-                assert (found is not None) == (best >= target)
+                found, exact = st_path_at_least(g, s, t, target)
+                assert exact and (found is not None) == (best >= target)
                 if found is not None:
                     assert len(found) >= target
                     assert verify_path_certificate(g, found)
@@ -150,9 +155,8 @@ class TestStPathAtLeast:
         # a zero state budget forces the Monte Carlo path; one-sided soundness
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         g = complete(24)
-        report = {}
-        p = st_path_at_least(g, 0, 5, 6, seed=1, trials=40, report=report)
-        assert report["deterministic"] is False
+        p, exact = st_path_at_least(g, 0, 5, 6, seed=1, trials=40)
+        assert exact is False
         assert p is not None and len(p) >= 6
         assert verify_path_certificate(g, p)
 

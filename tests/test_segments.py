@@ -172,15 +172,14 @@ class TestSharedSearch:
             for k in (2, 3):
                 search = SegmentSearch(g, T, A, 3 * k - 2, k)
                 for r, p, s, t in _case_iii_probes(k):
-                    rep_shared, rep_fresh = {}, {}
+                    fresh_search = SegmentSearch(g, T, A, p, r)
                     shared = find_segments_partitioned(
-                        g, T, A, T - A, r, p, s, t, seed=4, report=rep_shared,
-                        search=search,
+                        g, T, A, T - A, r, p, s, t, seed=4, search=search
                     )
                     fresh = find_segments_partitioned(
-                        g, T, A, T - A, r, p, s, t, seed=4, report=rep_fresh
+                        g, T, A, T - A, r, p, s, t, seed=4, search=fresh_search
                     )
-                    assert rep_shared["deterministic"] and rep_fresh["deterministic"]
+                    assert search.exact and fresh_search.exact
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
                         assert shared.paths == fresh.paths
@@ -214,15 +213,24 @@ class TestSharedSearch:
             find_segments_partitioned(g, {0, 3}, {0}, {3}, 3, 5, 0, 0, search=search)
         with pytest.raises(PreconditionError):
             find_segments(g, {0, 3}, 1, 2, search=search)
+        # a probe with r > p is checked like any other before it answers None
+        with pytest.raises(PreconditionError):
+            find_segments_partitioned(g, {0, 3}, {3}, {0}, 2, 1, 0, 0, search=search)
+        with pytest.raises(PreconditionError):
+            find_segments_partitioned(
+                g, {0, 3}, {0}, {3}, 2, 1, 0, 0,
+                search=SegmentSearch(cycle_graph(7), {0, 3}, {0}, 4, 2),
+            )
+        with pytest.raises(PreconditionError):
+            find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search)
 
     def test_budget_trip_falls_back_to_monte_carlo(self, monkeypatch):
         monkeypatch.setattr(segments, "DET_STATE_BUDGET", 3)
         g = cycle_graph(8)
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
         for p in (3, 4):
-            report = {}
-            got = find_segments(g, {0, 4}, 1, p, seed=1, report=report, search=search)
-            assert report["deterministic"] is False
+            got = find_segments(g, {0, 4}, 1, p, seed=1, search=search)
+            assert search.exact is False
             assert search.engine is None
             if got is not None:
                 ok, reason = validate_segment_system(g, got, {0, 4}, expect=(1, p))
@@ -237,9 +245,9 @@ class TestSharedSearch:
         g = build_graph(edges + [(0, 88), (88, 1)], 89)
         args = (g, frozenset(range(88)), frozenset(range(8)), frozenset(range(8, 88)),
                 1, Fraction(16), 0)
-        assert solver.case_bipartite_dense(*args, solver._Budget()).answer == "no"
+        assert solver.case_bipartite_dense(*args).answer == "no"
         monkeypatch.setattr(segments, "DET_STATE_BUDGET", 0)
-        res = solver.case_bipartite_dense(*args, solver._Budget())
+        res = solver.case_bipartite_dense(*args)
         assert res.answer == "unknown" and "randomized" in res.stats["reason"]
         for k in (2, 3, 4):
             res = solver.solve(_split_with_ears(8, 1), k, strict=False, budget=2)

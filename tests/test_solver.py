@@ -16,7 +16,6 @@ from madcycle.instances import emit_result
 from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_cycle, oracle_longest_st_path
 from madcycle.solver import (
-    _Budget,
     _outside_path,
     case_bipartite_dense,
     case_small_dense,
@@ -244,7 +243,7 @@ class TestCaseSmallDense:
             (7, 1),
         ]
         g = build_graph(e, 8)
-        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0, _Budget())
+        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0)
         assert res.answer == "yes"
         assert len(res.certificate) == 8  # 6 + 2 spliced internals
         assert verify_cycle_certificate(g, res.certificate)
@@ -255,14 +254,33 @@ class TestCaseSmallDense:
         e += [(0, 6), (6, 7), (7, 8), (8, 9), (9, 1)]
         g = build_graph(e, 10)
         assert oracle_longest_cycle(g, cap=10)[0] >= 6 + 2
-        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0, _Budget())
+        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0)
         assert res.answer == "yes"
         assert len(res.certificate) >= 8
 
     def test_no_outside_vertices(self):
         g = complete(6)
-        res = case_small_dense(g, frozenset(range(6)), 1, Fraction(5), 0, _Budget())
+        res = case_small_dense(g, frozenset(range(6)), 1, Fraction(5), 0)
         assert res.answer == "no"
+
+    def test_monte_carlo_outside_probe_never_answers_no(self, monkeypatch):
+        # K26 minus a perfect matching plus a star 26-{27, 28, 29} joined to
+        # 0, 2 and 4: its longest outside path has 5 vertices, one short of
+        # k'+2 = 6, and no segment system carries k' = 4 internals
+        from madcycle import longpaths
+
+        edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
+                 if not (v == u + 1 and u % 2 == 0)]
+        edges += [(26, 27), (26, 28), (26, 29), (27, 0), (28, 2), (29, 4)]
+        g, H = build_graph(edges, 30), frozenset(range(26))
+        res = case_small_dense(g, H, 4, Fraction(24), 0)
+        assert res.answer == "no" and res.stats["st_probes"] == 3
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
+        res = case_small_dense(g, H, 4, Fraction(24), 0)
+        assert res.answer == "unknown" and "randomized" in res.stats["reason"]
+        # at k' = 5 the star is too small to probe, and the segments stay exact
+        res = case_small_dense(g, H, 5, Fraction(24), 0)
+        assert res.answer == "no" and res.stats["st_probes"] == 0
 
 
 class TestCaseBipartiteDense:
@@ -278,7 +296,7 @@ class TestCaseBipartiteDense:
         H = frozenset(range(88))
         res = case_bipartite_dense(
             g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0, _Budget(),
+            1, Fraction(16), 0,
         )
         assert res.answer == "yes"
         assert len(res.certificate) >= 2 * 8 + 1
@@ -290,7 +308,7 @@ class TestCaseBipartiteDense:
         H = frozenset(range(88))
         res = case_bipartite_dense(
             g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0, _Budget(),
+            1, Fraction(16), 0,
         )
         assert res.answer == "no"
 
@@ -299,7 +317,7 @@ class TestCaseBipartiteDense:
         H = frozenset(range(88))
         res = case_bipartite_dense(
             g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0, _Budget(),
+            1, Fraction(16), 0,
         )
         assert res.answer == "no"
 
@@ -318,11 +336,11 @@ class TestCaseBipartiteDense:
         A, B = frozenset(range(20)), frozenset(range(20, 100))
         assert find_segments_partitioned(g, H, A, B, 1, 1, 0, 1) is None
         assert find_segments_partitioned(g, H, A, B, 1, 3, 0, 1) is not None
-        res = case_bipartite_dense(g, H, A, B, 3, Fraction(30), 0, _Budget())
+        res = case_bipartite_dense(g, H, A, B, 3, Fraction(30), 0)
         assert res.answer == "yes"
         assert len(res.certificate) >= 2 * 20 + 3
         assert verify_cycle_certificate(g, res.certificate)
-        res = case_bipartite_dense(g, H, A, B, 1, Fraction(30), 0, _Budget())
+        res = case_bipartite_dense(g, H, A, B, 1, Fraction(30), 0)
         assert res.answer == "yes"  # clause (i): outside path of length >= k'+2
 
 
@@ -390,7 +408,7 @@ class TestNoGate:
             info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace())
             return witness, info
 
-        def exhausted(g, H, A, B, k_prime, mad, k, budget, core=None):
+        def exhausted(g, H, A, B, k_prime, mad, k, seed, trials, core=None):
             assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
             return solver.SolveResult("no", k=k, mad=mad, threshold_len=180,
                                       branch="case_iii", stats={"k_prime": k_prime})
@@ -456,7 +474,7 @@ class TestRouteOnly:
         # the same A in a case analysis: an A-A ear 0-30-31-1 splices in
         ear = [(0, 30), (30, 31), (31, 1)]
         host = build_graph(list(g.edges()) + ear, 32)
-        spliced = case_bipartite_dense(host, A | B, A, B, 1, Fraction(15), 1, _Budget())
+        spliced = case_bipartite_dense(host, A | B, A, B, 1, Fraction(15), 1)
         assert spliced.answer == "yes" and len(spliced.certificate) == 31
         assert ks == [1, 1]  # floor(|A| / 10): the lemma needs 10k <= |A|
 
@@ -537,11 +555,8 @@ def _all_pairs_outside_path(g, H, target):
             rs, rt = pos_r[s], pos_r[t]
             gg, ids_gg = induced_subgraph(restricted, sorted(allowed_outside | {rs, rt}))
             probes += 1
-            report = {}
-            found = st_path_at_least(
-                gg, ids_gg.index(rs), ids_gg.index(rt), target, report=report
-            )
-            assert report["deterministic"]
+            found, exact = st_path_at_least(gg, ids_gg.index(rs), ids_gg.index(rt), target)
+            assert exact
             if found is not None:
                 return tuple(ids_r[ids_gg[v]] for v in found.vertices), probes
     return None, probes
@@ -574,12 +589,11 @@ class TestOutsidePathProbe:
             for k_prime in range(1, 5):
                 for target in (k_prime + 2, k_prime + 3):
                     expect, old_probes = _all_pairs_outside_path(g, H, target)
-                    budget = _Budget()
                     stats = {"st_probes": 0}
-                    path = _outside_path(g, H, target, budget, stats)
+                    path, exact = _outside_path(g, H, target, 0, None, stats)
                     got = None if path is None else path.vertices
                     assert got == expect, (g.adj, sorted(H), target)
-                    assert not budget.randomized_used
+                    assert exact
                     assert stats["st_probes"] <= old_probes
                     found += got is not None
         assert found >= 40
@@ -589,9 +603,9 @@ class TestOutsidePathProbe:
         g0 = complete(6)
         g = build_graph(list(g0.edges()) + [(0, 6), (6, 1), (2, 7), (7, 3)], 8)
         stats = {"st_probes": 0}
-        assert _outside_path(g, frozenset(range(6)), 4, _Budget(), stats) is None
+        assert _outside_path(g, frozenset(range(6)), 4, 0, None, stats) == (None, True)
         assert stats["st_probes"] == 0
-        path = _outside_path(g, frozenset(range(6)), 3, _Budget(), stats)
+        path, _ = _outside_path(g, frozenset(range(6)), 3, 0, None, stats)
         assert path.vertices == (0, 6, 1) and stats["st_probes"] == 1
 
 

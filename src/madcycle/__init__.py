@@ -5,8 +5,8 @@ Library layout (one module per concern):
 - graph:      immutable graphs, exact density quantities, certificates
 - density:    exact densest subgraph / mad via load flows, with a checkable certificate
 - reduction:  density-preserving pruning rules
-- cyclesearch: rotation-extension, short-detour and insertion moves, exact DFS
-- longpaths:  Dirac cycles, Fan (s,t)-paths, color-coded st-paths
+- cyclesearch: rotation-extension, short-detour and insertion moves, exact cycle DFS
+- longpaths:  Dirac cycles, Fan (s,t)-paths, the one depth-first st-path search
 - segments:   systems of T-segments by color coding
 - routing:    cycles through prescribed pairs in dense graphs
 - extract:    the trichotomy (long cycle / small dense / bipartite dense)

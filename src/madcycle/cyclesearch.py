@@ -1,13 +1,13 @@
-"""Shared search machinery: rotation-extension, chord closures, insertion growth.
+"""Shared search machinery: rotation-extension, chord closures, insertion
+growth, and the exact bounded DFS for long cycles.
 
-Used by the Dirac constructor, the Fan path search, the cycle engine and the
-pair routing, which share one short-detour move. All scanning is in sorted
-vertex order, so results are deterministic.
+Used by the Dirac constructor, the cycle engine and the pair routing, which
+share one short-detour move. (s,t)-paths are searched in `longpaths`. All
+scanning is in sorted vertex order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from .errors import PreconditionError
 from .graph import Graph, bits_off, lowest_off, reach
 
 
@@ -384,35 +384,4 @@ def find_cycle_at_least(
             for w in reversed(g.adj[v]):
                 if w > root and not mask >> w & 1:
                     stack.append((w, mask | (1 << w), path + [w]))
-    return None
-
-
-def find_st_path_at_least(
-    g: Graph, s: int, t: int, want_vertices: int, node_budget: int | None = None
-) -> list[int] | None:
-    """DFS search for an (s,t)-path with >= want_vertices vertices.
-
-    Exhaustive when node_budget is None.
-    """
-    if s == t:
-        raise PreconditionError("s and t must differ")
-    full = (1 << g.n) - 1
-    stack: list[tuple[int, int, list[int]]] = [(s, 1 << s, [s])]
-    while stack:
-        if node_budget is not None:
-            node_budget -= 1
-            if node_budget <= 0:
-                return None
-        v, mask, path = stack.pop()
-        if v == t:
-            if len(path) >= want_vertices:
-                return path
-            continue
-        # t ends every path it is on, so it is outside mask here
-        rm = reach(g, g.masks[v], full & ~mask)
-        if not rm >> t & 1 or len(path) + rm.bit_count() < want_vertices:
-            continue
-        for w in reversed(g.adj[v]):
-            if not mask >> w & 1:
-                stack.append((w, mask | (1 << w), path + [w]))
     return None

@@ -187,7 +187,9 @@ def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
 
     For guess a/b, one load flow with b units per edge and room a per
     vertex: the returned set is the unique minimal maximiser of
-    b|E(S)| - a|S|, which no choice of maximum flow changes.
+    b|E(S)| - a|S|, which no choice of maximum flow changes. Public API:
+    solves call `mad_with_witness`, not this, but `perfbench` traces it by
+    name.
     """
     if g.n == 0:
         raise PreconditionError("empty graph")

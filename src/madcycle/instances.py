@@ -41,6 +41,7 @@ def _parse_edgelist(text: str) -> Graph:
                 header_n = int(parts[1])
             except ValueError:
                 raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}")
+            _check_count(header_n, lineno)
             continue
         if len(parts) != 2:
             raise GraphInputError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -57,7 +58,7 @@ def _parse_edgelist(text: str) -> Graph:
     n = header_n if header_n is not None else max_id + 1
     if n <= max_id:
         raise GraphInputError(f"vertex id {max_id} exceeds declared count {n}")
-    return build_graph(edges, max(n, 0))
+    return build_graph(edges, n)
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -71,7 +72,7 @@ def _parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphInputError(f"line {lineno}: bad problem line {raw!r}")
-            n = _dimacs_int(parts[2], lineno)
+            n = _check_count(_dimacs_int(parts[2], lineno), lineno)
             continue
         if parts[0] == "e":
             if n is None:
@@ -89,6 +90,12 @@ def _parse_dimacs(text: str) -> Graph:
     if n is None:
         raise GraphInputError("missing problem line")
     return build_graph(edges, n)
+
+
+def _check_count(n: int, lineno: int) -> int:
+    if n < 0:
+        raise GraphInputError(f"line {lineno}: negative vertex count {n}")
+    return n
 
 
 def _dimacs_int(token: str, lineno: int) -> int:

@@ -168,9 +168,11 @@ def _outside_path(
     Pairs are tried in lexicographic order. The internal vertices of such a
     path lie in one component C of G - H that touches both s and t and has
     at least target - 2 vertices. So a pair is probed only when such a C
-    exists, and only on those components plus {s, t}: there the identity DP
-    visits the states that can still reach t in the order it visits them on
-    all of G - H plus {s, t}, and returns the same path. stats["st_probes"]
+    exists, and only on those components plus {s, t}. The exact search is
+    depth-first in ascending order and prunes only states with no such
+    path, so it returns the first such path in that order, which lies in
+    those components: the same path as on all of G - H plus {s, t}, and
+    labels keep their order under `induced_subgraph`. stats["st_probes"]
     counts the probes run. A None proves absence only when the flag is True.
     """
     outside = [v for v in g.vertices() if v not in H]

@@ -227,6 +227,18 @@ class TestErrors:
         code, _, err = run(["mad", str(f), "--format", "dimacs"])
         assert code == 65 and "non-integer" in err
 
+    def test_negative_dimacs_count_is_data_error(self, tmp_path):
+        f = tmp_path / "neg.dimacs"
+        f.write_text("p edge -2 0\n")
+        code, out, err = run(["mad", str(f), "--format", "dimacs"])
+        assert code == 65 and out == "" and "negative vertex count -2" in err
+
+    def test_negative_edgelist_count_is_data_error(self, tmp_path):
+        f = tmp_path / "neg.el"
+        f.write_text("n -3\n")
+        code, out, err = run(["mad", str(f)])
+        assert code == 65 and out == "" and "negative vertex count -3" in err
+
     def test_bad_generator_parameter_is_usage_error(self):
         code, _, err = run(["gen", "gnp2c", "--param", "n=abc"])
         assert code == 64 and "bad parameter n='abc'" in err

@@ -14,7 +14,6 @@ from madcycle.cyclesearch import (
     _closure,
     closure_lengths,
     find_cycle_at_least,
-    find_st_path_at_least,
     greedy_extend,
     grow_cycle,
     long_cycle_search_best,
@@ -25,6 +24,7 @@ from madcycle.cyclesearch import (
 from madcycle.density import mad_with_witness
 from madcycle.graph import Graph, build_graph, induced_subgraph, reach
 from madcycle.instances import gen_instance
+from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_st_path
 from madcycle.reduction import K0_RULES, reduce_exhaustive
 
@@ -222,11 +222,13 @@ class TestFindStPathAtLeast:
             g = random_connected_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.7))
             s, t = rng.sample(range(g.n), 2)
             want = rng.randint(2, g.n)
-            got = find_st_path_at_least(g, s, t, want)
+            got, exact = st_path_at_least(g, s, t, want)
+            assert exact
             if oracle_longest_st_path(g, s, t) < want:
                 assert got is None
                 continue
             found += 1
+            got = got.vertices
             assert got[0] == s and got[-1] == t and len(got) >= want
             assert len(set(got)) == len(got)
             assert all(g.has_edge(a, b) for a, b in zip(got, got[1:]))

@@ -5,8 +5,9 @@ Library layout (one module per concern):
 - graph:      immutable graphs, exact density quantities, certificates
 - density:    exact densest subgraph / mad via load flows, with a checkable certificate
 - reduction:  density-preserving pruning rules
-- cyclesearch: rotation-extension, short-detour and insertion moves, exact cycle DFS
-- longpaths:  Dirac cycles, Fan (s,t)-paths, the one depth-first st-path search
+- cyclesearch: rotation-extension, short-detour and insertion moves, and the
+               one exact depth-first search for long cycles and (s,t)-paths
+- longpaths:  Dirac cycles, Fan (s,t)-paths, exact and Monte Carlo st-paths
 - segments:   systems of T-segments by color coding
 - routing:    cycles through prescribed pairs in dense graphs
 - extract:    the trichotomy (long cycle / small dense / bipartite dense)

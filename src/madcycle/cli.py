@@ -115,6 +115,14 @@ def _vertex(g, v: int, flag: str) -> int:
     return v
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of a list flag; a bad item is a usage error."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise PreconditionError(f"{flag}: bad integer list {text!r}") from None
+
+
 def run_cli(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -180,11 +188,7 @@ def _dispatch(args, out) -> int:
 
     if args.command == "verify":
         g = parse_graph(_read(args.file), args.format)
-        try:
-            vertices = tuple(int(x) for x in args.cycle.split(",") if x != "")
-        except ValueError:
-            raise GraphInputError(f"bad cycle list {args.cycle!r}")
-        cert = CycleCertificate(vertices, args.min_len)
+        cert = CycleCertificate(tuple(_int_list(args.cycle, "--cycle")), args.min_len)
         check = verify_cycle_certificate(g, cert)
         if check:
             print("ok", file=out)
@@ -233,7 +237,7 @@ def _dispatch(args, out) -> int:
         if args.which == "mad":
             print(oracles.oracle_mad(g, cap=cap(oracles.MAD_CAP)), file=out)
             return EXIT_YES
-        T = {_vertex(g, int(x), "--T") for x in args.T.split(",") if x != ""}
+        T = {_vertex(g, v, "--T") for v in _int_list(args.T, "--T")}
         ok = oracles.oracle_segments(g, T, args.r, args.p,
                                     n_cap=cap(oracles.SEGMENTS_N_CAP))
         print("yes" if ok else "no", file=out)

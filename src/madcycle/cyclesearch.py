@@ -1,13 +1,16 @@
 """Shared search machinery: rotation-extension, chord closures, insertion
-growth, and the exact bounded DFS for long cycles.
+growth, and the one exact depth-first search for long paths and cycles.
 
 Used by the Dirac constructor, the cycle engine and the pair routing, which
-share one short-detour move. (s,t)-paths are searched in `longpaths`. All
-scanning is in sorted vertex order, so results are deterministic.
+share one short-detour move. `_colorful_path` is the only exact path or
+cycle search: `find_cycle_at_least` runs it from each root back to the root,
+and `longpaths.st_path_at_least` runs it from s to t. All scanning is in
+sorted vertex order, so results are deterministic.
 """
 
 from __future__ import annotations
 
+from .errors import StateBudgetExceeded
 from .graph import Graph, bits_off, lowest_off, reach
 
 
@@ -222,23 +225,17 @@ def detour_move(g: Graph, cycle: list[int], on, skip):
     return None
 
 
-def grow_cycle(
-    g: Graph,
-    cycle: list[int],
-    forbidden_pairs=frozenset(),
-    target: int | None = None,
-) -> list[int]:
+def grow_cycle(g: Graph, cycle: list[int], target: int | None = None) -> list[int]:
     """Lengthen a cycle by local moves until stuck (or target reached).
 
     Moves, in order: insert an outside vertex between adjacent-on-cycle
-    neighbors; replace a non-forbidden cycle edge xy by a short detour
-    x-z-y, x-u-v-y or x-u-w-v-y with all new vertices outside the cycle.
+    neighbors; replace a cycle edge xy by a short detour x-z-y, x-u-v-y or
+    x-u-w-v-y with all new vertices outside the cycle.
     """
-    skip = {(min(a, b), max(a, b)) for a, b in forbidden_pairs}
     cyc = list(cycle)
     while target is None or len(cyc) < target:
         on = set(cyc)
-        move = insertion_move(g, cyc, on, skip) or detour_move(g, cyc, on, skip)
+        move = insertion_move(g, cyc, on, ()) or detour_move(g, cyc, on, ())
         if move is None:
             break
         i, ins = move
@@ -351,37 +348,93 @@ def _reopen(g: Graph, cycle: list[int]) -> list[int] | None:
 
 
 def find_cycle_at_least(
-    g: Graph, want: int, node_budget: int | None = None
+    g: Graph, want: int, state_budget: int | None = None
 ) -> list[int] | None:
-    """DFS search for any cycle with >= want vertices, reachability-pruned.
+    """A cycle with >= want vertices, or None when g has none.
 
-    Exhaustive (hence an exact 'no' on return None) when node_budget is None;
-    with a budget it is a best-effort finder. Roots each cycle at its minimum
-    vertex.
+    Roots each cycle at its least vertex: for each root, `_colorful_path`
+    under the identity colouring searches a cycle from the root back to it
+    through the vertices above it. The root is below every vertex the path
+    may use, so each state tries its closure before its children, and the
+    first cycle in that depth-first order is returned. One state_budget
+    covers all roots; past it StateBudgetExceeded is raised, so None is
+    always exact.
     """
     want = max(want, 3)
     if g.n < want:
         return None
-
+    ident = list(range(g.n))
+    budget = None if state_budget is None else [state_budget]
     full = (1 << g.n) - 1
     for root in range(g.n - want + 1):
-        high = full & ~((1 << root) - 1)  # vertices >= root only
-        stack: list[tuple[int, int, list[int]]] = [(root, 1 << root, [root])]
-        while stack:
-            if node_budget is not None:
-                node_budget -= 1
-                if node_budget <= 0:
-                    return None
-            v, mask, path = stack.pop()
-            if len(path) >= want and g.has_edge(v, root):
-                return path
-            # the cycle still needs more vertices: they are unused vertices
-            # above root, reached from v without passing root, and the last
-            # one is a neighbour of root
-            rm = reach(g, g.masks[v], high & ~mask)
-            if not g.masks[root] & rm or len(path) + rm.bit_count() < want:
+        above = full & ~((2 << root) - 1)
+        # the closed walk root..root counts the root twice
+        found = _colorful_path(g, root, root, above, ident, want + 1, budget)
+        if found is not None:
+            return found
+    return None
+
+
+def _colorful_path(
+    g: Graph,
+    s: int,
+    t: int,
+    allowed: int,
+    coloring: list[int],
+    want_vertices: int,
+    budget: list[int] | None = None,
+) -> list[int] | None:
+    """A path s..t whose inner vertices lie in the mask allowed, whose
+    vertices carry distinct colours and number at least want_vertices, t
+    counted; None when there is none. With t == s it is a cycle through s,
+    returned without repeating s.
+
+    Depth-first over states (colour set, end), children in ascending order,
+    so the first qualifying path in that order is returned. t only ends a
+    path, and its colour is reserved for t from the start. A child w is
+    pruned unless a neighbour of t is reachable from w, w included, through
+    allowed vertices of unused colours, and the path plus those vertices
+    plus t is long enough. Whether a state completes depends only on its
+    colour set and end, so a state found without completion is kept dead
+    and never expanded again. Each pushed state takes one from budget[0], and
+    a push that takes it below zero raises StateBudgetExceeded.
+    """
+    if s != t and coloring[s] == coloring[t]:
+        return None
+    classes = [0] * (max(coloring) + 1)
+    for v, c in enumerate(coloring):
+        classes[c] |= 1 << v
+    dead: set[tuple[int, int]] = set()
+    t_nbrs = g.masks[t]
+    path = [s]
+    key = 1 << coloring[s] | 1 << coloring[t]
+    alive = allowed & ~classes[coloring[s]] & ~classes[coloring[t]]
+    stack = [(key, alive, iter(g.adj[s]))]
+    while stack:
+        ckey, alive, children = stack[-1]
+        for w in children:
+            if w == t:
+                if len(path) + 1 >= want_vertices:
+                    return path + [t] if t != s else path
                 continue
-            for w in reversed(g.adj[v]):
-                if w > root and not mask >> w & 1:
-                    stack.append((w, mask | (1 << w), path + [w]))
+            if not alive >> w & 1:
+                continue
+            key = ckey | 1 << coloring[w]
+            if (key, w) in dead:
+                continue
+            rest = alive & ~classes[coloring[w]]
+            rm = reach(g, g.masks[w], rest) | 1 << w
+            if not rm & t_nbrs or len(path) + 1 + rm.bit_count() < want_vertices:
+                dead.add((key, w))
+                continue
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise StateBudgetExceeded()
+            path.append(w)
+            stack.append((key, rest, iter(g.adj[w])))
+            break
+        else:
+            stack.pop()
+            dead.add((ckey, path.pop()))
     return None

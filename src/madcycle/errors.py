@@ -25,5 +25,5 @@ class EngineIncomplete(RuntimeError):
 
 
 class StateBudgetExceeded(Exception):
-    """An identity-coloring search passed DET_STATE_BUDGET states; its caller
-    falls back to Monte Carlo colorings."""
+    """An exact search passed its state budget (DET_STATE_BUDGET states); its
+    caller falls back to Monte Carlo colorings or answers without the search."""

@@ -221,6 +221,8 @@ def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:
 
 def _gen_near_complete(params: dict, rng: random.Random) -> tuple[Graph, dict]:
     n = _param(params, "n", 64, int)
+    if n < 0:
+        raise PreconditionError("near_complete needs n >= 0")
     min_degree = _param(params, "min_degree", (11 * n + 19) // 20, int)
     removals = _param(params, "removals", 2 * n, int)
     adj = {i: set(range(n)) - {i} for i in range(n)}
@@ -247,6 +249,8 @@ def _gen_near_complete(params: dict, rng: random.Random) -> tuple[Graph, dict]:
 
 def _gen_bipartite_dense(params: dict, rng: random.Random) -> tuple[Graph, dict]:
     p = _param(params, "p", 20, int)
+    if p < 0:
+        raise PreconditionError("bipartite_dense needs p >= 0")
     k = _param(params, "k", 2, int)
     q = _param(params, "q", 3 * p, int)
     if q < 2 * p:

@@ -1,14 +1,15 @@
 """Constructive long cycles and paths: Dirac bound, Fan bound, st-paths.
 
-The Dirac routine layers a rotation-extension heuristic over an exact
-bounded fallback, so the guarantee holds at desk scale while dense instances
-stay polynomial in practice. Every (s,t)-path search is one depth-first
-search over colourful states, `_colorful_st_path`: st_path_at_least runs it
-under the identity coloring, an exact decision while it fits
-DET_STATE_BUDGET, and past that under Monte Carlo colorings; fan_path is
-one st_path_at_least call at Fan's bound. st_path_at_least returns the path
-(or None) with a flag saying whether the search was exact, so a None proves
-absence only when the flag is True.
+The Dirac routine layers a rotation-extension heuristic over the exact
+cycle search, so the guarantee holds at desk scale while dense instances
+stay polynomial in practice. Every (s,t)-path search is the one exact
+depth-first search over colourful states, `cyclesearch._colorful_path`,
+which also finds long cycles: st_path_at_least runs it under the identity
+coloring, an exact decision while it fits DET_STATE_BUDGET, and past that
+under Monte Carlo colorings; fan_path is one st_path_at_least call at Fan's
+bound. st_path_at_least returns the path (or None) with a flag saying
+whether the search was exact, so a None proves absence only when the flag
+is True.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graph import (
     avg_degree_of_set,
     ceil_frac,
     is_biconnected,
-    reach,
     require_verified,
     verify_cycle_certificate,
     verify_path_certificate,
@@ -34,7 +34,7 @@ from .graph import (
 RANDOM_Q_CAP = 18
 DEFAULT_TRIAL_CAP = 500
 EXTRA_TARGETS = 2  # randomized mode also probes slightly longer exact lengths
-DET_STATE_BUDGET = 400_000  # states an identity coloring's search may push
+DET_STATE_BUDGET = 400_000  # states one exact search may push before it gives up
 
 
 def dirac_cycle(g: Graph) -> CycleCertificate:
@@ -42,9 +42,10 @@ def dirac_cycle(g: Graph) -> CycleCertificate:
 
     Rotation-extension with crossing-chord closure; when 2*delta >= n the
     crossing chord always exists for a maximal path, so the loop provably
-    reaches a Hamiltonian cycle. Below that threshold a bounded exact search
-    backs up the heuristic. A short heuristic cycle has already been grown
-    by `cyclesearch.grow_cycle` as far as it goes, so it is not grown again.
+    reaches a Hamiltonian cycle. Below that threshold the exact cycle search
+    backs up the heuristic, under DET_STATE_BUDGET states; past them it is
+    a ConstructionFailure. A short heuristic cycle has already been grown by
+    `cyclesearch.grow_cycle` as far as it goes, so it is not grown again.
     """
     if not is_biconnected(g):
         raise PreconditionError("dirac_cycle needs a 2-connected graph")
@@ -52,8 +53,10 @@ def dirac_cycle(g: Graph) -> CycleCertificate:
     want = max(want, 3)
     cyc = cyclesearch.long_cycle_search_best(g, want)
     if cyc is None or len(cyc) < want:
-        budget = None if g.n <= 20 else 2_000_000
-        cyc = cyclesearch.find_cycle_at_least(g, want, budget)
+        try:
+            cyc = cyclesearch.find_cycle_at_least(g, want, DET_STATE_BUDGET)
+        except StateBudgetExceeded:
+            cyc = None
     if cyc is None:
         raise ConstructionFailure(
             f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
@@ -83,67 +86,6 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
     return found
 
 
-# ---------------------------------------------------------------------------
-# color-coded (s,t)-paths
-
-
-def _colorful_st_path(
-    g: Graph,
-    s: int,
-    t: int,
-    coloring: list[int],
-    want_vertices: int,
-    state_budget: int | None = None,
-) -> list[int] | None:
-    """A path s..t whose vertices carry distinct colors and number at least
-    want_vertices, or None if there is none.
-
-    Depth-first over states (color set, end), children in ascending order,
-    so the first qualifying path in that order is returned. A child w is
-    pruned when t is not reachable from w through vertices of unused colors,
-    or when the path plus those vertices is still too short; t only ends a
-    path. Whether a state completes depends only on its color set and end,
-    so a state found without completion is kept dead and never expanded
-    again. Every pushed state counts against state_budget.
-    """
-    classes = [0] * (max(coloring) + 1)
-    for v, c in enumerate(coloring):
-        classes[c] |= 1 << v
-    dead: set[tuple[int, int]] = set()
-    states = 0
-    path = [s]
-    c = coloring[s]
-    stack = [(1 << c, ((1 << g.n) - 1) & ~classes[c], iter(g.adj[s]))]
-    while stack:
-        ckey, alive, children = stack[-1]
-        for w in children:
-            if not alive >> w & 1:
-                continue
-            if w == t:
-                if len(path) + 1 >= want_vertices:
-                    return path + [t]
-                continue
-            key = ckey | 1 << coloring[w]
-            if (key, w) in dead:
-                continue
-            rest = alive & ~classes[coloring[w]]
-            rm = reach(g, g.masks[w], rest)
-            if not rm >> t & 1 or len(path) + 1 + rm.bit_count() < want_vertices:
-                dead.add((key, w))
-                continue
-            if state_budget is not None:
-                states += 1
-                if states > state_budget:
-                    raise StateBudgetExceeded()
-            path.append(w)
-            stack.append((key, rest, iter(g.adj[w])))
-            break
-        else:
-            stack.pop()
-            dead.add((ckey, path.pop()))
-    return None
-
-
 def st_path_at_least(
     g: Graph,
     s: int,
@@ -165,9 +107,10 @@ def st_path_at_least(
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise PreconditionError("st_path_at_least endpoint out of range")
     target_vertices = max(target_vertices, 2)
+    everyone = (1 << g.n) - 1
     try:
-        found = _colorful_st_path(
-            g, s, t, list(range(g.n)), target_vertices, state_budget=DET_STATE_BUDGET
+        found = cyclesearch._colorful_path(
+            g, s, t, everyone, list(range(g.n)), target_vertices, [DET_STATE_BUDGET]
         )
         if found is None:
             return None, True
@@ -187,7 +130,7 @@ def st_path_at_least(
         for trial in range(trials):
             rng = random.Random(seed * 2654435761 + q * 1000003 + trial)
             coloring = [rng.randrange(q) for _ in range(g.n)]
-            found = _colorful_st_path(g, s, t, coloring, q)
+            found = cyclesearch._colorful_path(g, s, t, everyone, coloring, q)
             if found is not None:
                 cert = PathCertificate(tuple(found))
                 require_verified(verify_path_certificate(g, cert))

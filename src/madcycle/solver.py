@@ -21,7 +21,12 @@ from fractions import Fraction
 
 from . import cyclesearch, longpaths, routing, segments
 from .density import mad_with_witness
-from .errors import ConstructionFailure, EngineIncomplete, PreconditionError
+from .errors import (
+    ConstructionFailure,
+    EngineIncomplete,
+    PreconditionError,
+    StateBudgetExceeded,
+)
 from .extract import FoundCycle, SmallDense, find_dense
 from .graph import (
     CycleCertificate,
@@ -106,8 +111,10 @@ def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
 def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveResult:
     """Exact decision 'exists a cycle of length >= threshold' for small n.
 
-    Branch-and-bound DFS with reachability pruning; independent of the
-    subset-DP oracle. Above FALLBACK_N_CAP vertices the answer is unknown.
+    `cyclesearch.find_cycle_at_least`, the one exact depth-first search,
+    under longpaths.DET_STATE_BUDGET states; independent of the subset-DP
+    oracle. Above FALLBACK_N_CAP vertices, or past the budget, the answer is
+    unknown with the reason.
     """
     threshold = Fraction(threshold)
     want = max(ceil_frac(threshold), 3)
@@ -115,7 +122,11 @@ def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveRe
     base = dict(k=0, mad=mad, threshold_len=want, branch="fallback")
     if g.n > FALLBACK_N_CAP:
         return _unknown(f"fallback cap exceeded: n={g.n} > {FALLBACK_N_CAP}", **base)
-    found = cyclesearch.find_cycle_at_least(g, want, node_budget=None)
+    try:
+        found = cyclesearch.find_cycle_at_least(g, want, longpaths.DET_STATE_BUDGET)
+    except StateBudgetExceeded:
+        why = f"fallback state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
+        return _unknown(why, **base)
     if found is not None:
         cert = _certify(g, CycleCertificate(tuple(found), want))
         return SolveResult("yes", certificate=cert, **base)

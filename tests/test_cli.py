@@ -243,6 +243,24 @@ class TestErrors:
         code, _, err = run(["gen", "gnp2c", "--param", "n=abc"])
         assert code == 64 and "bad parameter n='abc'" in err
 
+    def test_bad_segment_list_is_usage_error(self, tmp_path):
+        code, out, err = run(["oracle", "segments", write_c5(tmp_path), "--T", "0,x"])
+        assert code == 64 and out == "" and "--T: bad integer list '0,x'" in err
+
+    def test_bad_cycle_list_is_usage_error(self, tmp_path):
+        code, out, err = run(["verify", write_c5(tmp_path), "--cycle", "0,x,2"])
+        assert code == 64 and out == "" and "--cycle: bad integer list '0,x,2'" in err
+
+    def test_negative_near_complete_size_is_usage_error(self):
+        code, out, err = run(["gen", "near_complete", "--param", "n=-1"])
+        assert code == 64 and out == "" and "near_complete needs n >= 0" in err
+
+    def test_negative_bipartite_dense_size_is_usage_error(self):
+        code, out, err = run(
+            ["gen", "bipartite_dense", "--param", "p=-1", "--param", "q=5"]
+        )
+        assert code == 64 and out == "" and "bipartite_dense needs p >= 0" in err
+
     def test_jobs_flag_is_gone(self, tmp_path):
         code, _, err = run(["solve", write_k4(tmp_path), "-k", "0", "--jobs", "2"])
         assert code == 64 and "usage error" in err

@@ -1,12 +1,14 @@
 """The short-detour primitive against the searches it replaced, the
-exhaustive cycle search against its earlier reachability bound, and the
-scored rotation search against the search that built every closure."""
+exhaustive cycle search against its earlier reachability bound and its own
+depth-first search, and the scored rotation search against the search that
+built every closure."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from madcycle.cyclesearch import (
     short_detour,
 )
 from madcycle.density import mad_with_witness
+from madcycle.errors import StateBudgetExceeded
 from madcycle.graph import Graph, build_graph, induced_subgraph, reach
 from madcycle.instances import gen_instance
 from madcycle.longpaths import st_path_at_least
@@ -29,6 +32,7 @@ from madcycle.oracles import oracle_longest_st_path
 from madcycle.reduction import K0_RULES, reduce_exhaustive
 
 from conftest import (
+    complete_bipartite,
     complete_minus_matching,
     random_2connected_graph,
     random_connected_graph,
@@ -136,7 +140,7 @@ class TestShortDetour:
 
 
 class TestGrowCycle:
-    def test_grown_cycles_are_cycles_avoiding_forbidden_edges(self):
+    def test_grown_cycles_are_cycles(self):
         rng = random.Random(14)
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(5, 14), rng.uniform(0.3, 0.7))
@@ -144,12 +148,9 @@ class TestGrowCycle:
                    if a < b and c != a and g.has_edge(a, c)]
             if not tri:
                 continue
-            a, b, c = tri[0]
-            grown = grow_cycle(g, [a, b, c], forbidden_pairs={(a, b)})
+            grown = grow_cycle(g, list(tri[0]))
             assert len(set(grown)) == len(grown) >= 3
             assert all(g.has_edge(u, v) for u, v in zip(grown, grown[1:] + grown[:1]))
-            pos = {v: i for i, v in enumerate(grown)}
-            assert (pos[a] - pos[b]) % len(grown) in (1, len(grown) - 1)
 
 
 def old_find_cycle_at_least(g: Graph, want: int, node_budget=None):
@@ -181,6 +182,48 @@ def old_find_cycle_at_least(g: Graph, want: int, node_budget=None):
     return None
 
 
+# find_cycle_at_least as it was before it ran on the shared colourful-path
+# search, copied verbatim: a depth-first search of its own over paths, with
+# no dead states, that counts popped paths against node_budget.
+
+
+def dfs_find_cycle_at_least(
+    g: Graph, want: int, node_budget: int | None = None
+) -> list[int] | None:
+    """DFS search for any cycle with >= want vertices, reachability-pruned.
+
+    Exhaustive (hence an exact 'no' on return None) when node_budget is None;
+    with a budget it is a best-effort finder. Roots each cycle at its minimum
+    vertex.
+    """
+    want = max(want, 3)
+    if g.n < want:
+        return None
+
+    full = (1 << g.n) - 1
+    for root in range(g.n - want + 1):
+        high = full & ~((1 << root) - 1)  # vertices >= root only
+        stack: list[tuple[int, int, list[int]]] = [(root, 1 << root, [root])]
+        while stack:
+            if node_budget is not None:
+                node_budget -= 1
+                if node_budget <= 0:
+                    return None
+            v, mask, path = stack.pop()
+            if len(path) >= want and g.has_edge(v, root):
+                return path
+            # the cycle still needs more vertices: they are unused vertices
+            # above root, reached from v without passing root, and the last
+            # one is a neighbour of root
+            rm = reach(g, g.masks[v], high & ~mask)
+            if not g.masks[root] & rm or len(path) + rm.bit_count() < want:
+                continue
+            for w in reversed(g.adj[v]):
+                if w > root and not mask >> w & 1:
+                    stack.append((w, mask | (1 << w), path + [w]))
+    return None
+
+
 def _ear_on_k20_minus_matching():
     """K20 minus the matching {(0,1), (2,3), ...}, plus vertex 20 on 0 and 1:
     Hamiltonian, and 20 is reachable from the rest only through 0 or 1."""
@@ -191,7 +234,7 @@ def _ear_on_k20_minus_matching():
 class TestFindCycleAtLeast:
     def test_vertex_behind_the_root_does_not_stall_the_search(self):
         g = _ear_on_k20_minus_matching()
-        found = find_cycle_at_least(g, 21, node_budget=1000)
+        found = find_cycle_at_least(g, 21, state_budget=1000)
         assert found is not None and sorted(found) == list(range(21))
         assert all(g.has_edge(a, b) for a, b in zip(found, found[1:] + found[:1]))
         assert old_find_cycle_at_least(g, 21, node_budget=1000) is None
@@ -210,8 +253,38 @@ class TestFindCycleAtLeast:
             # with a budget, whatever the earlier bound finds is found too
             old = old_find_cycle_at_least(g, want, node_budget=40)
             if old is not None:
-                assert find_cycle_at_least(g, want, node_budget=40) == old
+                assert find_cycle_at_least(g, want, state_budget=40) == old
         assert 100 <= found <= 280, found
+
+    def test_same_cycle_as_its_own_dfs(self):
+        # both are depth-first in the same order and prune only states that
+        # cannot close a long enough cycle, and the shared search pushes only
+        # states the old search pops, so a budget of B pops is enough states
+        rng = random.Random(16)
+        found = tripped = 0
+        for _ in range(1000):
+            g = random_connected_graph(rng, rng.randint(4, 16), rng.uniform(0.15, 0.8))
+            want = rng.randint(3, g.n + 1)
+            got = find_cycle_at_least(g, want)
+            assert got == dfs_find_cycle_at_least(g, want)
+            found += got is not None
+            budget = rng.choice([2, 10, 40, 200])
+            old = dfs_find_cycle_at_least(g, want, node_budget=budget)
+            if old is not None:
+                assert find_cycle_at_least(g, want, state_budget=budget) == old
+            elif got is not None:
+                tripped += 1
+        assert 300 <= found <= 900, found
+        assert tripped >= 100, tripped
+
+    def test_k68_has_no_13_cycle_within_the_budget(self):
+        # the circumference of K_{6,8} is 12; the old search popped over
+        # 4.6 million paths to show it, the shared one pushes 13,808 states
+        g = complete_bipartite(6, 8)
+        assert find_cycle_at_least(g, 13, state_budget=20_000) is None
+        assert find_cycle_at_least(g, 12, state_budget=20_000) is not None
+        with pytest.raises(StateBudgetExceeded):
+            find_cycle_at_least(g, 13, state_budget=1000)
 
 
 class TestFindStPathAtLeast:

@@ -90,6 +90,16 @@ class TestDiracCycle:
         with pytest.raises(ConstructionFailure, match="could not reach"):
             dirac_cycle(petersen())
 
+    def test_a_tripped_exact_search_raises(self, monkeypatch):
+        # a 6-cycle needs 5 pushed states from its root, so 3 trips the
+        # budget, and the trip is a construction failure, never a short cycle
+        monkeypatch.setattr(cyclesearch, "long_cycle_search_best", lambda g, want: None)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 3)
+        with pytest.raises(ConstructionFailure, match="could not reach"):
+            dirac_cycle(petersen())
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 400)
+        assert len(dirac_cycle(petersen())) >= 6
+
 
 class TestFanPath:
     def test_c4_opposite(self):
@@ -392,6 +402,13 @@ def _states(search, *args) -> int:
     return tally.states
 
 
+def _pushed(g, s: int, t: int, coloring: list[int], want: int) -> int:
+    """The states the shared search pushes for an (s,t)-path through any vertex."""
+    budget = [1 << 62]
+    cyclesearch._colorful_path(g, s, t, (1 << g.n) - 1, coloring, want, budget)
+    return (1 << 62) - budget[0]
+
+
 def _k4_with_ends(b: int):
     """K_{4,b} (A = 0..3) plus s ~ {0, 1} and t ~ {1, 2}; its longest
     (s,t)-path has 9 vertices."""
@@ -449,7 +466,7 @@ class TestOneStPathSearch:
             q = rng.randint(2, g.n)
             coloring = [rng.randrange(q) for _ in range(g.n)]
             want = rng.randint(2, q)
-            got = longpaths._colorful_st_path(g, s, t, coloring, want)
+            got = cyclesearch._colorful_path(g, s, t, (1 << g.n) - 1, coloring, want)
             old = old_colorful_st_path(g, s, t, coloring, want)
             assert (got is None) == (old is None)
             if got is not None:
@@ -486,12 +503,12 @@ class TestOneStPathSearch:
         assert time.perf_counter() - t0 < 0.1
         assert exact and found is not None and len(found) >= 12
         assert verify_path_certificate(g, found)
-        assert _states(longpaths._colorful_st_path, g, 0, 1, list(range(30)), 12) == 10
+        assert _pushed(g, 0, 1, list(range(30)), 12) == 10
 
     def test_a_no_within_a_budget_the_old_dp_passed(self, monkeypatch):
         g, s, t = _k4_with_ends(12)
         ident = list(range(g.n))
-        assert _states(longpaths._colorful_st_path, g, s, t, ident, 12) == 2914
+        assert _pushed(g, s, t, ident, 12) == 2914
         assert _states(old_colorful_st_path, g, s, t, ident, 12) == 7439
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 5000)
         assert st_path_at_least(g, s, t, 12) == (None, True)

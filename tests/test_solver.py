@@ -233,6 +233,19 @@ class TestFallback:
         r = exact_longest_cycle_fallback(complete(30), 3)
         assert r.answer == "unknown" and "cap" in r.stats["reason"]
 
+    def test_exact_no_and_unknown_past_the_state_budget(self, monkeypatch):
+        # K_{6,8} has mad 48/7 and circumference 12, and k = 6 lies outside
+        # the strict range, so the fallback decides whether a 13-cycle exists
+        from madcycle import longpaths
+
+        g = complete_bipartite(6, 8)
+        r = solve(g, 6)
+        assert (r.answer, r.branch, r.threshold_len) == ("no", "fallback", 13)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 1000)
+        r = solve(g, 6)
+        assert (r.answer, r.branch) == ("unknown", "fallback")
+        assert r.stats["reason"] == "fallback state budget exceeded: 1000 states"
+
 
 class TestCaseSmallDense:
     def test_segment_splice(self):

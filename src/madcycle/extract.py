@@ -173,37 +173,25 @@ def check_dirac_decomposition(
 
 
 def _component_clause_ok(g, comp, P1, P2) -> bool:
-    sub, _ = induced_subgraph(g, comp)
-    two_conn = is_biconnected(sub)
-    if two_conn:
-        m1 = _matching_size(g, comp, set(P1.vertices))
-        m2 = _matching_size(g, comp, set(P2.vertices))
-        if m1 == 1 and m2 == 1:
-            return True
-    if not two_conn and len(comp) >= 3:
-        inner = _leaf_block_inner_vertices(g, comp)
-        n1 = {u for u in P1.vertices if any(g.has_edge(u, w) for w in comp)}
-        n2 = {u for u in P2.vertices if any(g.has_edge(u, w) for w in comp)}
-        if len(n1) == 1 and not any(
-            g.has_edge(v, u) for v in inner for u in P2.vertices
-        ):
-            return True
-        if len(n2) == 1 and not any(
-            g.has_edge(v, u) for v in inner for u in P1.vertices
+    """Clause (ii) for one component; its 2-connectivity and leaf blocks
+    (blocks with one cut vertex) come from one decomposition."""
+    if len(comp) < 3:
+        return False
+    sub, ids = induced_subgraph(g, comp)
+    blocks, cuts = blocks_and_cut_vertices(sub)
+    if not cuts:
+        return (
+            _matching_size(g, comp, set(P1.vertices)) == 1
+            and _matching_size(g, comp, set(P2.vertices)) == 1
+        )
+    inner = {ids[v] for b in blocks if len(b & cuts) == 1 for v in b - cuts}
+    for P, other in ((P1, P2), (P2, P1)):
+        ends = {u for u in P.vertices if any(g.has_edge(u, w) for w in comp)}
+        if len(ends) == 1 and not any(
+            g.has_edge(v, u) for v in inner for u in other.vertices
         ):
             return True
     return False
-
-
-def _leaf_block_inner_vertices(g, comp) -> set[int]:
-    sub, ids = induced_subgraph(g, comp)
-    blocks, cuts = blocks_and_cut_vertices(sub)
-    inner: set[int] = set()
-    for block in blocks:
-        block_cuts = block & cuts
-        if len(block_cuts) == 1:  # leaf block
-            inner |= {ids[v] for v in block - block_cuts}
-    return inner
 
 
 def _matching_size(g: Graph, left, right) -> int:

@@ -201,11 +201,15 @@ def is_biconnected(g: Graph) -> bool:
     return g.n > 2 and _cut_vertices(g) == []
 
 
-def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
+def _cut_vertices(
+    g: Graph, skip: int = -1, blocks: list | None = None
+) -> list[int] | None:
     """Ascending cut vertices of g - skip, or None if g - skip is disconnected.
 
-    Iterative Hopcroft-Tarjan lowpoint DFS that records no blocks. skip = -1
-    removes nothing; g - skip must keep at least one vertex.
+    The one iterative Hopcroft-Tarjan lowpoint DFS, behind blocks, 2-connectivity
+    and 2-separators. Given a list, it also appends each block of g - skip: when
+    child v of u finishes with low[v] >= disc[u], u plus the discovered vertices
+    popped down to v. skip = -1 removes nothing; g - skip must keep a vertex.
     """
     n, adj = g.n, g.adj
     disc = [-1] * n
@@ -218,6 +222,7 @@ def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
     timer = 1
     cuts = set()
     root_children = 0
+    found = [root]  # discovered vertices not yet in a closed block
     # the tree edge back to the parent is scanned as a back edge; that lowers
     # low[v] to at most disc[parent], which leaves the test low[v] >= disc[u]
     # unchanged, so no parent has to be tracked
@@ -229,6 +234,8 @@ def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
                 disc[w] = low[w] = timer
                 timer += 1
                 stack.append((w, iter(adj[w])))
+                if blocks is not None:
+                    found.append(w)
                 break
             if disc[w] < low[v]:
                 low[v] = disc[w]
@@ -238,10 +245,16 @@ def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
                 u = stack[-1][0]
                 if low[v] < low[u]:
                     low[u] = low[v]
-                if u == root:
-                    root_children += 1
-                elif low[v] >= disc[u]:
-                    cuts.add(u)
+                if low[v] >= disc[u]:
+                    if u == root:
+                        root_children += 1
+                    else:
+                        cuts.add(u)
+                    if blocks is not None:
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(found.pop())
+                        blocks.append(frozenset(block))
     if timer < n - (skip >= 0):
         return None
     if root_children > 1:
@@ -250,67 +263,16 @@ def _cut_vertices(g: Graph, skip: int = -1) -> list[int] | None:
 
 
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
-    """Biconnected decomposition of a connected graph.
-
-    Returns the blocks as vertex sets (sorted deterministically) and the set
-    of cut vertices. Iterative Hopcroft-Tarjan.
-    """
+    """Blocks (sorted by their sorted tuples) and cut vertices of a connected
+    graph, from _cut_vertices; empty or disconnected input raises."""
     if g.n == 0:
         raise PreconditionError("empty graph")
-    if not is_connected(g):
-        raise PreconditionError("graph is disconnected")
-    if g.n == 1:
-        return [frozenset([0])], set()
-
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cuts: set[int] = set()
     blocks: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-
-    root = 0
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [(root, iter(g.adj[root]))]
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is not None:
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == root:
-                    root_children += 1
-                edge_stack.append((v, w))
-                stack.append((w, iter(g.adj[w])))
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-            continue
-        stack.pop()
-        if not stack:
-            break
-        u = stack[-1][0]
-        low[u] = min(low[u], low[v])
-        if low[v] >= disc[u]:
-            members: set[int] = set()
-            while True:
-                e = edge_stack.pop()
-                members.update(e)
-                if e == (u, v):
-                    break
-            blocks.append(frozenset(members))
-            if u != root:
-                cuts.add(u)
-    if root_children > 1:
-        cuts.add(root)
-
+    cuts = _cut_vertices(g, blocks=blocks)
+    if cuts is None:
+        raise PreconditionError("graph is disconnected")
     blocks.sort(key=lambda b: tuple(sorted(b)))
-    return blocks, cuts
+    return blocks or [frozenset([0])], set(cuts)  # K1 is one block
 
 
 def _sparse_certificate(g: Graph, k: int) -> Graph:

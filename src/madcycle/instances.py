@@ -183,7 +183,22 @@ def gen_hardness_gadget(g: Graph) -> Graph:
 
 
 def gen_instance(family: str, params: dict, seed: int = 0) -> tuple[Graph, dict]:
-    """Seeded instance generator; returns (graph, metadata)."""
+    """Seeded instance generator; returns (graph, metadata).
+
+    A parameter key the family does not read raises PreconditionError, so a
+    mistyped key never yields the default instance.
+    """
+    reads = {
+        "gnp2c": {"n", "prob"},
+        "near_complete": {"n", "min_degree", "removals"},
+        "bipartite_dense": {"p", "k", "q", "prob"},
+        "lemma7_trace": {"branch"},
+    }
+    if family not in reads:
+        raise PreconditionError(f"unknown family {family!r}")
+    unread = sorted(set(params) - reads[family])
+    if unread:
+        raise PreconditionError(f"{family} reads no parameter {unread[0]!r}")
     rng = random.Random(seed)
     if family == "gnp2c":
         return _gen_gnp2c(params, rng)
@@ -191,9 +206,7 @@ def gen_instance(family: str, params: dict, seed: int = 0) -> tuple[Graph, dict]
         return _gen_near_complete(params, rng)
     if family == "bipartite_dense":
         return _gen_bipartite_dense(params, rng)
-    if family == "lemma7_trace":
-        return _gen_lemma7_trace(params)
-    raise PreconditionError(f"unknown family {family!r}")
+    return _gen_lemma7_trace(params)
 
 
 def _param(params: dict, key: str, default, kind):

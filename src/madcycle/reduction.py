@@ -5,6 +5,12 @@ set with original ids preserved, so any cycle found in the survivor is
 verbatim a cycle of the host. The reduction builds the core once per round,
 and its trace hands the final core graph forward with its map to the host's
 ids: every later step works on that one graph.
+
+Rule order stands in for connectivity guards: every rule set starts with
+rules 1 and 2, and the core always keeps an edge, so rule 1 fires on every
+disconnected core, rule 2 on every connected one with a cut vertex, and
+rules 3 and 4 see only an edge or a 2-connected core. Rules 2 and 4 read one
+lowpoint DFS each, which raises PreconditionError where they do not apply.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from .graph import (
     blocks_and_cut_vertices,
     eg_bound,
     induced_subgraph,
-    is_biconnected,
-    is_connected,
     subset_components,
     two_separators,
 )
@@ -100,10 +104,6 @@ def apply_rule(
         return keep, vs - keep
 
     if rule == 2:
-        if not is_connected(sub):
-            raise PreconditionError("rule 2 needs a connected graph")
-        if sub.n < 3:
-            return None
         blocks, cuts = blocks_and_cut_vertices(sub)
         if not cuts:
             return None
@@ -129,11 +129,9 @@ def apply_rule(
     if rule == 4:
         if sub.n < 4:
             return None
-        if not is_biconnected(sub):
-            raise PreconditionError("rule 4 needs a 2-connected graph")
+        seps = two_separators(sub)
         before = eg_bound(sub)
         threshold = Fraction(2, 3) * before
-        seps = two_separators(sub)
         if report is not None:
             report["separators"] = seps
         for x, y in seps:
@@ -164,14 +162,18 @@ def reduce_exhaustive(
 
     `rules` is the rule set: ALL_RULES for the dense-subgraph trichotomy,
     K0_RULES for the k = 0 cycle, which so never runs the 2-separator scan
-    of rule 4. Claim safety: 2m/(n-1) never decreases across a step.
-    The survivor of a run starting from a graph with an edge always keeps at
-    least one edge. When rule 4 is in the set, it is the last rule tried, so
-    its scan covered the whole final core, and the trace keeps the
-    separators it found; without rule 4 they stay empty. Each round builds
-    the core once and runs the rules on it; its labels ascend with the
-    host's ids, so every min-id and lexicographic tie-break picks as in g.
+    of rule 4; a set without rules 1 and 2 raises PreconditionError. Claim
+    safety: 2m/(n-1) never decreases across a step. The survivor of a run
+    starting from a graph with an edge always keeps at least one edge. When
+    rule 4 is in the set, it is the last rule tried, so its scan covered the
+    whole final core, and the trace keeps the separators it found; without
+    rule 4 they stay empty. Each round builds the core once and runs the
+    rules on it; its labels ascend with the host's ids, so every min-id and
+    lexicographic tie-break picks as in g.
     """
+    rules = tuple(sorted(rules))
+    if rules[:2] != (1, 2):
+        raise PreconditionError(f"rule set {rules} must start with rules 1 and 2")
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
         raise PreconditionError("reduction needs at least two vertices")
@@ -183,13 +185,8 @@ def reduce_exhaustive(
     while True:
         before = eg_bound(sub)
         fired = None
-        connected = is_connected(sub)
         report: dict = {}
-        for rule in sorted(rules):
-            if rule == 2 and not connected:
-                continue
-            if rule == 4 and not is_biconnected(sub):
-                continue
+        for rule in rules:
             res = apply_rule(sub, range(sub.n), rule, report=report)
             if res is not None:
                 fired = (rule, res)

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import longpaths
 from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from .graph import (
     Graph,
@@ -32,7 +33,6 @@ from .graph import (
     is_potentially_cyclable,
     verify_path_certificate,
 )
-from .longpaths import DEFAULT_TRIAL_CAP, DET_STATE_BUDGET, RANDOM_Q_CAP
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ class SegmentSearch:
 
     Probes with r <= rmax and p <= pmax are answered exactly from one
     identity-coloring engine, built on the first probe, until its
-    DET_STATE_BUDGET trips; from then on every probe runs Monte Carlo
+    longpaths.DET_STATE_BUDGET trips; from then on every probe runs Monte Carlo
     colorings of its own, and exact is False.
     """
 
@@ -351,7 +351,7 @@ class SegmentSearch:
                     self.engine = _SegmentEngine(
                         g, T, A, tuple(range(g.n)), self.pmax, self.rmax,
                         smax=self.rmax, tmax=self.rmax,
-                        state_budget=DET_STATE_BUDGET,
+                        state_budget=longpaths.DET_STATE_BUDGET,
                     )
                 hit = self.engine.query(r, p, s, t)
             except StateBudgetExceeded:
@@ -362,10 +362,10 @@ class SegmentSearch:
                     return None
                 return _assemble(g, T, A, self.engine, hit, p, s, t)
         q = p + 2 * r
-        if q > RANDOM_Q_CAP:
+        if q > longpaths.RANDOM_Q_CAP:
             return None
         if trials is None:
-            trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
+            trials = min(longpaths.DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
         for trial in range(trials):
             rng = random.Random(seed * 2654435761 + trial)
             coloring = tuple(rng.randrange(q) for _ in range(g.n))

@@ -82,6 +82,35 @@ def random_2connected_graph(rng: random.Random, n: int, prob: float) -> Graph:
     raise RuntimeError("could not sample a 2-connected graph")
 
 
+def random_block_tree(rng: random.Random, pieces: int) -> Graph:
+    """A connected graph grown from one vertex by gluing `pieces` random
+    pieces at existing vertices: bridges, pendant paths, and cycles of 3-6
+    vertices with random chords. Labels are shuffled; pieces = 0 gives K1."""
+    edges, n = [], 1
+    for _ in range(pieces):
+        at, kind = rng.randrange(n), rng.random()
+        if kind < 0.25:
+            edges.append((at, n))
+            n += 1
+        elif kind < 0.45:
+            prev = at
+            for _ in range(rng.randint(2, 4)):
+                edges.append((prev, n))
+                prev, n = n, n + 1
+        else:
+            size = rng.randint(3, 6)
+            vs = [at] + list(range(n, n + size - 1))
+            n += size - 1
+            edges += [(vs[i], vs[(i + 1) % size]) for i in range(size)]
+            edges += [
+                (a, b) for i, a in enumerate(vs) for b in vs[i + 2 :]
+                if rng.random() < 0.3
+            ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph([(perm[u], perm[v]) for u, v in edges], n)
+
+
 @pytest.fixture(scope="session")
 def certificate_registry():
     """(graph, certificate) pairs collected by the acceptance criteria."""

@@ -124,6 +124,32 @@ class TestGenOracleGadget:
         g = parse_graph(out)
         assert g.n == 8
 
+    @pytest.mark.parametrize(
+        "family, params, meta",
+        [
+            ("gnp2c", ["n=9", "prob=0.6"], ["# n 9", "# prob 0.6"]),
+            (
+                "near_complete",
+                ["n=30", "min_degree=20", "removals=5"],
+                ["# n 30", "# min_degree 20", "# removed 5"],
+            ),
+            (
+                "bipartite_dense",
+                ["p=4", "k=1", "q=9", "prob=0.5"],
+                ["# p 4", "# k 1", "# q 9"],
+            ),
+            ("lemma7_trace", ["branch=small_dense"], ["# branch small_dense"]),
+        ],
+        ids=["gnp2c", "near_complete", "bipartite_dense", "lemma7_trace"],
+    )
+    def test_gen_accepts_every_key_its_family_reads(self, family, params, meta):
+        argv = ["gen", family, "--seed", "2"]
+        for item in params:
+            argv += ["--param", item]
+        code, out, err = run(argv)
+        assert code == 0 and err == ""
+        assert set(meta) <= set(out.splitlines())
+
     def test_oracle_cycle(self, tmp_path):
         code, out, _ = run(["oracle", "cycle", write_k4(tmp_path)])
         assert code == 0 and "circumference 4" in out
@@ -260,6 +286,15 @@ class TestErrors:
             ["gen", "bipartite_dense", "--param", "p=-1", "--param", "q=5"]
         )
         assert code == 64 and out == "" and "bipartite_dense needs p >= 0" in err
+
+    def test_unread_generator_key_is_usage_error(self):
+        code, out, err = run(["gen", "gnp2c", "--param", "nn=5"])
+        assert code == 64 and out == "" and "gnp2c reads no parameter 'nn'" in err
+
+    def test_key_of_another_family_is_usage_error(self):
+        code, out, err = run(["gen", "lemma7_trace", "--param", "k=-1"])
+        assert code == 64 and out == ""
+        assert "lemma7_trace reads no parameter 'k'" in err
 
     def test_jobs_flag_is_gone(self, tmp_path):
         code, _, err = run(["solve", write_k4(tmp_path), "-k", "0", "--jobs", "2"])

@@ -25,9 +25,11 @@ from madcycle.graph import (
     PathCertificate,
     VerifyOutcome,
     avg_degree,
+    blocks_and_cut_vertices,
     build_graph,
     ceil_frac,
     induced_subgraph,
+    is_biconnected,
     verify_cycle_certificate,
 )
 from madcycle.longpaths import dirac_cycle
@@ -37,6 +39,7 @@ from conftest import (
     complete_bipartite,
     complete_minus_matching,
     petersen,
+    random_block_tree,
     random_graph,
     split_graph,
 )
@@ -94,6 +97,80 @@ class TestDiracDecompositionVerifier:
         g2 = build_graph(edges, 19)
         ok, clause = check_dirac_decomposition(g2, cyc, P1, P2)
         assert not ok
+
+
+def _parent_component_clause_ok(g, comp, P1, P2) -> bool:
+    """extract._component_clause_ok as it was before it took 2-connectivity
+    and leaf blocks from one decomposition, kept verbatim as a reference."""
+    sub, _ = induced_subgraph(g, comp)
+    two_conn = is_biconnected(sub)
+    if two_conn:
+        m1 = extract._matching_size(g, comp, set(P1.vertices))
+        m2 = extract._matching_size(g, comp, set(P2.vertices))
+        if m1 == 1 and m2 == 1:
+            return True
+    if not two_conn and len(comp) >= 3:
+        inner = _parent_leaf_block_inner_vertices(g, comp)
+        n1 = {u for u in P1.vertices if any(g.has_edge(u, w) for w in comp)}
+        n2 = {u for u in P2.vertices if any(g.has_edge(u, w) for w in comp)}
+        if len(n1) == 1 and not any(
+            g.has_edge(v, u) for v in inner for u in P2.vertices
+        ):
+            return True
+        if len(n2) == 1 and not any(
+            g.has_edge(v, u) for v in inner for u in P1.vertices
+        ):
+            return True
+    return False
+
+
+def _parent_leaf_block_inner_vertices(g, comp) -> set[int]:
+    sub, ids = induced_subgraph(g, comp)
+    blocks, cuts = blocks_and_cut_vertices(sub)
+    inner: set[int] = set()
+    for block in blocks:
+        block_cuts = block & cuts
+        if len(block_cuts) == 1:  # leaf block
+            inner |= {ids[v] for v in block - block_cuts}
+    return inner
+
+
+class TestComponentClause:
+    def test_same_verdicts_as_the_leaf_block_version(self):
+        # a component grown from blocks, bridges and pendant paths, next to
+        # two disjoint paths that see it from a few random vertices each
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(1500):
+            comp_g = random_block_tree(rng, rng.choice([0, 1, 1, 2, 3, 4, 5, 6]))
+            c = comp_g.n
+            l1, l2 = rng.randint(1, 4), rng.randint(1, 4)
+            p1 = list(range(c, c + l1))
+            p2 = list(range(c + l1, c + l1 + l2))
+            edges = list(comp_g.edges())
+            edges += [(a, b) for p in (p1, p2) for a, b in zip(p, p[1:])]
+            for u in p1 + p2:
+                if rng.random() < 0.5:
+                    edges += [(u, rng.randrange(c)) for _ in range(rng.randint(1, 2))]
+            # shift the component off vertex 0 so its labels differ from g's
+            shift = rng.randint(0, 3)
+            n = c + l1 + l2 + shift
+            g = build_graph([(u + shift, v + shift) for u, v in edges], n)
+            comp = frozenset(range(shift, c + shift))
+            P1 = PathCertificate(tuple(v + shift for v in p1))
+            P2 = PathCertificate(tuple(v + shift for v in p2))
+            got = extract._component_clause_ok(g, comp, P1, P2)
+            assert got == _parent_component_clause_ok(g, comp, P1, P2)
+            sub, _ = induced_subgraph(g, comp)
+            kind = "small" if c < 3 else "2-connected" if is_biconnected(sub) else "cut"
+            seen.add((kind, got))
+        assert seen == {
+            ("small", False),
+            ("2-connected", True),
+            ("2-connected", False),
+            ("cut", True),
+            ("cut", False),
+        }
 
 
 class TestEngine:

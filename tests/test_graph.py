@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from madcycle import graph
 from madcycle.errors import GraphInputError, PreconditionError
 from madcycle.graph import (
     CycleCertificate,
+    Graph,
     _sparse_certificate,
     avg_degree,
     avg_degree_of_set,
@@ -16,6 +18,7 @@ from madcycle.graph import (
     build_graph,
     eg_bound,
     is_biconnected,
+    is_connected,
     is_potentially_cyclable,
     normalize_pair_chain,
     two_separators,
@@ -29,6 +32,7 @@ from conftest import (
     glued_k5s,
     path_graph,
     petersen,
+    random_block_tree,
     random_connected_graph,
     random_graph,
 )
@@ -134,7 +138,103 @@ class TestDensityQuantities:
             avg_degree_of_set(complete(4), [])
 
 
+def _parent_blocks_and_cut_vertices(g):
+    """The edge-stack decomposition that blocks_and_cut_vertices replaced,
+    kept verbatim as the reference for the differential test."""
+    if g.n == 0:
+        raise PreconditionError("empty graph")
+    if not is_connected(g):
+        raise PreconditionError("graph is disconnected")
+    if g.n == 1:
+        return [frozenset([0])], set()
+
+    disc = [-1] * g.n
+    low = [0] * g.n
+    parent = [-1] * g.n
+    cuts: set[int] = set()
+    blocks: list[frozenset[int]] = []
+    edge_stack: list[tuple[int, int]] = []
+    timer = 0
+
+    root = 0
+    disc[root] = low[root] = timer
+    timer += 1
+    stack = [(root, iter(g.adj[root]))]
+    root_children = 0
+    while stack:
+        v, it = stack[-1]
+        w = next(it, None)
+        if w is not None:
+            if disc[w] == -1:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                if v == root:
+                    root_children += 1
+                edge_stack.append((v, w))
+                stack.append((w, iter(g.adj[w])))
+            elif w != parent[v] and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+            continue
+        stack.pop()
+        if not stack:
+            break
+        u = stack[-1][0]
+        low[u] = min(low[u], low[v])
+        if low[v] >= disc[u]:
+            members: set[int] = set()
+            while True:
+                e = edge_stack.pop()
+                members.update(e)
+                if e == (u, v):
+                    break
+            blocks.append(frozenset(members))
+            if u != root:
+                cuts.add(u)
+    if root_children > 1:
+        cuts.add(root)
+
+    blocks.sort(key=lambda b: tuple(sorted(b)))
+    return blocks, cuts
+
+
 class TestBlocks:
+    def test_same_blocks_as_the_edge_stack_dfs(self):
+        rng = random.Random(23)
+        graphs = [path_graph(1), path_graph(2)]
+        graphs += [random_block_tree(rng, rng.randint(1, 9)) for _ in range(500)]
+        graphs += [
+            random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.15, 0.6))
+            for _ in range(100)
+        ]
+        cut_graphs = 0
+        for g in graphs:
+            got = blocks_and_cut_vertices(g)
+            assert got == _parent_blocks_and_cut_vertices(g)
+            assert isinstance(got[1], set)
+            cut_graphs += bool(got[1])
+        assert cut_graphs > 400
+
+    def test_empty_and_disconnected_rejected(self):
+        for g in (Graph(0, ()), build_graph([(0, 1)], 3), build_graph([], 2)):
+            with pytest.raises(PreconditionError):
+                blocks_and_cut_vertices(g)
+
+    def test_long_path_needs_no_recursion(self):
+        g = path_graph(20_000)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            blocks, cuts = blocks_and_cut_vertices(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(blocks) == 19_999 and cuts == set(range(1, 19_999))
+        assert blocks[0] == frozenset({0, 1})
+
     def test_bowtie(self):
         blocks, cuts = blocks_and_cut_vertices(bowtie())
         assert set(blocks) == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}

@@ -67,6 +67,16 @@ class TestApplyRule:
         with pytest.raises(PreconditionError):
             apply_rule(g, range(4), 2)
 
+    def test_rule4_rejects_a_cut_vertex(self):
+        # two K4s sharing vertex 3
+        g = build_graph(
+            [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            + [(i, j) for i in range(3, 7) for j in range(i + 1, 7)],
+            7,
+        )
+        with pytest.raises(PreconditionError):
+            apply_rule(g, range(7), 4)
+
 
 class TestReduceExhaustive:
     def test_k4_fixpoint(self):
@@ -84,6 +94,11 @@ class TestReduceExhaustive:
         )
         survivors, _ = reduce_exhaustive(g)
         assert survivors == frozenset(range(5))
+
+    @pytest.mark.parametrize("rules", [(3, 4), (1, 3, 4), (2, 3, 4), (2,), ()])
+    def test_rule_sets_must_start_with_rules_1_and_2(self, rules):
+        with pytest.raises(PreconditionError):
+            reduce_exhaustive(bowtie(), rules=rules)
 
     def test_monotone_and_fixpoint_random(self):
         rng = random.Random(7)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from madcycle import segments, solver
+from madcycle import longpaths, segments, solver
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import build_graph
 from madcycle.oracles import SEGMENTS_P_CAP, oracle_segments
@@ -225,7 +225,7 @@ class TestSharedSearch:
             find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search)
 
     def test_budget_trip_falls_back_to_monte_carlo(self, monkeypatch):
-        monkeypatch.setattr(segments, "DET_STATE_BUDGET", 3)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 3)
         g = cycle_graph(8)
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
         for p in (3, 4):
@@ -246,13 +246,43 @@ class TestSharedSearch:
         args = (g, frozenset(range(88)), frozenset(range(8)), frozenset(range(8, 88)),
                 1, Fraction(16), 0)
         assert solver.case_bipartite_dense(*args).answer == "no"
-        monkeypatch.setattr(segments, "DET_STATE_BUDGET", 0)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         res = solver.case_bipartite_dense(*args)
         assert res.answer == "unknown" and "randomized" in res.stats["reason"]
         for k in (2, 3, 4):
             res = solver.solve(_split_with_ears(8, 1), k, strict=False, budget=2)
             assert res.answer != "no"
             assert res.branch == "case_iii" and "randomized" in res.stats["reason"]
+
+    def test_one_state_budget_bounds_the_segment_search(self, monkeypatch):
+        # the budget is read from longpaths when a probe runs, so one patch
+        # bounds the st-path, cycle and segment searches alike
+        g = cycle_graph(8)
+        search = SegmentSearch(g, {0, 4}, (), 4, 2)
+        assert find_segments(g, {0, 4}, 1, 3, seed=1, search=search) is not None
+        assert search.exact is True
+        # K26 minus a perfect matching plus a star too small for an st probe
+        edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
+                 if not (v == u + 1 and u % 2 == 0)]
+        edges += [(26, 27), (26, 28), (26, 29), (27, 0), (28, 2), (29, 4)]
+        host, H = build_graph(edges, 30), frozenset(range(26))
+        res = solver.case_small_dense(host, H, 5, Fraction(24), 0)
+        assert res.answer == "no" and res.stats["st_probes"] == 0
+        made = []
+
+        class Recorded(SegmentSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
+        search = SegmentSearch(g, {0, 4}, (), 4, 2)
+        find_segments(g, {0, 4}, 1, 3, seed=1, search=search)
+        assert search.exact is False
+        monkeypatch.setattr(segments, "SegmentSearch", Recorded)
+        res = solver.case_small_dense(host, H, 5, Fraction(24), 0)
+        assert res.answer == "unknown" and res.stats["st_probes"] == 0
+        assert made and all(s.exact is False for s in made)
 
     def test_solve_leaves_no_engine_alive(self, monkeypatch):
         made = []

@@ -291,7 +291,11 @@ class TestCaseSmallDense:
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         res = case_small_dense(g, H, 4, Fraction(24), 0)
         assert res.answer == "unknown" and "randomized" in res.stats["reason"]
-        # at k' = 5 the star is too small to probe, and the segments stay exact
+        # at k' = 5 the star is too small to probe; the same state budget
+        # bounds the segment search, so only the unpatched run stays exact
+        res = case_small_dense(g, H, 5, Fraction(24), 0)
+        assert res.answer == "unknown" and res.stats["st_probes"] == 0
+        monkeypatch.undo()
         res = case_small_dense(g, H, 5, Fraction(24), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 0
 

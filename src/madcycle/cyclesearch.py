@@ -2,10 +2,11 @@
 growth, and the one exact depth-first search for long paths and cycles.
 
 Used by the Dirac constructor, the cycle engine and the pair routing, which
-share one short-detour move. `_colorful_path` is the only exact path or
-cycle search: `find_cycle_at_least` runs it from each root back to the root,
-and `longpaths.st_path_at_least` runs it from s to t. All scanning is in
-sorted vertex order, so results are deterministic.
+share one short-detour move (`detour_move` also takes the bipartite
+routing's connector). `_colorful_path` is the only exact path or cycle
+search: `find_cycle_at_least` runs it from each root back to the root, and
+`longpaths.st_path_at_least` runs it from s to t. All scanning is in sorted
+vertex order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -216,10 +217,11 @@ def insertion_move(g: Graph, cycle: list[int], on, skip):
     return None
 
 
-def detour_move(g: Graph, cycle: list[int], on, skip):
-    """(i, detour): a short detour of the first open edge i that has one."""
+def detour_move(g: Graph, cycle: list[int], on, skip, join=None):
+    """(i, detour): the detour join(x, y, on) of the first open edge i, x..y,
+    that has one; join defaults to short_detour(g, x, y, on, on)."""
     for i, x, y in _open_edges(cycle, skip):
-        ins = short_detour(g, x, y, on, on)
+        ins = short_detour(g, x, y, on, on) if join is None else join(x, y, on)
         if ins is not None:
             return i, ins
     return None

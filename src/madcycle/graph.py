@@ -54,6 +54,10 @@ class Graph:
         """Graph plus the given vertex pairs as edges (existing edges kept)."""
         extra = [set() for _ in range(self.n)]
         for u, v in pairs:
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise GraphInputError(
+                    f"vertex id out of range in pair ({u},{v}), n={self.n}"
+                )
             if u == v:
                 raise GraphInputError(f"pair ({u},{v}) is a self-loop")
             if not self.has_edge(u, v):

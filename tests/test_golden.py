@@ -121,7 +121,9 @@ def _routing_cases():
     """(name, thunk returning a cycle) for chained pair sets.
 
     The dense hosts join and close by one-vertex detours; the sparse G(n, p)
-    hosts also take the [u, v] and [u, w, v] detours, and some fail.
+    hosts also take the [u, v] and [u, w, v] detours, and some fail. The
+    sparse bipartite hosts, with pairs inside A, take the 3-vertex A-A join
+    (seed 17) or fail to join (seed 2) or to close (seed 0).
     """
     out = []
     for n, prob, seed in ((20, 0.3, 1), (20, 0.3, 2), (24, 0.35, 0), (24, 0.35, 2),
@@ -142,7 +144,21 @@ def _routing_cases():
         out.append((f"cover bipartite_dense10 s{seed}",
                     lambda h=h, A=A, B=B, S=S: cover_side_through_pairs(
                         h, A, B, S, k=2)))
+    for seed in (17, 2, 0):
+        h, S = _sparse_bipartite(seed, 6, 12, 0.35)
+        out.append((f"cover sparse_bipartite6 s{seed}",
+                    lambda h=h, S=S: cover_side_through_pairs(
+                        h, range(6), range(6, 18), S, k=2)))
     return out
+
+
+def _sparse_bipartite(seed, p, q, prob):
+    """A host with sides range(p), range(p, p + q) and G(n, prob) edges between
+    them, and a random pair set inside A."""
+    rng = random.Random(seed)
+    edges = [(a, b) for a in range(p) for b in range(p, p + q) if rng.random() < prob]
+    S = random_cyclable_pairs(range(p), rng.randint(1, max(1, p // 2)), rng)
+    return build_graph(edges, p + q), S
 
 
 def _record_solve(g, kwargs):

@@ -107,6 +107,16 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError):
             build_graph([(0, 3)], 3)
 
+    @pytest.mark.parametrize("pair", [(0, 3), (0, -1), (-1, -2)])
+    def test_pair_id_out_of_range(self, pair):
+        # -1 would otherwise read the last vertex's mask
+        with pytest.raises(GraphInputError, match="out of range in pair"):
+            build_graph([(0, 1), (1, 2)], 3).add_pairs([pair])
+
+    def test_pairs_add_edges(self):
+        g = build_graph([(0, 1), (1, 2)], 3).add_pairs([(0, 2), (0, 1)])
+        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+
 
 class TestDensityQuantities:
     def test_eg_complete(self):

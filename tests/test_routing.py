@@ -1,8 +1,11 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 
-from madcycle.errors import ConstructionFailure, PreconditionError
+import old_routing
+from madcycle.errors import ConstructionFailure, GraphInputError, PreconditionError
 from madcycle.graph import (
     build_graph,
     verify_cycle_certificate,
@@ -10,7 +13,7 @@ from madcycle.graph import (
 from madcycle.instances import gen_instance, random_cyclable_pairs
 from madcycle.routing import cover_side_through_pairs, hamiltonian_through_pairs
 
-from conftest import complete, complete_bipartite
+from conftest import complete, complete_bipartite, random_graph
 
 
 def pairs_consecutive(cycle, pairs):
@@ -138,3 +141,126 @@ class TestCoverSideThroughPairs:
             assert len(c) == 2 * p - s_cnt + t_cnt
             # a longer cycle cannot contain all of S and A in this host
             assert len(c) <= best
+
+
+class TestPairIdsInRange:
+    # -1 must not be read as the last vertex, nor n as a missing one; the
+    # message names the pair as (min, max)
+    @pytest.mark.parametrize("u,v", [(0, -1), (0, 6), (-1, -2)])
+    def test_hamiltonian_rejects_out_of_range_ids(self, u, v):
+        named = f"pair ({min(u, v)},{max(u, v)}), n=6"
+        with pytest.raises(GraphInputError, match=re.escape(named)):
+            hamiltonian_through_pairs(complete(6), [(u, v)])
+
+    @pytest.mark.parametrize("u,v", [(0, -1), (0, 10), (0, 12)])
+    def test_cover_rejects_out_of_range_ids(self, u, v):
+        named = f"pair ({min(u, v)},{max(u, v)}), n=10"
+        with pytest.raises(GraphInputError, match=re.escape(named)):
+            cover_side_through_pairs(complete_bipartite(3, 7), range(3), range(3, 10),
+                                     [(u, v)], 1)
+
+
+# ---------------------------------------------------------------------------
+# differential: both lemmas against the frozen copy in old_routing.py
+
+
+def _outcome(construct, *args):
+    """The cycle, or the exception's type and message: a failure is an output."""
+    try:
+        return "cycle", construct(*args).vertices
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _template(outcome):
+    """A failure message with its numbers blanked, or None for a cycle."""
+    kind, value = outcome
+    return None if kind == "cycle" else (kind, re.sub(r"\d+", "#", value))
+
+
+def _ham_inputs(seed, count):
+    """G(n, p) hosts, n 6-40, with random potentially cyclable pair sets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 40)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        yield g, random_cyclable_pairs(range(n), rng.randint(0, n // 3), rng)
+
+
+def _dense_bipartite_inputs(seed, count):
+    """bipartite_dense hosts with pairs anywhere: A-A, A-B and B-B."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p, k = rng.randint(2, 10), rng.randint(0, 3)
+        params = {"p": p, "k": k, "q": rng.randint(2 * p, 3 * p),
+                  "prob": rng.uniform(0.5, 0.95)}
+        g, _ = gen_instance("bipartite_dense", params, i)
+        S = random_cyclable_pairs(range(g.n), rng.randint(0, 4), rng)
+        yield g, range(p), range(p, g.n), S, k
+
+
+def _sparse_bipartite_inputs(seed, count):
+    """Sparse random bipartite hosts with pairs inside A, which reach the
+    3-vertex A-A connector that the dense hosts never need."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(3, 10)
+        q = rng.randint(p, 3 * p)
+        prob = rng.uniform(0.2, 0.6)
+        edges = [(a, b) for a in range(p) for b in range(p, p + q) if rng.random() < prob]
+        S = random_cyclable_pairs(range(p), rng.randint(1, max(1, p // 2)), rng)
+        yield build_graph(edges, p + q), range(p), range(p, p + q), S, rng.randint(0, 3)
+
+
+class TestSameOutputsAsTwoConstructions:
+    def test_hamiltonian_through_pairs(self):
+        failures = Counter()
+        for g, S in _ham_inputs(31, 1500):
+            got = _outcome(hamiltonian_through_pairs, g, S)
+            assert got == _outcome(old_routing.hamiltonian_through_pairs, g, S), S
+            failures[_template(got)] += 1
+        assert {
+            ("ConstructionFailure", "could not join pair # of the chain (density too low)"),
+            ("ConstructionFailure", "could not absorb low-degree vertex #"),
+            ("ConstructionFailure", "could not close the pair chain into a cycle"),
+            ("ConstructionFailure", "could not extend cycle past #/# vertices"),
+        } <= set(failures), failures
+        assert failures[None] >= 300, failures
+
+    def test_cover_side_through_pairs(self, monkeypatch):
+        # count, on the frozen copy, the connector shapes and moves the inputs
+        # reach; the outputs are equal, so the shared construction reaches them too
+        reached = Counter()
+
+        def counting(name, key):
+            real = getattr(old_routing, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                if out is not None:
+                    reached[key(args, out)] += 1
+                return out
+            monkeypatch.setattr(old_routing, name, wrapper)
+
+        def shape(args, ins):
+            _, A, a, b, _ = args
+            sides = {2: "A-A", 0: "B-B", 1: "one-sided"}[(a in A) + (b in A)]
+            return f"{sides} {len(ins)}"
+
+        counting("_bip_connector", shape)
+        counting("_bip_case1", lambda args, out: "case 1")
+        counting("_bip_case2", lambda args, out: "case 2")
+        failures = Counter()
+        inputs = [*_dense_bipartite_inputs(32, 800), *_sparse_bipartite_inputs(33, 1000)]
+        for g, A, B, S, k in inputs:
+            got = _outcome(cover_side_through_pairs, g, A, B, S, k)
+            assert got == _outcome(old_routing.cover_side_through_pairs, g, A, B, S, k), S
+            failures[_template(got)] += 1
+        for key in ("A-A 1", "A-A 3", "B-B 1", "one-sided 2", "case 1", "case 2"):
+            assert reached[key] >= 10, reached
+        assert {
+            ("ConstructionFailure", "could not join pair # of the chain"),
+            ("ConstructionFailure", "could not close the pair chain into a cycle"),
+            ("ConstructionFailure", "could not cover A: # vertices remain outside"),
+        } <= set(failures), failures
+        assert failures[None] >= 300, failures

@@ -133,9 +133,13 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Relabelled induced subgraph plus the sorted original-id map.
 
     Labels follow ascending original ids. When the vertex set is all of g,
-    g itself is returned, with the identity map.
+    g itself is returned, with the identity map. A vertex id outside
+    0..n-1 raises GraphInputError.
     """
     vs = tuple(sorted(set(vertices)))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        bad = vs[0] if vs[0] < 0 else vs[-1]
+        raise GraphInputError(f"vertex id {bad} out of range, n={g.n}")
     if len(vs) == g.n and (not vs or (vs[0] == 0 and vs[-1] == g.n - 1)):
         return g, vs
     index = {v: i for i, v in enumerate(vs)}
@@ -318,16 +322,189 @@ def _sparse_certificate(g: Graph, k: int) -> Graph:
     return Graph(n, tuple(tuple(sorted(a)) for a in kept))
 
 
+def _three_connected(g: Graph) -> bool:
+    """Whether the 2-connected simple graph g has no separation pair, in O(n + m).
+
+    The separation-pair tests of Hopcroft-Tarjan's PathSearch ("Dividing a
+    graph into triconnected components", 1973), with the type-2 conditions
+    as corrected by Gutwenger-Mutzel ("A linear time implementation of
+    SPQR-trees", 2001), stopped at the first pair that algorithm would split
+    off: the graph is still unmodified there, so no edge stack or splitting
+    is needed. Past n = 3, a vertex of degree below 3 is separated by its
+    neighbours, which also makes the algorithm's degree-2 branch dead. Type-1
+    pairs {lowpt1(w), v} for a tree arc v -> w are found during the first
+    DFS, in a form that holds for any DFS. Callers rely on True only: a
+    False sends them to a scan that finds the pairs.
+    """
+    n, adj = g.n, g.adj
+    if n <= 3:
+        return True
+    if g.min_degree() < 3:
+        return False
+
+    # 1. DFS from 0: preorder numbers from 1, parents, lowpt1/lowpt2 (as
+    # numbers), subtree sizes; each vertex's out-arcs are its tree arcs and
+    # its fronds up to proper ancestors
+    num = [0] * n
+    parent = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    num[0] = low1[0] = low2[0] = 1
+    count = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not num[w]:
+                count += 1
+                num[w] = low1[w] = low2[w] = count
+                parent[w] = v
+                arcs[v].append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            x = num[w]
+            if x < num[v] and w != parent[v]:
+                arcs[v].append(w)
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if low1[v] < low1[u]:
+                low1[u], low2[u] = low1[v], min(low1[u], low2[v])
+            elif low1[v] == low1[u]:
+                low2[u] = min(low2[u], low2[v])
+            else:
+                low2[u] = min(low2[u], low1[v])
+            nd[u] += nd[v]
+            # type 1: the subtree of v meets the rest only in lowpt1(v) and
+            # u, and the rest has a third vertex
+            if low1[v] < num[u] <= low2[v] and nd[v] <= n - 3:
+                return False
+
+    # 2. bucket sort of the arcs by phi into an acceptable adjacency structure
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(3 * n + 3)]
+    for v in range(n):
+        for w in arcs[v]:
+            if parent[w] == v:
+                phi = 3 * low1[w] + (2 if low2[w] >= num[v] else 0)
+            else:
+                phi = 3 * num[w] + 1
+            buckets[phi].append((v, w))
+    for v in range(n):
+        arcs[v].clear()
+    for bucket in buckets:
+        for v, w in bucket:
+            arcs[v].append(w)
+
+    # 3. renumber along the sorted arcs: a first child's subtree gets the
+    # highest numbers; flag each arc that starts a path, and record high(w),
+    # the new number of the first frond source into w
+    new = [0] * n
+    starts: list[list[bool]] = [[] for _ in range(n)]
+    high = [0] * n
+    count = n
+    new[0] = 1
+    new_path = True
+    stack = [(0, iter(arcs[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            starts[v].append(new_path)
+            new_path = False
+            if parent[w] == v:
+                new[w] = count - nd[w] + 1
+                stack.append((w, iter(arcs[w])))
+                break
+            if not high[w]:
+                high[w] = new[v]
+            new_path = True
+        else:
+            stack.pop()
+            count -= 1
+    at = [0] * (n + 1)  # old number -> vertex
+    for v in range(n):
+        at[num[v]] = v
+    parent_new = [0] * (n + 1)  # new number -> its parent's new number
+    for v in range(1, n):
+        parent_new[new[v]] = new[parent[v]]
+
+    # 4. PathSearch with TSTACK triples (h, a, b) in new numbers; EOS marks a
+    # path's start, and its a and h stop every pop loop
+    eos = (n + 1, -1, -1)
+    ts = [eos]
+    pos = [0] * n
+    path = [0]
+    while path:
+        v = path[-1]
+        i = pos[v]
+        if i < len(arcs[v]):
+            pos[v] = i + 1
+            w = arcs[v][i]
+            if parent[w] == v:
+                if starts[v][i]:
+                    a = new[at[low1[w]]]
+                    last = new[w] + nd[w] - 1
+                    if ts[-1][1] > a:
+                        y = 0
+                        while ts[-1][1] > a:
+                            h, _, b = ts.pop()
+                            y = max(y, h)
+                        ts.append((max(y, last), a, b))
+                    else:
+                        ts.append((last, a, new[v]))
+                    ts.append(eos)
+                path.append(w)
+            elif starts[v][i]:
+                a = new[w]
+                if ts[-1][1] > a:
+                    y = 0
+                    while ts[-1][1] > a:
+                        h, _, b = ts.pop()
+                        y = max(y, h)
+                    ts.append((y, a, b))
+                else:
+                    ts.append((new[v], a, new[v]))
+            continue
+        path.pop()
+        if not path:
+            break
+        u = path[-1]
+        un = new[u]
+        # type 2: a triple (h, un, b) splits unless b is a child of un
+        while un != 1 and ts[-1][1] == un:
+            if parent_new[ts[-1][2]] != un:
+                return False
+            ts.pop()
+        if starts[u][pos[u] - 1]:
+            while ts[-1] is not eos:
+                ts.pop()
+            ts.pop()
+        while ts[-1][2] != un and high[u] > ts[-1][0]:
+            ts.pop()
+    return True
+
+
 def two_separators(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs {x,y} whose removal disconnects a 2-connected g.
 
-    {x,y} separates g exactly when y is a cut vertex of g - x, so one lowpoint
-    DFS per x finds every pair: O(n(n+m)) time. The DFS runs first on H, the
-    3-forest sparse certificate of g (at most 3(n-1) edges). A pair that
-    separates g separates its spanning subgraph H too, so g - x is scanned
-    only where H - x has a cut vertex y > x or falls apart; exactness rests
-    on that alone, and the certificate theorem only makes such x rare. Pairs
-    come as (x, y) with x < y, in ascending order.
+    H is the 3-forest sparse certificate of g (at most 3(n-1) edges), which
+    is 3-connected exactly when g is. The checks run in this order: the
+    2-connectivity of g (one lowpoint DFS); Chartrand-Harary; the O(n + m)
+    3-connectivity test of H, so a 3-connected g costs O(n + m) in all.
+    Otherwise {x,y} separates g exactly when y is a cut vertex of g - x, so
+    one lowpoint DFS per x finds every pair: O(n(n+m)) time. That DFS runs
+    first on H. A pair that separates g separates its spanning subgraph H
+    too, so g - x is scanned only where H - x has a cut vertex y > x or
+    falls apart; exactness rests on that alone, and the certificate theorem
+    only makes such x rare. Pairs come as (x, y) with x < y, in ascending
+    order.
     """
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
@@ -335,6 +512,8 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
     if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
         return []
     h = _sparse_certificate(g, 3)
+    if _three_connected(h):
+        return []
     seps = []
     for x in range(g.n):
         ys = _cut_vertices(h, x)

@@ -28,6 +28,7 @@ from madcycle.graph import (
 from conftest import (
     bowtie,
     complete,
+    complete_bipartite,
     cycle_graph,
     glued_k5s,
     path_graph,
@@ -56,6 +57,14 @@ def brute_two_separators(g):
     return [
         (x, y) for x in range(g.n) for y in range(x + 1, g.n) if separates(g, {x, y})
     ]
+
+
+def stack_depth():
+    """Frames on the caller's stack, the caller's own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def brute_is_biconnected(g):
@@ -233,11 +242,8 @@ class TestBlocks:
 
     def test_long_path_needs_no_recursion(self):
         g = path_graph(20_000)
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
+        sys.setrecursionlimit(stack_depth() + 100)
         try:
             blocks, cuts = blocks_and_cut_vertices(g)
         finally:
@@ -315,6 +321,163 @@ class TestTwoSeparators:
         assert with_separators >= 50
 
 
+def wheel(rim):
+    """Hub 0 joined to every vertex of the cycle 1..rim."""
+    edges = [(0, i) for i in range(1, rim + 1)]
+    edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return build_graph(edges, rim + 1)
+
+
+def prism(rungs):
+    """Circular ladder: rims 0..r-1 and r..2r-1, rungs (i, r+i); prism(4) is
+    the cube."""
+    r = rungs
+    edges = [(i, (i + 1) % r) for i in range(r)]
+    edges += [(r + i, r + (i + 1) % r) for i in range(r)]
+    edges += [(i, r + i) for i in range(r)]
+    return build_graph(edges, 2 * r)
+
+
+def mobius_ladder(rungs):
+    """The cycle 0..2r-1 plus the chords (i, i+r)."""
+    r = rungs
+    edges = [(i, (i + 1) % (2 * r)) for i in range(2 * r)]
+    edges += [(i, i + r) for i in range(r)]
+    return build_graph(edges, 2 * r)
+
+
+def open_ladder(rungs):
+    """Rails 0..r-1 and r..2r-1, rungs (i, r+i); its four corners have degree 2."""
+    r = rungs
+    edges = [(i, i + 1) for i in range(r - 1)]
+    edges += [(r + i, r + i + 1) for i in range(r - 1)]
+    edges += [(i, r + i) for i in range(r)]
+    return build_graph(edges, 2 * r)
+
+
+def random_cubic(rng, n):
+    """A 2-connected simple 3-regular graph on an even n >= 4, from random
+    stub pairings."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {(min(p), max(p)) for p in zip(stubs[::2], stubs[1::2]) if p[0] != p[1]}
+        if len(pairs) == 3 * n // 2:
+            g = build_graph(pairs, n)
+            if is_biconnected(g):
+                return g
+
+
+def random_sparse_graph(rng, n, picks):
+    """Each vertex joined to `picks` random vertices (itself skipped), so most
+    degrees are near 2 * picks."""
+    edges = [(v, w) for v in range(n) for w in rng.sample(range(n), picks) if w != v]
+    return build_graph(edges, n)
+
+
+def glue_on_pair(a, b, edge):
+    """a and b with b's vertices 0 and 1 identified with a's, and the edge
+    (0, 1) kept (edge=True) or dropped from both."""
+    shift = a.n - 2
+    relabel = [0, 1] + [v + shift for v in range(2, b.n)]
+    edges = [e for e in a.edges() if e != (0, 1)]
+    edges += [(relabel[u], relabel[v]) for u, v in b.edges() if (u, v) != (0, 1)]
+    return build_graph(edges + [(0, 1)] * edge, b.n + shift)
+
+
+def subdivided(g):
+    """g with its first edge (u, v) replaced by the path u-n-v."""
+    u, v = next(g.edges())
+    edges = [e for e in g.edges() if e != (u, v)]
+    return build_graph(edges + [(u, g.n), (g.n, v)], g.n + 1)
+
+
+def relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph([(perm[u], perm[v]) for u, v in g.edges()], g.n)
+
+
+def separation_families(rng):
+    """Named 3-connected graphs and graphs with a separation pair, n <= 21."""
+    pieces = [complete(4), complete(5), wheel(5), prism(3), prism(4), petersen(),
+              complete_bipartite(3, 3)]
+    graphs = [wheel(r) for r in range(3, 13)]
+    graphs += [prism(r) for r in range(3, 11)] + [mobius_ladder(r) for r in range(2, 11)]
+    graphs += [open_ladder(r) for r in range(2, 11)]
+    graphs += [complete_bipartite(3, b) for b in range(2, 13)]
+    graphs += [petersen(), glued_k5s()]
+    graphs += [random_cubic(rng, n) for n in range(4, 21, 2) for _ in range(8)]
+    graphs += [glue_on_pair(a, b, edge) for a in pieces for b in pieces for edge in (0, 1)]
+    graphs += [subdivided(p) for p in pieces]
+    return graphs
+
+
+class TestThreeConnected:
+    """graph._three_connected against brute force, under random relabellings,
+    since the DFS order decides which test finds a pair."""
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(31)
+        tested = three_connected = 0
+        while tested < 2000:
+            n = rng.randint(4, 14)
+            if rng.random() < 0.6:
+                g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            else:
+                g = random_sparse_graph(rng, n, rng.choice([2, 3, 4]))
+            if not is_biconnected(g):
+                continue
+            expected = brute_two_separators(g) == []
+            for _ in range(3):
+                assert graph._three_connected(relabelled(rng, g)) == expected
+            tested += 1
+            three_connected += expected
+        assert three_connected >= 1000 and tested - three_connected >= 500
+
+    def test_matches_brute_force_on_families(self):
+        rng = random.Random(37)
+        three_connected = 0
+        graphs = separation_families(rng)
+        for g in graphs:
+            expected = brute_two_separators(g) == []
+            for _ in range(3):
+                assert graph._three_connected(relabelled(rng, g)) == expected
+            three_connected += expected
+        assert three_connected >= 100 and len(graphs) - three_connected >= 100
+
+    def test_scan_alone_gives_the_same_pairs(self, monkeypatch):
+        rng = random.Random(41)
+        graphs = separation_families(rng)
+        graphs += [random_sparse_graph(rng, rng.randint(5, 14), 3) for _ in range(60)]
+        monkeypatch.setattr(graph, "_three_connected", lambda h: False)
+        tested = 0
+        for g in graphs:
+            if is_biconnected(g):
+                assert two_separators(g) == brute_two_separators(g)
+                tested += 1
+        assert tested >= 150
+
+    def test_three_connected_graph_costs_one_lowpoint_dfs(self, monkeypatch):
+        # min degree 3 < (n + 1) / 2, so Chartrand-Harary does not apply
+        g = prism(500)
+        calls = []
+        cut_vertices = graph._cut_vertices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cut_vertices(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_cut_vertices", counted)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 100)
+        try:
+            seps = two_separators(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert seps == [] and len(calls) == 1
+
+
 def block_chain(rng, sizes):
     """Blocks K_s (s in sizes), each edge kept with probability 0.85, where
     consecutive blocks share a vertex pair."""
@@ -325,6 +488,26 @@ def block_chain(rng, sizes):
         n = start + size
         start = n - 2
     return build_graph(edges, n)
+
+
+def _parent_two_separators(g):
+    """two_separators before its 3-connectivity test, kept verbatim as the
+    reference for the differential test."""
+    if not is_biconnected(g):
+        raise PreconditionError("two_separators needs a 2-connected graph")
+    # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity.
+    if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
+        return []
+    h = _sparse_certificate(g, 3)
+    seps = []
+    for x in range(g.n):
+        ys = graph._cut_vertices(h, x)
+        if ys is not None and (not ys or ys[-1] < x):
+            continue
+        if h.m < g.m:
+            ys = graph._cut_vertices(g, x)
+        seps.extend((x, y) for y in ys if y > x)
+    return seps
 
 
 class TestSparseCertificate:
@@ -376,6 +559,36 @@ class TestSparseCertificate:
     def test_keeps_every_edge_of_a_sparse_graph(self):
         g = theta_graph([2, 3, 4])
         assert _sparse_certificate(g, 3) == g
+
+    def test_same_pairs_as_the_scan_alone_up_to_300_vertices(self):
+        rng = random.Random(19)
+        graphs = [
+            block_chain(rng, [rng.randint(5, 8) for _ in range(rng.randint(1, 3))])
+            for _ in range(40)
+        ]
+        graphs += [
+            block_chain(rng, [rng.randint(5, 12) for _ in range(rng.randint(10, 40))])
+            for _ in range(6)
+        ]
+        graphs += [
+            random_graph(rng, rng.randint(20, 300), rng.uniform(0.1, 0.5))
+            for _ in range(6)
+        ]
+        graphs += [
+            random_sparse_graph(rng, rng.randint(20, 300), rng.choice([3, 4]))
+            for _ in range(30)
+        ]
+        graphs += [prism(150), mobius_ladder(150), wheel(299)]
+        graphs += [glue_on_pair(prism(75), mobius_ladder(75), edge) for edge in (0, 1)]
+        tested = with_separators = 0
+        for g in graphs:
+            if not is_biconnected(g):
+                continue
+            seps = two_separators(g)
+            assert seps == _parent_two_separators(g)
+            tested += 1
+            with_separators += bool(seps)
+        assert tested >= 60 and with_separators >= 20 and tested - with_separators >= 20
 
 
 class TestVerifyCycle:
@@ -482,3 +695,9 @@ class TestInducedSubgraph:
             assert sub.n == len(ids)
             for i, u in enumerate(ids):
                 assert sub.adj[i] == tuple(j for j, w in enumerate(ids) if g.has_edge(u, w))
+
+    @pytest.mark.parametrize("vertices", [[-1, 0, 1], [6, 0, 1]])
+    def test_vertex_out_of_range_rejected(self, vertices):
+        # -1 would read the last vertex's neighbours, 6 would raise IndexError
+        with pytest.raises(GraphInputError, match="out of range"):
+            graph.induced_subgraph(complete(6), vertices)

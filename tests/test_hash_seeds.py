@@ -64,6 +64,14 @@ CASES = {
           ['"answer":"no"', '"branch":"case_ii"']),
          (["mad"], 0, [r"\A398\n"])],
     ),
+    # the circulant C400(1, 2): 4-regular, so mad = 4 and the threshold is 5,
+    # and Hamiltonian, so the answer is yes. Degree 4 is above rule 3's
+    # bound, so rule 4 tests the whole 400-vertex core for 3-connectivity
+    "sparse_rule4_three_connected": (
+        lambda: "".join(f"{i} {(i + d) % 400}\n" for i in range(400) for d in (1, 2)),
+        [(["solve", "-k", "1", "--mode", "relaxed", "--json"], 0,
+          ['"answer":"yes"', r'"mad":\{"num":4,"den":1\}', '"threshold_len":5'])],
+    ),
     # the load flow at the peeling bound overflows here, so a second flow runs
     "mad_second_flow": (
         lambda: _gen("gnp2c", "--param", "n=30", "--param", "prob=0.2", "--seed", "1"),

@@ -51,31 +51,32 @@ def rotated(path: list[int], cuts) -> list[int]:
     return path
 
 
+class _Extension(Exception):
+    """A rotated endpoint left the path; args[0] is the longer path."""
+
+
 def rotation_round(g: Graph, path: list[int], step_budget: list[int]):
     """One Posa round rotating the last endpoint, first endpoint fixed.
 
-    A variant is (end, cuts): `rotated(path, cuts)`, whose last vertex is
-    end; it is kept as its cuts, and a list is built only for the variant
-    that extends. Index j of the parent is j in the child rotated at i when
-    j <= i, else l+i+1-j (l = len(path)-1). Returns ('extend', longer_path)
-    as soon as any rotated endpoint can leave the path, else
-    ('stuck', (pos, variants)): pos maps each vertex to its index in path,
-    variants is in discovery order, path itself first. Variants left
-    unexpanded when step_budget runs out are included.
+    Yields the variants (end, cuts) in discovery order, path itself first:
+    `rotated(path, cuts)`, whose last vertex is end. Index j of the parent
+    is j in the child rotated at i when j <= i, else l+i+1-j (l =
+    len(path)-1). A variant is yielded when found, taking one from
+    step_budget[0], and expanded only once all found before it are read and
+    while budget is left. Expanding a variant whose end has a neighbour w
+    off the path raises _Extension(rotated(path, cuts) + [w]).
     """
     pos = {v: i for i, v in enumerate(path)}
     l = len(path) - 1
-    variants = [(path[-1], ())]
+    queue = [(path[-1], ())]
     seen = {path[-1]}
-    qi = 0
-    while qi < len(variants):
+    yield queue[0]
+    for end, cuts in queue:
         if step_budget[0] <= 0:
-            break
-        end, cuts = variants[qi]
-        qi += 1
+            return
         for w in g.adj[end]:
             if w not in pos:
-                return "extend", rotated(path, cuts) + [w]
+                raise _Extension(rotated(path, cuts) + [w])
         back = cuts[::-1]
         for w in g.adj[end]:
             i = _index(pos[w], cuts, l)
@@ -86,8 +87,8 @@ def rotation_round(g: Graph, path: list[int], step_budget: list[int]):
                 continue
             step_budget[0] -= 1
             seen.add(new_end)
-            variants.append((new_end, cuts + (i,)))
-    return "stuck", (pos, variants)
+            queue.append((new_end, cuts + (i,)))
+            yield queue[-1]
 
 
 def _min_gap(a_idx: list[int], b_idx: list[int]):
@@ -260,6 +261,8 @@ def long_cycle_search_best(
     Each round scores the closures of the rotation variants by length
     (`_score`) and builds at most two: the first of greatest length, which
     replaces best if longer, and the first full closure, when it is reopened.
+    Both rounds are run out first only while the path misses a vertex, as an
+    extension outranks every closure; a spanning path is scored once, lazily.
     """
     if g.n < 3:
         return None
@@ -267,22 +270,17 @@ def long_cycle_search_best(
     best: list[int] | None = None
     path = greedy_extend(g, [0])
     while True:
-        # rotate both ends until no extension applies
-        while True:
-            res, payload = rotation_round(g, path, budget)
-            if res == "extend":
-                path = greedy_extend(g, payload)
+        back = path[::-1]
+        rounds = [(path, rotation_round(g, path, budget), False),
+                  (back, rotation_round(g, back, budget), True)]
+        if len(path) < g.n:
+            try:
+                rounds = [(root, list(vs), flip) for root, vs, flip in rounds]
+            except _Extension as ext:
+                path = greedy_extend(g, ext.args[0])
                 continue
-            last = (path, *payload, False)
-            back = path[::-1]
-            res, payload = rotation_round(g, back, budget)
-            if res == "extend":
-                path = greedy_extend(g, payload)
-                continue
-            first = (back, *payload, True)
-            break
         top = len(best) if best is not None else 0
-        win, full = _score(g, (last, first), top, len(path))
+        win, full = _score(g, rounds, top, len(path))
         if win is not None:
             best = _closure(g, *win)
         if best is not None and len(best) >= want:
@@ -310,12 +308,13 @@ def _score(g: Graph, rounds, top: int, full_len: int):
     """(win, full): the first closure longer than top of greatest length and
     the first full closure, each as (root, cuts, flip, idx) or None.
 
-    Scans the variants of both rounds in order (last-end variants first),
-    each variant's closures in `_shapes` order, and stops at the first full
-    closure: no closure is longer than the path, so none after it can win.
+    Reads the variants of rounds, (root, variants, flip), in order, each
+    one's closures in `_shapes` order, and stops at the first full closure:
+    none after it is longer, and no later variant is read or expanded.
     """
     win = None
-    for root, pos, variants, flip in rounds:
+    for root, variants, flip in rounds:
+        pos = {v: i for i, v in enumerate(root)}
         for var in variants:
             for idx, length in enumerate(closure_lengths(g, root, pos, var, flip)):
                 if length > top:

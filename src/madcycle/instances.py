@@ -222,6 +222,8 @@ def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:
     prob = _param(params, "prob", 0.5, float)
     if n < 3:
         raise PreconditionError("gnp2c needs n >= 3")
+    if not 0 < prob <= 1:  # also NaN; prob 0 never samples a 2-connected graph
+        raise PreconditionError(f"gnp2c needs 0 < prob <= 1, got {prob}")
     for attempt in range(5000):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob
@@ -269,6 +271,8 @@ def _gen_bipartite_dense(params: dict, rng: random.Random) -> tuple[Graph, dict]
     if q < 2 * p:
         raise PreconditionError("bipartite_dense needs q >= 2p for the A-degree floor")
     prob = _param(params, "prob", 0.85, float)
+    if not 0 <= prob <= 1:  # also NaN
+        raise PreconditionError(f"bipartite_dense needs 0 <= prob <= 1, got {prob}")
     A = list(range(p))
     B = list(range(p, p + q))
     adj = {v: set() for v in range(p + q)}

@@ -147,9 +147,9 @@ class _SegmentEngine:
         self._build_alpha()
         self._levels: list[dict] = []
 
-    def _tick(self, k: int = 1):
+    def _tick(self):
         if self._budget is not None:
-            self._states += k
+            self._states += 1
             if self._states > self._budget:
                 raise StateBudgetExceeded()
 

@@ -464,9 +464,9 @@ def _solve_path(g, k, seed, budget, strict, with_trace) -> SolveResult:
     k_plus = want_vertices + 1 - ceil_frac(mad_p)
 
     if k_plus <= 0:
-        cyc = k0_constructive_cycle(gp)
-        res = SolveResult("yes", branch="path_k0", **base)
-        cycle_cert = cyc
+        cycle_cert, tr = _k0_cycle(gp)
+        trace = tr.to_jsonable() if with_trace else None
+        res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:
         inner = solve(gp, k_plus, mode="cycle", seed=seed, budget=budget, strict=strict,
                       with_trace=with_trace)

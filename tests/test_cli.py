@@ -4,6 +4,8 @@ import json
 import pytest
 
 from madcycle.cli import run_cli
+from madcycle.graph import build_graph
+from madcycle.solver import solve
 
 
 def run(argv):
@@ -98,6 +100,20 @@ class TestSolve:
         assert obj["answer"] == "yes" and len(obj["path"]) >= obj["threshold_len"]
 
 
+    def test_path_mode_k0_keeps_the_trace(self, tmp_path):
+        # a triangle with the tail 2-0-1: path mode decides k=0 by the k=0
+        # cycle of G plus a universal vertex, whose reduction peels the tail
+        edges = [(0, 1), (0, 2), (2, 3), (2, 4), (3, 4)]
+        f = tmp_path / "tail.el"
+        f.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        code, out, _ = run(["solve", str(f), "-k", "0", "--path", "--json", "--trace"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["branch"] == "path_k0"
+        plus_u = build_graph(edges + [(v, 5) for v in range(5)], 6)
+        assert obj["trace"] == solve(plus_u, 0, with_trace=True).trace
+        assert [step["rule"] for step in obj["trace"]] == [3, 3]
+
 class TestVerify:
     def test_short_cycle_rejected(self, tmp_path):
         code, out, _ = run(
@@ -149,6 +165,25 @@ class TestGenOracleGadget:
         code, out, err = run(argv)
         assert code == 0 and err == ""
         assert set(meta) <= set(out.splitlines())
+
+    @pytest.mark.parametrize("family, prob", [
+        ("gnp2c", "0"), ("gnp2c", "-0.5"), ("gnp2c", "1.5"), ("gnp2c", "nan"),
+        ("bipartite_dense", "-0.1"), ("bipartite_dense", "1.5"),
+        ("bipartite_dense", "nan"),
+    ])
+    def test_gen_rejects_impossible_edge_probabilities(self, family, prob):
+        # n=200 at prob 0 would reject-sample 5,000 empty graphs first
+        size = ["--param", "n=200"] if family == "gnp2c" else []
+        code, out, err = run(["gen", family, *size, "--param", f"prob={prob}"])
+        assert code == 64 and out == ""
+        assert "prob" in err
+
+    @pytest.mark.parametrize("family, prob", [
+        ("gnp2c", "1"), ("bipartite_dense", "0"), ("bipartite_dense", "1"),
+    ])
+    def test_gen_accepts_edge_probabilities_at_the_bounds(self, family, prob):
+        code, out, err = run(["gen", family, "--param", "prob=" + prob])
+        assert code == 0 and err == ""
 
     def test_oracle_cycle(self, tmp_path):
         code, out, _ = run(["oracle", "cycle", write_k4(tmp_path)])

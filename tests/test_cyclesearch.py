@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madcycle import cyclesearch
 from madcycle.cyclesearch import (
+    _Extension,
     _closure,
     closure_lengths,
     find_cycle_at_least,
@@ -32,6 +34,7 @@ from madcycle.oracles import oracle_longest_st_path
 from madcycle.reduction import K0_RULES, reduce_exhaustive
 
 from conftest import (
+    complete,
     complete_bipartite,
     complete_minus_matching,
     random_2connected_graph,
@@ -486,14 +489,14 @@ class TestRotationSearch:
             g = random_connected_graph(rng, n, rng.uniform(2.5, 8) / n)
             path = greedy_extend(g, [rng.randrange(n)])
             budget = rng.choice([1, 3, 1000])
-            res, payload = rotation_round(g, path, [budget])
             old_res, old = old_rotation_round(g, path, [budget])
-            assert res == old_res
-            if res == "extend":
-                assert payload == old
+            try:
+                variants = list(rotation_round(g, path, [budget]))
+            except _Extension as ext:
+                assert old_res == "extend"
+                assert ext.args[0] == old
                 continue
-            pos, variants = payload
-            assert pos == {v: i for i, v in enumerate(path)}
+            assert old_res == "stuck"
             assert [end for end, _ in variants] == list(old)
             assert [rotated(path, cuts) for _, cuts in variants] == list(old.values())
 
@@ -536,3 +539,37 @@ class TestRotationSearch:
                 for budget in (1, 5, 0):
                     got = long_cycle_search_best(core, want, rotation_budget=budget)
                     assert got == old_long_cycle_search_best(core, want, budget)
+
+    def test_spanning_rounds_expand_only_the_variants_scored(self, monkeypatch):
+        # once the path spans g no variant can extend, so each round is
+        # read lazily: every variant found (one budget step each) is one
+        # `_score` reads, and variant 0 of a round is read for free
+        first_spanning, reads = [], [0]
+        real_round, real_lengths = cyclesearch.rotation_round, cyclesearch.closure_lengths
+
+        def counting_round(g, path, step_budget):
+            if len(path) == g.n and not first_spanning:
+                first_spanning.append((step_budget, step_budget[0]))
+            return real_round(g, path, step_budget)
+
+        def counting_lengths(g, root, pos, var, flip=False):
+            reads[0] += len(root) == g.n
+            return real_lengths(g, root, pos, var, flip)
+
+        monkeypatch.setattr(cyclesearch, "rotation_round", counting_round)
+        monkeypatch.setattr(cyclesearch, "closure_lengths", counting_lengths)
+        rng = random.Random(5)
+        graphs = [complete(30), complete_minus_matching(40)] + [
+            random_2connected_graph(rng, n, rng.uniform(0.3, 0.9))
+            for n in (rng.randint(6, 40) for _ in range(150))
+        ]
+        past_first = 0
+        for g in graphs:
+            first_spanning.clear()
+            reads[0] = 0
+            got = long_cycle_search_best(g, g.n + 1, rotation_budget=1000)
+            assert first_spanning, "the search reached a spanning path"
+            budget, start = first_spanning[0]
+            assert start - budget[0] < reads[0]
+            past_first += reads[0] > 1 and len(got) == g.n
+        assert past_first >= 5, past_first

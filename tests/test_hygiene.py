@@ -1,10 +1,13 @@
-"""Hygiene of the package source: no dead private helpers, no unused imports.
+"""Hygiene of the package source: no dead private helpers, no unused imports,
+no defaulted parameter that no call passes.
 
 A module-level private name of `src/madcycle` (a function, class or constant
 whose name starts with one underscore) must be read somewhere in the package
 besides its own definition, and every name a module imports must be read in
-that module or listed in its `__all__`. Tests do not count as readers: a
-helper only a test calls is dead code of the package. Stdlib `ast` only.
+that module or listed in its `__all__`. A defaulted parameter of a private
+function or method must be passed by some call in the package, or it is a
+constant in disguise. Tests do not count as readers or callers: a helper
+only a test calls is dead code of the package. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -75,6 +78,75 @@ def unused_imports(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _private_functions(tree: ast.Module):
+    """(qualified name, def, is method) for each private function of tree."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if name.startswith("_") and not name.startswith("__"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in child.decorator_list)
+                    out.append((prefix + name, child, in_class and not static))
+                visit(child, prefix + name + ".", False)
+
+    visit(tree, "", False)
+    return out
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether call passes the parameter `name`, whose positional index is
+    index (None when it is keyword-only), by position or by keyword."""
+    if index is not None and (len(call.args) > index
+                              or any(isinstance(x, ast.Starred) for x in call.args)):
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def dead_defaults(sources: dict[str, str]) -> list[str]:
+    """'module.function.param' for each defaulted parameter of a private
+    function or method that no call in the package passes, by position or by
+    keyword. Calls are matched by name; a function the package also reads
+    other than by calling it (a callback, say) is skipped, as its calls are
+    out of sight, and a call with *args or **kwargs passes everything."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    callees, other_reads = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):  # breadth first: a call before its callee
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+                callees.add(id(f))
+            elif id(node) in callees:
+                continue
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                other_reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                other_reads.add(node.attr)
+    out = []
+    for mod, tree in sorted(trees.items()):
+        for qualname, fn, is_method in _private_functions(tree):
+            if fn.name in other_reads:
+                continue
+            found = calls.get(fn.name, [])
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[is_method:]
+            defaulted = [(i, p) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for i, p in defaulted:
+                if not any(_passes(c, i, p.arg) for c in found):
+                    out.append(f"{mod}.{qualname}.{p.arg}")
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -85,6 +157,10 @@ def test_every_private_helper_is_read():
 
 def test_every_import_is_read():
     assert unused_imports(_package_sources()) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert dead_defaults(_package_sources()) == []
 
 
 def test_the_checks_see_dead_helpers_and_unused_imports():
@@ -98,3 +174,21 @@ def test_the_checks_see_dead_helpers_and_unused_imports():
     }
     assert dead_private_names(sources) == ["a._dead"]
     assert unused_imports(sources) == ["a.os"]
+
+
+def test_the_check_sees_defaults_no_call_passes():
+    sources = {
+        "a": "def _used(x, y=0, *, z=1):\n    return x\n",
+        "b": "from .a import _used\n"
+             "def _by_position(x, y=0):\n    return x\n"
+             "def _as_callback(x, y=0):\n    return x\n"
+             "class C:\n"
+             "    def _tick(self, k=1, j=0):\n        return k\n"
+             "    @staticmethod\n"
+             "    def _static(k=1):\n        return k\n"
+             "def run(c):\n"
+             "    c._tick(j=2)\n    C._static(2)\n"
+             "    return _used(_by_position(1, 2), z=3), sorted([], key=_as_callback)\n",
+    }
+    # _as_callback is read as a value, so its calls are out of sight
+    assert dead_defaults(sources) == ["a._used.y", "b.C._tick.k"]

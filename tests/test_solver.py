@@ -1,11 +1,16 @@
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from madcycle.cli import run_cli
 from madcycle.density import mad_with_witness
-from madcycle.errors import PreconditionError
+from madcycle.errors import ConstructionFailure, PreconditionError
+from madcycle.extract import FoundCycle, Incomplete, VertexCover, find_dense
 from madcycle.graph import (
+    CycleCertificate,
     build_graph,
     ceil_frac,
     induced_subgraph,
@@ -361,6 +366,20 @@ class TestCaseBipartiteDense:
         assert res.answer == "yes"  # clause (i): outside path of length >= k'+2
 
 
+def _engine_gives(outcome):
+    return lambda *args, **kwargs: outcome
+
+
+def _raise_failure(*args, **kwargs):
+    raise ConstructionFailure("forced")
+
+
+def _short_cycle(g, k, budget=None):
+    """find_dense's info with a FoundCycle of length 3."""
+    _, info = find_dense(g, k, budget=budget)
+    return FoundCycle(CycleCertificate((0, 2, 4), 3)), info
+
+
 class TestRelaxedMode:
     def test_case_ii_construction_failure_is_unknown(self, monkeypatch):
         from madcycle import solver
@@ -378,6 +397,35 @@ class TestRelaxedMode:
         res = solve(g, 3, strict=False)
         assert res.answer == "unknown" and res.branch == "case_ii"
         assert "construction failed: forced" in res.stats["reason"]
+
+    @pytest.mark.parametrize("target, fake, reason", [
+        ("madcycle.extract.corollary5_engine", _engine_gives(Incomplete("forced")),
+         "engine incomplete: forced"),
+        # every vertex of K26 - M as the cover: |X| > (ad + 3k + 3) / 2
+        ("madcycle.extract.corollary5_engine",
+         _engine_gives(VertexCover(frozenset(range(26)))),
+         "engine incomplete: cover refinement failed: cover too large"),
+        ("madcycle.solver.find_dense", _raise_failure, "construction failed: forced"),
+        ("madcycle.solver.find_dense", _short_cycle, "relaxed-mode cycle below threshold"),
+    ], ids=["engine_incomplete", "cover_refinement_failed",
+            "find_dense_construction_failure", "cycle_below_threshold"])
+    def test_find_dense_failures_are_unknown(self, monkeypatch, tmp_path, target, fake,
+                                             reason):
+        # K26 minus a perfect matching plus a one-vertex ear: relaxed k=3
+        # reaches find_dense, whose Dirac cycle (26) is below the threshold 27
+        g = build_graph(list(complete_minus_matching(26).edges()) + [(0, 26), (26, 1)], 27)
+        assert solve(g, 3, strict=False).answer == "yes"
+        monkeypatch.setattr(target, fake)
+        res = solve(g, 3, strict=False)
+        assert res.answer == "unknown" and res.branch == "find_dense"
+        assert res.stats["reason"].startswith(reason)
+        f = tmp_path / "km_ear.el"
+        f.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        out = io.StringIO()
+        code = run_cli(["solve", str(f), "-k", "3", "--mode", "relaxed", "--json"],
+                       out=out, err=io.StringIO())
+        assert code == 2
+        assert json.loads(out.getvalue())["stats"]["reason"] == res.stats["reason"]
 
     def test_relaxed_yes_with_certificate(self):
         from madcycle.instances import gen_instance

@@ -180,10 +180,7 @@ def _component_clause_ok(g, comp, P1, P2) -> bool:
     sub, ids = induced_subgraph(g, comp)
     blocks, cuts = blocks_and_cut_vertices(sub)
     if not cuts:
-        return (
-            _matching_size(g, comp, set(P1.vertices)) == 1
-            and _matching_size(g, comp, set(P2.vertices)) == 1
-        )
+        return _star_to(g, comp, P1) and _star_to(g, comp, P2)
     inner = {ids[v] for b in blocks if len(b & cuts) == 1 for v in b - cuts}
     for P, other in ((P1, P2), (P2, P1)):
         ends = {u for u in P.vertices if any(g.has_edge(u, w) for w in comp)}
@@ -194,30 +191,11 @@ def _component_clause_ok(g, comp, P1, P2) -> bool:
     return False
 
 
-def _matching_size(g: Graph, left, right) -> int:
-    """Maximum matching between disjoint vertex sets using g's edges."""
-    left = sorted(left)
-    right_idx = {v: i for i, v in enumerate(sorted(right))}
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-
-    def augment(u, seen):
-        for w in g.adj[u]:
-            i = right_idx.get(w)
-            if i is None or i in seen:
-                continue
-            seen.add(i)
-            if i not in match_r or augment(match_r[i], seen):
-                match_l[u] = i
-                match_r[i] = u
-                return True
-        return False
-
-    size = 0
-    for u in left:
-        if augment(u, set()):
-            size += 1
-    return size
+def _star_to(g: Graph, comp, P: PathCertificate) -> bool:
+    """Whether the edges between comp and P's vertices are nonempty and share
+    one end: by König's theorem, whether their largest matching has one edge."""
+    cross = [(u, w) for u in P.vertices for w in g.adj[u] if w in comp]
+    return bool(cross) and any(all(x in e for e in cross) for x in cross[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +208,11 @@ def corollary5_engine(
     """Longer cycle, small vertex cover, or a Hamiltonicity report.
 
     Cheapest first: Hamiltonicity check, Dirac re-dispatch when 2*delta >= n,
-    insertion/rotation enlargement, then a vertex cover by matching
-    2-approximation with an exact bounded branch-and-bound behind it. The
-    corollary's preconditions (h 3-connected, 0 < k <= delta/24,
-    |C| < 2*delta + k) are not checked: each outcome is verified and holds
-    without them.
+    insertion/rotation enlargement, then a vertex cover: the smaller of a
+    live-degree greedy cover and a maximal matching's ends, else the exact
+    bounded branch-and-bound. The corollary's preconditions (h 3-connected,
+    0 < k <= delta/24, |C| < 2*delta + k) are not checked: each outcome is
+    verified and holds without them.
     """
     chk = verify_cycle_certificate(h, C)
     if not chk:
@@ -275,77 +253,60 @@ def corollary5_engine(
     )
 
 
-def _greedy_cover(h: Graph) -> set[int]:
-    """Max-degree greedy cover, then the endpoints of a maximal matching if smaller."""
-    deg = {v: h.degree(v) for v in h.vertices()}
-    uncovered = {(u, v) for u, v in h.edges()}
-    incident: dict[int, set[tuple[int, int]]] = {v: set() for v in h.vertices()}
-    for e in uncovered:
-        incident[e[0]].add(e)
-        incident[e[1]].add(e)
-    greedy: set[int] = set()
-    live = dict(deg)
-    while uncovered:
-        v = max(sorted(live), key=lambda x: live[x])
-        greedy.add(v)
-        for e in list(incident[v]):
-            if e in uncovered:
-                uncovered.remove(e)
-                a = e[0] if e[1] == v else e[1]
-                live[a] -= 1
-        live[v] = -1
+def _maximal_matching(edges) -> set[int]:
+    """The ends of a maximal matching, greedy in the given edge order: a
+    vertex cover, of twice the matching's size."""
     matched: set[int] = set()
-    match_cover: set[int] = set()
-    for u, v in h.edges():
+    for u, v in edges:
         if u not in matched and v not in matched:
             matched |= {u, v}
-            match_cover |= {u, v}
-    return greedy if len(greedy) <= len(match_cover) else match_cover
+    return matched
+
+
+def _greedy_cover(h: Graph) -> set[int]:
+    """Max-degree greedy cover over live degrees (ties to the lowest id), or
+    the ends of a maximal matching if fewer."""
+    live = [h.degree(v) for v in h.vertices()]
+    greedy: set[int] = set()
+    while (top := max(live)) > 0:
+        v = live.index(top)
+        greedy.add(v)
+        live[v] = -1
+        for w in h.adj[v]:
+            if w not in greedy:
+                live[w] -= 1
+    matched = _maximal_matching(h.edges())
+    return greedy if len(greedy) <= len(matched) else matched
 
 
 def _bounded_min_cover(h: Graph, bound: int) -> set[int] | None:
-    """Exact vertex cover of size <= bound by include-v-or-its-neighbors search."""
-    edges = list(h.edges())
-
-    def lower_bound(uncov):
-        matched = set()
-        size = 0
-        for u, v in uncov:
-            if u not in matched and v not in matched:
-                matched |= {u, v}
-                size += 1
-        return size
-
-    best: set[int] | None = None
+    """Exact vertex cover of size <= bound by include-v-or-its-neighbors
+    search, pruned by a maximal matching of the uncovered edges."""
 
     def rec(chosen: set[int], uncov: list[tuple[int, int]], limit: int):
-        nonlocal best
-        if best is not None:
-            return
         if not uncov:
-            best = set(chosen)
-            return
-        if limit <= 0 or lower_bound(uncov) > limit:
-            return
+            return chosen
+        if limit <= 0 or len(_maximal_matching(uncov)) > 2 * limit:
+            return None
         deg: dict[int, int] = {}
         for u, v in uncov:
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
         v = max(sorted(deg), key=lambda x: deg[x])
-        rec(chosen | {v}, [e for e in uncov if v not in e], limit - 1)
-        if best is not None:
-            return
+        found = rec(chosen | {v}, [e for e in uncov if v not in e], limit - 1)
+        if found is not None:
+            return found
         # without v, every neighbour not yet chosen must join the cover
         nbrs = set(h.adj[v]) - chosen
-        if len(nbrs) <= limit:
-            rec(
-                chosen | nbrs,
-                [e for e in uncov if e[0] not in nbrs and e[1] not in nbrs],
-                limit - len(nbrs),
-            )
+        if len(nbrs) > limit:
+            return None
+        return rec(
+            chosen | nbrs,
+            [e for e in uncov if e[0] not in nbrs and e[1] not in nbrs],
+            limit - len(nbrs),
+        )
 
-    rec(set(), edges, bound)
-    return best
+    return rec(set(), list(h.edges()), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +323,9 @@ class RefinedPartition:
 
 def refine_vertex_cover_to_partition(h: Graph, X, k: int) -> RefinedPartition:
     """Split along a vertex cover: B = V \\ X, A = cover vertices with >= 2|X|
-    neighbors in B; verifies the bipartite-dense degree properties."""
+    neighbors in B; verifies the bipartite-dense degree properties. Each v in
+    A has >= 2|A| neighbors in B by construction, as |A| <= |X|; only B's
+    degree into A is checked."""
     X = frozenset(X)
     for u, v in h.edges():
         if u not in X and v not in X:
@@ -377,9 +340,6 @@ def refine_vertex_cover_to_partition(h: Graph, X, k: int) -> RefinedPartition:
     )
     if not A:
         return RefinedPartition(False, reason="no cover vertex has 2|X| neighbors outside")
-    for v in A:
-        if sum(1 for w in h.adj[v] if w in B) < 2 * len(A):
-            return RefinedPartition(False, reason="A-degree bound failed")
     for v in B:
         if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
             return RefinedPartition(
@@ -429,7 +389,7 @@ def find_dense(
     # the reduction's last rule-4 round already scanned this core
     seps = trace.final_separators
     if seps:
-        cyc = _glue_cycle(g, sub, ids, seps[0])
+        cyc = _glue_cycle(sub, ids, seps[0])
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)
         require_verified(verify_cycle_certificate(g, cert))
         return FoundCycle(cert), info
@@ -465,7 +425,7 @@ def find_dense(
     return FoundCycle(cert), info
 
 
-def _glue_cycle(g: Graph, sub: Graph, ids, sep: tuple[int, int]) -> list[int]:
+def _glue_cycle(sub: Graph, ids, sep: tuple[int, int]) -> list[int]:
     """Concatenate Fan paths through both sides of a 2-separator of the core."""
     x, y = sep
     comps = subset_components(sub, set(range(sub.n)) - {x, y})

@@ -184,6 +184,8 @@ def oracle_segments(
     Plain form checks (r paths, p internals). With `partition=(A, B)` it also
     requires s A-segments, t B-segments, and >= 2 internals on every A-segment.
     """
+    if r < 1 or p < 1:
+        raise PreconditionError("need r >= 1 and p >= 1")
     if g.n > n_cap:
         raise CapExceeded(f"segments oracle capped at n <= {n_cap}, got {g.n}")
     if p > p_cap:
@@ -199,6 +201,10 @@ def oracle_segments(
         raise PreconditionError("partition must split T")
     if s is None or t is None:
         raise PreconditionError("partitioned oracle needs s and t")
+    if s + t > r:
+        raise PreconditionError("s + t must not exceed r")
+    if s < 0 or t < 0:
+        raise PreconditionError("s and t must be nonnegative")
     # A-segments need >= 2 internal vertices: filter before recombining
     keep = [
         seg

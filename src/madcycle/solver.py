@@ -139,7 +139,7 @@ def _unknown(reason: str, **fields) -> SolveResult:
 
 
 def _splice_segments(
-    g: Graph, base_cycle: CycleCertificate, system: segments.SegmentSystem
+    base_cycle: CycleCertificate, system: segments.SegmentSystem
 ) -> list[int]:
     """Replace each pair-edge of the routed cycle by its segment.
 
@@ -266,7 +266,7 @@ def _case_analysis(
                 return SolveResult("no", stats=stats, **base)
             stats["reason"] = "randomized searches exhausted without a witness"
             return SolveResult("unknown", stats=stats, **base)
-    out = _splice_segments(g, _routed(g, H, A, system.endpoint_pairs(), core), system)
+    out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
     cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
     return SolveResult("yes", certificate=cert, stats=stats, **base)
 

@@ -224,6 +224,15 @@ class TestErrors:
         code, _, err = run(["oracle", "segments", write_c5(tmp_path), "--T", "0,99"])
         assert code == 64 and "vertex 99" in err
 
+    @pytest.mark.parametrize("r, p", [("-1", "-1"), ("0", "0")])
+    def test_oracle_segments_counts_below_one_are_usage_errors(self, tmp_path, r, p):
+        f = tmp_path / "c4chord.el"
+        f.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+        code, out, err = run(
+            ["oracle", "segments", str(f), "--T", "0,2", "--r", r, "--p", p]
+        )
+        assert code == 64 and out == "" and "need r >= 1 and p >= 1" in err
+
     def test_oracle_stpath_vertex_out_of_range(self, tmp_path):
         code, _, err = run(
             ["oracle", "stpath", write_c5(tmp_path), "--s", "0", "--t", "9"]

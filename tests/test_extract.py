@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from madcycle.extract import (
     Hamiltonian,
     Incomplete,
     LongerCycle,
+    RefinedPartition,
     SmallDense,
     VertexCover,
     check_dirac_decomposition,
@@ -105,8 +107,8 @@ def _parent_component_clause_ok(g, comp, P1, P2) -> bool:
     sub, _ = induced_subgraph(g, comp)
     two_conn = is_biconnected(sub)
     if two_conn:
-        m1 = extract._matching_size(g, comp, set(P1.vertices))
-        m2 = extract._matching_size(g, comp, set(P2.vertices))
+        m1 = _parent_matching_size(g, comp, set(P1.vertices))
+        m2 = _parent_matching_size(g, comp, set(P2.vertices))
         if m1 == 1 and m2 == 1:
             return True
     if not two_conn and len(comp) >= 3:
@@ -133,6 +135,41 @@ def _parent_leaf_block_inner_vertices(g, comp) -> set[int]:
         if len(block_cuts) == 1:  # leaf block
             inner |= {ids[v] for v in block - block_cuts}
     return inner
+
+
+def _parent_matching_size(g, left, right) -> int:
+    """extract._matching_size as it was before the star test replaced it,
+    kept verbatim as a reference: maximum matching between disjoint vertex
+    sets using g's edges."""
+    left = sorted(left)
+    right_idx = {v: i for i, v in enumerate(sorted(right))}
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+
+    def augment(u, seen):
+        for w in g.adj[u]:
+            i = right_idx.get(w)
+            if i is None or i in seen:
+                continue
+            seen.add(i)
+            if i not in match_r or augment(match_r[i], seen):
+                match_l[u] = i
+                match_r[i] = u
+                return True
+        return False
+
+    size = 0
+    for u in left:
+        if augment(u, set()):
+            size += 1
+    return size
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestComponentClause:
@@ -171,6 +208,25 @@ class TestComponentClause:
             ("cut", True),
             ("cut", False),
         }
+
+    def test_long_component_needs_no_recursion(self):
+        # the cycle u0..u1500, u_i joined to a_i and a_{i+1} (u1500 to a0 only)
+        # on the path P1 = a0..a1501: a largest matching needs an augmenting
+        # path through every u_i, and the star test needs none
+        L = 1501
+        u, a = list(range(L)), list(range(L, 2 * L + 1))
+        edges = [(u[i], u[(i + 1) % L]) for i in range(L)] + [(u[-1], a[0])]
+        edges += [(u[i], a[i + d]) for i in range(L - 1) for d in (0, 1)]
+        edges += list(zip(a, a[1:])) + [(2 * L + 1, 2 * L + 2)]
+        g = build_graph(edges, 2 * L + 3)
+        P1, P2 = PathCertificate(tuple(a)), PathCertificate((2 * L + 1, 2 * L + 2))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 300)
+        try:
+            got = extract._component_clause_ok(g, frozenset(u), P1, P2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got is False
 
 
 class TestEngine:
@@ -257,6 +313,21 @@ class TestEngine:
         assert find_cycle_at_least(g, 10) is None
         assert _min_cover_size(g) == 6
 
+    def test_exact_cover_when_the_greedy_cover_is_too_large(self):
+        # the greedy cover {0, 1, 2, 3, 5} exceeds delta + 2k = 4; the exact
+        # search finds {0, 1, 6, 7}
+        g = build_graph(
+            [(0, v) for v in (1, 2, 3, 4, 6, 7, 8, 9)]
+            + [(1, v) for v in (2, 3, 4, 5, 6, 7, 8, 9)]
+            + [(2, 6), (2, 7), (3, 6), (5, 7)],
+            10,
+        )
+        c = dirac_cycle(g)
+        assert c.vertices == (3, 6, 2, 7, 5, 1, 8, 0)
+        assert len(extract._greedy_cover(g)) == 5 > g.min_degree() + 2
+        out = corollary5_engine(g, 1, c)
+        assert out == VertexCover(frozenset({0, 1, 6, 7}))
+
     def test_runs_without_corollary_preconditions(self):
         # k = 1 > delta/24 on K10: the engine still answers, and soundly
         g = complete(10)
@@ -297,6 +368,173 @@ class TestBoundedMinCover:
                     continue
                 assert len(cover) <= bound
                 assert all(u in cover or v in cover for u, v in g.edges())
+
+
+def _parent_greedy_cover(h):
+    """extract._greedy_cover before it ran over live degrees, verbatim."""
+    deg = {v: h.degree(v) for v in h.vertices()}
+    uncovered = {(u, v) for u, v in h.edges()}
+    incident: dict[int, set[tuple[int, int]]] = {v: set() for v in h.vertices()}
+    for e in uncovered:
+        incident[e[0]].add(e)
+        incident[e[1]].add(e)
+    greedy: set[int] = set()
+    live = dict(deg)
+    while uncovered:
+        v = max(sorted(live), key=lambda x: live[x])
+        greedy.add(v)
+        for e in list(incident[v]):
+            if e in uncovered:
+                uncovered.remove(e)
+                a = e[0] if e[1] == v else e[1]
+                live[a] -= 1
+        live[v] = -1
+    matched: set[int] = set()
+    match_cover: set[int] = set()
+    for u, v in h.edges():
+        if u not in matched and v not in matched:
+            matched |= {u, v}
+            match_cover |= {u, v}
+    return greedy if len(greedy) <= len(match_cover) else match_cover
+
+
+def _parent_bounded_min_cover(h, bound):
+    """extract._bounded_min_cover before it returned its cover, verbatim."""
+    edges = list(h.edges())
+
+    def lower_bound(uncov):
+        matched = set()
+        size = 0
+        for u, v in uncov:
+            if u not in matched and v not in matched:
+                matched |= {u, v}
+                size += 1
+        return size
+
+    best: set[int] | None = None
+
+    def rec(chosen: set[int], uncov: list[tuple[int, int]], limit: int):
+        nonlocal best
+        if best is not None:
+            return
+        if not uncov:
+            best = set(chosen)
+            return
+        if limit <= 0 or lower_bound(uncov) > limit:
+            return
+        deg: dict[int, int] = {}
+        for u, v in uncov:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        v = max(sorted(deg), key=lambda x: deg[x])
+        rec(chosen | {v}, [e for e in uncov if v not in e], limit - 1)
+        if best is not None:
+            return
+        # without v, every neighbour not yet chosen must join the cover
+        nbrs = set(h.adj[v]) - chosen
+        if len(nbrs) <= limit:
+            rec(
+                chosen | nbrs,
+                [e for e in uncov if e[0] not in nbrs and e[1] not in nbrs],
+                limit - len(nbrs),
+            )
+
+    rec(set(), edges, bound)
+    return best
+
+
+def _parent_refine(h, X, k):
+    """refine_vertex_cover_to_partition before its A-degree re-check was
+    dropped, verbatim."""
+    X = frozenset(X)
+    for u, v in h.edges():
+        if u not in X and v not in X:
+            raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
+    ad = avg_degree(h)
+    if Fraction(2 * len(X)) > ad + 3 * k + 3:
+        return RefinedPartition(False, reason="cover too large: |X| > (ad+3k+3)/2")
+    B = frozenset(h.vertices()) - X
+    p = len(X)
+    A = frozenset(
+        v for v in X if sum(1 for w in h.adj[v] if w in B) >= 2 * p
+    )
+    if not A:
+        return RefinedPartition(False, reason="no cover vertex has 2|X| neighbors outside")
+    for v in A:
+        if sum(1 for w in h.adj[v] if w in B) < 2 * len(A):
+            return RefinedPartition(False, reason="A-degree bound failed")
+    for v in B:
+        if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
+            return RefinedPartition(
+                False, reason=f"vertex {v} has degree below |A|-2k-2 into A"
+            )
+    return RefinedPartition(True, A, B)
+
+
+def _outside_probe_cores():
+    """The graphs the engine sees on clique + independent set + one-vertex
+    ears, the shapes the outside-path probes and segment DP run on."""
+    rng = random.Random(1212)
+    cores = []
+    for a, ears, k in ((8, 12, 3), (10, 12, 5), (8, 14, 5), (10, 16, 4)):
+        b = 10 * a
+        n = a + b
+        edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+        edges += [(i, a + j) for i in range(a) for j in range(b)]
+        ends = rng.sample(range(a, a + b), 2 * ears)
+        for u, v in zip(ends[::2], ends[1::2]):
+            edges += [(u, n), (n, v)]
+            n += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cores.append((build_graph([(perm[u], perm[v]) for u, v in edges], n), k))
+    return cores
+
+
+def _assert_same_cover_side(h, bounds, ks):
+    greedy = extract._greedy_cover(h)
+    assert greedy == _parent_greedy_cover(h)
+    covers = {frozenset(greedy)}
+    for bound in bounds:
+        cover = extract._bounded_min_cover(h, bound)
+        assert cover == _parent_bounded_min_cover(h, bound)
+        if cover is not None:
+            covers.add(frozenset(cover))
+    for X in covers:
+        for k in ks:
+            assert refine_vertex_cover_to_partition(h, X, k) == _parent_refine(h, X, k)
+
+
+class TestCoverSideAgainstParent:
+    def test_random_graphs(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            n = rng.randint(2, 30)
+            g = random_graph(rng, n, rng.random())
+            _assert_same_cover_side(g, range(n + 1), (0, rng.randint(1, 4)))
+            # the star test against the largest matching, on disjoint sets
+            vs = list(g.vertices())
+            rng.shuffle(vs)
+            cut, end = sorted(rng.sample(range(n + 1), 2))
+            comp, path = frozenset(vs[:cut]), vs[cut:end]
+            got = extract._star_to(g, comp, PathCertificate(tuple(path)))
+            assert got == (_parent_matching_size(g, comp, set(path)) == 1)
+
+    def test_split_graphs_with_ears(self, monkeypatch):
+        real, seen = extract.corollary5_engine, []
+
+        def record(h, k, C, budget=None):
+            seen.append((h, k))
+            return real(h, k, C, budget=budget)
+
+        monkeypatch.setattr(extract, "corollary5_engine", record)
+        for g, k in _outside_probe_cores():
+            seen.clear()
+            w, _ = find_dense(g, k)
+            assert isinstance(w, BipartiteDense) and len(seen) == 1
+            h, k_prime = seen[0]
+            bound = h.min_degree() + 2 * k_prime
+            _assert_same_cover_side(h, range(bound - 2, bound + 3), (k - 1, k, k + 1))
 
 
 class TestRefine:

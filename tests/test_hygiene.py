@@ -1,13 +1,15 @@
 """Hygiene of the package source: no dead private helpers, no unused imports,
-no defaulted parameter that no call passes.
+no defaulted parameter that no call passes, no parameter a body never reads.
 
 A module-level private name of `src/madcycle` (a function, class or constant
 whose name starts with one underscore) must be read somewhere in the package
 besides its own definition, and every name a module imports must be read in
 that module or listed in its `__all__`. A defaulted parameter of a private
 function or method must be passed by some call in the package, or it is a
-constant in disguise. Tests do not count as readers or callers: a helper
-only a test calls is dead code of the package. Stdlib `ast` only.
+constant in disguise. Every parameter of a module-level private function
+or a private method must be read by its body, `self` and `cls` aside. Tests
+do not count as readers or callers: a helper only a test calls is dead code
+of the package. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -147,6 +149,30 @@ def dead_defaults(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """'module.function.param' for each parameter of a module-level private
+    function or a private method that its body, nested functions included,
+    never reads; `self` and `cls` are exempt."""
+    out = []
+    for mod, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        scopes = [("", tree.body)]
+        scopes += [(c.name + ".", c.body) for c in tree.body if isinstance(c, ast.ClassDef)]
+        for prefix, body in scopes:
+            for fn in body:
+                if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or not fn.name.startswith("_") or fn.name.startswith("__")):
+                    continue
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+                a = fn.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                params += [x for x in (a.vararg, a.kwarg) if x is not None]
+                out += [f"{mod}.{prefix}{fn.name}.{x.arg}" for x in params
+                        if x.arg not in ("self", "cls") and x.arg not in read]
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -161,6 +187,10 @@ def test_every_import_is_read():
 
 def test_every_defaulted_parameter_is_passed():
     assert dead_defaults(_package_sources()) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(_package_sources()) == []
 
 
 def test_the_checks_see_dead_helpers_and_unused_imports():
@@ -192,3 +222,22 @@ def test_the_check_sees_defaults_no_call_passes():
     }
     # _as_callback is read as a value, so its calls are out of sight
     assert dead_defaults(sources) == ["a._used.y", "b.C._tick.k"]
+
+
+def test_the_check_sees_parameters_no_body_reads():
+    sources = {
+        "a": "def _glue(g, sub, *rest, **opts):\n    return sub\n"
+             "def _closure(x, y):\n    def inner():\n        return y\n"
+             "    x = 1\n    return inner\n"
+             "def public(z):\n    return 0\n"
+             "class C:\n"
+             "    def _tick(self, k, *, j=0):\n        return j\n"
+             "    @classmethod\n"
+             "    def _make(cls, n):\n        return cls()\n"
+             "    def run(self, w):\n        return 0\n",
+    }
+    # a parameter only stored to is unread; public functions are not checked
+    assert unread_parameters(sources) == [
+        "a._glue.g", "a._glue.rest", "a._glue.opts", "a._closure.x",
+        "a.C._tick.k", "a.C._make.n",
+    ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from madcycle.errors import CapExceeded
+from madcycle.errors import CapExceeded, PreconditionError
 from madcycle.graph import build_graph, eg_bound, verify_cycle_certificate
 from madcycle.oracles import (
     oracle_longest_cycle,
@@ -83,6 +83,20 @@ class TestSegmentsOracle:
         assert oracle_segments(
             cycle_graph(6), {0, 3}, 1, 2, partition=({0, 3}, set()), s=1, t=0
         )
+
+    @pytest.mark.parametrize("r, p", [(0, 1), (1, 0), (-1, -1), (0, 0)])
+    def test_counts_below_one_rejected(self, r, p):
+        with pytest.raises(PreconditionError, match="need r >= 1 and p >= 1"):
+            oracle_segments(cycle_graph(6), {0, 3}, r, p)
+
+    @pytest.mark.parametrize("s, t, match", [
+        (-1, 1, "nonnegative"), (1, -1, "nonnegative"), (1, 1, "must not exceed r"),
+    ])
+    def test_partition_counts_checked_as_the_probe_checks_them(self, s, t, match):
+        with pytest.raises(PreconditionError, match=match):
+            oracle_segments(
+                cycle_graph(6), {0, 3}, 1, 2, partition=({0}, {3}), s=s, t=t
+            )
 
 
 def _old_forest_ok(pairs):

@@ -4,117 +4,23 @@ The density of a vertex set S is |E(S)|/|S|; mad(G) is twice the largest.
 For a density p/q, let every edge split q units between its two ends. Some
 split gives every vertex at most p units exactly when no set is denser than
 p/q (Hall's theorem, the LP dual of Charikar 2000): a set S receives all the
-q|E(S)| units of its own edges, and at most p|S| in all. A load network
-looks for such a split by max flow, with capacities at most q, and where
-there is none its min cut is a denser set. All arithmetic is exact on ints.
+q|E(S)| units of its own edges, and at most p|S| in all. A max flow looks
+for such a split by moving units along edges, from the vertices above p
+(their excess) to those below it (their room), at most q per edge. There
+is no network object: the source and sink are each vertex's excess and
+room, kept in one array of loads. Where the excess cannot all move, the
+vertices it still reaches form a denser set. All arithmetic is exact on ints.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConstructionFailure, PreconditionError
 from .graph import Graph, require_verified, verify_density_certificate
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int):
-        """Arc u->v and its empty reverse v->u, as arcs e and e ^ 1."""
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        to, cap, head = self.to, self.cap, self.head
-        while True:
-            # levels by BFS, which may stop once t has one: every vertex
-            # before t's level has one by then, and none after is needed
-            level = [-1] * self.n
-            level[s] = 0
-            dq = deque([s])
-            while dq and level[t] < 0:
-                v = dq.popleft()
-                for e in head[v]:
-                    if cap[e] > 0 and level[to[e]] < 0:
-                        level[to[e]] = level[v] + 1
-                        dq.append(to[e])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            # blocking flow: walk admissible arcs from s, keeping the arcs of
-            # the current walk in `path`; at t augment by the bottleneck and
-            # cut the walk back to its first saturated arc; at a dead end
-            # retreat one arc and skip past it
-            path: list[int] = []
-            v = s
-            while True:
-                if v == t:
-                    f = min(cap[e] for e in path)
-                    for e in path:
-                        cap[e] -= f
-                        cap[e ^ 1] += f
-                    flow += f
-                    # resume the walk at the tail of the first saturated arc
-                    j = 0
-                    while cap[path[j]]:
-                        j += 1
-                    del path[j:]
-                    v = to[path[-1]] if path else s
-                arcs = head[v]
-                i, end = it[v], len(arcs)
-                nxt = level[v] + 1
-                while i < end:
-                    e = arcs[i]
-                    if cap[e] > 0 and level[to[e]] == nxt:
-                        break
-                    i += 1
-                it[v] = i
-                if i < end:
-                    path.append(arcs[i])
-                    v = to[arcs[i]]
-                elif path:
-                    v = to[path.pop() ^ 1]
-                    it[v] += 1
-                else:
-                    break
-
-    def min_cut_source_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual network (call after max_flow)."""
-        seen = {s}
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for e in self.head[v]:
-                if self.cap[e] > 0 and self.to[e] not in seen:
-                    seen.add(self.to[e])
-                    dq.append(self.to[e])
-        return seen
-
-    def reaching(self, t: int) -> set[int]:
-        """Vertices that reach t in the residual network (call after max_flow)."""
-        seen = {t}
-        dq = deque([t])
-        while dq:
-            v = dq.popleft()
-            for e in self.head[v]:
-                # e runs v -> w, so e ^ 1 is the arc w -> v
-                if self.cap[e ^ 1] > 0 and self.to[e] not in seen:
-                    seen.add(self.to[e])
-                    dq.append(self.to[e])
-        return seen
 
 
 @dataclass(frozen=True)
@@ -132,54 +38,136 @@ def _load_flow(
 ) -> tuple[frozenset[int] | None, list[tuple[int, int]] | None]:
     """Max flow on the load network at density p/q, p >= 0, q >= 1.
 
-    Edge (u, v) is one arc pair, u->v holding the units of its q that sit on
-    u and v->u those on v; moving units along an arc moves them to its head.
-    Each edge's units start on the end that comes first in `rank`, and one
-    pass over the edges moves an overloaded owner's units straight to the
-    other end while it has room. Then the source feeds each vertex its load
-    above p and each vertex drains its room below p to the sink.
+    The i-th edge (u, v) of g.edges() is arcs 2i (u -> v), holding the
+    units of its q that sit on u, and 2i + 1 (v -> u), holding those on v;
+    moving units along an arc moves them to its head. There is no network
+    object and no source or sink: a vertex's load above p is its excess,
+    and its load below p its room. One pass over the adjacency lays out the
+    arcs with each edge's units on the end that comes first in `rank`, and
+    sets every first load; one pass over the overloaded vertices moves
+    their units straight to neighbours with room. Dinic phases then move
+    excess to room along shortest residual paths, levelled by distance to
+    room, so that every levelled vertex has an arc one level down until a
+    move empties it.
 
-    A cut with source side S ∪ {s} costs its excess plus p|S| - q|E(S)|, so
-    its vertex sides are the maximisers of q|E(S)| - p|S|. Returns (T, None)
-    when the excess cannot all drain: some set is denser than p/q, and T,
-    reachable from s, is the minimal maximiser. Otherwise every load is at
-    most p and it returns (W, splits): W, the vertices that cannot reach t,
-    is the maximal maximiser (the union of all sets of density p/q), and
-    splits[i] = (units on u, units on v) for the i-th edge (u, v) of
-    g.edges().
+    Cutting a vertex set S off from the room costs the total excess plus
+    p|S| - q|E(S)|, so the cut sides are the maximisers of q|E(S)| - p|S|.
+    Returns (T, None) when the excess cannot all move: some set is denser
+    than p/q, and T, reachable from the excess left, is the minimal
+    maximiser. Otherwise every load is at most p and it returns (W,
+    splits): W, the vertices that cannot reach room, is the maximal
+    maximiser (the union of all sets of density p/q), and splits[i] =
+    (units on u, units on v) for the i-th edge (u, v) of g.edges().
     """
-    n = g.n
-    edges = list(g.edges())
+    n, adj = g.n, g.adj
     load = [0] * n
-    for u, v in edges:
-        load[u if rank[u] < rank[v] else v] += q
-    net = _Dinic(n + 2)
-    head, to, cap = net.head, net.to, net.cap
-    for i, (u, v) in enumerate(edges):
-        own, other = (u, v) if rank[u] < rank[v] else (v, u)
-        moved = max(0, min(q, load[own] - p, p - load[other]))
-        load[own] -= moved
-        load[other] += moved
-        # arcs 2i (u -> v) and 2i + 1 (v -> u), as add_edge would lay them out
-        head[u].append(2 * i)
-        head[v].append(2 * i + 1)
-        to += (v, u)
-        cap += (q - moved, moved) if own == u else (moved, q - moved)
-    s, t = n, n + 1
-    excess = 0
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    on_u, on_v = (q, 0), (0, q)
+    e = 0
+    for u, a in enumerate(adj):
+        ru, first = rank[u], e
+        for v in a[bisect_right(a, u) :]:
+            if ru < rank[v]:
+                load[u] += q
+                cap += on_u
+            else:
+                load[v] += q
+                cap += on_v
+            to += (v, u)
+            head[v].append(e + 1)
+            e += 2
+        head[u] += range(first, e, 2)
     for v in range(n):
-        if load[v] > p:
-            net.add_edge(s, v, load[v] - p)
-            excess += load[v] - p
-        elif load[v] < p:
-            net.add_edge(v, t, p - load[v])
-    if excess and net.max_flow(s, t) < excess:
-        side = net.min_cut_source_side(s)
-        side.discard(s)
-        return frozenset(side), None
-    reaching = net.reaching(t)
-    splits = [(cap[2 * i], cap[2 * i + 1]) for i in range(len(edges))]
-    return frozenset(v for v in range(n) if v not in reaching), splits
+        extra = load[v] - p
+        if extra > 0:
+            for e in head[v]:
+                w = to[e]
+                if cap[e] and load[w] < p:
+                    f = min(extra, p - load[w], cap[e])
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                    load[w] += f
+                    extra -= f
+                    if not extra:
+                        break
+            load[v] = p + extra
+    while True:
+        # levels: distance to room, by BFS over reversed arcs (w reaches v
+        # when w -> v, the twin of v -> w, holds units) from every vertex
+        # with room, up to the level of the first vertex with excess it pops
+        order = [v for v in range(n) if load[v] < p]
+        level = [-1] * n
+        for v in order:
+            level[v] = 0
+        top = -1
+        for v in order:
+            if load[v] > p:
+                top = level[v]
+                break
+            nxt = level[v] + 1
+            for e in head[v]:
+                if cap[e ^ 1] and level[to[e]] < 0:
+                    level[to[e]] = nxt
+                    order.append(to[e])
+        if top < 0:
+            break
+        # blocking flow: from each vertex x with excess on level `top`, walk
+        # arcs one level down, keeping the walk's arcs in `path`; at a vertex
+        # with room, move the least of x's excess, the end's room and the
+        # arcs' units, then cut the walk back to its first emptied arc; at a
+        # dead end retreat one arc
+        it = [0] * n
+        for x in range(n):
+            if load[x] <= p or level[x] != top:
+                continue
+            path: list[int] = []
+            v = x
+            while True:
+                if level[v]:
+                    arcs = head[v]
+                    k, end, nxt = it[v], len(arcs), level[v] - 1
+                    while k < end and not (cap[arcs[k]] and level[to[arcs[k]]] == nxt):
+                        k += 1
+                    it[v] = k
+                    if k < end:
+                        path.append(arcs[k])
+                        v = to[arcs[k]]
+                        continue
+                elif load[v] < p:
+                    f = min(load[x] - p, p - load[v], min(map(cap.__getitem__, path)))
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    load[x] -= f
+                    load[v] += f
+                    if load[x] == p:
+                        break
+                    j = 0
+                    while j < len(path) and cap[path[j]]:
+                        j += 1
+                    del path[j:]
+                    v = to[path[-1]] if path else x
+                    continue
+                if not path:
+                    break
+                v = to[path.pop() ^ 1]
+                it[v] += 1
+    excess = [v for v in range(n) if load[v] > p]
+    if excess:
+        # the excess left reaches no room: T is all that it reaches
+        seen = set(excess)
+        for v in excess:
+            for e in head[v]:
+                if cap[e] and to[e] not in seen:
+                    seen.add(to[e])
+                    excess.append(to[e])
+        return frozenset(seen), None
+    # no excess is left, so the last BFS ran out: unlevelled vertices are
+    # those that cannot reach room
+    splits = list(zip(cap[::2], cap[1::2]))
+    return frozenset(v for v in range(n) if level[v] < 0), splits
 
 
 def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
@@ -223,7 +211,6 @@ def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
-    removed = [False] * n
     rank = [0] * n
     edges, best_edges, best_size = g.m, g.m, max(n, 1)
     core = d = 0
@@ -232,19 +219,22 @@ def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
             while not buckets[d]:
                 d += 1
             v = buckets[d].pop()
-            if not removed[v] and deg[v] == d:
+            if deg[v] == d:
                 break
-        removed[v] = True
+        # a removed vertex has degree -1; one left beside v has at least 1
+        deg[v] = -1
         rank[v] = n - 1 - left
-        core = max(core, d)
+        if d > core:
+            core = d
         edges -= d
         for w in adj[v]:
-            if not removed[w]:
+            if deg[w] > 0:
                 deg[w] -= 1
                 buckets[deg[w]].append(w)
         if left and edges * best_size > best_edges * left:
             best_edges, best_size = edges, left
-        d = max(d - 1, 0)
+        if d:
+            d -= 1
     return core, Fraction(best_edges, best_size), rank
 
 

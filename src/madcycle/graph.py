@@ -7,6 +7,7 @@ values; floating point never enters decision logic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -622,13 +623,17 @@ def verify_density_certificate(g: Graph, vertices, density, splits) -> VerifyOut
     if len(splits) != g.m:
         return VerifyOutcome(False, f"{len(splits)} splits for {g.m} edges")
     load = [0] * g.n
-    inside = 0
-    for (u, v), (x, y) in zip(g.edges(), splits):
-        if x < 0 or y < 0 or x + y != q:
-            return VerifyOutcome(False, f"edge ({u},{v}) splits as ({x},{y}), not {q} units")
-        load[u] += x
-        load[v] += y
-        inside += u in vs and v in vs
+    inside = i = 0
+    # the edges (u, v), u < v, in the order of g.edges()
+    for u, a in enumerate(g.adj):
+        for v in a[bisect_right(a, u) :]:
+            x, y = splits[i]
+            i += 1
+            if x < 0 or y < 0 or x + y != q:
+                return VerifyOutcome(False, f"edge ({u},{v}) splits as ({x},{y}), not {q} units")
+            load[u] += x
+            load[v] += y
+            inside += u in vs and v in vs
     for v, units in enumerate(load):
         if units > p:
             return VerifyOutcome(False, f"vertex {v} receives {units} > {p} units")

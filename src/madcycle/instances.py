@@ -239,7 +239,11 @@ def _gen_near_complete(params: dict, rng: random.Random) -> tuple[Graph, dict]:
     if n < 0:
         raise PreconditionError("near_complete needs n >= 0")
     min_degree = _param(params, "min_degree", (11 * n + 19) // 20, int)
+    if min_degree < 0:
+        raise PreconditionError("near_complete needs min_degree >= 0")
     removals = _param(params, "removals", 2 * n, int)
+    if removals < 0:
+        raise PreconditionError("near_complete needs removals >= 0")
     adj = {i: set(range(n)) - {i} for i in range(n)}
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(all_pairs)

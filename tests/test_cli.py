@@ -325,6 +325,21 @@ class TestErrors:
         code, out, err = run(["gen", "near_complete", "--param", "n=-1"])
         assert code == 64 and out == "" and "near_complete needs n >= 0" in err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["n=5", "removals=-3"], "near_complete needs removals >= 0"),
+            (["n=6", "min_degree=-1", "removals=20"], "near_complete needs min_degree >= 0"),
+        ],
+        ids=["removals", "min_degree"],
+    )
+    def test_negative_near_complete_counts_are_usage_errors(self, params, message):
+        args = ["gen", "near_complete"]
+        for param in params:
+            args += ["--param", param]
+        code, out, err = run(args)
+        assert code == 64 and out == "" and message in err
+
     def test_negative_bipartite_dense_size_is_usage_error(self):
         code, out, err = run(
             ["gen", "bipartite_dense", "--param", "p=-1", "--param", "q=5"]

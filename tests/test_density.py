@@ -9,6 +9,7 @@ from madcycle import density
 from madcycle.density import degeneracy, densest_decision, mad_with_witness
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import (
+    Graph,
     avg_degree,
     build_graph,
     induced_subgraph,
@@ -289,7 +290,7 @@ def densest_decision_two_arc_pairs(g, guess):
     a, b = guess.numerator, guess.denominator
     n, m = g.n, g.m
     s, t = n, n + 1
-    net = density._Dinic(n + 2)
+    net = _GoldbergDinic(n + 2)
     for v in range(n):
         net.add_edge(s, v, m * b)
         net.add_edge(v, t, m * b + 2 * a - b * g.degree(v))
@@ -555,3 +556,211 @@ class TestAgainstGoldbergNetwork:
                 assert densest_decision(g, guess) == expect, (g.adj, guess)
                 returned += expect is not None
         assert returned >= 100
+
+
+class _NetworkDinic:
+    """Verbatim copy of the Dinic max flow that the load network ran on
+    while its source and sink were vertices with arcs."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int):
+        """Arc u->v and its empty reverse v->u, as arcs e and e ^ 1."""
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        to, cap, head = self.to, self.cap, self.head
+        while True:
+            # levels by BFS, which may stop once t has one: every vertex
+            # before t's level has one by then, and none after is needed
+            level = [-1] * self.n
+            level[s] = 0
+            dq = deque([s])
+            while dq and level[t] < 0:
+                v = dq.popleft()
+                for e in head[v]:
+                    if cap[e] > 0 and level[to[e]] < 0:
+                        level[to[e]] = level[v] + 1
+                        dq.append(to[e])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            # blocking flow: walk admissible arcs from s, keeping the arcs of
+            # the current walk in `path`; at t augment by the bottleneck and
+            # cut the walk back to its first saturated arc; at a dead end
+            # retreat one arc and skip past it
+            path: list[int] = []
+            v = s
+            while True:
+                if v == t:
+                    f = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    flow += f
+                    # resume the walk at the tail of the first saturated arc
+                    j = 0
+                    while cap[path[j]]:
+                        j += 1
+                    del path[j:]
+                    v = to[path[-1]] if path else s
+                arcs = head[v]
+                i, end = it[v], len(arcs)
+                nxt = level[v] + 1
+                while i < end:
+                    e = arcs[i]
+                    if cap[e] > 0 and level[to[e]] == nxt:
+                        break
+                    i += 1
+                it[v] = i
+                if i < end:
+                    path.append(arcs[i])
+                    v = to[arcs[i]]
+                elif path:
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
+                    break
+
+    def min_cut_source_side(self, s: int) -> set[int]:
+        """Vertices reachable from s in the residual network (call after max_flow)."""
+        seen = {s}
+        dq = deque([s])
+        while dq:
+            v = dq.popleft()
+            for e in self.head[v]:
+                if self.cap[e] > 0 and self.to[e] not in seen:
+                    seen.add(self.to[e])
+                    dq.append(self.to[e])
+        return seen
+
+    def reaching(self, t: int) -> set[int]:
+        """Vertices that reach t in the residual network (call after max_flow)."""
+        seen = {t}
+        dq = deque([t])
+        while dq:
+            v = dq.popleft()
+            for e in self.head[v]:
+                # e runs v -> w, so e ^ 1 is the arc w -> v
+                if self.cap[e ^ 1] > 0 and self.to[e] not in seen:
+                    seen.add(self.to[e])
+                    dq.append(self.to[e])
+        return seen
+
+
+def network_load_flow(
+    g: Graph, rank: list[int], p: int, q: int
+) -> tuple[frozenset[int] | None, list[tuple[int, int]] | None]:
+    """Verbatim copy of the load flow on an explicit network: a source arc
+    into each vertex with excess and a sink arc out of each with room.
+
+    Max flow on the load network at density p/q, p >= 0, q >= 1.
+
+    Edge (u, v) is one arc pair, u->v holding the units of its q that sit on
+    u and v->u those on v; moving units along an arc moves them to its head.
+    Each edge's units start on the end that comes first in `rank`, and one
+    pass over the edges moves an overloaded owner's units straight to the
+    other end while it has room. Then the source feeds each vertex its load
+    above p and each vertex drains its room below p to the sink.
+
+    A cut with source side S ∪ {s} costs its excess plus p|S| - q|E(S)|, so
+    its vertex sides are the maximisers of q|E(S)| - p|S|. Returns (T, None)
+    when the excess cannot all drain: some set is denser than p/q, and T,
+    reachable from s, is the minimal maximiser. Otherwise every load is at
+    most p and it returns (W, splits): W, the vertices that cannot reach t,
+    is the maximal maximiser (the union of all sets of density p/q), and
+    splits[i] = (units on u, units on v) for the i-th edge (u, v) of
+    g.edges().
+    """
+    n = g.n
+    edges = list(g.edges())
+    load = [0] * n
+    for u, v in edges:
+        load[u if rank[u] < rank[v] else v] += q
+    net = _NetworkDinic(n + 2)
+    head, to, cap = net.head, net.to, net.cap
+    for i, (u, v) in enumerate(edges):
+        own, other = (u, v) if rank[u] < rank[v] else (v, u)
+        moved = max(0, min(q, load[own] - p, p - load[other]))
+        load[own] -= moved
+        load[other] += moved
+        # arcs 2i (u -> v) and 2i + 1 (v -> u), as add_edge would lay them out
+        head[u].append(2 * i)
+        head[v].append(2 * i + 1)
+        to += (v, u)
+        cap += (q - moved, moved) if own == u else (moved, q - moved)
+    s, t = n, n + 1
+    excess = 0
+    for v in range(n):
+        if load[v] > p:
+            net.add_edge(s, v, load[v] - p)
+            excess += load[v] - p
+        elif load[v] < p:
+            net.add_edge(v, t, p - load[v])
+    if excess and net.max_flow(s, t) < excess:
+        side = net.min_cut_source_side(s)
+        side.discard(s)
+        return frozenset(side), None
+    reaching = net.reaching(t)
+    splits = [(cap[2 * i], cap[2 * i + 1]) for i in range(len(edges))]
+    return frozenset(v for v in range(n) if v not in reaching), splits
+
+
+class TestAgainstExplicitNetwork:
+    """`_load_flow` keeps the source and sink as excess and room; the
+    reference runs Dinic on a network where they are vertices with arcs.
+    The returned set and branch are unique over all maximum flows, so they
+    must agree; the splits may differ, and each must verify."""
+
+    def pairs(self):
+        rng = random.Random(83)
+        graphs = []
+        for _ in range(180):
+            n = rng.randint(2, 60)
+            graphs.append(random_graph(rng, n, rng.choice([2 / n, 4 / n, 8 / n, 0.2, 0.5, 0.9])))
+        graphs += TestAgainstGoldbergNetwork().graphs()
+        graphs += [random_graph(rng, 150, 8 / 149) for _ in range(2)]
+        graphs += [complete_minus_matching(40)] + [ladder(r) for r in (2, 3, 5, 8, 13, 40)]
+        for g in graphs:
+            if g.m == 0:
+                continue
+            n, best = g.n, mad_with_witness(g).density
+            guesses = {Fraction(0), best, best - Fraction(1, 2 * n * n)}
+            guesses.add(density._peel(g)[1])  # overflows where the bound is below best
+            guesses |= {Fraction(rng.randint(0, 2 * n), rng.randint(1, n)) for _ in range(3)}
+            guesses |= {best * Fraction(rng.randint(1, 2 * n), n)}
+            for guess in sorted(guesses):
+                yield g, guess, best
+
+    def test_same_set_and_branch_and_every_split_verifies(self):
+        count = overflowed = 0
+        for g, guess, best in self.pairs():
+            rank = density._peel(g)[2]
+            p, q = guess.numerator, guess.denominator
+            found, splits = density._load_flow(g, rank, p, q)
+            expect, expect_splits = network_load_flow(g, rank, p, q)
+            assert found == expect, (g.adj, guess)
+            assert (splits is None) == (expect_splits is None), (g.adj, guess)
+            count += 1
+            if splits is None:
+                overflowed += 1
+                continue
+            witness = mad_with_witness(g).vertices
+            check = verify_density_certificate(g, witness, guess, splits)
+            if guess == best:
+                assert check and found == witness, (g.adj, guess)
+            else:
+                # the splits hold every load under p; only the witness,
+                # densest at `best`, misses the guessed density
+                assert check.reason == f"witness density {best}, not {guess}", (g.adj, guess)
+        assert count >= 1000 and overflowed >= 200

@@ -17,20 +17,29 @@ from .errors import ConstructionFailure, GraphInputError, PreconditionError
 class Graph:
     """Simple undirected graph with sorted adjacency and bitmask neighborhoods."""
 
-    __slots__ = ("n", "adj", "m", "masks", "_hash")
+    __slots__ = ("n", "adj", "m", "masks", "_hash", "_blocks")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.adj = adj
-        self.m = sum(len(a) for a in adj) // 2
         masks = []
         for a in adj:
             mask = 0
             for v in a:
                 mask |= 1 << v
             masks.append(mask)
-        self.masks = tuple(masks)
+        self._fill(n, adj, tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, n: int, adj, masks: tuple[int, ...]) -> "Graph":
+        """The graph of `adj`, whose neighbour masks are already built."""
+        g = cls.__new__(cls)
+        g._fill(n, adj, masks)
+        return g
+
+    def _fill(self, n, adj, masks):
+        self.n, self.adj, self.masks = n, adj, masks
+        self.m = sum(len(a) for a in adj) // 2
         self._hash = None
+        self._blocks = None  # the memo of _lowpoint
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -85,15 +94,19 @@ class Graph:
 
 def build_graph(edges, n: int) -> Graph:
     """Build a graph from an edge list; duplicates collapse, self-loops reject."""
-    sets: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"vertex id out of range in edge ({u},{v}), n={n}")
         if u == v:
             raise GraphInputError(f"self-loop at vertex {u}")
-        sets[u].add(v)
-        sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in sets))
+        if not masks[u] >> v & 1:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph._from_masks(n, tuple(tuple(sorted(a)) for a in adj), tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +156,10 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
         raise GraphInputError(f"vertex id {bad} out of range, n={g.n}")
     if len(vs) == g.n and (not vs or (vs[0] == 0 and vs[-1] == g.n - 1)):
         return g, vs
-    index = {v: i for i, v in enumerate(vs)}
-    adj = tuple(
-        tuple(index[w] for w in g.adj[v] if w in index) for v in vs
-    )
+    pos = [-1] * g.n  # new label of each kept vertex
+    for i, v in enumerate(vs):
+        pos[v] = i
+    adj = tuple(tuple([pos[w] for w in g.adj[v] if pos[w] >= 0]) for v in vs)
     return Graph(len(vs), adj), vs
 
 
@@ -207,7 +220,21 @@ def is_connected(g: Graph) -> bool:
 
 def is_biconnected(g: Graph) -> bool:
     """2-connected per the standard definition: n > 2, connected, no cut vertex."""
-    return g.n > 2 and _cut_vertices(g) == []
+    return g.n > 2 and _lowpoint(g)[0] == []
+
+
+def _lowpoint(g: Graph) -> tuple[list[int] | None, list[frozenset[int]]]:
+    """The skip-less _cut_vertices(g, blocks=...): the cut vertices (None when
+    g is disconnected) and the blocks sorted by their sorted tuples.
+
+    It runs once per Graph: g keeps the result, which callers must not change.
+    """
+    if g._blocks is None:
+        blocks: list[frozenset[int]] = []
+        cuts = _cut_vertices(g, blocks=blocks)
+        blocks.sort(key=lambda b: tuple(sorted(b)))
+        g._blocks = (cuts, blocks)
+    return g._blocks
 
 
 def _cut_vertices(
@@ -273,15 +300,14 @@ def _cut_vertices(
 
 def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
     """Blocks (sorted by their sorted tuples) and cut vertices of a connected
-    graph, from _cut_vertices; empty or disconnected input raises."""
+    graph, as fresh containers from _lowpoint; empty or disconnected input
+    raises."""
     if g.n == 0:
         raise PreconditionError("empty graph")
-    blocks: list[frozenset[int]] = []
-    cuts = _cut_vertices(g, blocks=blocks)
+    cuts, blocks = _lowpoint(g)
     if cuts is None:
         raise PreconditionError("graph is disconnected")
-    blocks.sort(key=lambda b: tuple(sorted(b)))
-    return blocks or [frozenset([0])], set(cuts)  # K1 is one block
+    return list(blocks) or [frozenset([0])], set(cuts)  # K1 is one block
 
 
 def _sparse_certificate(g: Graph, k: int) -> Graph:
@@ -497,7 +523,7 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
 
     H is the 3-forest sparse certificate of g (at most 3(n-1) edges), which
     is 3-connected exactly when g is. The checks run in this order: the
-    2-connectivity of g (one lowpoint DFS); Chartrand-Harary; the O(n + m)
+    2-connectivity of g (g's one lowpoint DFS); Chartrand-Harary; the O(n + m)
     3-connectivity test of H, so a 3-connected g costs O(n + m) in all.
     Otherwise {x,y} separates g exactly when y is a cut vertex of g - x, so
     one lowpoint DFS per x finds every pair: O(n(n+m)) time. That DFS runs

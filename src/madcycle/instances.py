@@ -1,9 +1,10 @@
 """Graph formats, the result schema, and instance generators.
 
-Edgelist: whitespace-separated "u v" lines, '#' comments, 0-based ids, an
-optional "n <count>" header (otherwise n = max id + 1). DIMACS: "p edge n m"
-then 1-based "e u v" lines. JSON results carry rationals as num/den pairs;
-floats would break the exactness guarantees downstream.
+Edgelist: whitespace-separated "u v" lines, '#' comments, 0-based ids, at
+most one "n <count>" header (otherwise n = max id + 1). DIMACS: one "p edge n
+m" line, then 1-based "e u v" lines, exactly m of them. JSON results carry
+rationals as num/den pairs; floats would break the exactness guarantees
+downstream.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ def _parse_edgelist(text: str) -> Graph:
     header_n: int | None = None
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "n" and len(parts) == 2:
+            if header_n is not None:
+                raise GraphInputError(f"line {lineno}: second vertex count header")
             try:
                 header_n = int(parts[1])
             except ValueError:
@@ -54,7 +56,10 @@ def _parse_edgelist(text: str) -> Graph:
         if u == v:
             raise GraphInputError(f"line {lineno}: self-loop at {u}")
         edges.append((u, v))
-        max_id = max(max_id, u, v)
+        if u > max_id:
+            max_id = u
+        if v > max_id:
+            max_id = v
     n = header_n if header_n is not None else max_id + 1
     if n <= max_id:
         raise GraphInputError(f"vertex id {max_id} exceeds declared count {n}")
@@ -70,9 +75,13 @@ def _parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphInputError(f"line {lineno}: second problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphInputError(f"line {lineno}: bad problem line {raw!r}")
             n = _check_count(_dimacs_int(parts[2], lineno), lineno)
+            m = _check_count(_dimacs_int(parts[3], lineno), lineno, "edge")
+            p_line = lineno
             continue
         if parts[0] == "e":
             if n is None:
@@ -89,12 +98,16 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphInputError(f"line {lineno}: unrecognized line {raw!r}")
     if n is None:
         raise GraphInputError("missing problem line")
+    if len(edges) != m:
+        raise GraphInputError(
+            f"line {p_line}: problem line declares {m} edges, found {len(edges)}"
+        )
     return build_graph(edges, n)
 
 
-def _check_count(n: int, lineno: int) -> int:
+def _check_count(n: int, lineno: int, what: str = "vertex") -> int:
     if n < 0:
-        raise GraphInputError(f"line {lineno}: negative vertex count {n}")
+        raise GraphInputError(f"line {lineno}: negative {what} count {n}")
     return n
 
 

@@ -9,8 +9,9 @@ ids: every later step works on that one graph.
 Rule order stands in for connectivity guards: every rule set starts with
 rules 1 and 2, and the core always keeps an edge, so rule 1 fires on every
 disconnected core, rule 2 on every connected one with a cut vertex, and
-rules 3 and 4 see only an edge or a 2-connected core. Rules 2 and 4 read one
-lowpoint DFS each, which raises PreconditionError where they do not apply.
+rules 3 and 4 see only an edge or a 2-connected core. Rules 1, 2 and 4 read
+the core's one lowpoint DFS, which the core keeps (graph._lowpoint); rules 2
+and 4 raise PreconditionError where they do not apply.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .graph import (
     Graph,
+    _lowpoint,
     avg_degree_of_set,
     blocks_and_cut_vertices,
     eg_bound,
@@ -87,9 +89,9 @@ def apply_rule(
     sub, ids = induced_subgraph(g, vs)
 
     if rule == 1:
-        comps = subset_components(sub, range(sub.n))
-        if len(comps) <= 1:
+        if _lowpoint(sub)[0] is not None:  # connected; rule 2 reads the same DFS
             return None
+        comps = subset_components(sub, range(sub.n))
         best = None
         for comp in comps:
             if len(comp) < 2:

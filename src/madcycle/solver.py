@@ -91,18 +91,19 @@ def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     still checked, and a cycle not longer than mad raises
     ConstructionFailure.
     """
-    return _k0_cycle(g)[0]
+    return _k0_cycle(g, ceil_frac(mad_with_witness(g).mad))[0]
 
 
-def _k0_cycle(g: Graph) -> tuple[CycleCertificate, ReductionTrace]:
-    """k0_constructive_cycle's cycle and the trace of its one reduction."""
+def _k0_cycle(g: Graph, want: int) -> tuple[CycleCertificate, ReductionTrace]:
+    """k0_constructive_cycle's cycle, certified against g as at least `want`
+    long, and the trace of its one reduction."""
     witness = mad_with_witness(g)
     if witness.mad < 2:
         raise PreconditionError("no cycle exists below mad = 2")
     _, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
     cyc = longpaths.dirac_cycle(trace.core)
     mapped = tuple(trace.core_ids[v] for v in cyc.vertices)
-    cert = _certify(g, CycleCertificate(mapped, ceil_frac(witness.mad)))
+    cert = _certify(g, CycleCertificate(mapped, want))
     if not Fraction(len(mapped)) > witness.mad:
         raise ConstructionFailure("constructive cycle does not exceed mad")
     return cert, trace
@@ -371,8 +372,7 @@ def solve(
     base = dict(k=k, mad=mad, threshold_len=threshold)
 
     if k == 0:
-        cert, tr = _k0_cycle(g)
-        cert = _certify(g, CycleCertificate(cert.vertices, threshold))
+        cert, tr = _k0_cycle(g, threshold)
         trace = tr.to_jsonable() if with_trace else None
         return SolveResult("yes", certificate=cert, branch="k0", trace=trace, **base)
 
@@ -464,7 +464,7 @@ def _solve_path(g, k, seed, budget, strict, with_trace) -> SolveResult:
     k_plus = want_vertices + 1 - ceil_frac(mad_p)
 
     if k_plus <= 0:
-        cycle_cert, tr = _k0_cycle(gp)
+        cycle_cert, tr = _k0_cycle(gp, ceil_frac(mad_p))
         trace = tr.to_jsonable() if with_trace else None
         res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:

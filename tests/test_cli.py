@@ -303,6 +303,31 @@ class TestErrors:
         code, out, err = run(["mad", str(f), "--format", "dimacs"])
         assert code == 65 and out == "" and "negative vertex count -2" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 foo\ne 1 2\ne 2 3\ne 3 1\n", "line 1: non-integer 'foo'"),
+            ("p edge 3 -1\ne 1 2\ne 2 3\ne 3 1\n", "line 1: negative edge count -1"),
+            (
+                "c a triangle\np edge 3 7\ne 1 2\ne 2 3\ne 3 1\n",
+                "line 2: problem line declares 7 edges, found 3",
+            ),
+            ("p edge 2 0\np edge 3 3\ne 1 2\ne 2 3\ne 3 1\n", "line 2: second problem line"),
+        ],
+        ids=["non-integer-m", "negative-m", "m-not-edge-lines", "second-header"],
+    )
+    def test_dimacs_header_is_checked(self, tmp_path, text, message):
+        f = tmp_path / "bad.dimacs"
+        f.write_text(text)
+        code, out, err = run(["mad", str(f), "--format", "dimacs"])
+        assert code == 65 and out == "" and message in err
+
+    def test_second_edgelist_header_is_data_error(self, tmp_path):
+        f = tmp_path / "twice.el"
+        f.write_text("n 3\n0 1\n1 2\n2 0\n# more\nn 4\n")
+        code, out, err = run(["mad", str(f)])
+        assert code == 65 and out == "" and "line 6: second vertex count header" in err
+
     def test_negative_edgelist_count_is_data_error(self, tmp_path):
         f = tmp_path / "neg.el"
         f.write_text("n -3\n")

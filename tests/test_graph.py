@@ -478,6 +478,61 @@ class TestThreeConnected:
         assert seps == [] and len(calls) == 1
 
 
+class TestLowpointMemo:
+    """Each Graph runs the skip-less lowpoint DFS once and keeps its result."""
+
+    @staticmethod
+    def count_dfs(monkeypatch):
+        calls = []
+        cut_vertices = graph._cut_vertices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cut_vertices(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_cut_vertices", counted)
+        return calls
+
+    def test_one_dfs_behind_both_queries(self, monkeypatch):
+        calls = self.count_dfs(monkeypatch)
+        for g, cuts in ((bowtie(), {2}), (petersen(), set())):
+            calls.clear()
+            assert is_biconnected(g) == (not cuts)
+            assert blocks_and_cut_vertices(g)[1] == cuts
+            assert is_biconnected(g) == (not cuts)
+            assert len(calls) == 1
+
+    def test_mutating_the_answer_leaves_the_memo(self):
+        for g in (bowtie(), path_graph(5), Graph(1, ((),))):
+            blocks, cuts = blocks_and_cut_vertices(g)
+            want = (list(blocks), set(cuts))
+            blocks.append(frozenset({0}))
+            blocks.reverse()
+            cuts.add(0)
+            assert blocks_and_cut_vertices(g) == want
+            blocks, cuts = blocks_and_cut_vertices(g)
+            blocks.clear()
+            cuts.clear()
+            assert blocks_and_cut_vertices(g) == want
+
+    def test_two_separators_unchanged_on_random_graphs(self):
+        # TestThreeConnected's draws, asked first through the memo, then fresh
+        rng = random.Random(31)
+        tested = 0
+        while tested < 400:
+            n = rng.randint(4, 14)
+            if rng.random() < 0.6:
+                g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            else:
+                g = random_sparse_graph(rng, n, rng.choice([2, 3, 4]))
+            if not is_biconnected(g):
+                continue
+            want = brute_two_separators(g)
+            assert two_separators(g) == want
+            assert two_separators(Graph(g.n, g.adj)) == want
+            tested += 1
+
+
 def block_chain(rng, sizes):
     """Blocks K_s (s in sizes), each edge kept with probability 0.85, where
     consecutive blocks share a vertex pair."""

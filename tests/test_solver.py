@@ -11,6 +11,7 @@ from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.extract import FoundCycle, Incomplete, VertexCover, find_dense
 from madcycle.graph import (
     CycleCertificate,
+    Graph,
     build_graph,
     ceil_frac,
     induced_subgraph,
@@ -205,6 +206,26 @@ class TestK0WithoutSeparatorScan:
             assert len(r.path_certificate) >= r.threshold_len
             path_k0 += r.branch == "path_k0"
         assert path_k0 >= 50, path_k0
+
+    def test_one_lowpoint_dfs_per_graph(self, monkeypatch):
+        from madcycle import graph
+
+        g = random_2connected_graph(random.Random(25), 150, 8 / 149)
+        g = Graph(g.n, g.adj)  # sampling already ran the DFS of the first copy
+        asked = []
+        cut_vertices = graph._cut_vertices
+
+        def counted(h, skip=-1, blocks=None):
+            if skip < 0:
+                asked.append(h)
+            return cut_vertices(h, skip, blocks)
+
+        monkeypatch.setattr(graph, "_cut_vertices", counted)
+        assert solve(g, 0).answer == "yes"
+        # g, then the witness core, which is also the reduction's last core
+        # and the one dirac_cycle is given
+        assert asked[0] is g and len(asked) == 2
+        assert len({id(h) for h in asked}) == len(asked)
 
     def test_core_with_a_separator_keeps_its_hamiltonian_cycle(self):
         # rule 4 would cut {0, 5} off at the separator {1, 3} and leave a

@@ -7,8 +7,8 @@ Library layout (one module per concern):
 - reduction:  density-preserving pruning rules
 - cyclesearch: rotation-extension, short-detour and insertion moves, and the
                one exact depth-first search for long cycles and (s,t)-paths
-- longpaths:  Dirac cycles, Fan (s,t)-paths, exact and Monte Carlo st-paths
-- segments:   systems of T-segments by color coding
+- longpaths:  Dirac cycles, Fan (s,t)-paths, exact st-paths under a state budget
+- segments:   systems of T-segments by an exact color-coding DP
 - routing:    cycles through prescribed pairs in dense graphs
 - extract:    the trichotomy (long cycle / small dense / bipartite dense)
 - solver:     the full decision pipeline with certificates

@@ -4,9 +4,9 @@ growth, and the one exact depth-first search for long paths and cycles.
 Used by the Dirac constructor, the cycle engine and the pair routing, which
 share one short-detour move (`detour_move` also takes the bipartite
 routing's connector). `_colorful_path` is the only exact path or cycle
-search: `find_cycle_at_least` runs it from each root back to the root, and
-`longpaths.st_path_at_least` runs it from s to t. All scanning is in sorted
-vertex order, so results are deterministic.
+search, over (vertex set, end) states: `find_cycle_at_least` runs it from
+each root back to the root, and `longpaths.st_path_at_least` runs it from s
+to t. All scanning is in sorted vertex order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -354,23 +354,21 @@ def find_cycle_at_least(
     """A cycle with >= want vertices, or None when g has none.
 
     Roots each cycle at its least vertex: for each root, `_colorful_path`
-    under the identity colouring searches a cycle from the root back to it
-    through the vertices above it. The root is below every vertex the path
-    may use, so each state tries its closure before its children, and the
-    first cycle in that depth-first order is returned. One state_budget
-    covers all roots; past it StateBudgetExceeded is raised, so None is
-    always exact.
+    searches a cycle from the root back to it through the vertices above
+    it. The root is below every vertex the path may use, so each state tries
+    its closure before its children, and the first cycle in that depth-first
+    order is returned. One state_budget covers all roots; past it
+    StateBudgetExceeded is raised, so None is always exact.
     """
     want = max(want, 3)
     if g.n < want:
         return None
-    ident = list(range(g.n))
     budget = None if state_budget is None else [state_budget]
     full = (1 << g.n) - 1
     for root in range(g.n - want + 1):
         above = full & ~((2 << root) - 1)
         # the closed walk root..root counts the root twice
-        found = _colorful_path(g, root, root, above, ident, want + 1, budget)
+        found = _colorful_path(g, root, root, above, want + 1, budget)
         if found is not None:
             return found
     return None
@@ -381,38 +379,32 @@ def _colorful_path(
     s: int,
     t: int,
     allowed: int,
-    coloring: list[int],
     want_vertices: int,
     budget: list[int] | None = None,
 ) -> list[int] | None:
-    """A path s..t whose inner vertices lie in the mask allowed, whose
-    vertices carry distinct colours and number at least want_vertices, t
-    counted; None when there is none. With t == s it is a cycle through s,
-    returned without repeating s.
+    """A simple path s..t whose inner vertices lie in the mask allowed and
+    whose vertices number at least want_vertices, t counted; None when there
+    is none. With t == s it is a cycle through s, returned without repeating
+    s. (The name is colour coding's: under the identity colouring a
+    colourful path is a simple path.)
 
-    Depth-first over states (colour set, end), children in ascending order,
+    Depth-first over states (vertex set, end), children in ascending order,
     so the first qualifying path in that order is returned. t only ends a
-    path, and its colour is reserved for t from the start. A child w is
-    pruned unless a neighbour of t is reachable from w, w included, through
-    allowed vertices of unused colours, and the path plus those vertices
-    plus t is long enough. Whether a state completes depends only on its
-    colour set and end, so a state found without completion is kept dead
-    and never expanded again. Each pushed state takes one from budget[0], and
-    a push that takes it below zero raises StateBudgetExceeded.
+    path, and it is in the vertex set from the start. A child w is pruned
+    unless a neighbour of t is reachable from w, w included, through allowed
+    unused vertices, and the path plus those vertices plus t is long enough.
+    Whether a state completes depends only on its vertex set and end, so a
+    state found without completion is kept dead and never expanded again.
+    Each pushed state takes one from budget[0], and a push that takes it
+    below zero raises StateBudgetExceeded.
     """
-    if s != t and coloring[s] == coloring[t]:
-        return None
-    classes = [0] * (max(coloring) + 1)
-    for v, c in enumerate(coloring):
-        classes[c] |= 1 << v
     dead: set[tuple[int, int]] = set()
     t_nbrs = g.masks[t]
     path = [s]
-    key = 1 << coloring[s] | 1 << coloring[t]
-    alive = allowed & ~classes[coloring[s]] & ~classes[coloring[t]]
-    stack = [(key, alive, iter(g.adj[s]))]
+    key = 1 << s | 1 << t
+    stack = [(key, allowed & ~key, iter(g.adj[s]))]
     while stack:
-        ckey, alive, children = stack[-1]
+        vkey, alive, children = stack[-1]
         for w in children:
             if w == t:
                 if len(path) + 1 >= want_vertices:
@@ -420,10 +412,10 @@ def _colorful_path(
                 continue
             if not alive >> w & 1:
                 continue
-            key = ckey | 1 << coloring[w]
+            key = vkey | 1 << w
             if (key, w) in dead:
                 continue
-            rest = alive & ~classes[coloring[w]]
+            rest = alive & ~(1 << w)
             rm = reach(g, g.masks[w], rest) | 1 << w
             if not rm & t_nbrs or len(path) + 1 + rm.bit_count() < want_vertices:
                 dead.add((key, w))
@@ -437,5 +429,5 @@ def _colorful_path(
             break
         else:
             stack.pop()
-            dead.add((ckey, path.pop()))
+            dead.add((vkey, path.pop()))
     return None

@@ -26,4 +26,4 @@ class EngineIncomplete(RuntimeError):
 
 class StateBudgetExceeded(Exception):
     """An exact search passed its state budget (DET_STATE_BUDGET states); its
-    caller falls back to Monte Carlo colorings or answers without the search."""
+    caller reports the search as not exact, or answers without it."""

@@ -2,7 +2,8 @@
 
 Edgelist: whitespace-separated "u v" lines, '#' comments, 0-based ids, at
 most one "n <count>" header (otherwise n = max id + 1). DIMACS: one "p edge n
-m" line, then 1-based "e u v" lines, exactly m of them. JSON results carry
+m" line, then 1-based "e u v" lines, exactly m of them; a line whose first
+token is "c" is a comment, and "cat 1 2" is not. JSON results carry
 rationals as num/den pairs; floats would break the exactness guarantees
 downstream.
 """
@@ -70,10 +71,9 @@ def _parse_dimacs(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise GraphInputError(f"line {lineno}: second problem line")

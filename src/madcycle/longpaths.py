@@ -3,19 +3,15 @@
 The Dirac routine layers a rotation-extension heuristic over the exact
 cycle search, so the guarantee holds at desk scale while dense instances
 stay polynomial in practice. Every (s,t)-path search is the one exact
-depth-first search over colourful states, `cyclesearch._colorful_path`,
-which also finds long cycles: st_path_at_least runs it under the identity
-coloring, an exact decision while it fits DET_STATE_BUDGET, and past that
-under Monte Carlo colorings; fan_path is one st_path_at_least call at Fan's
-bound. st_path_at_least returns the path (or None) with a flag saying
-whether the search was exact, so a None proves absence only when the flag
+depth-first search, `cyclesearch._colorful_path`, which also finds long
+cycles: st_path_at_least runs it under DET_STATE_BUDGET states, and
+fan_path is one st_path_at_least call at Fan's bound. st_path_at_least
+returns the path (or None) with a flag saying whether the search was exact:
+past the budget it gives up, so a None proves absence only when the flag
 is True.
 """
 
 from __future__ import annotations
-
-import math
-import random
 
 from . import cyclesearch
 from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
@@ -31,9 +27,6 @@ from .graph import (
     verify_path_certificate,
 )
 
-RANDOM_Q_CAP = 18
-DEFAULT_TRIAL_CAP = 500
-EXTRA_TARGETS = 2  # randomized mode also probes slightly longer exact lengths
 DET_STATE_BUDGET = 400_000  # states one exact search may push before it gives up
 
 
@@ -87,52 +80,28 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
 
 
 def st_path_at_least(
-    g: Graph,
-    s: int,
-    t: int,
-    target_vertices: int,
-    seed: int = 0,
-    trials: int | None = None,
+    g: Graph, s: int, t: int, target_vertices: int
 ) -> tuple[PathCertificate | None, bool]:
     """A simple (s,t)-path with >= target_vertices vertices, if one is found,
     and whether the search was exact.
 
-    The identity coloring gives an exact decision whenever its search fits
-    DET_STATE_BUDGET; otherwise the flag is False and one-sided Monte Carlo
-    with target_vertices colors runs, up to RANDOM_Q_CAP colors, so None
-    only means none found at the configured confidence.
+    The search is an exact decision whenever it fits DET_STATE_BUDGET
+    states. Past the budget it answers (None, False): none found, and
+    nothing proved.
     """
     if s == t:
         raise PreconditionError("st_path_at_least needs distinct endpoints")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise PreconditionError("st_path_at_least endpoint out of range")
     target_vertices = max(target_vertices, 2)
-    everyone = (1 << g.n) - 1
     try:
         found = cyclesearch._colorful_path(
-            g, s, t, everyone, list(range(g.n)), target_vertices, [DET_STATE_BUDGET]
+            g, s, t, (1 << g.n) - 1, target_vertices, [DET_STATE_BUDGET]
         )
-        if found is None:
-            return None, True
-        cert = PathCertificate(tuple(found))
-        require_verified(verify_path_certificate(g, cert))
-        return cert, True
     except StateBudgetExceeded:
-        pass
-    if target_vertices > RANDOM_Q_CAP:
         return None, False
-    if trials is None:
-        trials = min(DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(target_vertices)))
-    for extra in range(EXTRA_TARGETS + 1):
-        q = target_vertices + extra
-        if q > RANDOM_Q_CAP:
-            break
-        for trial in range(trials):
-            rng = random.Random(seed * 2654435761 + q * 1000003 + trial)
-            coloring = [rng.randrange(q) for _ in range(g.n)]
-            found = cyclesearch._colorful_path(g, s, t, everyone, coloring, q)
-            if found is not None:
-                cert = PathCertificate(tuple(found))
-                require_verified(verify_path_certificate(g, cert))
-                return cert, False
-    return None, False
+    if found is None:
+        return None, True
+    cert = PathCertificate(tuple(found))
+    require_verified(verify_path_certificate(g, cert))
+    return cert, True

@@ -1,28 +1,26 @@
-"""Systems of T-segments by color coding.
+"""Systems of T-segments by color coding under the identity coloring.
 
-Two-stage DP: stage one tabulates colorful single segments between anchor
-pairs; stage two peels one segment per level, distinguishing a shared next
-endpoint (its color returns to the pool) from a fresh one. Level r depends
-only on level r-1, so an engine builds each level on the first query that
-asks for it.
+Two-stage DP: stage one tabulates single segments between anchor pairs,
+keyed by their vertex sets; stage two peels one segment per level,
+distinguishing a shared next endpoint (the one vertex two segments may
+share) from a fresh one. Level r depends only on level r-1, so an engine
+builds each level on the first query that asks for it.
 
-The identity coloring turns the Monte Carlo search into an exact subset DP.
-A `SegmentSearch` owns one identity engine for one (g, T, A), sized for the
-whole probe range of a case analysis and built on its first probe; every
-probe of that case is answered from it. A state with p <= P is derived only
-from states with p <= P, in the same order and from the same predecessor, so
-a larger range changes no answer and no reconstruction. When the engine's
-state budget trips, the search's remaining probes run Monte Carlo colorings,
-one set per probe, and `SegmentSearch.exact` turns False for good: a None
-probe answer proves absence only while it is True. Nothing is cached beyond
-the search object. `find_segments_partitioned` is the one probe, and
+Under the identity coloring a colorful segment is a simple one and a color
+set is a vertex set, so the DP is exact. A `SegmentSearch` owns one engine
+for one (g, T, A), sized for the whole probe range of a case analysis and
+built on its first probe; every probe of that case is answered from it. A
+state with p <= P is derived only from states with p <= P, in the same order
+and from the same predecessor, so a larger range changes no answer and no
+reconstruction. When the engine's state budget trips, `SegmentSearch.exact`
+turns False for good and every probe from then on answers None: a None
+probe answer proves absence only while exact is True. Nothing is cached
+beyond the search object. `find_segments_partitioned` is the one probe, and
 `find_segments` is its probe (r, p, 0, r) with A empty.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 
 from . import longpaths
@@ -112,10 +110,10 @@ def validate_segment_system(
 
 
 class _SegmentEngine:
-    """One coloring's worth of the two-stage DP, reusable across queries.
+    """The two-stage DP under the identity coloring, reusable across queries.
 
-    Levels are built on demand, up to rmax; states exceeding pmax internals,
-    smax A-segments or tmax B-segments are never created.
+    Levels are built on demand, up to rmax; states exceeding pmax internals
+    are never created. A state past state_budget raises StateBudgetExceeded.
     """
 
     def __init__(
@@ -123,47 +121,40 @@ class _SegmentEngine:
         g: Graph,
         T: frozenset[int],
         A: frozenset[int],
-        coloring: tuple[int, ...],
         pmax: int,
         rmax: int,
-        smax: int,
-        tmax: int,
-        state_budget: int | None = None,
+        state_budget: int,
     ):
         self.g = g
         self.T = T
         self.A = A
-        self.coloring = coloring
         self.pmax = pmax
         self.rmax = rmax
-        self.smax = smax
-        self.tmax = tmax
         self._budget = state_budget
         self._states = 0
         self._alpha_walk: dict[int, dict[int, int]] = {}
-        # per x in sorted T with a gated alpha entry: (x, color bit of x,
+        # per x in sorted T with a gated alpha entry: (x, bit of x,
         # entries (y, ykey, internals, A-segment 0/1, B-segment 0/1))
         self._rows: list[tuple[int, int, list[tuple[int, int, int, int, int]]]] = []
         self._build_alpha()
         self._levels: list[dict] = []
 
     def _tick(self):
-        if self._budget is not None:
-            self._states += 1
-            if self._states > self._budget:
-                raise StateBudgetExceeded()
+        self._states += 1
+        if self._states > self._budget:
+            raise StateBudgetExceeded()
 
-    # stage one: colorful single segments
+    # stage one: single segments
     def _build_alpha(self):
-        g, T, A, c = self.g, self.T, self.A, self.coloring
+        g, T, A = self.g, self.T, self.A
         t_mask = 0
         for y in T:
             t_mask |= 1 << y
         out_mask = ((1 << g.n) - 1) & ~t_mask
         max_pop = self.pmax + 1  # x plus at most pmax internals
         for x in sorted(T):
-            reach: dict[int, int] = {1 << c[x]: 1 << x}
-            queue = [1 << c[x]]
+            reach: dict[int, int] = {1 << x: 1 << x}
+            queue = [1 << x]
             qi = 0
             while qi < len(queue):
                 ckey = queue[qi]
@@ -175,15 +166,11 @@ class _SegmentEngine:
                 while e:
                     v = (e & -e).bit_length() - 1
                     e &= e - 1
-                    cand = g.masks[v] & out_mask
-                    w = cand
+                    w = g.masks[v] & out_mask & ~ckey
                     while w:
                         u = (w & -w).bit_length() - 1
                         w &= w - 1
-                        cu = c[u]
-                        if ckey >> cu & 1:
-                            continue
-                        nkey = ckey | (1 << cu)
+                        nkey = ckey | (1 << u)
                         if nkey not in reach:
                             reach[nkey] = 0
                             queue.append(nkey)
@@ -197,18 +184,16 @@ class _SegmentEngine:
                 while e:
                     v = (e & -e).bit_length() - 1
                     e &= e - 1
+                    # y is in T and ckey holds x and vertices outside T
                     ys = g.masks[v] & t_mask & ~(1 << x)
                     while ys:
                         y = (ys & -ys).bit_length() - 1
                         ys &= ys - 1
-                        cy = c[y]
-                        if ckey >> cy & 1:
-                            continue
-                        entries.add((y, ckey | (1 << cy)))
+                        entries.add((y, ckey | (1 << y)))
                         self._tick()
             self._alpha_walk[x] = reach
-            # alpha*: reject |Y| <= 2 and one-internal A-segments, and any
-            # segment past the engine's own caps
+            # alpha*: reject |Y| <= 2, one-internal A-segments and segments
+            # past pmax
             x_in_a = x in A
             gated = []
             for y, ykey in sorted(entries):
@@ -217,42 +202,39 @@ class _SegmentEngine:
                 db = 1 if (not x_in_a and y not in A) else 0
                 if dp < 1 or (dp == 1 and da):
                     continue
-                if dp > self.pmax or da > self.smax or db > self.tmax:
+                if dp > self.pmax:
                     continue
                 gated.append((y, ykey, dp, da, db))
             if gated:
-                self._rows.append((x, 1 << c[x], gated))
+                self._rows.append((x, 1 << x, gated))
 
     # stage two: peel segments level by level
     def _next_level(self) -> dict:
-        c = self.coloring
-        pmax, smax, tmax = self.pmax, self.smax, self.tmax
+        pmax = self.pmax
         # level 1 extends the empty system: no endpoint, nothing counted
         prev = self._levels[-1] if self._levels else {None: None}
         cur: dict[tuple, tuple] = {}
         for pkey in prev:
             if pkey is None:
-                w, p0, s0, t0, x0, cw_bit = -1, 0, 0, 0, 0, 0
+                w, p0, s0, t0, x0, w_bit = -1, 0, 0, 0, 0, 0
             else:
                 w, p0, s0, t0, x0 = pkey
-                cw_bit = 1 << c[w]
+                w_bit = 1 << w
             for x, x_bit, gated in self._rows:
                 if x0 & x_bit:
                     continue
                 for y, ykey, dp, da, db in gated:
                     overlap = ykey & x0
                     if y == w:
-                        # a shared endpoint: only its color may repeat
-                        if overlap != cw_bit:
+                        # a shared endpoint: only it may repeat
+                        if overlap != w_bit:
                             continue
                     elif overlap or x == w:
                         continue
                     p = p0 + dp
-                    sa = s0 + da
-                    tb = t0 + db
-                    if p > pmax or sa > smax or tb > tmax:
+                    if p > pmax:
                         continue
-                    key = (x, p, sa, tb, x0 | ykey)
+                    key = (x, p, s0 + da, t0 + db, x0 | ykey)
                     if key not in cur:
                         cur[key] = (pkey, x, y, ykey)
                         self._tick()
@@ -281,10 +263,9 @@ class _SegmentEngine:
         return paths
 
     def _walk_segment(self, x: int, y: int, ykey: int) -> list[int]:
-        """Recover a concrete colorful segment x..y with color set ykey."""
-        c = self.coloring
+        """Recover a concrete segment x..y with vertex set ykey."""
         reach = self._alpha_walk[x]
-        ckey = ykey & ~(1 << c[y])
+        ckey = ykey & ~(1 << y)
         seq = [y]
         # last internal endpoint adjacent to y
         cur = None
@@ -300,14 +281,14 @@ class _SegmentEngine:
             raise ConstructionFailure("segment DP: alpha table inconsistent")
         while cur != x:
             seq.append(cur)
-            ckey &= ~(1 << c[cur])
+            ckey &= ~(1 << cur)
             prev_ends = reach.get(ckey, 0) & self.g.masks[cur]
             nxt = None
             e = prev_ends
             while e:
                 v = (e & -e).bit_length() - 1
                 e &= e - 1
-                if ckey == (1 << c[x]) and v != x:
+                if ckey == (1 << x) and v != x:
                     continue
                 nxt = v
                 break
@@ -323,9 +304,8 @@ class SegmentSearch:
     """The segment searches of one case analysis over one (g, T, A).
 
     Probes with r <= rmax and p <= pmax are answered exactly from one
-    identity-coloring engine, built on the first probe, until its
-    longpaths.DET_STATE_BUDGET trips; from then on every probe runs Monte Carlo
-    colorings of its own, and exact is False.
+    engine, built on the first probe, until its longpaths.DET_STATE_BUDGET
+    trips; from then on every probe answers None, and exact is False.
     """
 
     def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
@@ -341,39 +321,23 @@ class SegmentSearch:
         self.exact = True
         self.engine: _SegmentEngine | None = None
 
-    def find(
-        self, r: int, p: int, s: int, t: int, seed: int, trials: int | None
-    ) -> SegmentSystem | None:
-        g, T, A = self.g, self.T, self.A
-        if self.exact:
-            try:
-                if self.engine is None:
-                    self.engine = _SegmentEngine(
-                        g, T, A, tuple(range(g.n)), self.pmax, self.rmax,
-                        smax=self.rmax, tmax=self.rmax,
-                        state_budget=longpaths.DET_STATE_BUDGET,
-                    )
-                hit = self.engine.query(r, p, s, t)
-            except StateBudgetExceeded:
-                self.exact = False
-                self.engine = None
-            else:
-                if hit is None:
-                    return None
-                return _assemble(g, T, A, self.engine, hit, p, s, t)
-        q = p + 2 * r
-        if q > longpaths.RANDOM_Q_CAP:
+    def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
+        if not self.exact:
             return None
-        if trials is None:
-            trials = min(longpaths.DEFAULT_TRIAL_CAP, math.ceil(5 * math.exp(3 * p)))
-        for trial in range(trials):
-            rng = random.Random(seed * 2654435761 + trial)
-            coloring = tuple(rng.randrange(q) for _ in range(g.n))
-            engine = _SegmentEngine(g, T, A, coloring, p, r, s, t)
-            hit = engine.query(r, p, s, t)
-            if hit is not None:
-                return _assemble(g, T, A, engine, hit, p, s, t)
-        return None
+        try:
+            if self.engine is None:
+                self.engine = _SegmentEngine(
+                    self.g, self.T, self.A, self.pmax, self.rmax,
+                    longpaths.DET_STATE_BUDGET,
+                )
+            hit = self.engine.query(r, p, s, t)
+        except StateBudgetExceeded:
+            self.exact = False
+            self.engine = None
+            return None
+        if hit is None:
+            return None
+        return _assemble(self.g, self.T, self.A, self.engine, hit, p, s, t)
 
 
 def _assemble(g, T, A, engine, hit, p, s, t) -> SegmentSystem:
@@ -398,8 +362,6 @@ def find_segments(
     T,
     r: int,
     p: int,
-    seed: int = 0,
-    trials: int | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices.
@@ -407,9 +369,7 @@ def find_segments(
     This is the partitioned probe (r, p, 0, r) with A empty, so every
     segment counts as a B-segment; its classification is dropped.
     """
-    system = find_segments_partitioned(
-        g, T, (), T, r, p, 0, r, seed=seed, trials=trials, search=search
-    )
+    system = find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
     return None if system is None else SegmentSystem(system.paths, system.T)
 
 
@@ -422,8 +382,6 @@ def find_segments_partitioned(
     p: int,
     s: int,
     t: int,
-    seed: int = 0,
-    trials: int | None = None,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices, s
@@ -433,8 +391,9 @@ def find_segments_partitioned(
     Returned systems always validate. A search made for (g, T, A) answers
     the probe from its shared engine; without one, a search for this probe
     alone is made. A None answer is exact while search.exact is True after
-    the probe, and one-sided Monte Carlo otherwise. A probe with r > p is
-    checked against the search like any other and answers None, exactly.
+    the probe; once the search's state budget has tripped, every answer is
+    None and proves nothing. A probe with r > p is checked against the
+    search like any other and answers None, exactly.
     """
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")
@@ -456,4 +415,4 @@ def find_segments_partitioned(
         )
     if r > p:
         return None
-    return search.find(r, p, s, t, seed, trials)
+    return search.find(r, p, s, t)

@@ -171,8 +171,7 @@ def _splice_segments(
 
 
 def _outside_path(
-    g: Graph, H: frozenset[int], target: int, seed: int, trials: int | None,
-    stats: dict,
+    g: Graph, H: frozenset[int], target: int, stats: dict
 ) -> tuple[PathCertificate | None, bool]:
     """An (s,t)-path with >= target vertices, s < t in H, all others outside H,
     and whether every probe run was exact.
@@ -205,7 +204,7 @@ def _outside_path(
             host, ids = induced_subgraph(g, {s, t}.union(*(comps[i] for i in shared)))
             stats["st_probes"] += 1
             found, probe_exact = longpaths.st_path_at_least(
-                host, ids.index(s), ids.index(t), target, seed=seed, trials=trials
+                host, ids.index(s), ids.index(t), target
             )
             exact = exact and probe_exact
             if found is not None:
@@ -240,17 +239,18 @@ def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
 
 def _case_analysis(
     g: Graph, H: frozenset[int], A: frozenset[int], k_prime: int, target: int,
-    pmax: int, probes, seed: int, trials: int | None, base: dict, core=None,
+    pmax: int, probes, base: dict, core=None,
 ) -> SolveResult:
     """Cases (ii) and (iii): (a) one outside (s,t)-path with >= target
     vertices, else (b) the first outside segment system of the probes
     (r, p, s, t), all answered by one search over (g, H, A); either is
     spliced into the cycle _routed through H. Without either, the answer is
-    no if both searches were exact, else unknown."""
+    no if both searches were exact, else unknown with the state budget
+    reason."""
     if k_prime < 1:
         raise PreconditionError(f"{base['branch']} needs k' >= 1")
     stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
-    path, path_exact = _outside_path(g, H, target, seed, trials, stats)
+    path, path_exact = _outside_path(g, H, target, stats)
     if path is not None:
         system = segments.SegmentSystem((path,), H)
     else:
@@ -258,14 +258,16 @@ def _case_analysis(
         for r, p, s, t in probes:
             stats["segment_probes"] += 1
             system = segments.find_segments_partitioned(
-                g, H, A, H - A, r, p, s, t, seed=seed, trials=trials, search=search
+                g, H, A, H - A, r, p, s, t, search=search
             )
             if system is not None:
                 break
         else:
             if path_exact and search.exact:
                 return SolveResult("no", stats=stats, **base)
-            stats["reason"] = "randomized searches exhausted without a witness"
+            stats["reason"] = (
+                f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
+            )
             return SolveResult("unknown", stats=stats, **base)
     out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
     cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
@@ -278,8 +280,6 @@ def case_small_dense(
     k_prime: int,
     mad: Fraction,
     k: int,
-    seed: int = 0,
-    trials: int | None = None,
     core=None,
 ) -> SolveResult:
     """Case (ii): route through a small dense core H.
@@ -295,7 +295,7 @@ def case_small_dense(
         for p in range(max(k_prime, r), 2 * k_prime - 1)
     )
     return _case_analysis(g, frozenset(H), frozenset(), k_prime, k_prime + 2,
-                          2 * k_prime - 2, probes, seed, trials, base, core)
+                          2 * k_prime - 2, probes, base, core)
 
 
 def case_bipartite_dense(
@@ -306,8 +306,6 @@ def case_bipartite_dense(
     k_prime: int,
     mad: Fraction,
     k: int,
-    seed: int = 0,
-    trials: int | None = None,
     core=None,
 ) -> SolveResult:
     """Case (iii): route through a bipartite-dense core covering side A.
@@ -330,14 +328,13 @@ def case_bipartite_dense(
         for p in range(max(k_prime + s - t, r), 3 * k_prime - 1)
     )
     return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes,
-                          seed, trials, base, core)
+                          base, core)
 
 
 def solve(
     g: Graph,
     k: int,
     mode: str = "cycle",
-    seed: int = 0,
     budget: int | None = None,
     strict: bool = True,
     with_trace: bool = False,
@@ -348,15 +345,16 @@ def solve(
     strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
     than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
     relaxed runs the dense pipeline, where _downgrade turns no into unknown.
-    budget (>= 1; None for the defaults) caps the Monte Carlo trials per
-    probe and the cover engine's rotation steps.
+    budget (>= 1; None for the default) caps the cover engine's rotation
+    steps. The exact searches are bounded by longpaths.DET_STATE_BUDGET
+    states each; past it a case analysis answers unknown, with the reason.
     """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if budget is not None and budget < 1:
         raise PreconditionError("budget must be at least 1")
     if mode == "path":
-        return _solve_path(g, k, seed, budget, strict, with_trace)
+        return _solve_path(g, k, budget, strict, with_trace)
     if mode != "cycle":
         raise PreconditionError(f"unknown mode {mode!r}")
     if not is_biconnected(g):
@@ -427,7 +425,7 @@ def solve(
         return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
                         branch=branch, trace=trace, **base)
     try:
-        res = case(g, H, *sides, k_prime, mad, k, seed, budget, core=core)
+        res = case(g, H, *sides, k_prime, mad, k, core=core)
     except ConstructionFailure as exc:
         return _unknown(f"construction failed: {exc}", branch=branch, trace=trace, **base)
     res.trace = trace
@@ -446,7 +444,7 @@ def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
     return res
 
 
-def _solve_path(g, k, seed, budget, strict, with_trace) -> SolveResult:
+def _solve_path(g, k, budget, strict, with_trace) -> SolveResult:
     """Path mode: universal-vertex reduction with an adjusted k."""
     if not is_connected(g):
         raise PreconditionError("path mode needs a connected graph")
@@ -468,7 +466,7 @@ def _solve_path(g, k, seed, budget, strict, with_trace) -> SolveResult:
         trace = tr.to_jsonable() if with_trace else None
         res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:
-        inner = solve(gp, k_plus, mode="cycle", seed=seed, budget=budget, strict=strict,
+        inner = solve(gp, k_plus, mode="cycle", budget=budget, strict=strict,
                       with_trace=with_trace)
         res = SolveResult(
             inner.answer, branch=f"path[{inner.branch}]",

@@ -57,8 +57,8 @@ class TestSolve:
 
     def test_deterministic_stdout(self, tmp_path):
         path = write_k4(tmp_path)
-        a = run(["solve", path, "-k", "1", "--json", "--seed", "7"])
-        b = run(["solve", path, "-k", "1", "--json", "--seed", "7"])
+        a = run(["solve", path, "-k", "1", "--json"])
+        b = run(["solve", path, "-k", "1", "--json"])
         assert a == b
 
 
@@ -297,6 +297,12 @@ class TestErrors:
         code, _, err = run(["mad", str(f), "--format", "dimacs"])
         assert code == 65 and "non-integer" in err
 
+    def test_dimacs_comment_is_the_token_c(self, tmp_path):
+        f = tmp_path / "cat.dimacs"
+        f.write_text("c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 3 1\ncat 1 2\n")
+        code, out, err = run(["mad", str(f), "--format", "dimacs"])
+        assert code == 65 and out == "" and "line 6: unrecognized line 'cat 1 2'" in err
+
     def test_negative_dimacs_count_is_data_error(self, tmp_path):
         f = tmp_path / "neg.dimacs"
         f.write_text("p edge -2 0\n")
@@ -383,3 +389,7 @@ class TestErrors:
     def test_jobs_flag_is_gone(self, tmp_path):
         code, _, err = run(["solve", write_k4(tmp_path), "-k", "0", "--jobs", "2"])
         assert code == 64 and "usage error" in err
+
+    def test_seed_flag_is_gone_from_solve(self, tmp_path):
+        code, out, err = run(["solve", write_k4(tmp_path), "-k", "0", "--seed", "1"])
+        assert code == 64 and out == "" and "usage error" in err

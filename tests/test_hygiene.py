@@ -9,7 +9,9 @@ function or method must be passed by some call in the package, or it is a
 constant in disguise. Every parameter of a module-level private function
 or a private method must be read by its body, `self` and `cls` aside. Tests
 do not count as readers or callers: a helper only a test calls is dead code
-of the package. Stdlib `ast` only.
+of the package. No module but `instances`, whose generators take a seed,
+imports `random`: every answer is exact or unknown, so no search draws random
+numbers. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -173,6 +175,23 @@ def unread_parameters(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def random_importers(sources: dict[str, str]) -> list[str]:
+    """Each module other than instances that imports random."""
+    out = []
+    for mod, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if mod != "instances" and any(n.split(".")[0] == "random" for n in names):
+                out.append(mod)
+                break
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -191,6 +210,20 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_every_parameter_is_read():
     assert unread_parameters(_package_sources()) == []
+
+
+def test_only_the_generators_import_random():
+    assert random_importers(_package_sources()) == []
+
+
+def test_the_check_sees_random_imports():
+    sources = {
+        "a": "import random as r\n",
+        "b": "def f():\n    from random import Random\n    return Random\n",
+        "c": "import os\nfrom .random_graphs import g\n",
+        "instances": "import random\n",
+    }
+    assert random_importers(sources) == ["a", "b"]
 
 
 def test_the_checks_see_dead_helpers_and_unused_imports():

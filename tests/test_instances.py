@@ -254,13 +254,19 @@ def _line_of(message) -> float:
 
 
 def _header_check(text: str, fmt: str):
-    """(line, message) of the header error the rewritten parser adds for this
+    """(line, message) of the first error the rewritten parser adds for this
     text, or None: a DIMACS edge count that is not a nonnegative integer, a
-    second header line, or an edge count that is not the number of edge
-    lines. The line is where parsing stops, infinity for the end."""
+    second header line, an edge count that is not the number of edge lines,
+    or a DIMACS line whose first word starts with c but is not c (the
+    reference skips it as a comment). The line is where parsing stops,
+    infinity for the end."""
     heads = []  # (line, parts) of the header lines
     e_lines = 0
+    worded = None  # (line, message) of the first such DIMACS line
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if fmt == "dimacs" and worded is None and raw.split()[:1] not in ([], ["c"]) \
+                and raw.strip().startswith("c"):
+            worded = lineno, f"line {lineno}: unrecognized line {raw!r}"
         if fmt == "edgelist":
             parts = raw.split("#", 1)[0].split()
             if parts[:1] == ["n"] and len(parts) == 2:
@@ -270,6 +276,12 @@ def _header_check(text: str, fmt: str):
             if parts[:1] == ["p"]:
                 heads.append((lineno, parts))
             e_lines += parts[:1] == ["e"]
+    return min((c for c in (_header_error(heads, e_lines, fmt), worded) if c is not None),
+               default=None, key=lambda c: c[0])
+
+
+def _header_error(heads, e_lines: int, fmt: str):
+    """(line, message) of the header error of _header_check, or None."""
     m = None
     if fmt == "dimacs" and heads:
         lineno, parts = heads[0]
@@ -295,7 +307,7 @@ class TestParserDifferential:
     random texts: the same graph, bit for bit, or the same error."""
 
     def _check(self, rng, fmt, make, reference, count):
-        tally = {"graph": 0, "error": 0, "second header": 0, "edge count": 0}
+        tally = {"graph": 0, "error": 0, "second header": 0, "edge count": 0, "c word": 0}
         for _ in range(count):
             text = make(rng)
             got = _outcome(parse_graph, text, fmt)
@@ -304,7 +316,8 @@ class TestParserDifferential:
             if check is not None and not _line_of(want[1]) < check[0]:
                 # the reference accepts the text or fails later on
                 assert got == (GraphInputError, check[1]), text
-                tally["second header" if "second" in check[1] else "edge count"] += 1
+                tally["second header" if "second" in check[1] else
+                      "c word" if "unrecognized" in check[1] else "edge count"] += 1
                 continue
             assert got == want, text
             tally["error" if want[0] is GraphInputError else "graph"] += 1
@@ -323,6 +336,7 @@ class TestParserDifferential:
         )
         assert tally["graph"] >= 500 and tally["error"] >= 500
         assert tally["second header"] >= 50 and tally["edge count"] >= 100
+        assert tally["c word"] >= 20
 
     def test_build_graph(self):
         rng = random.Random(2503)
@@ -442,6 +456,6 @@ class TestEmitResult:
         assert "reason" in obj["stats"]
 
     def test_deterministic_bytes(self):
-        a = emit_result(solve(complete(6), 1, seed=4))
-        b = emit_result(solve(complete(6), 1, seed=4))
+        a = emit_result(solve(complete(6), 1))
+        b = emit_result(solve(complete(6), 1))
         assert a == b

@@ -302,7 +302,7 @@ class TestCaseSmallDense:
         res = case_small_dense(g, frozenset(range(6)), 1, Fraction(5), 0)
         assert res.answer == "no"
 
-    def test_monte_carlo_outside_probe_never_answers_no(self, monkeypatch):
+    def test_budget_tripped_outside_probe_never_answers_no(self, monkeypatch):
         # K26 minus a perfect matching plus a star 26-{27, 28, 29} joined to
         # 0, 2 and 4: its longest outside path has 5 vertices, one short of
         # k'+2 = 6, and no segment system carries k' = 4 internals
@@ -315,12 +315,14 @@ class TestCaseSmallDense:
         res = case_small_dense(g, H, 4, Fraction(24), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 3
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
+        why = "search state budget exceeded: 0 states"
         res = case_small_dense(g, H, 4, Fraction(24), 0)
-        assert res.answer == "unknown" and "randomized" in res.stats["reason"]
+        assert res.answer == "unknown" and res.stats["reason"] == why
         # at k' = 5 the star is too small to probe; the same state budget
         # bounds the segment search, so only the unpatched run stays exact
         res = case_small_dense(g, H, 5, Fraction(24), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
+        assert res.stats["reason"] == why
         monkeypatch.undo()
         res = case_small_dense(g, H, 5, Fraction(24), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 0
@@ -494,7 +496,7 @@ class TestNoGate:
             info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace())
             return witness, info
 
-        def exhausted(g, H, A, B, k_prime, mad, k, seed, trials, core=None):
+        def exhausted(g, H, A, B, k_prime, mad, k, core=None):
             assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
             return solver.SolveResult("no", k=k, mad=mad, threshold_len=180,
                                       branch="case_iii", stats={"k_prime": k_prime})
@@ -585,7 +587,7 @@ class TestOracleEquivalence:
             mad = mad_with_witness(g).mad
             circumference, _ = oracle_longest_cycle(g)
             for k in range(0, 5):
-                res = solve(g, k, seed=5)
+                res = solve(g, k)
                 assert res.answer != "unknown"
                 expect = Fraction(circumference) >= mad + k
                 assert (res.answer == "yes") == expect, (g.adj, k)
@@ -607,7 +609,7 @@ class TestPathMode:
                     best_path = max(best_path, oracle_longest_st_path(g, s, t))
             mad = mad_with_witness(g).mad
             for k in range(0, 3):
-                res = solve(g, k, mode="path", seed=3)
+                res = solve(g, k, mode="path")
                 want_vertices = ceil_frac(mad) + k
                 assert res.answer != "unknown"
                 assert (res.answer == "yes") == (best_path >= want_vertices), (
@@ -676,7 +678,7 @@ class TestOutsidePathProbe:
                 for target in (k_prime + 2, k_prime + 3):
                     expect, old_probes = _all_pairs_outside_path(g, H, target)
                     stats = {"st_probes": 0}
-                    path, exact = _outside_path(g, H, target, 0, None, stats)
+                    path, exact = _outside_path(g, H, target, stats)
                     got = None if path is None else path.vertices
                     assert got == expect, (g.adj, sorted(H), target)
                     assert exact
@@ -689,9 +691,9 @@ class TestOutsidePathProbe:
         g0 = complete(6)
         g = build_graph(list(g0.edges()) + [(0, 6), (6, 1), (2, 7), (7, 3)], 8)
         stats = {"st_probes": 0}
-        assert _outside_path(g, frozenset(range(6)), 4, 0, None, stats) == (None, True)
+        assert _outside_path(g, frozenset(range(6)), 4, stats) == (None, True)
         assert stats["st_probes"] == 0
-        path, _ = _outside_path(g, frozenset(range(6)), 3, 0, None, stats)
+        path, _ = _outside_path(g, frozenset(range(6)), 3, stats)
         assert path.vertices == (0, 6, 1) and stats["st_probes"] == 1
 
 

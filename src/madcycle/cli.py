@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
         "--budget",
         type=int,
         default=None,
-        help="at least 1: the cycle-cover engine's rotation steps",
+        help="at least 1: the cycle-cover engine's rotation steps, spent only "
+        "while its cycle is shorter than twice its vertex cover",
     )
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--json", action="store_true")

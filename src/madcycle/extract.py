@@ -208,11 +208,13 @@ def corollary5_engine(
     """Longer cycle, small vertex cover, or a Hamiltonicity report.
 
     Cheapest first: Hamiltonicity check, Dirac re-dispatch when 2*delta >= n,
-    insertion/rotation enlargement, then a vertex cover: the smaller of a
-    live-degree greedy cover and a maximal matching's ends, else the exact
-    bounded branch-and-bound. The corollary's preconditions (h 3-connected,
-    0 < k <= delta/24, |C| < 2*delta + k) are not checked: each outcome is
-    verified and holds without them.
+    a vertex cover X (the smaller of a live-degree greedy cover and a
+    maximal matching's ends), insertion/rotation enlargement only while
+    |C| < 2|X|, as no cycle is longer than 2|X|, then X if it has at most
+    delta + 2k vertices, else the exact bounded branch-and-bound. The
+    corollary's preconditions (h 3-connected, 0 < k <= delta/24,
+    |C| < 2*delta + k) are not checked: each outcome is verified and holds
+    without them.
     """
     chk = verify_cycle_certificate(h, C)
     if not chk:
@@ -229,20 +231,25 @@ def corollary5_engine(
         if len(ham) > len(C):
             return LongerCycle(ham)
 
-    grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
-    if len(grown) > len(C):
-        cert = CycleCertificate(tuple(grown), len(C) + 1)
-        require_verified(verify_cycle_certificate(h, cert))
-        return LongerCycle(cert)
+    # a cycle never has two consecutive vertices outside a vertex cover X,
+    # so none is longer than 2|X|: from there both searches must fail
+    cover = _greedy_cover(h)
+    if len(C) < 2 * len(cover):
+        grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
+        if len(grown) > len(C):
+            cert = CycleCertificate(tuple(grown), len(C) + 1)
+            require_verified(verify_cycle_certificate(h, cert))
+            return LongerCycle(cert)
 
-    found = cyclesearch.long_cycle_search_best(h, len(C) + 1, rotation_budget=budget)
-    if found is not None and len(found) > len(C):
-        cert = CycleCertificate(tuple(found), len(C) + 1)
-        require_verified(verify_cycle_certificate(h, cert))
-        return LongerCycle(cert)
+        found = cyclesearch.long_cycle_search_best(
+            h, len(C) + 1, rotation_budget=budget
+        )
+        if found is not None and len(found) > len(C):
+            cert = CycleCertificate(tuple(found), len(C) + 1)
+            require_verified(verify_cycle_certificate(h, cert))
+            return LongerCycle(cert)
 
     bound = delta + 2 * k
-    cover = _greedy_cover(h)
     if len(cover) <= bound:
         return VertexCover(frozenset(cover))
     cover = _bounded_min_cover(h, bound)

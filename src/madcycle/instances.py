@@ -11,6 +11,7 @@ downstream.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -237,6 +238,15 @@ def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:
         raise PreconditionError("gnp2c needs n >= 3")
     if not 0 < prob <= 1:  # also NaN; prob 0 never samples a 2-connected graph
         raise PreconditionError(f"gnp2c needs 0 < prob <= 1, got {prob}")
+    # a 2-connected graph has at least n edges; where the Chernoff bound
+    # P(X >= n) <= exp(-mean) (e mean / n)^n on X ~ Bin(n(n-1)/2, prob) puts
+    # that beyond all 5,000 draws but for odds below e^-40, none is made
+    mean = n * (n - 1) // 2 * prob
+    if mean < n and math.log(5000) - mean + n * (1 + math.log(mean / n)) < -40:
+        raise PreconditionError(
+            f"gnp2c: prob={prob} gives about {mean:.3g} expected edges on n={n} "
+            f"vertices, and a 2-connected graph needs at least {n}"
+        )
     for attempt in range(5000):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob

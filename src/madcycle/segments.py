@@ -4,7 +4,8 @@ Two-stage DP: stage one tabulates single segments between anchor pairs,
 keyed by their vertex sets; stage two peels one segment per level,
 distinguishing a shared next endpoint (the one vertex two segments may
 share) from a fresh one. Level r depends only on level r-1, so an engine
-builds each level on the first query that asks for it.
+builds each level on the first query that asks for it, and indexes the
+first state it inserts for each count (p, s, t), the one a query returns.
 
 Under the identity coloring a colorful segment is a simple one and a color
 set is a vertex set, so the DP is exact. A `SegmentSearch` owns one engine
@@ -138,6 +139,8 @@ class _SegmentEngine:
         self._rows: list[tuple[int, int, list[tuple[int, int, int, int, int]]]] = []
         self._build_alpha()
         self._levels: list[dict] = []
+        # per level: (p, s, t) -> the first state inserted with those counts
+        self._firsts: list[dict[tuple[int, int, int], tuple]] = []
 
     def _tick(self):
         self._states += 1
@@ -209,11 +212,12 @@ class _SegmentEngine:
                 self._rows.append((x, 1 << x, gated))
 
     # stage two: peel segments level by level
-    def _next_level(self) -> dict:
+    def _next_level(self) -> tuple[dict, dict]:
         pmax = self.pmax
         # level 1 extends the empty system: no endpoint, nothing counted
         prev = self._levels[-1] if self._levels else {None: None}
         cur: dict[tuple, tuple] = {}
+        firsts: dict[tuple[int, int, int], tuple] = {}
         for pkey in prev:
             if pkey is None:
                 w, p0, s0, t0, x0, w_bit = -1, 0, 0, 0, 0, 0
@@ -237,19 +241,20 @@ class _SegmentEngine:
                     key = (x, p, s0 + da, t0 + db, x0 | ykey)
                     if key not in cur:
                         cur[key] = (pkey, x, y, ykey)
+                        firsts.setdefault(key[1:4], key)
                         self._tick()
-        return cur
+        return cur, firsts
 
     def query(self, r: int, p: int, s: int, t: int):
         """One accepting state for exact counts (r, p, s, t), or None."""
         if r < 1 or r > self.rmax:
             return None
         while len(self._levels) < r:
-            self._levels.append(self._next_level())
-        for key in self._levels[r - 1]:
-            if key[1] == p and key[2] == s and key[3] == t:
-                return (r, key)
-        return None
+            level, firsts = self._next_level()
+            self._levels.append(level)
+            self._firsts.append(firsts)
+        key = self._firsts[r - 1].get((p, s, t))
+        return None if key is None else (r, key)
 
     def reconstruct(self, r: int, key: tuple) -> list[list[int]]:
         paths = []

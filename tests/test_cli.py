@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -177,6 +179,31 @@ class TestGenOracleGadget:
         code, out, err = run(["gen", family, *size, "--param", f"prob={prob}"])
         assert code == 64 and out == ""
         assert "prob" in err
+
+    def test_gnp2c_rejects_a_hopeless_prob_up_front(self):
+        # about 20 expected edges where a 2-connected graph needs 200: the
+        # 5,000 draws took seconds before the tail bound ruled them out
+        start = time.perf_counter()
+        code, out, err = run(["gen", "gnp2c", "--param", "n=200", "--param", "prob=0.001"])
+        assert time.perf_counter() - start < 1
+        assert code == 64 and out == ""
+        assert "about 19.9 expected edges" in err and "at least 200" in err
+
+    def test_gnp2c_samples_where_the_bound_does_not_rule_out(self):
+        # 1.2 expected edges of the 3 needed: unlikely per draw, not hopeless
+        code, out, err = run(["gen", "gnp2c", "--param", "n=3", "--param", "prob=0.4",
+                              "--seed", "1"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-3:] == ["0 1", "0 2", "1 2"]
+
+    def test_gnp2c_draws_the_same_bytes(self):
+        # the edgelist the CI's parser step generates
+        code, out, _ = run(["gen", "gnp2c", "--param", "n=40", "--param", "prob=0.2",
+                            "--seed", "1"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "001ef956ff140de5ec89639c41f5b25c27a4d90fef5f5e31d0658ca06dfc947f"
+        )
 
     @pytest.mark.parametrize("family, prob", [
         ("gnp2c", "1"), ("bipartite_dense", "0"), ("bipartite_dense", "1"),

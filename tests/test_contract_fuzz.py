@@ -6,18 +6,26 @@ flags alone. Metamorphic relations (Chen, Cheung and Yiu 1998) check what
 they can without ground truth:
 
 - (a) relabelling the vertices never turns `yes` into `no`;
+- (b) a `no` at k >= 1 rules out a `yes` at k + 1;
+- (c) a cycle-mode `yes` at k rules out a path-mode `no` at k, as the cycle
+  read from any vertex is a path with as many vertices;
 - (d) strict and relaxed mode never answer `yes` against `no`;
 - (e) k = 0 is never `no` (Erdos-Gallai);
 - (f) every `yes` carries a cycle that `cycle_violation`, written here and
   not taken from the package, accepts;
 - (g) lowering `longpaths.DET_STATE_BUDGET` never turns `yes` into `no`,
   and a solve in which a search passed its budget answers `yes` or
-  `unknown` with the budget reason.
+  `unknown` with the budget reason;
+- (h) a `no` from any branch but the exact fallback needs k <= mad/88 - 1,
+  the range in which the paper proves the case analysis complete.
 
 Families: K_n minus a perfect matching (n even, 180-260) with random edge
-deletions and 0-3 ears, and `gnp2c` at n <= 14, where every answer is also
-checked against `oracle_longest_cycle`. Each seed draws one graph, one
-relabelling and the lowered budgets, so a seed reproduces its solves.
+deletions and 0-3 ears; split graphs K_a + I_b (a 6-10, b 8a-10a) with 0-16
+disjoint ears of 1-3 vertices between independent-side vertices, the only
+family whose solves reach case (iii); and `gnp2c` at n <= 14, where every
+answer is also checked against `oracle_longest_cycle`. Each seed draws one
+graph, one relabelling and the lowered budgets, so a seed reproduces its
+solves.
 
 A longer slice runs as a script over a seed range, and prints the tally:
 
@@ -30,6 +38,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
 from madcycle import errors, longpaths, segments, solver
 from madcycle.graph import Graph, build_graph, is_biconnected
@@ -38,6 +47,7 @@ from madcycle.oracles import oracle_longest_cycle
 
 LOWERED = (0, 10, 100)  # budgets (g) draws from; 0 trips every search that pushes a state
 KM_SEEDS = range(8)
+SPLIT_SEEDS = range(30)
 GNP_SEEDS = range(40)
 
 
@@ -83,6 +93,17 @@ def exact_stuck_true():
         segments.SegmentSearch = saved
 
 
+@contextmanager
+def no_downgrade():
+    """The planted fault: `solver._downgrade` lets every `no` stand."""
+    saved = solver._downgrade
+    solver._downgrade = lambda res, may_claim_no, why: res
+    try:
+        yield
+    finally:
+        solver._downgrade = saved
+
+
 def cycle_violation(g: Graph, res) -> str | None:
     """What is wrong with a `yes` answer's cycle, or None."""
     cyc = res.certificate.vertices if res.certificate is not None else ()
@@ -117,6 +138,27 @@ def km_with_ears(rng: random.Random) -> Graph:
     return build_graph(edges, m)
 
 
+def split_edges(a: int, b: int) -> list[tuple[int, int]]:
+    """The edges of K_a joined completely to the independent set a..a+b-1."""
+    edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    return edges + [(i, j) for i in range(a) for j in range(a, a + b)]
+
+
+def split_with_ears(rng: random.Random) -> Graph:
+    """K_a + I_b, a in 6..10 and b in 8a..10a, plus 0-16 ears of 1-3 new
+    vertices between disjoint pairs of independent-side vertices."""
+    a = rng.randint(6, 10)
+    b = rng.randint(8 * a, 10 * a)
+    edges, m = split_edges(a, b), a + b
+    ears = rng.randint(0, 16)
+    ends = rng.sample(range(a, a + b), 2 * ears)
+    for u, v in zip(ends[::2], ends[1::2]):
+        walk = [u, *range(m, m + rng.randint(1, 3)), v]
+        m += len(walk) - 2
+        edges += list(zip(walk, walk[1:]))
+    return build_graph(edges, m)
+
+
 def relabelled(g: Graph, perm: list[int]) -> Graph:
     return build_graph([(perm[u], perm[v]) for u, v in g.edges()], g.n)
 
@@ -132,19 +174,27 @@ def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=
         with state_budget(budget) as trips:
             res = solver.solve(graph, k, strict=strict)
         label = f"n={g.n} k={k} {'strict' if strict else 'relaxed'} budget={budget}"
+        tally["case (iii) solves"] += res.branch == "case_iii"
         if res.answer == "yes" and (why := cycle_violation(graph, res)):
             bad.append(f"(f) {label}: {why}")
+        if res.answer == "no" and res.branch != "fallback" and Fraction(k) > res.mad / 88 - 1:
+            bad.append(f"(h) {label}: no from {res.branch} outside k <= mad/88 - 1")
         if circumference is not None and res.answer != "unknown" and (
             (res.answer == "yes") != (circumference >= res.threshold_len)
         ):
             bad.append(f"oracle {label}: {res.answer} with circumference {circumference}")
         return res, trips[0], label
 
+    by_k: dict[int, set[str]] = {}  # k -> answers of the full-budget solves
     for k in ks:
         answers = {}
         for strict in (True,) if k == 0 else (True, False):
             res, _, label = run(g, k, strict)
             answers[strict] = res.answer
+            if k >= 1 and res.answer == "yes":
+                path = solver.solve(g, k, mode="path", strict=strict)
+                if path.answer == "no":
+                    bad.append(f"(c) {label}: cycle yes, path-mode no")
             reason = res.stats.get("reason", "")
             tally[res.answer] += 1
             if res.answer == "unknown" and "state budget exceeded" in reason:
@@ -155,6 +205,7 @@ def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=
             other, _, _ = run(h, k, strict)
             if {res.answer, other.answer} == {"yes", "no"}:
                 bad.append(f"(a) {label}: {res.answer}, relabelled {other.answer}")
+            by_k.setdefault(k, set()).update((res.answer, other.answer))
             low_budget = rng.choice(lowered)
             low, trips, low_label = run(g, k, strict, low_budget)
             tally["lowered-budget solves that tripped"] += trips > 0
@@ -167,12 +218,23 @@ def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=
                 bad.append(f"(g) {low_label}: tripped, answered {low.answer} {low_reason!r}")
         if {answers.get(True), answers.get(False)} == {"yes", "no"}:
             bad.append(f"(d) n={g.n} k={k}: strict {answers[True]}, relaxed {answers[False]}")
+    for k in sorted(by_k):
+        if k >= 1 and "no" in by_k[k]:
+            if k + 1 not in by_k:
+                by_k[k + 1] = {run(g, k + 1, strict)[0].answer for strict in (True, False)}
+            if "yes" in by_k[k + 1]:
+                bad.append(f"(b) n={g.n}: no at k={k}, yes at k={k + 1}")
     return bad
 
 
 def check_km(seed: int, tally: Counter) -> list[str]:
     rng = random.Random(f"km:{seed}")
     return check_graph(km_with_ears(rng), (0, 1, rng.randint(2, 5)), rng, tally)
+
+
+def check_split(seed: int, tally: Counter) -> list[str]:
+    rng = random.Random(f"split:{seed}")
+    return check_graph(split_with_ears(rng), (rng.randint(2, 5),), rng, tally)
 
 
 def check_gnp(seed: int, tally: Counter) -> list[str]:
@@ -188,6 +250,14 @@ def test_km_with_ears():
     bad = [v for seed in KM_SEEDS for v in check_km(seed, tally)]
     assert bad == []
     assert tally["yes"] > 0 and tally["lowered-budget solves that tripped"] > 0, tally
+
+
+def test_split_graphs_reach_case_iii():
+    tally = Counter()
+    bad = [v for seed in SPLIT_SEEDS for v in check_split(seed, tally)]
+    assert bad == []
+    assert tally["yes"] > 0 and tally["case (iii) solves"] > 0, tally
+    assert tally["lowered-budget solves that tripped"] > 0, tally
 
 
 def test_gnp_against_the_oracle():
@@ -211,12 +281,26 @@ def test_relation_g_catches_an_exact_flag_left_true():
     assert bad and all(v.startswith("(g)") for v in bad), bad
 
 
+def test_relation_h_catches_a_no_let_stand_out_of_range():
+    # K8 + I80 at relaxed k = 3: mad = 167/11, far below 88(k + 1), and no
+    # vertex lies outside the core, so the exact case (iii) analysis says no
+    # and _downgrade makes it unknown; let stand, the no breaks (h)
+    g = build_graph(split_edges(8, 80), 88)
+    res = solver.solve(g, 3, strict=False)
+    assert res.answer == "unknown" and res.branch == "case_iii"
+    assert res.stats["reason"].startswith("relaxed-mode search exhausted")
+    assert check_graph(g, (3,), random.Random(0), Counter()) == []
+    with no_downgrade():
+        bad = check_graph(g, (3,), random.Random(0), Counter())
+    assert bad and all(v.startswith("(h)") for v in bad), bad
+
+
 def main(argv: list[str]) -> int:
     first, last = int(argv[0]), int(argv[1])
     tally = Counter()
     bad = []
     for seed in range(first, last):
-        bad += check_km(seed, tally) + check_gnp(seed, tally)
+        bad += check_km(seed, tally) + check_split(seed, tally) + check_gnp(seed, tally)
     for line in bad:
         print(line)
     for key in ("budget unknown, in range", "budget unknown, out of range"):

@@ -1,13 +1,14 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from madcycle import extract, longpaths
+from madcycle import cyclesearch, extract, longpaths
 from madcycle.cyclesearch import find_cycle_at_least, grow_cycle
-from madcycle.errors import ConstructionFailure, PreconditionError
+from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from madcycle.extract import (
     BipartiteDense,
     FoundCycle,
@@ -32,6 +33,7 @@ from madcycle.graph import (
     ceil_frac,
     induced_subgraph,
     is_biconnected,
+    require_verified,
     verify_cycle_certificate,
 )
 from madcycle.longpaths import dirac_cycle
@@ -471,6 +473,72 @@ def _parent_refine(h, X, k):
     return RefinedPartition(True, A, B)
 
 
+def _parent_engine(h, k, C, budget=None):
+    """extract.corollary5_engine before the cover bound skipped growth,
+    verbatim."""
+    chk = verify_cycle_certificate(h, C)
+    if not chk:
+        raise PreconditionError(f"C is not a cycle of h: {chk.reason}")
+    delta = h.min_degree()
+    if budget is None:
+        budget = 200 * h.n
+
+    if len(C) == h.n:
+        return Hamiltonian()
+
+    if 2 * delta >= h.n:
+        ham = longpaths.dirac_cycle(h)
+        if len(ham) > len(C):
+            return LongerCycle(ham)
+
+    grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
+    if len(grown) > len(C):
+        cert = CycleCertificate(tuple(grown), len(C) + 1)
+        require_verified(verify_cycle_certificate(h, cert))
+        return LongerCycle(cert)
+
+    found = cyclesearch.long_cycle_search_best(h, len(C) + 1, rotation_budget=budget)
+    if found is not None and len(found) > len(C):
+        cert = CycleCertificate(tuple(found), len(C) + 1)
+        require_verified(verify_cycle_certificate(h, cert))
+        return LongerCycle(cert)
+
+    bound = delta + 2 * k
+    cover = extract._greedy_cover(h)
+    if len(cover) <= bound:
+        return VertexCover(frozenset(cover))
+    cover = extract._bounded_min_cover(h, bound)
+    if cover is not None:
+        return VertexCover(frozenset(cover))
+    return Incomplete(
+        f"no longer cycle within budget and no vertex cover of size <= {bound}"
+    )
+
+
+def _engine_graph(rng):
+    """A random graph on at most 30 vertices: G(n, p), or a few hub vertices
+    with a random edge set among them and to an independent rest, whose
+    small covers let the 2|X| bound settle the engine's search."""
+    n = rng.randint(4, 30)
+    if rng.random() < 0.5:
+        return random_graph(rng, n, rng.uniform(0.15, 0.9))
+    a, p = rng.randint(2, max(2, n // 3)), rng.uniform(0.5, 1)
+    edges = [(i, j) for i in range(a) for j in range(i + 1, n) if rng.random() < p]
+    return build_graph(edges, n)
+
+
+def _engine_cycle(rng, g):
+    """A Dirac cycle of a 2-connected g, else some cycle of at least a random
+    length, or None."""
+    if is_biconnected(g) and rng.random() < 0.5:
+        return dirac_cycle(g)
+    try:
+        found = find_cycle_at_least(g, rng.randint(3, max(3, g.n)), 500)
+    except StateBudgetExceeded:
+        return None
+    return None if found is None else CycleCertificate(tuple(found), 3)
+
+
 def _outside_probe_cores():
     """The graphs the engine sees on clique + independent set + one-vertex
     ears, the shapes the outside-path probes and segment DP run on."""
@@ -524,17 +592,83 @@ class TestCoverSideAgainstParent:
         real, seen = extract.corollary5_engine, []
 
         def record(h, k, C, budget=None):
-            seen.append((h, k))
+            seen.append((h, k, C, budget))
             return real(h, k, C, budget=budget)
 
         monkeypatch.setattr(extract, "corollary5_engine", record)
-        for g, k in _outside_probe_cores():
+        plain = [(split_graph(a, b), 2) for a, b in ((6, 50), (8, 80), (10, 95))]
+        for g, k in _outside_probe_cores() + plain:
             seen.clear()
             w, _ = find_dense(g, k)
             assert isinstance(w, BipartiteDense) and len(seen) == 1
-            h, k_prime = seen[0]
+            h, k_prime, c, budget = seen[0]
             bound = h.min_degree() + 2 * k_prime
             _assert_same_cover_side(h, range(bound - 2, bound + 3), (k - 1, k, k + 1))
+            # the Dirac cycle is already twice the cover, so the engine skips
+            # growth, and answers as the parent's did after its searches
+            assert len(c) >= 2 * len(extract._greedy_cover(h))
+            assert real(h, k_prime, c, budget) == _parent_engine(h, k_prime, c, budget)
+
+
+class TestEngineAgainstParent:
+    """The cover bound changes no outcome: the same type and the same cycle,
+    cover or reason as the parent engine."""
+
+    def test_random_graphs(self):
+        rng = random.Random(27)
+        runs, settled, longer = 0, 0, 0
+        while runs < 1000:
+            g = _engine_graph(rng)
+            c = _engine_cycle(rng, g)
+            if c is None:
+                continue
+            k = rng.randint(1, 3)
+            out = corollary5_engine(g, k, c)
+            assert out == _parent_engine(g, k, c), (g.adj, c, k)
+            runs += 1
+            settled += len(c) < g.n and len(c) >= 2 * len(extract._greedy_cover(g))
+            longer += isinstance(out, LongerCycle)
+        assert settled >= 100 and longer >= 100, (settled, longer)
+
+    def test_the_engine_tests_graphs(self):
+        c8_path = [(i, (i + 1) % 8) for i in range(8)]
+        c8_path += [(0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 4)]
+        c10_ear = [(i, (i + 1) % 10) for i in range(10)] + [(0, 10), (1, 10)]
+        p = petersen()
+        cases = [
+            (complete(30), CycleCertificate(tuple(range(30)), 3)),
+            (complete(60), CycleCertificate(tuple(range(59)), 3)),
+            (complete(10), CycleCertificate(tuple(range(9)), 3)),
+            (split_graph(8, 80), dirac_cycle(split_graph(8, 80))),
+            (build_graph(c10_ear, 11), CycleCertificate(tuple(range(10)), 3)),
+            (build_graph(c8_path, 13), CycleCertificate(tuple(range(8)), 3)),
+            (p, CycleCertificate(tuple(find_cycle_at_least(p, 9)), 9)),
+        ]
+        for g, c in cases:
+            for k in (1, 2):
+                assert corollary5_engine(g, k, c) == _parent_engine(g, k, c)
+
+    def test_no_search_once_the_cycle_is_twice_the_cover(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        g = split_graph(8, 80)
+        c = dirac_cycle(g)
+        assert len(c) == 16
+        for module, name in ((cyclesearch, "grow_cycle"),
+                             (cyclesearch, "long_cycle_search_best"),
+                             (extract, "_greedy_cover")):
+            counted(module, name)
+        assert corollary5_engine(g, 1, c) == VertexCover(frozenset(range(8)))
+        assert calls == Counter({"_greedy_cover": 1})
 
 
 class TestRefine:

@@ -301,6 +301,38 @@ class TestSharedSearch:
         assert all(ref() is None for ref in made)
 
 
+def _scan_first(engine, r, p, s, t):
+    """_SegmentEngine.query's scan of level r before the per-level index,
+    verbatim, on levels the engine has built."""
+    for key in engine._levels[r - 1]:
+        if key[1] == p and key[2] == s and key[3] == t:
+            return (r, key)
+    return None
+
+
+class TestFirstStateIndex:
+    def test_query_is_the_first_match_of_the_level_scan(self):
+        rng = random.Random(31)
+        probes, found = 0, 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(6, 11), rng.uniform(0.3, 0.8))
+            T = frozenset(rng.sample(range(g.n), rng.randint(2, min(6, g.n - 2))))
+            A = frozenset(v for v in T if rng.random() < 0.5)
+            pmax, rmax = rng.randint(1, 7), rng.randint(1, 3)
+            engine = segments._SegmentEngine(g, T, A, pmax, rmax, 10**7)
+            for r in range(rmax + 2):
+                for p in range(pmax + 2):
+                    for s in range(r + 2):
+                        for t in range(r + 2):
+                            got = engine.query(r, p, s, t)
+                            in_range = 1 <= r <= rmax
+                            assert got == (_scan_first(engine, r, p, s, t)
+                                           if in_range else None)
+                            probes += 1
+                            found += got is not None
+        assert probes > 2000 and found > 100, (probes, found)
+
+
 class TestChecksRaise:
     def test_invalid_system_raises_construction_failure(self, monkeypatch):
         # the check must hold under python -O, so it is not an assert

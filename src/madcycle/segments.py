@@ -4,13 +4,19 @@ Two-stage DP: stage one tabulates single segments between anchor pairs,
 keyed by their vertex sets; stage two peels one segment per level,
 distinguishing a shared next endpoint (the one vertex two segments may
 share) from a fresh one. Level r depends only on level r-1, so an engine
-builds each level on the first query that asks for it, and indexes the
-first state it inserts for each count (p, s, t), the one a query returns.
+builds levels lazily: a query grows level r one state of level r-1 at a
+time, pulling level r-1 forward only when level r has used up its states,
+and stops at the first state inserted with its counts (p, s, t) or when the
+level is complete. States are inserted in the order a full build of each
+level would insert them, so a query returns the state that build's first
+match would be. A level-r state sums r segments, so a probe whose counts
+fall outside r times their span over the single segments answers None
+without building anything.
 
 Under the identity coloring a colorful segment is a simple one and a color
 set is a vertex set, so the DP is exact. A `SegmentSearch` owns one engine
 for one (g, T, A), sized for the whole probe range of a case analysis and
-built on its first probe; every probe of that case is answered from it. A
+made on its first probe; every probe of that case is answered from it. A
 state with p <= P is derived only from states with p <= P, in the same order
 and from the same predecessor, so a larger range changes no answer and no
 reconstruction. When the engine's state budget trips, `SegmentSearch.exact`
@@ -110,11 +116,28 @@ def validate_segment_system(
     return True, None
 
 
+class _Level:
+    """One DP level as built so far: its states in insertion order, each
+    with its predecessor; the first state inserted per count (p, s, t); and
+    how many states of the level below have been expanded into it."""
+
+    __slots__ = ("states", "order", "firsts", "cursor")
+
+    def __init__(self):
+        self.states: dict[tuple, tuple] = {}
+        self.order: list[tuple] = []
+        self.firsts: dict[tuple[int, int, int], tuple] = {}
+        self.cursor = 0
+
+
 class _SegmentEngine:
     """The two-stage DP under the identity coloring, reusable across queries.
 
-    Levels are built on demand, up to rmax; states exceeding pmax internals
-    are never created. A state past state_budget raises StateBudgetExceeded.
+    Levels are built lazily, up to rmax: level r grows one state of level
+    r-1 at a time, and level r-1 is pulled forward only when level r has
+    expanded every state it has so far. States exceeding pmax internals are
+    never created. A state past state_budget raises StateBudgetExceeded,
+    which may leave a level half expanded, so the engine is then dropped.
     """
 
     def __init__(
@@ -138,9 +161,18 @@ class _SegmentEngine:
         # entries (y, ykey, internals, A-segment 0/1, B-segment 0/1))
         self._rows: list[tuple[int, int, list[tuple[int, int, int, int, int]]]] = []
         self._build_alpha()
-        self._levels: list[dict] = []
-        # per level: (p, s, t) -> the first state inserted with those counts
-        self._firsts: list[dict[tuple[int, int, int], tuple]] = []
+        # level 0 is the empty system: no endpoint, nothing counted
+        empty = _Level()
+        empty.order.append(None)
+        self._levels: list[_Level] = [empty]
+        self._built = 0  # levels 0.._built are complete
+        # a level-r state sums r gated entries, so each of its counts
+        # (p, s, t) lies in r times that count's span over the entries;
+        # with no gated entry every span is empty
+        counts = list(zip(*(e[2:] for _, _, gated in self._rows for e in gated)))
+        self._span = (
+            (*map(min, counts), *map(max, counts)) if counts else (1, 1, 1, 0, 0, 0)
+        )
 
     def _tick(self):
         self._states += 1
@@ -212,55 +244,89 @@ class _SegmentEngine:
                 self._rows.append((x, 1 << x, gated))
 
     # stage two: peel segments level by level
-    def _next_level(self) -> tuple[dict, dict]:
+    def _expand(self, level: _Level, pkey):
+        """Insert into level every extension of pkey, a state of the level
+        below, by one gated segment."""
         pmax = self.pmax
-        # level 1 extends the empty system: no endpoint, nothing counted
-        prev = self._levels[-1] if self._levels else {None: None}
-        cur: dict[tuple, tuple] = {}
-        firsts: dict[tuple[int, int, int], tuple] = {}
-        for pkey in prev:
-            if pkey is None:
-                w, p0, s0, t0, x0, w_bit = -1, 0, 0, 0, 0, 0
-            else:
-                w, p0, s0, t0, x0 = pkey
-                w_bit = 1 << w
-            for x, x_bit, gated in self._rows:
-                if x0 & x_bit:
+        cur, order, firsts = level.states, level.order, level.firsts
+        if pkey is None:
+            w, p0, s0, t0, x0, w_bit = -1, 0, 0, 0, 0, 0
+        else:
+            w, p0, s0, t0, x0 = pkey
+            w_bit = 1 << w
+        for x, x_bit, gated in self._rows:
+            if x0 & x_bit:
+                continue
+            for y, ykey, dp, da, db in gated:
+                overlap = ykey & x0
+                if y == w:
+                    # a shared endpoint: only it may repeat
+                    if overlap != w_bit:
+                        continue
+                elif overlap or x == w:
                     continue
-                for y, ykey, dp, da, db in gated:
-                    overlap = ykey & x0
-                    if y == w:
-                        # a shared endpoint: only it may repeat
-                        if overlap != w_bit:
-                            continue
-                    elif overlap or x == w:
-                        continue
-                    p = p0 + dp
-                    if p > pmax:
-                        continue
-                    key = (x, p, s0 + da, t0 + db, x0 | ykey)
-                    if key not in cur:
-                        cur[key] = (pkey, x, y, ykey)
-                        firsts.setdefault(key[1:4], key)
-                        self._tick()
-        return cur, firsts
+                p = p0 + dp
+                if p > pmax:
+                    continue
+                key = (x, p, s0 + da, t0 + db, x0 | ykey)
+                if key not in cur:
+                    cur[key] = (pkey, x, y, ykey)
+                    order.append(key)
+                    firsts.setdefault(key[1:4], key)
+                    self._tick()
+
+    def _advance(self, r: int) -> bool:
+        """Expand the next state of level r-1 into level r, pulling the
+        levels below forward only as far as that needs; False once level r
+        is complete."""
+        if r <= self._built:
+            return False
+        levels = self._levels
+        j = r
+        while True:
+            level, below = levels[j], levels[j - 1]
+            if level.cursor < len(below.order):
+                pkey = below.order[level.cursor]
+                level.cursor += 1
+                self._expand(level, pkey)
+                if j == r:
+                    return True
+                j += 1
+            elif j - 1 <= self._built:
+                self._built = j  # level j has expanded all of a complete level
+                if j == r:
+                    return False
+                j += 1
+            else:
+                j -= 1
 
     def query(self, r: int, p: int, s: int, t: int):
-        """One accepting state for exact counts (r, p, s, t), or None."""
+        """One accepting state for exact counts (r, p, s, t), or None: the
+        first state level r inserts with those counts, built only as far as
+        it takes to find it or to complete level r."""
         if r < 1 or r > self.rmax:
             return None
-        while len(self._levels) < r:
-            level, firsts = self._next_level()
-            self._levels.append(level)
-            self._firsts.append(firsts)
-        key = self._firsts[r - 1].get((p, s, t))
-        return None if key is None else (r, key)
+        p_lo, s_lo, t_lo, p_hi, s_hi, t_hi = self._span
+        if not (r * p_lo <= p <= r * p_hi and r * s_lo <= s <= r * s_hi
+                and r * t_lo <= t <= r * t_hi):
+            return None
+        levels = self._levels
+        while len(levels) <= r:
+            levels.append(_Level())
+        firsts = levels[r].firsts
+        counts = (p, s, t)
+        key = firsts.get(counts)
+        while key is None:
+            if not self._advance(r):
+                return None
+            key = firsts.get(counts)
+        return (r, key)
 
     def reconstruct(self, r: int, key: tuple) -> list[list[int]]:
         paths = []
         level = r
         while key is not None:
-            pred, x, y, ykey = self._levels[level - 1][key]
+            pred, x, y, ykey = self._levels[level].states[key]
             paths.append(self._walk_segment(x, y, ykey))
             key = pred
             level -= 1
@@ -309,8 +375,9 @@ class SegmentSearch:
     """The segment searches of one case analysis over one (g, T, A).
 
     Probes with r <= rmax and p <= pmax are answered exactly from one
-    engine, built on the first probe, until its longpaths.DET_STATE_BUDGET
-    trips; from then on every probe answers None, and exact is False.
+    engine, made on the first probe and built only as far as the probes so
+    far needed, until its longpaths.DET_STATE_BUDGET trips; from then on
+    every probe answers None, and exact is False.
     """
 
     def __init__(self, g: Graph, T, A, pmax: int, rmax: int):

@@ -255,10 +255,11 @@ def _case_analysis(
         system = segments.SegmentSystem((path,), H)
     else:
         search = segments.SegmentSearch(g, H, A, pmax, k_prime)
+        B = H - A
         for r, p, s, t in probes:
             stats["segment_probes"] += 1
             system = segments.find_segments_partitioned(
-                g, H, A, H - A, r, p, s, t, search=search
+                g, H, A, B, r, p, s, t, search=search
             )
             if system is not None:
                 break

@@ -301,36 +301,190 @@ class TestSharedSearch:
         assert all(ref() is None for ref in made)
 
 
+class _EagerEngine(segments._SegmentEngine):
+    """_SegmentEngine before lazy levels: a query builds every level up to r
+    in full. _next_level, query and reconstruct are verbatim; stage one is
+    the engine's own."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._levels: list[dict] = []
+        # per level: (p, s, t) -> the first state inserted with those counts
+        self._firsts: list[dict[tuple[int, int, int], tuple]] = []
+
+    # stage two: peel segments level by level
+    def _next_level(self) -> tuple[dict, dict]:
+        pmax = self.pmax
+        # level 1 extends the empty system: no endpoint, nothing counted
+        prev = self._levels[-1] if self._levels else {None: None}
+        cur: dict[tuple, tuple] = {}
+        firsts: dict[tuple[int, int, int], tuple] = {}
+        for pkey in prev:
+            if pkey is None:
+                w, p0, s0, t0, x0, w_bit = -1, 0, 0, 0, 0, 0
+            else:
+                w, p0, s0, t0, x0 = pkey
+                w_bit = 1 << w
+            for x, x_bit, gated in self._rows:
+                if x0 & x_bit:
+                    continue
+                for y, ykey, dp, da, db in gated:
+                    overlap = ykey & x0
+                    if y == w:
+                        # a shared endpoint: only it may repeat
+                        if overlap != w_bit:
+                            continue
+                    elif overlap or x == w:
+                        continue
+                    p = p0 + dp
+                    if p > pmax:
+                        continue
+                    key = (x, p, s0 + da, t0 + db, x0 | ykey)
+                    if key not in cur:
+                        cur[key] = (pkey, x, y, ykey)
+                        firsts.setdefault(key[1:4], key)
+                        self._tick()
+        return cur, firsts
+
+    def query(self, r: int, p: int, s: int, t: int):
+        """One accepting state for exact counts (r, p, s, t), or None."""
+        if r < 1 or r > self.rmax:
+            return None
+        while len(self._levels) < r:
+            level, firsts = self._next_level()
+            self._levels.append(level)
+            self._firsts.append(firsts)
+        key = self._firsts[r - 1].get((p, s, t))
+        return None if key is None else (r, key)
+
+    def reconstruct(self, r: int, key: tuple) -> list[list[int]]:
+        paths = []
+        level = r
+        while key is not None:
+            pred, x, y, ykey = self._levels[level - 1][key]
+            paths.append(self._walk_segment(x, y, ykey))
+            key = pred
+            level -= 1
+        paths.reverse()
+        return paths
+
+
 def _scan_first(engine, r, p, s, t):
     """_SegmentEngine.query's scan of level r before the per-level index,
-    verbatim, on levels the engine has built."""
+    verbatim, on levels the eager engine has built."""
     for key in engine._levels[r - 1]:
         if key[1] == p and key[2] == s and key[3] == t:
             return (r, key)
     return None
 
 
+def _random_instance(rng):
+    """A random (g, T, A, pmax, rmax) for the engine."""
+    g = random_graph(rng, rng.randint(6, 11), rng.uniform(0.3, 0.8))
+    T = frozenset(rng.sample(range(g.n), rng.randint(2, min(6, g.n - 2))))
+    A = frozenset(v for v in T if rng.random() < 0.5)
+    return g, T, A, rng.randint(1, 7), rng.randint(1, 3)
+
+
+def _probe_grid(pmax, rmax):
+    """Every (r, p, s, t) in range and one past each bound."""
+    return [(r, p, s, t) for r in range(rmax + 2) for p in range(pmax + 2)
+            for s in range(r + 2) for t in range(r + 2)]
+
+
 class TestFirstStateIndex:
     def test_query_is_the_first_match_of_the_level_scan(self):
+        # the lazy engine answers each probe with the first matching state of
+        # the eager engine's full level
         rng = random.Random(31)
         probes, found = 0, 0
         for _ in range(30):
-            g = random_graph(rng, rng.randint(6, 11), rng.uniform(0.3, 0.8))
-            T = frozenset(rng.sample(range(g.n), rng.randint(2, min(6, g.n - 2))))
-            A = frozenset(v for v in T if rng.random() < 0.5)
-            pmax, rmax = rng.randint(1, 7), rng.randint(1, 3)
+            g, T, A, pmax, rmax = _random_instance(rng)
             engine = segments._SegmentEngine(g, T, A, pmax, rmax, 10**7)
-            for r in range(rmax + 2):
-                for p in range(pmax + 2):
-                    for s in range(r + 2):
-                        for t in range(r + 2):
-                            got = engine.query(r, p, s, t)
-                            in_range = 1 <= r <= rmax
-                            assert got == (_scan_first(engine, r, p, s, t)
-                                           if in_range else None)
-                            probes += 1
-                            found += got is not None
+            eager = _EagerEngine(g, T, A, pmax, rmax, 10**7)
+            for r, p, s, t in _probe_grid(pmax, rmax):
+                got = engine.query(r, p, s, t)
+                want = eager.query(r, p, s, t)
+                in_range = 1 <= r <= rmax
+                assert want == (_scan_first(eager, r, p, s, t) if in_range else None)
+                assert got == want
+                probes += 1
+                found += got is not None
         assert probes > 2000 and found > 100, (probes, found)
+
+
+class TestLazyLevels:
+    def test_same_answers_and_paths_as_the_eager_engine_in_any_order(self):
+        rng = random.Random(47)
+        probes, found = 0, 0
+        for _ in range(200):
+            g, T, A, pmax, rmax = _random_instance(rng)
+            eager = _EagerEngine(g, T, A, pmax, rmax, 10**7)
+            grid = _probe_grid(pmax, rmax)
+            want = {probe: eager.query(*probe) for probe in grid}
+            for _ in range(3):
+                rng.shuffle(grid)
+                engine = segments._SegmentEngine(g, T, A, pmax, rmax, 10**7)
+                for probe in grid:
+                    got = engine.query(*probe)
+                    assert got == want[probe], (g.adj, sorted(T), sorted(A), probe)
+                    if got is not None:
+                        assert engine.reconstruct(*got) == eager.reconstruct(*got)
+                        found += 1
+                    probes += 1
+                # lazy levels never tick more states than the full levels
+                assert engine._states <= eager._states
+        assert probes > 200000 and found > 3000, (probes, found)
+
+    def test_case_iii_ticks_a_fraction_of_the_full_levels(self, monkeypatch):
+        # K8 + I80 with 14 one-vertex ears at relaxed k = 5: every segment
+        # has one internal vertex, so the first hit is the first state of
+        # level 3 and the levels after it are never needed
+        def states_ticked(engine_class):
+            made = []
+
+            class Recorded(engine_class):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append(self)
+
+            monkeypatch.setattr(segments, "_SegmentEngine", Recorded)
+            res = solver.solve(_split_with_ears(8, 14), 5, strict=False)
+            assert res.answer == "yes" and res.branch == "case_iii"
+            assert res.stats["segment_probes"] == 112
+            assert len(made) == 1
+            return res, made[0]._states
+
+        lazy_res, lazy = states_ticked(segments._SegmentEngine)
+        eager_res, eager = states_ticked(_EagerEngine)
+        assert lazy_res.certificate == eager_res.certificate
+        assert (lazy, eager) == (134, 2632)
+
+    def test_probe_outside_the_count_span_builds_nothing(self):
+        # C8 with T = {0, 4}: both segments have three internal vertices
+        g = cycle_graph(8)
+        engine = segments._SegmentEngine(g, frozenset({0, 4}), frozenset(), 6, 2, 100)
+        ticked = engine._states
+        for r, p, s, t in ((1, 2, 0, 1), (1, 4, 0, 1), (2, 5, 0, 2), (1, 3, 1, 0),
+                           (1, 3, 0, 0), (2, 6, 0, 1)):
+            assert engine.query(r, p, s, t) is None
+            assert len(engine._levels) == 1 and engine._states == ticked
+        assert engine.query(1, 3, 0, 1) is not None
+        assert len(engine._levels) == 2
+        assert engine.query(2, 5, 0, 2) is None and len(engine._levels) == 2
+
+    def test_no_gated_entry_answers_none_without_building(self):
+        # P3 with T = {0, 2} and A = T: the one segment is an A-segment with
+        # one internal vertex, which the gate rejects
+        engine = segments._SegmentEngine(
+            path_graph(3), frozenset({0, 2}), frozenset({0, 2}), 4, 3, 100
+        )
+        assert engine._rows == []
+        for r in range(1, 4):
+            for p in range(5):
+                assert engine.query(r, p, 0, 0) is None
+                assert engine.query(r, p, 1, 0) is None
+        assert len(engine._levels) == 1
 
 
 class TestChecksRaise:

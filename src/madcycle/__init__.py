@@ -22,7 +22,6 @@ from .extract import (
     BipartiteDense,
     FoundCycle,
     SmallDense,
-    check_dirac_decomposition,
     corollary5_engine,
     find_dense,
     refine_vertex_cover_to_partition,
@@ -84,7 +83,6 @@ __all__ = [
     "build_graph",
     "case_bipartite_dense",
     "case_small_dense",
-    "check_dirac_decomposition",
     "corollary5_engine",
     "cover_side_through_pairs",
     "densest_decision",

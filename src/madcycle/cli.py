@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 yes/ok, 1 no, 2 unknown, 64 usage error (PreconditionError
-or CapExceeded), 65 data error (malformed, missing or unreadable input, or a
-failed write), 70 internal error, a bare ValueError included.
+or CapExceeded), 65 data error (malformed, missing or unreadable input,
+bytes that are not UTF-8 included, or a failed write), 70 internal error, a
+bare ValueError included.
 Identical argv and input always produce byte-identical stdout.
 """
 
@@ -59,13 +60,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--path", action="store_true", help="path variant")
     sp.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
-    sp.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="at least 1: the cycle-cover engine's rotation steps, spent only "
-        "while its cycle is shorter than twice its vertex cover",
-    )
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--json", action="store_true")
 
@@ -164,7 +158,6 @@ def _dispatch(args, out) -> int:
             g,
             args.k,
             mode="path" if args.path else "cycle",
-            budget=args.budget,
             strict=args.mode == "strict",
             with_trace=args.trace,
         )

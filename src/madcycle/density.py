@@ -186,7 +186,7 @@ def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
         raise PreconditionError("guess must be nonnegative")
     if g.m == 0:
         return None
-    found, splits = _load_flow(g, _peel(g)[2], guess.numerator, guess.denominator)
+    found, splits = _load_flow(g, _peel(g)[1], guess.numerator, guess.denominator)
     return None if splits is not None else found
 
 
@@ -196,12 +196,12 @@ def _density_of(g: Graph, vs) -> Fraction:
     return Fraction(edges, len(vs))
 
 
-def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
-    """One minimum-degree peeling: the degeneracy, the highest density
-    |E(S)|/|S| among the vertex sets S left before each removal, V included,
-    and each vertex's position in the removal order.
+def _peel(g: Graph) -> tuple[Fraction, list[int]]:
+    """One minimum-degree peeling: the highest density |E(S)|/|S| among the
+    vertex sets S left before each removal, V included, and each vertex's
+    position in the removal order.
 
-    The second is Charikar's (2000) bound, at least half the maximum
+    The first is Charikar's (2000) bound, at least half the maximum
     density. A bucket queue keyed by current degree (Matula-Beck) finds each
     minimum: after a removal at degree d the minimum is at least d - 1, and a
     vertex enters a bucket once per degree it takes, so the loop is O(n + m).
@@ -213,7 +213,7 @@ def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
         buckets[deg[v]].append(v)
     rank = [0] * n
     edges, best_edges, best_size = g.m, g.m, max(n, 1)
-    core = d = 0
+    d = 0
     for left in range(n - 1, -1, -1):
         while True:
             while not buckets[d]:
@@ -224,8 +224,6 @@ def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
         # a removed vertex has degree -1; one left beside v has at least 1
         deg[v] = -1
         rank[v] = n - 1 - left
-        if d > core:
-            core = d
         edges -= d
         for w in adj[v]:
             if deg[w] > 0:
@@ -235,7 +233,7 @@ def _peel(g: Graph) -> tuple[int, Fraction, list[int]]:
             best_edges, best_size = edges, left
         if d:
             d -= 1
-    return core, Fraction(best_edges, best_size), rank
+    return Fraction(best_edges, best_size), rank
 
 
 @lru_cache(maxsize=512)
@@ -254,7 +252,7 @@ def mad_with_witness(g: Graph) -> DensityWitness:
     """
     if g.m == 0:
         raise PreconditionError("mad of an edgeless graph")
-    _, best, rank = _peel(g)
+    best, rank = _peel(g)
     while True:
         found, splits = _load_flow(g, rank, best.numerator, best.denominator)
         if splits is not None:
@@ -266,8 +264,3 @@ def mad_with_witness(g: Graph) -> DensityWitness:
                 f"load flow at density {best} overflowed, yet its cut has density {d}"
             )
         best = d
-
-
-def degeneracy(g: Graph) -> int:
-    """Degeneracy by minimum-degree peeling."""
-    return _peel(g)[0]

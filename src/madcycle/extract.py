@@ -19,16 +19,12 @@ from .errors import ConstructionFailure, EngineIncomplete, PreconditionError
 from .graph import (
     CycleCertificate,
     Graph,
-    PathCertificate,
     avg_degree,
-    blocks_and_cut_vertices,
     ceil_frac,
     induced_subgraph,
-    is_biconnected,
     require_verified,
     subset_components,
     verify_cycle_certificate,
-    verify_path_certificate,
 )
 from .reduction import ReductionTrace, reduce_exhaustive
 
@@ -81,137 +77,18 @@ EngineOutcome = LongerCycle | VertexCover | Hamiltonian | Incomplete
 
 
 # ---------------------------------------------------------------------------
-# Dirac decomposition verifier
-
-
-def _locate_arc(cycle: list[int], path: list[int]) -> tuple[int, int] | None:
-    """Start index and direction of `path` as a contiguous arc of `cycle`."""
-    n = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    if any(v not in pos for v in path):
-        return None
-    i = pos[path[0]]
-    if all(cycle[(i + d) % n] == path[d] for d in range(len(path))):
-        return i, 1
-    if all(cycle[(i - d) % n] == path[d] for d in range(len(path))):
-        return i, -1
-    return None
-
-
-def check_dirac_decomposition(
-    g: Graph,
-    C: CycleCertificate,
-    P1: PathCertificate,
-    P2: PathCertificate,
-) -> tuple[bool, str | None]:
-    """Literal clause-by-clause check of the Dirac decomposition definition.
-
-    Returns (ok, first violated clause). Malformed certificates raise.
-    """
-    if not is_biconnected(g):
-        raise PreconditionError("host graph must be 2-connected")
-    chk = verify_cycle_certificate(g, C)
-    if not chk:
-        raise PreconditionError(f"C is not a cycle: {chk.reason}")
-    delta = g.min_degree()
-    if len(C) < 2 * delta:
-        raise PreconditionError("C must have length at least 2*delta")
-    for P in (P1, P2):
-        chk = verify_path_certificate(g, P)
-        if not chk:
-            raise PreconditionError(f"P is not a path: {chk.reason}")
-
-    v1, v2 = set(P1.vertices), set(P2.vertices)
-    if v1 & v2:
-        return False, "disjoint paths"
-
-    cyc = list(C.vertices)
-    n = len(cyc)
-    loc1 = _locate_arc(cyc, list(P1.vertices))
-    if loc1 is None:
-        return False, "P1 is not an arc of C"
-    # orient the cycle along P1
-    i, d = loc1
-    if d < 0:
-        cyc = cyc[::-1]
-        i = len(cyc) - 1 - i
-    cyc = cyc[i:] + cyc[:i]
-    loc2 = _locate_arc(cyc, list(P2.vertices))
-    if loc2 is None:
-        return False, "P2 is not an arc of C"
-    j, d2 = loc2
-    # the two connector arcs P' (after P1) and P'' (after P2)
-    a1 = len(P1.vertices) - 1  # P1 occupies cyc[0..a1]
-    if d2 < 0:
-        j = (j - (len(P2.vertices) - 1)) % n
-    if j < a1 + 1:
-        return False, "P2 overlaps the arc of P1"
-    b1 = j  # P2 occupies cyc[b1..b2]
-    b2 = j + len(P2.vertices) - 1
-    if b2 >= n:
-        return False, "P2 overlaps the arc of P1"
-    prime_edges = b1 - a1  # arc cyc[a1..b1]
-    second_edges = n - b2  # arc cyc[b2..0]
-    if prime_edges < delta - 2 or second_edges < delta - 2:
-        return False, "connector arc shorter than delta-2 edges"
-    interior_prime = frozenset(cyc[a1 + 1 : b1])
-    interior_second = frozenset(cyc[b2 + 1 :])
-
-    pv = v1 | v2
-    rest = [v for v in g.vertices() if v not in pv]
-    comps = [frozenset(c) for c in subset_components(g, rest)] if rest else []
-
-    for comp in sorted(comps, key=min):
-        if not _component_clause_ok(g, comp, P1, P2):
-            return False, f"component {sorted(comp)} fails clause (ii)"
-
-    for interior, name in ((interior_prime, "P'"), (interior_second, "P''")):
-        matching = [c for c in comps if c == interior]
-        if len(matching) != 1:
-            return False, f"clause (iii): no component equals the interior of {name}"
-    return True, None
-
-
-def _component_clause_ok(g, comp, P1, P2) -> bool:
-    """Clause (ii) for one component; its 2-connectivity and leaf blocks
-    (blocks with one cut vertex) come from one decomposition."""
-    if len(comp) < 3:
-        return False
-    sub, ids = induced_subgraph(g, comp)
-    blocks, cuts = blocks_and_cut_vertices(sub)
-    if not cuts:
-        return _star_to(g, comp, P1) and _star_to(g, comp, P2)
-    inner = {ids[v] for b in blocks if len(b & cuts) == 1 for v in b - cuts}
-    for P, other in ((P1, P2), (P2, P1)):
-        ends = {u for u in P.vertices if any(g.has_edge(u, w) for w in comp)}
-        if len(ends) == 1 and not any(
-            g.has_edge(v, u) for v in inner for u in other.vertices
-        ):
-            return True
-    return False
-
-
-def _star_to(g: Graph, comp, P: PathCertificate) -> bool:
-    """Whether the edges between comp and P's vertices are nonempty and share
-    one end: by König's theorem, whether their largest matching has one edge."""
-    cross = [(u, w) for u in P.vertices for w in g.adj[u] if w in comp]
-    return bool(cross) and any(all(x in e for e in cross) for x in cross[0])
-
-
-# ---------------------------------------------------------------------------
 # the cycle / cover engine
 
 
-def corollary5_engine(
-    h: Graph, k: int, C: CycleCertificate, budget: int | None = None
-) -> EngineOutcome:
+def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     """Longer cycle, small vertex cover, or a Hamiltonicity report.
 
     Cheapest first: Hamiltonicity check, Dirac re-dispatch when 2*delta >= n,
     a vertex cover X (the smaller of a live-degree greedy cover and a
-    maximal matching's ends), insertion/rotation enlargement only while
-    |C| < 2|X|, as no cycle is longer than 2|X|, then X if it has at most
-    delta + 2k vertices, else the exact bounded branch-and-bound. The
+    maximal matching's ends), insertion/rotation enlargement (at most 200n
+    rotation steps) only while |C| < 2|X|, as no cycle is longer than 2|X|,
+    then X if it has at most delta + 2k vertices, else the exact bounded
+    branch-and-bound. The
     corollary's preconditions (h 3-connected, 0 < k <= delta/24,
     |C| < 2*delta + k) are not checked: each outcome is verified and holds
     without them.
@@ -220,8 +97,6 @@ def corollary5_engine(
     if not chk:
         raise PreconditionError(f"C is not a cycle of h: {chk.reason}")
     delta = h.min_degree()
-    if budget is None:
-        budget = 200 * h.n
 
     if len(C) == h.n:
         return Hamiltonian()
@@ -242,7 +117,7 @@ def corollary5_engine(
             return LongerCycle(cert)
 
         found = cyclesearch.long_cycle_search_best(
-            h, len(C) + 1, rotation_budget=budget
+            h, len(C) + 1, rotation_budget=200 * h.n
         )
         if found is not None and len(found) > len(C):
             cert = CycleCertificate(tuple(found), len(C) + 1)
@@ -359,17 +234,9 @@ def refine_vertex_cover_to_partition(h: Graph, X, k: int) -> RefinedPartition:
 # the trichotomy
 
 
-@dataclass
-class FindDenseInfo:
-    mad: Fraction
-    trace: ReductionTrace
-    k_prime: int | None = None
-
-
-def find_dense(
-    g: Graph, k: int, budget: int | None = None
-) -> tuple[DenseWitness, FindDenseInfo]:
-    """The trichotomy: long cycle, small dense subgraph, or bipartite-dense pair.
+def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
+    """The trichotomy: long cycle, small dense subgraph, or bipartite-dense
+    pair, with the trace of the reduction that made the core.
 
     One pipeline for every k >= 1; certificates are verified before being
     returned. Two bounds are left to the caller, since only a "no" rests on
@@ -386,7 +253,6 @@ def find_dense(
     threshold = ceil_frac(mad) + k  # integer cycle-length target
 
     core, trace = reduce_exhaustive(g, witness.vertices)
-    info = FindDenseInfo(mad=mad, trace=trace)
     sub, ids = trace.core, trace.core_ids
     if sub.n < 3:
         raise ConstructionFailure(
@@ -399,23 +265,21 @@ def find_dense(
         cyc = _glue_cycle(sub, ids, seps[0])
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)
         require_verified(verify_cycle_certificate(g, cert))
-        return FoundCycle(cert), info
+        return FoundCycle(cert), trace
 
-    delta = sub.min_degree()
-    k_prime = threshold - 2 * delta
-    info.k_prime = k_prime
+    k_prime = threshold - 2 * sub.min_degree()
 
     # iterate the engine from a Dirac cycle, of length >= min(n, 2*delta):
     # when k' <= 0 a cycle below the threshold is Hamiltonian, and the
     # engine's first check says so
     cyc = longpaths.dirac_cycle(sub)
     while len(cyc) < threshold:
-        outcome = corollary5_engine(sub, k_prime, cyc, budget=budget)
+        outcome = corollary5_engine(sub, k_prime, cyc)
         if isinstance(outcome, LongerCycle):
             cyc = outcome.cycle
         elif isinstance(outcome, Hamiltonian):
             _check_small_dense(sub, mad, k)
-            return SmallDense(core), info
+            return SmallDense(core), trace
         elif isinstance(outcome, VertexCover):
             refined = refine_vertex_cover_to_partition(sub, outcome.vertices, k)
             if not refined.ok:
@@ -424,12 +288,12 @@ def find_dense(
                 )
             A = frozenset(ids[v] for v in refined.A)
             B = frozenset(ids[v] for v in refined.B)
-            return BipartiteDense(A | B, A, B), info
+            return BipartiteDense(A | B, A, B), trace
         else:
             raise EngineIncomplete(outcome.reason)
     cert = CycleCertificate(tuple(ids[v] for v in cyc.vertices), threshold)
     require_verified(verify_cycle_certificate(g, cert))
-    return FoundCycle(cert), info
+    return FoundCycle(cert), trace
 
 
 def _glue_cycle(sub: Graph, ids, sep: tuple[int, int]) -> list[int]:

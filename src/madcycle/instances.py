@@ -21,8 +21,13 @@ from .solver import SolveResult
 
 
 def parse_graph(data: bytes | str, fmt: str = "edgelist") -> Graph:
+    """The graph in `data`; bytes must be UTF-8. Malformed input raises
+    GraphInputError."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphInputError(f"byte {exc.start}: not UTF-8") from None
     if fmt == "edgelist":
         return _parse_edgelist(data)
     if fmt == "dimacs":
@@ -224,11 +229,15 @@ def gen_instance(family: str, params: dict, seed: int = 0) -> tuple[Graph, dict]
 
 
 def _param(params: dict, key: str, default, kind):
-    """params[key] (or the default) as `kind`; a bad value is the caller's fault."""
+    """params[key] (or the default) as `kind`; a bad value, an infinite or
+    fractional one for an int included, is the caller's fault."""
+    value = params.get(key, default)
     try:
-        return kind(params.get(key, default))
-    except (TypeError, ValueError):
-        raise PreconditionError(f"bad parameter {key}={params[key]!r}") from None
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionError(f"bad parameter {key}={value!r}") from None
 
 
 def _gen_gnp2c(params: dict, rng: random.Random) -> tuple[Graph, dict]:

@@ -44,7 +44,6 @@ from .graph import (
 class SegmentSystem:
     paths: tuple[PathCertificate, ...]
     T: frozenset[int]
-    classification: tuple[int, int] | None = None  # (#A-segments, #B-segments)
 
     @property
     def r(self) -> int:
@@ -416,7 +415,7 @@ def _assemble(g, T, A, engine, hit, p, s, t) -> SegmentSystem:
     r, key = hit
     raw = engine.reconstruct(r, key)
     paths = tuple(PathCertificate(tuple(seq)) for seq in raw)
-    system = SegmentSystem(paths, T, (s, t))
+    system = SegmentSystem(paths, T)
     ok, reason = validate_segment_system(
         g, system, T,
         partition=(A, T - A),
@@ -439,10 +438,9 @@ def find_segments(
     """A system of exactly r T-segments with exactly p internal vertices.
 
     This is the partitioned probe (r, p, 0, r) with A empty, so every
-    segment counts as a B-segment; its classification is dropped.
+    segment counts as a B-segment.
     """
-    system = find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
-    return None if system is None else SegmentSystem(system.paths, system.T)
+    return find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
 
 
 def find_segments_partitioned(

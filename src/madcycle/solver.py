@@ -336,7 +336,6 @@ def solve(
     g: Graph,
     k: int,
     mode: str = "cycle",
-    budget: int | None = None,
     strict: bool = True,
     with_trace: bool = False,
 ) -> SolveResult:
@@ -346,16 +345,13 @@ def solve(
     strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
     than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
     relaxed runs the dense pipeline, where _downgrade turns no into unknown.
-    budget (>= 1; None for the default) caps the cover engine's rotation
-    steps. The exact searches are bounded by longpaths.DET_STATE_BUDGET
-    states each; past it a case analysis answers unknown, with the reason.
+    The exact searches are bounded by longpaths.DET_STATE_BUDGET states
+    each; past it a case analysis answers unknown, with the reason.
     """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    if budget is not None and budget < 1:
-        raise PreconditionError("budget must be at least 1")
     if mode == "path":
-        return _solve_path(g, k, budget, strict, with_trace)
+        return _solve_path(g, k, strict, with_trace)
     if mode != "cycle":
         raise PreconditionError(f"unknown mode {mode!r}")
     if not is_biconnected(g):
@@ -385,13 +381,13 @@ def solve(
     # yes stays certified, and _downgrade decides whether no may stand
 
     try:
-        witness, info = find_dense(g, k, budget=budget)
+        witness, reduction = find_dense(g, k)
     except EngineIncomplete as exc:
         return _unknown(f"engine incomplete: {exc}", branch="find_dense", **base)
     except ConstructionFailure as exc:
         return _unknown(f"construction failed: {exc}", branch="find_dense", **base)
-    trace = info.trace.to_jsonable() if with_trace else None
-    core = (info.trace.core, info.trace.core_ids)
+    trace = reduction.to_jsonable() if with_trace else None
+    core = (reduction.core, reduction.core_ids)
 
     if isinstance(witness, FoundCycle):
         cert = witness.cycle
@@ -445,7 +441,7 @@ def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
     return res
 
 
-def _solve_path(g, k, budget, strict, with_trace) -> SolveResult:
+def _solve_path(g, k, strict, with_trace) -> SolveResult:
     """Path mode: universal-vertex reduction with an adjusted k."""
     if not is_connected(g):
         raise PreconditionError("path mode needs a connected graph")
@@ -467,8 +463,7 @@ def _solve_path(g, k, budget, strict, with_trace) -> SolveResult:
         trace = tr.to_jsonable() if with_trace else None
         res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:
-        inner = solve(gp, k_plus, mode="cycle", budget=budget, strict=strict,
-                      with_trace=with_trace)
+        inner = solve(gp, k_plus, mode="cycle", strict=strict, with_trace=with_trace)
         res = SolveResult(
             inner.answer, branch=f"path[{inner.branch}]",
             stats=inner.stats, trace=inner.trace, **base,

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -242,11 +245,6 @@ class TestErrors:
         code, _, err = run(["solve", str(f), "-k", "0"])
         assert code == 65 and "data error" in err
 
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_budget_below_one_is_usage_error(self, tmp_path, budget):
-        code, out, err = run(["solve", write_k4(tmp_path), "-k", "1", "--budget", budget])
-        assert code == 64 and out == "" and "budget" in err
-
     def test_oracle_segments_vertex_out_of_range(self, tmp_path):
         code, _, err = run(["oracle", "segments", write_c5(tmp_path), "--T", "0,99"])
         assert code == 64 and "vertex 99" in err
@@ -420,3 +418,96 @@ class TestErrors:
     def test_seed_flag_is_gone_from_solve(self, tmp_path):
         code, out, err = run(["solve", write_k4(tmp_path), "-k", "0", "--seed", "1"])
         assert code == 64 and out == "" and "usage error" in err
+
+    def test_budget_flag_is_gone_from_solve(self, tmp_path):
+        code, out, err = run(["solve", write_k4(tmp_path), "-k", "1", "--budget", "1"])
+        assert code == 64 and out == ""
+        assert "usage error: unrecognized arguments: --budget 1" in err
+
+    @pytest.mark.parametrize("family, key", [
+        ("gnp2c", "n"), ("near_complete", "n"), ("near_complete", "min_degree"),
+        ("near_complete", "removals"), ("bipartite_dense", "p"),
+        ("bipartite_dense", "k"), ("bipartite_dense", "q"),
+    ])
+    @pytest.mark.parametrize("value", ["1e400", "-inf", "inf", "nan", "3.7"])
+    def test_integer_generator_parameter_must_be_a_finite_integer(self, family, key,
+                                                                  value):
+        code, out, err = run(["gen", family, "--param", f"{key}={value}"])
+        assert code == 64 and out == "" and f"error: bad parameter {key}=" in err
+
+    def test_integral_float_generator_parameter_is_an_integer(self):
+        assert run(["gen", "gnp2c", "--param", "n=5.0"]) == run(
+            ["gen", "gnp2c", "--param", "n=5"])
+
+
+def run_stdin(argv, data: bytes, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    return run(argv)
+
+
+EDGELIST = b"n 12\n# a wheel with two chords\n" + b"".join(
+    b"%d %d\n" % e
+    for e in [(i, (i + 1) % 11) for i in range(11)] + [(11, i) for i in range(0, 11, 2)]
+    + [(1, 6), (3, 9)]
+)
+DIMACS = b"c the same graph\np edge 12 19\n" + b"".join(
+    b"e %d %d\n" % (int(u) + 1, int(v) + 1)
+    for u, v in (line.split() for line in EDGELIST.splitlines()[2:])
+)
+
+
+class TestMalformedInput:
+    """Malformed input is a data (65) or usage (64) error with nothing on
+    stdout, never an internal error (70)."""
+
+    COMMANDS = (["solve", "-k", "0"], ["solve", "-k", "1"], ["mad"],
+                ["verify", "--cycle", "0,1,2,3,4,5,6,7,8,9,10"])
+
+    @pytest.mark.parametrize("fmt, data", [
+        ("edgelist", EDGELIST.replace(b"\n2 3\n", b"\n\xff\n2 3\n")),
+        ("dimacs", DIMACS.replace(b"c the", b"c th\xe9")),
+    ], ids=["edgelist", "dimacs"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path, monkeypatch, fmt, data,
+                                                 source):
+        at = next(i for i, b in enumerate(data) if b >= 0x80)
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        for cmd in self.COMMANDS:
+            argv = [cmd[0], str(f) if source == "file" else "-", "--format", fmt, *cmd[1:]]
+            code, out, err = (run(argv) if source == "file"
+                              else run_stdin(argv, data, monkeypatch))
+            assert (code, out) == (65, ""), (argv, err)
+            assert err == f"data error: byte {at}: not UTF-8\n"
+
+    def test_the_unmutated_inputs_solve(self, monkeypatch):
+        for fmt, data in (("edgelist", EDGELIST), ("dimacs", DIMACS)):
+            code, out, _ = run_stdin(["solve", "-", "--format", fmt, "-k", "1"], data,
+                                     monkeypatch)
+            assert code == 0 and "answer yes" in out
+
+    def test_mutated_inputs_never_exit_70(self, monkeypatch):
+        # single-byte flips (4 in 10 to a byte 0x80-0xff), dropped and doubled
+        # lines; every vertex id stays below 1,000
+        rng = random.Random(2929)
+        codes = Counter()
+        for fmt, base in (("edgelist", EDGELIST), ("dimacs", DIMACS)):
+            for _ in range(200):
+                data, lines = base, base.splitlines(keepends=True)
+                i, roll = rng.randrange(len(lines)), rng.random()
+                if roll < 0.6:
+                    i = rng.randrange(len(data))
+                    high = rng.random() < 0.4
+                    byte = rng.randrange(0x80, 0x100) if high else rng.randrange(0x80)
+                    data = data[:i] + bytes([byte]) + data[i + 1 :]
+                elif roll < 0.8:
+                    data = b"".join(lines[:i] + lines[i + 1 :])
+                else:
+                    data = b"".join(lines[: i + 1] + lines[i:])
+                for cmd in self.COMMANDS:
+                    argv = [cmd[0], "-", "--format", fmt, *cmd[1:]]
+                    code, out, err = run_stdin(argv, data, monkeypatch)
+                    assert code in (0, 1, 2, 64, 65), (argv, data, err)
+                    assert code not in (64, 65) or out == "", (argv, data)
+                    codes[code] += 1
+        assert codes[0] and codes[1] and codes[64] and codes[65], codes

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from madcycle import density
-from madcycle.density import degeneracy, densest_decision, mad_with_witness
+from madcycle.density import densest_decision, mad_with_witness
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import (
     Graph,
@@ -252,23 +252,13 @@ def degeneracy_by_min_scan(g):
 
 
 class TestOrderings:
-    def test_degeneracy_matches_min_scan(self):
-        rng = random.Random(53)
-        graphs = [build_graph([], 0), build_graph([], 3), complete_minus_matching(12)]
-        graphs += [
-            random_graph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.9))
-            for _ in range(120)
-        ]
-        for g in graphs:
-            assert degeneracy(g) == degeneracy_by_min_scan(g)
-
     def test_peeling_bound_is_a_set_density_below_mad(self):
         rng = random.Random(59)
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.7))
             if g.m == 0:
                 continue
-            _, bound, rank = density._peel(g)
+            bound, rank = density._peel(g)
             assert sorted(rank) == list(range(g.n))
             assert bound.denominator <= g.n
             assert Fraction(g.m, g.n) <= bound <= mad_with_witness(g).density <= 2 * bound
@@ -281,7 +271,7 @@ class TestOrderings:
                 continue
             mad = mad_with_witness(g).mad
             assert mad >= avg_degree(g)
-            assert mad >= degeneracy(g)
+            assert mad >= degeneracy_by_min_scan(g)
 
 
 def densest_decision_two_arc_pairs(g, guess):
@@ -330,7 +320,7 @@ class TestDensityCertificate:
     def certified(self, g):
         w = mad_with_witness(g)
         found, splits = density._load_flow(
-            g, density._peel(g)[2], w.density.numerator, w.density.denominator
+            g, density._peel(g)[1], w.density.numerator, w.density.denominator
         )
         assert found == w.vertices and splits is not None
         return w, splits
@@ -500,7 +490,7 @@ def goldberg_mad_with_witness(g):
     """Verbatim copy of the Dinkelbach loop over Goldberg cuts just below
     the best density found, from the same peeling bound."""
     n = g.n
-    best = density._peel(g)[1]
+    best = density._peel(g)[0]
     slack = Fraction(1, 2 * n**3)
     while True:
         found = goldberg_densest_decision(g, best - slack)
@@ -736,7 +726,7 @@ class TestAgainstExplicitNetwork:
                 continue
             n, best = g.n, mad_with_witness(g).density
             guesses = {Fraction(0), best, best - Fraction(1, 2 * n * n)}
-            guesses.add(density._peel(g)[1])  # overflows where the bound is below best
+            guesses.add(density._peel(g)[0])  # overflows where the bound is below best
             guesses |= {Fraction(rng.randint(0, 2 * n), rng.randint(1, n)) for _ in range(3)}
             guesses |= {best * Fraction(rng.randint(1, 2 * n), n)}
             for guess in sorted(guesses):
@@ -745,7 +735,7 @@ class TestAgainstExplicitNetwork:
     def test_same_set_and_branch_and_every_split_verifies(self):
         count = overflowed = 0
         for g, guess, best in self.pairs():
-            rank = density._peel(g)[2]
+            rank = density._peel(g)[1]
             p, q = guess.numerator, guess.denominator
             found, splits = density._load_flow(g, rank, p, q)
             expect, expect_splits = network_load_flow(g, rank, p, q)

@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +7,7 @@ import pytest
 
 from madcycle import cyclesearch, extract, longpaths
 from madcycle.cyclesearch import find_cycle_at_least, grow_cycle
+from madcycle.density import mad_with_witness
 from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from madcycle.extract import (
     BipartiteDense,
@@ -18,17 +18,14 @@ from madcycle.extract import (
     RefinedPartition,
     SmallDense,
     VertexCover,
-    check_dirac_decomposition,
     corollary5_engine,
     find_dense,
     refine_vertex_cover_to_partition,
 )
 from madcycle.graph import (
     CycleCertificate,
-    PathCertificate,
     VerifyOutcome,
     avg_degree,
-    blocks_and_cut_vertices,
     build_graph,
     ceil_frac,
     induced_subgraph,
@@ -47,188 +44,6 @@ from conftest import (
     random_graph,
     split_graph,
 )
-
-
-def make_dirac_decomposition():
-    """P1, P2 are 5-cliques traversed as paths; two 4-clique connector interiors.
-
-    Components of G - V(P1 u P2) are exactly the two connector interiors,
-    each attached to single anchor vertices, satisfying every clause.
-    """
-    p1 = list(range(0, 5))
-    p2 = list(range(5, 10))
-    h1 = list(range(10, 14))
-    h2 = list(range(14, 18))
-    edges = []
-    for block in (p1, p2, h1, h2):
-        edges += [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
-    edges += [(p1[-1], h1[0]), (h1[-1], p2[0])]  # P' connector
-    edges += [(p2[-1], h2[0]), (h2[-1], p1[0])]  # P'' connector
-    g = build_graph(edges, 18)
-    cyc = CycleCertificate(tuple(p1 + h1 + p2 + h2), 3)
-    return g, cyc, PathCertificate(tuple(p1)), PathCertificate(tuple(p2))
-
-
-class TestDiracDecompositionVerifier:
-    def test_generated_positive(self):
-        g, cyc, P1, P2 = make_dirac_decomposition()
-        assert verify_cycle_certificate(g, cyc)
-        ok, clause = check_dirac_decomposition(g, cyc, P1, P2)
-        assert ok, clause
-
-    def test_sharing_vertex_fails_disjointness(self):
-        g, cyc, P1, _ = make_dirac_decomposition()
-        bad = PathCertificate((0, 1, 2, 3))  # valid path, overlaps P1
-        ok, clause = check_dirac_decomposition(g, cyc, P1, bad)
-        assert not ok and clause == "disjoint paths"
-
-    def test_short_cycle_precondition(self):
-        g, cyc, P1, P2 = make_dirac_decomposition()
-        short = CycleCertificate(tuple(list(range(0, 5)) + [10, 11, 12, 13]), 3)
-        with pytest.raises(PreconditionError):
-            check_dirac_decomposition(g, short, P1, P2)
-
-    def test_mutated_matching_violation(self):
-        g, cyc, P1, P2 = make_dirac_decomposition()
-        # an extra edge from a connector interior to P2 makes the matching 2
-        g2 = g.add_pairs([(11, 6)])
-        ok, clause = check_dirac_decomposition(g2, cyc, P1, P2)
-        assert not ok and "clause (ii)" in clause
-
-    def test_extra_component_breaks_clause_iii(self):
-        g, cyc, P1, P2 = make_dirac_decomposition()
-        edges = list(g.edges()) + [(18, 0), (18, 1)]
-        g2 = build_graph(edges, 19)
-        ok, clause = check_dirac_decomposition(g2, cyc, P1, P2)
-        assert not ok
-
-
-def _parent_component_clause_ok(g, comp, P1, P2) -> bool:
-    """extract._component_clause_ok as it was before it took 2-connectivity
-    and leaf blocks from one decomposition, kept verbatim as a reference."""
-    sub, _ = induced_subgraph(g, comp)
-    two_conn = is_biconnected(sub)
-    if two_conn:
-        m1 = _parent_matching_size(g, comp, set(P1.vertices))
-        m2 = _parent_matching_size(g, comp, set(P2.vertices))
-        if m1 == 1 and m2 == 1:
-            return True
-    if not two_conn and len(comp) >= 3:
-        inner = _parent_leaf_block_inner_vertices(g, comp)
-        n1 = {u for u in P1.vertices if any(g.has_edge(u, w) for w in comp)}
-        n2 = {u for u in P2.vertices if any(g.has_edge(u, w) for w in comp)}
-        if len(n1) == 1 and not any(
-            g.has_edge(v, u) for v in inner for u in P2.vertices
-        ):
-            return True
-        if len(n2) == 1 and not any(
-            g.has_edge(v, u) for v in inner for u in P1.vertices
-        ):
-            return True
-    return False
-
-
-def _parent_leaf_block_inner_vertices(g, comp) -> set[int]:
-    sub, ids = induced_subgraph(g, comp)
-    blocks, cuts = blocks_and_cut_vertices(sub)
-    inner: set[int] = set()
-    for block in blocks:
-        block_cuts = block & cuts
-        if len(block_cuts) == 1:  # leaf block
-            inner |= {ids[v] for v in block - block_cuts}
-    return inner
-
-
-def _parent_matching_size(g, left, right) -> int:
-    """extract._matching_size as it was before the star test replaced it,
-    kept verbatim as a reference: maximum matching between disjoint vertex
-    sets using g's edges."""
-    left = sorted(left)
-    right_idx = {v: i for i, v in enumerate(sorted(right))}
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-
-    def augment(u, seen):
-        for w in g.adj[u]:
-            i = right_idx.get(w)
-            if i is None or i in seen:
-                continue
-            seen.add(i)
-            if i not in match_r or augment(match_r[i], seen):
-                match_l[u] = i
-                match_r[i] = u
-                return True
-        return False
-
-    size = 0
-    for u in left:
-        if augment(u, set()):
-            size += 1
-    return size
-
-
-def stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
-class TestComponentClause:
-    def test_same_verdicts_as_the_leaf_block_version(self):
-        # a component grown from blocks, bridges and pendant paths, next to
-        # two disjoint paths that see it from a few random vertices each
-        rng = random.Random(41)
-        seen = set()
-        for _ in range(1500):
-            comp_g = random_block_tree(rng, rng.choice([0, 1, 1, 2, 3, 4, 5, 6]))
-            c = comp_g.n
-            l1, l2 = rng.randint(1, 4), rng.randint(1, 4)
-            p1 = list(range(c, c + l1))
-            p2 = list(range(c + l1, c + l1 + l2))
-            edges = list(comp_g.edges())
-            edges += [(a, b) for p in (p1, p2) for a, b in zip(p, p[1:])]
-            for u in p1 + p2:
-                if rng.random() < 0.5:
-                    edges += [(u, rng.randrange(c)) for _ in range(rng.randint(1, 2))]
-            # shift the component off vertex 0 so its labels differ from g's
-            shift = rng.randint(0, 3)
-            n = c + l1 + l2 + shift
-            g = build_graph([(u + shift, v + shift) for u, v in edges], n)
-            comp = frozenset(range(shift, c + shift))
-            P1 = PathCertificate(tuple(v + shift for v in p1))
-            P2 = PathCertificate(tuple(v + shift for v in p2))
-            got = extract._component_clause_ok(g, comp, P1, P2)
-            assert got == _parent_component_clause_ok(g, comp, P1, P2)
-            sub, _ = induced_subgraph(g, comp)
-            kind = "small" if c < 3 else "2-connected" if is_biconnected(sub) else "cut"
-            seen.add((kind, got))
-        assert seen == {
-            ("small", False),
-            ("2-connected", True),
-            ("2-connected", False),
-            ("cut", True),
-            ("cut", False),
-        }
-
-    def test_long_component_needs_no_recursion(self):
-        # the cycle u0..u1500, u_i joined to a_i and a_{i+1} (u1500 to a0 only)
-        # on the path P1 = a0..a1501: a largest matching needs an augmenting
-        # path through every u_i, and the star test needs none
-        L = 1501
-        u, a = list(range(L)), list(range(L, 2 * L + 1))
-        edges = [(u[i], u[(i + 1) % L]) for i in range(L)] + [(u[-1], a[0])]
-        edges += [(u[i], a[i + d]) for i in range(L - 1) for d in (0, 1)]
-        edges += list(zip(a, a[1:])) + [(2 * L + 1, 2 * L + 2)]
-        g = build_graph(edges, 2 * L + 3)
-        P1, P2 = PathCertificate(tuple(a)), PathCertificate((2 * L + 1, 2 * L + 2))
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(stack_depth() + 300)
-        try:
-            got = extract._component_clause_ok(g, frozenset(u), P1, P2)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert got is False
 
 
 class TestEngine:
@@ -580,20 +395,13 @@ class TestCoverSideAgainstParent:
             n = rng.randint(2, 30)
             g = random_graph(rng, n, rng.random())
             _assert_same_cover_side(g, range(n + 1), (0, rng.randint(1, 4)))
-            # the star test against the largest matching, on disjoint sets
-            vs = list(g.vertices())
-            rng.shuffle(vs)
-            cut, end = sorted(rng.sample(range(n + 1), 2))
-            comp, path = frozenset(vs[:cut]), vs[cut:end]
-            got = extract._star_to(g, comp, PathCertificate(tuple(path)))
-            assert got == (_parent_matching_size(g, comp, set(path)) == 1)
 
     def test_split_graphs_with_ears(self, monkeypatch):
         real, seen = extract.corollary5_engine, []
 
-        def record(h, k, C, budget=None):
-            seen.append((h, k, C, budget))
-            return real(h, k, C, budget=budget)
+        def record(h, k, C):
+            seen.append((h, k, C))
+            return real(h, k, C)
 
         monkeypatch.setattr(extract, "corollary5_engine", record)
         plain = [(split_graph(a, b), 2) for a, b in ((6, 50), (8, 80), (10, 95))]
@@ -601,13 +409,13 @@ class TestCoverSideAgainstParent:
             seen.clear()
             w, _ = find_dense(g, k)
             assert isinstance(w, BipartiteDense) and len(seen) == 1
-            h, k_prime, c, budget = seen[0]
+            h, k_prime, c = seen[0]
             bound = h.min_degree() + 2 * k_prime
             _assert_same_cover_side(h, range(bound - 2, bound + 3), (k - 1, k, k + 1))
             # the Dirac cycle is already twice the cover, so the engine skips
             # growth, and answers as the parent's did after its searches
             assert len(c) >= 2 * len(extract._greedy_cover(h))
-            assert real(h, k_prime, c, budget) == _parent_engine(h, k_prime, c, budget)
+            assert real(h, k_prime, c) == _parent_engine(h, k_prime, c)
 
 
 class TestEngineAgainstParent:
@@ -713,15 +521,16 @@ class TestRefine:
 class TestFindDense:
     def test_k200_found_cycle(self):
         g = complete(200)
-        w, info = find_dense(g, 1)
+        w, trace = find_dense(g, 1)
         assert isinstance(w, FoundCycle)
         assert len(w.cycle) == 200
         assert verify_cycle_certificate(g, w.cycle)
-        assert info.k_prime is not None and info.k_prime <= 0
+        # k' = threshold - 2 delta(core) <= 0: the Dirac cycle is long enough
+        assert ceil_frac(mad_with_witness(g).mad) + 1 - 2 * trace.core.min_degree() <= 0
 
     def test_k350_minus_matching_small_dense(self):
         g = complete_minus_matching(350)
-        w, info = find_dense(g, 3)
+        w, _ = find_dense(g, 3)
         assert isinstance(w, SmallDense)
         assert w.vertices == frozenset(range(350))
         sub, _ = induced_subgraph(g, w.vertices)
@@ -733,10 +542,10 @@ class TestFindDense:
         # mad 24, threshold 27 > n = 26, so k' = 27 - 2*24 = -21: the Dirac
         # cycle is Hamiltonian and short, and the engine says Hamiltonian
         g = complete_minus_matching(26)
-        w, info = find_dense(g, 3)
+        w, trace = find_dense(g, 3)
         assert isinstance(w, SmallDense) and w.vertices == frozenset(range(26))
-        assert info.k_prime == -21
-        assert info.trace.core is g and info.trace.core_ids == tuple(range(26))
+        assert ceil_frac(mad_with_witness(g).mad) + 3 - 2 * trace.core.min_degree() == -21
+        assert trace.core is g and trace.core_ids == tuple(range(26))
 
     def test_engine_longer_cycle_steps_the_loop(self, monkeypatch):
         # on natural inputs the Dirac cycle reaches the threshold or the engine
@@ -752,7 +561,7 @@ class TestFindDense:
 
         monkeypatch.setattr(longpaths, "dirac_cycle", short_first)
         g = complete(12)
-        w, info = find_dense(g, 1)
+        w, _ = find_dense(g, 1)
         assert isinstance(w, FoundCycle) and len(w.cycle) == 12
         assert verify_cycle_certificate(g, w.cycle)
         assert calls == [12, 12]  # the engine re-dispatched to Dirac once
@@ -768,16 +577,16 @@ class TestFindDense:
         # k far above mad/80 - 1: every witness is still verified, and a glue
         # cycle short of mad + k comes back claiming only length 3
         g = complete(10)
-        w, info = find_dense(g, 1)
+        w, _ = find_dense(g, 1)
         assert isinstance(w, FoundCycle) and len(w.cycle) == 10
-        w, info = find_dense(g, 5)
+        w, _ = find_dense(g, 5)
         assert isinstance(w, SmallDense) and w.vertices == frozenset(range(10))
         e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
         g = build_graph(e, 14)
-        w, info = find_dense(g, 7)
-        assert isinstance(w, FoundCycle) and info.trace.final_separators
-        assert len(w.cycle) == 14 < ceil_frac(info.mad) + 7
+        w, trace = find_dense(g, 7)
+        assert isinstance(w, FoundCycle) and trace.final_separators
+        assert len(w.cycle) == 14 < ceil_frac(mad_with_witness(g).mad) + 7
         assert w.cycle.claimed_min_length == 3
         assert verify_cycle_certificate(g, w.cycle)
 
@@ -785,7 +594,7 @@ class TestFindDense:
         e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
         g = build_graph(e, 14)
-        w, info = find_dense(g, 1)
+        w, _ = find_dense(g, 1)
         assert isinstance(w, FoundCycle)
         assert len(w.cycle) == 14
         assert verify_cycle_certificate(g, w.cycle)
@@ -802,16 +611,15 @@ class TestFindDense:
         else:
             g = complete(12)
         monkeypatch.setattr(extract, "verify_cycle_certificate", reject)
-        monkeypatch.setattr(extract, "verify_path_certificate", reject)
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
             find_dense(g, 1)
 
     def test_bipartite_dense_branch_relaxed(self):
         g = split_graph(8, 80)
-        w, info = find_dense(g, 1)
+        w, _ = find_dense(g, 1)
         assert isinstance(w, BipartiteDense)
         assert w.A == frozenset(range(8))
-        mad = info.mad
+        mad = mad_with_witness(g).mad
         assert Fraction(2 * len(w.A)) >= mad - 8 * 1
         for v in w.B:
             assert not any(u in w.B for u in g.adj[v])

@@ -420,7 +420,7 @@ class TestGenerators:
         ):
             g, meta = gen_instance("lemma7_trace", {"branch": branch}, seed=0)
             k = meta.get("k", 1)
-            w, info = find_dense(g, k)
+            w, _ = find_dense(g, k)
             assert isinstance(w, expect), branch
 
     def test_random_cyclable_pairs(self):

@@ -185,9 +185,9 @@ class TestFinalSeparators:
                 reduce_exhaustive(g, mad_with_witness(g).vertices)
                 alone = scans[0]
                 scans[0] = 0
-                witness, info = extract.find_dense(g, 1)
+                witness, found = extract.find_dense(g, 1)
             assert alone >= 1 and scans[0] == alone
-            assert info.trace.final_separators == trace.final_separators
+            assert found.final_separators == trace.final_separators
             if trace.final_separators:
                 assert isinstance(witness, extract.FoundCycle)
         assert scanned >= 80 and nonempty >= 20

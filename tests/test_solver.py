@@ -397,10 +397,10 @@ def _raise_failure(*args, **kwargs):
     raise ConstructionFailure("forced")
 
 
-def _short_cycle(g, k, budget=None):
-    """find_dense's info with a FoundCycle of length 3."""
-    _, info = find_dense(g, k, budget=budget)
-    return FoundCycle(CycleCertificate((0, 2, 4), 3)), info
+def _short_cycle(g, k):
+    """find_dense's reduction trace with a FoundCycle of length 3."""
+    _, trace = find_dense(g, k)
+    return FoundCycle(CycleCertificate((0, 2, 4), 3)), trace
 
 
 class TestRelaxedMode:
@@ -485,16 +485,15 @@ class TestNoGate:
         # |A| >= 3k'/2 but not |A| >= mad/2 - 4k = 85.5, so an exhausted
         # case (iii) proves nothing; with |A| = 86 (k' = 8) it proves no.
         from madcycle import solver
-        from madcycle.extract import BipartiteDense, FindDenseInfo
+        from madcycle.extract import BipartiteDense
         from madcycle.reduction import ReductionTrace
 
         g = complete(180)
         A = frozenset(range(size_a))
         witness = BipartiteDense(frozenset(range(180)), A, frozenset(range(size_a, 180)))
 
-        def fake_find_dense(g, k, **kwargs):
-            info = FindDenseInfo(mad=Fraction(179), trace=ReductionTrace())
-            return witness, info
+        def fake_find_dense(g, k):
+            return witness, ReductionTrace()
 
         def exhausted(g, H, A, B, k_prime, mad, k, core=None):
             assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
@@ -518,12 +517,10 @@ class TestRouteOnly:
     @staticmethod
     def _fake_find_dense(monkeypatch, witness):
         from madcycle import solver
-        from madcycle.extract import FindDenseInfo
         from madcycle.reduction import ReductionTrace
 
-        def fake_find_dense(g, k, **kwargs):
-            info = FindDenseInfo(mad=mad_with_witness(g).mad, trace=ReductionTrace())
-            return witness, info
+        def fake_find_dense(g, k):
+            return witness, ReductionTrace()
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)
 
@@ -565,18 +562,6 @@ class TestRouteOnly:
         spliced = case_bipartite_dense(host, A | B, A, B, 1, Fraction(15), 1)
         assert spliced.answer == "yes" and len(spliced.certificate) == 31
         assert ks == [1, 1]  # floor(|A| / 10): the lemma needs 10k <= |A|
-
-
-class TestBudget:
-    @pytest.mark.parametrize("budget", [0, -1])
-    @pytest.mark.parametrize("mode", ["cycle", "path"])
-    def test_budget_below_one_is_a_precondition_error(self, budget, mode):
-        with pytest.raises(PreconditionError, match="budget"):
-            solve(complete(6), 1, mode=mode, budget=budget)
-
-    def test_budget_one_runs(self):
-        # K6 at k=1: mad 5, threshold 6, so a Hamiltonian cycle is a yes
-        assert solve(complete(6), 1, budget=1).answer == "yes"
 
 
 class TestOracleEquivalence:

@@ -6,10 +6,10 @@ bound is exactly asking whether the original graph is Hamiltonian. Long
 cycles above the bound are NP-hard on merely-connected graphs.
 """
 
+import math
 from fractions import Fraction
 
 from madcycle import build_graph, eg_bound, gen_hardness_gadget
-from madcycle.graph import ceil_frac
 from madcycle.oracles import oracle_longest_cycle
 
 for name, edges, n in (
@@ -22,7 +22,7 @@ for name, edges, n in (
     gp = gen_hardness_gadget(g)
     eg = eg_bound(gp)
     ham = oracle_longest_cycle(g)[0] == n
-    target = ceil_frac(eg + 1)
+    target = math.ceil(eg + 1)
     above = oracle_longest_cycle(gp, cap=20)[0] >= target
     print(
         f"{name:>14}: gadget n'={gp.n:2d} m'={gp.m:2d}  bound={eg}  "

@@ -34,6 +34,7 @@ from .graph import (
     avg_degree_of_set,
     blocks_and_cut_vertices,
     build_graph,
+    certify,
     eg_bound,
     two_separators,
     verify_cycle_certificate,
@@ -83,6 +84,7 @@ __all__ = [
     "build_graph",
     "case_bipartite_dense",
     "case_small_dense",
+    "certify",
     "corollary5_engine",
     "cover_side_through_pairs",
     "densest_decision",

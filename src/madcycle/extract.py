@@ -3,13 +3,15 @@
 Pipeline: densest induced subgraph, exhaustive reduction, then on the
 reduced core either a two-separator glue cycle or iterated calls to the
 cycle/cover engine from a Dirac cycle. The engine honors the contract
-longer-cycle / vertex cover of size <= delta+2k / Hamiltonian, with an
-explicit Incomplete outcome when its search budget runs out; outcomes are
-always verified, so Incomplete signals incompleteness, never incorrectness.
+longer-cycle / vertex cover of size <= delta+2k / Hamiltonian, and raises
+EngineIncomplete when it reaches none of them; so does the refinement of the
+cover into a bipartite-dense pair. Every outcome is verified, so
+EngineIncomplete signals incompleteness, never incorrectness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +22,8 @@ from .graph import (
     CycleCertificate,
     Graph,
     avg_degree,
-    ceil_frac,
+    certify,
     induced_subgraph,
-    require_verified,
     subset_components,
     verify_cycle_certificate,
 )
@@ -68,12 +69,7 @@ class Hamiltonian:
     pass
 
 
-@dataclass(frozen=True)
-class Incomplete:
-    reason: str
-
-
-EngineOutcome = LongerCycle | VertexCover | Hamiltonian | Incomplete
+EngineOutcome = LongerCycle | VertexCover | Hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +84,7 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     maximal matching's ends), insertion/rotation enlargement (at most 200n
     rotation steps) only while |C| < 2|X|, as no cycle is longer than 2|X|,
     then X if it has at most delta + 2k vertices, else the exact bounded
-    branch-and-bound. The
+    branch-and-bound; with neither, it raises EngineIncomplete. The
     corollary's preconditions (h 3-connected, 0 < k <= delta/24,
     |C| < 2*delta + k) are not checked: each outcome is verified and holds
     without them.
@@ -112,17 +108,13 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     if len(C) < 2 * len(cover):
         grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
         if len(grown) > len(C):
-            cert = CycleCertificate(tuple(grown), len(C) + 1)
-            require_verified(verify_cycle_certificate(h, cert))
-            return LongerCycle(cert)
+            return LongerCycle(certify(h, CycleCertificate(tuple(grown), len(C) + 1)))
 
         found = cyclesearch.long_cycle_search_best(
             h, len(C) + 1, rotation_budget=200 * h.n
         )
         if found is not None and len(found) > len(C):
-            cert = CycleCertificate(tuple(found), len(C) + 1)
-            require_verified(verify_cycle_certificate(h, cert))
-            return LongerCycle(cert)
+            return LongerCycle(certify(h, CycleCertificate(tuple(found), len(C) + 1)))
 
     bound = delta + 2 * k
     if len(cover) <= bound:
@@ -130,7 +122,7 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     cover = _bounded_min_cover(h, bound)
     if cover is not None:
         return VertexCover(frozenset(cover))
-    return Incomplete(
+    raise EngineIncomplete(
         f"no longer cycle within budget and no vertex cover of size <= {bound}"
     )
 
@@ -195,39 +187,36 @@ def _bounded_min_cover(h: Graph, bound: int) -> set[int] | None:
 # cover refinement
 
 
-@dataclass(frozen=True)
-class RefinedPartition:
-    ok: bool
-    A: frozenset[int] = frozenset()
-    B: frozenset[int] = frozenset()
-    reason: str | None = None
-
-
-def refine_vertex_cover_to_partition(h: Graph, X, k: int) -> RefinedPartition:
+def refine_vertex_cover_to_partition(
+    h: Graph, X, k: int
+) -> tuple[frozenset[int], frozenset[int]]:
     """Split along a vertex cover: B = V \\ X, A = cover vertices with >= 2|X|
-    neighbors in B; verifies the bipartite-dense degree properties. Each v in
-    A has >= 2|A| neighbors in B by construction, as |A| <= |X|; only B's
-    degree into A is checked."""
+    neighbors in B; verifies the bipartite-dense degree properties and
+    returns (A, B), or raises EngineIncomplete naming the one that fails.
+    Each v in A has >= 2|A| neighbors in B by construction, as |A| <= |X|;
+    only B's degree into A is checked."""
     X = frozenset(X)
     for u, v in h.edges():
         if u not in X and v not in X:
             raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
     ad = avg_degree(h)
     if Fraction(2 * len(X)) > ad + 3 * k + 3:
-        return RefinedPartition(False, reason="cover too large: |X| > (ad+3k+3)/2")
+        raise _refinement_failed("cover too large: |X| > (ad+3k+3)/2")
     B = frozenset(h.vertices()) - X
     p = len(X)
     A = frozenset(
         v for v in X if sum(1 for w in h.adj[v] if w in B) >= 2 * p
     )
     if not A:
-        return RefinedPartition(False, reason="no cover vertex has 2|X| neighbors outside")
+        raise _refinement_failed("no cover vertex has 2|X| neighbors outside")
     for v in B:
         if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
-            return RefinedPartition(
-                False, reason=f"vertex {v} has degree below |A|-2k-2 into A"
-            )
-    return RefinedPartition(True, A, B)
+            raise _refinement_failed(f"vertex {v} has degree below |A|-2k-2 into A")
+    return A, B
+
+
+def _refinement_failed(reason: str) -> EngineIncomplete:
+    return EngineIncomplete(f"cover refinement failed: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +228,12 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
     pair, with the trace of the reduction that made the core.
 
     One pipeline for every k >= 1; certificates are verified before being
-    returned. Two bounds are left to the caller, since only a "no" rests on
-    them: a FoundCycle may be shorter than mad + k (its certificate then
-    claims length 3; the paper rules this out for k <= mad/80 - 1), and the
-    side A of a BipartiteDense is not checked against 2|A| >= mad - 8k.
+    returned, and the EngineIncomplete of the engine or of the cover
+    refinement propagates. Two bounds are left to the caller, since only a
+    "no" rests on them: a FoundCycle may be shorter than mad + k (its
+    certificate then claims length 3; the paper rules this out for
+    k <= mad/80 - 1), and the side A of a BipartiteDense is not checked
+    against 2|A| >= mad - 8k.
     """
     if g.n < 2:
         raise PreconditionError("find_dense needs at least two vertices")
@@ -250,7 +241,7 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
         raise PreconditionError("k must be positive")
     witness = mad_with_witness(g)
     mad = witness.mad
-    threshold = ceil_frac(mad) + k  # integer cycle-length target
+    threshold = math.ceil(mad) + k  # integer cycle-length target
 
     core, trace = reduce_exhaustive(g, witness.vertices)
     sub, ids = trace.core, trace.core_ids
@@ -264,8 +255,7 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
     if seps:
         cyc = _glue_cycle(sub, ids, seps[0])
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)
-        require_verified(verify_cycle_certificate(g, cert))
-        return FoundCycle(cert), trace
+        return FoundCycle(certify(g, cert)), trace
 
     k_prime = threshold - 2 * sub.min_degree()
 
@@ -280,20 +270,12 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
         elif isinstance(outcome, Hamiltonian):
             _check_small_dense(sub, mad, k)
             return SmallDense(core), trace
-        elif isinstance(outcome, VertexCover):
-            refined = refine_vertex_cover_to_partition(sub, outcome.vertices, k)
-            if not refined.ok:
-                raise EngineIncomplete(
-                    f"cover refinement failed: {refined.reason}"
-                )
-            A = frozenset(ids[v] for v in refined.A)
-            B = frozenset(ids[v] for v in refined.B)
+        else:  # a VertexCover
+            a, b = refine_vertex_cover_to_partition(sub, outcome.vertices, k)
+            A, B = frozenset(ids[v] for v in a), frozenset(ids[v] for v in b)
             return BipartiteDense(A | B, A, B), trace
-        else:
-            raise EngineIncomplete(outcome.reason)
     cert = CycleCertificate(tuple(ids[v] for v in cyc.vertices), threshold)
-    require_verified(verify_cycle_certificate(g, cert))
-    return FoundCycle(cert), trace
+    return FoundCycle(certify(g, cert)), trace
 
 
 def _glue_cycle(sub: Graph, ids, sep: tuple[int, int]) -> list[int]:

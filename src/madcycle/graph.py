@@ -6,7 +6,6 @@ values; floating point never enters decision logic.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,10 +132,6 @@ def avg_degree(g: Graph) -> Fraction:
     if g.n == 0:
         raise PreconditionError("average degree of the empty graph is undefined")
     return Fraction(2 * g.m, g.n)
-
-
-def ceil_frac(x: Fraction | int) -> int:
-    return math.ceil(x)
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +678,21 @@ def verify_path_certificate(g: Graph, cert: PathCertificate) -> VerifyOutcome:
         if not g.has_edge(u, v):
             return VerifyOutcome(False, f"missing edge ({u},{v})")
     return VerifyOutcome(True)
+
+
+def certify(
+    g: Graph, cert: CycleCertificate | PathCertificate
+) -> CycleCertificate | PathCertificate:
+    """The certificate itself once its verifier passes against g.
+
+    Raises ConstructionFailure with the verifier's reason otherwise, so no
+    unverified certificate is ever returned, also under python -O.
+    """
+    if isinstance(cert, PathCertificate):
+        require_verified(verify_path_certificate(g, cert))
+    else:
+        require_verified(verify_cycle_certificate(g, cert))
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ is True.
 
 from __future__ import annotations
 
+import math
+
 from . import cyclesearch
 from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from .graph import (
@@ -20,11 +22,8 @@ from .graph import (
     Graph,
     PathCertificate,
     avg_degree_of_set,
-    ceil_frac,
+    certify,
     is_biconnected,
-    require_verified,
-    verify_cycle_certificate,
-    verify_path_certificate,
 )
 
 DET_STATE_BUDGET = 400_000  # states one exact search may push before it gives up
@@ -54,9 +53,7 @@ def dirac_cycle(g: Graph) -> CycleCertificate:
         raise ConstructionFailure(
             f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
         )
-    cert = CycleCertificate(tuple(cyc), want)
-    require_verified(verify_cycle_certificate(g, cert))
-    return cert
+    return certify(g, CycleCertificate(tuple(cyc), want))
 
 
 def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
@@ -70,7 +67,7 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
     if not is_biconnected(g):
         raise PreconditionError("fan_path needs a 2-connected graph")
     others = [v for v in g.vertices() if v not in (s, t)]
-    want_vertices = ceil_frac(avg_degree_of_set(g, others)) + 1
+    want_vertices = math.ceil(avg_degree_of_set(g, others)) + 1
     found, _ = st_path_at_least(g, s, t, want_vertices)
     if found is None:
         raise ConstructionFailure(
@@ -102,6 +99,4 @@ def st_path_at_least(
         return None, False
     if found is None:
         return None, True
-    cert = PathCertificate(tuple(found))
-    require_verified(verify_path_certificate(g, cert))
-    return cert, True
+    return certify(g, PathCertificate(tuple(found))), True

@@ -23,7 +23,9 @@ reconstruction. When the engine's state budget trips, `SegmentSearch.exact`
 turns False for good and every probe from then on answers None: a None
 probe answer proves absence only while exact is True. Nothing is cached
 beyond the search object. `find_segments_partitioned` is the one probe, and
-`find_segments` is its probe (r, p, 0, r) with A empty.
+`find_segments` is its probe (r, p, 0, r) with A empty. Every system a probe
+returns has passed `validate_segment_system`, an independent check that
+returns a `graph.VerifyOutcome`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from .graph import (
     Graph,
     PathCertificate,
+    VerifyOutcome,
     is_potentially_cyclable,
+    lowest_off,
     verify_path_certificate,
 )
 
@@ -61,58 +65,48 @@ class SegmentSystem:
 
 
 def validate_segment_system(
-    g: Graph,
-    system: SegmentSystem,
-    T,
-    partition: tuple | None = None,
-    expect: tuple[int, int] | None = None,
-    expect_st: tuple[int, int] | None = None,
-    require_a_two_internals: bool = False,
-) -> tuple[bool, str | None]:
-    """Independent invariant check for a system of T-segments."""
-    T = frozenset(T)
+    g: Graph, system: SegmentSystem, A, r: int, p: int, s: int, t: int
+) -> VerifyOutcome:
+    """Independent invariant check for a system of T-segments, T = system.T:
+    exactly r internally disjoint segments with p internal vertices in all,
+    s A-segments, each with >= 2 internal vertices, and t B-segments (both
+    ends outside A), whose endpoint pairs form a linear forest."""
+    T = system.T
     internals_seen: set[int] = set()
     all_vertices: set[int] = set()
     for path in system.paths:
         if not verify_path_certificate(g, path):
-            return False, "not a path of the host graph"
+            return VerifyOutcome(False, "not a path of the host graph")
         if len(path) < 3:
-            return False, "segment shorter than two edges"
+            return VerifyOutcome(False, "segment shorter than two edges")
         a, b = path.endpoints
         if a not in T or b not in T:
-            return False, "endpoint outside T"
+            return VerifyOutcome(False, "endpoint outside T")
         inner = set(path.internal)
         if inner & T:
-            return False, "internal vertex inside T"
-        if inner & all_vertices:
-            return False, "paths are not internally disjoint"
-        if internals_seen & set(path.vertices):
-            return False, "paths are not internally disjoint"
+            return VerifyOutcome(False, "internal vertex inside T")
+        if inner & all_vertices or internals_seen & set(path.vertices):
+            return VerifyOutcome(False, "paths are not internally disjoint")
         internals_seen |= inner
         all_vertices |= set(path.vertices)
     pairs = system.endpoint_pairs()
     if len(set(pairs)) != len(pairs):
-        return False, "duplicate endpoint pair"
+        return VerifyOutcome(False, "duplicate endpoint pair")
     if not is_potentially_cyclable(pairs):
-        return False, "endpoint pairs do not form a linear forest"
-    if expect is not None:
-        if system.r != expect[0]:
-            return False, f"expected {expect[0]} paths, got {system.r}"
-        if system.p != expect[1]:
-            return False, f"expected {expect[1]} internal vertices, got {system.p}"
-    if partition is not None:
-        A = frozenset(partition[0])
-        s_cnt = sum(1 for p in system.paths if p.vertices[0] in A and p.vertices[-1] in A)
-        t_cnt = sum(
-            1 for p in system.paths if p.vertices[0] not in A and p.vertices[-1] not in A
-        )
-        if expect_st is not None and (s_cnt, t_cnt) != expect_st:
-            return False, f"expected (s,t)={expect_st}, got {(s_cnt, t_cnt)}"
-        if require_a_two_internals:
-            for p in system.paths:
-                if p.vertices[0] in A and p.vertices[-1] in A and len(p) - 2 < 2:
-                    return False, "A-segment with fewer than two internal vertices"
-    return True, None
+        return VerifyOutcome(False, "endpoint pairs do not form a linear forest")
+    if system.r != r:
+        return VerifyOutcome(False, f"expected {r} paths, got {system.r}")
+    if system.p != p:
+        return VerifyOutcome(False, f"expected {p} internal vertices, got {system.p}")
+    A = frozenset(A)
+    ends = [(path.vertices[0] in A, path.vertices[-1] in A) for path in system.paths]
+    got = (ends.count((True, True)), ends.count((False, False)))
+    if got != (s, t):
+        return VerifyOutcome(False, f"expected (s,t)={(s, t)}, got {got}")
+    for path, (a_in, b_in) in zip(system.paths, ends):
+        if a_in and b_in and len(path) - 2 < 2:
+            return VerifyOutcome(False, "A-segment with fewer than two internal vertices")
+    return VerifyOutcome(True)
 
 
 class _Level:
@@ -333,39 +327,19 @@ class _SegmentEngine:
         return paths
 
     def _walk_segment(self, x: int, y: int, ykey: int) -> list[int]:
-        """Recover a concrete segment x..y with vertex set ykey."""
-        reach = self._alpha_walk[x]
+        """Recover a concrete segment x..y with vertex set ykey: from y, step
+        to the lowest end of the alpha entry left that is adjacent to the
+        current vertex. Every entry but {x} has its ends outside T, so the
+        walk reaches x exactly when the entry left is {x}."""
+        reach, masks = self._alpha_walk[x], self.g.masks
         ckey = ykey & ~(1 << y)
-        seq = [y]
-        # last internal endpoint adjacent to y
-        cur = None
-        ends = reach.get(ckey, 0) & self.g.masks[y]
-        e = ends
-        while e:
-            v = (e & -e).bit_length() - 1
-            if v != x:
-                cur = v
-                break
-            e &= e - 1
-        if cur is None:
-            raise ConstructionFailure("segment DP: alpha table inconsistent")
+        seq, cur = [y], y
         while cur != x:
+            cur = lowest_off(reach.get(ckey, 0) & masks[cur], ())
+            if cur is None:
+                raise ConstructionFailure("segment DP: alpha walk broke")
             seq.append(cur)
             ckey &= ~(1 << cur)
-            prev_ends = reach.get(ckey, 0) & self.g.masks[cur]
-            nxt = None
-            e = prev_ends
-            while e:
-                v = (e & -e).bit_length() - 1
-                e &= e - 1
-                if ckey == (1 << x) and v != x:
-                    continue
-                nxt = v
-                break
-            if nxt is None:
-                raise ConstructionFailure("segment DP: alpha walk broke")
-            cur = nxt
-        seq.append(x)
         seq.reverse()
         return seq
 
@@ -416,15 +390,9 @@ def _assemble(g, T, A, engine, hit, p, s, t) -> SegmentSystem:
     raw = engine.reconstruct(r, key)
     paths = tuple(PathCertificate(tuple(seq)) for seq in raw)
     system = SegmentSystem(paths, T)
-    ok, reason = validate_segment_system(
-        g, system, T,
-        partition=(A, T - A),
-        expect=(r, p),
-        expect_st=(s, t),
-        require_a_two_internals=True,
-    )
-    if not ok:
-        raise ConstructionFailure(f"segment DP produced an invalid system: {reason}")
+    check = validate_segment_system(g, system, A, r, p, s, t)
+    if not check:
+        raise ConstructionFailure(f"segment DP produced an invalid system: {check.reason}")
     return system
 
 

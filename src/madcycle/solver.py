@@ -16,6 +16,7 @@ reason; it never masquerades as no.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,33 +34,15 @@ from .graph import (
     Graph,
     PathCertificate,
     build_graph,
-    ceil_frac,
+    certify,
     induced_subgraph,
     is_biconnected,
     is_connected,
-    require_verified,
     subset_components,
-    verify_cycle_certificate,
-    verify_path_certificate,
 )
 from .reduction import K0_RULES, ReductionTrace, reduce_exhaustive
 
 FALLBACK_N_CAP = 24
-
-
-def _certify(
-    g: Graph, cert: CycleCertificate | PathCertificate
-) -> CycleCertificate | PathCertificate:
-    """The certificate itself once it verifies against g.
-
-    Raises ConstructionFailure otherwise, so no unverified certificate is
-    ever returned, also under python -O.
-    """
-    if isinstance(cert, PathCertificate):
-        require_verified(verify_path_certificate(g, cert))
-    else:
-        require_verified(verify_cycle_certificate(g, cert))
-    return cert
 
 
 @dataclass
@@ -91,7 +74,7 @@ def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     still checked, and a cycle not longer than mad raises
     ConstructionFailure.
     """
-    return _k0_cycle(g, ceil_frac(mad_with_witness(g).mad))[0]
+    return _k0_cycle(g, math.ceil(mad_with_witness(g).mad))[0]
 
 
 def _k0_cycle(g: Graph, want: int) -> tuple[CycleCertificate, ReductionTrace]:
@@ -103,7 +86,7 @@ def _k0_cycle(g: Graph, want: int) -> tuple[CycleCertificate, ReductionTrace]:
     _, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
     cyc = longpaths.dirac_cycle(trace.core)
     mapped = tuple(trace.core_ids[v] for v in cyc.vertices)
-    cert = _certify(g, CycleCertificate(mapped, want))
+    cert = certify(g, CycleCertificate(mapped, want))
     if not Fraction(len(mapped)) > witness.mad:
         raise ConstructionFailure("constructive cycle does not exceed mad")
     return cert, trace
@@ -118,7 +101,7 @@ def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveRe
     unknown with the reason.
     """
     threshold = Fraction(threshold)
-    want = max(ceil_frac(threshold), 3)
+    want = max(math.ceil(threshold), 3)
     mad = mad_with_witness(g).mad if g.m else Fraction(0)
     base = dict(k=0, mad=mad, threshold_len=want, branch="fallback")
     if g.n > FALLBACK_N_CAP:
@@ -129,7 +112,7 @@ def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveRe
         why = f"fallback state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
         return _unknown(why, **base)
     if found is not None:
-        cert = _certify(g, CycleCertificate(tuple(found), want))
+        cert = certify(g, CycleCertificate(tuple(found), want))
         return SolveResult("yes", certificate=cert, **base)
     return SolveResult("no", **base)
 
@@ -271,7 +254,7 @@ def _case_analysis(
             )
             return SolveResult("unknown", stats=stats, **base)
     out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
-    cert = _certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+    cert = certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
     return SolveResult("yes", certificate=cert, stats=stats, **base)
 
 
@@ -289,7 +272,7 @@ def case_small_dense(
     most k' outside segments carrying between k' and 2k'-2 internal vertices;
     either splices into a Hamiltonian cycle of H through the forced pairs.
     """
-    base = dict(k=k, mad=mad, threshold_len=ceil_frac(mad) + k, branch="case_ii")
+    base = dict(k=k, mad=mad, threshold_len=math.ceil(mad) + k, branch="case_ii")
     probes = (
         (r, p, 0, r)
         for r in range(1, k_prime + 1)
@@ -320,7 +303,7 @@ def case_bipartite_dense(
         raise PreconditionError("A and B must partition H")
     if 2 * len(A) < 3 * k_prime:
         raise PreconditionError("case_bipartite_dense needs |A| >= 3k'/2")
-    base = dict(k=k, mad=mad, threshold_len=ceil_frac(mad) + k, branch="case_iii")
+    base = dict(k=k, mad=mad, threshold_len=math.ceil(mad) + k, branch="case_iii")
     probes = (
         (r, p, s, t)
         for r in range(1, k_prime + 1)
@@ -363,7 +346,7 @@ def solve(
     if k == 0:
         threshold = mad.numerator // mad.denominator + 1
     else:
-        threshold = ceil_frac(mad) + k
+        threshold = math.ceil(mad) + k
     base = dict(k=k, mad=mad, threshold_len=threshold)
 
     if k == 0:
@@ -392,7 +375,7 @@ def solve(
     if isinstance(witness, FoundCycle):
         cert = witness.cycle
         if len(cert) >= threshold:
-            cert = _certify(g, CycleCertificate(cert.vertices, threshold))
+            cert = certify(g, CycleCertificate(cert.vertices, threshold))
             return SolveResult(
                 "yes", certificate=cert, branch="find_dense", trace=trace, **base
             )
@@ -415,7 +398,7 @@ def solve(
         )
     if k_prime <= 0:
         cyc = _routed(g, H, A, (), core)
-        cert = _certify(g, CycleCertificate(cyc.vertices, threshold))
+        cert = certify(g, CycleCertificate(cyc.vertices, threshold))
         return SolveResult("yes", certificate=cert, branch=branch, trace=trace, **base)
     if A and 2 * len(A) < 3 * k_prime:
         # case (iii) needs |A| >= 3k'/2; without it nothing is claimed
@@ -448,7 +431,7 @@ def _solve_path(g, k, strict, with_trace) -> SolveResult:
     if g.n < 2:
         raise PreconditionError("path mode needs at least two vertices")
     mad = mad_with_witness(g).mad if g.m else Fraction(0)
-    want_vertices = ceil_frac(mad) + k  # path with this many vertices
+    want_vertices = math.ceil(mad) + k  # path with this many vertices
     base = dict(k=k, mad=mad, threshold_len=want_vertices)
 
     u = g.n
@@ -456,10 +439,10 @@ def _solve_path(g, k, strict, with_trace) -> SolveResult:
         list(g.edges()) + [(v, u) for v in range(g.n)], g.n + 1
     )
     mad_p = mad_with_witness(gp).mad
-    k_plus = want_vertices + 1 - ceil_frac(mad_p)
+    k_plus = want_vertices + 1 - math.ceil(mad_p)
 
     if k_plus <= 0:
-        cycle_cert, tr = _k0_cycle(gp, ceil_frac(mad_p))
+        cycle_cert, tr = _k0_cycle(gp, math.ceil(mad_p))
         trace = tr.to_jsonable() if with_trace else None
         res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:
@@ -478,7 +461,7 @@ def _solve_path(g, k, strict, with_trace) -> SolveResult:
             i = seq.index(u)
             seq = seq[i + 1 :] + seq[:i]
         # a cycle avoiding u is already a path of G when read linearly
-        path = _certify(g, PathCertificate(tuple(seq)))
+        path = certify(g, PathCertificate(tuple(seq)))
         if len(path) < want_vertices:
             raise ConstructionFailure("path-mode conversion too short")
         res.path_certificate = path

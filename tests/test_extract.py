@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,14 +9,17 @@ import pytest
 from madcycle import cyclesearch, extract, longpaths
 from madcycle.cyclesearch import find_cycle_at_least, grow_cycle
 from madcycle.density import mad_with_witness
-from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
+from madcycle.errors import (
+    ConstructionFailure,
+    EngineIncomplete,
+    PreconditionError,
+    StateBudgetExceeded,
+)
 from madcycle.extract import (
     BipartiteDense,
     FoundCycle,
     Hamiltonian,
-    Incomplete,
     LongerCycle,
-    RefinedPartition,
     SmallDense,
     VertexCover,
     corollary5_engine,
@@ -24,13 +28,11 @@ from madcycle.extract import (
 )
 from madcycle.graph import (
     CycleCertificate,
-    VerifyOutcome,
     avg_degree,
     build_graph,
-    ceil_frac,
+    certify,
     induced_subgraph,
     is_biconnected,
-    require_verified,
     verify_cycle_certificate,
 )
 from madcycle.longpaths import dirac_cycle
@@ -84,7 +86,10 @@ class TestEngine:
                 continue
             if len(c) >= g.n:
                 continue
-            out = corollary5_engine(g, 1, c)
+            try:
+                out = corollary5_engine(g, 1, c)
+            except EngineIncomplete:
+                continue
             if isinstance(out, LongerCycle):
                 assert len(out.cycle) > len(c)
                 assert verify_cycle_certificate(g, out.cycle)
@@ -93,10 +98,8 @@ class TestEngine:
                     u in out.vertices or v in out.vertices for u, v in g.edges()
                 )
                 assert len(out.vertices) <= g.min_degree() + 2
-            elif isinstance(out, Hamiltonian):
-                assert len(c) == g.n
             else:
-                assert isinstance(out, Incomplete)
+                assert isinstance(out, Hamiltonian) and len(c) == g.n
 
     def test_growth_longer_cycle(self):
         # C10 plus a vertex on the edge 01: 2*delta < n, and one insertion
@@ -125,8 +128,8 @@ class TestEngine:
         g = petersen()
         c = CycleCertificate(tuple(find_cycle_at_least(g, 9)), 9)
         assert verify_cycle_certificate(g, c) and len(c) == 9
-        out = corollary5_engine(g, 1, c)
-        assert isinstance(out, Incomplete)
+        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 5"):
+            corollary5_engine(g, 1, c)
         assert find_cycle_at_least(g, 10) is None
         assert _min_cover_size(g) == 6
 
@@ -260,37 +263,48 @@ def _parent_bounded_min_cover(h, bound):
     return best
 
 
+def _or_reason(f, *args):
+    """f(*args), or the reason of the EngineIncomplete it raises."""
+    try:
+        return f(*args)
+    except EngineIncomplete as exc:
+        return str(exc)
+
+
 def _parent_refine(h, X, k):
     """refine_vertex_cover_to_partition before its A-degree re-check was
-    dropped, verbatim."""
+    dropped, verbatim but for the shape of its outcome: (A, B), or
+    EngineIncomplete with the reason."""
     X = frozenset(X)
     for u, v in h.edges():
         if u not in X and v not in X:
             raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
     ad = avg_degree(h)
     if Fraction(2 * len(X)) > ad + 3 * k + 3:
-        return RefinedPartition(False, reason="cover too large: |X| > (ad+3k+3)/2")
+        raise EngineIncomplete("cover refinement failed: cover too large: |X| > (ad+3k+3)/2")
     B = frozenset(h.vertices()) - X
     p = len(X)
     A = frozenset(
         v for v in X if sum(1 for w in h.adj[v] if w in B) >= 2 * p
     )
     if not A:
-        return RefinedPartition(False, reason="no cover vertex has 2|X| neighbors outside")
+        raise EngineIncomplete(
+            "cover refinement failed: no cover vertex has 2|X| neighbors outside"
+        )
     for v in A:
         if sum(1 for w in h.adj[v] if w in B) < 2 * len(A):
-            return RefinedPartition(False, reason="A-degree bound failed")
+            raise EngineIncomplete("cover refinement failed: A-degree bound failed")
     for v in B:
         if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
-            return RefinedPartition(
-                False, reason=f"vertex {v} has degree below |A|-2k-2 into A"
+            raise EngineIncomplete(
+                f"cover refinement failed: vertex {v} has degree below |A|-2k-2 into A"
             )
-    return RefinedPartition(True, A, B)
+    return A, B
 
 
 def _parent_engine(h, k, C, budget=None):
     """extract.corollary5_engine before the cover bound skipped growth,
-    verbatim."""
+    verbatim but for raising EngineIncomplete and checking by certify."""
     chk = verify_cycle_certificate(h, C)
     if not chk:
         raise PreconditionError(f"C is not a cycle of h: {chk.reason}")
@@ -308,15 +322,11 @@ def _parent_engine(h, k, C, budget=None):
 
     grown = cyclesearch.grow_cycle(h, list(C.vertices), target=len(C) + 1)
     if len(grown) > len(C):
-        cert = CycleCertificate(tuple(grown), len(C) + 1)
-        require_verified(verify_cycle_certificate(h, cert))
-        return LongerCycle(cert)
+        return LongerCycle(certify(h, CycleCertificate(tuple(grown), len(C) + 1)))
 
     found = cyclesearch.long_cycle_search_best(h, len(C) + 1, rotation_budget=budget)
     if found is not None and len(found) > len(C):
-        cert = CycleCertificate(tuple(found), len(C) + 1)
-        require_verified(verify_cycle_certificate(h, cert))
-        return LongerCycle(cert)
+        return LongerCycle(certify(h, CycleCertificate(tuple(found), len(C) + 1)))
 
     bound = delta + 2 * k
     cover = extract._greedy_cover(h)
@@ -325,7 +335,7 @@ def _parent_engine(h, k, C, budget=None):
     cover = extract._bounded_min_cover(h, bound)
     if cover is not None:
         return VertexCover(frozenset(cover))
-    return Incomplete(
+    raise EngineIncomplete(
         f"no longer cycle within budget and no vertex cover of size <= {bound}"
     )
 
@@ -385,7 +395,8 @@ def _assert_same_cover_side(h, bounds, ks):
             covers.add(frozenset(cover))
     for X in covers:
         for k in ks:
-            assert refine_vertex_cover_to_partition(h, X, k) == _parent_refine(h, X, k)
+            assert (_or_reason(refine_vertex_cover_to_partition, h, X, k)
+                    == _or_reason(_parent_refine, h, X, k))
 
 
 class TestCoverSideAgainstParent:
@@ -431,8 +442,8 @@ class TestEngineAgainstParent:
             if c is None:
                 continue
             k = rng.randint(1, 3)
-            out = corollary5_engine(g, k, c)
-            assert out == _parent_engine(g, k, c), (g.adj, c, k)
+            out = _or_reason(corollary5_engine, g, k, c)
+            assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
             runs += 1
             settled += len(c) < g.n and len(c) >= 2 * len(extract._greedy_cover(g))
             longer += isinstance(out, LongerCycle)
@@ -454,7 +465,8 @@ class TestEngineAgainstParent:
         ]
         for g, c in cases:
             for k in (1, 2):
-                assert corollary5_engine(g, k, c) == _parent_engine(g, k, c)
+                assert (_or_reason(corollary5_engine, g, k, c)
+                        == _or_reason(_parent_engine, g, k, c))
 
     def test_no_search_once_the_cycle_is_twice_the_cover(self, monkeypatch):
         calls = Counter()
@@ -482,17 +494,17 @@ class TestEngineAgainstParent:
 class TestRefine:
     def test_k5_60_small_side(self):
         g = complete_bipartite(5, 60)
-        out = refine_vertex_cover_to_partition(g, set(range(5)), 1)
-        assert out.ok and out.A == frozenset(range(5))
-        assert out.B == frozenset(range(5, 65))
+        A, B = refine_vertex_cover_to_partition(g, set(range(5)), 1)
+        assert A == frozenset(range(5))
+        assert B == frozenset(range(5, 65))
 
     def test_low_degree_cover_vertex_excluded(self):
         # vertex 0 covers only an edge inside the cover; no neighbors outside
         edges = [(0, 1)]
         edges += [(a, b) for a in (1, 2) for b in range(3, 63)]
         g = build_graph(edges, 63)
-        out = refine_vertex_cover_to_partition(g, {0, 1, 2}, 1)
-        assert out.ok and out.A == frozenset({1, 2})
+        A, _ = refine_vertex_cover_to_partition(g, {0, 1, 2}, 1)
+        assert A == frozenset({1, 2})
 
     def test_not_a_cover_rejected(self):
         g = complete_bipartite(2, 4)
@@ -505,9 +517,7 @@ class TestRefine:
             a = rng.randint(3, 6)
             b = 13 * a + rng.randint(0, 10)  # q > 12p as in the proof
             g = split_graph(a, b)
-            out = refine_vertex_cover_to_partition(g, set(range(a)), 1)
-            assert out.ok
-            A, B = out.A, out.B
+            A, B = refine_vertex_cover_to_partition(g, set(range(a)), 1)
             sub, ids = induced_subgraph(g, A | B)
             back = {orig: i for i, orig in enumerate(ids)}
             for v in B:
@@ -526,7 +536,7 @@ class TestFindDense:
         assert len(w.cycle) == 200
         assert verify_cycle_certificate(g, w.cycle)
         # k' = threshold - 2 delta(core) <= 0: the Dirac cycle is long enough
-        assert ceil_frac(mad_with_witness(g).mad) + 1 - 2 * trace.core.min_degree() <= 0
+        assert math.ceil(mad_with_witness(g).mad) + 1 - 2 * trace.core.min_degree() <= 0
 
     def test_k350_minus_matching_small_dense(self):
         g = complete_minus_matching(350)
@@ -544,7 +554,7 @@ class TestFindDense:
         g = complete_minus_matching(26)
         w, trace = find_dense(g, 3)
         assert isinstance(w, SmallDense) and w.vertices == frozenset(range(26))
-        assert ceil_frac(mad_with_witness(g).mad) + 3 - 2 * trace.core.min_degree() == -21
+        assert math.ceil(mad_with_witness(g).mad) + 3 - 2 * trace.core.min_degree() == -21
         assert trace.core is g and trace.core_ids == tuple(range(26))
 
     def test_engine_longer_cycle_steps_the_loop(self, monkeypatch):
@@ -586,7 +596,7 @@ class TestFindDense:
         g = build_graph(e, 14)
         w, trace = find_dense(g, 7)
         assert isinstance(w, FoundCycle) and trace.final_separators
-        assert len(w.cycle) == 14 < ceil_frac(mad_with_witness(g).mad) + 7
+        assert len(w.cycle) == 14 < math.ceil(mad_with_witness(g).mad) + 7
         assert w.cycle.claimed_min_length == 3
         assert verify_cycle_certificate(g, w.cycle)
 
@@ -601,8 +611,8 @@ class TestFindDense:
 
     @pytest.mark.parametrize("branch", ["glue", "dirac"])
     def test_rejecting_verifier_raises(self, monkeypatch, branch):
-        def reject(*args, **kwargs):
-            return VerifyOutcome(False, "rejected for the test")
+        def reject(g, cert):
+            raise ConstructionFailure("certificate failed verification: rejected for the test")
 
         if branch == "glue":
             e = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -610,7 +620,7 @@ class TestFindDense:
             g = build_graph(e, 14)
         else:
             g = complete(12)
-        monkeypatch.setattr(extract, "verify_cycle_certificate", reject)
+        monkeypatch.setattr(extract, "certify", reject)
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
             find_dense(g, 1)
 

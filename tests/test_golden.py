@@ -56,6 +56,17 @@ def _with_ears(g, ears):
     return build_graph(edges, n)
 
 
+def _cliques_sharing(size, shared):
+    """Two cliques of `size` vertices with exactly `shared` vertices in common."""
+    first = list(range(size))
+    second = first[:shared] + list(range(size, 2 * size - shared))
+    return build_graph(
+        [(u, v) for side in (first, second) for i, u in enumerate(side)
+         for v in side[i + 1:]],
+        2 * size - shared,
+    )
+
+
 def _solve_cases():
     km = _k_minus_matching(26)
     bip = _l7("bip_dense")
@@ -114,6 +125,8 @@ def _solve_cases():
          dict(k=5, strict=False)),
         ("km26+1+1+1 k5 relaxed trace", _with_ears(km, [(0, 1, 2), (3, 1, 5), (7, 1, 9)]),
          dict(k=5, strict=False, with_trace=True)),
+        # a 2-separator {0, 1} in the reduced core: the glue cycle of two Fan paths
+        ("two K14 on {0,1} k1 relaxed", _cliques_sharing(14, 2), dict(k=1, strict=False)),
     ]
 
 

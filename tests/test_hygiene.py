@@ -11,7 +11,9 @@ or a private method must be read by its body, `self` and `cls` aside. Tests
 do not count as readers or callers: a helper only a test calls is dead code
 of the package. No module but `instances`, whose generators take a seed,
 imports `random`: every answer is exact or unknown, so no search draws random
-numbers. Stdlib `ast` only.
+numbers. No module but `graph` wraps a cycle or path verifier in
+`require_verified`: every other module checks its certificates by
+`graph.certify`. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -192,6 +194,27 @@ def random_importers(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _called_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def wrapped_certificate_checks(sources: dict[str, str]) -> list[str]:
+    """'module:line' for each require_verified(verify_cycle_certificate(...))
+    or require_verified(verify_path_certificate(...)) outside graph."""
+    verifiers = {"verify_cycle_certificate", "verify_path_certificate"}
+    out = []
+    for mod, text in sorted(sources.items()):
+        if mod == "graph":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and _called_name(node) == "require_verified"
+                    and node.args and isinstance(node.args[0], ast.Call)
+                    and _called_name(node.args[0]) in verifiers):
+                out.append(f"{mod}:{node.lineno}")
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -214,6 +237,22 @@ def test_every_parameter_is_read():
 
 def test_only_the_generators_import_random():
     assert random_importers(_package_sources()) == []
+
+
+def test_certificates_are_checked_by_certify():
+    assert wrapped_certificate_checks(_package_sources()) == []
+
+
+def test_the_check_sees_wrapped_certificate_checks():
+    sources = {
+        "a": "def f(g, c):\n    require_verified(verify_cycle_certificate(g, c))\n",
+        "b": "def f(g, c):\n    x = 1\n    G.require_verified(G.verify_path_certificate(g, c))\n",
+        "c": "def f(g, c, s):\n    require_verified(verify_density_certificate(g, c, s))\n"
+             "    return certify(g, c)\n",
+        "graph": "def certify(g, c):\n    require_verified(verify_cycle_certificate(g, c))\n",
+    }
+    # the density verifier and graph itself are allowed
+    assert wrapped_certificate_checks(sources) == ["a:2", "b:3"]
 
 
 def test_the_check_sees_random_imports():

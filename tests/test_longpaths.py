@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,11 +9,9 @@ from madcycle import cyclesearch, longpaths
 from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from madcycle.graph import (
     PathCertificate,
-    VerifyOutcome,
     avg_degree_of_set,
     bits_off,
     build_graph,
-    ceil_frac,
     induced_subgraph,
     is_biconnected,
     lowest_off,
@@ -134,7 +133,7 @@ class TestFanPath:
                     assert p.endpoints in ((s, t), (t, s))
                     assert Fraction(p.length) >= bound
                     # sanity: the oracle confirms such a path exists
-                    assert oracle_longest_st_path(g, s, t) - 1 >= ceil_frac(bound)
+                    assert oracle_longest_st_path(g, s, t) - 1 >= math.ceil(bound)
 
 
 class TestStPathAtLeast:
@@ -286,7 +285,7 @@ def old_fan_path(g, s: int, t: int) -> PathCertificate:
         raise PreconditionError("fan_path needs a 2-connected graph")
     others = [v for v in g.vertices() if v not in (s, t)]
     bound = avg_degree_of_set(g, others)
-    want_vertices = ceil_frac(bound) + 1
+    want_vertices = math.ceil(bound) + 1
 
     path = old_grow_st_path(g, s, t, want_vertices)
     if path is not None and len(path) >= want_vertices:
@@ -528,12 +527,11 @@ class TestExplicitCertificateChecks:
     """Every certificate check raises ConstructionFailure, also under python -O."""
 
     @pytest.fixture(autouse=True)
-    def rejecting_verifiers(self, monkeypatch):
-        def reject(*args, **kwargs):
-            return VerifyOutcome(False, "rejected for the test")
+    def rejecting_certify(self, monkeypatch):
+        def reject(g, cert):
+            raise ConstructionFailure("certificate failed verification: rejected for the test")
 
-        monkeypatch.setattr(longpaths, "verify_cycle_certificate", reject)
-        monkeypatch.setattr(longpaths, "verify_path_certificate", reject)
+        monkeypatch.setattr(longpaths, "certify", reject)
 
     @pytest.mark.parametrize("g", [complete(6), cycle_graph(5), petersen()])
     def test_dirac_cycle(self, g):

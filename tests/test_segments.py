@@ -7,16 +7,17 @@ import pytest
 
 from madcycle import longpaths, segments, solver
 from madcycle.errors import ConstructionFailure, PreconditionError
-from madcycle.graph import build_graph
+from madcycle.graph import PathCertificate, VerifyOutcome, build_graph
 from madcycle.oracles import SEGMENTS_P_CAP, oracle_segments
 from madcycle.segments import (
     SegmentSearch,
+    SegmentSystem,
     find_segments,
     find_segments_partitioned,
     validate_segment_system,
 )
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import complete, cycle_graph, path_graph, random_graph
 
 
 class TestFindSegments:
@@ -92,8 +93,8 @@ class TestOracleEquivalence:
                 want = oracle_segments(g, T, r, p)
                 assert (got is not None) == want, (g.adj, sorted(T), r, p)
                 if got is not None:
-                    ok, reason = validate_segment_system(g, got, T, expect=(r, p))
-                    assert ok, reason
+                    check = validate_segment_system(g, got, (), r, p, 0, r)
+                    assert check, check.reason
 
     def test_partitioned_random(self):
         rng = random.Random(5)
@@ -113,14 +114,8 @@ class TestOracleEquivalence:
                             g.adj, sorted(T), sorted(A), r, p, s, t,
                         )
                         if got is not None:
-                            ok, reason = validate_segment_system(
-                                g, got, T,
-                                partition=(A, B),
-                                expect=(r, p),
-                                expect_st=(s, t),
-                                require_a_two_internals=True,
-                            )
-                            assert ok, reason
+                            check = validate_segment_system(g, got, A, r, p, s, t)
+                            assert check, check.reason
 
 
 class TestTrialIndependence:
@@ -494,11 +489,50 @@ class TestLazyLevels:
         assert len(engine._levels) == 1
 
 
+def _system(T, *paths):
+    return SegmentSystem(tuple(PathCertificate(p) for p in paths), frozenset(T))
+
+
+class TestValidateSegmentSystem:
+    """Each check of validate_segment_system names its reason."""
+
+    @pytest.mark.parametrize("g, system, args, reason", [
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2, 3)), ((), 1, 2, 0, 1), None),
+        (cycle_graph(6), _system({0, 3}, (0, 2, 3)), ((), 1, 1, 0, 1),
+         "not a path of the host graph"),
+        (cycle_graph(6), _system({0, 1}, (0, 1)), ((), 1, 0, 0, 1),
+         "segment shorter than two edges"),
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2)), ((), 1, 1, 0, 1),
+         "endpoint outside T"),
+        (cycle_graph(6), _system({0, 1, 3}, (0, 1, 2, 3)), ((), 1, 2, 0, 1),
+         "internal vertex inside T"),
+        (complete(6), _system({0, 1, 2}, (0, 3, 1), (1, 3, 2)), ((), 2, 2, 0, 2),
+         "paths are not internally disjoint"),
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2, 3), (3, 4, 5, 0)), ((), 2, 4, 0, 2),
+         "duplicate endpoint pair"),
+        (complete(6), _system({0, 1, 2}, (0, 3, 1), (1, 4, 2), (2, 5, 0)),
+         ((), 3, 3, 0, 3), "endpoint pairs do not form a linear forest"),
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2, 3)), ((), 2, 2, 0, 1),
+         "expected 2 paths, got 1"),
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2, 3)), ((), 1, 3, 0, 1),
+         "expected 3 internal vertices, got 2"),
+        (cycle_graph(6), _system({0, 3}, (0, 1, 2, 3)), ({0}, 1, 2, 0, 1),
+         "expected (s,t)=(0, 1), got (0, 0)"),
+        (path_graph(3), _system({0, 2}, (0, 1, 2)), ({0, 2}, 1, 1, 1, 0),
+         "A-segment with fewer than two internal vertices"),
+    ])
+    def test_reasons(self, g, system, args, reason):
+        assert validate_segment_system(g, system, *args) == VerifyOutcome(
+            reason is None, reason
+        )
+
+
 class TestChecksRaise:
     def test_invalid_system_raises_construction_failure(self, monkeypatch):
         # the check must hold under python -O, so it is not an assert
         monkeypatch.setattr(
-            segments, "validate_segment_system", lambda *a, **kw: (False, "forced")
+            segments, "validate_segment_system",
+            lambda *a: VerifyOutcome(False, "forced"),
         )
         with pytest.raises(ConstructionFailure):
             find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {3}, 1, 2, 0, 0)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +8,12 @@ import pytest
 
 from madcycle.cli import run_cli
 from madcycle.density import mad_with_witness
-from madcycle.errors import ConstructionFailure, PreconditionError
-from madcycle.extract import FoundCycle, Incomplete, VertexCover, find_dense
+from madcycle.errors import ConstructionFailure, EngineIncomplete, PreconditionError
+from madcycle.extract import FoundCycle, VertexCover, find_dense
 from madcycle.graph import (
     CycleCertificate,
     Graph,
     build_graph,
-    ceil_frac,
     induced_subgraph,
     verify_cycle_certificate,
     verify_path_certificate,
@@ -397,6 +397,10 @@ def _raise_failure(*args, **kwargs):
     raise ConstructionFailure("forced")
 
 
+def _raise_incomplete(*args, **kwargs):
+    raise EngineIncomplete("forced")
+
+
 def _short_cycle(g, k):
     """find_dense's reduction trace with a FoundCycle of length 3."""
     _, trace = find_dense(g, k)
@@ -422,7 +426,7 @@ class TestRelaxedMode:
         assert "construction failed: forced" in res.stats["reason"]
 
     @pytest.mark.parametrize("target, fake, reason", [
-        ("madcycle.extract.corollary5_engine", _engine_gives(Incomplete("forced")),
+        ("madcycle.extract.corollary5_engine", _raise_incomplete,
          "engine incomplete: forced"),
         # every vertex of K26 - M as the cover: |X| > (ad + 3k + 3) / 2
         ("madcycle.extract.corollary5_engine",
@@ -595,7 +599,7 @@ class TestPathMode:
             mad = mad_with_witness(g).mad
             for k in range(0, 3):
                 res = solve(g, k, mode="path")
-                want_vertices = ceil_frac(mad) + k
+                want_vertices = math.ceil(mad) + k
                 assert res.answer != "unknown"
                 assert (res.answer == "yes") == (best_path >= want_vertices), (
                     g.adj, k, best_path, want_vertices,
@@ -708,19 +712,16 @@ class TestCertificatesAreChecked:
 
     def test_rejecting_verifier_never_yields_yes(self, monkeypatch):
         from madcycle import solver
-        from madcycle.errors import ConstructionFailure
-        from madcycle.graph import VerifyOutcome
 
         cases = self._instances()
         for g, kwargs, branch in cases:
             res = solve(g, **kwargs)
             assert res.answer == "yes" and res.branch == branch
 
-        def reject(*args, **kwargs):
-            return VerifyOutcome(False, "rejected for the test")
+        def reject(g, cert):
+            raise ConstructionFailure("certificate failed verification: rejected for the test")
 
-        monkeypatch.setattr(solver, "verify_cycle_certificate", reject)
-        monkeypatch.setattr(solver, "verify_path_certificate", reject)
+        monkeypatch.setattr(solver, "certify", reject)
         for g, kwargs, branch in cases:
             try:
                 res = solve(g, **kwargs)

@@ -287,7 +287,7 @@ def long_cycle_search_best(
             return best
         if full is not None and len(path) < g.n:
             reopened = _reopen(g, _closure(g, *full))
-            if reopened is not None and len(reopened) > len(path):
+            if reopened is not None:
                 path = greedy_extend(g, reopened)
                 continue
         if best is not None:
@@ -298,7 +298,7 @@ def long_cycle_search_best(
                     return best
             if len(grown) >= len(path) and len(grown) < g.n:
                 reopened = _reopen(g, grown)
-                if reopened is not None and len(reopened) > len(path):
+                if reopened is not None:
                     path = greedy_extend(g, reopened)
                     continue
         return best

@@ -25,6 +25,7 @@ from .graph import (
     certify,
     induced_subgraph,
     subset_components,
+    two_separators,
     verify_cycle_certificate,
 )
 from .reduction import ReductionTrace, reduce_exhaustive
@@ -250,8 +251,9 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
             "reduced core is too small to host cycles (graph too sparse)"
         )
 
-    # the reduction's last rule-4 round already scanned this core
-    seps = trace.final_separators
+    # the reduction's last rule-4 round scanned this very core object, which
+    # keeps its pairs; a 3-vertex core is a triangle, which rule 4 skips
+    seps = two_separators(sub) if sub.n >= 4 else []
     if seps:
         cyc = _glue_cycle(sub, ids, seps[0])
         cert = CycleCertificate(tuple(cyc), threshold if len(cyc) >= threshold else 3)

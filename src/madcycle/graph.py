@@ -16,7 +16,7 @@ from .errors import ConstructionFailure, GraphInputError, PreconditionError
 class Graph:
     """Simple undirected graph with sorted adjacency and bitmask neighborhoods."""
 
-    __slots__ = ("n", "adj", "m", "masks", "_hash", "_blocks")
+    __slots__ = ("n", "adj", "m", "masks", "_hash", "_blocks", "_seps")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         masks = []
@@ -39,6 +39,7 @@ class Graph:
         self.m = sum(len(a) for a in adj) // 2
         self._hash = None
         self._blocks = None  # the memo of _lowpoint
+        self._seps = None  # the memo of two_separators
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -516,26 +517,33 @@ def _three_connected(g: Graph) -> bool:
 def two_separators(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs {x,y} whose removal disconnects a 2-connected g.
 
-    H is the 3-forest sparse certificate of g (at most 3(n-1) edges), which
-    is 3-connected exactly when g is. The checks run in this order: the
-    2-connectivity of g (g's one lowpoint DFS); Chartrand-Harary; the O(n + m)
-    3-connectivity test of H, so a 3-connected g costs O(n + m) in all.
-    Otherwise {x,y} separates g exactly when y is a cut vertex of g - x, so
-    one lowpoint DFS per x finds every pair: O(n(n+m)) time. That DFS runs
-    first on H. A pair that separates g separates its spanning subgraph H
-    too, so g - x is scanned only where H - x has a cut vertex y > x or
-    falls apart; exactness rests on that alone, and the certificate theorem
-    only makes such x rare. Pairs come as (x, y) with x < y, in ascending
-    order.
+    The scan runs once per Graph: g keeps its pairs, next to the memo of
+    _lowpoint, and each call returns a fresh list of them. H is the 3-forest
+    sparse certificate of g (at most 3(n-1) edges), which is 3-connected
+    exactly when g is. The checks run in this order: the 2-connectivity of g
+    (g's one lowpoint DFS); Chartrand-Harary; the O(n + m) 3-connectivity
+    test of H, so a 3-connected g costs O(n + m) in all. Otherwise {x,y}
+    separates g exactly when y is a cut vertex of g - x, so one lowpoint DFS
+    per x finds every pair: O(n(n+m)) time. That DFS runs first on H. A pair
+    that separates g separates its spanning subgraph H too, so g - x is
+    scanned only where H - x has a cut vertex y > x or falls apart; exactness
+    rests on that alone, and the certificate theorem only makes such x rare.
+    Pairs come as (x, y) with x < y, in ascending order.
     """
+    if g._seps is None:
+        g._seps = _scan_two_separators(g)
+    return list(g._seps)
+
+
+def _scan_two_separators(g: Graph) -> tuple[tuple[int, int], ...]:
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
     # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity.
     if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
-        return []
+        return ()
     h = _sparse_certificate(g, 3)
     if _three_connected(h):
-        return []
+        return ()
     seps = []
     for x in range(g.n):
         ys = _cut_vertices(h, x)
@@ -544,7 +552,7 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
         if h.m < g.m:
             ys = _cut_vertices(g, x)
         seps.extend((x, y) for y in ys if y > x)
-    return seps
+    return tuple(seps)
 
 
 # ---------------------------------------------------------------------------

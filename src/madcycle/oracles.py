@@ -7,7 +7,6 @@ fast paths it validates. Hard caps fail loudly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapExceeded, PreconditionError
@@ -168,6 +167,47 @@ def _segment_paths(g: Graph, T: frozenset[int], max_internal: int):
     return sorted(dedup)
 
 
+def segment_signatures(g: Graph, T, A, max_p: int) -> frozenset[tuple[int, int, int, int]]:
+    """Signatures (r, p, s, t) of all systems of T-segments with p <= max_p.
+
+    s counts the chosen segments with both ends in A (A-segments, which need
+    >= 2 internal vertices), t those with neither; with A empty the plain
+    systems are the (r, p, 0, r). A caller probing many counts of one
+    (g, T, A) builds this table once; `oracle_segments` holds the caps.
+    """
+    A = frozenset(A)
+    # A-segments need >= 2 internal vertices: filter before recombining
+    segs = [seg for seg in _segment_paths(g, frozenset(T), max_p)
+            if not (seg[0] in A and seg[-1] in A and len(seg) < 4)]
+    sigs: set[tuple[int, int, int, int]] = set()
+
+    def rec(idx, chosen, internals, total_p):
+        if chosen:
+            ends = [(segs[i][0], segs[i][-1]) for i in chosen]
+            if _forest_ok([(min(a, b), max(a, b)) for a, b in ends]):
+                s_cnt = sum(1 for a, b in ends if a in A and b in A)
+                t_cnt = sum(1 for a, b in ends if a not in A and b not in A)
+                sigs.add((len(chosen), total_p, s_cnt, t_cnt))
+        for i in range(idx, len(segs)):
+            seg = segs[i]
+            inner = set(seg[1:-1])
+            if total_p + len(inner) > max_p:
+                continue
+            if inner & internals:
+                continue
+            # internal disjointness also forbids internals hitting endpoints
+            if any(v in internals for v in (seg[0], seg[-1])):
+                continue
+            if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):
+                continue
+            chosen.append(i)
+            rec(i + 1, chosen, internals | inner, total_p + len(inner))
+            chosen.pop()
+
+    rec(0, [], set(), 0)
+    return frozenset(sigs)
+
+
 def oracle_segments(
     g: Graph,
     T,
@@ -190,14 +230,11 @@ def oracle_segments(
         raise CapExceeded(f"segments oracle capped at n <= {n_cap}, got {g.n}")
     if p > p_cap:
         raise CapExceeded(f"segments oracle capped at p <= {p_cap}, got {p}")
-    T = frozenset(T)
-    segs = _segment_paths(g, T, p)
     if partition is None:
-        sigs = _partitioned_signatures(frozenset(), tuple(segs), p)
-        return any(sig[0] == r and sig[1] == p for sig in sigs)
+        return (r, p, 0, r) in segment_signatures(g, T, (), p)
     A, B = partition
     A, B = frozenset(A), frozenset(B)
-    if A | B != T or A & B:
+    if A | B != frozenset(T) or A & B:
         raise PreconditionError("partition must split T")
     if s is None or t is None:
         raise PreconditionError("partitioned oracle needs s and t")
@@ -205,14 +242,7 @@ def oracle_segments(
         raise PreconditionError("s + t must not exceed r")
     if s < 0 or t < 0:
         raise PreconditionError("s and t must be nonnegative")
-    # A-segments need >= 2 internal vertices: filter before recombining
-    keep = [
-        seg
-        for seg in segs
-        if not (seg[0] in A and seg[-1] in A and len(seg) - 2 < 2)
-    ]
-    sigs = _partitioned_signatures(A, tuple(keep), p)
-    return (r, p, s, t) in sigs
+    return (r, p, s, t) in segment_signatures(g, T, A, p)
 
 
 def _forest_ok(pairs) -> bool:
@@ -245,43 +275,6 @@ def _forest_ok(pairs) -> bool:
             return False
         parent[ru] = rv
     return True
-
-
-@lru_cache(maxsize=128)
-def _partitioned_signatures(
-    A: frozenset[int], segs: tuple[tuple[int, ...], ...], max_p: int
-) -> frozenset[tuple[int, int, int, int]]:
-    """Signatures (r, p, s, t) of all systems of `segs` with <= max_p internals.
-
-    s counts the chosen segments with both ends in A, t those with neither.
-    """
-    sigs: set[tuple[int, int, int, int]] = set()
-
-    def rec(idx, chosen, internals, total_p):
-        if chosen:
-            ends = [(segs[i][0], segs[i][-1]) for i in chosen]
-            if _forest_ok([(min(a, b), max(a, b)) for a, b in ends]):
-                s_cnt = sum(1 for a, b in ends if a in A and b in A)
-                t_cnt = sum(1 for a, b in ends if a not in A and b not in A)
-                sigs.add((len(chosen), total_p, s_cnt, t_cnt))
-        for i in range(idx, len(segs)):
-            seg = segs[i]
-            inner = set(seg[1:-1])
-            if total_p + len(inner) > max_p:
-                continue
-            if inner & internals:
-                continue
-            # internal disjointness also forbids internals hitting endpoints
-            if any(v in internals for v in (seg[0], seg[-1])):
-                continue
-            if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):
-                continue
-            chosen.append(i)
-            rec(i + 1, chosen, internals | inner, total_p + len(inner))
-            chosen.pop()
-
-    rec(0, [], set(), 0)
-    return frozenset(sigs)
 
 
 def all_subsets_density(g: Graph):

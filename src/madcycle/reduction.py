@@ -10,8 +10,9 @@ Rule order stands in for connectivity guards: every rule set starts with
 rules 1 and 2, and the core always keeps an edge, so rule 1 fires on every
 disconnected core, rule 2 on every connected one with a cut vertex, and
 rules 3 and 4 see only an edge or a 2-connected core. Rules 1, 2 and 4 read
-the core's one lowpoint DFS, which the core keeps (graph._lowpoint); rules 2
-and 4 raise PreconditionError where they do not apply.
+the core's one lowpoint DFS, which the core keeps (graph._lowpoint), and
+rule 4 its 2-separators, which the core keeps too (graph.two_separators);
+rules 2 and 4 raise PreconditionError where they do not apply.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
     core: Graph | None = None
     core_ids: tuple[int, ...] = ()
-    # every 2-separator of core, in its labels; empty when core is not
-    # 2-connected, has < 4 vertices, or rule 4 was not in the set
-    final_separators: list[tuple[int, int]] = field(default_factory=list)
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -72,8 +70,16 @@ def _sub_eg(g: Graph, vs) -> Fraction:
     return eg_bound(sub)
 
 
+def _keep_densest(sub: Graph, ids, vs: frozenset[int], parts):
+    """Rules 1 and 2: keep the part of greatest 2m/(n-1), ties to the part
+    with the least host id, and remove the rest of vs."""
+    best = min(parts, key=lambda p: (-_sub_eg(sub, p), min(ids[v] for v in p)))
+    keep = frozenset(ids[v] for v in best)
+    return keep, vs - keep
+
+
 def apply_rule(
-    g: Graph, vertices, rule: int, report: dict | None = None
+    g: Graph, vertices, rule: int
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """One application of a reduction rule to the induced subgraph g[vertices].
 
@@ -81,7 +87,8 @@ def apply_rule(
     Deterministic choices: maximize the surviving 2m/(n-1), ties to the part
     with the smallest vertex id; rule 3 removes the smallest qualifying vertex;
     rule 4 uses the lexicographically first (separator, component). Rule 4
-    stores the 2-separators it scanned in report["separators"].
+    reads two_separators, which the subgraph keeps: a later reader of the
+    same Graph object gets the pairs without a second scan.
     """
     vs = frozenset(vertices)
     if len(vs) < 2:
@@ -91,32 +98,12 @@ def apply_rule(
     if rule == 1:
         if _lowpoint(sub)[0] is not None:  # connected; rule 2 reads the same DFS
             return None
-        comps = subset_components(sub, range(sub.n))
-        best = None
-        for comp in comps:
-            if len(comp) < 2:
-                continue
-            val = _sub_eg(sub, comp)
-            key = (-val, min(ids[v] for v in comp))
-            if best is None or key < best[0]:
-                best = (key, comp)
-        if best is None:
-            return None
-        keep = frozenset(ids[v] for v in best[1])
-        return keep, vs - keep
+        comps = [c for c in subset_components(sub, range(sub.n)) if len(c) >= 2]
+        return _keep_densest(sub, ids, vs, comps) if comps else None
 
     if rule == 2:
         blocks, cuts = blocks_and_cut_vertices(sub)
-        if not cuts:
-            return None
-        best = None
-        for block in blocks:
-            val = _sub_eg(sub, block)
-            key = (-val, min(ids[v] for v in block))
-            if best is None or key < best[0]:
-                best = (key, block)
-        keep = frozenset(ids[v] for v in best[1])
-        return keep, vs - keep
+        return _keep_densest(sub, ids, vs, blocks) if cuts else None
 
     if rule == 3:
         if sub.n < 3:
@@ -134,8 +121,6 @@ def apply_rule(
         seps = two_separators(sub)
         before = eg_bound(sub)
         threshold = Fraction(2, 3) * before
-        if report is not None:
-            report["separators"] = seps
         for x, y in seps:
             comps = subset_components(sub, set(range(sub.n)) - {x, y})
             comps.sort(key=min)
@@ -166,12 +151,12 @@ def reduce_exhaustive(
     K0_RULES for the k = 0 cycle, which so never runs the 2-separator scan
     of rule 4; a set without rules 1 and 2 raises PreconditionError. Claim
     safety: 2m/(n-1) never decreases across a step. The survivor of a run
-    starting from a graph with an edge always keeps at least one edge. When
-    rule 4 is in the set, it is the last rule tried, so its scan covered the
-    whole final core, and the trace keeps the separators it found; without
-    rule 4 they stay empty. Each round builds the core once and runs the
-    rules on it; its labels ascend with the host's ids, so every min-id and
-    lexicographic tie-break picks as in g.
+    starting from a graph with an edge always keeps at least one edge. Each
+    round builds the core once and runs the rules on it; its labels ascend
+    with the host's ids, so every min-id and lexicographic tie-break picks
+    as in g. When rule 4 is in the set, it is the last rule tried, so a
+    final core of 4 or more vertices has already scanned its 2-separators:
+    two_separators(trace.core) reads them from the graph without a rescan.
     """
     rules = tuple(sorted(rules))
     if rules[:2] != (1, 2):
@@ -187,14 +172,12 @@ def reduce_exhaustive(
     while True:
         before = eg_bound(sub)
         fired = None
-        report: dict = {}
         for rule in rules:
-            res = apply_rule(sub, range(sub.n), rule, report=report)
+            res = apply_rule(sub, range(sub.n), rule)
             if res is not None:
                 fired = (rule, res)
                 break
         if fired is None:
-            trace.final_separators = report.get("separators", [])
             break
         rule, (keep, removed) = fired
         sub, local = induced_subgraph(sub, keep)

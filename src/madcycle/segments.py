@@ -220,17 +220,16 @@ class _SegmentEngine:
                         entries.add((y, ckey | (1 << y)))
                         self._tick()
             self._alpha_walk[x] = reach
-            # alpha*: reject |Y| <= 2, one-internal A-segments and segments
-            # past pmax
+            # alpha*: reject one-internal A-segments; every entry holds x, at
+            # least one internal vertex and y, and the BFS never grows a set
+            # past pmax + 1 vertices, so 1 <= dp <= pmax already
             x_in_a = x in A
             gated = []
             for y, ykey in sorted(entries):
                 dp = ykey.bit_count() - 2
                 da = 1 if (x_in_a and y in A) else 0
                 db = 1 if (not x_in_a and y not in A) else 0
-                if dp < 1 or (dp == 1 and da):
-                    continue
-                if dp > self.pmax:
+                if dp == 1 and da:
                     continue
                 gated.append((y, ykey, dp, da, db))
             if gated:

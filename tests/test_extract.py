@@ -33,6 +33,7 @@ from madcycle.graph import (
     certify,
     induced_subgraph,
     is_biconnected,
+    two_separators,
     verify_cycle_certificate,
 )
 from madcycle.longpaths import dirac_cycle
@@ -595,7 +596,7 @@ class TestFindDense:
         e += [(i, j) for i in range(6, 14) for j in range(i + 1, 14)]
         g = build_graph(e, 14)
         w, trace = find_dense(g, 7)
-        assert isinstance(w, FoundCycle) and trace.final_separators
+        assert isinstance(w, FoundCycle) and two_separators(trace.core)
         assert len(w.cycle) == 14 < math.ceil(mad_with_witness(g).mad) + 7
         assert w.cycle.claimed_min_length == 3
         assert verify_cycle_certificate(g, w.cycle)

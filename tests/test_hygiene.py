@@ -13,7 +13,9 @@ of the package. No module but `instances`, whose generators take a seed,
 imports `random`: every answer is exact or unknown, so no search draws random
 numbers. No module but `graph` wraps a cycle or path verifier in
 `require_verified`: every other module checks its certificates by
-`graph.certify`. Stdlib `ast` only.
+`graph.certify`. No process-global cache: `functools.lru_cache` and
+`functools.cache` appear only on `density.mad_with_witness`. Stdlib `ast`
+only.
 """
 
 from __future__ import annotations
@@ -215,6 +217,35 @@ def wrapped_certificate_checks(sources: dict[str, str]) -> list[str]:
     return out
 
 
+_CACHES = {"lru_cache", "cache"}
+_ALLOWED_CACHES = {("density", "mad_with_witness")}
+
+
+def process_global_caches(sources: dict[str, str]) -> list[str]:
+    """'module:line' for each use of functools.lru_cache or functools.cache,
+    under any import alias, other than a decorator of an allowed function."""
+    out = []
+    for mod, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        names, modules, allowed = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names |= {a.asname or a.name for a in node.names if a.name in _CACHES}
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (mod, node.name) in _ALLOWED_CACHES):
+                allowed |= {id(n) for d in node.decorator_list for n in ast.walk(d)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in _CACHES
+                        and isinstance(node.value, ast.Name) and node.value.id in modules)):
+                out.append(f"{mod}:{node.lineno}")
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -241,6 +272,24 @@ def test_only_the_generators_import_random():
 
 def test_certificates_are_checked_by_certify():
     assert wrapped_certificate_checks(_package_sources()) == []
+
+
+def test_no_process_global_cache_but_the_mad_cache():
+    assert process_global_caches(_package_sources()) == []
+
+
+def test_the_check_sees_process_global_caches():
+    sources = {
+        "a": "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x):\n    return x\n",
+        "b": "import functools as ft\n@ft.cache\ndef f(x):\n    return x\n",
+        "c": "from functools import cache as memo, partial\nh = memo(partial(max, 1))\n",
+        "d": "def cache(x):\n    return x\n@cache\ndef f():\n    return 0\n",
+        "density": "from functools import lru_cache\n"
+                   "@lru_cache(maxsize=512)\ndef mad_with_witness(g):\n    return g\n"
+                   "@lru_cache\ndef other(g):\n    return g\n",
+    }
+    # d's own cache is not functools'; density's mad cache is allowed
+    assert process_global_caches(sources) == ["a:2", "b:2", "c:2", "density:5"]
 
 
 def test_the_check_sees_wrapped_certificate_checks():

@@ -11,6 +11,7 @@ from madcycle.oracles import (
     oracle_longest_st_path,
     oracle_mad,
     oracle_segments,
+    segment_signatures,
 )
 
 from conftest import bowtie, complete, cycle_graph, path_graph, petersen, random_graph
@@ -99,6 +100,34 @@ class TestSegmentsOracle:
             )
 
 
+class TestSignatureTable:
+    def test_one_table_answers_every_probe_of_the_oracle(self):
+        # a table built up to max_p answers each p <= max_p as the oracle
+        # built for that p alone does
+        rng = random.Random(37)
+        found = 0
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.6))
+            T = frozenset(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
+            A = frozenset(v for v in T if rng.random() < 0.5)
+            plain, table = segment_signatures(g, T, (), 3), segment_signatures(g, T, A, 3)
+            for p in range(1, 4):
+                for r in range(1, p + 1):
+                    assert oracle_segments(g, T, r, p) == ((r, p, 0, r) in plain)
+                    for s in range(r + 1):
+                        for t in range(r - s + 1):
+                            want = oracle_segments(g, T, r, p, partition=(A, T - A), s=s, t=t)
+                            assert want == ((r, p, s, t) in table)
+                            found += want
+        assert found >= 20
+
+    def test_oracle_caps_come_before_the_partition_checks(self):
+        with pytest.raises(CapExceeded, match="p <= 5, got 6"):
+            oracle_segments(cycle_graph(6), {0, 3}, 1, 6)
+        with pytest.raises(CapExceeded, match="n <= 10, got 11"):
+            oracle_segments(cycle_graph(11), {0, 3}, 1, 2, partition=({0}, {1}))
+
+
 def _old_forest_ok(pairs):
     seen, deg, parent = set(), {}, {}
 
@@ -164,7 +193,7 @@ def _old_signatures(segs, A, max_p):
 
 class TestMergedSignatures:
     def test_matches_both_old_signature_functions(self):
-        from madcycle.oracles import _partitioned_signatures, _segment_paths
+        from madcycle.oracles import _segment_paths
 
         rng = random.Random(31)
         nonempty = 0
@@ -175,14 +204,14 @@ class TestMergedSignatures:
             max_p = rng.randint(1, 3)
             segs = tuple(_segment_paths(g, T, max_p))
             # plain systems: the old copy with A None, compared on (r, p)
-            plain = _partitioned_signatures(frozenset(), segs, max_p)
+            plain = segment_signatures(g, T, (), max_p)
             assert {sig[:2] for sig in plain} == {
                 sig[:2] for sig in _old_signatures(segs, None, max_p)
             }
-            # partitioned systems: the old copy on the same segment list
+            # partitioned systems: the old copy on the A-filtered segment list
             keep = tuple(seg for seg in segs
                          if not (seg[0] in A and seg[-1] in A and len(seg) < 4))
-            assert _partitioned_signatures(A, keep, max_p) == _old_signatures(
+            assert segment_signatures(g, T, A, max_p) == _old_signatures(
                 keep, A, max_p
             )
             nonempty += bool(plain)

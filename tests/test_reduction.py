@@ -5,6 +5,7 @@ import pytest
 
 from madcycle.errors import PreconditionError
 from madcycle.graph import (
+    Graph,
     build_graph,
     eg_bound,
     induced_subgraph,
@@ -151,14 +152,14 @@ def _glued(rng):
 
 class TestFinalSeparators:
     def test_equal_two_separators_of_core(self, monkeypatch):
-        from madcycle import extract, reduction
+        from madcycle import extract, graph
         from madcycle.density import mad_with_witness
 
-        scans = [0]
+        real, scans = graph._scan_two_separators, []
 
-        def counted(sub):
-            scans[0] += 1
-            return two_separators(sub)
+        def counted(h):
+            scans.append(h)
+            return real(h)
 
         rng = random.Random(29)
         scanned = nonempty = 0
@@ -169,28 +170,40 @@ class TestFinalSeparators:
                 g = _glued(rng)
             core, trace = reduce_exhaustive(g, mad_with_witness(g).vertices)
             sub, _ = induced_subgraph(g, core)
-            if not (sub.n >= 4 and is_biconnected(sub)):
-                assert trace.final_separators == []
+            if sub.n < 4:
+                assert sub.n == 2 or two_separators(trace.core) == []
                 continue
+            assert is_biconnected(sub)
             scanned += 1
-            assert trace.final_separators == two_separators(sub)
-            nonempty += bool(trace.final_separators)
-            # find_dense takes the list from the trace: it scans exactly as
-            # often as its reduction alone does (extract gets the name too,
-            # so a scan of its own would be counted)
+            fresh = two_separators(Graph(sub.n, sub.adj))
+            # the core's pairs were scanned by the reduction's last rule-4
+            # round: reading them is no scan of its own, and find_dense scans
+            # exactly as often as its reduction alone does
             with monkeypatch.context() as m:
-                for mod in (reduction, extract):
-                    m.setattr(mod, "two_separators", counted, raising=False)
-                scans[0] = 0
-                reduce_exhaustive(g, mad_with_witness(g).vertices)
-                alone = scans[0]
-                scans[0] = 0
-                witness, found = extract.find_dense(g, 1)
-            assert alone >= 1 and scans[0] == alone
-            assert found.final_separators == trace.final_separators
-            if trace.final_separators:
+                m.setattr(graph, "_scan_two_separators", counted)
+                assert two_separators(trace.core) == fresh and scans == []
+                h = Graph(g.n, g.adj)
+                reduce_exhaustive(h, mad_with_witness(h).vertices)
+                alone = len(scans)
+                scans.clear()
+                witness, found = extract.find_dense(Graph(g.n, g.adj), 1)
+                assert two_separators(found.core) == fresh
+            assert alone >= 1 and len(scans) == alone
+            scans.clear()
+            nonempty += bool(fresh)
+            if fresh:
                 assert isinstance(witness, extract.FoundCycle)
         assert scanned >= 80 and nonempty >= 20
+
+    def test_a_returned_list_is_the_callers_own(self):
+        g = _glued(random.Random(3))
+        seps = two_separators(g)
+        assert seps
+        want = list(seps)
+        seps.clear()
+        seps.append((-1, -1))
+        assert two_separators(g) == want
+        assert two_separators(g) is not two_separators(g)
 
 
 def _chain(rng):
@@ -210,7 +223,8 @@ def _chain(rng):
 
 def _reduce_per_rule_on_host(g, vertices=None, rules=ALL_RULES):
     """The reduction loop as it was when every rule ran on the host as
-    apply_rule(g, vs, ...); returns (core, steps, final separators)."""
+    apply_rule(g, vs, ...); returns (core, steps, final separators), the
+    2-separators of the last core where rule 4 ran on it, else []."""
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
         raise PreconditionError("reduction needs at least two vertices")
@@ -224,18 +238,18 @@ def _reduce_per_rule_on_host(g, vertices=None, rules=ALL_RULES):
         before = eg_bound(sub)
         fired = None
         connected = is_connected(sub)
-        report: dict = {}
         for rule in sorted(rules):
             if rule == 2 and not connected:
                 continue
             if rule == 4 and not is_biconnected(sub):
                 continue
-            res = apply_rule(g, vs, rule, report=report)
+            res = apply_rule(g, vs, rule)
             if res is not None:
                 fired = (rule, res)
                 break
         if fired is None:
-            final_separators = report.get("separators", [])
+            ran_rule_4 = 4 in rules and sub.n >= 4 and is_biconnected(sub)
+            final_separators = two_separators(sub) if ran_rule_4 else []
             break
         rule, (keep, removed) = fired
         after = eg_bound(induced_subgraph(g, keep)[0])
@@ -281,7 +295,10 @@ class TestOneCorePerRound:
                 want_core, want_steps, want_seps = _reduce_per_rule_on_host(g, start, rules)
                 assert core == want_core
                 assert trace.steps == want_steps
-                assert trace.final_separators == want_seps
+                # the trace's core holds its pairs exactly where the
+                # reduction's own rule 4 scanned it
+                scanned = trace.core._seps is not None
+                assert (two_separators(trace.core) if scanned else []) == want_seps
                 sub, ids = induced_subgraph(g, core)
                 assert trace.core_ids == ids == tuple(sorted(core))
                 assert (trace.core.n, trace.core.adj) == (sub.n, sub.adj)

@@ -8,7 +8,7 @@ import pytest
 from madcycle import longpaths, segments, solver
 from madcycle.errors import ConstructionFailure, PreconditionError
 from madcycle.graph import PathCertificate, VerifyOutcome, build_graph
-from madcycle.oracles import SEGMENTS_P_CAP, oracle_segments
+from madcycle.oracles import SEGMENTS_P_CAP, segment_signatures
 from madcycle.segments import (
     SegmentSearch,
     SegmentSystem,
@@ -88,9 +88,10 @@ class TestOracleEquivalence:
         for _ in range(25):
             g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.25, 0.7))
             T = set(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
+            table = segment_signatures(g, T, (), 4)
             for r, p in _combos():
                 got = find_segments(g, T, r, p)
-                want = oracle_segments(g, T, r, p)
+                want = (r, p, 0, r) in table
                 assert (got is not None) == want, (g.adj, sorted(T), r, p)
                 if got is not None:
                     check = validate_segment_system(g, got, (), r, p, 0, r)
@@ -103,13 +104,12 @@ class TestOracleEquivalence:
             T = set(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
             A = {v for v in T if rng.random() < 0.5}
             B = T - A
+            table = segment_signatures(g, T, A, 4)
             for r, p in _combos():
                 for s in range(0, r + 1):
                     for t in range(0, r - s + 1):
                         got = find_segments_partitioned(g, T, A, B, r, p, s, t)
-                        want = oracle_segments(
-                            g, T, r, p, partition=(A, B), s=s, t=t
-                        )
+                        want = (r, p, s, t) in table
                         assert (got is not None) == want, (
                             g.adj, sorted(T), sorted(A), r, p, s, t,
                         )
@@ -171,6 +171,8 @@ class TestSharedSearch:
             g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.35, 0.75))
             T = frozenset(rng.sample(range(g.n), rng.randint(3, min(6, g.n - 2))))
             A = frozenset(v for v in T if rng.random() < 0.6)
+            table = segment_signatures(g, T, A, SEGMENTS_P_CAP)
+            plain = segment_signatures(g, T, (), 4)
             for k in (2, 3):
                 search = SegmentSearch(g, T, A, 3 * k - 2, k)
                 for r, p, s, t in _case_iii_probes(k):
@@ -188,9 +190,7 @@ class TestSharedSearch:
                         found += 1
                         found_two_a += s >= 2
                     if p <= SEGMENTS_P_CAP:
-                        want = oracle_segments(
-                            g, T, r, p, partition=(A, T - A), s=s, t=t
-                        )
+                        want = (r, p, s, t) in table
                         assert (shared is not None) == want, (
                             g.adj, sorted(T), sorted(A), r, p, s, t,
                         )
@@ -202,7 +202,7 @@ class TestSharedSearch:
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
                         assert shared.paths == fresh.paths
-                    assert (shared is not None) == oracle_segments(g, T, r, p)
+                    assert (shared is not None) == ((r, p, 0, r) in plain)
                     probes += 1
         assert probes > 1000 and found > 100 and found_two_a >= 5
 

@@ -179,13 +179,13 @@ class TestK0WithoutSeparatorScan:
 
     @pytest.fixture(autouse=True)
     def no_scan(self, monkeypatch):
-        from madcycle import graph, reduction
+        from madcycle import extract, graph, reduction
 
         def scan(g):
             raise AssertionError("the k = 0 path ran the 2-separator scan")
 
-        monkeypatch.setattr(graph, "two_separators", scan)
-        monkeypatch.setattr(reduction, "two_separators", scan)
+        for mod in (graph, reduction, extract):
+            monkeypatch.setattr(mod, "two_separators", scan)
 
     def test_every_k0_entry_point_exceeds_mad(self):
         path_k0 = 0
@@ -239,6 +239,75 @@ class TestK0WithoutSeparatorScan:
         assert r.certificate.vertices == (3, 5, 0, 1, 2, 4)
         assert verify_cycle_certificate(g, r.certificate)
         assert k0_constructive_cycle(g).vertices == (3, 5, 0, 1, 2, 4)
+
+
+class TestOneSeparatorScanPerCore:
+    """A solve at k >= 1 scans the 2-separators of each graph at most once:
+    find_dense reads the pairs that the reduction's last rule-4 round left on
+    the core."""
+
+    def _solve_counting(self, monkeypatch, g, **kwargs):
+        from madcycle import extract, graph
+
+        scanned, certified, cores = [], [], []
+        real_scan, real_cert = graph._scan_two_separators, graph._sparse_certificate
+        real_reduce = extract.reduce_exhaustive
+
+        def scan(h):
+            scanned.append(h)
+            return real_scan(h)
+
+        def cert(h, k):
+            certified.append(h)
+            return real_cert(h, k)
+
+        def reduce(*args, **kw):
+            core, trace = real_reduce(*args, **kw)
+            cores.append(trace.core)
+            return core, trace
+
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_scan_two_separators", scan)
+            m.setattr(graph, "_sparse_certificate", cert)
+            m.setattr(extract, "reduce_exhaustive", reduce)
+            res = solve(g, **kwargs)
+        for seen in (scanned, certified):
+            assert all(sum(h is x for h in seen) == 1 for x in seen)
+        assert all(any(h is x for x in scanned) for h in certified)
+        return res, scanned, certified, cores
+
+    def test_glued_cliques_scan_their_core_once(self, monkeypatch):
+        # two K14 sharing {0, 1}: no rule fires, and the core's one scan
+        # serves both rule 4 and the glue cycle
+        side = list(range(14))
+        other = [0, 1] + list(range(14, 26))
+        g = build_graph([(u, v) for part in (side, other) for u in part
+                         for v in part if u < v], 26)
+        res, scanned, certified, cores = self._solve_counting(
+            monkeypatch, g, k=1, strict=False
+        )
+        assert res.answer == "yes" and res.branch == "find_dense"
+        assert len(res.certificate) == 26 and res.threshold_len == 15
+        assert verify_cycle_certificate(g, res.certificate)
+        assert len(cores) == 1 and cores[0] is scanned[0] is certified[0]
+        assert len(scanned) == len(certified) == 1
+
+    def test_random_cores_are_scanned_once(self, monkeypatch):
+        rng = random.Random(43)
+        rule_4_cores = 0
+        for _ in range(16):
+            n = rng.randint(25, 40)
+            g = random_2connected_graph(rng, n, rng.uniform(4, 9) / n)
+            _, scanned, _, cores = self._solve_counting(
+                monkeypatch, Graph(g.n, g.adj), k=1, strict=False
+            )
+            assert len(cores) == 1
+            core = cores[0]
+            # every final core of 4 or more vertices is scanned by rule 4
+            # and only then; a triangle core is never scanned
+            assert sum(h is core for h in scanned) == (core.n >= 4)
+            rule_4_cores += core.n >= 4
+        assert rule_4_cores >= 12
 
 
 class TestFallback:

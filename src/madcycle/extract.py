@@ -22,8 +22,11 @@ from .graph import (
     CycleCertificate,
     Graph,
     avg_degree,
+    bits_off,
     certify,
     induced_subgraph,
+    lowest_off,
+    mask_of,
     subset_components,
     two_separators,
     verify_cycle_certificate,
@@ -197,21 +200,24 @@ def refine_vertex_cover_to_partition(
     Each v in A has >= 2|A| neighbors in B by construction, as |A| <= |X|;
     only B's degree into A is checked."""
     X = frozenset(X)
-    for u, v in h.edges():
-        if u not in X and v not in X:
+    B = frozenset(h.vertices()) - X
+    b_mask = mask_of(B)
+    for u in bits_off(b_mask):
+        # h.edges()'s first uncovered edge: the first u with a B-neighbour,
+        # and its lowest one, which lies above u
+        if h.masks[u] & b_mask:
+            v = lowest_off(h.masks[u] & b_mask, ())
             raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
     ad = avg_degree(h)
     if Fraction(2 * len(X)) > ad + 3 * k + 3:
         raise _refinement_failed("cover too large: |X| > (ad+3k+3)/2")
-    B = frozenset(h.vertices()) - X
     p = len(X)
-    A = frozenset(
-        v for v in X if sum(1 for w in h.adj[v] if w in B) >= 2 * p
-    )
+    A = frozenset(v for v in X if (h.masks[v] & b_mask).bit_count() >= 2 * p)
     if not A:
         raise _refinement_failed("no cover vertex has 2|X| neighbors outside")
+    a_mask = mask_of(A)
     for v in B:
-        if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
+        if (h.masks[v] & a_mask).bit_count() < len(A) - 2 * k - 2:
             raise _refinement_failed(f"vertex {v} has degree below |A|-2k-2 into A")
     return A, B
 

@@ -61,8 +61,10 @@ class Graph:
         return min((len(a) for a in self.adj), default=0)
 
     def add_pairs(self, pairs) -> "Graph":
-        """Graph plus the given vertex pairs as edges (existing edges kept)."""
-        extra = [set() for _ in range(self.n)]
+        """Graph plus the given vertex pairs as edges (existing edges kept).
+
+        Only the rows of the pair ends are rebuilt."""
+        masks = list(self.masks)
         for u, v in pairs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphInputError(
@@ -70,13 +72,21 @@ class Graph:
                 )
             if u == v:
                 raise GraphInputError(f"pair ({u},{v}) is a self-loop")
-            if not self.has_edge(u, v):
-                extra[u].add(v)
-                extra[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return self.with_masks(masks)
+
+    def with_masks(self, masks) -> "Graph":
+        """The graph whose neighbour masks are `masks`, which must be
+        symmetric. A row whose mask is unchanged keeps its adjacency tuple;
+        one that only lost neighbours is filtered from it."""
         adj = tuple(
-            tuple(sorted(set(self.adj[u]) | extra[u])) for u in range(self.n)
+            a if new == old
+            else tuple([w for w in a if new >> w & 1]) if new & old == new
+            else tuple(bits_off(new))
+            for a, new, old in zip(self.adj, masks, self.masks)
         )
-        return Graph(self.n, adj)
+        return Graph._from_masks(self.n, adj, tuple(masks))
 
     def __eq__(self, other):
         return (
@@ -159,6 +169,14 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(vs), adj), vs
 
 
+def mask_of(vertices) -> int:
+    """The bitmask of a set of vertices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def lowest_off(mask: int, off) -> int | None:
     """The lowest vertex of `mask` not in `off`, or None."""
     while mask:
@@ -198,9 +216,7 @@ def reach(g: Graph, start_mask: int, alive: int) -> int:
 
 def subset_components(g: Graph, vertices) -> list[list[int]]:
     """Connected components of g restricted to `vertices`, as sorted lists."""
-    alive = 0
-    for v in vertices:
-        alive |= 1 << v
+    alive = mask_of(vertices)
     comps = []
     while alive:
         comp = reach(g, alive & -alive, alive)
@@ -304,6 +320,38 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
     if cuts is None:
         raise PreconditionError("graph is disconnected")
     return list(blocks) or [frozenset([0])], set(cuts)  # K1 is one block
+
+
+def _expands_from_k4(g: Graph) -> bool:
+    """Whether g grows from a K4 by adding, one at a time, vertices with at
+    least 3 neighbours among those already added: then g is 3-connected, by
+    the expansion lemma (West, Introduction to Graph Theory, Lemma 4.2.3).
+
+    The K4 is the lowest-id vertex v of maximum degree and a triangle of its
+    neighbourhood, found with masks; without one, or when some vertex is
+    never added, the answer is False, which decides nothing. O(n + m) steps.
+    """
+    masks, adj = g.masks, g.adj
+    v = max(range(g.n), key=lambda u: len(adj[u]))
+    nv = masks[v]
+    # the K4 v, a, b, c, then every vertex in the order it is added
+    order = next(([v, a, b, lowest_off(nv & masks[a] & masks[b], ())]
+                  for a in adj[v] for b in adj[a]
+                  if nv >> b & 1 and nv & masks[a] & masks[b]), None)
+    if order is None:
+        return False
+    added = [False] * g.n
+    count = [0] * g.n  # added neighbours of a vertex not yet added
+    for u in order:
+        added[u] = True
+    for u in order:  # also visits the vertices appended below
+        for w in adj[u]:
+            if not added[w]:
+                count[w] += 1
+                if count[w] == 3:
+                    added[w] = True
+                    order.append(w)
+    return len(order) == g.n
 
 
 def _sparse_certificate(g: Graph, k: int) -> Graph:
@@ -521,13 +569,15 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
     _lowpoint, and each call returns a fresh list of them. H is the 3-forest
     sparse certificate of g (at most 3(n-1) edges), which is 3-connected
     exactly when g is. The checks run in this order: the 2-connectivity of g
-    (g's one lowpoint DFS); Chartrand-Harary; the O(n + m) 3-connectivity
-    test of H, so a 3-connected g costs O(n + m) in all. Otherwise {x,y}
-    separates g exactly when y is a cut vertex of g - x, so one lowpoint DFS
-    per x finds every pair: O(n(n+m)) time. That DFS runs first on H. A pair
-    that separates g separates its spanning subgraph H too, so g - x is
-    scanned only where H - x has a cut vertex y > x or falls apart; exactness
-    rests on that alone, and the certificate theorem only makes such x rare.
+    (g's one lowpoint DFS); Chartrand-Harary; the K4 expansion certificate
+    (_expands_from_k4), which answers only "3-connected"; the O(n + m)
+    3-connectivity test of H, so a 3-connected g costs O(n + m) in all.
+    Otherwise {x,y} separates g exactly when y is a cut vertex of g - x, so
+    one lowpoint DFS per x finds every pair: O(n(n+m)) time. That DFS runs
+    first on H. A pair that separates g separates its spanning subgraph H
+    too, so g - x is scanned only where H - x has a cut vertex y > x or falls
+    apart; exactness rests on that alone, and the certificate theorem only
+    makes such x rare.
     Pairs come as (x, y) with x < y, in ascending order.
     """
     if g._seps is None:
@@ -538,8 +588,9 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
 def _scan_two_separators(g: Graph) -> tuple[tuple[int, int], ...]:
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
-    # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity.
-    if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
+    # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity; so
+    # does growing from a K4 by vertices with 3 neighbours (expansion lemma)
+    if g.n > 3 and 2 * g.min_degree() >= g.n + 1 or _expands_from_k4(g):
         return ()
     h = _sparse_certificate(g, 3)
     if _three_connected(h):

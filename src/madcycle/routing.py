@@ -27,9 +27,9 @@ from .graph import (
     Graph,
     avg_degree,
     bits_off,
-    build_graph,
     certify,
     lowest_off,
+    mask_of,
     normalize_pair_chain,
 )
 
@@ -169,17 +169,16 @@ def cover_side_through_pairs(h: Graph, A, B, S, k: int) -> CycleCertificate:
     A, B = frozenset(A), frozenset(B)
     if A & B or A | B != frozenset(h.vertices()):
         raise PreconditionError("A and B must partition the vertex set")
-    for u in B:
-        for w in h.adj[u]:
-            if w in B:
-                raise PreconditionError("B is not an independent set")
+    b_mask = mask_of(B)
+    if any(h.masks[u] & b_mask for u in B):
+        raise PreconditionError("B is not an independent set")
     p = len(A)
     if p == 0:
         raise PreconditionError("A must be nonempty")
 
-    # bipartite reduction: A-B edges only
-    edges = [(u, v) for u, v in h.edges() if (u in A) != (v in A)]
-    hb = build_graph(edges, h.n)
+    # bipartite reduction, A-B edges only: a B row has no other edge, and
+    # each A row is masked by B
+    hb = h.with_masks([m & b_mask if u in A else m for u, m in enumerate(h.masks)])
 
     S = _normalize_pairs(S, hb, "no A-B edge to substitute for empty S")
     s_cnt = sum(1 for u, v in S if u in A and v in A)

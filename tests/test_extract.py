@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -492,7 +493,69 @@ class TestEngineAgainstParent:
         assert calls == Counter({"_greedy_cover": 1})
 
 
+def _set_refine(h, X, k):
+    """refine_vertex_cover_to_partition before it counted with masks, kept
+    verbatim as the reference for the differential test."""
+    X = frozenset(X)
+    for u, v in h.edges():
+        if u not in X and v not in X:
+            raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
+    ad = avg_degree(h)
+    if Fraction(2 * len(X)) > ad + 3 * k + 3:
+        raise extract._refinement_failed("cover too large: |X| > (ad+3k+3)/2")
+    B = frozenset(h.vertices()) - X
+    p = len(X)
+    A = frozenset(
+        v for v in X if sum(1 for w in h.adj[v] if w in B) >= 2 * p
+    )
+    if not A:
+        raise extract._refinement_failed("no cover vertex has 2|X| neighbors outside")
+    for v in B:
+        if sum(1 for w in h.adj[v] if w in A) < len(A) - 2 * k - 2:
+            raise extract._refinement_failed(f"vertex {v} has degree below |A|-2k-2 into A")
+    return A, B
+
+
+def _refine_outcome(f, *args):
+    try:
+        return f(*args)
+    except (PreconditionError, EngineIncomplete) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestRefine:
+    def test_same_partition_and_errors_as_set_counts(self):
+        # hub graphs (_engine_graph's second kind) with covers (the hubs
+        # plus some others) and non-covers (random vertex sets)
+        rng = random.Random(45)
+        outcomes = Counter()
+        for _ in range(3000):
+            n = rng.randint(4, 60)
+            a = rng.randint(1, max(1, n // 6))
+            # a hub-to-rest edge probability per vertex of the rest
+            p = [1] * a + [rng.uniform(0.2, 1) for _ in range(a, n)]
+            edges = [(i, j) for i in range(a) for j in range(i + 1, n) if rng.random() < p[j]]
+            if rng.random() < 0.3:
+                edges += [(u, v) for u, v in combinations(range(a, n), 2) if rng.random() < 0.01]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = build_graph([(perm[u], perm[v]) for u, v in edges], n)
+            if rng.random() < 0.7:
+                X = {perm[i] for i in range(a)} | set(rng.sample(range(n), rng.randint(0, 3)))
+            else:
+                X = set(rng.sample(range(n), rng.randint(0, n)))
+            k = rng.randint(0, 3)
+            got = _refine_outcome(refine_vertex_cover_to_partition, g, X, k)
+            assert got == _refine_outcome(_set_refine, g, X, k), (g.adj, X, k)
+            outcomes[re.sub(r"\d+", "#", got[1]) if isinstance(got[0], str) else "A, B"] += 1
+        assert {
+            "X is not a vertex cover: edge (#,#) uncovered",
+            "cover refinement failed: cover too large: |X| > (ad+#k+#)/#",
+            "cover refinement failed: no cover vertex has #|X| neighbors outside",
+            "cover refinement failed: vertex # has degree below |A|-#k-# into A",
+        } <= set(outcomes), outcomes
+        assert min(outcomes.values()) >= 20 and outcomes["A, B"] >= 300, outcomes
+
     def test_k5_60_small_side(self):
         g = complete_bipartite(5, 60)
         A, B = refine_vertex_cover_to_partition(g, set(range(5)), 1)

@@ -67,6 +67,16 @@ def _cliques_sharing(size, shared):
     )
 
 
+def _split_with_ears(a, ears):
+    """K_a joined to an independent set of 10a vertices, plus `ears` one-vertex
+    ears: vertex 11a + i joins a + 2i and a + 2i + 1 (the outside_probes shape
+    of the benchmark, with fixed labels)."""
+    n = 11 * a
+    edges = [(i, j) for i in range(a) for j in range(i + 1, n)]
+    edges += [p for i in range(ears) for p in ((a + 2 * i, n + i), (n + i, a + 2 * i + 1))]
+    return build_graph(edges, n + ears)
+
+
 def _solve_cases():
     km = _k_minus_matching(26)
     bip = _l7("bip_dense")
@@ -127,6 +137,10 @@ def _solve_cases():
          dict(k=5, strict=False, with_trace=True)),
         # a 2-separator {0, 1} in the reduced core: the glue cycle of two Fan paths
         ("two K14 on {0,1} k1 relaxed", _cliques_sharing(14, 2), dict(k=1, strict=False)),
+        # case (iii) on the benchmark's outside_probes shape: the partitioned
+        # segment DP, the outside probes and cover_side_through_pairs
+        ("K8+I80+12 ears k3 relaxed", _split_with_ears(8, 12), dict(k=3, strict=False)),
+        ("K10+I100+16 ears k4 relaxed", _split_with_ears(10, 16), dict(k=4, strict=False)),
     ]
 
 

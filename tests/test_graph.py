@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     bowtie,
     complete,
     complete_bipartite,
+    complete_minus_matching,
     cycle_graph,
     glued_k5s,
     path_graph,
@@ -36,6 +38,7 @@ from conftest import (
     random_block_tree,
     random_connected_graph,
     random_graph,
+    split_graph,
 )
 
 
@@ -644,6 +647,132 @@ class TestSparseCertificate:
             tested += 1
             with_separators += bool(seps)
         assert tested >= 60 and with_separators >= 20 and tested - with_separators >= 20
+
+
+class TestExpansionCertificate:
+    """graph._expands_from_k4 answers only "3-connected", so it must never
+    answer True on a graph with a separation pair."""
+
+    def test_sound_against_brute_force_on_random_graphs(self):
+        rng = random.Random(53)
+        tested = decided = separated = 0
+        while tested < 1500:
+            n = rng.randint(4, 14)
+            if rng.random() < 0.6:
+                g = random_graph(rng, n, rng.uniform(0.25, 0.9))
+            else:
+                g = random_sparse_graph(rng, n, rng.choice([2, 3, 4]))
+            if not is_biconnected(g):
+                continue
+            seps = brute_two_separators(g)
+            if graph._expands_from_k4(g):
+                assert seps == [], g.adj
+                decided += 1
+            tested += 1
+            separated += bool(seps)
+        assert decided >= 500 and separated >= 300
+
+    def test_sound_on_graphs_built_around_a_k4(self):
+        # a K4 on 0..3 plus vertices with 2 or 3 random earlier neighbours:
+        # one with 2 is separated by them unless later vertices attach
+        rng = random.Random(59)
+        tested = decided = 0
+        for _ in range(400):
+            n = rng.randint(5, 13)
+            edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            for v in range(4, n):
+                edges += [(u, v) for u in rng.sample(range(v), rng.choice([2, 3, 3, 3]))]
+            g = relabelled(rng, build_graph(edges, n))
+            if graph._expands_from_k4(g):
+                assert brute_two_separators(g) == []
+                decided += 1
+            tested += 1
+        assert decided >= 80 and tested - decided >= 80
+
+    def test_planted_separation_pairs(self):
+        k4_ear = build_graph(list(complete(4).edges()) + [(0, 4), (4, 1)], 5)
+        k5_long_ear = build_graph(
+            list(complete(5).edges()) + [(0, 5), (5, 6), (6, 1)], 7
+        )
+        for g in (glued_k5s(), k4_ear, k5_long_ear, glue_on_pair(complete(6), complete(5), 1)):
+            assert brute_two_separators(g) and not graph._expands_from_k4(g)
+            assert two_separators(g) == brute_two_separators(g)
+
+    def test_graphs_without_the_k4_are_not_decided(self):
+        # 3-connected, but no triangle in the neighbourhood of the first
+        # vertex of maximum degree: the exact test decides them
+        for g in (complete_bipartite(3, 3), wheel(6), prism(5), petersen()):
+            assert not graph._expands_from_k4(g)
+            assert two_separators(g) == brute_two_separators(g) == []
+        assert graph._expands_from_k4(complete(4)) and graph._expands_from_k4(wheel(3))
+
+    def test_agrees_with_the_exact_test_on_dense_families(self):
+        from madcycle.instances import gen_instance
+
+        graphs = [split_graph(a, b) for a in (4, 6, 10) for b in (1, 5, 40, 200)]
+        graphs += [complete_minus_matching(n) for n in (6, 8, 12, 30, 100, 300)]
+        graphs += [
+            gen_instance("gnp2c", {"n": n, "prob": prob}, seed)[0]
+            for n, prob in ((20, 0.6), (60, 0.4), (150, 0.3), (300, 0.3))
+            for seed in (1, 2)
+        ]
+        decided = 0
+        for g in graphs:
+            if graph._expands_from_k4(g):
+                assert graph._three_connected(_sparse_certificate(g, 3))
+                decided += 1
+        assert decided >= len(graphs) - 2
+
+
+def _parent_add_pairs(self, pairs):
+    """Graph.add_pairs before it kept the rows of every vertex outside the
+    pairs, kept verbatim as the reference for the differential test."""
+    extra = [set() for _ in range(self.n)]
+    for u, v in pairs:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphInputError(
+                f"vertex id out of range in pair ({u},{v}), n={self.n}"
+            )
+        if u == v:
+            raise GraphInputError(f"pair ({u},{v}) is a self-loop")
+        if not self.has_edge(u, v):
+            extra[u].add(v)
+            extra[v].add(u)
+    adj = tuple(
+        tuple(sorted(set(self.adj[u]) | extra[u])) for u in range(self.n)
+    )
+    return Graph(self.n, adj)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GraphInputError as exc:
+        return ("raise", str(exc))
+
+
+class TestAddPairs:
+    def test_same_graph_and_errors_as_the_parent(self):
+        rng = random.Random(61)
+        errors = Counter()
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(1, 20), rng.uniform(0, 0.6))
+            pairs = [(rng.randrange(-1, g.n + 1), rng.randrange(g.n))
+                     for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.8:  # mostly valid pair lists
+                pairs = [(u % g.n, v) for u, v in pairs if u % g.n != v]
+            want = _outcome(_parent_add_pairs, g, pairs)
+            got = _outcome(g.add_pairs, pairs)
+            if isinstance(want, tuple):
+                assert got == want
+                errors["self-loop" if "self-loop" in want[1] else "out of range"] += 1
+                continue
+            assert got == want and got.masks == want.masks and got.m == want.m
+            assert got is not g
+            for u in range(g.n):
+                if not any(u in p for p in pairs):
+                    assert got.adj[u] is g.adj[u]
+        assert errors["self-loop"] >= 20 and errors["out of range"] >= 20, errors
 
 
 class TestVerifyCycle:

@@ -264,3 +264,44 @@ class TestSameOutputsAsTwoConstructions:
             ("ConstructionFailure", "could not cover A: # vertices remain outside"),
         } <= set(failures), failures
         assert failures[None] >= 300, failures
+
+
+class TestCoverHostFromMasks:
+    """cover_side_through_pairs derives its A-B graph from h's masks: the
+    same graph as build_graph of h's A-B edges, on hosts with edges inside A
+    and some with an edge inside B, which must still be refused."""
+
+    def test_same_a_b_graph_and_outcome_as_build_graph(self, monkeypatch):
+        from madcycle import routing
+
+        hosts = []
+        normalize = routing._normalize_pairs
+
+        def spy(S, g, no_edge):
+            hosts.append(g)
+            return normalize(S, g, no_edge)
+
+        monkeypatch.setattr(routing, "_normalize_pairs", spy)
+        rng = random.Random(71)
+        outcomes = Counter()
+        for _ in range(600):
+            n = rng.randint(2, 30)
+            A = set(rng.sample(range(n), 0 if rng.random() < 0.05 else rng.randint(1, n - 1)))
+            B = set(range(n)) - A
+            p_ab, p_aa = rng.uniform(0.2, 0.9), rng.uniform(0, 0.6)
+            p_bb = 0.02 if rng.random() < 0.2 else 0
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < (
+                p_ab if (u in A) != (v in A) else p_aa if u in A else p_bb)]
+            h = build_graph(edges, n)
+            S = random_cyclable_pairs(range(n), rng.randint(0, 3), rng)
+            hosts.clear()
+            got = _outcome(cover_side_through_pairs, h, A, B, S, 2)
+            assert got == _outcome(old_routing.cover_side_through_pairs, h, A, B, S, 2)
+            outcomes[_template(got)] += 1
+            if hosts:
+                want = build_graph([(u, v) for u, v in h.edges() if (u in A) != (v in A)], n)
+                assert hosts[0] == want and hosts[0].masks == want.masks
+                assert all(hosts[0].adj[u] is h.adj[u] for u in B)
+        assert outcomes[("PreconditionError", "B is not an independent set")] >= 20, outcomes
+        assert outcomes[("PreconditionError", "A must be nonempty")] >= 10, outcomes
+        assert outcomes[None] >= 100, outcomes

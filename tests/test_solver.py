@@ -241,6 +241,43 @@ class TestK0WithoutSeparatorScan:
         assert k0_constructive_cycle(g).vertices == (3, 5, 0, 1, 2, 4)
 
 
+class TestDenseCoreThroughMasks:
+    """The CI's case (iii) instance, K10 + I100 plus 16 one-vertex ears: the
+    K4 expansion certificate decides every 2-separator scan of its solve, so
+    neither the sparse certificate nor the exact 3-connectivity test runs,
+    and routing builds no graph from an edge list."""
+
+    def test_case_iii_solve(self, monkeypatch):
+        from madcycle import graph, routing
+
+        edges = [(i, j) for i in range(10) for j in range(i + 1, 110)]
+        edges += [p for i in range(16) for p in ((10 + 2 * i, 110 + i), (110 + i, 11 + 2 * i))]
+        g = build_graph(edges, 126)
+        names = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                names.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("_scan_two_separators", "_expands_from_k4", "_sparse_certificate",
+                     "_three_connected"):
+            monkeypatch.setattr(graph, name, counted(name, getattr(graph, name)))
+        # a build_graph that routing imported would be this one
+        monkeypatch.setattr(routing, "build_graph", counted("build_graph", build_graph),
+                            raising=False)
+        monkeypatch.setattr(routing, "cover_side_through_pairs", counted(
+            "cover_side_through_pairs", routing.cover_side_through_pairs))
+        res = solve(g, 4, strict=False)
+        assert res.answer == "yes" and res.branch == "case_iii"
+        assert names.count("cover_side_through_pairs") >= 1
+        assert names.count("_scan_two_separators") >= 1
+        assert names.count("_expands_from_k4") == names.count("_scan_two_separators")
+        assert "_sparse_certificate" not in names and "_three_connected" not in names
+        assert "build_graph" not in names
+
+
 class TestOneSeparatorScanPerCore:
     """A solve at k >= 1 scans the 2-separators of each graph at most once:
     find_dense reads the pairs that the reduction's last rule-4 round left on

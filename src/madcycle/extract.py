@@ -83,15 +83,13 @@ EngineOutcome = LongerCycle | VertexCover | Hamiltonian
 def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     """Longer cycle, small vertex cover, or a Hamiltonicity report.
 
-    Cheapest first: Hamiltonicity check, Dirac re-dispatch when 2*delta >= n,
-    a vertex cover X (the smaller of a live-degree greedy cover and a
-    maximal matching's ends), insertion/rotation enlargement (at most 200n
-    rotation steps) only while |C| < 2|X|, as no cycle is longer than 2|X|,
-    then X if it has at most delta + 2k vertices, else the exact bounded
-    branch-and-bound; with neither, it raises EngineIncomplete. The
-    corollary's preconditions (h 3-connected, 0 < k <= delta/24,
-    |C| < 2*delta + k) are not checked: each outcome is verified and holds
-    without them.
+    Cheapest first: Hamiltonicity check, a live-degree greedy vertex cover
+    X, insertion/rotation enlargement (at most 200n rotation steps) only
+    while |C| < 2|X|, as no cycle is longer than 2|X|, then X if it has at
+    most delta + 2k vertices, else the exact bounded branch-and-bound; with
+    neither, it raises EngineIncomplete. The corollary's preconditions (h
+    3-connected, 0 < k <= delta/24, |C| < 2*delta + k) are not checked: each
+    outcome is verified and holds without them.
     """
     chk = verify_cycle_certificate(h, C)
     if not chk:
@@ -100,11 +98,6 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
 
     if len(C) == h.n:
         return Hamiltonian()
-
-    if 2 * delta >= h.n:
-        ham = longpaths.dirac_cycle(h)
-        if len(ham) > len(C):
-            return LongerCycle(ham)
 
     # a cycle never has two consecutive vertices outside a vertex cover X,
     # so none is longer than 2|X|: from there both searches must fail
@@ -142,8 +135,7 @@ def _maximal_matching(edges) -> set[int]:
 
 
 def _greedy_cover(h: Graph) -> set[int]:
-    """Max-degree greedy cover over live degrees (ties to the lowest id), or
-    the ends of a maximal matching if fewer."""
+    """Max-degree greedy cover over live degrees (ties to the lowest id)."""
     live = [h.degree(v) for v in h.vertices()]
     greedy: set[int] = set()
     while (top := max(live)) > 0:
@@ -153,8 +145,7 @@ def _greedy_cover(h: Graph) -> set[int]:
         for w in h.adj[v]:
             if w not in greedy:
                 live[w] -= 1
-    matched = _maximal_matching(h.edges())
-    return greedy if len(greedy) <= len(matched) else matched
+    return greedy
 
 
 def _bounded_min_cover(h: Graph, bound: int) -> set[int] | None:

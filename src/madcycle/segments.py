@@ -3,29 +3,29 @@
 Two-stage DP: stage one tabulates single segments between anchor pairs,
 keyed by their vertex sets; stage two peels one segment per level,
 distinguishing a shared next endpoint (the one vertex two segments may
-share) from a fresh one. Level r depends only on level r-1, so an engine
-builds levels lazily: a query grows level r one state of level r-1 at a
-time, pulling level r-1 forward only when level r has used up its states,
-and stops at the first state inserted with its counts (p, s, t) or when the
+share) from a fresh one. Level r depends only on level r-1, so levels are
+built lazily: a query grows level r one state of level r-1 at a time,
+pulling level r-1 forward only when level r has used up its states, and
+stops at the first state inserted with its counts (p, s, t) or when the
 level is complete. States are inserted in the order a full build of each
 level would insert them, so a query returns the state that build's first
 match would be. A level-r state sums r segments, so a probe whose counts
 fall outside r times their span over the single segments answers None
-without building anything.
+without building any level.
 
 Under the identity coloring a colorful segment is a simple one and a color
-set is a vertex set, so the DP is exact. A `SegmentSearch` owns one engine
-for one (g, T, A), sized for the whole probe range of a case analysis and
-made on its first probe; every probe of that case is answered from it. A
-state with p <= P is derived only from states with p <= P, in the same order
-and from the same predecessor, so a larger range changes no answer and no
-reconstruction. When the engine's state budget trips, `SegmentSearch.exact`
-turns False for good and every probe from then on answers None: a None
-probe answer proves absence only while exact is True. Nothing is cached
-beyond the search object. `find_segments_partitioned` is the one probe, and
-`find_segments` is its probe (r, p, 0, r) with A empty. Every system a probe
-returns has passed `validate_segment_system`, an independent check that
-returns a `graph.VerifyOutcome`.
+set is a vertex set, so the DP is exact. A `SegmentSearch` is that DP for
+one (g, T, A), sized for the whole probe range of a case analysis and built
+on its first probe; every probe of that case is answered from it. A state
+with p <= P is derived only from states with p <= P, in the same order and
+from the same predecessor, so a larger range changes no answer and no
+reconstruction. When the state budget trips, `SegmentSearch.exact` turns
+False for good, the DP is released, and every probe from then on answers
+None: a None probe answer proves absence only while exact is True. Nothing
+is cached beyond the search object. `find_segments_partitioned` is the one
+probe, and `find_segments` is its probe (r, p, 0, r) with A empty. Every
+system a probe returns has passed `validate_segment_system`, an independent
+check that returns a `graph.VerifyOutcome`.
 """
 
 from __future__ import annotations
@@ -123,31 +123,60 @@ class _Level:
         self.cursor = 0
 
 
-class _SegmentEngine:
-    """The two-stage DP under the identity coloring, reusable across queries.
+class SegmentSearch:
+    """The two-stage DP under the identity coloring for one (g, T, A),
+    shared by every probe of one case analysis.
 
-    Levels are built lazily, up to rmax: level r grows one state of level
-    r-1 at a time, and level r-1 is pulled forward only when level r has
-    expanded every state it has so far. States exceeding pmax internals are
-    never created. A state past state_budget raises StateBudgetExceeded,
-    which may leave a level half expanded, so the engine is then dropped.
+    Stage one is built on the first query, under the
+    longpaths.DET_STATE_BUDGET of that moment. Levels are built lazily, up
+    to rmax: level r grows one state of level r-1 at a time, and level r-1
+    is pulled forward only when level r has expanded every state it has so
+    far. States exceeding pmax internals are never created. A state past the
+    budget may leave a level half expanded, so `find` then drops the DP: from
+    then on every probe answers None, and exact is False.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        T: frozenset[int],
-        A: frozenset[int],
-        pmax: int,
-        rmax: int,
-        state_budget: int,
-    ):
+    def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
         self.g = g
-        self.T = T
-        self.A = A
+        self.T = frozenset(T)
+        self.A = frozenset(A)
+        if any(v < 0 or v >= g.n for v in self.T):
+            raise PreconditionError("T contains out-of-range vertices")
+        if not self.A <= self.T:
+            raise PreconditionError("A must be a subset of T")
         self.pmax = pmax
         self.rmax = rmax
-        self._budget = state_budget
+        self.exact = True
+        self._levels: list[_Level] | None = None  # None until the first query
+
+    def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
+        """The system of the first state level r inserts with counts
+        (p, s, t), validated, or None."""
+        if not self.exact:
+            return None
+        try:
+            hit = self.query(r, p, s, t)
+        except StateBudgetExceeded:
+            self.exact = False
+            self._levels = self._rows = self._alpha_walk = None
+            return None
+        if hit is None:
+            return None
+        paths = tuple(PathCertificate(tuple(seq)) for seq in self.reconstruct(*hit))
+        system = SegmentSystem(paths, self.T)
+        check = validate_segment_system(self.g, system, self.A, r, p, s, t)
+        if not check:
+            raise ConstructionFailure(f"segment DP produced an invalid system: {check.reason}")
+        return system
+
+    def _tick(self):
+        self._states += 1
+        if self._states > self._budget:
+            raise StateBudgetExceeded()
+
+    def _build(self):
+        """Stage one and the empty level 0, under the state budget of now."""
+        self._budget = longpaths.DET_STATE_BUDGET
         self._states = 0
         self._alpha_walk: dict[int, dict[int, int]] = {}
         # per x in sorted T with a gated alpha entry: (x, bit of x,
@@ -157,7 +186,7 @@ class _SegmentEngine:
         # level 0 is the empty system: no endpoint, nothing counted
         empty = _Level()
         empty.order.append(None)
-        self._levels: list[_Level] = [empty]
+        self._levels = [empty]
         self._built = 0  # levels 0.._built are complete
         # a level-r state sums r gated entries, so each of its counts
         # (p, s, t) lies in r times that count's span over the entries;
@@ -166,11 +195,6 @@ class _SegmentEngine:
         self._span = (
             (*map(min, counts), *map(max, counts)) if counts else (1, 1, 1, 0, 0, 0)
         )
-
-    def _tick(self):
-        self._states += 1
-        if self._states > self._budget:
-            raise StateBudgetExceeded()
 
     # stage one: single segments
     def _build_alpha(self):
@@ -298,6 +322,8 @@ class _SegmentEngine:
         it takes to find it or to complete level r."""
         if r < 1 or r > self.rmax:
             return None
+        if self._levels is None:
+            self._build()
         p_lo, s_lo, t_lo, p_hi, s_hi, t_hi = self._span
         if not (r * p_lo <= p <= r * p_hi and r * s_lo <= s <= r * s_hi
                 and r * t_lo <= t <= r * t_hi):
@@ -343,58 +369,6 @@ class _SegmentEngine:
         return seq
 
 
-class SegmentSearch:
-    """The segment searches of one case analysis over one (g, T, A).
-
-    Probes with r <= rmax and p <= pmax are answered exactly from one
-    engine, made on the first probe and built only as far as the probes so
-    far needed, until its longpaths.DET_STATE_BUDGET trips; from then on
-    every probe answers None, and exact is False.
-    """
-
-    def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
-        self.g = g
-        self.T = frozenset(T)
-        self.A = frozenset(A)
-        if any(v < 0 or v >= g.n for v in self.T):
-            raise PreconditionError("T contains out-of-range vertices")
-        if not self.A <= self.T:
-            raise PreconditionError("A must be a subset of T")
-        self.pmax = pmax
-        self.rmax = rmax
-        self.exact = True
-        self.engine: _SegmentEngine | None = None
-
-    def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
-        if not self.exact:
-            return None
-        try:
-            if self.engine is None:
-                self.engine = _SegmentEngine(
-                    self.g, self.T, self.A, self.pmax, self.rmax,
-                    longpaths.DET_STATE_BUDGET,
-                )
-            hit = self.engine.query(r, p, s, t)
-        except StateBudgetExceeded:
-            self.exact = False
-            self.engine = None
-            return None
-        if hit is None:
-            return None
-        return _assemble(self.g, self.T, self.A, self.engine, hit, p, s, t)
-
-
-def _assemble(g, T, A, engine, hit, p, s, t) -> SegmentSystem:
-    r, key = hit
-    raw = engine.reconstruct(r, key)
-    paths = tuple(PathCertificate(tuple(seq)) for seq in raw)
-    system = SegmentSystem(paths, T)
-    check = validate_segment_system(g, system, A, r, p, s, t)
-    if not check:
-        raise ConstructionFailure(f"segment DP produced an invalid system: {check.reason}")
-    return system
-
-
 def find_segments(
     g: Graph,
     T,
@@ -426,7 +400,7 @@ def find_segments_partitioned(
     B-segments (both ends in B).
 
     Returned systems always validate. A search made for (g, T, A) answers
-    the probe from its shared engine; without one, a search for this probe
+    the probe from its shared DP; without one, a search for this probe
     alone is made. A None answer is exact while search.exact is True after
     the probe; once the search's state budget has tripped, every answer is
     None and proves nothing. A probe with r > p is checked against the

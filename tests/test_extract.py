@@ -150,6 +150,36 @@ class TestEngine:
         out = corollary5_engine(g, 1, c)
         assert out == VertexCover(frozenset({0, 1, 6, 7}))
 
+    def test_bounded_search_where_the_matching_beats_the_greedy_cover(self, monkeypatch):
+        # a small core, found by random search, whose maximal matching has 6
+        # ends and whose greedy cover has 7; its longest cycle misses vertex
+        # 10, so growth fails and the 7 > delta + 2k = 6 greedy vertices send
+        # the engine to the bounded exact search
+        g = build_graph(
+            [(0, v) for v in (4, 5, 6, 8, 9, 10)] + [(1, v) for v in (2, 3, 6, 7)]
+            + [(2, 3), (2, 6), (2, 7)] + [(3, v) for v in (4, 5, 6, 8, 9, 10)]
+            + [(4, 5), (4, 7), (4, 8), (5, 7), (5, 8)],
+            11,
+        )
+        c = CycleCertificate((0, 9, 3, 6, 2, 1, 7, 5, 8, 4), 3)
+        assert verify_cycle_certificate(g, c) and find_cycle_at_least(g, 11) is None
+        assert len(extract._maximal_matching(g.edges())) == 6
+        assert len(extract._greedy_cover(g)) == 7 and g.min_degree() == 2
+        real, bounds = extract._bounded_min_cover, []
+
+        def recorded(h, bound):
+            bounds.append(bound)
+            return real(h, bound)
+
+        monkeypatch.setattr(extract, "_bounded_min_cover", recorded)
+        out = corollary5_engine(g, 2, c)
+        assert out == VertexCover(frozenset(range(6))) and bounds == [6]
+        assert all(u in out.vertices or v in out.vertices for u, v in g.edges())
+        # no cover has delta + 2 = 4 vertices
+        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 4"):
+            corollary5_engine(g, 1, c)
+        assert bounds == [6, 4]
+
     def test_runs_without_corollary_preconditions(self):
         # k = 1 > delta/24 on K10: the engine still answers, and soundly
         g = complete(10)
@@ -431,9 +461,23 @@ class TestCoverSideAgainstParent:
             assert real(h, k_prime, c) == _parent_engine(h, k_prime, c)
 
 
+def _against_parent(g, k, c):
+    """The engine's outcome on (g, k, c), checked against the parent's: the
+    same type and the same cycle, cover or reason, except where the parent
+    re-dispatched to a Dirac cycle (2 delta >= n, c not Hamiltonian). There
+    the engine grows c itself, to a longer cycle."""
+    out = _or_reason(corollary5_engine, g, k, c)
+    if len(c) < g.n and 2 * g.min_degree() >= g.n:
+        assert isinstance(out, LongerCycle) and len(out.cycle) > len(c), (g.adj, c, k)
+    else:
+        assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
+    return out
+
+
 class TestEngineAgainstParent:
-    """The cover bound changes no outcome: the same type and the same cycle,
-    cover or reason as the parent engine."""
+    """The cover bound changes no outcome, and the Dirac re-dispatch is gone:
+    each outcome is the parent engine's, or a longer cycle where the parent
+    returned a Dirac cycle."""
 
     def test_random_graphs(self):
         rng = random.Random(27)
@@ -444,8 +488,7 @@ class TestEngineAgainstParent:
             if c is None:
                 continue
             k = rng.randint(1, 3)
-            out = _or_reason(corollary5_engine, g, k, c)
-            assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
+            out = _against_parent(g, k, c)
             runs += 1
             settled += len(c) < g.n and len(c) >= 2 * len(extract._greedy_cover(g))
             longer += isinstance(out, LongerCycle)
@@ -467,8 +510,7 @@ class TestEngineAgainstParent:
         ]
         for g, c in cases:
             for k in (1, 2):
-                assert (_or_reason(corollary5_engine, g, k, c)
-                        == _or_reason(_parent_engine, g, k, c))
+                _against_parent(g, k, c)
 
     def test_no_search_once_the_cycle_is_twice_the_cover(self, monkeypatch):
         calls = Counter()
@@ -638,7 +680,7 @@ class TestFindDense:
         w, _ = find_dense(g, 1)
         assert isinstance(w, FoundCycle) and len(w.cycle) == 12
         assert verify_cycle_certificate(g, w.cycle)
-        assert calls == [12, 12]  # the engine re-dispatched to Dirac once
+        assert calls == [12]  # the engine grew the cycle without a second Dirac cycle
 
     def test_k_zero_rejected(self):
         g = build_graph(

@@ -236,7 +236,7 @@ class TestSharedSearch:
         for p in (3, 4):
             assert find_segments(g, {0, 4}, 1, p, search=search) is None
             assert search.exact is False
-            assert search.engine is None
+            assert search._levels is search._rows is search._alpha_walk is None
 
     def test_budget_trip_never_answers_no(self, monkeypatch):
         # an A-A outside path with one internal vertex is gated off, so the
@@ -290,12 +290,12 @@ class TestSharedSearch:
     def test_solve_leaves_no_engine_alive(self, monkeypatch):
         made = []
 
-        class Recorded(segments._SegmentEngine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
+        class Recorded(SegmentSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
                 made.append(weakref.ref(self))
 
-        monkeypatch.setattr(segments, "_SegmentEngine", Recorded)
+        monkeypatch.setattr(segments, "SegmentSearch", Recorded)
         res = solver.solve(_split_with_ears(8, 6), 3, strict=False)
         assert res.answer == "yes" and res.stats["segment_probes"] > 1
         assert made
@@ -303,13 +303,14 @@ class TestSharedSearch:
         assert all(ref() is None for ref in made)
 
 
-class _EagerEngine(segments._SegmentEngine):
-    """_SegmentEngine before lazy levels: a query builds every level up to r
+class _EagerEngine(SegmentSearch):
+    """SegmentSearch before lazy levels: a query builds every level up to r
     in full. _next_level, query and reconstruct are verbatim; stage one is
-    the engine's own."""
+    the search's own, built when the engine is made."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self._build()
         self._levels: list[dict] = []
         # per level: (p, s, t) -> the first state inserted with those counts
         self._firsts: list[dict[tuple[int, int, int], tuple]] = []
@@ -372,7 +373,7 @@ class _EagerEngine(segments._SegmentEngine):
 
 
 def _scan_first(engine, r, p, s, t):
-    """_SegmentEngine.query's scan of level r before the per-level index,
+    """SegmentSearch.query's scan of level r before the per-level index,
     verbatim, on levels the eager engine has built."""
     for key in engine._levels[r - 1]:
         if key[1] == p and key[2] == s and key[3] == t:
@@ -381,7 +382,7 @@ def _scan_first(engine, r, p, s, t):
 
 
 def _random_instance(rng):
-    """A random (g, T, A, pmax, rmax) for the engine."""
+    """A random (g, T, A, pmax, rmax) for the search."""
     g = random_graph(rng, rng.randint(6, 11), rng.uniform(0.3, 0.8))
     T = frozenset(rng.sample(range(g.n), rng.randint(2, min(6, g.n - 2))))
     A = frozenset(v for v in T if rng.random() < 0.5)
@@ -395,15 +396,16 @@ def _probe_grid(pmax, rmax):
 
 
 class TestFirstStateIndex:
-    def test_query_is_the_first_match_of_the_level_scan(self):
-        # the lazy engine answers each probe with the first matching state of
+    def test_query_is_the_first_match_of_the_level_scan(self, monkeypatch):
+        # the lazy search answers each probe with the first matching state of
         # the eager engine's full level
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 10**7)
         rng = random.Random(31)
         probes, found = 0, 0
         for _ in range(30):
             g, T, A, pmax, rmax = _random_instance(rng)
-            engine = segments._SegmentEngine(g, T, A, pmax, rmax, 10**7)
-            eager = _EagerEngine(g, T, A, pmax, rmax, 10**7)
+            engine = SegmentSearch(g, T, A, pmax, rmax)
+            eager = _EagerEngine(g, T, A, pmax, rmax)
             for r, p, s, t in _probe_grid(pmax, rmax):
                 got = engine.query(r, p, s, t)
                 want = eager.query(r, p, s, t)
@@ -416,17 +418,18 @@ class TestFirstStateIndex:
 
 
 class TestLazyLevels:
-    def test_same_answers_and_paths_as_the_eager_engine_in_any_order(self):
+    def test_same_answers_and_paths_as_the_eager_engine_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 10**7)
         rng = random.Random(47)
         probes, found = 0, 0
         for _ in range(200):
             g, T, A, pmax, rmax = _random_instance(rng)
-            eager = _EagerEngine(g, T, A, pmax, rmax, 10**7)
+            eager = _EagerEngine(g, T, A, pmax, rmax)
             grid = _probe_grid(pmax, rmax)
             want = {probe: eager.query(*probe) for probe in grid}
             for _ in range(3):
                 rng.shuffle(grid)
-                engine = segments._SegmentEngine(g, T, A, pmax, rmax, 10**7)
+                engine = SegmentSearch(g, T, A, pmax, rmax)
                 for probe in grid:
                     got = engine.query(*probe)
                     assert got == want[probe], (g.adj, sorted(T), sorted(A), probe)
@@ -450,22 +453,26 @@ class TestLazyLevels:
                     super().__init__(*args)
                     made.append(self)
 
-            monkeypatch.setattr(segments, "_SegmentEngine", Recorded)
+            monkeypatch.setattr(segments, "SegmentSearch", Recorded)
             res = solver.solve(_split_with_ears(8, 14), 5, strict=False)
             assert res.answer == "yes" and res.branch == "case_iii"
             assert res.stats["segment_probes"] == 112
             assert len(made) == 1
             return res, made[0]._states
 
-        lazy_res, lazy = states_ticked(segments._SegmentEngine)
+        lazy_res, lazy = states_ticked(SegmentSearch)
         eager_res, eager = states_ticked(_EagerEngine)
         assert lazy_res.certificate == eager_res.certificate
         assert (lazy, eager) == (134, 2632)
 
-    def test_probe_outside_the_count_span_builds_nothing(self):
+    def test_probe_outside_the_count_span_builds_nothing(self, monkeypatch):
         # C8 with T = {0, 4}: both segments have three internal vertices
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
         g = cycle_graph(8)
-        engine = segments._SegmentEngine(g, frozenset({0, 4}), frozenset(), 6, 2, 100)
+        engine = SegmentSearch(g, frozenset({0, 4}), frozenset(), 6, 2)
+        assert engine._levels is None
+        # the first probe builds stage one, and no level
+        assert engine.query(1, 2, 0, 1) is None
         ticked = engine._states
         for r, p, s, t in ((1, 2, 0, 1), (1, 4, 0, 1), (2, 5, 0, 2), (1, 3, 1, 0),
                            (1, 3, 0, 0), (2, 6, 0, 1)):
@@ -475,17 +482,16 @@ class TestLazyLevels:
         assert len(engine._levels) == 2
         assert engine.query(2, 5, 0, 2) is None and len(engine._levels) == 2
 
-    def test_no_gated_entry_answers_none_without_building(self):
+    def test_no_gated_entry_answers_none_without_building(self, monkeypatch):
         # P3 with T = {0, 2} and A = T: the one segment is an A-segment with
         # one internal vertex, which the gate rejects
-        engine = segments._SegmentEngine(
-            path_graph(3), frozenset({0, 2}), frozenset({0, 2}), 4, 3, 100
-        )
-        assert engine._rows == []
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
+        engine = SegmentSearch(path_graph(3), frozenset({0, 2}), frozenset({0, 2}), 4, 3)
         for r in range(1, 4):
             for p in range(5):
                 assert engine.query(r, p, 0, 0) is None
                 assert engine.query(r, p, 1, 0) is None
+        assert engine._rows == []
         assert len(engine._levels) == 1
 
 
@@ -539,8 +545,10 @@ class TestChecksRaise:
         with pytest.raises(ConstructionFailure):
             find_segments(cycle_graph(6), {0, 3}, 1, 2)
 
-    def test_broken_alpha_walk_raises_construction_failure(self):
+    def test_broken_alpha_walk_raises_construction_failure(self, monkeypatch):
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
         g = cycle_graph(6)
-        engine = segments._SegmentEngine(g, frozenset({0, 3}), frozenset(), 2, 1, 100)
+        engine = SegmentSearch(g, frozenset({0, 3}), frozenset(), 2, 1)
+        assert engine.query(1, 2, 0, 1) is not None  # builds stage one
         with pytest.raises(ConstructionFailure):
             engine._walk_segment(0, 3, 1 << 0 | 1 << 3 | 1 << 4)

@@ -13,7 +13,9 @@ from madcycle.extract import FoundCycle, VertexCover, find_dense
 from madcycle.graph import (
     CycleCertificate,
     Graph,
+    PathCertificate,
     build_graph,
+    certify,
     induced_subgraph,
     verify_cycle_certificate,
     verify_path_certificate,
@@ -21,8 +23,10 @@ from madcycle.graph import (
 from madcycle.instances import emit_result
 from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_cycle, oracle_longest_st_path
+from madcycle.segments import SegmentSystem
 from madcycle.solver import (
     _outside_path,
+    _splice_segments,
     case_bipartite_dense,
     case_small_dense,
     exact_longest_cycle_fallback,
@@ -882,3 +886,34 @@ class TestRoutedTakesTheTraceCore:
                                 lambda g, H, A, pairs, core=None: real_routed(g, H, A, pairs))
             again = solve(g, k, strict=False, with_trace=True)
             assert emit_result(res) == emit_result(again)
+
+
+def _segment_system(T, *paths):
+    return SegmentSystem(tuple(PathCertificate(p) for p in paths), frozenset(T))
+
+
+class TestSpliceSegments:
+    """_splice_segments replaces each pair-edge of the routed cycle by its
+    segment, in the cycle's direction."""
+
+    # the routed cycle 0-1-2-3 and the outside path 2-4-5-1
+    G = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 1)], 6)
+    BASE = CycleCertificate((0, 1, 2, 3), 4)
+
+    def test_segment_against_the_cycle_direction_is_reversed(self):
+        # the cycle runs 1 -> 2; the segment is listed 2..1
+        system = _segment_system({0, 1, 2, 3}, (2, 4, 5, 1))
+        out = _splice_segments(self.BASE, system)
+        assert out == [0, 1, 5, 4, 2, 3]
+        certify(self.G, CycleCertificate(tuple(out), 6))
+
+    def test_pair_off_the_cycle_raises(self):
+        # the pair (0, 2) is not an edge of the routed cycle
+        system = _segment_system({0, 1, 2, 3}, (0, 4, 2))
+        assert verify_path_certificate(self.G.add_pairs([(0, 4)]), system.paths[0])
+        with pytest.raises(ConstructionFailure, match="endpoint pair was not on the cycle"):
+            _splice_segments(self.BASE, system)
+        # two segments on one pair-edge: only one fits, and the count is short
+        system = _segment_system({0, 1, 2, 3}, (1, 5, 4, 2), (1, 0, 3, 2))
+        with pytest.raises(ConstructionFailure, match="assembly identity violated"):
+            _splice_segments(self.BASE, system)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from fractions import Fraction
 
 from .errors import GraphInputError, PreconditionError
 from .graph import Graph, build_graph, eg_bound, is_biconnected, is_potentially_cyclable
@@ -136,38 +135,22 @@ def emit_graph(g: Graph, fmt: str = "edgelist") -> bytes:
     raise GraphInputError(f"unknown format {fmt!r}")
 
 
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def emit_result(r: SolveResult) -> bytes:
     """Canonical JSON, fixed key order, no floats."""
     obj = {
         "answer": r.answer,
         "k": r.k,
-        "mad": _frac(r.mad),
+        "mad": {"num": r.mad.numerator, "den": r.mad.denominator},
         "threshold_len": r.threshold_len,
         "cycle": list(r.certificate.vertices) if r.certificate else None,
         "branch": r.branch,
-        "stats": _jsonable(r.stats),
+        "stats": dict(sorted(r.stats.items())),
     }
     if r.path_certificate is not None:
         obj["path"] = list(r.path_certificate.vertices)
     if r.trace is not None:
         obj["trace"] = r.trace
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return _frac(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in sorted(x.items())}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(x)
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ Cases (ii) and (iii) run one case analysis and differ only in its data
 outside segments, spliced into a cycle routed through H.
 
 Answers are three-valued. Yes always carries a verified certificate whose
-length meets the exact rational threshold. No is claimed only where the
-search was exact and the paper proves the case analysis complete, which
-`_downgrade` decides in one place. Otherwise the answer is unknown, with a
-reason; it never masquerades as no.
+length meets the exact rational threshold. The fallback's no is exact by
+construction; a case function's no stands only where its search was exact
+and the paper proves the case complete, which it checks by `_downgrade`.
+Otherwise the answer is unknown, with a reason; it never masquerades as no.
 """
 
 from __future__ import annotations
@@ -220,18 +220,37 @@ def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
     return CycleCertificate(tuple(ids_h[v] for v in cyc.vertices), len(cyc))
 
 
+def _in_range(mad: Fraction, k: int) -> bool:
+    """k <= mad/88 - 1: the paper's range, where the dense pipeline is complete."""
+    return Fraction(k) <= mad / 88 - 1
+
+
+_OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
+
+
+def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
+    """The gate on an exhausted case analysis's no: it stands only where the
+    paper proves the analysis complete (may_claim_no), else it is unknown, why."""
+    if res.answer == "no" and not may_claim_no:
+        res.answer = "unknown"
+        res.stats["reason"] = why
+    return res
+
+
 def _case_analysis(
     g: Graph, H: frozenset[int], A: frozenset[int], k_prime: int, target: int,
-    pmax: int, probes, base: dict, core=None,
+    pmax: int, probes, base: dict, may_claim_no: bool, why: str, core=None,
 ) -> SolveResult:
-    """Cases (ii) and (iii): (a) one outside (s,t)-path with >= target
-    vertices, else (b) the first outside segment system of the probes
-    (r, p, s, t), all answered by one search over (g, H, A); either is
-    spliced into the cycle _routed through H. Without either, the answer is
-    no if both searches were exact, else unknown with the state budget
-    reason."""
-    if k_prime < 1:
-        raise PreconditionError(f"{base['branch']} needs k' >= 1")
+    """Cases (ii) and (iii): at k' <= 0 the cycle _routed through H, else
+    (a) one outside (s,t)-path with >= target vertices, else (b) the first
+    outside segment system of the probes (r, p, s, t), all answered by one
+    search over (g, H, A); either is spliced into the cycle _routed through
+    H. Without either, the answer is _downgrade(no, may_claim_no, why) if
+    both searches were exact, else unknown with the state budget reason."""
+    if k_prime <= 0:
+        cyc = _routed(g, H, A, (), core)
+        cert = certify(g, CycleCertificate(cyc.vertices, base["threshold_len"]))
+        return SolveResult("yes", certificate=cert, **base)
     stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
     path, path_exact = _outside_path(g, H, target, stats)
     if path is not None:
@@ -248,7 +267,7 @@ def _case_analysis(
                 break
         else:
             if path_exact and search.exact:
-                return SolveResult("no", stats=stats, **base)
+                return _downgrade(SolveResult("no", stats=stats, **base), may_claim_no, why)
             stats["reason"] = (
                 f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
             )
@@ -258,52 +277,54 @@ def _case_analysis(
     return SolveResult("yes", certificate=cert, stats=stats, **base)
 
 
-def case_small_dense(
-    g: Graph,
-    H,
-    k_prime: int,
-    mad: Fraction,
-    k: int,
-    core=None,
-) -> SolveResult:
-    """Case (ii): route through a small dense core H.
+def case_small_dense(g: Graph, H, mad: Fraction, k: int, core=None) -> SolveResult:
+    """Case (ii): route through a small dense core H, at threshold
+    ceil(mad)+k and k' = ceil(mad)+k-|H|.
 
-    (a) one outside (s,t)-path with >= k'+2 vertices, or (b) a system of at
-    most k' outside segments carrying between k' and 2k'-2 internal vertices;
-    either splices into a Hamiltonian cycle of H through the forced pairs.
+    k' <= 0: a Hamiltonian cycle of H. Otherwise (a) one outside (s,t)-path
+    with >= k'+2 vertices, or (b) a system of at most k' outside segments
+    carrying between k' and 2k'-2 internal vertices; either splices into a
+    Hamiltonian cycle of H through the forced pairs. An exhausted search
+    answers no only in the range k <= mad/88 - 1. That no trusts the caller:
+    H must be the small dense witness of a graph whose mad is `mad`.
     """
-    base = dict(k=k, mad=mad, threshold_len=math.ceil(mad) + k, branch="case_ii")
+    H = frozenset(H)
+    threshold = math.ceil(mad) + k
+    k_prime = threshold - len(H)
+    base = dict(k=k, mad=mad, threshold_len=threshold, branch="case_ii")
     probes = (
         (r, p, 0, r)
         for r in range(1, k_prime + 1)
         for p in range(max(k_prime, r), 2 * k_prime - 1)
     )
-    return _case_analysis(g, frozenset(H), frozenset(), k_prime, k_prime + 2,
-                          2 * k_prime - 2, probes, base, core)
+    return _case_analysis(g, H, frozenset(), k_prime, k_prime + 2, 2 * k_prime - 2,
+                          probes, base, _in_range(mad, k), _OUT_OF_RANGE, core)
 
 
-def case_bipartite_dense(
-    g: Graph,
-    H,
-    A,
-    B,
-    k_prime: int,
-    mad: Fraction,
-    k: int,
-    core=None,
-) -> SolveResult:
-    """Case (iii): route through a bipartite-dense core covering side A.
+def case_bipartite_dense(g: Graph, H, A, mad: Fraction, k: int, core=None) -> SolveResult:
+    """Case (iii): route through a bipartite-dense core H covering its side
+    A, with B = H - A, at threshold ceil(mad)+k and k' = ceil(mad)+k-2|A|.
 
-    (a) one outside path with >= k'+3 vertices, or (b) a partitioned segment
+    k' <= 0: a cycle of H covering A. |A| < 3k'/2: unknown. Otherwise (a)
+    one outside path with >= k'+3 vertices, or (b) a partitioned segment
     system (s A-segments with >= 2 internals each, t B-segments, r <= k',
     internals in [k'+s-t, 3k'-2]); splice into the A-covering routed cycle.
+    An exhausted search answers no only in the range k <= mad/88 - 1 and
+    with 2|A| >= mad - 8k. That no trusts the caller: (H, A) must be the
+    bipartite-dense witness of a graph whose mad is `mad`.
     """
-    H, A, B = frozenset(H), frozenset(A), frozenset(B)
-    if A & B or A | B != H:
-        raise PreconditionError("A and B must partition H")
+    H, A = frozenset(H), frozenset(A)
+    if not A <= H:
+        raise PreconditionError("A must be a subset of H")
+    threshold = math.ceil(mad) + k
+    k_prime = threshold - 2 * len(A)
+    base = dict(k=k, mad=mad, threshold_len=threshold, branch="case_iii")
     if 2 * len(A) < 3 * k_prime:
-        raise PreconditionError("case_bipartite_dense needs |A| >= 3k'/2")
-    base = dict(k=k, mad=mad, threshold_len=math.ceil(mad) + k, branch="case_iii")
+        return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
+                        **base)
+    why = _OUT_OF_RANGE if not _in_range(mad, k) else (
+        f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
+    )
     probes = (
         (r, p, s, t)
         for r in range(1, k_prime + 1)
@@ -311,8 +332,8 @@ def case_bipartite_dense(
         for t in range(r - s + 1)
         for p in range(max(k_prime + s - t, r), 3 * k_prime - 1)
     )
-    return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes,
-                          base, core)
+    return _case_analysis(g, H, A, k_prime, k_prime + 3, 3 * k_prime - 2, probes, base,
+                          _in_range(mad, k) and 2 * len(A) >= mad - 8 * k, why, core)
 
 
 def solve(
@@ -327,7 +348,7 @@ def solve(
 
     strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
     than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
-    relaxed runs the dense pipeline, where _downgrade turns no into unknown.
+    relaxed runs the dense pipeline, where each case turns no into unknown.
     The exact searches are bounded by longpaths.DET_STATE_BUDGET states
     each; past it a case analysis answers unknown, with the reason.
     """
@@ -341,27 +362,24 @@ def solve(
         raise PreconditionError("cycle mode needs a 2-connected graph")
 
     mad = mad_with_witness(g).mad
-    # k = 0 is decided constructively with a strictly-longer-than-mad cycle,
-    # so its integer threshold is floor(mad)+1; for k >= 1 it is ceil(mad)+k
     if k == 0:
-        threshold = mad.numerator // mad.denominator + 1
-    else:
-        threshold = math.ceil(mad) + k
-    base = dict(k=k, mad=mad, threshold_len=threshold)
-
-    if k == 0:
-        cert, tr = _k0_cycle(g, threshold)
+        # decided constructively with a strictly-longer-than-mad cycle, so the
+        # integer threshold is floor(mad)+1
+        base = dict(k=k, mad=mad, threshold_len=mad.numerator // mad.denominator + 1)
+        cert, tr = _k0_cycle(g, base["threshold_len"])
         trace = tr.to_jsonable() if with_trace else None
         return SolveResult("yes", certificate=cert, branch="k0", trace=trace, **base)
+    threshold = math.ceil(mad) + k
+    base = dict(k=k, mad=mad, threshold_len=threshold)
 
-    in_strict_range = Fraction(k) <= mad / 88 - 1
-    if not in_strict_range and (strict or g.n <= FALLBACK_N_CAP):
-        # the paper dispatch: out-of-range k goes to the exact fallback
+    if not _in_range(mad, k) and (strict or g.n <= FALLBACK_N_CAP):
+        # the paper dispatch: out-of-range k goes to the exact fallback, whose
+        # mad and threshold ceil(mad + k) are solve's
         res = exact_longest_cycle_fallback(g, mad + k)
-        res.k, res.mad, res.threshold_len = k, mad, threshold
+        res.k = k
         return res
     # in range, or relaxed mode past the fallback cap: one dense pipeline;
-    # yes stays certified, and _downgrade decides whether no may stand
+    # yes stays certified, and each case function decides whether no may stand
 
     try:
         witness, reduction = find_dense(g, k)
@@ -382,45 +400,16 @@ def solve(
         return _unknown("relaxed-mode cycle below threshold", branch="find_dense",
                         trace=trace, **base)
 
-    H = witness.vertices
-    if isinstance(witness, SmallDense):
-        A, sides, case, branch = frozenset(), (), case_small_dense, "case_ii"
-        k_prime = threshold - len(H)
-        may_claim_no, why = in_strict_range, _OUT_OF_RANGE
-    else:
-        A, sides, case = witness.A, (witness.A, witness.B), case_bipartite_dense
-        branch = "case_iii"
-        k_prime = threshold - 2 * len(A)
-        # case (iii) is complete only in range and with 2|A| >= mad - 8k
-        may_claim_no = in_strict_range and 2 * len(A) >= mad - 8 * k
-        why = _OUT_OF_RANGE if not in_strict_range else (
-            f"case (iii) search exhausted; no-guarantee with |A|={len(A)} < mad/2 - 4k"
-        )
-    if k_prime <= 0:
-        cyc = _routed(g, H, A, (), core)
-        cert = certify(g, CycleCertificate(cyc.vertices, threshold))
-        return SolveResult("yes", certificate=cert, branch=branch, trace=trace, **base)
-    if A and 2 * len(A) < 3 * k_prime:
-        # case (iii) needs |A| >= 3k'/2; without it nothing is claimed
-        return _unknown(f"case (iii) needs |A| >= 3k'/2, has |A|={len(A)}, k'={k_prime}",
-                        branch=branch, trace=trace, **base)
+    small = isinstance(witness, SmallDense)
     try:
-        res = case(g, H, *sides, k_prime, mad, k, core=core)
+        if small:
+            res = case_small_dense(g, witness.vertices, mad, k, core=core)
+        else:
+            res = case_bipartite_dense(g, witness.vertices, witness.A, mad, k, core=core)
     except ConstructionFailure as exc:
-        return _unknown(f"construction failed: {exc}", branch=branch, trace=trace, **base)
+        return _unknown(f"construction failed: {exc}",
+                        branch="case_ii" if small else "case_iii", trace=trace, **base)
     res.trace = trace
-    return _downgrade(res, may_claim_no, why)
-
-
-_OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
-
-
-def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
-    """The one gate on a case analysis's no: it stands only where the paper
-    proves the analysis complete (may_claim_no), else it is unknown, why."""
-    if res.answer == "no" and not may_claim_no:
-        res.answer = "unknown"
-        res.stats["reason"] = why
     return res
 
 
@@ -430,7 +419,7 @@ def _solve_path(g, k, strict, with_trace) -> SolveResult:
         raise PreconditionError("path mode needs a connected graph")
     if g.n < 2:
         raise PreconditionError("path mode needs at least two vertices")
-    mad = mad_with_witness(g).mad if g.m else Fraction(0)
+    mad = mad_with_witness(g).mad
     want_vertices = math.ceil(mad) + k  # path with this many vertices
     base = dict(k=k, mad=mad, threshold_len=want_vertices)
 

@@ -634,6 +634,26 @@ class TestRefine:
                 assert sum(1 for w in g.adj[v] if w in A) >= len(A) - 2 - 2
 
 
+class TestCheckSmallDense:
+    """The three conditions a small-dense witness H must meet."""
+
+    def test_average_degree_below_mad_minus_one(self):
+        # K4 has ad 3 < 5 - 1
+        with pytest.raises(ConstructionFailure, match=r"ad\(H\) < mad - 1"):
+            extract._check_small_dense(complete(4), Fraction(5), 0)
+
+    def test_min_degree_below_half_the_average(self):
+        # K5 plus a pendant vertex: ad 11/3, min degree 1
+        g = build_graph([(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5)], 6)
+        with pytest.raises(ConstructionFailure, match=r"delta\(H\) < ad\(H\)/2"):
+            extract._check_small_dense(g, Fraction(3), 5)
+
+    def test_too_many_vertices(self):
+        # K4 at k = 0: |V(H)| = 4 = ad + k + 1
+        with pytest.raises(ConstructionFailure, match=r"\|V\(H\)\| >= ad\(H\)\+k\+1"):
+            extract._check_small_dense(complete(4), Fraction(3), 0)
+
+
 class TestFindDense:
     def test_k200_found_cycle(self):
         g = complete(200)

@@ -141,6 +141,8 @@ def _solve_cases():
         # segment DP, the outside probes and cover_side_through_pairs
         ("K8+I80+12 ears k3 relaxed", _split_with_ears(8, 12), dict(k=3, strict=False)),
         ("K10+I100+16 ears k4 relaxed", _split_with_ears(10, 16), dict(k=4, strict=False)),
+        # three segments: the first segment system is the first state of level 3
+        ("K8+I80+14 ears k5 relaxed", _split_with_ears(8, 14), dict(k=5, strict=False)),
     ]
 
 

@@ -12,6 +12,7 @@ from madcycle.errors import GraphInputError, PreconditionError
 from madcycle.graph import (
     CycleCertificate,
     Graph,
+    PathCertificate,
     _sparse_certificate,
     avg_degree,
     avg_degree_of_set,
@@ -24,6 +25,7 @@ from madcycle.graph import (
     normalize_pair_chain,
     two_separators,
     verify_cycle_certificate,
+    verify_path_certificate,
 )
 
 from conftest import (
@@ -790,6 +792,32 @@ class TestVerifyCycle:
     def test_too_short_claim(self):
         out = verify_cycle_certificate(complete(4), CycleCertificate((0, 1, 2), 4))
         assert not out and "below claimed minimum" in out.reason
+
+    def test_vertex_out_of_range(self):
+        out = verify_cycle_certificate(complete(4), CycleCertificate((0, 1, 9), 3))
+        assert not out and out.reason == "vertex 9 out of range"
+
+    def test_two_vertices_are_no_cycle(self):
+        # the edge 0-1 walked there and back, claiming only its own length
+        out = verify_cycle_certificate(complete(4), CycleCertificate((0, 1), 2))
+        assert not out and out.reason == "cycle has fewer than 3 vertices"
+
+
+class TestVerifyPath:
+    def test_k4_path(self):
+        assert verify_path_certificate(complete(4), PathCertificate((2, 0, 3)))
+
+    def test_vertex_out_of_range(self):
+        out = verify_path_certificate(complete(4), PathCertificate((0, 4)))
+        assert not out and out.reason == "vertex 4 out of range"
+
+    def test_repeated_vertex(self):
+        out = verify_path_certificate(complete(4), PathCertificate((0, 1, 0)))
+        assert not out and out.reason == "repeated vertex"
+
+    def test_one_vertex_is_no_path(self):
+        out = verify_path_certificate(complete(4), PathCertificate((2,)))
+        assert not out and out.reason == "path has fewer than 2 vertices"
 
 
 @st.composite

@@ -14,8 +14,10 @@ imports `random`: every answer is exact or unknown, so no search draws random
 numbers. No module but `graph` wraps a cycle or path verifier in
 `require_verified`: every other module checks its certificates by
 `graph.certify`. No process-global cache: `functools.lru_cache` and
-`functools.cache` appear only on `density.mad_with_witness`. Stdlib `ast`
-only.
+`functools.cache` appear only on `density.mad_with_witness`. Every no of a
+case analysis is gated: a `SolveResult("no", ...)` is the first argument of
+`solver._downgrade` or lies in the exact fallback, and no statement assigns
+"no" to an `.answer`. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -246,6 +248,40 @@ def process_global_caches(sources: dict[str, str]) -> list[str]:
     return out
 
 
+_EXACT_NOS = {("solver", "exact_longest_cycle_fallback")}
+
+
+def _is_no(node: ast.AST | None) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "no"
+
+
+def ungated_nos(sources: dict[str, str]) -> list[str]:
+    """'module:line' for each SolveResult("no", ...) that is neither the
+    first argument of a _downgrade(...) call nor inside an exact search
+    (_EXACT_NOS), and for each assignment of "no" to an `.answer`."""
+    out = []
+    for mod, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "_downgrade" and node.args:
+                allowed.add(id(node.args[0]))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (mod, node.name) in _EXACT_NOS):
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "SolveResult":
+                says_no = (node.args and _is_no(node.args[0])) or any(
+                    kw.arg == "answer" and _is_no(kw.value) for kw in node.keywords)
+                if says_no and id(node) not in allowed:
+                    out.append(f"{mod}:{node.lineno}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_no(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "answer" for t in targets):
+                    out.append(f"{mod}:{node.lineno}")
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -276,6 +312,10 @@ def test_certificates_are_checked_by_certify():
 
 def test_no_process_global_cache_but_the_mad_cache():
     assert process_global_caches(_package_sources()) == []
+
+
+def test_every_case_analysis_no_is_gated():
+    assert ungated_nos(_package_sources()) == []
 
 
 def test_the_check_sees_process_global_caches():
@@ -362,3 +402,17 @@ def test_the_check_sees_parameters_no_body_reads():
         "a._glue.g", "a._glue.rest", "a._glue.opts", "a._closure.x",
         "a.C._tick.k", "a.C._make.n",
     ]
+
+
+def test_the_check_sees_ungated_nos():
+    sources = {
+        "a": "def f(base):\n    return SolveResult('no', **base)\n",
+        "b": "def f(res):\n    res.answer = 'no'\n    res.answer = 'unknown'\n    return res\n",
+        "c": "def f(base, ok):\n    return _downgrade(SolveResult('no', **base), ok, 'why')\n"
+             "def g(base):\n    return S.SolveResult(answer='no', **base)\n",
+        "solver": "def exact_longest_cycle_fallback(g, t):\n    return SolveResult('no')\n"
+                  "def other(res: R):\n    res.answer: str = 'no'\n"
+                  "    return SolveResult('yes'), _downgrade(res, True, SolveResult('no'))\n",
+    }
+    # a no inside _downgrade's first argument or the exact fallback is gated
+    assert ungated_nos(sources) == ["a:2", "b:2", "c:4", "solver:4", "solver:5"]

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import old_routing
+from madcycle import routing
 from madcycle.errors import ConstructionFailure, GraphInputError, PreconditionError
 from madcycle.graph import (
     build_graph,
@@ -305,3 +306,30 @@ class TestCoverHostFromMasks:
         assert outcomes[("PreconditionError", "B is not an independent set")] >= 20, outcomes
         assert outcomes[("PreconditionError", "A must be nonempty")] >= 10, outcomes
         assert outcomes[None] >= 100, outcomes
+
+
+class TestGuards:
+    """One direct call per guard of the pair normalisation, the final
+    certificate check and the side partition."""
+
+    def test_pair_with_equal_endpoints(self):
+        with pytest.raises(PreconditionError, match="pair with equal endpoints"):
+            routing._normalize_pairs([(0, 1), (2, 2)], complete(4), "no edge")
+
+    def test_duplicate_pair(self):
+        with pytest.raises(PreconditionError, match="duplicate pair in S"):
+            routing._normalize_pairs([(0, 1), (1, 0)], complete(4), "no edge")
+
+    def test_pair_missing_from_cycle(self):
+        with pytest.raises(ConstructionFailure, match=r"pair \(0,5\) missing from cycle"):
+            routing._certify(complete(6), [0, 1, 2, 3, 4], [(0, 1), (0, 5)], 5)
+
+    def test_pair_not_consecutive(self):
+        with pytest.raises(ConstructionFailure, match=r"pair \(0,2\) not consecutive"):
+            routing._certify(complete(6), [0, 1, 2, 3, 4], [(0, 1), (0, 2)], 5)
+
+    @pytest.mark.parametrize("A, B", [(range(3), range(2, 7)), (range(3), range(3, 6))],
+                             ids=["overlap", "uncovered"])
+    def test_sides_must_partition(self, A, B):
+        with pytest.raises(PreconditionError, match="A and B must partition"):
+            cover_side_through_pairs(complete_bipartite(3, 4), A, B, [], k=1)

@@ -226,6 +226,14 @@ class TestSharedSearch:
         with pytest.raises(PreconditionError):
             find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search)
 
+    def test_vertices_out_of_range(self):
+        with pytest.raises(PreconditionError, match="out-of-range"):
+            SegmentSearch(cycle_graph(6), {0, 6}, (), 4, 2)
+
+    def test_side_a_must_lie_in_T(self):
+        with pytest.raises(PreconditionError, match="A must be a subset of T"):
+            SegmentSearch(cycle_graph(6), {0, 3}, {0, 1}, 4, 2)
+
     def test_budget_trip_finds_nothing_and_is_not_exact(self, monkeypatch):
         # C8 has the segment 0..4 with 3 internals; past the budget no probe
         # finds it, and the search stays inexact
@@ -240,14 +248,15 @@ class TestSharedSearch:
 
     def test_budget_trip_never_answers_no(self, monkeypatch):
         # an A-A outside path with one internal vertex is gated off, so the
-        # exact case (iii) answers no; past the budget it may not
+        # exact case (iii) is exhausted (at mad 16, k 1, so k' = 1, out of the
+        # k range); past the budget it is not, and says so
         a, b = 8, 80
         edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
         edges += [(i, a + j) for i in range(a) for j in range(b)]
         g = build_graph(edges + [(0, 88), (88, 1)], 89)
-        args = (g, frozenset(range(88)), frozenset(range(8)), frozenset(range(8, 88)),
-                1, Fraction(16), 0)
-        assert solver.case_bipartite_dense(*args).answer == "no"
+        args = (g, frozenset(range(88)), frozenset(range(8)), Fraction(16), 1)
+        res = solver.case_bipartite_dense(*args)
+        assert res.answer == "unknown" and res.stats["reason"] == solver._OUT_OF_RANGE
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         res = solver.case_bipartite_dense(*args)
         why = "search state budget exceeded: 0 states"
@@ -264,12 +273,13 @@ class TestSharedSearch:
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
         assert find_segments(g, {0, 4}, 1, 3, search=search) is not None
         assert search.exact is True
-        # K26 minus a perfect matching plus a star too small for an st probe
+        # K26 minus a perfect matching plus a star too small for an st probe;
+        # mad 88 and k 0 put k' = 62 in the k range
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
                  if not (v == u + 1 and u % 2 == 0)]
         edges += [(26, 27), (26, 28), (26, 29), (27, 0), (28, 2), (29, 4)]
         host, H = build_graph(edges, 30), frozenset(range(26))
-        res = solver.case_small_dense(host, H, 5, Fraction(24), 0)
+        res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 0
         made = []
 
@@ -283,7 +293,7 @@ class TestSharedSearch:
         find_segments(g, {0, 4}, 1, 3, search=search)
         assert search.exact is False
         monkeypatch.setattr(segments, "SegmentSearch", Recorded)
-        res = solver.case_small_dense(host, H, 5, Fraction(24), 0)
+        res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
         assert made and all(s.exact is False for s in made)
 

@@ -44,6 +44,9 @@ from conftest import (
     random_connected_graph,
 )
 
+# the reason of an exhausted exact case analysis outside the k range
+OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
+
 
 class TestSolveDispatch:
     def test_k4_k0(self):
@@ -392,8 +395,9 @@ class TestCaseSmallDense:
             (7, 1),
         ]
         g = build_graph(e, 8)
-        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0)
-        assert res.answer == "yes"
+        # mad 5, k 3: threshold 8, so k' = 8 - |H| = 2
+        res = case_small_dense(g, frozenset(range(6)), Fraction(5), 3)
+        assert res.answer == "yes" and res.stats["k_prime"] == 2
         assert len(res.certificate) == 8  # 6 + 2 spliced internals
         assert verify_cycle_certificate(g, res.certificate)
 
@@ -403,42 +407,55 @@ class TestCaseSmallDense:
         e += [(0, 6), (6, 7), (7, 8), (8, 9), (9, 1)]
         g = build_graph(e, 10)
         assert oracle_longest_cycle(g, cap=10)[0] >= 6 + 2
-        res = case_small_dense(g, frozenset(range(6)), 2, Fraction(5), 0)
+        res = case_small_dense(g, frozenset(range(6)), Fraction(5), 3)
         assert res.answer == "yes"
         assert len(res.certificate) >= 8
 
     def test_no_outside_vertices(self):
+        # at k' = 1 (mad 5, k 2) the exhausted search is out of the k range;
+        # with mad 88 and k 0 (k' = 82) it is in range, and the caller vouches
+        # for H and mad
         g = complete(6)
-        res = case_small_dense(g, frozenset(range(6)), 1, Fraction(5), 0)
-        assert res.answer == "no"
+        res = case_small_dense(g, frozenset(range(6)), Fraction(5), 2)
+        assert res.answer == "unknown" and res.stats["k_prime"] == 1
+        assert res.stats["reason"] == OUT_OF_RANGE
+        res = case_small_dense(g, frozenset(range(6)), Fraction(88), 0)
+        assert res.answer == "no" and res.stats["k_prime"] == 82
 
     def test_budget_tripped_outside_probe_never_answers_no(self, monkeypatch):
         # K26 minus a perfect matching plus a star 26-{27, 28, 29} joined to
         # 0, 2 and 4: its longest outside path has 5 vertices, one short of
-        # k'+2 = 6, and no segment system carries k' = 4 internals
+        # k'+2 = 6 (mad 24, k 6), and no segment system carries k' = 4
+        # internals; the exact search is exhausted, out of the k range
         from madcycle import longpaths
 
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
                  if not (v == u + 1 and u % 2 == 0)]
         edges += [(26, 27), (26, 28), (26, 29), (27, 0), (28, 2), (29, 4)]
         g, H = build_graph(edges, 30), frozenset(range(26))
-        res = case_small_dense(g, H, 4, Fraction(24), 0)
-        assert res.answer == "no" and res.stats["st_probes"] == 3
+        res = case_small_dense(g, H, Fraction(24), 6)
+        assert res.answer == "unknown" and res.stats["st_probes"] == 3
+        assert res.stats["reason"] == OUT_OF_RANGE
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         why = "search state budget exceeded: 0 states"
-        res = case_small_dense(g, H, 4, Fraction(24), 0)
+        res = case_small_dense(g, H, Fraction(24), 6)
         assert res.answer == "unknown" and res.stats["reason"] == why
-        # at k' = 5 the star is too small to probe; the same state budget
-        # bounds the segment search, so only the unpatched run stays exact
-        res = case_small_dense(g, H, 5, Fraction(24), 0)
+        # in range (mad 88, k 0, so k' = 62) the star is too small to probe;
+        # the same state budget bounds the segment search, so only the
+        # unpatched run stays exact
+        res = case_small_dense(g, H, Fraction(88), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
         assert res.stats["reason"] == why
         monkeypatch.undo()
-        res = case_small_dense(g, H, 5, Fraction(24), 0)
+        res = case_small_dense(g, H, Fraction(88), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 0
 
 
 class TestCaseBipartiteDense:
+    """K8 + I80 hosts, A the clique. Most tests pass mad 16 and k 1: the
+    threshold is 17, so k' = 17 - 2|A| = 1, out of the k range, where an
+    exhausted search answers unknown."""
+
     def _host(self, extra_edges, extra_n):
         a, b = 8, 80
         edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -449,11 +466,8 @@ class TestCaseBipartiteDense:
         # one outside B-B segment with one internal vertex; k'=1 admits p=1
         g = self._host([(8, 88), (88, 9)], 1)
         H = frozenset(range(88))
-        res = case_bipartite_dense(
-            g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0,
-        )
-        assert res.answer == "yes"
+        res = case_bipartite_dense(g, H, frozenset(range(8)), Fraction(16), 1)
+        assert res.answer == "yes" and res.stats["k_prime"] == 1
         assert len(res.certificate) >= 2 * 8 + 1
         assert verify_cycle_certificate(g, res.certificate)
 
@@ -461,26 +475,21 @@ class TestCaseBipartiteDense:
         # outside A-A path with a single internal vertex is gated off
         g = self._host([(0, 88), (88, 1)], 1)
         H = frozenset(range(88))
-        res = case_bipartite_dense(
-            g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0,
-        )
-        assert res.answer == "no"
+        res = case_bipartite_dense(g, H, frozenset(range(8)), Fraction(16), 1)
+        assert res.answer == "unknown" and res.stats["reason"] == OUT_OF_RANGE
 
     def test_no_outside(self):
         g = self._host([], 0)
         H = frozenset(range(88))
-        res = case_bipartite_dense(
-            g, H, frozenset(range(8)), frozenset(range(8, 88)),
-            1, Fraction(16), 0,
-        )
-        assert res.answer == "no"
+        res = case_bipartite_dense(g, H, frozenset(range(8)), Fraction(16), 1)
+        assert res.answer == "unknown" and res.stats["reason"] == OUT_OF_RANGE
 
     def test_k2080_three_internal_bb_segment(self):
         # K_{20,80} core plus an outside B-B path of 3 internals. At k'=1 the
         # segment window [max(k'+s-t, r), 3k'-2] = [1,1] misses p=3 (no
         # 1-internal segment exists), though the path route still decides yes;
         # k'=3 widens the window to [2,7] and the segment splice succeeds.
+        # With mad 30 and |A| = 20, k = 13 gives k' = 3 and k = 11 gives k' = 1.
         from madcycle.segments import find_segments_partitioned
 
         a, b = 20, 80
@@ -491,12 +500,13 @@ class TestCaseBipartiteDense:
         A, B = frozenset(range(20)), frozenset(range(20, 100))
         assert find_segments_partitioned(g, H, A, B, 1, 1, 0, 1) is None
         assert find_segments_partitioned(g, H, A, B, 1, 3, 0, 1) is not None
-        res = case_bipartite_dense(g, H, A, B, 3, Fraction(30), 0)
-        assert res.answer == "yes"
+        res = case_bipartite_dense(g, H, A, Fraction(30), 13)
+        assert res.answer == "yes" and res.stats["k_prime"] == 3
         assert len(res.certificate) >= 2 * 20 + 3
         assert verify_cycle_certificate(g, res.certificate)
-        res = case_bipartite_dense(g, H, A, B, 1, Fraction(30), 0)
+        res = case_bipartite_dense(g, H, A, Fraction(30), 11)
         assert res.answer == "yes"  # clause (i): outside path of length >= k'+2
+        assert res.stats["k_prime"] == 1
 
 
 def _engine_gives(outcome):
@@ -598,35 +608,107 @@ class TestNoGate:
         # bipartite-dense witness with |A| = 80 has k' = 20 and passes
         # |A| >= 3k'/2 but not |A| >= mad/2 - 4k = 85.5, so an exhausted
         # case (iii) proves nothing; with |A| = 86 (k' = 8) it proves no.
-        from madcycle import solver
+        # The segment search is faked to find nothing, so the gate inside
+        # case_bipartite_dense decides.
+        from madcycle import segments, solver
         from madcycle.extract import BipartiteDense
         from madcycle.reduction import ReductionTrace
 
         g = complete(180)
         A = frozenset(range(size_a))
         witness = BipartiteDense(frozenset(range(180)), A, frozenset(range(size_a, 180)))
+        probed = []
 
         def fake_find_dense(g, k):
             return witness, ReductionTrace()
 
-        def exhausted(g, H, A, B, k_prime, mad, k, core=None):
-            assert H == witness.vertices and 3 * k_prime <= 2 * len(A)
-            return solver.SolveResult("no", k=k, mad=mad, threshold_len=180,
-                                      branch="case_iii", stats={"k_prime": k_prime})
+        def nothing(g, H, A, B, r, p, s, t, search):
+            assert H == witness.vertices and 3 * search.rmax <= 2 * len(A)
+            probed.append(search.rmax)
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)
-        monkeypatch.setattr(solver, "case_bipartite_dense", exhausted)
+        monkeypatch.setattr(segments, "find_segments_partitioned", nothing)
         res = solve(g, 1, strict=strict)
         assert res.answer == answer and res.branch == "case_iii"
+        assert set(probed) == {180 - 2 * size_a} == {res.stats["k_prime"]}
         if answer == "unknown":
             assert "mad/2 - 4k" in res.stats["reason"]
         else:
             assert "reason" not in res.stats
 
 
+class TestCaseFunctionsOwnTheirK:
+    """Each case function derives its threshold ceil(mad)+k and its k' from
+    the witness, routes k' <= 0, and gates its own no: outside the k range
+    k <= mad/88 - 1 an exhausted search is unknown."""
+
+    def test_k6_is_its_own_cycle_at_k1(self):
+        # mad 5, k 1: threshold 6 = |H|, so k' = 0 and routing alone answers
+        g = complete(6)
+        res = case_small_dense(g, frozenset(range(6)), Fraction(5), 1)
+        assert (res.answer, res.branch, res.threshold_len, res.stats) == (
+            "yes", "case_ii", 6, {})
+        assert len(res.certificate) == 6 and verify_cycle_certificate(g, res.certificate)
+
+    def test_case_iii_side_checks(self):
+        # K8 + I80 with A the clique: mad 16 and k 6 give k' = 22 - 16 = 6,
+        # and |A| = 8 < 3k'/2 = 9
+        g = build_graph([(i, j) for i in range(8) for j in range(i + 1, 88)], 88)
+        H, A = frozenset(range(88)), frozenset(range(8))
+        res = case_bipartite_dense(g, H, A, Fraction(16), 6)
+        assert (res.answer, res.branch, res.threshold_len) == ("unknown", "case_iii", 22)
+        assert res.stats == {"reason": "case (iii) needs |A| >= 3k'/2, has |A|=8, k'=6"}
+        with pytest.raises(PreconditionError):
+            case_bipartite_dense(g, frozenset(range(80)), frozenset({0, 85}), Fraction(16), 1)
+
+    def test_out_of_range_never_answers_no(self, monkeypatch):
+        # random 2-connected graphs with n <= 10 have mad < 9, so every k is
+        # out of range. H is random and B = H - A a maximal independent set of
+        # it, so many calls raise in routing; no answer is ever no, every yes
+        # is a cycle certified at the call's own threshold, and every unknown
+        # names why: the range, the state budget or the 3k'/2 bound
+        from madcycle import longpaths
+
+        rng = random.Random(36)
+        samples = []
+        for _ in range(300):
+            g = random_2connected_graph(rng, rng.randint(4, 10), rng.uniform(0.3, 0.8))
+            H = frozenset(rng.sample(range(g.n), rng.randint(3, g.n - 1)))
+            B = set()
+            for v in rng.sample(sorted(H), len(H)):
+                if B.isdisjoint(g.adj[v]):
+                    B.add(v)
+            samples.append((g, mad_with_witness(g).mad, H, H - B, rng.randint(0, 3)))
+        seen = set()
+        for budget in (longpaths.DET_STATE_BUDGET, 10):
+            monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", budget)
+            reasons = {OUT_OF_RANGE: "range",
+                       f"search state budget exceeded: {budget} states": "budget"}
+            for g, mad, H, A, k in samples:
+                for case, call, args in (("ii", case_small_dense, (g, H, mad, k)),
+                                         ("iii", case_bipartite_dense, (g, H, A, mad, k))):
+                    try:
+                        res = call(*args)
+                    except (ConstructionFailure, PreconditionError):
+                        continue
+                    assert res.threshold_len == math.ceil(mad) + k
+                    assert res.answer in ("yes", "unknown")
+                    if res.answer == "yes":
+                        cert = res.certificate
+                        assert cert.claimed_min_length == res.threshold_len
+                        assert verify_cycle_certificate(g, cert)
+                        seen.add((case, "yes"))
+                    elif res.stats["reason"].startswith("case (iii) needs |A| >= 3k'/2"):
+                        seen.add((case, "3k'/2"))
+                    else:
+                        seen.add((case, reasons[res.stats["reason"]]))
+        assert seen == {("ii", "yes"), ("ii", "range"), ("ii", "budget"), ("iii", "yes"),
+                        ("iii", "range"), ("iii", "budget"), ("iii", "3k'/2")}
+
+
 class TestRouteOnly:
-    """k' <= 0: the witness core alone carries the threshold, so solve routes
-    a cycle through it without a case analysis."""
+    """k' <= 0: the witness core alone carries the threshold, so the case
+    function routes a cycle through it without a search."""
 
     @staticmethod
     def _fake_find_dense(monkeypatch, witness):
@@ -673,7 +755,8 @@ class TestRouteOnly:
         # the same A in a case analysis: an A-A ear 0-30-31-1 splices in
         ear = [(0, 30), (30, 31), (31, 1)]
         host = build_graph(list(g.edges()) + ear, 32)
-        spliced = case_bipartite_dense(host, A | B, A, B, 1, Fraction(15), 1)
+        # mad 15 and k 16 give threshold 31, so k' = 31 - 2|A| = 1
+        spliced = case_bipartite_dense(host, A | B, A, Fraction(15), 16)
         assert spliced.answer == "yes" and len(spliced.certificate) == 31
         assert ks == [1, 1]  # floor(|A| / 10): the lemma needs 10k <= |A|
 

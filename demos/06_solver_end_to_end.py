@@ -21,14 +21,14 @@ for k in (0, 1, 5, 6, 7):
     cert = f" len={len(res.certificate)}" if res.certificate else ""
     print(f"  k={k}: {res.answer:3s} via {res.branch}{cert} (threshold {res.threshold_len})")
 
-print("\nK200, k=1 (strict dense pipeline, first Dirac cycle Hamiltonian):")
+print("\nK200, k=1 (dense pipeline in the k range, first Dirac cycle Hamiltonian):")
 k200 = build_graph([(i, j) for i in range(200) for j in range(i + 1, 200)], 200)
 res = solve(k200, 1)
 print(f"  {res.answer} via {res.branch}, cycle of length {len(res.certificate)}")
 
-print("\nsplit graph with one outside segment, relaxed exploration:")
+print("\nsplit graph with one outside segment, dense pipeline out of the k range:")
 g, _ = gen_instance("lemma7_trace", {"branch": "bip_dense_yes"}, 0)
-res = solve(g, 1, strict=False)
+res = solve(g, 1)
 print(f"  {res.answer} via {res.branch}, cycle of length {len(res.certificate)}")
 print("  JSON:", emit_result(res).decode().strip()[:120], "...")
 

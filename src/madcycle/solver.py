@@ -2,7 +2,8 @@
 
 Dispatch: k = 0 is answered constructively (densest core, reduction by
 rules 1-3, Dirac cycle); k above the paper's range k <= mad/88 - 1 goes to
-an exact fallback; otherwise the dense-subgraph trichotomy gives a core H.
+the exact fallback when n <= FALLBACK_N_CAP or the threshold exceeds n;
+otherwise the dense-subgraph trichotomy gives a core H.
 Cases (ii) and (iii) run one case analysis and differ only in its data
 (target, segment window, side A): one long outside path, else a system of
 outside segments, spliced into a cycle routed through H.
@@ -38,6 +39,7 @@ from .graph import (
     induced_subgraph,
     is_biconnected,
     is_connected,
+    mask_of,
     subset_components,
 )
 from .reduction import K0_RULES, ReductionTrace, reduce_exhaustive
@@ -93,18 +95,19 @@ def _k0_cycle(g: Graph, want: int) -> tuple[CycleCertificate, ReductionTrace]:
 
 
 def exact_longest_cycle_fallback(g: Graph, threshold: Fraction | int) -> SolveResult:
-    """Exact decision 'exists a cycle of length >= threshold' for small n.
+    """Exact decision 'exists a cycle of length >= threshold' for small n,
+    and an exact no at any n when the threshold exceeds n.
 
     `cyclesearch.find_cycle_at_least`, the one exact depth-first search,
     under longpaths.DET_STATE_BUDGET states; independent of the subset-DP
-    oracle. Above FALLBACK_N_CAP vertices, or past the budget, the answer is
-    unknown with the reason.
+    oracle. A threshold within n above FALLBACK_N_CAP vertices, or past the
+    budget, answers unknown with the reason. k is want - ceil(mad), >= 0.
     """
-    threshold = Fraction(threshold)
-    want = max(math.ceil(threshold), 3)
+    want = max(math.ceil(Fraction(threshold)), 3)
     mad = mad_with_witness(g).mad if g.m else Fraction(0)
-    base = dict(k=0, mad=mad, threshold_len=want, branch="fallback")
-    if g.n > FALLBACK_N_CAP:
+    base = dict(k=max(0, want - math.ceil(mad)), mad=mad, threshold_len=want,
+                branch="fallback")
+    if FALLBACK_N_CAP < g.n and want <= g.n:
         return _unknown(f"fallback cap exceeded: n={g.n} > {FALLBACK_N_CAP}", **base)
     try:
         found = cyclesearch.find_cycle_at_least(g, want, longpaths.DET_STATE_BUDGET)
@@ -225,7 +228,7 @@ def _in_range(mad: Fraction, k: int) -> bool:
     return Fraction(k) <= mad / 88 - 1
 
 
-_OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
+_OUT_OF_RANGE = "search exhausted; no-guarantee outside the range k <= mad/88 - 1"
 
 
 def _downgrade(res: SolveResult, may_claim_no: bool, why: str) -> SolveResult:
@@ -304,6 +307,8 @@ def case_small_dense(g: Graph, H, mad: Fraction, k: int, core=None) -> SolveResu
 def case_bipartite_dense(g: Graph, H, A, mad: Fraction, k: int, core=None) -> SolveResult:
     """Case (iii): route through a bipartite-dense core H covering its side
     A, with B = H - A, at threshold ceil(mad)+k and k' = ceil(mad)+k-2|A|.
+    A side outside H, a B with an edge, or no A-B edge raises
+    PreconditionError before any probe.
 
     k' <= 0: a cycle of H covering A. |A| < 3k'/2: unknown. Otherwise (a)
     one outside path with >= k'+3 vertices, or (b) a partitioned segment
@@ -316,6 +321,11 @@ def case_bipartite_dense(g: Graph, H, A, mad: Fraction, k: int, core=None) -> So
     H, A = frozenset(H), frozenset(A)
     if not A <= H:
         raise PreconditionError("A must be a subset of H")
+    b_mask = mask_of(H - A)
+    if any(g.masks[v] & b_mask for v in H - A):
+        raise PreconditionError("B = H - A must be independent")
+    if not any(g.masks[v] & b_mask for v in A):
+        raise PreconditionError("H needs an A-B edge")
     threshold = math.ceil(mad) + k
     k_prime = threshold - 2 * len(A)
     base = dict(k=k, mad=mad, threshold_len=threshold, branch="case_iii")
@@ -346,16 +356,15 @@ def solve(
     """Decide a cycle of length >= mad(G)+k (or a path with >= mad(G)+k
     vertices in path mode). See the module docstring for the dispatch.
 
-    strict and relaxed (strict=False) differ only for k > mad/88 - 1 on more
-    than FALLBACK_N_CAP vertices: strict stops at the capped fallback, and
-    relaxed runs the dense pipeline, where each case turns no into unknown.
-    The exact searches are bounded by longpaths.DET_STATE_BUDGET states
+    Every k runs the one pipeline; out of range each case turns no into
+    unknown. `strict` is accepted and ignored, for callers that still pass
+    it. The exact searches are bounded by longpaths.DET_STATE_BUDGET states
     each; past it a case analysis answers unknown, with the reason.
     """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if mode == "path":
-        return _solve_path(g, k, strict, with_trace)
+        return _solve_path(g, k, with_trace)
     if mode != "cycle":
         raise PreconditionError(f"unknown mode {mode!r}")
     if not is_biconnected(g):
@@ -372,13 +381,11 @@ def solve(
     threshold = math.ceil(mad) + k
     base = dict(k=k, mad=mad, threshold_len=threshold)
 
-    if not _in_range(mad, k) and (strict or g.n <= FALLBACK_N_CAP):
-        # the paper dispatch: out-of-range k goes to the exact fallback, whose
-        # mad and threshold ceil(mad + k) are solve's
-        res = exact_longest_cycle_fallback(g, mad + k)
-        res.k = k
-        return res
-    # in range, or relaxed mode past the fallback cap: one dense pipeline;
+    if not _in_range(mad, k) and (g.n <= FALLBACK_N_CAP or threshold > g.n):
+        # out of range, the exact fallback decides; its mad, k and threshold
+        # ceil(mad + k) are solve's
+        return exact_longest_cycle_fallback(g, mad + k)
+    # in range, or out of range past the fallback cap: the dense pipeline;
     # yes stays certified, and each case function decides whether no may stand
 
     try:
@@ -397,7 +404,7 @@ def solve(
             return SolveResult(
                 "yes", certificate=cert, branch="find_dense", trace=trace, **base
             )
-        return _unknown("relaxed-mode cycle below threshold", branch="find_dense",
+        return _unknown("dense-pipeline cycle below threshold", branch="find_dense",
                         trace=trace, **base)
 
     small = isinstance(witness, SmallDense)
@@ -413,7 +420,7 @@ def solve(
     return res
 
 
-def _solve_path(g, k, strict, with_trace) -> SolveResult:
+def _solve_path(g, k, with_trace) -> SolveResult:
     """Path mode: universal-vertex reduction with an adjusted k."""
     if not is_connected(g):
         raise PreconditionError("path mode needs a connected graph")
@@ -435,7 +442,7 @@ def _solve_path(g, k, strict, with_trace) -> SolveResult:
         trace = tr.to_jsonable() if with_trace else None
         res = SolveResult("yes", branch="path_k0", trace=trace, **base)
     else:
-        inner = solve(gp, k_plus, mode="cycle", strict=strict, with_trace=with_trace)
+        inner = solve(gp, k_plus, mode="cycle", with_trace=with_trace)
         res = SolveResult(
             inner.answer, branch=f"path[{inner.branch}]",
             stats=inner.stats, trace=inner.trace, **base,

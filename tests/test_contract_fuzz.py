@@ -1,15 +1,16 @@
 """Contract fuzz: relations between solves that need no oracle.
 
-The oracles stop at n <= 14 and the strict range needs n >= 177, so above
-the oracles a `no` rests on the case analysis and the searches' exactness
-flags alone. Metamorphic relations (Chen, Cheung and Yiu 1998) check what
-they can without ground truth:
+The oracles stop at n <= 14 and the range k <= mad/88 - 1 needs n >= 177,
+so above the oracles a `no` rests on the case analysis and the searches'
+exactness flags alone. Metamorphic relations (Chen, Cheung and Yiu 1998)
+check what they can without ground truth:
 
 - (a) relabelling the vertices never turns `yes` into `no`;
 - (b) a `no` at k >= 1 rules out a `yes` at k + 1;
 - (c) a cycle-mode `yes` at k rules out a path-mode `no` at k, as the cycle
   read from any vertex is a path with as many vertices;
-- (d) strict and relaxed mode never answer `yes` against `no`;
+- (d) the `strict` keyword is inert: `strict=True` and `strict=False` emit
+  the same bytes on every full-budget solve;
 - (e) k = 0 is never `no` (Erdos-Gallai);
 - (f) every `yes` carries a cycle that `cycle_violation`, written here and
   not taken from the package, accepts;
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 from madcycle import errors, longpaths, segments, solver
 from madcycle.graph import Graph, build_graph, is_biconnected
-from madcycle.instances import gen_instance
+from madcycle.instances import emit_result, gen_instance
 from madcycle.oracles import oracle_longest_cycle
 
 LOWERED = (0, 10, 100)  # budgets (g) draws from; 0 trips every search that pushes a state
@@ -165,15 +166,15 @@ def relabelled(g: Graph, perm: list[int]) -> Graph:
 
 def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=None,
                 lowered=LOWERED) -> list[str]:
-    """The violated relations of solves on g at each k, strict and relaxed."""
+    """The violated relations of solves on g at each k."""
     assert is_biconnected(g)
     bad: list[str] = []
     h = relabelled(g, rng.sample(range(g.n), g.n))
 
-    def run(graph, k, strict, budget=None):
+    def run(graph, k, budget=None):
         with state_budget(budget) as trips:
-            res = solver.solve(graph, k, strict=strict)
-        label = f"n={g.n} k={k} {'strict' if strict else 'relaxed'} budget={budget}"
+            res = solver.solve(graph, k)
+        label = f"n={g.n} k={k} budget={budget}"
         tally["case (iii) solves"] += res.branch == "case_iii"
         if res.answer == "yes" and (why := cycle_violation(graph, res)):
             bad.append(f"(f) {label}: {why}")
@@ -187,41 +188,38 @@ def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=
 
     by_k: dict[int, set[str]] = {}  # k -> answers of the full-budget solves
     for k in ks:
-        answers = {}
-        for strict in (True,) if k == 0 else (True, False):
-            res, _, label = run(g, k, strict)
-            answers[strict] = res.answer
-            if k >= 1 and res.answer == "yes":
-                path = solver.solve(g, k, mode="path", strict=strict)
-                if path.answer == "no":
-                    bad.append(f"(c) {label}: cycle yes, path-mode no")
-            reason = res.stats.get("reason", "")
-            tally[res.answer] += 1
-            if res.answer == "unknown" and "state budget exceeded" in reason:
-                tally["budget unknown, in range" if res.branch != "fallback"
-                      and k <= res.mad / 88 - 1 else "budget unknown, out of range"] += 1
-            if k == 0 and res.answer == "no":
-                bad.append(f"(e) {label}: no at k = 0")
-            other, _, _ = run(h, k, strict)
-            if {res.answer, other.answer} == {"yes", "no"}:
-                bad.append(f"(a) {label}: {res.answer}, relabelled {other.answer}")
-            by_k.setdefault(k, set()).update((res.answer, other.answer))
-            low_budget = rng.choice(lowered)
-            low, trips, low_label = run(g, k, strict, low_budget)
-            tally["lowered-budget solves that tripped"] += trips > 0
-            if res.answer == "yes" and low.answer == "no":
-                bad.append(f"(g) {low_label}: no where the full budget said yes")
-            low_reason = low.stats.get("reason", "")
-            if trips and low.answer != "yes" and not (
-                low.answer == "unknown" and low_reason.endswith(budget_reason(low_budget))
-            ):
-                bad.append(f"(g) {low_label}: tripped, answered {low.answer} {low_reason!r}")
-        if {answers.get(True), answers.get(False)} == {"yes", "no"}:
-            bad.append(f"(d) n={g.n} k={k}: strict {answers[True]}, relaxed {answers[False]}")
+        res, _, label = run(g, k)
+        if emit_result(solver.solve(g, k, strict=False)) != emit_result(res):
+            bad.append(f"(d) {label}: strict=False changed the emitted bytes")
+        if k >= 1 and res.answer == "yes":
+            path = solver.solve(g, k, mode="path")
+            if path.answer == "no":
+                bad.append(f"(c) {label}: cycle yes, path-mode no")
+        reason = res.stats.get("reason", "")
+        tally[res.answer] += 1
+        if res.answer == "unknown" and "state budget exceeded" in reason:
+            tally["budget unknown, in range" if res.branch != "fallback"
+                  and k <= res.mad / 88 - 1 else "budget unknown, out of range"] += 1
+        if k == 0 and res.answer == "no":
+            bad.append(f"(e) {label}: no at k = 0")
+        other, _, _ = run(h, k)
+        if {res.answer, other.answer} == {"yes", "no"}:
+            bad.append(f"(a) {label}: {res.answer}, relabelled {other.answer}")
+        by_k.setdefault(k, set()).update((res.answer, other.answer))
+        low_budget = rng.choice(lowered)
+        low, trips, low_label = run(g, k, low_budget)
+        tally["lowered-budget solves that tripped"] += trips > 0
+        if res.answer == "yes" and low.answer == "no":
+            bad.append(f"(g) {low_label}: no where the full budget said yes")
+        low_reason = low.stats.get("reason", "")
+        if trips and low.answer != "yes" and not (
+            low.answer == "unknown" and low_reason.endswith(budget_reason(low_budget))
+        ):
+            bad.append(f"(g) {low_label}: tripped, answered {low.answer} {low_reason!r}")
     for k in sorted(by_k):
         if k >= 1 and "no" in by_k[k]:
             if k + 1 not in by_k:
-                by_k[k + 1] = {run(g, k + 1, strict)[0].answer for strict in (True, False)}
+                by_k[k + 1] = {run(g, k + 1)[0].answer}
             if "yes" in by_k[k + 1]:
                 bad.append(f"(b) n={g.n}: no at k={k}, yes at k={k + 1}")
     return bad
@@ -269,12 +267,17 @@ def test_gnp_against_the_oracle():
 
 
 def test_relation_g_catches_an_exact_flag_left_true():
-    # K200 - M plus one one-vertex ear, relaxed k = 4: k' = 2, too long for
-    # an st probe, and no segment system carries 2 internals, so the exact
-    # case analysis says no and _downgrade makes it unknown. With the budget
-    # at 0 the segment search trips; left exact, it says no again, and the
-    # out-of-range downgrade hides the trip behind the wrong reason.
-    g = build_graph(k_minus_matching(200) + [(0, 200), (200, 3)], 201)
+    # K200 - M plus two one-vertex ears on the pair {0, 3}, k = 4: the
+    # threshold 202 is n, so the dense pipeline runs; k' = 2 is too long for
+    # an st probe, and no segment system carries 2 internals (both ears
+    # share one pair), so the exact case analysis says no and _downgrade
+    # makes it unknown. With the budget at 0 the segment search trips; left
+    # exact, it says no again, and the out-of-range downgrade hides the
+    # trip behind the wrong reason.
+    g = build_graph(k_minus_matching(200) + [(0, 200), (200, 3), (0, 201), (201, 3)], 202)
+    res = solver.solve(g, 4)
+    assert (res.answer, res.branch, res.threshold_len) == ("unknown", "case_ii", 202)
+    assert res.stats["k_prime"] == 2 and res.stats["segment_probes"] == 2
     assert check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,)) == []
     with exact_stuck_true():
         bad = check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,))
@@ -282,13 +285,13 @@ def test_relation_g_catches_an_exact_flag_left_true():
 
 
 def test_relation_h_catches_a_no_let_stand_out_of_range():
-    # K8 + I80 at relaxed k = 3: mad = 167/11, far below 88(k + 1), and no
+    # K8 + I80 at k = 3: mad = 167/11, far below 88(k + 1), and no
     # vertex lies outside the core, so the exact case (iii) analysis says no
     # and _downgrade makes it unknown; let stand, the no breaks (h)
     g = build_graph(split_edges(8, 80), 88)
-    res = solver.solve(g, 3, strict=False)
+    res = solver.solve(g, 3)
     assert res.answer == "unknown" and res.branch == "case_iii"
-    assert res.stats["reason"].startswith("relaxed-mode search exhausted")
+    assert res.stats["reason"].startswith("search exhausted; no-guarantee outside")
     assert check_graph(g, (3,), random.Random(0), Counter()) == []
     with no_downgrade():
         bad = check_graph(g, (3,), random.Random(0), Counter())

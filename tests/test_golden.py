@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from madcycle.density import mad_with_witness
 from madcycle.errors import ConstructionFailure
 from madcycle.graph import build_graph
 from madcycle.instances import emit_result, gen_instance, random_cyclable_pairs
@@ -78,6 +80,8 @@ def _split_with_ears(a, ears):
 
 
 def _solve_cases():
+    # a name's "strict" or "relaxed" is part of its fixture key only: solve
+    # runs one pipeline, so the cases pass no mode
     km = _k_minus_matching(26)
     bip = _l7("bip_dense")
     gnp30 = _gen("gnp2c", seed=1, n=30, prob=0.2)
@@ -87,62 +91,66 @@ def _solve_cases():
         ("glue k1 strict", _l7("glue"), dict(k=1)),
         ("dirac_found k0", _l7("dirac_found"), dict(k=0)),
         ("dirac_found k2 strict", _l7("dirac_found"), dict(k=2)),
-        ("small_dense k3 relaxed", _l7("small_dense"), dict(k=3, strict=False)),
+        ("small_dense k3 relaxed", _l7("small_dense"), dict(k=3)),
         ("bip_dense k0 trace", bip, dict(k=0, with_trace=True)),
         ("bip_dense k1 strict", bip, dict(k=1)),
-        ("bip_dense k2 relaxed", bip, dict(k=2, strict=False)),
+        ("bip_dense k2 relaxed", bip, dict(k=2)),
         ("bip_dense_yes k1 relaxed trace", _l7("bip_dense_yes"),
-         dict(k=1, strict=False, with_trace=True)),
-        ("bip_dense_yes k2 relaxed", _l7("bip_dense_yes"), dict(k=2, strict=False)),
-        ("bip_dense_yes k3 relaxed", _l7("bip_dense_yes"), dict(k=3, strict=False)),
-        ("bip+bb3 k3 relaxed", _with_ears(bip, [(8, 3, 9)]), dict(k=3, strict=False)),
+         dict(k=1, with_trace=True)),
+        ("bip_dense_yes k2 relaxed", _l7("bip_dense_yes"), dict(k=2)),
+        ("bip_dense_yes k3 relaxed", _l7("bip_dense_yes"), dict(k=3)),
+        ("bip+bb3 k3 relaxed", _with_ears(bip, [(8, 3, 9)]), dict(k=3)),
         ("bip+bb3 k4 path", _with_ears(bip, [(8, 3, 9)]),
-         dict(k=4, strict=False, mode="path")),
+         dict(k=4, mode="path")),
         ("bip+aa2bb1 k2 relaxed", _with_ears(bip, [(0, 2, 1), (8, 1, 9)]),
-         dict(k=2, strict=False)),
+         dict(k=2)),
         ("bip+aa2bb1 k3 relaxed", _with_ears(bip, [(0, 2, 1), (8, 1, 9)]),
-         dict(k=3, strict=False)),
+         dict(k=3)),
         ("gnp8 s0 k0", _gen("gnp2c", seed=0, n=8, prob=0.5), dict(k=0)),
         ("gnp8 s0 k2 path", _gen("gnp2c", seed=0, n=8, prob=0.5), dict(k=2, mode="path")),
         ("gnp12 s2 k1 path", _gen("gnp2c", seed=2, n=12, prob=0.4), dict(k=1, mode="path")),
         ("gnp16 s1 k2 relaxed", _gen("gnp2c", seed=1, n=16, prob=0.3),
-         dict(k=2, strict=False)),
+         dict(k=2)),
         ("gnp30 s0 k0 path", _gen("gnp2c", seed=0, n=30, prob=0.2), dict(k=0, mode="path")),
         ("gnp30 s0 k1 strict", _gen("gnp2c", seed=0, n=30, prob=0.2), dict(k=1)),
-        ("gnp30 s1 k1 relaxed trace", gnp30, dict(k=1, strict=False, with_trace=True)),
-        ("gnp30 s1 k2 relaxed path", gnp30, dict(k=2, strict=False, mode="path")),
+        ("gnp30 s1 k1 relaxed trace", gnp30, dict(k=1, with_trace=True)),
+        ("gnp30 s1 k2 relaxed path", gnp30, dict(k=2, mode="path")),
+        # out of range past the fallback cap: the dense pipeline's yes, and
+        # threshold 213 > n = 30, an exact no from the fallback
+        ("gnp30 p0.3 s1 k1", _gen("gnp2c", seed=1, n=30, prob=0.3), dict(k=1)),
+        ("gnp30 p0.4 s1 k200", _gen("gnp2c", seed=1, n=30, prob=0.4), dict(k=200)),
         # sparse_k0-sized cores, where the rotation search runs many rounds
         ("gnp150 s1 k0", _gen("gnp2c", seed=1, n=150, prob=0.054), dict(k=0)),
         ("gnp150 s2 k0", _gen("gnp2c", seed=2, n=150, prob=0.054), dict(k=0)),
         ("near_complete30 k0", _gen("near_complete", seed=1, n=30), dict(k=0)),
         ("near_complete30 k2 relaxed", _gen("near_complete", seed=1, n=30),
-         dict(k=2, strict=False)),
+         dict(k=2)),
         ("near_complete20 k3 relaxed", _gen("near_complete", seed=1, n=20),
-         dict(k=3, strict=False)),
+         dict(k=3)),
         ("bipartite_dense6 k1 relaxed", _gen("bipartite_dense", seed=1, p=6, k=1),
-         dict(k=1, strict=False)),
-        ("km26 k2 relaxed", km, dict(k=2, strict=False)),
-        ("km26+1 k3 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=3, strict=False)),
-        ("km26+1 k4 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=4, strict=False)),
-        ("km26+3 k5 relaxed", _with_ears(km, [(0, 3, 1)]), dict(k=5, strict=False)),
+         dict(k=1)),
+        ("km26 k2 relaxed", km, dict(k=2)),
+        ("km26+1 k3 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=3)),
+        ("km26+1 k4 relaxed", _with_ears(km, [(0, 1, 1)]), dict(k=4)),
+        ("km26+3 k5 relaxed", _with_ears(km, [(0, 3, 1)]), dict(k=5)),
         ("km26+1+1 k4 relaxed", _with_ears(km, [(0, 1, 2), (3, 1, 5)]),
-         dict(k=4, strict=False)),
+         dict(k=4)),
         ("km26+1+1 k4 path", _with_ears(km, [(0, 1, 2), (3, 1, 5)]),
-         dict(k=4, strict=False, mode="path")),
+         dict(k=4, mode="path")),
         ("km26+2+2 k5 relaxed", _with_ears(km, [(0, 2, 2), (3, 2, 6)]),
-         dict(k=5, strict=False)),
+         dict(k=5)),
         ("km26+1+1+1 k5 relaxed", _with_ears(km, [(0, 1, 2), (3, 1, 5), (7, 1, 9)]),
-         dict(k=5, strict=False)),
+         dict(k=5)),
         ("km26+1+1+1 k5 relaxed trace", _with_ears(km, [(0, 1, 2), (3, 1, 5), (7, 1, 9)]),
-         dict(k=5, strict=False, with_trace=True)),
+         dict(k=5, with_trace=True)),
         # a 2-separator {0, 1} in the reduced core: the glue cycle of two Fan paths
-        ("two K14 on {0,1} k1 relaxed", _cliques_sharing(14, 2), dict(k=1, strict=False)),
+        ("two K14 on {0,1} k1 relaxed", _cliques_sharing(14, 2), dict(k=1)),
         # case (iii) on the benchmark's outside_probes shape: the partitioned
         # segment DP, the outside probes and cover_side_through_pairs
-        ("K8+I80+12 ears k3 relaxed", _split_with_ears(8, 12), dict(k=3, strict=False)),
-        ("K10+I100+16 ears k4 relaxed", _split_with_ears(10, 16), dict(k=4, strict=False)),
+        ("K8+I80+12 ears k3 relaxed", _split_with_ears(8, 12), dict(k=3)),
+        ("K10+I100+16 ears k4 relaxed", _split_with_ears(10, 16), dict(k=4)),
         # three segments: the first segment system is the first state of level 3
-        ("K8+I80+14 ears k5 relaxed", _split_with_ears(8, 14), dict(k=5, strict=False)),
+        ("K8+I80+14 ears k5 relaxed", _split_with_ears(8, 14), dict(k=5)),
     ]
 
 
@@ -219,6 +227,13 @@ def test_solve_matches_golden(name, g, kwargs):
 )
 def test_routing_matches_golden(name, thunk):
     assert _record_routing(thunk) == _load()["routing"][name]
+
+
+def test_a_threshold_above_n_is_recorded_as_a_fallback_no():
+    # no cycle has more than n vertices: threshold ceil(181/15) + 200 = 213 > 30
+    g = _gen("gnp2c", seed=1, n=30, prob=0.4)
+    assert math.ceil(mad_with_witness(g).mad) + 200 == 213 > g.n
+    assert _load()["solve"]["gnp30 p0.4 s1 k200"][:2] == ["no", "fallback"]
 
 
 def test_fixture_covers_every_branch():

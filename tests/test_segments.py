@@ -262,7 +262,7 @@ class TestSharedSearch:
         why = "search state budget exceeded: 0 states"
         assert res.answer == "unknown" and res.stats["reason"] == why
         for k in (2, 3, 4):
-            res = solver.solve(_split_with_ears(8, 1), k, strict=False)
+            res = solver.solve(_split_with_ears(8, 1), k)
             assert res.answer == "unknown"
             assert res.branch == "case_iii" and res.stats["reason"] == why
 
@@ -306,7 +306,7 @@ class TestSharedSearch:
                 made.append(weakref.ref(self))
 
         monkeypatch.setattr(segments, "SegmentSearch", Recorded)
-        res = solver.solve(_split_with_ears(8, 6), 3, strict=False)
+        res = solver.solve(_split_with_ears(8, 6), 3)
         assert res.answer == "yes" and res.stats["segment_probes"] > 1
         assert made
         gc.collect()
@@ -452,7 +452,7 @@ class TestLazyLevels:
         assert probes > 200000 and found > 3000, (probes, found)
 
     def test_case_iii_ticks_a_fraction_of_the_full_levels(self, monkeypatch):
-        # K8 + I80 with 14 one-vertex ears at relaxed k = 5: every segment
+        # K8 + I80 with 14 one-vertex ears at k = 5: every segment
         # has one internal vertex, so the first hit is the first state of
         # level 3 and the levels after it are never needed
         def states_ticked(engine_class):
@@ -464,7 +464,7 @@ class TestLazyLevels:
                     made.append(self)
 
             monkeypatch.setattr(segments, "SegmentSearch", Recorded)
-            res = solver.solve(_split_with_ears(8, 14), 5, strict=False)
+            res = solver.solve(_split_with_ears(8, 14), 5)
             assert res.answer == "yes" and res.branch == "case_iii"
             assert res.stats["segment_probes"] == 112
             assert len(made) == 1

@@ -45,7 +45,7 @@ from conftest import (
 )
 
 # the reason of an exhausted exact case analysis outside the k range
-OUT_OF_RANGE = "relaxed-mode search exhausted; no-guarantee outside the strict k range"
+OUT_OF_RANGE = "search exhausted; no-guarantee outside the range k <= mad/88 - 1"
 
 
 class TestSolveDispatch:
@@ -73,16 +73,8 @@ class TestSolveDispatch:
         with pytest.raises(PreconditionError):
             solve(path_graph(4), 0)
 
-    @staticmethod
-    def _both_modes(g, k):
-        """solve(g, k), after checking that strict and relaxed mode emit the
-        same bytes: in the k range the two modes run one pipeline."""
-        strict = solve(g, k, strict=True)
-        assert emit_result(solve(g, k, strict=False)) == emit_result(strict)
-        return strict
-
     def test_strict_pipeline_k200(self):
-        r = self._both_modes(complete(200), 1)
+        r = solve(complete(200), 1)
         assert r.answer == "yes" and r.branch == "find_dense"
         assert len(r.certificate) == 200 and r.threshold_len == 200
 
@@ -90,7 +82,7 @@ class TestSolveDispatch:
         # K356 minus a perfect matching, k=3 (inside the k <= mad/88 - 1
         # dispatch range): threshold 357 exceeds the circumference 356
         g = complete_minus_matching(356)
-        r = self._both_modes(g, 3)
+        r = solve(g, 3)
         assert r.branch == "case_ii"
         assert r.answer == "no"
 
@@ -99,7 +91,7 @@ class TestSolveDispatch:
         g0 = complete_minus_matching(356)
         edges = list(g0.edges()) + [(0, 356), (356, 357), (357, 2)]
         g = build_graph(edges, 358)
-        r = self._both_modes(g, 3)
+        r = solve(g, 3)
         assert r.branch == "case_ii"
         assert r.answer == "yes"
         assert len(r.certificate) >= r.threshold_len == 357
@@ -276,7 +268,7 @@ class TestDenseCoreThroughMasks:
                             raising=False)
         monkeypatch.setattr(routing, "cover_side_through_pairs", counted(
             "cover_side_through_pairs", routing.cover_side_through_pairs))
-        res = solve(g, 4, strict=False)
+        res = solve(g, 4)
         assert res.answer == "yes" and res.branch == "case_iii"
         assert names.count("cover_side_through_pairs") >= 1
         assert names.count("_scan_two_separators") >= 1
@@ -327,9 +319,7 @@ class TestOneSeparatorScanPerCore:
         other = [0, 1] + list(range(14, 26))
         g = build_graph([(u, v) for part in (side, other) for u in part
                          for v in part if u < v], 26)
-        res, scanned, certified, cores = self._solve_counting(
-            monkeypatch, g, k=1, strict=False
-        )
+        res, scanned, certified, cores = self._solve_counting(monkeypatch, g, k=1)
         assert res.answer == "yes" and res.branch == "find_dense"
         assert len(res.certificate) == 26 and res.threshold_len == 15
         assert verify_cycle_certificate(g, res.certificate)
@@ -342,9 +332,7 @@ class TestOneSeparatorScanPerCore:
         for _ in range(16):
             n = rng.randint(25, 40)
             g = random_2connected_graph(rng, n, rng.uniform(4, 9) / n)
-            _, scanned, _, cores = self._solve_counting(
-                monkeypatch, Graph(g.n, g.adj), k=1, strict=False
-            )
+            _, scanned, _, cores = self._solve_counting(monkeypatch, Graph(g.n, g.adj), k=1)
             assert len(cores) == 1
             core = cores[0]
             # every final core of 4 or more vertices is scanned by rule 4
@@ -372,9 +360,20 @@ class TestFallback:
         r = exact_longest_cycle_fallback(complete(30), 3)
         assert r.answer == "unknown" and "cap" in r.stats["reason"]
 
+    def test_threshold_above_n_is_an_exact_no_past_the_cap(self):
+        # no cycle has more than n vertices, so the cap does not apply
+        r = exact_longest_cycle_fallback(complete(30), 31)
+        assert (r.answer, r.branch, r.threshold_len, r.stats) == ("no", "fallback", 31, {})
+
+    def test_states_the_k_of_its_threshold(self):
+        # Petersen has mad 3, so threshold 4 is k = 1 above ceil(mad)
+        r = exact_longest_cycle_fallback(petersen(), 4)
+        assert (r.answer, r.k, r.mad, r.threshold_len) == ("yes", 1, 3, 4)
+        assert b'"k":1,' in emit_result(r)
+
     def test_exact_no_and_unknown_past_the_state_budget(self, monkeypatch):
         # K_{6,8} has mad 48/7 and circumference 12, and k = 6 lies outside
-        # the strict range, so the fallback decides whether a 13-cycle exists
+        # the k range, so the fallback decides whether a 13-cycle exists
         from madcycle import longpaths
 
         g = complete_bipartite(6, 8)
@@ -539,9 +538,9 @@ class TestRelaxedMode:
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
                  if not (v == u + 1 and u % 2 == 0)]
         g = build_graph(edges + [(0, 26), (26, 1)], 27)
-        assert solve(g, 3, strict=False).branch == "case_ii"
+        assert solve(g, 3).branch == "case_ii"
         monkeypatch.setattr(solver, "case_small_dense", broken)
-        res = solve(g, 3, strict=False)
+        res = solve(g, 3)
         assert res.answer == "unknown" and res.branch == "case_ii"
         assert "construction failed: forced" in res.stats["reason"]
 
@@ -553,17 +552,18 @@ class TestRelaxedMode:
          _engine_gives(VertexCover(frozenset(range(26)))),
          "engine incomplete: cover refinement failed: cover too large"),
         ("madcycle.solver.find_dense", _raise_failure, "construction failed: forced"),
-        ("madcycle.solver.find_dense", _short_cycle, "relaxed-mode cycle below threshold"),
+        ("madcycle.solver.find_dense", _short_cycle, "dense-pipeline cycle below threshold"),
     ], ids=["engine_incomplete", "cover_refinement_failed",
             "find_dense_construction_failure", "cycle_below_threshold"])
     def test_find_dense_failures_are_unknown(self, monkeypatch, tmp_path, target, fake,
                                              reason):
-        # K26 minus a perfect matching plus a one-vertex ear: relaxed k=3
-        # reaches find_dense, whose Dirac cycle (26) is below the threshold 27
+        # K26 minus a perfect matching plus a one-vertex ear: k=3 is out of
+        # range, and n = 27 is past the fallback cap, so it reaches
+        # find_dense, whose Dirac cycle (26) is below the threshold 27
         g = build_graph(list(complete_minus_matching(26).edges()) + [(0, 26), (26, 1)], 27)
-        assert solve(g, 3, strict=False).answer == "yes"
+        assert solve(g, 3).answer == "yes"
         monkeypatch.setattr(target, fake)
-        res = solve(g, 3, strict=False)
+        res = solve(g, 3)
         assert res.answer == "unknown" and res.branch == "find_dense"
         assert res.stats["reason"].startswith(reason)
         f = tmp_path / "km_ear.el"
@@ -578,7 +578,7 @@ class TestRelaxedMode:
         from madcycle.instances import gen_instance
 
         g, _ = gen_instance("lemma7_trace", {"branch": "bip_dense_yes"}, 0)
-        res = solve(g, 1, strict=False)
+        res = solve(g, 1)
         assert res.answer == "yes" and res.branch == "case_iii"
         assert verify_cycle_certificate(g, res.certificate)
         assert len(res.certificate) >= res.threshold_len
@@ -587,36 +587,41 @@ class TestRelaxedMode:
         from madcycle.instances import gen_instance
 
         g, _ = gen_instance("lemma7_trace", {"branch": "bip_dense"}, 0)
-        res = solve(g, 1, strict=False)
+        res = solve(g, 1)
         assert res.answer == "unknown"
         assert "no-guarantee" in res.stats["reason"]
 
-    def test_strict_out_of_range_over_cap_is_unknown(self):
+    def test_strict_keyword_is_inert_out_of_range_over_cap(self):
+        # gnp2c n=30 at k=1: out of range and past the fallback cap, where the
+        # two modes once differed; both values of the ignored keyword give the
+        # dense pipeline's certified yes, byte for byte
         from madcycle.instances import gen_instance
 
-        g, _ = gen_instance("lemma7_trace", {"branch": "bip_dense"}, 0)
+        g, _ = gen_instance("gnp2c", {"n": 30, "prob": 0.3}, 1)
         res = solve(g, 1, strict=True)
-        assert res.answer == "unknown" and "cap" in res.stats["reason"]
+        assert emit_result(solve(g, 1, strict=False)) == emit_result(res)
+        assert res.answer == "yes" and res.branch == "find_dense"
+        assert len(res.certificate) >= res.threshold_len
+        assert verify_cycle_certificate(g, res.certificate)
 
 
 class TestNoGate:
-    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("size_a, answer", [(80, "unknown"), (86, "no")])
-    def test_case_iii_no_needs_side_a_of_half_mad(self, monkeypatch, size_a, answer,
-                                                   strict):
+    def test_case_iii_no_needs_side_a_of_half_mad(self, monkeypatch, size_a, answer):
         # K180 at k=1 is in range (1 <= 179/88 - 1), threshold 180. A
         # bipartite-dense witness with |A| = 80 has k' = 20 and passes
         # |A| >= 3k'/2 but not |A| >= mad/2 - 4k = 85.5, so an exhausted
         # case (iii) proves nothing; with |A| = 86 (k' = 8) it proves no.
-        # The segment search is faked to find nothing, so the gate inside
-        # case_bipartite_dense decides.
+        # B = {179} is independent, as case (iii) requires. The outside path
+        # and the segment search are faked to find nothing, so the gate
+        # inside case_bipartite_dense decides.
         from madcycle import segments, solver
         from madcycle.extract import BipartiteDense
         from madcycle.reduction import ReductionTrace
 
         g = complete(180)
-        A = frozenset(range(size_a))
-        witness = BipartiteDense(frozenset(range(180)), A, frozenset(range(size_a, 180)))
+        A, B = frozenset(range(size_a)), frozenset({179})
+        witness = BipartiteDense(A | B, A, B)
         probed = []
 
         def fake_find_dense(g, k):
@@ -627,8 +632,9 @@ class TestNoGate:
             probed.append(search.rmax)
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)
+        monkeypatch.setattr(solver, "_outside_path", lambda *args: (None, True))
         monkeypatch.setattr(segments, "find_segments_partitioned", nothing)
-        res = solve(g, 1, strict=strict)
+        res = solve(g, 1)
         assert res.answer == answer and res.branch == "case_iii"
         assert set(probed) == {180 - 2 * size_a} == {res.stats["k_prime"]}
         if answer == "unknown":
@@ -660,6 +666,35 @@ class TestCaseFunctionsOwnTheirK:
         assert res.stats == {"reason": "case (iii) needs |A| >= 3k'/2, has |A|=8, k'=6"}
         with pytest.raises(PreconditionError):
             case_bipartite_dense(g, frozenset(range(80)), frozenset({0, 85}), Fraction(16), 1)
+
+    @pytest.mark.parametrize("A, B", [
+        (range(4), range(4, 88)),  # B holds clique vertices 4-7, adjacent to each other
+        (range(8, 12), range(12, 14)),  # both sides independent: no A-B edge
+    ], ids=["b_not_independent", "no_a_b_edge"])
+    def test_case_iii_checks_its_sides_before_any_probe(self, monkeypatch, A, B):
+        # K8 + I80; mad 8 and k 1 give threshold 9 and k' = 9 - 2|A| = 1, so
+        # without the check the outside-path or segment search would run
+        from madcycle import longpaths, segments
+
+        probes = []
+
+        class Recording(segments.SegmentSearch):
+            def __init__(self, *args):
+                probes.append("segments")
+                super().__init__(*args)
+
+        def st_probe(*args):
+            probes.append("st path")
+            return real_st(*args)
+
+        real_st = longpaths.st_path_at_least
+        monkeypatch.setattr(segments, "SegmentSearch", Recording)
+        monkeypatch.setattr(longpaths, "st_path_at_least", st_probe)
+        g = build_graph([(i, j) for i in range(8) for j in range(i + 1, 88)], 88)
+        A, B = frozenset(A), frozenset(B)
+        with pytest.raises(PreconditionError):
+            case_bipartite_dense(g, A | B, A, Fraction(8), 1)
+        assert probes == []
 
     def test_out_of_range_never_answers_no(self, monkeypatch):
         # random 2-connected graphs with n <= 10 have mad < 9, so every k is
@@ -722,12 +757,13 @@ class TestRouteOnly:
 
     def test_small_dense_core_is_routed_hamiltonian(self, monkeypatch):
         # K30 at k=1: mad 29, threshold 30 = |H|, so k' = 0; k is out of
-        # range and n > 24, so only relaxed mode reaches the witness
+        # range, n > 24 and the threshold is within n, so the dense
+        # pipeline reaches the witness
         from madcycle.extract import SmallDense
 
         g = complete(30)
         self._fake_find_dense(monkeypatch, SmallDense(frozenset(range(30))))
-        res = solve(g, 1, strict=False)
+        res = solve(g, 1)
         assert res.answer == "yes" and res.branch == "case_ii"
         assert res.stats == {} and len(res.certificate) == 30
         assert verify_cycle_certificate(g, res.certificate)
@@ -748,7 +784,7 @@ class TestRouteOnly:
         monkeypatch.setattr(routing, "cover_side_through_pairs", spy)
         g = complete_bipartite(15, 15)
         self._fake_find_dense(monkeypatch, BipartiteDense(A | B, A, B))
-        res = solve(g, 1, strict=False)
+        res = solve(g, 1)
         assert res.answer == "yes" and res.branch == "case_iii"
         assert len(res.certificate) == 30
         assert verify_cycle_certificate(g, res.certificate)
@@ -893,12 +929,12 @@ class TestCertificatesAreChecked:
         return [
             (complete(4), dict(k=0), "k0"),
             (petersen(), dict(k=1), "fallback"),
-            (build_graph(glued, 26), dict(k=1, strict=False), "find_dense"),
-            (build_graph(km + [(0, 26), (26, 1)], 27), dict(k=3, strict=False),
+            (build_graph(glued, 26), dict(k=1), "find_dense"),
+            (build_graph(km + [(0, 26), (26, 1)], 27), dict(k=3),
              "case_ii"),
             (build_graph(km + [(0, 26), (26, 27), (27, 28), (28, 1)], 29),
-             dict(k=3, strict=False), "case_ii"),
-            (bip, dict(k=1, strict=False), "case_iii"),
+             dict(k=3), "case_ii"),
+            (bip, dict(k=1), "case_iii"),
             (petersen(), dict(k=1, mode="path"), "path_k0"),
             (petersen(), dict(k=4, mode="path"), "path[fallback]"),
         ]
@@ -960,14 +996,14 @@ class TestRoutedTakesTheTraceCore:
             monkeypatch.setattr(solver, "_routed", routed)
             monkeypatch.setattr(solver, "induced_subgraph", induced)
             taken.clear(), built.clear()
-            res = solve(g, k, strict=False, with_trace=True)
+            res = solve(g, k, with_trace=True)
             assert res.answer == "yes" and res.branch == branch
             [(H, is_core)] = taken
             assert is_core and H not in built
             # the same solve, with g[H] built as before
             monkeypatch.setattr(solver, "_routed",
                                 lambda g, H, A, pairs, core=None: real_routed(g, H, A, pairs))
-            again = solve(g, k, strict=False, with_trace=True)
+            again = solve(g, k, with_trace=True)
             assert emit_result(res) == emit_result(again)
 
 

@@ -281,7 +281,6 @@ def _glue_cycle(sub: Graph, ids, sep: tuple[int, int]) -> list[int]:
     """Concatenate Fan paths through both sides of a 2-separator of the core."""
     x, y = sep
     comps = subset_components(sub, set(range(sub.n)) - {x, y})
-    comps.sort(key=min)
     if len(comps) < 2:
         raise ConstructionFailure("separator does not split the core")
     sides = []

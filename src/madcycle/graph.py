@@ -19,13 +19,7 @@ class Graph:
     __slots__ = ("n", "adj", "m", "masks", "_hash", "_blocks", "_seps")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        masks = []
-        for a in adj:
-            mask = 0
-            for v in a:
-                mask |= 1 << v
-            masks.append(mask)
-        self._fill(n, adj, tuple(masks))
+        self._fill(n, adj, tuple(map(mask_of, adj)))
 
     @classmethod
     def _from_masks(cls, n: int, adj, masks: tuple[int, ...]) -> "Graph":
@@ -215,7 +209,9 @@ def reach(g: Graph, start_mask: int, alive: int) -> int:
 
 
 def subset_components(g: Graph, vertices) -> list[list[int]]:
-    """Connected components of g restricted to `vertices`, as sorted lists."""
+    """Connected components of g restricted to `vertices`, as sorted lists,
+    in ascending order of their least vertex: each is peeled off from the
+    lowest vertex still left."""
     alive = mask_of(vertices)
     comps = []
     while alive:
@@ -502,9 +498,6 @@ def _three_connected(g: Graph) -> bool:
     at = [0] * (n + 1)  # old number -> vertex
     for v in range(n):
         at[num[v]] = v
-    parent_new = [0] * (n + 1)  # new number -> its parent's new number
-    for v in range(1, n):
-        parent_new[new[v]] = new[parent[v]]
 
     # 4. PathSearch with TSTACK triples (h, a, b) in new numbers; EOS marks a
     # path's start, and its a and h stop every pop loop
@@ -548,11 +541,13 @@ def _three_connected(g: Graph) -> bool:
             break
         u = path[-1]
         un = new[u]
-        # type 2: a triple (h, un, b) splits unless b is a child of un
-        while un != 1 and ts[-1][1] == un:
-            if parent_new[ts[-1][2]] != un:
-                return False
-            ts.pop()
+        # type 2: a top triple (h, un, b) splits. Its b is no child of un:
+        # that needs a tree arc b -> w starting a path with lowpt1(w) = u (a
+        # frond from b or a merge ends below u; b is no cut vertex), and then
+        # lowpt2(w) >= num(b), so step 1's type-1 test has returned False, or
+        # only u and b lie outside the subtree of w and u is the root, un = 1
+        if un != 1 and ts[-1][1] == un:
+            return False
         if starts[u][pos[u] - 1]:
             while ts[-1] is not eos:
                 ts.pop()
@@ -758,54 +753,26 @@ def certify(
 # pair sets (potentially cyclable)
 
 
-def is_potentially_cyclable(pairs) -> bool:
-    """True iff the pair graph is a linear forest (no duplicate pairs either)."""
-    seen = set()
-    deg: dict[int, int] = {}
-    parent: dict[int, int] = {}
+def _pair_chain(pairs) -> list[tuple[int, int]] | None:
+    """The pairs oriented into a chain, or None when the pair graph is not a
+    linear forest.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in pairs:
-        if u == v:
-            return False
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return False
-        seen.add(key)
-        for x in (u, v):
-            parent.setdefault(x, x)
-            deg[x] = deg.get(x, 0) + 1
-            if deg[x] > 2:
-                return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def normalize_pair_chain(pairs) -> list[tuple[int, int]]:
-    """Order a potentially cyclable pair set so shared endpoints are consecutive.
-
-    Returns oriented pairs (x_i, y_i) with y_{i-1} == x_i exactly when two
-    pairs share a vertex; components are concatenated lowest end first.
+    A vertex on three pairs fails at once. With every degree at most 2, each
+    component is a path or a cycle (a self-loop and a repeated pair are
+    cycles of one and two pairs), and only a path has degree-1 ends: the
+    walk from the sorted ends covers every vertex exactly when there is no
+    cycle.
     """
-    pairs = [tuple(p) for p in pairs]
-    if not is_potentially_cyclable(pairs):
-        raise PreconditionError("pair set is not potentially cyclable")
     adjacency: dict[int, list[int]] = {}
     for u, v in pairs:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    ends = sorted(v for v, ns in adjacency.items() if len(ns) == 1)
+        for x, y in ((u, v), (v, u)):
+            ns = adjacency.setdefault(x, [])
+            if len(ns) == 2:
+                return None
+            ns.append(y)
     done = set()
     chain: list[tuple[int, int]] = []
-    for start in ends:
+    for start in sorted(v for v, ns in adjacency.items() if len(ns) == 1):
         if start in done:
             continue
         prev, cur = None, start
@@ -814,7 +781,23 @@ def normalize_pair_chain(pairs) -> list[tuple[int, int]]:
             nxts = [w for w in adjacency[cur] if w != prev]
             if not nxts:
                 break
-            nxt = nxts[0]
-            chain.append((cur, nxt))
-            prev, cur = cur, nxt
+            chain.append((cur, nxts[0]))
+            prev, cur = cur, nxts[0]
+    return chain if len(done) == len(adjacency) else None
+
+
+def is_potentially_cyclable(pairs) -> bool:
+    """True iff the pair graph is a linear forest (no duplicate pairs either)."""
+    return _pair_chain(pairs) is not None
+
+
+def normalize_pair_chain(pairs) -> list[tuple[int, int]]:
+    """Order a potentially cyclable pair set so shared endpoints are consecutive.
+
+    Returns oriented pairs (x_i, y_i) with y_{i-1} == x_i exactly when two
+    pairs share a vertex; components are concatenated lowest end first.
+    """
+    chain = _pair_chain(pairs)
+    if chain is None:
+        raise PreconditionError("pair set is not potentially cyclable")
     return chain

@@ -193,12 +193,8 @@ def segment_signatures(g: Graph, T, A, max_p: int) -> frozenset[tuple[int, int, 
             inner = set(seg[1:-1])
             if total_p + len(inner) > max_p:
                 continue
+            # ends lie in T and internals outside it, so only internals collide
             if inner & internals:
-                continue
-            # internal disjointness also forbids internals hitting endpoints
-            if any(v in internals for v in (seg[0], seg[-1])):
-                continue
-            if any(u in inner for c in chosen for u in (segs[c][0], segs[c][-1])):
                 continue
             chosen.append(i)
             rec(i + 1, chosen, internals | inner, total_p + len(inner))

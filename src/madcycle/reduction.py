@@ -122,9 +122,7 @@ def apply_rule(
         before = eg_bound(sub)
         threshold = Fraction(2, 3) * before
         for x, y in seps:
-            comps = subset_components(sub, set(range(sub.n)) - {x, y})
-            comps.sort(key=min)
-            for comp in comps:
+            for comp in subset_components(sub, set(range(sub.n)) - {x, y}):
                 if avg_degree_of_set(sub, comp) <= threshold:
                     # the density-preservation proof for this rule needs
                     # 2m/(n-1) > 6; below that, commit only non-decreasing

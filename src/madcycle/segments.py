@@ -40,6 +40,7 @@ from .graph import (
     VerifyOutcome,
     is_potentially_cyclable,
     lowest_off,
+    mask_of,
     verify_path_certificate,
 )
 
@@ -151,8 +152,15 @@ class SegmentSearch:
 
     def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
         """The system of the first state level r inserts with counts
-        (p, s, t), validated, or None."""
-        if not self.exact:
+        (p, s, t), validated, or None. A probe past rmax or pmax raises
+        PreconditionError: the levels it needs are never built. r > p
+        answers None, exactly: each segment has an internal vertex."""
+        if r > self.rmax or p > self.pmax:
+            raise PreconditionError(
+                f"probe (r={r}, p={p}) outside the search's range "
+                f"(r <= {self.rmax}, p <= {self.pmax})"
+            )
+        if r > p or not self.exact:
             return None
         try:
             hit = self.query(r, p, s, t)
@@ -199,9 +207,7 @@ class SegmentSearch:
     # stage one: single segments
     def _build_alpha(self):
         g, T, A = self.g, self.T, self.A
-        t_mask = 0
-        for y in T:
-            t_mask |= 1 << y
+        t_mask = mask_of(T)
         out_mask = ((1 << g.n) - 1) & ~t_mask
         max_pop = self.pmax + 1  # x plus at most pmax internals
         for x in sorted(T):
@@ -419,11 +425,4 @@ def find_segments_partitioned(
         search = SegmentSearch(g, T, A, p, r)
     if g is not search.g or T != search.T or A != search.A:
         raise PreconditionError("probe does not match the search's (g, T, A)")
-    if r > search.rmax or p > search.pmax:
-        raise PreconditionError(
-            f"probe (r={r}, p={p}) outside the search's range "
-            f"(r <= {search.rmax}, p <= {search.pmax})"
-        )
-    if r > p:
-        return None
     return search.find(r, p, s, t)

@@ -249,34 +249,39 @@ def _case_analysis(
     outside segment system of the probes (r, p, s, t), all answered by one
     search over (g, H, A); either is spliced into the cycle _routed through
     H. Without either, the answer is _downgrade(no, may_claim_no, why) if
-    both searches were exact, else unknown with the state budget reason."""
-    if k_prime <= 0:
-        cyc = _routed(g, H, A, (), core)
-        cert = certify(g, CycleCertificate(cyc.vertices, base["threshold_len"]))
-        return SolveResult("yes", certificate=cert, **base)
-    stats = {"st_probes": 0, "segment_probes": 0, "k_prime": k_prime}
-    path, path_exact = _outside_path(g, H, target, stats)
-    if path is not None:
-        system = segments.SegmentSystem((path,), H)
-    else:
-        search = segments.SegmentSearch(g, H, A, pmax, k_prime)
-        B = H - A
-        for r, p, s, t in probes:
-            stats["segment_probes"] += 1
-            system = segments.find_segments_partitioned(
-                g, H, A, B, r, p, s, t, search=search
-            )
-            if system is not None:
-                break
+    both searches were exact, else unknown with the state budget reason. A
+    construction that fails answers unknown, keeping the search's stats."""
+    stats: dict = {}
+    try:
+        if k_prime <= 0:
+            system = segments.SegmentSystem((), H)  # the routed cycle is the splice
         else:
-            if path_exact and search.exact:
-                return _downgrade(SolveResult("no", stats=stats, **base), may_claim_no, why)
-            stats["reason"] = (
-                f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
-            )
-            return SolveResult("unknown", stats=stats, **base)
-    out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
-    cert = certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+            stats.update(st_probes=0, segment_probes=0, k_prime=k_prime)
+            path, path_exact = _outside_path(g, H, target, stats)
+            system = None if path is None else segments.SegmentSystem((path,), H)
+        if system is None:
+            search = segments.SegmentSearch(g, H, A, pmax, k_prime)
+            B = H - A
+            for r, p, s, t in probes:
+                stats["segment_probes"] += 1
+                system = segments.find_segments_partitioned(
+                    g, H, A, B, r, p, s, t, search=search
+                )
+                if system is not None:
+                    break
+            else:
+                if path_exact and search.exact:
+                    return _downgrade(SolveResult("no", stats=stats, **base),
+                                      may_claim_no, why)
+                stats["reason"] = (
+                    f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
+                )
+                return SolveResult("unknown", stats=stats, **base)
+        out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
+        cert = certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+    except ConstructionFailure as exc:
+        stats["reason"] = f"construction failed: {exc}"
+        return SolveResult("unknown", stats=stats, **base)
     return SolveResult("yes", certificate=cert, stats=stats, **base)
 
 
@@ -407,15 +412,10 @@ def solve(
         return _unknown("dense-pipeline cycle below threshold", branch="find_dense",
                         trace=trace, **base)
 
-    small = isinstance(witness, SmallDense)
-    try:
-        if small:
-            res = case_small_dense(g, witness.vertices, mad, k, core=core)
-        else:
-            res = case_bipartite_dense(g, witness.vertices, witness.A, mad, k, core=core)
-    except ConstructionFailure as exc:
-        return _unknown(f"construction failed: {exc}",
-                        branch="case_ii" if small else "case_iii", trace=trace, **base)
+    if isinstance(witness, SmallDense):
+        res = case_small_dense(g, witness.vertices, mad, k, core=core)
+    else:
+        res = case_bipartite_dense(g, witness.vertices, witness.A, mad, k, core=core)
     res.trace = trace
     return res
 

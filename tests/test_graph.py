@@ -855,6 +855,129 @@ class TestPairSets:
     def test_duplicate_rejected(self):
         assert not is_potentially_cyclable([(0, 1), (1, 0)])
 
+    def test_one_walk_matches_the_union_find_reference(self):
+        # 20,000 shuffled, randomly oriented linear forests, each with one
+        # defect or none: both names give the reference's bool and chain, or
+        # its error text
+        rng = random.Random(38)
+        kinds = Counter()
+        for _ in range(20000):
+            pairs, kind = _random_pair_list(rng)
+            ok = _reference_is_potentially_cyclable(pairs)
+            kinds[kind, ok] += 1
+            assert is_potentially_cyclable(pairs) == ok
+            if ok:
+                assert normalize_pair_chain(pairs) == _reference_normalize_pair_chain(pairs)
+            else:
+                with pytest.raises(PreconditionError) as got:
+                    normalize_pair_chain(pairs)
+                with pytest.raises(PreconditionError) as want:
+                    _reference_normalize_pair_chain(pairs)
+                assert str(got.value) == str(want.value)
+        for kind in ("self-loop", "reversed duplicate", "cycle", "third pair"):
+            assert kinds[kind, False] > 1000 and kinds[kind, True] == 0
+        assert kinds["none", True] > 1000 and kinds["none", False] == 0
+        assert kinds["random pair", True] > 500 and kinds["random pair", False] > 500
+
+
+def _random_pair_list(rng) -> tuple[list[tuple[int, int]], str]:
+    """A shuffled, randomly oriented linear forest on 1-9 vertices (disjoint
+    paths), with one defect or none, and the defect's name."""
+    n = rng.randint(1, 9)
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    paths = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    pairs = [(a, b) if rng.random() < 0.5 else (b, a)
+             for path in paths for a, b in zip(path, path[1:])]
+    long_paths = [path for path in paths if len(path) >= 3]
+    inner = [v for path in paths for v in path[1:-1]]
+    kind = rng.choice(["none", "self-loop", "reversed duplicate", "cycle", "third pair",
+                       "random pair"])
+    if kind == "self-loop":
+        v = rng.randrange(n)
+        pairs.append((v, v))
+    elif kind == "reversed duplicate" and pairs:
+        a, b = rng.choice(pairs)
+        pairs.append((b, a))
+    elif kind == "cycle" and long_paths:
+        path = rng.choice(long_paths)
+        pairs.append((path[-1], path[0]))
+    elif kind == "third pair" and inner:
+        v = rng.choice(inner)
+        pairs.append((v, rng.choice([w for w in range(n + 1) if w != v])))
+    elif kind == "random pair":
+        pairs.append((rng.randrange(n + 2), rng.randrange(n + 2)))
+    else:
+        kind = "none"
+    rng.shuffle(pairs)
+    return pairs, kind
+
+
+# The linear-forest check and chain order that graph._pair_chain replaced,
+# verbatim: a union-find, then a second walk over the same pairs.
+
+
+def _reference_is_potentially_cyclable(pairs) -> bool:
+    """True iff the pair graph is a linear forest (no duplicate pairs either)."""
+    seen = set()
+    deg: dict[int, int] = {}
+    parent: dict[int, int] = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in pairs:
+        if u == v:
+            return False
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return False
+        seen.add(key)
+        for x in (u, v):
+            parent.setdefault(x, x)
+            deg[x] = deg.get(x, 0) + 1
+            if deg[x] > 2:
+                return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _reference_normalize_pair_chain(pairs) -> list[tuple[int, int]]:
+    """Order a potentially cyclable pair set so shared endpoints are consecutive.
+
+    Returns oriented pairs (x_i, y_i) with y_{i-1} == x_i exactly when two
+    pairs share a vertex; components are concatenated lowest end first.
+    """
+    pairs = [tuple(p) for p in pairs]
+    if not _reference_is_potentially_cyclable(pairs):
+        raise PreconditionError("pair set is not potentially cyclable")
+    adjacency: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    ends = sorted(v for v, ns in adjacency.items() if len(ns) == 1)
+    done = set()
+    chain: list[tuple[int, int]] = []
+    for start in ends:
+        if start in done:
+            continue
+        prev, cur = None, start
+        while True:
+            done.add(cur)
+            nxts = [w for w in adjacency[cur] if w != prev]
+            if not nxts:
+                break
+            nxt = nxts[0]
+            chain.append((cur, nxt))
+            prev, cur = cur, nxt
+    return chain
+
 
 class TestBitPrimitives:
     """reach, lowest_off and bits_off against plain set-based versions."""

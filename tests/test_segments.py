@@ -226,6 +226,19 @@ class TestSharedSearch:
         with pytest.raises(PreconditionError):
             find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search)
 
+    def test_find_checks_its_own_range(self):
+        # K4 on T = {0, 1, 2, 3} plus the outside path 0-4-5-6-1: the segment
+        # 0..1 has 3 internals, past this search's pmax 2, so a None from
+        # find would read as a proof of absence
+        g = build_graph(list(complete(4).edges()) + [(0, 4), (4, 5), (5, 6), (6, 1)], 7)
+        T = {0, 1, 2, 3}
+        assert find_segments(g, T, 1, 3) is not None
+        search = SegmentSearch(g, T, (), 2, 1)
+        for r, p in ((1, 3), (2, 2)):  # past pmax, past rmax
+            with pytest.raises(PreconditionError, match="outside the search's range"):
+                search.find(r, p, 0, r)
+        assert search.find(1, 2, 0, 1) is None and search.exact
+
     def test_vertices_out_of_range(self):
         with pytest.raises(PreconditionError, match="out-of-range"):
             SegmentSearch(cycle_graph(6), {0, 6}, (), 4, 2)

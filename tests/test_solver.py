@@ -528,21 +528,21 @@ def _short_cycle(g, k):
 
 class TestRelaxedMode:
     def test_case_ii_construction_failure_is_unknown(self, monkeypatch):
-        from madcycle import solver
-        from madcycle.errors import ConstructionFailure
+        # K26 minus a perfect matching plus a one-vertex ear reaches case (ii),
+        # whose outside path is found by one st probe; when routing through
+        # the core then fails, the unknown keeps the search's stats
+        from madcycle import routing
 
-        def broken(*args, **kwargs):
-            raise ConstructionFailure("forced")
-
-        # K26 minus a perfect matching plus a one-vertex ear reaches case (ii)
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
                  if not (v == u + 1 and u % 2 == 0)]
         g = build_graph(edges + [(0, 26), (26, 1)], 27)
-        assert solve(g, 3).branch == "case_ii"
-        monkeypatch.setattr(solver, "case_small_dense", broken)
+        probes = {"k_prime": 1, "st_probes": 1, "segment_probes": 0}
+        res = solve(g, 3)
+        assert (res.answer, res.branch, res.stats) == ("yes", "case_ii", probes)
+        monkeypatch.setattr(routing, "hamiltonian_through_pairs", _raise_failure)
         res = solve(g, 3)
         assert res.answer == "unknown" and res.branch == "case_ii"
-        assert "construction failed: forced" in res.stats["reason"]
+        assert res.stats == {**probes, "reason": "construction failed: forced"}
 
     @pytest.mark.parametrize("target, fake, reason", [
         ("madcycle.extract.corollary5_engine", _raise_incomplete,
@@ -699,9 +699,10 @@ class TestCaseFunctionsOwnTheirK:
     def test_out_of_range_never_answers_no(self, monkeypatch):
         # random 2-connected graphs with n <= 10 have mad < 9, so every k is
         # out of range. H is random and B = H - A a maximal independent set of
-        # it, so many calls raise in routing; no answer is ever no, every yes
-        # is a cycle certified at the call's own threshold, and every unknown
-        # names why: the range, the state budget or the 3k'/2 bound
+        # it, so many constructions fail in routing; no answer is ever no,
+        # every yes is a cycle certified at the call's own threshold, and
+        # every unknown names why: the range, the state budget, the 3k'/2
+        # bound or the failed construction
         from madcycle import longpaths
 
         rng = random.Random(36)
@@ -724,7 +725,7 @@ class TestCaseFunctionsOwnTheirK:
                                          ("iii", case_bipartite_dense, (g, H, A, mad, k))):
                     try:
                         res = call(*args)
-                    except (ConstructionFailure, PreconditionError):
+                    except PreconditionError:
                         continue
                     assert res.threshold_len == math.ceil(mad) + k
                     assert res.answer in ("yes", "unknown")
@@ -735,10 +736,13 @@ class TestCaseFunctionsOwnTheirK:
                         seen.add((case, "yes"))
                     elif res.stats["reason"].startswith("case (iii) needs |A| >= 3k'/2"):
                         seen.add((case, "3k'/2"))
+                    elif res.stats["reason"].startswith("construction failed: "):
+                        seen.add((case, "construction"))
                     else:
                         seen.add((case, reasons[res.stats["reason"]]))
-        assert seen == {("ii", "yes"), ("ii", "range"), ("ii", "budget"), ("iii", "yes"),
-                        ("iii", "range"), ("iii", "budget"), ("iii", "3k'/2")}
+        assert seen == {("ii", "yes"), ("ii", "range"), ("ii", "budget"),
+                        ("ii", "construction"), ("iii", "yes"), ("iii", "range"),
+                        ("iii", "budget"), ("iii", "3k'/2"), ("iii", "construction")}
 
 
 class TestRouteOnly:

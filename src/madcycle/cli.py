@@ -59,8 +59,6 @@ def _build_parser() -> _Parser:
     add_input(sp)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--path", action="store_true", help="path variant")
-    sp.add_argument("--mode", choices=("strict", "relaxed"), default="strict",
-                    help="ignored: both modes run the one pipeline")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--json", action="store_true")
 

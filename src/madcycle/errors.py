@@ -25,5 +25,5 @@ class EngineIncomplete(RuntimeError):
 
 
 class StateBudgetExceeded(Exception):
-    """An exact search passed its state budget (DET_STATE_BUDGET states); its
-    caller reports the search as not exact, or answers without it."""
+    """An exact search passed its state budget (DET_STATE_BUDGET states); it
+    raises this rather than answer a None that would read as absence."""

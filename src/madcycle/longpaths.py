@@ -5,10 +5,9 @@ cycle search, so the guarantee holds at desk scale while dense instances
 stay polynomial in practice. Every (s,t)-path search is the one exact
 depth-first search, `cyclesearch._colorful_path`, which also finds long
 cycles: st_path_at_least runs it under DET_STATE_BUDGET states, and
-fan_path is one st_path_at_least call at Fan's bound. st_path_at_least
-returns the path (or None) with a flag saying whether the search was exact:
-past the budget it gives up, so a None proves absence only when the flag
-is True.
+fan_path is one st_path_at_least call at Fan's bound. Every exact search
+has one contract: it returns its object, or None as a proof of absence, and
+past its state budget it raises StateBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
     """An (s,t)-path of length at least the average degree of the other vertices.
 
     The bound is exact-rational; integer path length must reach its ceiling.
-    Fan's theorem says such a path exists, and `st_path_at_least` finds it.
+    Fan's theorem says such a path exists, and `st_path_at_least` finds it;
+    a search past DET_STATE_BUDGET states is a ConstructionFailure.
     """
     if s == t:
         raise PreconditionError("fan_path needs distinct endpoints")
@@ -68,7 +68,10 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
         raise PreconditionError("fan_path needs a 2-connected graph")
     others = [v for v in g.vertices() if v not in (s, t)]
     want_vertices = math.ceil(avg_degree_of_set(g, others)) + 1
-    found, _ = st_path_at_least(g, s, t, want_vertices)
+    try:
+        found = st_path_at_least(g, s, t, want_vertices)
+    except StateBudgetExceeded:
+        found = None
     if found is None:
         raise ConstructionFailure(
             f"fan_path could not reach length {want_vertices - 1} between {s} and {t}"
@@ -78,25 +81,16 @@ def fan_path(g: Graph, s: int, t: int) -> PathCertificate:
 
 def st_path_at_least(
     g: Graph, s: int, t: int, target_vertices: int
-) -> tuple[PathCertificate | None, bool]:
-    """A simple (s,t)-path with >= target_vertices vertices, if one is found,
-    and whether the search was exact.
-
-    The search is an exact decision whenever it fits DET_STATE_BUDGET
-    states. Past the budget it answers (None, False): none found, and
-    nothing proved.
+) -> PathCertificate | None:
+    """A simple (s,t)-path with >= target_vertices vertices, or None when
+    none exists. Past DET_STATE_BUDGET states it raises StateBudgetExceeded.
     """
     if s == t:
         raise PreconditionError("st_path_at_least needs distinct endpoints")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise PreconditionError("st_path_at_least endpoint out of range")
     target_vertices = max(target_vertices, 2)
-    try:
-        found = cyclesearch._colorful_path(
-            g, s, t, (1 << g.n) - 1, target_vertices, [DET_STATE_BUDGET]
-        )
-    except StateBudgetExceeded:
-        return None, False
-    if found is None:
-        return None, True
-    return certify(g, PathCertificate(tuple(found))), True
+    found = cyclesearch._colorful_path(
+        g, s, t, (1 << g.n) - 1, target_vertices, [DET_STATE_BUDGET]
+    )
+    return None if found is None else certify(g, PathCertificate(tuple(found)))

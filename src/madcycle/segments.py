@@ -19,13 +19,13 @@ one (g, T, A), sized for the whole probe range of a case analysis and built
 on its first probe; every probe of that case is answered from it. A state
 with p <= P is derived only from states with p <= P, in the same order and
 from the same predecessor, so a larger range changes no answer and no
-reconstruction. When the state budget trips, `SegmentSearch.exact` turns
-False for good, the DP is released, and every probe from then on answers
-None: a None probe answer proves absence only while exact is True. Nothing
-is cached beyond the search object. `find_segments_partitioned` is the one
-probe, and `find_segments` is its probe (r, p, 0, r) with A empty. Every
-system a probe returns has passed `validate_segment_system`, an independent
-check that returns a `graph.VerifyOutcome`.
+reconstruction. A probe answers a system or None, which proves absence;
+past the state budget it raises StateBudgetExceeded, and so does every
+later probe of that search. Nothing is cached beyond the search object.
+`find_segments_partitioned` is the one probe, and `find_segments` is its
+probe (r, p, 0, r) with A empty. Every system a probe returns has passed
+`validate_segment_system`, an independent check that returns a
+`graph.VerifyOutcome`.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class SegmentSearch:
     to rmax: level r grows one state of level r-1 at a time, and level r-1
     is pulled forward only when level r has expanded every state it has so
     far. States exceeding pmax internals are never created. A state past the
-    budget may leave a level half expanded, so `find` then drops the DP: from
-    then on every probe answers None, and exact is False.
+    budget raises StateBudgetExceeded and may leave a level half expanded, so
+    every later query raises it too.
     """
 
     def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
@@ -147,27 +147,19 @@ class SegmentSearch:
             raise PreconditionError("A must be a subset of T")
         self.pmax = pmax
         self.rmax = rmax
-        self.exact = True
         self._levels: list[_Level] | None = None  # None until the first query
 
     def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
         """The system of the first state level r inserts with counts
-        (p, s, t), validated, or None. A probe past rmax or pmax raises
-        PreconditionError: the levels it needs are never built. r > p
-        answers None, exactly: each segment has an internal vertex."""
+        (p, s, t), validated, or None, which proves absence. A probe past
+        rmax or pmax raises PreconditionError: the levels it needs are never
+        built. r > p answers None: each segment has an internal vertex."""
         if r > self.rmax or p > self.pmax:
             raise PreconditionError(
                 f"probe (r={r}, p={p}) outside the search's range "
                 f"(r <= {self.rmax}, p <= {self.pmax})"
             )
-        if r > p or not self.exact:
-            return None
-        try:
-            hit = self.query(r, p, s, t)
-        except StateBudgetExceeded:
-            self.exact = False
-            self._levels = self._rows = self._alpha_walk = None
-            return None
+        hit = None if r > p else self.query(r, p, s, t)
         if hit is None:
             return None
         paths = tuple(PathCertificate(tuple(seq)) for seq in self.reconstruct(*hit))
@@ -330,6 +322,8 @@ class SegmentSearch:
             return None
         if self._levels is None:
             self._build()
+        elif self._states > self._budget:
+            raise StateBudgetExceeded()  # a level may be half expanded
         p_lo, s_lo, t_lo, p_hi, s_hi, t_hi = self._span
         if not (r * p_lo <= p <= r * p_hi and r * s_lo <= s <= r * s_hi
                 and r * t_lo <= t <= r * t_hi):
@@ -382,7 +376,8 @@ def find_segments(
     p: int,
     search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
-    """A system of exactly r T-segments with exactly p internal vertices.
+    """A system of exactly r T-segments with exactly p internal vertices,
+    or None when there is none; past the state budget, StateBudgetExceeded.
 
     This is the partitioned probe (r, p, 0, r) with A empty, so every
     segment counts as a B-segment.
@@ -407,10 +402,9 @@ def find_segments_partitioned(
 
     Returned systems always validate. A search made for (g, T, A) answers
     the probe from its shared DP; without one, a search for this probe
-    alone is made. A None answer is exact while search.exact is True after
-    the probe; once the search's state budget has tripped, every answer is
-    None and proves nothing. A probe with r > p is checked against the
-    search like any other and answers None, exactly.
+    alone is made. None proves absence, and past the state budget the probe
+    raises StateBudgetExceeded. A probe with r > p is checked against the
+    search like any other and answers None.
     """
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")

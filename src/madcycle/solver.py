@@ -158,9 +158,9 @@ def _splice_segments(
 
 def _outside_path(
     g: Graph, H: frozenset[int], target: int, stats: dict
-) -> tuple[PathCertificate | None, bool]:
+) -> PathCertificate | None:
     """An (s,t)-path with >= target vertices, s < t in H, all others outside H,
-    and whether every probe run was exact.
+    or None when there is none.
 
     Pairs are tried in lexicographic order. The internal vertices of such a
     path lie in one component C of G - H that touches both s and t and has
@@ -170,7 +170,8 @@ def _outside_path(
     path, so it returns the first such path in that order, which lies in
     those components: the same path as on all of G - H plus {s, t}, and
     labels keep their order under `induced_subgraph`. stats["st_probes"]
-    counts the probes run. A None proves absence only when the flag is True.
+    counts the probes run. A probe past the state budget does not stop the
+    others; if no probe finds a path, StateBudgetExceeded is raised then.
     """
     outside = [v for v in g.vertices() if v not in H]
     comps = [c for c in subset_components(g, outside) if len(c) + 2 >= target]
@@ -181,7 +182,7 @@ def _outside_path(
                 if w in H:
                     touching.setdefault(w, set()).add(i)
     anchors = sorted(touching)
-    exact = True
+    tripped = None
     for j, s in enumerate(anchors):
         for t in anchors[j + 1 :]:
             shared = touching[s] & touching[t]
@@ -189,13 +190,15 @@ def _outside_path(
                 continue
             host, ids = induced_subgraph(g, {s, t}.union(*(comps[i] for i in shared)))
             stats["st_probes"] += 1
-            found, probe_exact = longpaths.st_path_at_least(
-                host, ids.index(s), ids.index(t), target
-            )
-            exact = exact and probe_exact
+            try:
+                found = longpaths.st_path_at_least(host, ids.index(s), ids.index(t), target)
+            except StateBudgetExceeded as exc:
+                found, tripped = None, exc
             if found is not None:
-                return PathCertificate(tuple(ids[v] for v in found.vertices)), exact
-    return None, exact
+                return PathCertificate(tuple(ids[v] for v in found.vertices))
+    if tripped:
+        raise tripped
+    return None
 
 
 def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
@@ -249,15 +252,19 @@ def _case_analysis(
     outside segment system of the probes (r, p, s, t), all answered by one
     search over (g, H, A); either is spliced into the cycle _routed through
     H. Without either, the answer is _downgrade(no, may_claim_no, why) if
-    both searches were exact, else unknown with the state budget reason. A
+    no search passed the state budget, else unknown with the budget reason. A
     construction that fails answers unknown, keeping the search's stats."""
     stats: dict = {}
+    tripped = None
     try:
         if k_prime <= 0:
             system = segments.SegmentSystem((), H)  # the routed cycle is the splice
         else:
             stats.update(st_probes=0, segment_probes=0, k_prime=k_prime)
-            path, path_exact = _outside_path(g, H, target, stats)
+            try:
+                path = _outside_path(g, H, target, stats)
+            except StateBudgetExceeded as exc:
+                path, tripped = None, exc  # a segment system may still be found
             system = None if path is None else segments.SegmentSystem((path,), H)
         if system is None:
             search = segments.SegmentSearch(g, H, A, pmax, k_prime)
@@ -270,15 +277,15 @@ def _case_analysis(
                 if system is not None:
                     break
             else:
-                if path_exact and search.exact:
-                    return _downgrade(SolveResult("no", stats=stats, **base),
-                                      may_claim_no, why)
-                stats["reason"] = (
-                    f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
-                )
-                return SolveResult("unknown", stats=stats, **base)
+                if tripped:
+                    raise tripped
+                return _downgrade(SolveResult("no", stats=stats, **base),
+                                  may_claim_no, why)
         out = _splice_segments(_routed(g, H, A, system.endpoint_pairs(), core), system)
         cert = certify(g, CycleCertificate(tuple(out), base["threshold_len"]))
+    except StateBudgetExceeded:
+        stats["reason"] = f"search state budget exceeded: {longpaths.DET_STATE_BUDGET} states"
+        return SolveResult("unknown", stats=stats, **base)
     except ConstructionFailure as exc:
         stats["reason"] = f"construction failed: {exc}"
         return SolveResult("unknown", stats=stats, **base)

@@ -90,9 +90,7 @@ class TestSolve:
         assert code == 0
         f = tmp_path / "bip.el"
         f.write_text(graph)
-        code, out, err = run(
-            ["solve", str(f), "-k", "10", "--mode", "relaxed", "--json"]
-        )
+        code, out, err = run(["solve", str(f), "-k", "10", "--json"])
         assert code == 2 and err == ""
         obj = json.loads(out)
         assert obj["answer"] == "unknown" and obj["branch"] == "case_iii"
@@ -423,6 +421,12 @@ class TestErrors:
         code, out, err = run(["solve", write_k4(tmp_path), "-k", "1", "--budget", "1"])
         assert code == 64 and out == ""
         assert "usage error: unrecognized arguments: --budget 1" in err
+
+    @pytest.mark.parametrize("value", ["strict", "relaxed"])
+    def test_mode_flag_is_gone_from_solve(self, tmp_path, value):
+        code, out, err = run(["solve", write_k4(tmp_path), "-k", "1", "--mode", value])
+        assert code == 64 and out == ""
+        assert f"usage error: unrecognized arguments: --mode {value}" in err
 
     @pytest.mark.parametrize("family, key", [
         ("gnp2c", "n"), ("near_complete", "n"), ("near_complete", "min_degree"),

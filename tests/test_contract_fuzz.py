@@ -1,8 +1,9 @@
 """Contract fuzz: relations between solves that need no oracle.
 
 The oracles stop at n <= 14 and the range k <= mad/88 - 1 needs n >= 177,
-so above the oracles a `no` rests on the case analysis and the searches'
-exactness flags alone. Metamorphic relations (Chen, Cheung and Yiu 1998)
+so above the oracles a `no` rests on the case analysis alone, and on each
+search raising StateBudgetExceeded rather than answering None past its
+budget. Metamorphic relations (Chen, Cheung and Yiu 1998)
 check what they can without ground truth:
 
 - (a) relabelling the vertices never turns `yes` into `no`;
@@ -80,14 +81,18 @@ def state_budget(budget: int | None):
 
 
 @contextmanager
-def exact_stuck_true():
-    """The planted fault: SegmentSearch.exact stays True after a budget trip."""
+def find_swallows_the_trip():
+    """The planted fault: SegmentSearch.find answers None past its budget."""
 
-    class Stuck(segments.SegmentSearch):
-        exact = property(lambda self: True, lambda self, value: None)
+    class Swallowing(segments.SegmentSearch):
+        def find(self, *args):
+            try:
+                return super().find(*args)
+            except errors.StateBudgetExceeded:
+                return None
 
     saved = segments.SegmentSearch
-    segments.SegmentSearch = Stuck
+    segments.SegmentSearch = Swallowing
     try:
         yield
     finally:
@@ -266,20 +271,20 @@ def test_gnp_against_the_oracle():
     assert tally["lowered-budget solves that tripped"] > 0, tally
 
 
-def test_relation_g_catches_an_exact_flag_left_true():
+def test_relation_g_catches_a_swallowed_budget_trip():
     # K200 - M plus two one-vertex ears on the pair {0, 3}, k = 4: the
     # threshold 202 is n, so the dense pipeline runs; k' = 2 is too long for
     # an st probe, and no segment system carries 2 internals (both ears
     # share one pair), so the exact case analysis says no and _downgrade
-    # makes it unknown. With the budget at 0 the segment search trips; left
-    # exact, it says no again, and the out-of-range downgrade hides the
-    # trip behind the wrong reason.
+    # makes it unknown. With the budget at 0 the segment search trips; if
+    # find swallows the trip and answers None, the analysis says no again,
+    # and the out-of-range downgrade hides the trip behind the wrong reason.
     g = build_graph(k_minus_matching(200) + [(0, 200), (200, 3), (0, 201), (201, 3)], 202)
     res = solver.solve(g, 4)
     assert (res.answer, res.branch, res.threshold_len) == ("unknown", "case_ii", 202)
     assert res.stats["k_prime"] == 2 and res.stats["segment_probes"] == 2
     assert check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,)) == []
-    with exact_stuck_true():
+    with find_swallows_the_trip():
         bad = check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,))
     assert bad and all(v.startswith("(g)") for v in bad), bad
 

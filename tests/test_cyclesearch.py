@@ -298,8 +298,7 @@ class TestFindStPathAtLeast:
             g = random_connected_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.7))
             s, t = rng.sample(range(g.n), 2)
             want = rng.randint(2, g.n)
-            got, exact = st_path_at_least(g, s, t, want)
-            assert exact
+            got = st_path_at_least(g, s, t, want)  # raises past the budget
             if oracle_longest_st_path(g, s, t) < want:
                 assert got is None
                 continue

@@ -38,19 +38,19 @@ def _complete_minus_matching(n: int, extra=()) -> str:
 CASES = {
     "bip_dense_json_trace": (
         lambda: _gen("lemma7_trace", "--param", "branch=bip_dense_yes"),
-        [(["solve", "-k", "1", "--mode", "relaxed", "--json", "--trace"], 0, [])],
+        [(["solve", "-k", "1", "--json", "--trace"], 0, [])],
     ),
     # K26 minus a perfect matching plus the ears 0-26-2 and 3-27-5: at k=4
     # no single outside path is long enough, so two segments carry k'
     "case_ii_segments": (
         lambda: _complete_minus_matching(26, [(0, 26), (26, 2), (3, 27), (27, 5)]),
-        [(["solve", "-k", "4", "--mode", "relaxed", "--json"], 0, ['"branch":"case_ii"'])],
+        [(["solve", "-k", "4", "--json"], 0, ['"branch":"case_ii"'])],
     ),
     # K26 minus a perfect matching plus the ear 0-26-27-2: at k=4 the one
     # outside path 0-26-27-2 carries k' = 2, so no segment probe runs
     "case_ii_outside_path": (
         lambda: _complete_minus_matching(26, [(0, 26), (26, 27), (27, 2)]),
-        [(["solve", "-k", "4", "--mode", "relaxed", "--json"], 0,
+        [(["solve", "-k", "4", "--json"], 0,
           ['"branch":"case_ii"', '"st_probes":1', '"segment_probes":0'])],
     ),
     # K400 minus a perfect matching at k=3 (in range: 3 <= 398/88 - 1):
@@ -69,7 +69,7 @@ CASES = {
     # bound, so rule 4 tests the whole 400-vertex core for 3-connectivity
     "sparse_rule4_three_connected": (
         lambda: "".join(f"{i} {(i + d) % 400}\n" for i in range(400) for d in (1, 2)),
-        [(["solve", "-k", "1", "--mode", "relaxed", "--json"], 0,
+        [(["solve", "-k", "1", "--json"], 0,
           ['"answer":"yes"', r'"mad":\{"num":4,"den":1\}', '"threshold_len":5'])],
     ),
     # the load flow at the peeling bound overflows here, so a second flow runs
@@ -86,7 +86,7 @@ CASES = {
         lambda: _gen("gnp2c", "--param", "n=60", "--param", "prob=0.1", "--seed", "3"),
         [(["solve", "--path", "-k", "0", "--json"], 0,
           ['"answer":"yes"', '"branch":"path_k0"']),
-         (["solve", "--path", "-k", "2", "--mode", "relaxed", "--json"], 0,
+         (["solve", "--path", "-k", "2", "--json"], 0,
           ['"answer":"yes"', r'"branch":"path\[find_dense\]"'])],
     ),
 }

@@ -17,7 +17,10 @@ numbers. No module but `graph` wraps a cycle or path verifier in
 `functools.cache` appear only on `density.mad_with_witness`. Every no of a
 case analysis is gated: a `SolveResult("no", ...)` is the first argument of
 `solver._downgrade` or lies in the exact fallback, and no statement assigns
-"no" to an `.answer`. Stdlib `ast` only.
+"no" to an `.answer`. Every exact search returns its object or None, or
+raises StateBudgetExceeded past its budget, so only the layers that turn a
+search into an answer catch it: the exact fallback, `dirac_cycle`,
+`fan_path`, the outside-path probe and the case analysis. Stdlib `ast` only.
 """
 
 from __future__ import annotations
@@ -282,6 +285,31 @@ def ungated_nos(sources: dict[str, str]) -> list[str]:
     return out
 
 
+_BUDGET_CATCHERS = {
+    ("solver", "exact_longest_cycle_fallback"), ("longpaths", "dirac_cycle"),
+    ("longpaths", "fan_path"), ("solver", "_outside_path"), ("solver", "_case_analysis"),
+}
+
+
+def budget_catchers(sources: dict[str, str]) -> list[str]:
+    """'module:line' for each except clause naming StateBudgetExceeded, alone
+    or in a tuple, outside the answer layers (_BUDGET_CATCHERS)."""
+    out = []
+    for mod, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (mod, node.name) in _BUDGET_CATCHERS):
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and id(node) not in allowed
+                    and "StateBudgetExceeded" in _reads(node.type)):
+                out.append(f"{mod}:{node.lineno}")
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
@@ -316,6 +344,27 @@ def test_no_process_global_cache_but_the_mad_cache():
 
 def test_every_case_analysis_no_is_gated():
     assert ungated_nos(_package_sources()) == []
+
+
+def test_only_the_answer_layers_catch_a_budget_trip():
+    assert budget_catchers(_package_sources()) == []
+
+
+def test_the_check_sees_budget_catchers():
+    sources = {
+        "a": "def f():\n    try:\n        return g()\n"
+             "    except StateBudgetExceeded:\n        return None\n",
+        "b": "try:\n    g()\nexcept (ValueError, errors.StateBudgetExceeded) as exc:\n    pass\n"
+             "try:\n    g()\nexcept ValueError:\n    pass\n",
+        "segments": "def fan_path():\n    try:\n        g()\n"
+                    "    except StateBudgetExceeded:\n        pass\n",
+        "solver": "def _case_analysis():\n    try:\n        g()\n"
+                  "    except StateBudgetExceeded:\n        pass\n"
+                  "def solve():\n    try:\n        g()\n"
+                  "    except StateBudgetExceeded:\n        pass\n",
+    }
+    # an allowed function's name counts only in its own module
+    assert budget_catchers(sources) == ["a:4", "b:3", "segments:4", "solver:9"]
 
 
 def test_the_check_sees_process_global_caches():

@@ -120,6 +120,15 @@ class TestFanPath:
         with pytest.raises(PreconditionError):
             fan_path(complete(4), 1, 1)
 
+    def test_past_the_budget_is_a_construction_failure(self, monkeypatch):
+        # K6 has a Hamiltonian 0..1 path of length 5, Fan's bound; a search
+        # past its budget reports the bound it could not reach
+        assert fan_path(complete(6), 0, 1).length == 5
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
+        with pytest.raises(ConstructionFailure) as info:
+            fan_path(complete(6), 0, 1)
+        assert str(info.value) == "fan_path could not reach length 5 between 0 and 1"
+
     def test_bound_against_oracle_random(self):
         rng = random.Random(51)
         for _ in range(25):
@@ -138,11 +147,11 @@ class TestFanPath:
 
 class TestStPathAtLeast:
     def test_path4_target4(self):
-        p, exact = st_path_at_least(path_graph(4), 0, 3, 4)
-        assert exact and p is not None and p.vertices == (0, 1, 2, 3)
+        p = st_path_at_least(path_graph(4), 0, 3, 4)
+        assert p is not None and p.vertices == (0, 1, 2, 3)
 
     def test_path4_target5_absent(self):
-        assert st_path_at_least(path_graph(4), 0, 3, 5) == (None, True)
+        assert st_path_at_least(path_graph(4), 0, 3, 5) is None
 
     @pytest.mark.parametrize("s,t", [(0, 4), (4, 0), (-1, 3)])
     def test_endpoint_out_of_range_rejected(self, s, t):
@@ -152,8 +161,8 @@ class TestStPathAtLeast:
     def test_petersen_hamiltonian_nonadjacent(self):
         g = petersen()
         assert oracle_longest_st_path(g, 0, 2) == 10
-        p, exact = st_path_at_least(g, 0, 2, 10)
-        assert exact and p is not None and len(p) == 10
+        p = st_path_at_least(g, 0, 2, 10)
+        assert p is not None and len(p) == 10
         assert verify_path_certificate(g, p)
 
     def test_matches_oracle_random(self):
@@ -163,22 +172,24 @@ class TestStPathAtLeast:
             s, t = rng.sample(range(g.n), 2)
             best = oracle_longest_st_path(g, s, t)
             for target in range(2, g.n + 1):
-                found, exact = st_path_at_least(g, s, t, target)
-                assert exact and (found is not None) == (best >= target)
+                found = st_path_at_least(g, s, t, target)
+                assert (found is not None) == (best >= target)
                 if found is not None:
                     assert len(found) >= target
                     assert verify_path_certificate(g, found)
 
     def test_past_the_budget_nothing_is_found_or_proved(self, monkeypatch):
-        # K24 has the path, but a search past its budget answers none found,
-        # not exact
+        # K24 has the path, but a search past its budget raises: it neither
+        # finds the path nor answers an absence it has not proved
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
-        assert st_path_at_least(complete(24), 0, 5, 6) == (None, False)
+        with pytest.raises(StateBudgetExceeded):
+            st_path_at_least(complete(24), 0, 5, 6)
 
     def test_target_past_the_budget_and_the_colour_cap(self, monkeypatch):
-        # a target of hundreds of vertices past the budget: none found, not exact
+        # a target of hundreds of vertices past the budget raises too
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
-        assert st_path_at_least(path_graph(800), 0, 799, 720) == (None, False)
+        with pytest.raises(StateBudgetExceeded):
+            st_path_at_least(path_graph(800), 0, 799, 720)
 
 
 # The (s,t)-path searches that the one depth-first search replaced, copied
@@ -453,8 +464,8 @@ class TestOneStPathSearch:
                 longpaths, "DET_STATE_BUDGET",
                 _states(old_colorful_st_path, g, s, t, ident, want),
             )
-            got, exact = st_path_at_least(g, s, t, want)
-            assert exact and (got is None) == (old is None)
+            got = st_path_at_least(g, s, t, want)  # raises past the budget
+            assert (got is None) == (old is None)
             found += got is not None
         assert 20 <= found <= 180, found
 
@@ -467,9 +478,8 @@ class TestOneStPathSearch:
             g = random_connected_graph(rng, rng.randint(3, 14), rng.uniform(0.15, 0.8))
             s, t = rng.sample(range(g.n), 2)
             want = rng.randint(2, g.n)
-            got, exact = st_path_at_least(g, s, t, want)
+            got = st_path_at_least(g, s, t, want)
             old = old_find_st_path_at_least(g, s, t, want)
-            assert exact
             assert (got.vertices if got is not None else None) == (
                 tuple(old) if old is not None else None
             )
@@ -482,9 +492,9 @@ class TestOneStPathSearch:
         edges = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.2]
         g = build_graph(edges, 30)
         t0 = time.perf_counter()
-        found, exact = st_path_at_least(g, 0, 1, 12)
+        found = st_path_at_least(g, 0, 1, 12)
         assert time.perf_counter() - t0 < 0.1
-        assert exact and found is not None and len(found) >= 12
+        assert found is not None and len(found) >= 12
         assert verify_path_certificate(g, found)
         assert _pushed(g, 0, 1, 12) == 10
 
@@ -494,8 +504,8 @@ class TestOneStPathSearch:
         assert _pushed(g, s, t, 12) == 2914
         assert _states(old_colorful_st_path, g, s, t, ident, 12) == 7439
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 5000)
-        assert st_path_at_least(g, s, t, 12) == (None, True)
-        assert st_path_at_least(g, s, t, 9)[1]
+        assert st_path_at_least(g, s, t, 12) is None
+        assert st_path_at_least(g, s, t, 9) is not None
 
     @pytest.mark.parametrize("family", ["block_chain", "ear_built", "k4n"])
     def test_fan_path_wherever_the_old_one_found_a_path(self, family):
@@ -550,7 +560,8 @@ class TestExplicitCertificateChecks:
         if past_budget:
             # past the budget no path comes back, so none goes unchecked
             monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
-            assert st_path_at_least(complete(24), 0, 5, 6) == (None, False)
+            with pytest.raises(StateBudgetExceeded):
+                st_path_at_least(complete(24), 0, 5, 6)
             return
         with pytest.raises(ConstructionFailure, match="rejected for the test"):
             st_path_at_least(complete(24), 0, 5, 6)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from madcycle import longpaths, segments, solver
-from madcycle.errors import ConstructionFailure, PreconditionError
+from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
 from madcycle.graph import PathCertificate, VerifyOutcome, build_graph
 from madcycle.oracles import SEGMENTS_P_CAP, segment_signatures
 from madcycle.segments import (
@@ -164,7 +164,8 @@ def _split_with_ears(a, ears):
 class TestSharedSearch:
     def test_shared_engine_matches_fresh_searches(self):
         # one search walked through a case analysis's whole probe order
-        # answers every probe exactly as a search made for that probe alone
+        # answers every probe exactly as a search made for that probe alone;
+        # neither passes the budget, or the probe would raise
         rng = random.Random(17)
         probes, found, found_two_a = 0, 0, 0
         for _ in range(12):
@@ -183,7 +184,6 @@ class TestSharedSearch:
                     fresh = find_segments_partitioned(
                         g, T, A, T - A, r, p, s, t, search=fresh_search
                     )
-                    assert search.exact and fresh_search.exact
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
                         assert shared.paths == fresh.paths
@@ -237,7 +237,7 @@ class TestSharedSearch:
         for r, p in ((1, 3), (2, 2)):  # past pmax, past rmax
             with pytest.raises(PreconditionError, match="outside the search's range"):
                 search.find(r, p, 0, r)
-        assert search.find(1, 2, 0, 1) is None and search.exact
+        assert search.find(1, 2, 0, 1) is None
 
     def test_vertices_out_of_range(self):
         with pytest.raises(PreconditionError, match="out-of-range"):
@@ -247,17 +247,43 @@ class TestSharedSearch:
         with pytest.raises(PreconditionError, match="A must be a subset of T"):
             SegmentSearch(cycle_graph(6), {0, 3}, {0, 1}, 4, 2)
 
-    def test_budget_trip_finds_nothing_and_is_not_exact(self, monkeypatch):
+    def test_budget_trip_raises_on_every_probe(self, monkeypatch):
         # C8 has the segment 0..4 with 3 internals; past the budget no probe
-        # finds it, and the search stays inexact
+        # answers, neither the one with the segment nor the one without
         g = cycle_graph(8)
         assert find_segments(g, {0, 4}, 1, 3) is not None
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 3)
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
         for p in (3, 4):
-            assert find_segments(g, {0, 4}, 1, p, search=search) is None
-            assert search.exact is False
-            assert search._levels is search._rows is search._alpha_walk is None
+            with pytest.raises(StateBudgetExceeded):
+                find_segments(g, {0, 4}, 1, p, search=search)
+
+    def test_a_trip_in_a_half_built_level_raises_again(self, monkeypatch):
+        # T = {1, 3} joined by 1-2-3 and 1-2-0-3. At 9 states the probe
+        # (1, 1) trips with level 1 half expanded; read as complete, that
+        # level would answer None to (1, 2), so a later probe raises too
+        g = build_graph([(0, 2), (0, 3), (1, 2), (2, 3)], 4)
+        assert find_segments(g, {1, 3}, 1, 2).paths[0].vertices == (1, 2, 0, 3)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 9)
+        search = SegmentSearch(g, {1, 3}, (), 2, 1)
+        with pytest.raises(StateBudgetExceeded):
+            search.find(1, 1, 0, 1)
+        assert search._levels is not None
+        for p in (1, 2):
+            with pytest.raises(StateBudgetExceeded):
+                search.find(1, p, 0, 1)
+
+    def test_one_shot_probe_past_the_budget_raises(self, monkeypatch):
+        # C5 with T = {0, 1}: the one segment 0-3-4-1 has 2 internals; made
+        # for this probe alone, a search past its budget raises rather than
+        # answer a None no caller could tell from absence
+        g = build_graph([(0, 2), (2, 1), (1, 4), (4, 3), (3, 0)], 5)
+        assert find_segments(g, {0, 1}, 1, 2).paths[0].vertices == (0, 3, 4, 1)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 2)
+        with pytest.raises(StateBudgetExceeded):
+            find_segments(g, {0, 1}, 1, 2)
+        with pytest.raises(StateBudgetExceeded):
+            find_segments_partitioned(g, {0, 1}, {0}, {1}, 1, 2, 0, 0)
 
     def test_budget_trip_never_answers_no(self, monkeypatch):
         # an A-A outside path with one internal vertex is gated off, so the
@@ -279,13 +305,21 @@ class TestSharedSearch:
             assert res.answer == "unknown"
             assert res.branch == "case_iii" and res.stats["reason"] == why
 
+    def test_a_trip_counts_only_the_probes_that_ran(self, monkeypatch):
+        # the first segment probe trips, and no later probe runs or counts
+        g = _split_with_ears(8, 1)
+        monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
+        res = solver.solve(g, 5)
+        assert (res.answer, res.branch) == ("unknown", "case_iii")
+        assert res.stats["reason"] == "search state budget exceeded: 0 states"
+        assert res.stats["segment_probes"] == 1
+
     def test_one_state_budget_bounds_the_segment_search(self, monkeypatch):
         # the budget is read from longpaths when a probe runs, so one patch
         # bounds the st-path, cycle and segment searches alike
         g = cycle_graph(8)
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
         assert find_segments(g, {0, 4}, 1, 3, search=search) is not None
-        assert search.exact is True
         # K26 minus a perfect matching plus a star too small for an st probe;
         # mad 88 and k 0 put k' = 62 in the k range
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
@@ -294,21 +328,28 @@ class TestSharedSearch:
         host, H = build_graph(edges, 30), frozenset(range(26))
         res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "no" and res.stats["st_probes"] == 0
-        made = []
+        made, tripped = [], []
 
         class Recorded(SegmentSearch):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
+            def find(self, *args):
+                try:
+                    return super().find(*args)
+                except StateBudgetExceeded:
+                    tripped.append(self)
+                    raise
+
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         search = SegmentSearch(g, {0, 4}, (), 4, 2)
-        find_segments(g, {0, 4}, 1, 3, search=search)
-        assert search.exact is False
+        with pytest.raises(StateBudgetExceeded):
+            find_segments(g, {0, 4}, 1, 3, search=search)
         monkeypatch.setattr(segments, "SegmentSearch", Recorded)
         res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
-        assert made and all(s.exact is False for s in made)
+        assert made and tripped == made
 
     def test_solve_leaves_no_engine_alive(self, monkeypatch):
         made = []

@@ -263,6 +263,13 @@ def long_cycle_search_best(
     replaces best if longer, and the first full closure, when it is reopened.
     Both rounds are run out first only while the path misses a vertex, as an
     extension outranks every closure; a spanning path is scored once, lazily.
+
+    Before its rounds, each greedy-maximal path with >= want vertices has the
+    closures of its own ends scored (the identity variant), and the first of
+    greatest length is returned at once if it reaches want: a caller that
+    asks for less than the longest cycle runs no rotation round. Otherwise
+    the search runs as if that scoring had not happened, so a result shorter
+    than want is the one the rounds alone give.
     """
     if g.n < 3:
         return None
@@ -270,6 +277,10 @@ def long_cycle_search_best(
     best: list[int] | None = None
     path = greedy_extend(g, [0])
     while True:
+        if len(path) >= want:
+            win, _ = _score(g, [(path, [(path[-1], ())], False)], want - 1, len(path))
+            if win is not None:
+                return _closure(g, *win)
         back = path[::-1]
         rounds = [(path, rotation_round(g, path, budget), False),
                   (back, rotation_round(g, back, budget), True)]

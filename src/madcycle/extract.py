@@ -231,7 +231,10 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
     "no" rests on them: a FoundCycle may be shorter than mad + k (its
     certificate then claims length 3; the paper rules this out for
     k <= mad/80 - 1), and the side A of a BipartiteDense is not checked
-    against 2|A| >= mad - 8k.
+    against 2|A| >= mad - 8k. The engine starts from a Dirac cycle of the
+    core asked for the threshold, so a FoundCycle at or above the threshold
+    may be shorter than the core's longest; a threshold above min(n, 2*delta)
+    of the core asks for that bound instead.
     """
     if g.n < 2:
         raise PreconditionError("find_dense needs at least two vertices")
@@ -258,10 +261,11 @@ def find_dense(g: Graph, k: int) -> tuple[DenseWitness, ReductionTrace]:
 
     k_prime = threshold - 2 * sub.min_degree()
 
-    # iterate the engine from a Dirac cycle, of length >= min(n, 2*delta):
-    # when k' <= 0 a cycle below the threshold is Hamiltonian, and the
-    # engine's first check says so
-    cyc = longpaths.dirac_cycle(sub)
+    # iterate the engine from a Dirac cycle of length >= min(threshold, n,
+    # 2*delta), which stops at the threshold when it can: when k' <= 0 a
+    # cycle below the threshold is Hamiltonian, and the engine's first
+    # check says so
+    cyc = longpaths.dirac_cycle(sub, threshold)
     while len(cyc) < threshold:
         outcome = corollary5_engine(sub, k_prime, cyc)
         if isinstance(outcome, LongerCycle):

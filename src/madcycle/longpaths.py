@@ -28,20 +28,24 @@ from .graph import (
 DET_STATE_BUDGET = 400_000  # states one exact search may push before it gives up
 
 
-def dirac_cycle(g: Graph) -> CycleCertificate:
-    """A cycle of length >= min(n, 2*min_degree) in a 2-connected graph.
+def dirac_cycle(g: Graph, want: int | None = None) -> CycleCertificate:
+    """A cycle of length >= min(want, n, 2*min_degree), never below 3, in a
+    2-connected graph; want None asks for min(n, 2*min_degree).
 
     Rotation-extension with crossing-chord closure; when 2*delta >= n the
     crossing chord always exists for a maximal path, so the loop provably
-    reaches a Hamiltonian cycle. Below that threshold the exact cycle search
-    backs up the heuristic, under DET_STATE_BUDGET states; past them it is
-    a ConstructionFailure. A short heuristic cycle has already been grown by
-    `cyclesearch.grow_cycle` as far as it goes, so it is not grown again.
+    reaches a Hamiltonian cycle. The search returns at the first path whose
+    closure reaches the length asked, so a caller that needs less than the
+    Dirac bound gets a shorter cycle, sooner. Below the bound the exact
+    cycle search backs up the heuristic, under DET_STATE_BUDGET states; past
+    them it is a ConstructionFailure. A short heuristic cycle has already
+    been grown by `cyclesearch.grow_cycle` as far as it goes, so it is not
+    grown again.
     """
     if not is_biconnected(g):
         raise PreconditionError("dirac_cycle needs a 2-connected graph")
-    want = min(g.n, 2 * g.min_degree())
-    want = max(want, 3)
+    bound = min(g.n, 2 * g.min_degree())
+    want = max(bound if want is None else min(want, bound), 3)
     cyc = cyclesearch.long_cycle_search_best(g, want)
     if cyc is None or len(cyc) < want:
         try:
@@ -50,7 +54,7 @@ def dirac_cycle(g: Graph) -> CycleCertificate:
             cyc = None
     if cyc is None:
         raise ConstructionFailure(
-            f"dirac_cycle could not reach min(n, 2*delta) = {want} on n={g.n}"
+            f"dirac_cycle could not reach length {want} on n={g.n}"
         )
     return certify(g, CycleCertificate(tuple(cyc), want))
 

@@ -64,29 +64,35 @@ def k0_constructive_cycle(g: Graph) -> CycleCertificate:
     """A verified cycle of length strictly greater than mad(G).
 
     Works on any graph with mad >= 2: densest witness, reduction by rules
-    1-3, then a Dirac cycle of the core, of length >= min(n, 2*delta) of
-    the core. Both terms exceed mad; write eg = 2m/(n-1) for the core:
+    1-3, then a Dirac cycle of the core asked for floor(mad)+1 vertices, the
+    least integer above mad. The Dirac bound min(n, 2*delta) of the core is
+    at least that, since both terms are integers that exceed mad; write
+    eg = 2m/(n-1) for the core:
     - the witness has eg > 2m/n = mad, and no rule lowers eg, so the
       core's eg > mad;
     - at the rule-2 fixpoint the core is one block, with n >= 3 by the
       last point and mad >= 2, so it is 2-connected and dirac_cycle applies;
     - at the rule-3 fixpoint every degree exceeds eg/2, so 2*delta > mad;
     - n >= eg, since 2m <= n(n-1), so n > mad.
-    Rule 4 (the 2-separator scan) is not needed and not run. The length is
-    still checked, and a cycle not longer than mad raises
-    ConstructionFailure.
+    So the search may stop at floor(mad)+1 vertices, and on a sparse core
+    it does so long before a Hamiltonian cycle. Rule 4 (the 2-separator
+    scan) is not needed and not run. The length is still checked, and a
+    cycle not longer than mad raises ConstructionFailure.
     """
     return _k0_cycle(g, math.ceil(mad_with_witness(g).mad))[0]
 
 
 def _k0_cycle(g: Graph, want: int) -> tuple[CycleCertificate, ReductionTrace]:
     """k0_constructive_cycle's cycle, certified against g as at least `want`
-    long, and the trace of its one reduction."""
+    long, and the trace of its one reduction. The Dirac cycle is asked for
+    floor(mad)+1 vertices, not for want: the callers' ceil(mad) equals mad
+    when mad is an integer."""
     witness = mad_with_witness(g)
     if witness.mad < 2:
         raise PreconditionError("no cycle exists below mad = 2")
     _, trace = reduce_exhaustive(g, witness.vertices, rules=K0_RULES)
-    cyc = longpaths.dirac_cycle(trace.core)
+    above = math.floor(witness.mad) + 1
+    cyc = longpaths.dirac_cycle(trace.core, above)
     mapped = tuple(trace.core_ids[v] for v in cyc.vertices)
     cert = certify(g, CycleCertificate(mapped, want))
     if not Fraction(len(mapped)) > witness.mad:

@@ -27,11 +27,19 @@ from madcycle.cyclesearch import (
 )
 from madcycle.density import mad_with_witness
 from madcycle.errors import StateBudgetExceeded
-from madcycle.graph import Graph, build_graph, induced_subgraph, reach
+from madcycle.graph import (
+    CycleCertificate,
+    Graph,
+    build_graph,
+    induced_subgraph,
+    reach,
+    verify_cycle_certificate,
+)
 from madcycle.instances import gen_instance
 from madcycle.longpaths import st_path_at_least
 from madcycle.oracles import oracle_longest_st_path
 from madcycle.reduction import K0_RULES, reduce_exhaustive
+from madcycle.solver import solve
 
 from conftest import (
     complete,
@@ -480,6 +488,18 @@ def _wants(rng, g):
     return {dirac, g.n, rng.randint(3, g.n)}
 
 
+def _assert_early_return_only(g, got, want, budget):
+    """The search against the parent's, which ran its rounds before it
+    scored any closure: a result short of want is the parent's, and where
+    the parent reached want the search does too, with a cycle of g."""
+    old = old_long_cycle_search_best(g, want, budget)
+    if got is None or len(got) < want:
+        assert got == old
+    if old is not None and len(old) >= want:
+        assert got is not None and len(got) >= want
+        assert verify_cycle_certificate(g, CycleCertificate(tuple(got), want))
+
+
 class TestRotationSearch:
     def test_variants_equal_the_built_rotations(self):
         rng = random.Random(21)
@@ -508,7 +528,7 @@ class TestRotationSearch:
             for want in _wants(rng, g):
                 for budget in (1, 5, 0):
                     got = long_cycle_search_best(g, want, rotation_budget=budget)
-                    assert got == old_long_cycle_search_best(g, want, budget)
+                    _assert_early_return_only(g, got, want, budget)
                     # a search that falls short ran every round it could
                     short += got is not None and len(got) < want
         assert short >= 20, short
@@ -537,7 +557,26 @@ class TestRotationSearch:
             for want in _wants(rng, core):
                 for budget in (1, 5, 0):
                     got = long_cycle_search_best(core, want, rotation_budget=budget)
-                    assert got == old_long_cycle_search_best(core, want, budget)
+                    _assert_early_return_only(core, got, want, budget)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sparse_k0_solves_run_no_rotation_round(self, monkeypatch, seed):
+        # the golden gnp150 k = 0 solves need floor(mad)+1 vertices, which the
+        # first greedy path closes; a Hamiltonian cycle of the core takes 28
+        # rounds
+        rounds = [0]
+        real = cyclesearch.rotation_round
+
+        def counting(*args):
+            rounds[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cyclesearch, "rotation_round", counting)
+        g, _ = gen_instance("gnp2c", {"n": 150, "prob": 0.054}, seed)
+        res = solve(g, 0)
+        assert res.answer == "yes" and res.branch == "k0"
+        assert len(res.certificate) >= res.threshold_len
+        assert rounds[0] == 0
 
     def test_spanning_rounds_expand_only_the_variants_scored(self, monkeypatch):
         # once the path spans g no variant can extend, so each round is

@@ -137,18 +137,20 @@ class TestEngine:
 
     def test_exact_cover_when_the_greedy_cover_is_too_large(self):
         # the greedy cover {0, 1, 2, 3, 5} exceeds delta + 2k = 4; the exact
-        # search finds {0, 1, 6, 7}
-        g = build_graph(
-            [(0, v) for v in (1, 2, 3, 4, 6, 7, 8, 9)]
-            + [(1, v) for v in (2, 3, 4, 5, 6, 7, 8, 9)]
-            + [(2, 6), (2, 7), (3, 6), (5, 7)],
-            10,
-        )
-        c = dirac_cycle(g)
-        assert c.vertices == (3, 6, 2, 7, 5, 1, 8, 0)
+        # search finds {0, 1, 6, 7} from a longest cycle, an 8-cycle
+        g = _cover_graph()
+        c = CycleCertificate((3, 6, 2, 7, 5, 1, 8, 0), 3)
         assert len(extract._greedy_cover(g)) == 5 > g.min_degree() + 2
         out = corollary5_engine(g, 1, c)
         assert out == VertexCover(frozenset({0, 1, 6, 7}))
+
+    def test_dirac_cycle_of_the_cover_graph_stops_at_its_bound(self):
+        # 2*delta = 4: the first greedy path closes into a 5-cycle, from which
+        # the engine finds a longer cycle instead of a cover
+        g = _cover_graph()
+        c = dirac_cycle(g)
+        assert c.vertices == (6, 2, 0, 1, 3) and c.claimed_min_length == 4
+        assert isinstance(corollary5_engine(g, 1, c), LongerCycle)
 
     def test_bounded_search_where_the_matching_beats_the_greedy_cover(self, monkeypatch):
         # a small core, found by random search, whose maximal matching has 6
@@ -334,6 +336,17 @@ def _parent_refine(h, X, k):
     return A, B
 
 
+def _cover_graph():
+    """Ten vertices whose greedy cover is too large for the engine's bound
+    and whose longest cycle has 8 vertices."""
+    return build_graph(
+        [(0, v) for v in (1, 2, 3, 4, 6, 7, 8, 9)]
+        + [(1, v) for v in (2, 3, 4, 5, 6, 7, 8, 9)]
+        + [(2, 6), (2, 7), (3, 6), (5, 7)],
+        10,
+    )
+
+
 def _parent_engine(h, k, C, budget=None):
     """extract.corollary5_engine before the cover bound skipped growth,
     verbatim but for raising EngineIncomplete and checking by certify."""
@@ -385,10 +398,12 @@ def _engine_graph(rng):
 
 
 def _engine_cycle(rng, g):
-    """A Dirac cycle of a 2-connected g, else some cycle of at least a random
+    """The rotation search's cycle of a 2-connected g, run through all its
+    rounds (no cycle reaches n + 1), else some cycle of at least a random
     length, or None."""
     if is_biconnected(g) and rng.random() < 0.5:
-        return dirac_cycle(g)
+        found = cyclesearch.long_cycle_search_best(g, g.n + 1)
+        return CycleCertificate(tuple(found), 3)
     try:
         found = find_cycle_at_least(g, rng.randint(3, max(3, g.n)), 500)
     except StateBudgetExceeded:
@@ -689,11 +704,11 @@ class TestFindDense:
         real = longpaths.dirac_cycle
         calls = []
 
-        def short_first(h):
+        def short_first(h, want=None):
             calls.append(h.n)
             if len(calls) == 1:
                 return CycleCertificate(tuple(range(h.n - 1)), 3)
-            return real(h)
+            return real(h, want)
 
         monkeypatch.setattr(longpaths, "dirac_cycle", short_first)
         g = complete(12)

@@ -3,10 +3,10 @@
 Pipeline: densest induced subgraph, exhaustive reduction, then on the
 reduced core either a two-separator glue cycle or iterated calls to the
 cycle/cover engine from a Dirac cycle. The engine honors the contract
-longer-cycle / vertex cover of size <= delta+2k / Hamiltonian, and raises
-EngineIncomplete when it reaches none of them; so does the refinement of the
-cover into a bipartite-dense pair. Every outcome is verified, so
-EngineIncomplete signals incompleteness, never incorrectness.
+longer-cycle / vertex cover of size <= delta+2k / Hamiltonian, offering one
+greedy cover, and raises EngineIncomplete when it reaches none of them; so
+does the refinement of the cover into a bipartite-dense pair. Every outcome
+is verified, so EngineIncomplete signals incompleteness, never incorrectness.
 """
 
 from __future__ import annotations
@@ -86,10 +86,13 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     Cheapest first: Hamiltonicity check, a live-degree greedy vertex cover
     X, insertion/rotation enlargement (at most 200n rotation steps) only
     while |C| < 2|X|, as no cycle is longer than 2|X|, then X if it has at
-    most delta + 2k vertices, else the exact bounded branch-and-bound; with
-    neither, it raises EngineIncomplete. The corollary's preconditions (h
-    3-connected, 0 < k <= delta/24, |C| < 2*delta + k) are not checked: each
-    outcome is verified and holds without them.
+    most delta + 2k vertices; with neither, it raises EngineIncomplete.
+    Where growth is skipped that is exact: a cycle has at most 2*tau
+    vertices (tau the least cover size), so |C| >= 2|X| forces |X| = tau,
+    and no cover of at most delta + 2k vertices exists once X has more.
+    The corollary's preconditions (h 3-connected, 0 < k <= delta/24,
+    |C| < 2*delta + k) are not checked: each outcome is verified and holds
+    without them.
     """
     chk = verify_cycle_certificate(h, C)
     if not chk:
@@ -116,22 +119,9 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     bound = delta + 2 * k
     if len(cover) <= bound:
         return VertexCover(frozenset(cover))
-    cover = _bounded_min_cover(h, bound)
-    if cover is not None:
-        return VertexCover(frozenset(cover))
     raise EngineIncomplete(
         f"no longer cycle within budget and no vertex cover of size <= {bound}"
     )
-
-
-def _maximal_matching(edges) -> set[int]:
-    """The ends of a maximal matching, greedy in the given edge order: a
-    vertex cover, of twice the matching's size."""
-    matched: set[int] = set()
-    for u, v in edges:
-        if u not in matched and v not in matched:
-            matched |= {u, v}
-    return matched
 
 
 def _greedy_cover(h: Graph) -> set[int]:
@@ -146,36 +136,6 @@ def _greedy_cover(h: Graph) -> set[int]:
             if w not in greedy:
                 live[w] -= 1
     return greedy
-
-
-def _bounded_min_cover(h: Graph, bound: int) -> set[int] | None:
-    """Exact vertex cover of size <= bound by include-v-or-its-neighbors
-    search, pruned by a maximal matching of the uncovered edges."""
-
-    def rec(chosen: set[int], uncov: list[tuple[int, int]], limit: int):
-        if not uncov:
-            return chosen
-        if limit <= 0 or len(_maximal_matching(uncov)) > 2 * limit:
-            return None
-        deg: dict[int, int] = {}
-        for u, v in uncov:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        v = max(sorted(deg), key=lambda x: deg[x])
-        found = rec(chosen | {v}, [e for e in uncov if v not in e], limit - 1)
-        if found is not None:
-            return found
-        # without v, every neighbour not yet chosen must join the cover
-        nbrs = set(h.adj[v]) - chosen
-        if len(nbrs) > limit:
-            return None
-        return rec(
-            chosen | nbrs,
-            [e for e in uncov if e[0] not in nbrs and e[1] not in nbrs],
-            limit - len(nbrs),
-        )
-
-    return rec(set(), list(h.edges()), bound)
 
 
 # ---------------------------------------------------------------------------

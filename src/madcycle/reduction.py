@@ -108,9 +108,9 @@ def apply_rule(
     if rule == 3:
         if sub.n < 3:
             return None
-        threshold = eg_bound(sub) / 2
+        # degree <= eg/2 = m/(n-1), in integers
         for v in range(sub.n):
-            if sub.degree(v) <= threshold:
+            if sub.degree(v) * (sub.n - 1) <= sub.m:
                 keep = vs - {ids[v]}
                 return keep, frozenset({ids[v]})
         return None

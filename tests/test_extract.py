@@ -135,14 +135,16 @@ class TestEngine:
         assert find_cycle_at_least(g, 10) is None
         assert _min_cover_size(g) == 6
 
-    def test_exact_cover_when_the_greedy_cover_is_too_large(self):
-        # the greedy cover {0, 1, 2, 3, 5} exceeds delta + 2k = 4; the exact
-        # search finds {0, 1, 6, 7} from a longest cycle, an 8-cycle
+    def test_incomplete_where_the_greedy_cover_is_too_large(self):
+        # the greedy cover {0, 1, 2, 3, 5} exceeds delta + 2k = 4, and growth
+        # fails from a longest cycle, an 8-cycle: the engine gives up,
+        # although {0, 1, 6, 7} is a cover, as it runs no exact cover search
         g = _cover_graph()
         c = CycleCertificate((3, 6, 2, 7, 5, 1, 8, 0), 3)
         assert len(extract._greedy_cover(g)) == 5 > g.min_degree() + 2
-        out = corollary5_engine(g, 1, c)
-        assert out == VertexCover(frozenset({0, 1, 6, 7}))
+        assert _min_cover_size(g) == 4 and 8 < 2 * 5
+        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 4"):
+            corollary5_engine(g, 1, c)
 
     def test_dirac_cycle_of_the_cover_graph_stops_at_its_bound(self):
         # 2*delta = 4: the first greedy path closes into a 5-cycle, from which
@@ -152,11 +154,11 @@ class TestEngine:
         assert c.vertices == (6, 2, 0, 1, 3) and c.claimed_min_length == 4
         assert isinstance(corollary5_engine(g, 1, c), LongerCycle)
 
-    def test_bounded_search_where_the_matching_beats_the_greedy_cover(self, monkeypatch):
-        # a small core, found by random search, whose maximal matching has 6
-        # ends and whose greedy cover has 7; its longest cycle misses vertex
-        # 10, so growth fails and the 7 > delta + 2k = 6 greedy vertices send
-        # the engine to the bounded exact search
+    def test_incomplete_where_a_smaller_cover_than_the_greedy_one_exists(self):
+        # a small core, found by random search, with a 6-vertex cover and a
+        # 7-vertex greedy cover; its longest cycle misses vertex 10, so
+        # growth fails, and the 7 > delta + 2k = 6 greedy vertices end the
+        # engine: it runs no exact cover search
         g = build_graph(
             [(0, v) for v in (4, 5, 6, 8, 9, 10)] + [(1, v) for v in (2, 3, 6, 7)]
             + [(2, 3), (2, 6), (2, 7)] + [(3, v) for v in (4, 5, 6, 8, 9, 10)]
@@ -165,22 +167,14 @@ class TestEngine:
         )
         c = CycleCertificate((0, 9, 3, 6, 2, 1, 7, 5, 8, 4), 3)
         assert verify_cycle_certificate(g, c) and find_cycle_at_least(g, 11) is None
-        assert len(extract._maximal_matching(g.edges())) == 6
         assert len(extract._greedy_cover(g)) == 7 and g.min_degree() == 2
-        real, bounds = extract._bounded_min_cover, []
-
-        def recorded(h, bound):
-            bounds.append(bound)
-            return real(h, bound)
-
-        monkeypatch.setattr(extract, "_bounded_min_cover", recorded)
-        out = corollary5_engine(g, 2, c)
-        assert out == VertexCover(frozenset(range(6))) and bounds == [6]
-        assert all(u in out.vertices or v in out.vertices for u, v in g.edges())
+        assert all(u < 6 or v < 6 for u, v in g.edges())
+        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 6"):
+            corollary5_engine(g, 2, c)
         # no cover has delta + 2 = 4 vertices
+        assert _min_cover_size(g) == 6
         with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 4"):
             corollary5_engine(g, 1, c)
-        assert bounds == [6, 4]
 
     def test_runs_without_corollary_preconditions(self):
         # k = 1 > delta/24 on K10: the engine still answers, and soundly
@@ -197,31 +191,6 @@ def _min_cover_size(g) -> int:
         for c in combinations(range(g.n), size):
             if all(u in c or v in c for u, v in edges):
                 return size
-
-
-class TestBoundedMinCover:
-    def test_exclude_branch_charges_only_new_neighbours(self):
-        # the only least cover is {2, 3, 4}; it is found only if the branch
-        # without a vertex charges just its neighbours not yet chosen
-        g = build_graph(
-            [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)], 6
-        )
-        assert _min_cover_size(g) == 3
-        assert extract._bounded_min_cover(g, 3) == {2, 3, 4}
-
-    def test_against_brute_force(self):
-        rng = random.Random(5)
-        for _ in range(600):
-            n = rng.randint(2, 11)
-            g = random_graph(rng, n, rng.random())
-            least = _min_cover_size(g)
-            for bound in range(max(0, least - 1), least + 2):
-                cover = extract._bounded_min_cover(g, bound)
-                if cover is None:
-                    assert least > bound
-                    continue
-                assert len(cover) <= bound
-                assert all(u in cover or v in cover for u, v in g.edges())
 
 
 def _parent_greedy_cover(h):
@@ -253,7 +222,8 @@ def _parent_greedy_cover(h):
 
 
 def _parent_bounded_min_cover(h, bound):
-    """extract._bounded_min_cover before it returned its cover, verbatim."""
+    """The engine's exact cover search (extract._bounded_min_cover, since
+    deleted) before it returned its cover, verbatim."""
     edges = list(h.edges())
 
     def lower_bound(uncov):
@@ -349,7 +319,8 @@ def _cover_graph():
 
 def _parent_engine(h, k, C, budget=None):
     """extract.corollary5_engine before the cover bound skipped growth,
-    verbatim but for raising EngineIncomplete and checking by certify."""
+    verbatim but for raising EngineIncomplete, checking by certify and
+    calling the verbatim _parent_bounded_min_cover."""
     chk = verify_cycle_certificate(h, C)
     if not chk:
         raise PreconditionError(f"C is not a cycle of h: {chk.reason}")
@@ -377,7 +348,7 @@ def _parent_engine(h, k, C, budget=None):
     cover = extract._greedy_cover(h)
     if len(cover) <= bound:
         return VertexCover(frozenset(cover))
-    cover = extract._bounded_min_cover(h, bound)
+    cover = _parent_bounded_min_cover(h, bound)
     if cover is not None:
         return VertexCover(frozenset(cover))
     raise EngineIncomplete(
@@ -431,19 +402,12 @@ def _outside_probe_cores():
     return cores
 
 
-def _assert_same_cover_side(h, bounds, ks):
+def _assert_same_cover_side(h, ks):
     greedy = extract._greedy_cover(h)
     assert greedy == _parent_greedy_cover(h)
-    covers = {frozenset(greedy)}
-    for bound in bounds:
-        cover = extract._bounded_min_cover(h, bound)
-        assert cover == _parent_bounded_min_cover(h, bound)
-        if cover is not None:
-            covers.add(frozenset(cover))
-    for X in covers:
-        for k in ks:
-            assert (_or_reason(refine_vertex_cover_to_partition, h, X, k)
-                    == _or_reason(_parent_refine, h, X, k))
+    for k in ks:
+        assert (_or_reason(refine_vertex_cover_to_partition, h, greedy, k)
+                == _or_reason(_parent_refine, h, greedy, k))
 
 
 class TestCoverSideAgainstParent:
@@ -452,7 +416,7 @@ class TestCoverSideAgainstParent:
         for _ in range(2000):
             n = rng.randint(2, 30)
             g = random_graph(rng, n, rng.random())
-            _assert_same_cover_side(g, range(n + 1), (0, rng.randint(1, 4)))
+            _assert_same_cover_side(g, (0, rng.randint(1, 4)))
 
     def test_split_graphs_with_ears(self, monkeypatch):
         real, seen = extract.corollary5_engine, []
@@ -468,8 +432,7 @@ class TestCoverSideAgainstParent:
             w, _ = find_dense(g, k)
             assert isinstance(w, BipartiteDense) and len(seen) == 1
             h, k_prime, c = seen[0]
-            bound = h.min_degree() + 2 * k_prime
-            _assert_same_cover_side(h, range(bound - 2, bound + 3), (k - 1, k, k + 1))
+            _assert_same_cover_side(h, (k - 1, k, k + 1))
             # the Dirac cycle is already twice the cover, so the engine skips
             # growth, and answers as the parent's did after its searches
             assert len(c) >= 2 * len(extract._greedy_cover(h))
@@ -477,37 +440,80 @@ class TestCoverSideAgainstParent:
 
 
 def _against_parent(g, k, c):
-    """The engine's outcome on (g, k, c), checked against the parent's: the
-    same type and the same cycle, cover or reason, except where the parent
-    re-dispatched to a Dirac cycle (2 delta >= n, c not Hamiltonian). There
-    the engine grows c itself, to a longer cycle."""
+    """(outcome, dropped): the engine's outcome on (g, k, c), checked against
+    the parent's: the same type and the same cycle, cover or reason, except
+    in two places. Where the parent re-dispatched to a Dirac cycle (2 delta
+    >= n, c not Hamiltonian), the engine grows c itself, to a longer cycle.
+    Where the parent's exact search found a cover that the greedy cover
+    missed (dropped), the engine raises EngineIncomplete."""
     out = _or_reason(corollary5_engine, g, k, c)
     if len(c) < g.n and 2 * g.min_degree() >= g.n:
         assert isinstance(out, LongerCycle) and len(out.cycle) > len(c), (g.adj, c, k)
+        return out, False
+    parent = _or_reason(_parent_engine, g, k, c)
+    bound = g.min_degree() + 2 * k
+    dropped = isinstance(parent, VertexCover) and len(extract._greedy_cover(g)) > bound
+    if dropped:
+        assert len(c) < 2 * len(extract._greedy_cover(g)), (g.adj, c, k)
+        assert out == (
+            f"no longer cycle within budget and no vertex cover of size <= {bound}"
+        ), (g.adj, c, k)
     else:
-        assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
-    return out
+        assert out == parent, (g.adj, c, k)
+    return out, dropped
 
 
 class TestEngineAgainstParent:
-    """The cover bound changes no outcome, and the Dirac re-dispatch is gone:
-    each outcome is the parent engine's, or a longer cycle where the parent
-    returned a Dirac cycle."""
+    """The cover bound changes no outcome, the Dirac re-dispatch is gone, and
+    so is the exact cover search: each outcome is the parent engine's, or a
+    longer cycle where the parent returned a Dirac cycle, or EngineIncomplete
+    where the parent's exact search beat the greedy cover."""
 
     def test_random_graphs(self):
         rng = random.Random(27)
-        runs, settled, longer = 0, 0, 0
+        runs, settled, longer, dropped = 0, 0, 0, 0
         while runs < 1000:
             g = _engine_graph(rng)
             c = _engine_cycle(rng, g)
             if c is None:
                 continue
             k = rng.randint(1, 3)
-            out = _against_parent(g, k, c)
+            out, lost = _against_parent(g, k, c)
             runs += 1
             settled += len(c) < g.n and len(c) >= 2 * len(extract._greedy_cover(g))
             longer += isinstance(out, LongerCycle)
+            dropped += lost
         assert settled >= 100 and longer >= 100, (settled, longer)
+        # one draw of the thousand had a cover within the bound that the
+        # greedy cover missed, with growth run out
+        assert dropped == 1, dropped
+
+    def test_the_greedy_cover_is_least_once_the_cycle_is_twice_it(self):
+        # no two consecutive cycle vertices lie outside a cover, so a cycle
+        # has at most 2 tau vertices: |C| >= 2|X| forces |X| = tau, where the
+        # parent's exact search could only fail, and the outcomes agree
+        rng = random.Random(43)
+        seen = Counter()
+        while seen["cycles"] < 150:
+            n = rng.randint(4, 12)
+            a = rng.randint(2, max(2, n // 3))
+            edges = [(i, j) for i in range(a) for j in range(i + 1, n) if rng.random() < 0.8]
+            edges += [(u, v) for u, v in combinations(range(a, n), 2) if rng.random() < 0.1]
+            g = build_graph(edges, n)
+            if not is_biconnected(g):
+                continue
+            found = find_cycle_at_least(g, rng.randint(3, n))
+            cover = extract._greedy_cover(g)
+            if found is None or not 2 * len(cover) <= len(found) < n:
+                continue
+            assert len(cover) == _min_cover_size(g), g.adj
+            seen["cycles"] += 1
+            c = CycleCertificate(tuple(found), 3)
+            for k in (0, 1, 2):
+                out = _or_reason(corollary5_engine, g, k, c)
+                assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
+                seen[type(out).__name__] += 1
+        assert seen["VertexCover"] >= 100 and seen["str"] >= 20, seen
 
     def test_the_engine_tests_graphs(self):
         c8_path = [(i, (i + 1) % 8) for i in range(8)]

@@ -69,6 +69,11 @@ def _cliques_sharing(size, shared):
     )
 
 
+def _split(a, b):
+    """K_a joined to an independent set of b vertices."""
+    return build_graph([(i, j) for i in range(a) for j in range(i + 1, a + b)], a + b)
+
+
 def _split_with_ears(a, ears):
     """K_a joined to an independent set of 10a vertices, plus `ears` one-vertex
     ears: vertex 11a + i joins a + 2i and a + 2i + 1 (the outside_probes shape
@@ -151,6 +156,22 @@ def _solve_cases():
         ("K10+I100+16 ears k4 relaxed", _split_with_ears(10, 16), dict(k=4)),
         # three segments: the first segment system is the first state of level 3
         ("K8+I80+14 ears k5 relaxed", _split_with_ears(8, 14), dict(k=5)),
+        # the engine lengthens the Dirac cycle by insertion, and find_dense
+        # steps its loop on the LongerCycle
+        ("gnp25 p0.3 s4 k8", _gen("gnp2c", seed=4, n=25, prob=0.3), dict(k=8)),
+        # the Dirac cycle's search and the engine's both score rotation rounds
+        ("gnp25 p0.1 s4 k13", _gen("gnp2c", seed=4, n=25, prob=0.1), dict(k=13)),
+        # the rotation search's winning closure comes from its reversed round
+        ("gnp33 p0.1 s19 k18", _gen("gnp2c", seed=19, n=33, prob=0.1), dict(k=18)),
+        # the separator {0, 1} is no edge: the glue adds it to both sides
+        ("two K14 on {0,1} less 01 k1", build_graph(
+            [e for e in _cliques_sharing(14, 2).edges() if e != (0, 1)], 26), dict(k=1)),
+        # mad 6 on K4 + I6, whose longest cycle has 8 vertices: the exact
+        # fallback's search finds no 9-cycle from any root
+        ("K4+I6 k3", _split(4, 6), dict(k=3)),
+        # K3 + I4 cored out of an 18-vertex ear: the engine's cover {0, 1, 2}
+        # has no vertex with 2|X| = 6 neighbours outside, so refinement fails
+        ("K3+I4 ear18 k2", _with_ears(_split(3, 4), [(3, 18, 4)]), dict(k=2)),
     ]
 
 

@@ -28,7 +28,25 @@ from conftest import (
     complete,
     random_2connected_graph,
     random_connected_graph,
+    random_graph,
 )
+
+
+def _fraction_rule3(g, vertices):
+    """apply_rule(g, vertices, 3) when it compared each degree with the
+    Fraction eg_bound(sub) / 2, kept verbatim as the differential reference."""
+    vs = frozenset(vertices)
+    if len(vs) < 2:
+        return None
+    sub, ids = induced_subgraph(g, vs)
+    if sub.n < 3:
+        return None
+    threshold = eg_bound(sub) / 2
+    for v in range(sub.n):
+        if sub.degree(v) <= threshold:
+            keep = vs - {ids[v]}
+            return keep, frozenset({ids[v]})
+    return None
 
 
 class TestApplyRule:
@@ -48,6 +66,23 @@ class TestApplyRule:
         assert removed == frozenset({4})
         sub, _ = induced_subgraph(g, keep)
         assert eg_bound(sub) == 4
+
+    def test_rule3_removes_what_the_fraction_form_removes(self):
+        # deg * (n - 1) <= m is deg <= eg/2 = m/(n - 1), as n >= 3 there
+        rng = random.Random(31)
+        fired = ties = 0
+        for _ in range(3000):
+            n = rng.randint(1, 20)
+            g = random_graph(rng, n, rng.random())
+            vs = rng.sample(range(n), rng.randint(0, n))
+            got = apply_rule(g, vs, 3)
+            assert got == _fraction_rule3(g, vs), (g.adj, vs)
+            if got is not None:
+                fired += 1
+                sub, ids = induced_subgraph(g, vs)
+                v = ids.index(min(got[1]))
+                ties += sub.degree(v) * (sub.n - 1) == sub.m
+        assert fired >= 1000 and ties >= 50, (fired, ties)
 
     def test_rule4_removes_sparse_component(self):
         # K6 plus path x-a-y with x,y in the clique: n=7, m=17, l_EG=34/6

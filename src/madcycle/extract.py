@@ -86,10 +86,11 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     Cheapest first: Hamiltonicity check, a live-degree greedy vertex cover
     X, insertion/rotation enlargement (at most 200n rotation steps) only
     while |C| < 2|X|, as no cycle is longer than 2|X|, then X if it has at
-    most delta + 2k vertices; with neither, it raises EngineIncomplete.
-    Where growth is skipped that is exact: a cycle has at most 2*tau
-    vertices (tau the least cover size), so |C| >= 2|X| forces |X| = tau,
-    and no cover of at most delta + 2k vertices exists once X has more.
+    most delta + 2k vertices; with neither, it raises EngineIncomplete,
+    naming |X|. Only where growth is skipped does that prove more: a cycle
+    has at most 2*tau vertices (tau the least cover size), so |C| >= 2|X|
+    forces |X| = tau, and then no cover of at most delta + 2k vertices
+    exists once X has more. Where growth ran, a smaller cover may exist.
     The corollary's preconditions (h 3-connected, 0 < k <= delta/24,
     |C| < 2*delta + k) are not checked: each outcome is verified and holds
     without them.
@@ -120,7 +121,8 @@ def corollary5_engine(h: Graph, k: int, C: CycleCertificate) -> EngineOutcome:
     if len(cover) <= bound:
         return VertexCover(frozenset(cover))
     raise EngineIncomplete(
-        f"no longer cycle within budget and no vertex cover of size <= {bound}"
+        f"no longer cycle within budget and the greedy vertex cover has "
+        f"{len(cover)} > {bound} vertices"
     )
 
 

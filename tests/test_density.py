@@ -17,8 +17,17 @@ from madcycle.graph import (
 )
 from madcycle.instances import gen_instance
 from madcycle.oracles import all_subsets_density, oracle_mad
+from madcycle.solver import solve
 
-from conftest import bowtie, complete_minus_matching, cycle_graph, random_graph
+from conftest import (
+    bowtie,
+    complete,
+    complete_minus_matching,
+    cycle_graph,
+    path_graph,
+    petersen,
+    random_graph,
+)
 
 
 def brute_best_density(g):
@@ -234,6 +243,49 @@ class TestMadWithWitness:
             sys.setrecursionlimit(limit)
         assert w.density == Fraction(3 * 400 - 1, 800)
         assert w.vertices == frozenset(range(800))
+
+
+class TestMadCache:
+    """The mad cache keeps only the graph asked about last, and that serves
+    every reuse: a solve asks again only about the graph it is solving."""
+
+    @staticmethod
+    def _solve_counting(monkeypatch, g, k, mode="cycle"):
+        """(result, mads computed, cache hits) of one solve, from a cold cache."""
+        peels = []
+        peel = density._peel
+
+        def counting(h):
+            peels.append(h)
+            return peel(h)
+
+        monkeypatch.setattr(density, "_peel", counting)
+        mad_with_witness.cache_clear()
+        res = solve(g, k, mode=mode)
+        return res, len(peels), mad_with_witness.cache_info().hits
+
+    @pytest.mark.parametrize("g, k, branch", [
+        (cycle_graph(7), 0, "k0"),
+        (complete(200), 1, "find_dense"),
+        (petersen(), 1, "fallback"),
+    ])
+    def test_a_cycle_solve_computes_mad_once_and_hits_once(self, monkeypatch, g, k, branch):
+        res, computed, hits = self._solve_counting(monkeypatch, g, k)
+        assert res.branch == branch and res.answer == "yes"
+        assert (computed, hits) == (1, 1)
+
+    def test_a_path_solve_computes_mad_for_g_and_its_universal_graph(self, monkeypatch):
+        res, computed, hits = self._solve_counting(monkeypatch, path_graph(6), 1, "path")
+        assert res.branch == "path_k0" and computed == 2 and hits == 1
+        res, computed, hits = self._solve_counting(monkeypatch, petersen(), 2, "path")
+        assert res.branch == "path[fallback]" and computed == 2 and hits == 2
+
+    def test_solves_of_three_graphs_keep_one_alive(self):
+        mad_with_witness.cache_clear()
+        for g in (cycle_graph(7), petersen(), complete(8)):
+            solve(g, 0)
+        info = mad_with_witness.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
 
 
 def degeneracy_by_min_scan(g):

@@ -130,7 +130,7 @@ class TestEngine:
         g = petersen()
         c = CycleCertificate(tuple(find_cycle_at_least(g, 9)), 9)
         assert verify_cycle_certificate(g, c) and len(c) == 9
-        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 5"):
+        with pytest.raises(EngineIncomplete, match="the greedy vertex cover has 6 > 5 vertices"):
             corollary5_engine(g, 1, c)
         assert find_cycle_at_least(g, 10) is None
         assert _min_cover_size(g) == 6
@@ -143,7 +143,7 @@ class TestEngine:
         c = CycleCertificate((3, 6, 2, 7, 5, 1, 8, 0), 3)
         assert len(extract._greedy_cover(g)) == 5 > g.min_degree() + 2
         assert _min_cover_size(g) == 4 and 8 < 2 * 5
-        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 4"):
+        with pytest.raises(EngineIncomplete, match="the greedy vertex cover has 5 > 4 vertices"):
             corollary5_engine(g, 1, c)
 
     def test_dirac_cycle_of_the_cover_graph_stops_at_its_bound(self):
@@ -169,11 +169,11 @@ class TestEngine:
         assert verify_cycle_certificate(g, c) and find_cycle_at_least(g, 11) is None
         assert len(extract._greedy_cover(g)) == 7 and g.min_degree() == 2
         assert all(u < 6 or v < 6 for u, v in g.edges())
-        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 6"):
+        with pytest.raises(EngineIncomplete, match="the greedy vertex cover has 7 > 6 vertices"):
             corollary5_engine(g, 2, c)
         # no cover has delta + 2 = 4 vertices
         assert _min_cover_size(g) == 6
-        with pytest.raises(EngineIncomplete, match="no vertex cover of size <= 4"):
+        with pytest.raises(EngineIncomplete, match="the greedy vertex cover has 7 > 4 vertices"):
             corollary5_engine(g, 1, c)
 
     def test_runs_without_corollary_preconditions(self):
@@ -439,6 +439,23 @@ class TestCoverSideAgainstParent:
             assert real(h, k_prime, c) == _parent_engine(h, k_prime, c)
 
 
+def _in_engine_words(parent, g, k):
+    """The parent's outcome on (g, k, ...), its EngineIncomplete reason
+    reworded as the engine gives it: the parent claimed that no cover within
+    the bound exists, which its exact search proved; the engine, which runs
+    none, names the greedy cover's size instead."""
+    bound = g.min_degree() + 2 * k
+    if parent != f"no longer cycle within budget and no vertex cover of size <= {bound}":
+        return parent
+    return _greedy_reason(g, k)
+
+
+def _greedy_reason(g, k):
+    """The engine's EngineIncomplete reason on g at k."""
+    return (f"no longer cycle within budget and the greedy vertex cover has "
+            f"{len(extract._greedy_cover(g))} > {g.min_degree() + 2 * k} vertices")
+
+
 def _against_parent(g, k, c):
     """(outcome, dropped): the engine's outcome on (g, k, c), checked against
     the parent's: the same type and the same cycle, cover or reason, except
@@ -455,11 +472,9 @@ def _against_parent(g, k, c):
     dropped = isinstance(parent, VertexCover) and len(extract._greedy_cover(g)) > bound
     if dropped:
         assert len(c) < 2 * len(extract._greedy_cover(g)), (g.adj, c, k)
-        assert out == (
-            f"no longer cycle within budget and no vertex cover of size <= {bound}"
-        ), (g.adj, c, k)
+        assert out == _greedy_reason(g, k), (g.adj, c, k)
     else:
-        assert out == parent, (g.adj, c, k)
+        assert out == _in_engine_words(parent, g, k), (g.adj, c, k)
     return out, dropped
 
 
@@ -511,7 +526,8 @@ class TestEngineAgainstParent:
             c = CycleCertificate(tuple(found), 3)
             for k in (0, 1, 2):
                 out = _or_reason(corollary5_engine, g, k, c)
-                assert out == _or_reason(_parent_engine, g, k, c), (g.adj, c, k)
+                parent = _or_reason(_parent_engine, g, k, c)
+                assert out == _in_engine_words(parent, g, k), (g.adj, c, k)
                 seen[type(out).__name__] += 1
         assert seen["VertexCover"] >= 100 and seen["str"] >= 20, seen
 

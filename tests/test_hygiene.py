@@ -13,8 +13,10 @@ of the package. No module but `instances`, whose generators take a seed,
 imports `random`: every answer is exact or unknown, so no search draws random
 numbers. No module but `graph` wraps a cycle or path verifier in
 `require_verified`: every other module checks its certificates by
-`graph.certify`. No process-global cache: `functools.lru_cache` and
-`functools.cache` appear only on `density.mad_with_witness`. Every no of a
+`graph.certify`. No process-global cache that outlives its graph:
+`functools.lru_cache` and `functools.cache` appear only as
+`lru_cache(maxsize=1)` on `density.mad_with_witness`, which keeps the one
+graph a solve asks about again. Every no of a
 case analysis is gated: a `SolveResult("no", ...)` is the first argument of
 `solver._downgrade` or lies in the exact fallback, and no statement assigns
 "no" to an `.answer`. Every exact search returns its object or None, or
@@ -226,9 +228,16 @@ _CACHES = {"lru_cache", "cache"}
 _ALLOWED_CACHES = {("density", "mad_with_witness")}
 
 
+def _one_entry(decorator: ast.expr) -> bool:
+    """Whether decorator is a call whose one argument is maxsize=1."""
+    return (isinstance(decorator, ast.Call) and not decorator.args
+            and [ast.unparse(kw) for kw in decorator.keywords] == ["maxsize=1"])
+
+
 def process_global_caches(sources: dict[str, str]) -> list[str]:
-    """'module:line' for each use of functools.lru_cache or functools.cache,
-    under any import alias, other than a decorator of an allowed function."""
+    """'module:line', in line order, for each use of functools.lru_cache or
+    functools.cache, under any import alias, other than a one-entry
+    decorator, `lru_cache(maxsize=1)`, of an allowed function."""
     out = []
     for mod, text in sorted(sources.items()):
         tree = ast.parse(text)
@@ -240,14 +249,17 @@ def process_global_caches(sources: dict[str, str]) -> list[str]:
                 modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and (mod, node.name) in _ALLOWED_CACHES):
-                allowed |= {id(n) for d in node.decorator_list for n in ast.walk(d)}
+                allowed |= {id(n) for d in node.decorator_list if _one_entry(d)
+                            for n in ast.walk(d)}
+        lines = []
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
             if ((isinstance(node, ast.Name) and node.id in names)
                     or (isinstance(node, ast.Attribute) and node.attr in _CACHES
                         and isinstance(node.value, ast.Name) and node.value.id in modules)):
-                out.append(f"{mod}:{node.lineno}")
+                lines.append(node.lineno)
+        out += [f"{mod}:{line}" for line in sorted(lines)]
     return out
 
 
@@ -377,7 +389,10 @@ def test_the_check_sees_process_global_caches():
                    "@lru_cache(maxsize=512)\ndef mad_with_witness(g):\n    return g\n"
                    "@lru_cache\ndef other(g):\n    return g\n",
     }
-    # d's own cache is not functools'; density's mad cache is allowed
+    # d's own cache is not functools'; density's mad cache is allowed only
+    # with one entry
+    assert process_global_caches(sources) == ["a:2", "b:2", "c:2", "density:2", "density:5"]
+    sources["density"] = sources["density"].replace("maxsize=512", "maxsize=1")
     assert process_global_caches(sources) == ["a:2", "b:2", "c:2", "density:5"]
 
 

@@ -241,12 +241,12 @@ def mad_with_witness(g: Graph) -> DensityWitness:
     """Densest induced subgraph, exactly, by Dinkelbach iteration from a
     peeling bound; usually one load flow.
 
-    The cache holds one entry: the witness of the graph asked about last.
-    Every reuse is within one solve, on one graph at a time: `solve` asks
-    for g, then `_k0_cycle`, `find_dense` or the exact fallback asks for g
-    again; path mode asks for g, then for its universal-vertex graph gp,
-    and then only for gp. So one entry keeps every hit, and a process that
-    solves many graphs keeps no earlier graph, mask or witness alive.
+    The cache holds one entry: the witness of the graph object asked about
+    last. Every reuse is within one solve, on the object it solves: `solve`
+    asks for g, then `_k0_cycle`, `find_dense` or the exact fallback asks
+    for g again; path mode asks for g, then for its universal-vertex graph
+    gp, and then only for gp. So one entry keeps every hit, and a process
+    that solves many graphs keeps no earlier graph, mask or witness alive.
 
     `best` starts as the peeling bound (`_peel`), the density of an actual
     vertex set, and each step runs the load flow at exactly best = p/q,

@@ -14,9 +14,10 @@ from .errors import ConstructionFailure, GraphInputError, PreconditionError
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency and bitmask neighborhoods."""
+    """Simple undirected graph with sorted adjacency and bitmask
+    neighborhoods, compared and hashed by identity."""
 
-    __slots__ = ("n", "adj", "m", "masks", "_hash", "_blocks", "_seps")
+    __slots__ = ("n", "adj", "m", "masks", "_blocks", "_seps")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         self._fill(n, adj, tuple(map(mask_of, adj)))
@@ -31,7 +32,6 @@ class Graph:
     def _fill(self, n, adj, masks):
         self.n, self.adj, self.masks = n, adj, masks
         self.m = sum(len(a) for a in adj) // 2
-        self._hash = None
         self._blocks = None  # the memo of _lowpoint
         self._seps = None  # the memo of two_separators
 
@@ -81,16 +81,6 @@ class Graph:
             for a, new, old in zip(self.adj, masks, self.masks)
         )
         return Graph._from_masks(self.n, adj, tuple(masks))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -280,6 +280,19 @@ class TestMadCache:
         res, computed, hits = self._solve_counting(monkeypatch, petersen(), 2, "path")
         assert res.branch == "path[fallback]" and computed == 2 and hits == 2
 
+    def test_an_equal_graph_built_anew_misses_and_gets_an_equal_witness(self):
+        # graphs hash by identity: the cache serves only the object asked about
+        g = petersen()
+        h = Graph(g.n, g.adj)
+        assert h != g and h.adj == g.adj
+        mad_with_witness.cache_clear()
+        w = mad_with_witness(g)
+        assert mad_with_witness(g) is w
+        wh = mad_with_witness(h)
+        assert wh == w and wh is not w
+        info = mad_with_witness.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
     def test_solves_of_three_graphs_keep_one_alive(self):
         mad_with_witness.cache_clear()
         for g in (cycle_graph(7), petersen(), complete(8)):

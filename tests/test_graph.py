@@ -618,7 +618,8 @@ class TestSparseCertificate:
 
     def test_keeps_every_edge_of_a_sparse_graph(self):
         g = theta_graph([2, 3, 4])
-        assert _sparse_certificate(g, 3) == g
+        cert = _sparse_certificate(g, 3)
+        assert (cert.n, cert.adj) == (g.n, g.adj)
 
     def test_same_pairs_as_the_scan_alone_up_to_300_vertices(self):
         rng = random.Random(19)
@@ -769,7 +770,7 @@ class TestAddPairs:
                 assert got == want
                 errors["self-loop" if "self-loop" in want[1] else "out of range"] += 1
                 continue
-            assert got == want and got.masks == want.masks and got.m == want.m
+            assert (got.n, got.adj, got.masks, got.m) == (want.n, want.adj, want.masks, want.m)
             assert got is not g
             for u in range(g.n):
                 if not any(u in p for p in pairs):

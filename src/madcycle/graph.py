@@ -308,22 +308,32 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
     return list(blocks) or [frozenset([0])], set(cuts)  # K1 is one block
 
 
-def _expands_from_k4(g: Graph) -> bool:
-    """Whether g grows from a K4 by adding, one at a time, vertices with at
-    least 3 neighbours among those already added: then g is 3-connected, by
-    the expansion lemma (West, Introduction to Graph Theory, Lemma 4.2.3).
+def _expands_from_seed(g: Graph) -> bool:
+    """Whether g grows from a K4 or a K3,3 by adding, one at a time, vertices
+    with at least 3 neighbours among those already added: then g is
+    3-connected, by the expansion lemma (West, Introduction to Graph Theory,
+    Lemma 4.2.3), which holds from any 3-connected seed.
 
-    The K4 is the lowest-id vertex v of maximum degree and a triangle of its
-    neighbourhood, found with masks; without one, or when some vertex is
-    never added, the answer is False, which decides nothing. O(n + m) steps.
+    Both seeds contain the lowest-id vertex v of maximum degree and are found
+    with masks, in adjacency order. The K4 is v and a triangle of its
+    neighbourhood. Without one, the K3,3 is v, a vertex a two steps away that
+    shares three neighbours bs with v, and a third vertex on all of bs. With
+    neither seed, or when some vertex is never added, the answer is False,
+    which decides nothing.
     """
     masks, adj = g.masks, g.adj
     v = max(range(g.n), key=lambda u: len(adj[u]))
     nv = masks[v]
-    # the K4 v, a, b, c, then every vertex in the order it is added
+    # the seed, then every vertex in the order it is added
     order = next(([v, a, b, lowest_off(nv & masks[a] & masks[b], ())]
                   for a in adj[v] for b in adj[a]
                   if nv >> b & 1 and nv & masks[a] & masks[b]), None)
+    if order is None:  # no triangle by v: a K3,3 with sides {v, a, c} and bs
+        order = next(([v, a, c, *bs] for b in adj[v] for a in adj[b]
+                      if a != v and (nv & masks[a]).bit_count() >= 3
+                      for bs in [bits_off(nv & masks[a])[:3]]
+                      for c in [lowest_off(masks[bs[0]] & masks[bs[1]] & masks[bs[2]], (v, a))]
+                      if c is not None), None)
     if order is None:
         return False
     added = [False] * g.n
@@ -338,45 +348,6 @@ def _expands_from_k4(g: Graph) -> bool:
                     added[w] = True
                     order.append(w)
     return len(order) == g.n
-
-
-def _sparse_certificate(g: Graph, k: int) -> Graph:
-    """The first k forests of a maximum-adjacency order (Nagamochi-Ibaraki 1992).
-
-    Scanning v in that order puts each edge vw to a not yet scanned w in
-    forest r(w) + 1, where r(w) counts the scanned neighbours of w; edges of
-    the later forests are dropped. The result is spanning, has at most
-    k(n - 1) edges, and keeps min(k, local vertex connectivity) for every
-    pair, so it is k-connected where g is. A bucket queue keyed by r finds
-    each next vertex: O(n + m).
-    """
-    n, adj = g.n, g.adj
-    r = [0] * n
-    scanned = [False] * n
-    kept: list[list[int]] = [[] for _ in range(n)]
-    buckets: list[list[int]] = [list(range(n - 1, -1, -1))]
-    top = 0
-    for _ in range(n):
-        while True:
-            while not buckets[top]:
-                top -= 1
-            v = buckets[top].pop()
-            if not scanned[v] and r[v] == top:
-                break
-        scanned[v] = True
-        for w in adj[v]:
-            if scanned[w]:
-                continue
-            if r[w] < k:
-                kept[v].append(w)
-                kept[w].append(v)
-            r[w] += 1
-            if r[w] == len(buckets):
-                buckets.append([])
-            buckets[r[w]].append(w)
-            if r[w] > top:
-                top = r[w]
-    return Graph(n, tuple(tuple(sorted(a)) for a in kept))
 
 
 def _three_connected(g: Graph) -> bool:
@@ -551,19 +522,14 @@ def two_separators(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs {x,y} whose removal disconnects a 2-connected g.
 
     The scan runs once per Graph: g keeps its pairs, next to the memo of
-    _lowpoint, and each call returns a fresh list of them. H is the 3-forest
-    sparse certificate of g (at most 3(n-1) edges), which is 3-connected
-    exactly when g is. The checks run in this order: the 2-connectivity of g
-    (g's one lowpoint DFS); Chartrand-Harary; the K4 expansion certificate
-    (_expands_from_k4), which answers only "3-connected"; the O(n + m)
-    3-connectivity test of H, so a 3-connected g costs O(n + m) in all.
-    Otherwise {x,y} separates g exactly when y is a cut vertex of g - x, so
-    one lowpoint DFS per x finds every pair: O(n(n+m)) time. That DFS runs
-    first on H. A pair that separates g separates its spanning subgraph H
-    too, so g - x is scanned only where H - x has a cut vertex y > x or falls
-    apart; exactness rests on that alone, and the certificate theorem only
-    makes such x rare.
-    Pairs come as (x, y) with x < y, in ascending order.
+    _lowpoint, and each call returns a fresh list of them. The checks run in
+    this order: the 2-connectivity of g (g's one lowpoint DFS);
+    Chartrand-Harary; the K4 or K3,3 expansion certificate
+    (_expands_from_seed), which answers only "3-connected"; the O(n + m)
+    3-connectivity test of g (_three_connected). So a 3-connected g costs
+    O(n + m) in all. Otherwise {x,y} separates g exactly when y is a cut
+    vertex of g - x, so one lowpoint DFS per x finds every pair: O(n(n+m))
+    time. Pairs come as (x, y) with x < y, in ascending order.
     """
     if g._seps is None:
         g._seps = _scan_two_separators(g)
@@ -574,21 +540,13 @@ def _scan_two_separators(g: Graph) -> tuple[tuple[int, int], ...]:
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
     # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity; so
-    # does growing from a K4 by vertices with 3 neighbours (expansion lemma)
-    if g.n > 3 and 2 * g.min_degree() >= g.n + 1 or _expands_from_k4(g):
+    # does growing from a K4 or a K3,3 by vertices with 3 neighbours
+    # (expansion lemma)
+    if (g.n > 3 and 2 * g.min_degree() >= g.n + 1 or _expands_from_seed(g)
+            or _three_connected(g)):
         return ()
-    h = _sparse_certificate(g, 3)
-    if _three_connected(h):
-        return ()
-    seps = []
-    for x in range(g.n):
-        ys = _cut_vertices(h, x)
-        if ys is not None and (not ys or ys[-1] < x):
-            continue
-        if h.m < g.m:
-            ys = _cut_vertices(g, x)
-        seps.extend((x, y) for y in ys if y > x)
-    return tuple(seps)
+    # g - x stays connected, since g is 2-connected
+    return tuple((x, y) for x in range(g.n) for y in _cut_vertices(g, x) if y > x)
 
 
 # ---------------------------------------------------------------------------

@@ -129,15 +129,16 @@ class SegmentSearch:
     shared by every probe of one case analysis.
 
     Stage one is built on the first query, under the
-    longpaths.DET_STATE_BUDGET of that moment. Levels are built lazily, up
-    to rmax: level r grows one state of level r-1 at a time, and level r-1
-    is pulled forward only when level r has expanded every state it has so
-    far. States exceeding pmax internals are never created. A state past the
-    budget raises StateBudgetExceeded and may leave a level half expanded, so
-    every later query raises it too.
+    longpaths.DET_STATE_BUDGET of that moment. Levels are built lazily, as
+    far as a probe needs: level r grows one state of level r-1 at a time,
+    and level r-1 is pulled forward only when level r has expanded every
+    state it has so far. States exceeding pmax internals are never created,
+    and a level-r state has at least r, so pmax alone bounds the levels. A
+    state past the budget raises StateBudgetExceeded and may leave a level
+    half expanded, so every later query raises it too.
     """
 
-    def __init__(self, g: Graph, T, A, pmax: int, rmax: int):
+    def __init__(self, g: Graph, T, A, pmax: int):
         self.g = g
         self.T = frozenset(T)
         self.A = frozenset(A)
@@ -146,18 +147,18 @@ class SegmentSearch:
         if not self.A <= self.T:
             raise PreconditionError("A must be a subset of T")
         self.pmax = pmax
-        self.rmax = rmax
         self._levels: list[_Level] | None = None  # None until the first query
 
     def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
         """The system of the first state level r inserts with counts
-        (p, s, t), validated, or None, which proves absence. A probe past
-        rmax or pmax raises PreconditionError: the levels it needs are never
-        built. r > p answers None: each segment has an internal vertex."""
-        if r > self.rmax or p > self.pmax:
+        (p, s, t), validated, or None, which proves absence. A probe with
+        r < 1 or p > pmax raises PreconditionError: states past pmax are
+        never created, so a None there would prove nothing. r > p answers
+        None: each segment has an internal vertex."""
+        if r < 1 or p > self.pmax:
             raise PreconditionError(
                 f"probe (r={r}, p={p}) outside the search's range "
-                f"(r <= {self.rmax}, p <= {self.pmax})"
+                f"(r >= 1, p <= {self.pmax})"
             )
         hit = None if r > p else self.query(r, p, s, t)
         if hit is None:
@@ -318,7 +319,7 @@ class SegmentSearch:
         """One accepting state for exact counts (r, p, s, t), or None: the
         first state level r inserts with those counts, built only as far as
         it takes to find it or to complete level r."""
-        if r < 1 or r > self.rmax:
+        if r < 1:
             return None
         if self._levels is None:
             self._build()
@@ -374,7 +375,6 @@ def find_segments(
     T,
     r: int,
     p: int,
-    search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
     """A system of exactly r T-segments with exactly p internal vertices,
     or None when there is none; past the state budget, StateBudgetExceeded.
@@ -382,7 +382,7 @@ def find_segments(
     This is the partitioned probe (r, p, 0, r) with A empty, so every
     segment counts as a B-segment.
     """
-    return find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
+    return find_segments_partitioned(g, T, (), T, r, p, 0, r)
 
 
 def find_segments_partitioned(
@@ -416,7 +416,7 @@ def find_segments_partitioned(
     if s < 0 or t < 0:
         raise PreconditionError("s and t must be nonnegative")
     if search is None:
-        search = SegmentSearch(g, T, A, p, r)
+        search = SegmentSearch(g, T, A, p)
     if g is not search.g or T != search.T or A != search.A:
         raise PreconditionError("probe does not match the search's (g, T, A)")
     return search.find(r, p, s, t)

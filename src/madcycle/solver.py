@@ -273,7 +273,7 @@ def _case_analysis(
                 path, tripped = None, exc  # a segment system may still be found
             system = None if path is None else segments.SegmentSystem((path,), H)
         if system is None:
-            search = segments.SegmentSearch(g, H, A, pmax, k_prime)
+            search = segments.SegmentSearch(g, H, A, pmax)
             B = H - A
             for r, p, s, t in probes:
                 stats["segment_probes"] += 1

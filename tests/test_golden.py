@@ -69,6 +69,13 @@ def _cliques_sharing(size, shared):
     )
 
 
+def _cliques(*parts, extra=()):
+    """The union of cliques on the given vertex lists, plus the edges extra."""
+    edges = [(u, v) for part in parts for i, u in enumerate(part) for v in part[i + 1:]]
+    edges += extra
+    return build_graph(edges, 1 + max(max(e) for e in edges))
+
+
 def _split(a, b):
     """K_a joined to an independent set of b vertices."""
     return build_graph([(i, j) for i in range(a) for j in range(i + 1, a + b)], a + b)
@@ -90,6 +97,15 @@ def _solve_cases():
     km = _k_minus_matching(26)
     bip = _l7("bip_dense")
     gnp30 = _gen("gnp2c", seed=1, n=30, prob=0.2)
+    # the witness of each is its two dense parts, which a reduction rule
+    # splits: rule 2 at the cut vertex 4, rule 1 at the two components, and
+    # rule 4 at the pair {0, 1}, which cuts off the triangle
+    rule2 = _with_ears(_cliques(range(5), range(4, 9)), [(0, 20, 8)])
+    rule1 = _with_ears(_cliques(range(5), range(5, 10)), [(0, 8, 5), (1, 8, 6)])
+    rule4 = _with_ears(
+        _cliques(range(7), (7, 8, 9), extra=[(t, s) for t in (7, 8, 9) for s in (0, 1)]),
+        [(7, 15, 6)],
+    )
     return [
         ("glue k0", _l7("glue"), dict(k=0)),
         ("glue k0 trace", _l7("glue"), dict(k=0, with_trace=True)),
@@ -172,6 +188,20 @@ def _solve_cases():
         # K3 + I4 cored out of an 18-vertex ear: the engine's cover {0, 1, 2}
         # has no vertex with 2|X| = 6 neighbours outside, so refinement fails
         ("K3+I4 ear18 k2", _with_ears(_split(3, 4), [(3, 18, 4)]), dict(k=2)),
+        # each reduction rule removes vertices in a traced solve (rule 3 in
+        # the gnp25 case); the rule-4 core, K7 and the triangle, grows from a
+        # K4 only up to the triangle and has the separation pair (0, 1)
+        ("K5.K5 ear20 k0 trace", rule2, dict(k=0, with_trace=True)),
+        ("K5.K5 ear20 k1 trace", rule2, dict(k=1, with_trace=True)),
+        ("K5.K5 ear20 k2 trace", rule2, dict(k=2, with_trace=True)),
+        ("K5+K5 ears8,8 k0 trace", rule1, dict(k=0, with_trace=True)),
+        ("K5+K5 ears8,8 k1 trace", rule1, dict(k=1, with_trace=True)),
+        ("K5+K5 ears8,8 k2 trace", rule1, dict(k=2, with_trace=True)),
+        ("K7+K3 on {0,1} ear15 k1 trace", rule4, dict(k=1, with_trace=True)),
+        ("K7+K3 on {0,1} ear15 k2 trace", rule4, dict(k=2, with_trace=True)),
+        ("K7+K3 on {0,1} ear15 k3 trace", rule4, dict(k=3, with_trace=True)),
+        ("gnp25 p0.3 s4 k8 trace", _gen("gnp2c", seed=4, n=25, prob=0.3),
+         dict(k=8, with_trace=True)),
     ]
 
 
@@ -255,6 +285,12 @@ def test_a_threshold_above_n_is_recorded_as_a_fallback_no():
     g = _gen("gnp2c", seed=1, n=30, prob=0.4)
     assert math.ceil(mad_with_witness(g).mad) + 200 == 213 > g.n
     assert _load()["solve"]["gnp30 p0.4 s1 k200"][:2] == ["no", "fallback"]
+
+
+def test_every_reduction_rule_fires_in_a_traced_golden_solve():
+    fired = {step["rule"] for _, g, kw in _solve_cases() if kw.get("with_trace")
+             for step in solve(g, **kw).trace}
+    assert fired == {1, 2, 3, 4}
 
 
 def test_fixture_covers_every_branch():

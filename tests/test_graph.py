@@ -13,7 +13,6 @@ from madcycle.graph import (
     CycleCertificate,
     Graph,
     PathCertificate,
-    _sparse_certificate,
     avg_degree,
     avg_degree_of_set,
     blocks_and_cut_vertices,
@@ -312,6 +311,16 @@ class TestTwoSeparators:
             theta_graph([rng.randint(1, 5), rng.randint(2, 5), rng.randint(2, 5)])
             for _ in range(15)
         ]
+        # chains of dense blocks sharing vertex pairs, and dense random graphs
+        rng = random.Random(13)
+        graphs += [
+            block_chain(rng, [rng.randint(5, 8) for _ in range(rng.randint(1, 3))])
+            for _ in range(60)
+        ]
+        graphs += [
+            random_graph(rng, rng.randint(5, 16), rng.uniform(0.25, 0.8))
+            for _ in range(120)
+        ]
         with_separators = 0
         for g in graphs:
             biconnected = brute_is_biconnected(g)
@@ -323,7 +332,7 @@ class TestTwoSeparators:
             seps = two_separators(g)
             assert seps == brute_two_separators(g)
             with_separators += bool(seps)
-        assert with_separators >= 50
+        assert with_separators >= 120
 
 
 def wheel(rim):
@@ -550,78 +559,35 @@ def block_chain(rng, sizes):
     return build_graph(edges, n)
 
 
-def _parent_two_separators(g):
-    """two_separators before its 3-connectivity test, kept verbatim as the
-    reference for the differential test."""
+def _per_vertex_two_separators(g):
+    """The pairs of a 2-connected g from the per-vertex scan alone, with no
+    3-connectivity test in front: {x, y} separates g exactly when y is a cut
+    vertex of g - x. The reference for the differential test."""
     if not is_biconnected(g):
         raise PreconditionError("two_separators needs a 2-connected graph")
-    # Chartrand-Harary: min degree >= (n+1)/2 forces 3-connectivity.
-    if g.n > 3 and 2 * g.min_degree() >= g.n + 1:
-        return []
-    h = _sparse_certificate(g, 3)
-    seps = []
-    for x in range(g.n):
-        ys = graph._cut_vertices(h, x)
-        if ys is not None and (not ys or ys[-1] < x):
-            continue
-        if h.m < g.m:
-            ys = graph._cut_vertices(g, x)
-        seps.extend((x, y) for y in ys if y > x)
-    return seps
+    return [(x, y) for x in range(g.n) for y in graph._cut_vertices(g, x) if y > x]
 
 
-class TestSparseCertificate:
-    def test_screened_scan_matches_brute_force_on_dense_graphs(self):
-        rng = random.Random(13)
-        graphs = [
-            block_chain(rng, [rng.randint(5, 8) for _ in range(rng.randint(1, 3))])
-            for _ in range(60)
-        ]
-        graphs += [
-            random_graph(rng, rng.randint(5, 16), rng.uniform(0.25, 0.8))
-            for _ in range(120)
-        ]
-        tested = dropped = with_separators = 0
-        for g in graphs:
-            if not brute_is_biconnected(g):
-                continue
-            h = _sparse_certificate(g, 3)
-            assert h.n == g.n and h.m <= 3 * (g.n - 1)
-            assert all(g.has_edge(u, v) for u, v in h.edges())
-            assert brute_is_biconnected(h)
-            seps = two_separators(g)
-            assert seps == brute_two_separators(g)
-            tested += 1
-            dropped += h.m < g.m
-            with_separators += bool(seps)
-        assert tested >= 100
-        assert dropped >= tested * 2 // 3
-        assert with_separators >= 30
+def random_bipartite(rng, a, b, prob):
+    """Sides range(a) and range(a, a + b), each cross edge kept with
+    probability prob."""
+    edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < prob]
+    return build_graph(edges, a + b)
 
-    @pytest.mark.parametrize("forests", [1, 2])
-    def test_exact_with_a_weaker_screen(self, monkeypatch, forests):
-        # fewer forests keep H spanning but not 3-connected where g is, so
-        # H - x has spurious cut vertices (2 forests) or falls apart (1 forest,
-        # a spanning tree): the scan of g - x must still give g's list
-        certificate = graph._sparse_certificate
-        monkeypatch.setattr(
-            graph, "_sparse_certificate", lambda g, k: certificate(g, forests)
-        )
-        rng = random.Random(17)
-        tested = 0
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.3, 0.8))
-            if brute_is_biconnected(g):
-                assert two_separators(g) == brute_two_separators(g)
-                tested += 1
-        assert tested >= 30
 
-    def test_keeps_every_edge_of_a_sparse_graph(self):
-        g = theta_graph([2, 3, 4])
-        cert = _sparse_certificate(g, 3)
-        assert (cert.n, cert.adj) == (g.n, g.adj)
+def k4_seed_exists(g):
+    """Whether the first vertex of maximum degree has a triangle in its
+    neighbourhood, by brute force: without one, _expands_from_seed can only
+    start from a K3,3."""
+    v = max(range(g.n), key=g.degree)
+    ns = g.adj[v]
+    return any(g.has_edge(x, y) and g.has_edge(x, z) and g.has_edge(y, z)
+               for i, x in enumerate(ns) for j, y in enumerate(ns[i + 1:], i + 1)
+               for z in ns[j + 1:])
 
-    def test_same_pairs_as_the_scan_alone_up_to_300_vertices(self):
+
+class TestSeparatorScan:
+    def test_same_pairs_as_the_per_vertex_scan_up_to_300_vertices(self):
         rng = random.Random(19)
         graphs = [
             block_chain(rng, [rng.randint(5, 8) for _ in range(rng.randint(1, 3))])
@@ -641,73 +607,104 @@ class TestSparseCertificate:
         ]
         graphs += [prism(150), mobius_ladder(150), wheel(299)]
         graphs += [glue_on_pair(prism(75), mobius_ladder(75), edge) for edge in (0, 1)]
+        graphs += [random_bipartite(rng, a, rng.randint(a, 45), 0.85)
+                   for a in rng.choices(range(4, 16), k=10)]
         tested = with_separators = 0
         for g in graphs:
             if not is_biconnected(g):
                 continue
             seps = two_separators(g)
-            assert seps == _parent_two_separators(g)
+            assert seps == _per_vertex_two_separators(g)
             tested += 1
             with_separators += bool(seps)
         assert tested >= 60 and with_separators >= 20 and tested - with_separators >= 20
 
 
 class TestExpansionCertificate:
-    """graph._expands_from_k4 answers only "3-connected", so it must never
+    """graph._expands_from_seed answers only "3-connected", so it must never
     answer True on a graph with a separation pair."""
 
     def test_sound_against_brute_force_on_random_graphs(self):
         rng = random.Random(53)
-        tested = decided = separated = 0
-        while tested < 1500:
+        tested = decided = through_k33 = separated = 0
+        while tested < 2000:
             n = rng.randint(4, 14)
-            if rng.random() < 0.6:
+            draw = rng.random()
+            if draw < 0.45:
                 g = random_graph(rng, n, rng.uniform(0.25, 0.9))
-            else:
+            elif draw < 0.75:
                 g = random_sparse_graph(rng, n, rng.choice([2, 3, 4]))
+            else:
+                a = rng.randint(3, n // 2) if n >= 6 else 3
+                g = random_bipartite(rng, a, max(a, n - a), rng.uniform(0.5, 1))
             if not is_biconnected(g):
                 continue
             seps = brute_two_separators(g)
-            if graph._expands_from_k4(g):
+            if graph._expands_from_seed(g):
                 assert seps == [], g.adj
                 decided += 1
+                through_k33 += not k4_seed_exists(g)
             tested += 1
             separated += bool(seps)
-        assert decided >= 500 and separated >= 300
+        assert decided >= 700 and through_k33 >= 150 and separated >= 500
 
-    def test_sound_on_graphs_built_around_a_k4(self):
-        # a K4 on 0..3 plus vertices with 2 or 3 random earlier neighbours:
-        # one with 2 is separated by them unless later vertices attach
+    def test_sound_on_graphs_built_around_a_seed(self):
+        # a K4 on 0..3 or a K3,3 on 0..5, plus vertices with 2 or 3 random
+        # earlier neighbours: one with 2 is separated by them unless later
+        # vertices attach
         rng = random.Random(59)
         tested = decided = 0
-        for _ in range(400):
-            n = rng.randint(5, 13)
-            edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-            for v in range(4, n):
-                edges += [(u, v) for u in rng.sample(range(v), rng.choice([2, 3, 3, 3]))]
-            g = relabelled(rng, build_graph(edges, n))
-            if graph._expands_from_k4(g):
-                assert brute_two_separators(g) == []
-                decided += 1
-            tested += 1
-        assert decided >= 80 and tested - decided >= 80
+        for seed in (complete(4), complete_bipartite(3, 3)):
+            for _ in range(400):
+                n = rng.randint(seed.n + 1, seed.n + 9)
+                edges = list(seed.edges())
+                for v in range(seed.n, n):
+                    edges += [(u, v) for u in rng.sample(range(v), rng.choice([2, 3, 3, 3]))]
+                g = relabelled(rng, build_graph(edges, n))
+                if graph._expands_from_seed(g):
+                    assert brute_two_separators(g) == []
+                    decided += 1
+                tested += 1
+        assert decided >= 160 and tested - decided >= 160
 
     def test_planted_separation_pairs(self):
         k4_ear = build_graph(list(complete(4).edges()) + [(0, 4), (4, 1)], 5)
         k5_long_ear = build_graph(
             list(complete(5).edges()) + [(0, 5), (5, 6), (6, 1)], 7
         )
-        for g in (glued_k5s(), k4_ear, k5_long_ear, glue_on_pair(complete(6), complete(5), 1)):
-            assert brute_two_separators(g) and not graph._expands_from_k4(g)
+        k33_ear = build_graph(list(complete_bipartite(3, 3).edges()) + [(0, 6), (6, 1)], 7)
+        k33_long_ear = build_graph(
+            list(complete_bipartite(3, 3).edges()) + [(0, 6), (6, 7), (7, 3)], 8
+        )
+        k34_pair = glue_on_pair(complete_bipartite(3, 4), complete_bipartite(3, 4), 0)
+        for g in (glued_k5s(), k4_ear, k5_long_ear, glue_on_pair(complete(6), complete(5), 1),
+                  k33_ear, k33_long_ear, k34_pair):
+            assert brute_two_separators(g) and not graph._expands_from_seed(g)
             assert two_separators(g) == brute_two_separators(g)
+        assert brute_two_separators(k34_pair) == [(0, 1)]
 
-    def test_graphs_without_the_k4_are_not_decided(self):
-        # 3-connected, but no triangle in the neighbourhood of the first
-        # vertex of maximum degree: the exact test decides them
-        for g in (complete_bipartite(3, 3), wheel(6), prism(5), petersen()):
-            assert not graph._expands_from_k4(g)
+    def test_graphs_without_a_seed_are_not_decided(self):
+        # 3-connected, but the first vertex of maximum degree has no triangle
+        # in its neighbourhood and shares at most two neighbours with any
+        # vertex: the exact test decides them
+        for g in (wheel(6), prism(5), petersen()):
+            assert not graph._expands_from_seed(g)
             assert two_separators(g) == brute_two_separators(g) == []
-        assert graph._expands_from_k4(complete(4)) and graph._expands_from_k4(wheel(3))
+        assert graph._expands_from_seed(complete(4)) and graph._expands_from_seed(wheel(3))
+
+    def test_bipartite_graphs_are_decided_through_the_k33(self, monkeypatch):
+        rng = random.Random(61)
+        graphs = [complete_bipartite(a, b) for a in range(3, 9) for b in range(a, 13)]
+        graphs += [complete_bipartite(a, b) for a, b in ((3, 40), (15, 45), (100, 120))]
+        dense = [random_bipartite(rng, a, rng.randint(a, 45), 0.85)
+                 for a in rng.choices(range(6, 16), k=60)]
+        graphs += [g for g in dense if is_biconnected(g) and graph._three_connected(g)]
+        assert len(graphs) >= 90
+        # the exact test must not be needed
+        monkeypatch.setattr(graph, "_three_connected", lambda g: pytest.fail("ran"))
+        for g in graphs:
+            assert not k4_seed_exists(g) and graph._expands_from_seed(g)
+            assert two_separators(g) == []
 
     def test_agrees_with_the_exact_test_on_dense_families(self):
         from madcycle.instances import gen_instance
@@ -721,8 +718,8 @@ class TestExpansionCertificate:
         ]
         decided = 0
         for g in graphs:
-            if graph._expands_from_k4(g):
-                assert graph._three_connected(_sparse_certificate(g, 3))
+            if graph._expands_from_seed(g):
+                assert graph._three_connected(g)
                 decided += 1
         assert decided >= len(graphs) - 2
 

@@ -175,9 +175,9 @@ class TestSharedSearch:
             table = segment_signatures(g, T, A, SEGMENTS_P_CAP)
             plain = segment_signatures(g, T, (), 4)
             for k in (2, 3):
-                search = SegmentSearch(g, T, A, 3 * k - 2, k)
+                search = SegmentSearch(g, T, A, 3 * k - 2)
                 for r, p, s, t in _case_iii_probes(k):
-                    fresh_search = SegmentSearch(g, T, A, p, r)
+                    fresh_search = SegmentSearch(g, T, A, p)
                     shared = find_segments_partitioned(
                         g, T, A, T - A, r, p, s, t, search=search
                     )
@@ -195,9 +195,9 @@ class TestSharedSearch:
                             g.adj, sorted(T), sorted(A), r, p, s, t,
                         )
                     probes += 1
-                search = SegmentSearch(g, T, (), 2 * k - 2, k)
+                search = SegmentSearch(g, T, (), 2 * k - 2)
                 for r, p in _case_ii_probes(k):
-                    shared = find_segments(g, T, r, p, search=search)
+                    shared = find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
                     fresh = find_segments(g, T, r, p)
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
@@ -208,23 +208,23 @@ class TestSharedSearch:
 
     def test_probe_must_match_search(self):
         g = cycle_graph(6)
-        search = SegmentSearch(g, {0, 3}, {0}, 4, 2)
+        search = SegmentSearch(g, {0, 3}, {0}, 4)
         with pytest.raises(PreconditionError):
             find_segments_partitioned(g, {0, 3}, {3}, {0}, 1, 2, 0, 0, search=search)
         with pytest.raises(PreconditionError):
             find_segments_partitioned(g, {0, 3}, {0}, {3}, 3, 5, 0, 0, search=search)
         with pytest.raises(PreconditionError):
-            find_segments(g, {0, 3}, 1, 2, search=search)
+            find_segments_partitioned(g, {0, 3}, (), {0, 3}, 1, 2, 0, 1, search=search)
         # a probe with r > p is checked like any other before it answers None
         with pytest.raises(PreconditionError):
             find_segments_partitioned(g, {0, 3}, {3}, {0}, 2, 1, 0, 0, search=search)
         with pytest.raises(PreconditionError):
             find_segments_partitioned(
                 g, {0, 3}, {0}, {3}, 2, 1, 0, 0,
-                search=SegmentSearch(cycle_graph(7), {0, 3}, {0}, 4, 2),
+                search=SegmentSearch(cycle_graph(7), {0, 3}, {0}, 4),
             )
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search)
+        # r bounds no level: a matching probe with r > p is None, not an error
+        assert find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search) is None
 
     def test_find_checks_its_own_range(self):
         # K4 on T = {0, 1, 2, 3} plus the outside path 0-4-5-6-1: the segment
@@ -233,19 +233,20 @@ class TestSharedSearch:
         g = build_graph(list(complete(4).edges()) + [(0, 4), (4, 5), (5, 6), (6, 1)], 7)
         T = {0, 1, 2, 3}
         assert find_segments(g, T, 1, 3) is not None
-        search = SegmentSearch(g, T, (), 2, 1)
-        for r, p in ((1, 3), (2, 2)):  # past pmax, past rmax
+        search = SegmentSearch(g, T, (), 2)
+        for r, p in ((1, 3), (0, 2)):  # past pmax, below one segment
             with pytest.raises(PreconditionError, match="outside the search's range"):
                 search.find(r, p, 0, r)
-        assert search.find(1, 2, 0, 1) is None
+        # every level a probe within pmax needs is built on demand
+        assert search.find(1, 2, 0, 1) is None and search.find(2, 2, 0, 2) is None
 
     def test_vertices_out_of_range(self):
         with pytest.raises(PreconditionError, match="out-of-range"):
-            SegmentSearch(cycle_graph(6), {0, 6}, (), 4, 2)
+            SegmentSearch(cycle_graph(6), {0, 6}, (), 4)
 
     def test_side_a_must_lie_in_T(self):
         with pytest.raises(PreconditionError, match="A must be a subset of T"):
-            SegmentSearch(cycle_graph(6), {0, 3}, {0, 1}, 4, 2)
+            SegmentSearch(cycle_graph(6), {0, 3}, {0, 1}, 4)
 
     def test_budget_trip_raises_on_every_probe(self, monkeypatch):
         # C8 has the segment 0..4 with 3 internals; past the budget no probe
@@ -253,10 +254,10 @@ class TestSharedSearch:
         g = cycle_graph(8)
         assert find_segments(g, {0, 4}, 1, 3) is not None
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 3)
-        search = SegmentSearch(g, {0, 4}, (), 4, 2)
+        search = SegmentSearch(g, {0, 4}, (), 4)
         for p in (3, 4):
             with pytest.raises(StateBudgetExceeded):
-                find_segments(g, {0, 4}, 1, p, search=search)
+                search.find(1, p, 0, 1)
 
     def test_a_trip_in_a_half_built_level_raises_again(self, monkeypatch):
         # T = {1, 3} joined by 1-2-3 and 1-2-0-3. At 9 states the probe
@@ -265,7 +266,7 @@ class TestSharedSearch:
         g = build_graph([(0, 2), (0, 3), (1, 2), (2, 3)], 4)
         assert find_segments(g, {1, 3}, 1, 2).paths[0].vertices == (1, 2, 0, 3)
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 9)
-        search = SegmentSearch(g, {1, 3}, (), 2, 1)
+        search = SegmentSearch(g, {1, 3}, (), 2)
         with pytest.raises(StateBudgetExceeded):
             search.find(1, 1, 0, 1)
         assert search._levels is not None
@@ -318,8 +319,8 @@ class TestSharedSearch:
         # the budget is read from longpaths when a probe runs, so one patch
         # bounds the st-path, cycle and segment searches alike
         g = cycle_graph(8)
-        search = SegmentSearch(g, {0, 4}, (), 4, 2)
-        assert find_segments(g, {0, 4}, 1, 3, search=search) is not None
+        search = SegmentSearch(g, {0, 4}, (), 4)
+        assert search.find(1, 3, 0, 1) is not None
         # K26 minus a perfect matching plus a star too small for an st probe;
         # mad 88 and k 0 put k' = 62 in the k range
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
@@ -343,9 +344,9 @@ class TestSharedSearch:
                     raise
 
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
-        search = SegmentSearch(g, {0, 4}, (), 4, 2)
+        search = SegmentSearch(g, {0, 4}, (), 4)
         with pytest.raises(StateBudgetExceeded):
-            find_segments(g, {0, 4}, 1, 3, search=search)
+            search.find(1, 3, 0, 1)
         monkeypatch.setattr(segments, "SegmentSearch", Recorded)
         res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
@@ -369,8 +370,9 @@ class TestSharedSearch:
 
 class _EagerEngine(SegmentSearch):
     """SegmentSearch before lazy levels: a query builds every level up to r
-    in full. _next_level, query and reconstruct are verbatim; stage one is
-    the search's own, built when the engine is made."""
+    in full. _next_level and reconstruct are verbatim, and so is query but
+    for the r <= rmax check that went with SegmentSearch's rmax; stage one
+    is the search's own, built when the engine is made."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -415,7 +417,7 @@ class _EagerEngine(SegmentSearch):
 
     def query(self, r: int, p: int, s: int, t: int):
         """One accepting state for exact counts (r, p, s, t), or None."""
-        if r < 1 or r > self.rmax:
+        if r < 1:
             return None
         while len(self._levels) < r:
             level, firsts = self._next_level()
@@ -446,7 +448,7 @@ def _scan_first(engine, r, p, s, t):
 
 
 def _random_instance(rng):
-    """A random (g, T, A, pmax, rmax) for the search."""
+    """A random (g, T, A, pmax, rmax) for the search and its probe grid."""
     g = random_graph(rng, rng.randint(6, 11), rng.uniform(0.3, 0.8))
     T = frozenset(rng.sample(range(g.n), rng.randint(2, min(6, g.n - 2))))
     A = frozenset(v for v in T if rng.random() < 0.5)
@@ -454,7 +456,8 @@ def _random_instance(rng):
 
 
 def _probe_grid(pmax, rmax):
-    """Every (r, p, s, t) in range and one past each bound."""
+    """Every (r, p, s, t) with r <= rmax + 1 and p <= pmax + 1, one past
+    pmax, where query answers None."""
     return [(r, p, s, t) for r in range(rmax + 2) for p in range(pmax + 2)
             for s in range(r + 2) for t in range(r + 2)]
 
@@ -468,13 +471,12 @@ class TestFirstStateIndex:
         probes, found = 0, 0
         for _ in range(30):
             g, T, A, pmax, rmax = _random_instance(rng)
-            engine = SegmentSearch(g, T, A, pmax, rmax)
-            eager = _EagerEngine(g, T, A, pmax, rmax)
+            engine = SegmentSearch(g, T, A, pmax)
+            eager = _EagerEngine(g, T, A, pmax)
             for r, p, s, t in _probe_grid(pmax, rmax):
                 got = engine.query(r, p, s, t)
                 want = eager.query(r, p, s, t)
-                in_range = 1 <= r <= rmax
-                assert want == (_scan_first(eager, r, p, s, t) if in_range else None)
+                assert want == (_scan_first(eager, r, p, s, t) if r >= 1 else None)
                 assert got == want
                 probes += 1
                 found += got is not None
@@ -488,12 +490,12 @@ class TestLazyLevels:
         probes, found = 0, 0
         for _ in range(200):
             g, T, A, pmax, rmax = _random_instance(rng)
-            eager = _EagerEngine(g, T, A, pmax, rmax)
+            eager = _EagerEngine(g, T, A, pmax)
             grid = _probe_grid(pmax, rmax)
             want = {probe: eager.query(*probe) for probe in grid}
             for _ in range(3):
                 rng.shuffle(grid)
-                engine = SegmentSearch(g, T, A, pmax, rmax)
+                engine = SegmentSearch(g, T, A, pmax)
                 for probe in grid:
                     got = engine.query(*probe)
                     assert got == want[probe], (g.adj, sorted(T), sorted(A), probe)
@@ -533,7 +535,7 @@ class TestLazyLevels:
         # C8 with T = {0, 4}: both segments have three internal vertices
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
         g = cycle_graph(8)
-        engine = SegmentSearch(g, frozenset({0, 4}), frozenset(), 6, 2)
+        engine = SegmentSearch(g, frozenset({0, 4}), frozenset(), 6)
         assert engine._levels is None
         # the first probe builds stage one, and no level
         assert engine.query(1, 2, 0, 1) is None
@@ -550,7 +552,7 @@ class TestLazyLevels:
         # P3 with T = {0, 2} and A = T: the one segment is an A-segment with
         # one internal vertex, which the gate rejects
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
-        engine = SegmentSearch(path_graph(3), frozenset({0, 2}), frozenset({0, 2}), 4, 3)
+        engine = SegmentSearch(path_graph(3), frozenset({0, 2}), frozenset({0, 2}), 4)
         for r in range(1, 4):
             for p in range(5):
                 assert engine.query(r, p, 0, 0) is None
@@ -612,7 +614,7 @@ class TestChecksRaise:
     def test_broken_alpha_walk_raises_construction_failure(self, monkeypatch):
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 100)
         g = cycle_graph(6)
-        engine = SegmentSearch(g, frozenset({0, 3}), frozenset(), 2, 1)
+        engine = SegmentSearch(g, frozenset({0, 3}), frozenset(), 2)
         assert engine.query(1, 2, 0, 1) is not None  # builds stage one
         with pytest.raises(ConstructionFailure):
             engine._walk_segment(0, 3, 1 << 0 | 1 << 3 | 1 << 4)

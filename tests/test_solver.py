@@ -242,9 +242,9 @@ class TestK0WithoutSeparatorScan:
 
 class TestDenseCoreThroughMasks:
     """The CI's case (iii) instance, K10 + I100 plus 16 one-vertex ears: the
-    K4 expansion certificate decides every 2-separator scan of its solve, so
-    neither the sparse certificate nor the exact 3-connectivity test runs,
-    and routing builds no graph from an edge list."""
+    expansion certificate decides every 2-separator scan of its solve from a
+    K4, so the exact 3-connectivity test never runs, and routing builds no
+    graph from an edge list."""
 
     def test_case_iii_solve(self, monkeypatch):
         from madcycle import graph, routing
@@ -260,8 +260,7 @@ class TestDenseCoreThroughMasks:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("_scan_two_separators", "_expands_from_k4", "_sparse_certificate",
-                     "_three_connected"):
+        for name in ("_scan_two_separators", "_expands_from_seed", "_three_connected"):
             monkeypatch.setattr(graph, name, counted(name, getattr(graph, name)))
         # a build_graph that routing imported would be this one
         monkeypatch.setattr(routing, "build_graph", counted("build_graph", build_graph),
@@ -272,8 +271,8 @@ class TestDenseCoreThroughMasks:
         assert res.answer == "yes" and res.branch == "case_iii"
         assert names.count("cover_side_through_pairs") >= 1
         assert names.count("_scan_two_separators") >= 1
-        assert names.count("_expands_from_k4") == names.count("_scan_two_separators")
-        assert "_sparse_certificate" not in names and "_three_connected" not in names
+        assert names.count("_expands_from_seed") == names.count("_scan_two_separators")
+        assert "_three_connected" not in names
         assert "build_graph" not in names
 
 
@@ -285,17 +284,17 @@ class TestOneSeparatorScanPerCore:
     def _solve_counting(self, monkeypatch, g, **kwargs):
         from madcycle import extract, graph
 
-        scanned, certified, cores = [], [], []
-        real_scan, real_cert = graph._scan_two_separators, graph._sparse_certificate
+        scanned, tested, cores = [], [], []
+        real_scan, real_test = graph._scan_two_separators, graph._three_connected
         real_reduce = extract.reduce_exhaustive
 
         def scan(h):
             scanned.append(h)
             return real_scan(h)
 
-        def cert(h, k):
-            certified.append(h)
-            return real_cert(h, k)
+        def three_connected(h):
+            tested.append(h)
+            return real_test(h)
 
         def reduce(*args, **kw):
             core, trace = real_reduce(*args, **kw)
@@ -304,27 +303,28 @@ class TestOneSeparatorScanPerCore:
 
         with monkeypatch.context() as m:
             m.setattr(graph, "_scan_two_separators", scan)
-            m.setattr(graph, "_sparse_certificate", cert)
+            m.setattr(graph, "_three_connected", three_connected)
             m.setattr(extract, "reduce_exhaustive", reduce)
             res = solve(g, **kwargs)
-        for seen in (scanned, certified):
+        for seen in (scanned, tested):
             assert all(sum(h is x for h in seen) == 1 for x in seen)
-        assert all(any(h is x for x in scanned) for h in certified)
-        return res, scanned, certified, cores
+        assert all(any(h is x for x in scanned) for h in tested)
+        return res, scanned, tested, cores
 
     def test_glued_cliques_scan_their_core_once(self, monkeypatch):
-        # two K14 sharing {0, 1}: no rule fires, and the core's one scan
-        # serves both rule 4 and the glue cycle
+        # two K14 sharing {0, 1}: no rule fires, the expansion from a K4
+        # stalls at the second clique, and the core's one scan serves both
+        # rule 4 and the glue cycle
         side = list(range(14))
         other = [0, 1] + list(range(14, 26))
         g = build_graph([(u, v) for part in (side, other) for u in part
                          for v in part if u < v], 26)
-        res, scanned, certified, cores = self._solve_counting(monkeypatch, g, k=1)
+        res, scanned, tested, cores = self._solve_counting(monkeypatch, g, k=1)
         assert res.answer == "yes" and res.branch == "find_dense"
         assert len(res.certificate) == 26 and res.threshold_len == 15
         assert verify_cycle_certificate(g, res.certificate)
-        assert len(cores) == 1 and cores[0] is scanned[0] is certified[0]
-        assert len(scanned) == len(certified) == 1
+        assert len(cores) == 1 and cores[0] is scanned[0] is tested[0]
+        assert len(scanned) == len(tested) == 1
 
     def test_random_cores_are_scanned_once(self, monkeypatch):
         rng = random.Random(43)
@@ -628,15 +628,17 @@ class TestNoGate:
             return witness, ReductionTrace()
 
         def nothing(g, H, A, B, r, p, s, t, search):
-            assert H == witness.vertices and 3 * search.rmax <= 2 * len(A)
-            probed.append(search.rmax)
+            assert H == witness.vertices and 3 * r <= 2 * len(A)
+            probed.append((r, search.pmax))
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)
         monkeypatch.setattr(solver, "_outside_path", lambda *args: None)
         monkeypatch.setattr(segments, "find_segments_partitioned", nothing)
         res = solve(g, 1)
         assert res.answer == answer and res.branch == "case_iii"
-        assert set(probed) == {180 - 2 * size_a} == {res.stats["k_prime"]}
+        k_prime = 180 - 2 * size_a
+        assert max(probed)[0] == k_prime == res.stats["k_prime"]
+        assert {pmax for _, pmax in probed} == {3 * k_prime - 2}
         if answer == "unknown":
             assert "mad/2 - 4k" in res.stats["reason"]
         else:

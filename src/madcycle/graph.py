@@ -595,26 +595,32 @@ class VerifyOutcome:
         return self.ok
 
 
-def verify_cycle_certificate(g: Graph, cert: CycleCertificate) -> VerifyOutcome:
-    """Check a cycle certificate; the reason names the first violated invariant."""
-    vs = cert.vertices
+def _verify_walk(g: Graph, vs, kind: str) -> VerifyOutcome:
+    """Check that vs is a simple walk of g, closed for kind "cycle" and open
+    for kind "path"; the reason names the first violated invariant."""
     for v in vs:
         if not (0 <= v < g.n):
             return VerifyOutcome(False, f"vertex {v} out of range")
     if len(set(vs)) != len(vs):
         return VerifyOutcome(False, "repeated vertex")
-    if len(vs) < 3:
-        return VerifyOutcome(False, "cycle has fewer than 3 vertices")
-    for i, u in enumerate(vs):
-        v = vs[(i + 1) % len(vs)]
+    least = 3 if kind == "cycle" else 2
+    if len(vs) < least:
+        return VerifyOutcome(False, f"{kind} has fewer than {least} vertices")
+    for u, v in zip(vs, vs[1:] + vs[:1] if kind == "cycle" else vs[1:]):
         if not g.has_edge(u, v):
             return VerifyOutcome(False, f"missing edge ({u},{v})")
-    if len(vs) < cert.claimed_min_length:
+    return VerifyOutcome(True)
+
+
+def verify_cycle_certificate(g: Graph, cert: CycleCertificate) -> VerifyOutcome:
+    """Check a cycle certificate; the reason names the first violated invariant."""
+    check = _verify_walk(g, cert.vertices, "cycle")
+    if check and len(cert) < cert.claimed_min_length:
         return VerifyOutcome(
             False,
-            f"length {len(vs)} below claimed minimum {cert.claimed_min_length}",
+            f"length {len(cert)} below claimed minimum {cert.claimed_min_length}",
         )
-    return VerifyOutcome(True)
+    return check
 
 
 def require_verified(check: VerifyOutcome) -> None:
@@ -668,18 +674,8 @@ def verify_density_certificate(g: Graph, vertices, density, splits) -> VerifyOut
 
 
 def verify_path_certificate(g: Graph, cert: PathCertificate) -> VerifyOutcome:
-    vs = cert.vertices
-    for v in vs:
-        if not (0 <= v < g.n):
-            return VerifyOutcome(False, f"vertex {v} out of range")
-    if len(set(vs)) != len(vs):
-        return VerifyOutcome(False, "repeated vertex")
-    if len(vs) < 2:
-        return VerifyOutcome(False, "path has fewer than 2 vertices")
-    for u, v in zip(vs, vs[1:]):
-        if not g.has_edge(u, v):
-            return VerifyOutcome(False, f"missing edge ({u},{v})")
-    return VerifyOutcome(True)
+    """Check a path certificate; the reason names the first violated invariant."""
+    return _verify_walk(g, cert.vertices, "path")
 
 
 def certify(

@@ -206,13 +206,28 @@ class SegmentSearch:
         for x in sorted(T):
             reach: dict[int, int] = {1 << x: 1 << x}
             queue = [1 << x]
+            entries: set[tuple[int, int]] = set()
             qi = 0
             while qi < len(queue):
                 ckey = queue[qi]
                 qi += 1
+                ends = reach[ckey]
+                # the BFS dequeues sets by size, so the ends of ckey are
+                # final here; each end other than x (every set but {x} has
+                # one) closes a segment at each of its neighbours y in T,
+                # as ckey holds x and vertices outside T
+                e = ends & ~(1 << x)
+                while e:
+                    v = (e & -e).bit_length() - 1
+                    e &= e - 1
+                    ys = g.masks[v] & t_mask & ~(1 << x)
+                    while ys:
+                        y = (ys & -ys).bit_length() - 1
+                        ys &= ys - 1
+                        entries.add((y, ckey | (1 << y)))
+                        self._tick()
                 if ckey.bit_count() >= max_pop:
                     continue
-                ends = reach[ckey]
                 e = ends
                 while e:
                     v = (e & -e).bit_length() - 1
@@ -227,21 +242,6 @@ class SegmentSearch:
                             queue.append(nkey)
                             self._tick()
                         reach[nkey] |= 1 << u
-            entries: set[tuple[int, int]] = set()
-            for ckey, ends in reach.items():
-                if ckey.bit_count() < 2:
-                    continue  # need at least one internal vertex
-                e = ends & ~(1 << x)
-                while e:
-                    v = (e & -e).bit_length() - 1
-                    e &= e - 1
-                    # y is in T and ckey holds x and vertices outside T
-                    ys = g.masks[v] & t_mask & ~(1 << x)
-                    while ys:
-                        y = (ys & -ys).bit_length() - 1
-                        ys &= ys - 1
-                        entries.add((y, ckey | (1 << y)))
-                        self._tick()
             self._alpha_walk[x] = reach
             # alpha*: reject one-internal A-segments; every entry holds x, at
             # least one internal vertex and y, and the BFS never grows a set

@@ -9,7 +9,9 @@ check what they can without ground truth:
 - (a) relabelling the vertices never turns `yes` into `no`;
 - (b) a `no` at k >= 1 rules out a `yes` at k + 1;
 - (c) a cycle-mode `yes` at k rules out a path-mode `no` at k, as the cycle
-  read from any vertex is a path with as many vertices;
+  read from any vertex is a path with as many vertices, and every path-mode
+  `yes` carries a path that `path_violation`, written here and not taken
+  from the package, accepts;
 - (d) the `strict` keyword is inert: `strict=True` and `strict=False` emit
   the same bytes on every full-budget solve;
 - (e) k = 0 is never `no` (Erdos-Gallai);
@@ -43,7 +45,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from madcycle import errors, longpaths, segments, solver
-from madcycle.graph import Graph, build_graph, is_biconnected
+from madcycle.graph import Graph, PathCertificate, build_graph, is_biconnected
 from madcycle.instances import emit_result, gen_instance
 from madcycle.oracles import oracle_longest_cycle
 
@@ -100,6 +102,26 @@ def find_swallows_the_trip():
 
 
 @contextmanager
+def short_paths():
+    """The planted fault: every path-mode `yes` cuts its path to one vertex
+    below the threshold."""
+    saved = solver._solve_path
+
+    def short(g, k, with_trace):
+        res = saved(g, k, with_trace)
+        if res.path_certificate is not None:
+            cut = res.path_certificate.vertices[: res.threshold_len - 1]
+            res.path_certificate = PathCertificate(cut)
+        return res
+
+    solver._solve_path = short
+    try:
+        yield
+    finally:
+        solver._solve_path = saved
+
+
+@contextmanager
 def no_downgrade():
     """The planted fault: `solver._downgrade` lets every `no` stand."""
     saved = solver._downgrade
@@ -120,6 +142,19 @@ def cycle_violation(g: Graph, res) -> str | None:
     for u, v in zip(cyc, cyc[1:] + cyc[:1]):
         if v not in g.adj[u]:
             return f"cycle uses the non-edge {u}-{v}"
+    return None
+
+
+def path_violation(g: Graph, res) -> str | None:
+    """What is wrong with a path-mode `yes` answer's path, or None."""
+    path = res.path_certificate.vertices if res.path_certificate is not None else ()
+    if len(path) < res.threshold_len:
+        return f"path of {len(path)} vertices below threshold {res.threshold_len}"
+    if len(set(path)) != len(path) or not all(0 <= v < g.n for v in path):
+        return "path repeats a vertex or leaves the graph"
+    for u, v in zip(path, path[1:]):
+        if v not in g.adj[u]:
+            return f"path uses the non-edge {u}-{v}"
     return None
 
 
@@ -200,6 +235,9 @@ def check_graph(g: Graph, ks, rng: random.Random, tally: Counter, circumference=
             path = solver.solve(g, k, mode="path")
             if path.answer == "no":
                 bad.append(f"(c) {label}: cycle yes, path-mode no")
+            if path.answer == "yes" and (why := path_violation(g, path)):
+                bad.append(f"(c) {label}: path mode, {why}")
+            tally["path-mode yes"] += path.answer == "yes"
         reason = res.stats.get("reason", "")
         tally[res.answer] += 1
         if res.answer == "unknown" and "state budget exceeded" in reason:
@@ -253,6 +291,7 @@ def test_km_with_ears():
     bad = [v for seed in KM_SEEDS for v in check_km(seed, tally)]
     assert bad == []
     assert tally["yes"] > 0 and tally["lowered-budget solves that tripped"] > 0, tally
+    assert tally["path-mode yes"] > 0, tally
 
 
 def test_split_graphs_reach_case_iii():
@@ -268,7 +307,7 @@ def test_gnp_against_the_oracle():
     bad = [v for seed in GNP_SEEDS for v in check_gnp(seed, tally)]
     assert bad == []
     assert tally["yes"] > 0 and tally["no"] > 0, tally
-    assert tally["lowered-budget solves that tripped"] > 0, tally
+    assert tally["lowered-budget solves that tripped"] > 0 and tally["path-mode yes"] > 0, tally
 
 
 def test_relation_g_catches_a_swallowed_budget_trip():
@@ -287,6 +326,18 @@ def test_relation_g_catches_a_swallowed_budget_trip():
     with find_swallows_the_trip():
         bad = check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,))
     assert bad and all(v.startswith("(g)") for v in bad), bad
+
+
+def test_relation_c_catches_a_path_one_vertex_short():
+    # K8 - M at k = 1: the cycle-mode yes makes the path solve, a yes whose
+    # path the package has certified, so only the fuzz's own check is left
+    g = build_graph(k_minus_matching(8), 8)
+    res = solver.solve(g, 1, mode="path")
+    assert (res.answer, res.threshold_len) == ("yes", 7)
+    assert check_graph(g, (1,), random.Random(0), Counter()) == []
+    with short_paths():
+        bad = check_graph(g, (1,), random.Random(0), Counter())
+    assert bad == ["(c) n=8 k=1 budget=None: path mode, path of 6 vertices below threshold 7"]
 
 
 def test_relation_h_catches_a_no_let_stand_out_of_range():

@@ -1,3 +1,4 @@
+import io
 import random
 import sys
 from collections import Counter
@@ -13,6 +14,7 @@ from madcycle.graph import (
     CycleCertificate,
     Graph,
     PathCertificate,
+    VerifyOutcome,
     avg_degree,
     avg_degree_of_set,
     blocks_and_cut_vertices,
@@ -816,6 +818,111 @@ class TestVerifyPath:
     def test_one_vertex_is_no_path(self):
         out = verify_path_certificate(complete(4), PathCertificate((2,)))
         assert not out and out.reason == "path has fewer than 2 vertices"
+
+
+def _parent_verify_cycle(g, cert):
+    """verify_cycle_certificate before the one certificate walk, verbatim."""
+    vs = cert.vertices
+    for v in vs:
+        if not (0 <= v < g.n):
+            return VerifyOutcome(False, f"vertex {v} out of range")
+    if len(set(vs)) != len(vs):
+        return VerifyOutcome(False, "repeated vertex")
+    if len(vs) < 3:
+        return VerifyOutcome(False, "cycle has fewer than 3 vertices")
+    for i, u in enumerate(vs):
+        v = vs[(i + 1) % len(vs)]
+        if not g.has_edge(u, v):
+            return VerifyOutcome(False, f"missing edge ({u},{v})")
+    if len(vs) < cert.claimed_min_length:
+        return VerifyOutcome(
+            False,
+            f"length {len(vs)} below claimed minimum {cert.claimed_min_length}",
+        )
+    return VerifyOutcome(True)
+
+
+def _parent_verify_path(g, cert):
+    """verify_path_certificate before the one certificate walk, verbatim."""
+    vs = cert.vertices
+    for v in vs:
+        if not (0 <= v < g.n):
+            return VerifyOutcome(False, f"vertex {v} out of range")
+    if len(set(vs)) != len(vs):
+        return VerifyOutcome(False, "repeated vertex")
+    if len(vs) < 2:
+        return VerifyOutcome(False, "path has fewer than 2 vertices")
+    for u, v in zip(vs, vs[1:]):
+        if not g.has_edge(u, v):
+            return VerifyOutcome(False, f"missing edge ({u},{v})")
+    return VerifyOutcome(True)
+
+
+def _reason_kind(check):
+    """The verifier reason with its numbers dropped, "ok" when it passes."""
+    return "ok" if check else "".join(c for c in check.reason if c not in "-0123456789")
+
+
+_WALK_REASONS = {"ok", "vertex  out of range", "repeated vertex", "missing edge (,)"}
+_CYCLE_REASONS = _WALK_REASONS | {"cycle has fewer than  vertices",
+                                  "length  below claimed minimum "}
+
+
+class TestOneCertificateWalk:
+    """Both verifiers walk the sequence once in `_verify_walk`, with the
+    reasons, and their order, of the two separate walks before it."""
+
+    @staticmethod
+    def _sequences(rng, g):
+        """Vertex sequences drawn to reach every reason: mostly in range,
+        short and long, and on complete graphs mostly real walks."""
+        for _ in range(12):
+            size = rng.randint(0, g.n + 1)
+            if rng.random() < 0.5:
+                yield tuple(rng.sample(range(g.n), min(size, g.n)))
+            else:
+                yield tuple(rng.randrange(-1, g.n + 2) for _ in range(size))
+
+    def test_same_outcomes_as_the_two_parent_walks(self):
+        rng = random.Random(47)
+        kinds = {"cycle": Counter(), "path": Counter()}
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            g = complete(n) if rng.random() < 0.3 else random_graph(rng, n, rng.uniform(0.3, 1))
+            for vs in self._sequences(rng, g):
+                cert = CycleCertificate(vs, rng.randint(0, g.n + 1))
+                want = _parent_verify_cycle(g, cert)
+                assert verify_cycle_certificate(g, cert) == want
+                kinds["cycle"][_reason_kind(want)] += 1
+                want = _parent_verify_path(g, PathCertificate(vs))
+                assert verify_path_certificate(g, PathCertificate(vs)) == want
+                kinds["path"][_reason_kind(want)] += 1
+        assert min(kinds["cycle"][r] for r in _CYCLE_REASONS) >= 10, kinds["cycle"]
+        path_reasons = _WALK_REASONS | {"path has fewer than  vertices"}
+        assert min(kinds["path"][r] for r in path_reasons) >= 10, kinds["path"]
+
+    def test_cli_prints_the_parent_reason(self, tmp_path):
+        from madcycle.cli import run_cli
+        from madcycle.instances import emit_graph
+
+        rng = random.Random(53)
+        seen = Counter()
+        for i in range(60):
+            g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.4, 1))
+            path = tmp_path / f"g{i}.el"
+            path.write_bytes(emit_graph(g))
+            for vs in self._sequences(rng, g):
+                if not vs:
+                    continue  # an empty --cycle is no list to check
+                min_len = rng.randint(0, g.n + 1)
+                want = _parent_verify_cycle(g, CycleCertificate(vs, min_len))
+                out = io.StringIO()
+                code = run_cli(["verify", str(path), "--cycle=" + ",".join(map(str, vs)),
+                                "--min-len", str(min_len)], out=out)
+                assert out.getvalue() == ("ok\n" if want else f"invalid: {want.reason}\n")
+                assert code == (0 if want else 1)
+                seen[_reason_kind(want)] += 1
+        assert set(seen) == _CYCLE_REASONS, seen
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import gc
 import random
+import types
 import weakref
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from madcycle import longpaths, segments, solver
 from madcycle.errors import ConstructionFailure, PreconditionError, StateBudgetExceeded
-from madcycle.graph import PathCertificate, VerifyOutcome, build_graph
+from madcycle.graph import PathCertificate, VerifyOutcome, build_graph, mask_of
 from madcycle.oracles import SEGMENTS_P_CAP, segment_signatures
 from madcycle.segments import (
     SegmentSearch,
@@ -460,6 +461,111 @@ def _probe_grid(pmax, rmax):
     pmax, where query answers None."""
     return [(r, p, s, t) for r in range(rmax + 2) for p in range(pmax + 2)
             for s in range(r + 2) for t in range(r + 2)]
+
+
+def _parent_build_alpha(self):
+    """SegmentSearch._build_alpha before stage one was built in one pass,
+    verbatim: the BFS first, then a second loop over reach for the entries."""
+    g, T, A = self.g, self.T, self.A
+    t_mask = mask_of(T)
+    out_mask = ((1 << g.n) - 1) & ~t_mask
+    max_pop = self.pmax + 1  # x plus at most pmax internals
+    for x in sorted(T):
+        reach: dict[int, int] = {1 << x: 1 << x}
+        queue = [1 << x]
+        qi = 0
+        while qi < len(queue):
+            ckey = queue[qi]
+            qi += 1
+            if ckey.bit_count() >= max_pop:
+                continue
+            ends = reach[ckey]
+            e = ends
+            while e:
+                v = (e & -e).bit_length() - 1
+                e &= e - 1
+                w = g.masks[v] & out_mask & ~ckey
+                while w:
+                    u = (w & -w).bit_length() - 1
+                    w &= w - 1
+                    nkey = ckey | (1 << u)
+                    if nkey not in reach:
+                        reach[nkey] = 0
+                        queue.append(nkey)
+                        self._tick()
+                    reach[nkey] |= 1 << u
+        entries: set[tuple[int, int]] = set()
+        for ckey, ends in reach.items():
+            if ckey.bit_count() < 2:
+                continue  # need at least one internal vertex
+            e = ends & ~(1 << x)
+            while e:
+                v = (e & -e).bit_length() - 1
+                e &= e - 1
+                # y is in T and ckey holds x and vertices outside T
+                ys = g.masks[v] & t_mask & ~(1 << x)
+                while ys:
+                    y = (ys & -ys).bit_length() - 1
+                    ys &= ys - 1
+                    entries.add((y, ckey | (1 << y)))
+                    self._tick()
+        self._alpha_walk[x] = reach
+        # alpha*: reject one-internal A-segments; every entry holds x, at
+        # least one internal vertex and y, and the BFS never grows a set
+        # past pmax + 1 vertices, so 1 <= dp <= pmax already
+        x_in_a = x in A
+        gated = []
+        for y, ykey in sorted(entries):
+            dp = ykey.bit_count() - 2
+            da = 1 if (x_in_a and y in A) else 0
+            db = 1 if (not x_in_a and y not in A) else 0
+            if dp == 1 and da:
+                continue
+            gated.append((y, ykey, dp, da, db))
+        if gated:
+            self._rows.append((x, 1 << x, gated))
+
+
+class TestStageOneInOnePass:
+    """Stage one emits a vertex set's entries when the BFS dequeues it: the
+    same entries, walk and tick total as the two-pass build."""
+
+    @staticmethod
+    def _stage_one(g, T, A, pmax, build_alpha=None):
+        engine = SegmentSearch(g, T, A, pmax)
+        if build_alpha is not None:
+            engine._build_alpha = types.MethodType(build_alpha, engine)
+        engine._build()
+        return engine
+
+    def test_same_stage_one_and_budget_trips_as_the_two_pass_build(self, monkeypatch):
+        rng = random.Random(67)
+        rows = 0
+        for i in range(300):
+            if i % 3:
+                g, T, A, pmax, _ = _random_instance(rng)
+            else:  # larger, with longer segments
+                g = random_graph(rng, rng.randint(10, 16), rng.uniform(0.2, 0.5))
+                T = frozenset(rng.sample(range(g.n), rng.randint(2, 6)))
+                A = frozenset(v for v in T if rng.random() < 0.5)
+                pmax = rng.randint(1, 9)
+            monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 10**7)
+            got = self._stage_one(g, T, A, pmax)
+            want = self._stage_one(g, T, A, pmax, _parent_build_alpha)
+            assert got._rows == want._rows, (g.adj, sorted(T), sorted(A), pmax)
+            assert got._span == want._span
+            assert got._alpha_walk == want._alpha_walk
+            assert got._states == want._states
+            rows += len(got._rows)
+            # one tick short of the total, both builds trip; at it, neither
+            if want._states:
+                monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", want._states - 1)
+                for build_alpha in (None, _parent_build_alpha):
+                    with pytest.raises(StateBudgetExceeded):
+                        self._stage_one(g, T, A, pmax, build_alpha)
+            monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", want._states)
+            assert self._stage_one(g, T, A, pmax)._states == want._states
+        assert rows > 300, rows
 
 
 class TestFirstStateIndex:

@@ -152,6 +152,38 @@ class TestK0Constructive:
         assert res.trace == again[1].to_jsonable()
         assert solve(g, 0).trace is None
 
+    @pytest.mark.parametrize("g", [
+        complete(5),  # mad 4: the short cycle is exactly mad long
+        complete(8),
+        # K6 plus a vertex on three of its vertices: mad 36/7, core K6
+        build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)]
+                    + [(6, 0), (6, 1), (6, 2)], 7),
+    ])
+    def test_a_core_cycle_one_vertex_short_is_refused(self, monkeypatch, g):
+        # every core here is complete, so any floor(mad) of its vertices, in
+        # any order, are a cycle of it that certify accepts
+        from madcycle import longpaths
+
+        real = longpaths.dirac_cycle
+        shortened = []
+
+        def short(core, want):
+            vs = real(core, want).vertices[: want - 1]
+            shortened.append(want)
+            return certify(core, CycleCertificate(vs, want - 1))
+
+        monkeypatch.setattr(longpaths, "dirac_cycle", short)
+        above = math.floor(mad_with_witness(g).mad) + 1
+        refused = f"length {above - 1} below claimed minimum {above}"
+        with pytest.raises(ConstructionFailure, match=refused):
+            solve(g, 0)
+        with pytest.raises(ConstructionFailure, match=refused):
+            k0_constructive_cycle(g)
+        # path mode adds a universal vertex, and its k = 0 cycle is refused too
+        with pytest.raises(ConstructionFailure, match="below claimed minimum"):
+            solve(g, 0, mode="path")
+        assert shortened == [above, above, above + 1]
+
 
 def _block_chain(rng, sizes):
     """Random 2-connected blocks of the given sizes, consecutive blocks
@@ -1029,14 +1061,3 @@ class TestSpliceSegments:
         out = _splice_segments(self.BASE, system)
         assert out == [0, 1, 5, 4, 2, 3]
         certify(self.G, CycleCertificate(tuple(out), 6))
-
-    def test_pair_off_the_cycle_raises(self):
-        # the pair (0, 2) is not an edge of the routed cycle
-        system = _segment_system({0, 1, 2, 3}, (0, 4, 2))
-        assert verify_path_certificate(self.G.add_pairs([(0, 4)]), system.paths[0])
-        with pytest.raises(ConstructionFailure, match="endpoint pair was not on the cycle"):
-            _splice_segments(self.BASE, system)
-        # two segments on one pair-edge: only one fits, and the count is short
-        system = _segment_system({0, 1, 2, 3}, (1, 5, 4, 2), (1, 0, 3, 2))
-        with pytest.raises(ConstructionFailure, match="assembly identity violated"):
-            _splice_segments(self.BASE, system)

@@ -34,7 +34,7 @@ rng = random.Random(2)
 S = random_cyclable_pairs(range(g.n), 3, rng)
 s = sum(1 for u, v in S if u in A and v in A)
 t = sum(1 for u, v in S if u in B and v in B)
-cert = cover_side_through_pairs(g, A, B, S, k=2)
+cert = cover_side_through_pairs(g, A, S, k=2)
 print(f"bipartite-dense p=20: pairs {S} with (A-pairs, B-pairs) = ({s}, {t})")
 print(f"  covering cycle length {len(cert)} == 2p - s + t = {2 * 20 - s + t}")
 print(f"  covers all of A: {A <= set(cert.vertices)}")

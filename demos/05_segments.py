@@ -6,7 +6,7 @@ linear forest. The solver asks for systems with exact path and internal
 counts, and (in the bipartite case) exact side classifications.
 """
 
-from madcycle import build_graph, find_segments, find_segments_partitioned
+from madcycle import SegmentSearch, build_graph, find_segments, find_segments_partitioned
 from madcycle.oracles import oracle_segments
 
 # two bridges and a pendant path around a 4-vertex core
@@ -24,8 +24,9 @@ for r, p in ((1, 1), (1, 2), (2, 3), (2, 4)):
     print(f"r={r}, p={p}: oracle={brute!s:5}  found={shown}")
 
 print("\npartitioned search with A = {0, 1}, B = {2, 3}:")
+search = SegmentSearch(g, T, {0, 1}, 3)  # one search answers every probe
 for r, p, s, t in ((2, 3, 1, 1), (2, 3, 0, 1), (1, 2, 1, 0)):
-    system = find_segments_partitioned(g, T, {0, 1}, {2, 3}, r, p, s, t)
+    system = find_segments_partitioned(search, r, p, s, t)
     shown = [x.vertices for x in system.paths] if system else None
     print(f"r={r}, p={p}, A-segments={s}, B-segments={t}: {shown}")
 

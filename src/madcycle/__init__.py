@@ -51,6 +51,7 @@ from .longpaths import dirac_cycle, fan_path, st_path_at_least
 from .reduction import apply_rule, reduce_exhaustive
 from .routing import cover_side_through_pairs, hamiltonian_through_pairs
 from .segments import (
+    SegmentSearch,
     SegmentSystem,
     find_segments,
     find_segments_partitioned,
@@ -74,6 +75,7 @@ __all__ = [
     "FoundCycle",
     "Graph",
     "PathCertificate",
+    "SegmentSearch",
     "SegmentSystem",
     "SmallDense",
     "SolveResult",

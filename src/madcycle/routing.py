@@ -159,16 +159,17 @@ def _certify(gp: Graph, cycle: list[int], S, length: int) -> CycleCertificate:
 # bipartite-dense covering
 
 
-def cover_side_through_pairs(h: Graph, A, B, S, k: int) -> CycleCertificate:
+def cover_side_through_pairs(h: Graph, A, S, k: int) -> CycleCertificate:
     """Cycle of h+S through every pair of S covering all of A, length 2p-s+t.
 
-    A and B partition V(h) with B independent; only A-B edges of h are used
-    (edges inside A, if any, are ignored), which pins the exact length. An
-    empty S is replaced by the lowest A-B edge. k only orders the moves.
+    B = V(h) - A must be independent; only A-B edges of h are used (edges
+    inside A, if any, are ignored), which pins the exact length. An empty S
+    is replaced by the lowest A-B edge. k only orders the moves.
     """
-    A, B = frozenset(A), frozenset(B)
-    if A & B or A | B != frozenset(h.vertices()):
-        raise PreconditionError("A and B must partition the vertex set")
+    A, V = frozenset(A), frozenset(h.vertices())
+    if not A <= V:
+        raise PreconditionError("A must be a subset of the vertex set")
+    B = V - A
     b_mask = mask_of(B)
     if any(h.masks[u] & b_mask for u in B):
         raise PreconditionError("B is not an independent set")
@@ -187,7 +188,7 @@ def cover_side_through_pairs(h: Graph, A, B, S, k: int) -> CycleCertificate:
     gp = hb.add_pairs(S)
     join = partial(_bip_connector, hb, A)
     cycle = _close(gp, _chain_path(gp, S, join), join)
-    cycle = _bip_cover_a(hb, A, B, cycle, set(S), k)
+    cycle = _bip_cover_a(hb, A, cycle, set(S), k)
 
     expected = 2 * p - s_cnt + t_cnt
     if len(cycle) != expected:
@@ -225,7 +226,6 @@ def _bip_connector(
 def _bip_cover_a(
     hb: Graph,
     A: frozenset[int],
-    B: frozenset[int],
     cycle: list[int],
     S: set[tuple[int, int]],
     k: int,
@@ -243,7 +243,7 @@ def _bip_cover_a(
             move = detour_move(hb, cycle, on, S, join)
             return move and cycle[: move[0] + 1] + move[1] + cycle[move[0] + 1 :]
 
-        case2 = partial(_bip_case2, hb, A, B, cycle, S, on, missing)
+        case2 = partial(_bip_case2, hb, A, cycle, S, on, missing)
         first, second = (case2, case1) if len(missing) <= 2 * k else (case1, case2)
         move = first() or second()
         if move is None:
@@ -254,7 +254,7 @@ def _bip_cover_a(
     return cycle
 
 
-def _bip_case2(hb, A, B, cycle, S, on, missing):
+def _bip_case2(hb, A, cycle, S, on, missing):
     """Replace a segment x-z-y (x,y in A, z in B, non-pair edges) by x-v-u-w-y."""
     n = len(cycle)
     for u in missing:
@@ -263,7 +263,7 @@ def _bip_case2(hb, A, B, cycle, S, on, missing):
             continue
         for i in range(n):
             x, z, y = cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]
-            if not (x in A and y in A and z in B):
+            if not (x in A and y in A and z not in A):
                 continue
             if (min(x, z), max(x, z)) in S or (min(z, y), max(z, y)) in S:
                 continue

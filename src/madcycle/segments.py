@@ -22,8 +22,9 @@ from the same predecessor, so a larger range changes no answer and no
 reconstruction. A probe answers a system or None, which proves absence;
 past the state budget it raises StateBudgetExceeded, and so does every
 later probe of that search. Nothing is cached beyond the search object.
-`find_segments_partitioned` is the one probe, and `find_segments` is its
-probe (r, p, 0, r) with A empty. Every system a probe returns has passed
+`find_segments_partitioned(search, r, p, s, t)` is the one probe, asked
+of a search, and `find_segments` is the probe (r, p, 0, r) of a search made
+for it alone, with A empty. Every system a probe returns has passed
 `validate_segment_system`, an independent check that returns a
 `graph.VerifyOutcome`.
 """
@@ -126,7 +127,8 @@ class _Level:
 
 class SegmentSearch:
     """The two-stage DP under the identity coloring for one (g, T, A),
-    shared by every probe of one case analysis.
+    shared by every probe of one case analysis. T and A are checked once,
+    here; a probe (`find_segments_partitioned`) reads them off the search.
 
     Stage one is built on the first query, under the
     longpaths.DET_STATE_BUDGET of that moment. Levels are built lazily, as
@@ -148,27 +150,6 @@ class SegmentSearch:
             raise PreconditionError("A must be a subset of T")
         self.pmax = pmax
         self._levels: list[_Level] | None = None  # None until the first query
-
-    def find(self, r: int, p: int, s: int, t: int) -> SegmentSystem | None:
-        """The system of the first state level r inserts with counts
-        (p, s, t), validated, or None, which proves absence. A probe with
-        r < 1 or p > pmax raises PreconditionError: states past pmax are
-        never created, so a None there would prove nothing. r > p answers
-        None: each segment has an internal vertex."""
-        if r < 1 or p > self.pmax:
-            raise PreconditionError(
-                f"probe (r={r}, p={p}) outside the search's range "
-                f"(r >= 1, p <= {self.pmax})"
-            )
-        hit = None if r > p else self.query(r, p, s, t)
-        if hit is None:
-            return None
-        paths = tuple(PathCertificate(tuple(seq)) for seq in self.reconstruct(*hit))
-        system = SegmentSystem(paths, self.T)
-        check = validate_segment_system(self.g, system, self.A, r, p, s, t)
-        if not check:
-            raise ConstructionFailure(f"segment DP produced an invalid system: {check.reason}")
-        return system
 
     def _tick(self):
         self._states += 1
@@ -379,44 +360,46 @@ def find_segments(
     """A system of exactly r T-segments with exactly p internal vertices,
     or None when there is none; past the state budget, StateBudgetExceeded.
 
-    This is the partitioned probe (r, p, 0, r) with A empty, so every
-    segment counts as a B-segment.
+    This is the partitioned probe (r, p, 0, r) of a search made for it
+    alone, with A empty, so every segment counts as a B-segment.
     """
-    return find_segments_partitioned(g, T, (), T, r, p, 0, r)
+    return find_segments_partitioned(SegmentSearch(g, T, (), p), r, p, 0, r)
 
 
 def find_segments_partitioned(
-    g: Graph,
-    T,
-    A,
-    B,
+    search: SegmentSearch,
     r: int,
     p: int,
     s: int,
     t: int,
-    search: SegmentSearch | None = None,
 ) -> SegmentSystem | None:
-    """A system of exactly r T-segments with exactly p internal vertices, s
-    of them A-segments (both ends in A, >= 2 internal vertices each) and t
-    B-segments (both ends in B).
+    """The search's system of exactly r T-segments with exactly p internal
+    vertices, s of them A-segments (both ends in A, >= 2 internal vertices
+    each) and t B-segments (both ends in B = T - A): the first state level r
+    inserts with counts (p, s, t), validated, or None, which proves absence.
 
-    Returned systems always validate. A search made for (g, T, A) answers
-    the probe from its shared DP; without one, a search for this probe
-    alone is made. None proves absence, and past the state budget the probe
-    raises StateBudgetExceeded. A probe with r > p is checked against the
-    search like any other and answers None.
+    Past the state budget the probe raises StateBudgetExceeded. A probe
+    with p > pmax raises PreconditionError: states past pmax are never
+    created, so a None there would prove nothing. r > p answers None: each
+    segment has an internal vertex.
     """
     if r < 1 or p < 1:
         raise PreconditionError("need r >= 1 and p >= 1")
-    T, A, B = frozenset(T), frozenset(A), frozenset(B)
-    if A | B != T or A & B:
-        raise PreconditionError("A and B must partition T")
     if s + t > r:
         raise PreconditionError("s + t must not exceed r")
     if s < 0 or t < 0:
         raise PreconditionError("s and t must be nonnegative")
-    if search is None:
-        search = SegmentSearch(g, T, A, p)
-    if g is not search.g or T != search.T or A != search.A:
-        raise PreconditionError("probe does not match the search's (g, T, A)")
-    return search.find(r, p, s, t)
+    if p > search.pmax:
+        raise PreconditionError(
+            f"probe (r={r}, p={p}) outside the search's range "
+            f"(r >= 1, p <= {search.pmax})"
+        )
+    hit = None if r > p else search.query(r, p, s, t)
+    if hit is None:
+        return None
+    paths = tuple(PathCertificate(tuple(seq)) for seq in search.reconstruct(*hit))
+    system = SegmentSystem(paths, search.T)
+    check = validate_segment_system(search.g, system, search.A, r, p, s, t)
+    if not check:
+        raise ConstructionFailure(f"segment DP produced an invalid system: {check.reason}")
+    return system

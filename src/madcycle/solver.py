@@ -205,12 +205,10 @@ def _routed(g: Graph, H, A, pairs, core=None) -> CycleCertificate:
     else:
         sub_h, ids_h = induced_subgraph(g, H)
     back = {orig: i for i, orig in enumerate(ids_h)}
-    local = {(back[a], back[b]) for a, b in pairs}
+    local = [(back[a], back[b]) for a, b in pairs]  # routing rejects a repeat
     if A:
-        a_local = frozenset(back[v] for v in A)
-        b_local = frozenset(range(sub_h.n)) - a_local
         cyc = routing.cover_side_through_pairs(
-            sub_h, a_local, b_local, local, k=max(1, len(A) // 10)
+            sub_h, [back[v] for v in A], local, k=max(1, len(A) // 10)
         )
     else:
         cyc = routing.hamiltonian_through_pairs(sub_h, local)
@@ -259,12 +257,9 @@ def _case_analysis(
             system = None if path is None else segments.SegmentSystem((path,), H)
         if system is None:
             search = segments.SegmentSearch(g, H, A, pmax)
-            B = H - A
             for r, p, s, t in probes:
                 stats["segment_probes"] += 1
-                system = segments.find_segments_partitioned(
-                    g, H, A, B, r, p, s, t, search=search
-                )
+                system = segments.find_segments_partitioned(search, r, p, s, t)
                 if system is not None:
                     break
             else:
@@ -446,10 +441,11 @@ def _solve_path(g, k, with_trace) -> SolveResult:
             stats=inner.stats, trace=inner.trace, **base,
         )
         cycle_cert = inner.certificate
-    if res.answer == "yes":  # a yes always carries its cycle
+    if res.answer == "yes":
+        # the cycle is certified at want_vertices + 1 or more: path_k0 at
+        # floor(mad_p)+1 >= ceil(mad_p) >= want_vertices + 1, every inner yes
+        # at its threshold ceil(mad_p) + k_plus = want_vertices + 1
         seq = list(cycle_cert.vertices)
-        if len(seq) < want_vertices + 1:
-            raise ConstructionFailure("path-mode cycle shorter than required")
         if u in seq:
             # drop the universal vertex; the rest is a path of G
             i = seq.index(u)

@@ -24,7 +24,7 @@ from madcycle.oracles import (
 )
 from madcycle.reduction import reduce_exhaustive
 from madcycle.routing import cover_side_through_pairs, hamiltonian_through_pairs
-from madcycle.segments import find_segments, find_segments_partitioned
+from madcycle.segments import SegmentSearch, find_segments, find_segments_partitioned
 from madcycle.solver import k0_constructive_cycle, solve
 
 from conftest import random_2connected_graph, random_connected_graph, random_graph
@@ -117,15 +117,15 @@ def test_criterion_05_segment_dp_vs_oracle():
         g = random_graph(rng, n, rng.uniform(0.25, 0.7))
         T = set(rng.sample(range(n), rng.randint(2, min(5, n))))
         A = {v for v in T if rng.random() < 0.5}
-        B = T - A
         plain, table = segment_signatures(g, T, (), 4), segment_signatures(g, T, A, 4)
+        search = SegmentSearch(g, T, A, 4)
         for p in range(1, 5):
             for r in range(1, p + 1):
                 got = find_segments(g, T, r, p)
                 assert (got is not None) == ((r, p, 0, r) in plain)
                 for s in range(0, r + 1):
                     for t in range(0, r - s + 1):
-                        got = find_segments_partitioned(g, T, A, B, r, p, s, t)
+                        got = find_segments_partitioned(search, r, p, s, t)
                         assert (got is not None) == ((r, p, s, t) in table)
     print("\nACCEPTANCE 5 PASS: segment searches matched the enumeration oracle on 100 graphs, all (r,p,s,t), p <= 4")
 
@@ -157,7 +157,7 @@ def test_criterion_07_bipartite_routing_exact_length(certificate_registry):
         S = random_cyclable_pairs(range(g.n), rng.randint(1, 5), rng)
         s_cnt = sum(1 for u, v in S if u in A and v in A)
         t_cnt = sum(1 for u, v in S if u in B and v in B)
-        cert = cover_side_through_pairs(g, A, B, S, 2)
+        cert = cover_side_through_pairs(g, A, S, 2)
         host = g.add_pairs(S)
         assert len(cert) == 2 * 20 - s_cnt + t_cnt
         assert A <= set(cert.vertices)

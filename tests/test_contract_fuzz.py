@@ -83,13 +83,13 @@ def state_budget(budget: int | None):
 
 
 @contextmanager
-def find_swallows_the_trip():
-    """The planted fault: SegmentSearch.find answers None past its budget."""
+def query_swallows_the_trip():
+    """The planted fault: SegmentSearch.query answers None past its budget."""
 
     class Swallowing(segments.SegmentSearch):
-        def find(self, *args):
+        def query(self, *args):
             try:
-                return super().find(*args)
+                return super().query(*args)
             except errors.StateBudgetExceeded:
                 return None
 
@@ -316,14 +316,14 @@ def test_relation_g_catches_a_swallowed_budget_trip():
     # an st probe, and no segment system carries 2 internals (both ears
     # share one pair), so the exact case analysis says no and _downgrade
     # makes it unknown. With the budget at 0 the segment search trips; if
-    # find swallows the trip and answers None, the analysis says no again,
+    # query swallows the trip and answers None, the analysis says no again,
     # and the out-of-range downgrade hides the trip behind the wrong reason.
     g = build_graph(k_minus_matching(200) + [(0, 200), (200, 3), (0, 201), (201, 3)], 202)
     res = solver.solve(g, 4)
     assert (res.answer, res.branch, res.threshold_len) == ("unknown", "case_ii", 202)
     assert res.stats["k_prime"] == 2 and res.stats["segment_probes"] == 2
     assert check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,)) == []
-    with find_swallows_the_trip():
+    with query_swallows_the_trip():
         bad = check_graph(g, (4,), random.Random(0), Counter(), lowered=(0,))
     assert bad and all(v.startswith("(g)") for v in bad), bad
 

@@ -228,15 +228,12 @@ def _routing_cases():
     for seed in (1, 2):
         h = _gen("bipartite_dense", seed=seed, p=10, k=2)
         S = random_cyclable_pairs(range(h.n), 2, random.Random(seed))
-        A, B = range(10), range(10, h.n)
         out.append((f"cover bipartite_dense10 s{seed}",
-                    lambda h=h, A=A, B=B, S=S: cover_side_through_pairs(
-                        h, A, B, S, k=2)))
+                    lambda h=h, S=S: cover_side_through_pairs(h, range(10), S, k=2)))
     for seed in (17, 2, 0):
         h, S = _sparse_bipartite(seed, 6, 12, 0.35)
         out.append((f"cover sparse_bipartite6 s{seed}",
-                    lambda h=h, S=S: cover_side_through_pairs(
-                        h, range(6), range(6, 18), S, k=2)))
+                    lambda h=h, S=S: cover_side_through_pairs(h, range(6), S, k=2)))
     return out
 
 

@@ -76,25 +76,25 @@ class TestHamiltonianThroughPairs:
 class TestCoverSideThroughPairs:
     def test_k24_ab_pair(self):
         g = complete_bipartite(2, 4)
-        c = cover_side_through_pairs(g, {0, 1}, {2, 3, 4, 5}, {(0, 2)}, 1)
+        c = cover_side_through_pairs(g, {0, 1}, {(0, 2)}, 1)
         assert len(c) == 4  # 2p - s + t = 4
         assert {0, 1} <= set(c.vertices)
         assert pairs_consecutive(c, [(0, 2)])
 
     def test_k24_b_pair(self):
         g = complete_bipartite(2, 4)
-        c = cover_side_through_pairs(g, {0, 1}, {2, 3, 4, 5}, {(2, 3)}, 1)
+        c = cover_side_through_pairs(g, {0, 1}, {(2, 3)}, 1)
         assert len(c) == 5  # 2p - 0 + 1
 
     def test_k24_a_pair(self):
         g = complete_bipartite(2, 4)
-        c = cover_side_through_pairs(g, {0, 1}, {2, 3, 4, 5}, {(0, 1)}, 1)
+        c = cover_side_through_pairs(g, {0, 1}, {(0, 1)}, 1)
         assert len(c) == 3  # 2p - 1 + 0
 
     def test_b_not_independent_rejected(self):
         g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)
         with pytest.raises(PreconditionError):
-            cover_side_through_pairs(g, {0, 1}, {2, 3}, {(0, 2)}, 1)
+            cover_side_through_pairs(g, {0, 1}, {(0, 2)}, 1)
 
     def test_strict_generated_instances(self):
         for seed in range(6):
@@ -104,7 +104,7 @@ class TestCoverSideThroughPairs:
             S = random_cyclable_pairs(range(g.n), rng.randint(1, 4), rng)
             s_cnt = sum(1 for u, v in S if u in A and v in A)
             t_cnt = sum(1 for u, v in S if u in B and v in B)
-            c = cover_side_through_pairs(g, A, B, S, 2)
+            c = cover_side_through_pairs(g, A, S, 2)
             assert len(c) == 2 * 20 - s_cnt + t_cnt
             assert A <= set(c.vertices)
             assert pairs_consecutive(c, S)
@@ -115,7 +115,7 @@ class TestCoverSideThroughPairs:
         # edges inside A must not shorten or lengthen the covering cycle
         edges = [(0, 1)] + [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)]
         g = build_graph(edges, 6)
-        c = cover_side_through_pairs(g, {0, 1}, {2, 3, 4, 5}, {(0, 2)}, 1)
+        c = cover_side_through_pairs(g, {0, 1}, {(0, 2)}, 1)
         assert len(c) == 4
 
     def test_maximality_against_oracle_miniatures(self):
@@ -133,7 +133,7 @@ class TestCoverSideThroughPairs:
             s_cnt = sum(1 for u, v in S if u in A and v in A)
             t_cnt = sum(1 for u, v in S if u in B and v in B)
             try:
-                c = cover_side_through_pairs(g, A, B, S, 1)
+                c = cover_side_through_pairs(g, A, S, 1)
             except ConstructionFailure:
                 continue
             edges = [(u, v) for u, v in g.edges() if (u in A) != (v in A)]
@@ -157,8 +157,7 @@ class TestPairIdsInRange:
     def test_cover_rejects_out_of_range_ids(self, u, v):
         named = f"pair ({min(u, v)},{max(u, v)}), n=10"
         with pytest.raises(GraphInputError, match=re.escape(named)):
-            cover_side_through_pairs(complete_bipartite(3, 7), range(3), range(3, 10),
-                                     [(u, v)], 1)
+            cover_side_through_pairs(complete_bipartite(3, 7), range(3), [(u, v)], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ class TestSameOutputsAsTwoConstructions:
         failures = Counter()
         inputs = [*_dense_bipartite_inputs(32, 800), *_sparse_bipartite_inputs(33, 1000)]
         for g, A, B, S, k in inputs:
-            got = _outcome(cover_side_through_pairs, g, A, B, S, k)
+            got = _outcome(cover_side_through_pairs, g, A, S, k)
             assert got == _outcome(old_routing.cover_side_through_pairs, g, A, B, S, k), S
             failures[_template(got)] += 1
         for key in ("A-A 1", "A-A 3", "B-B 1", "one-sided 2", "case 1", "case 2"):
@@ -296,7 +295,7 @@ class TestCoverHostFromMasks:
             h = build_graph(edges, n)
             S = random_cyclable_pairs(range(n), rng.randint(0, 3), rng)
             hosts.clear()
-            got = _outcome(cover_side_through_pairs, h, A, B, S, 2)
+            got = _outcome(cover_side_through_pairs, h, A, S, 2)
             assert got == _outcome(old_routing.cover_side_through_pairs, h, A, B, S, 2)
             outcomes[_template(got)] += 1
             if hosts:
@@ -311,7 +310,7 @@ class TestCoverHostFromMasks:
 
 class TestGuards:
     """One direct call per guard of the pair normalisation, the final
-    certificate check and the side partition."""
+    certificate check and side A."""
 
     def test_pair_with_equal_endpoints(self):
         with pytest.raises(PreconditionError, match="pair with equal endpoints"):
@@ -329,8 +328,7 @@ class TestGuards:
         with pytest.raises(ConstructionFailure, match=r"pair \(0,2\) not consecutive"):
             routing._certify(complete(6), [0, 1, 2, 3, 4], [(0, 1), (0, 2)], 5)
 
-    @pytest.mark.parametrize("A, B", [(range(3), range(2, 7)), (range(3), range(3, 6))],
-                             ids=["overlap", "uncovered"])
-    def test_sides_must_partition(self, A, B):
-        with pytest.raises(PreconditionError, match="A and B must partition"):
-            cover_side_through_pairs(complete_bipartite(3, 4), A, B, [], k=1)
+    @pytest.mark.parametrize("A", [range(8), [-1, 0, 1]], ids=["past_n", "negative"])
+    def test_side_a_must_lie_in_the_vertex_set(self, A):
+        with pytest.raises(PreconditionError, match="A must be a subset of the vertex set"):
+            cover_side_through_pairs(complete_bipartite(3, 4), A, [], k=1)

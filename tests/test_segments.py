@@ -51,30 +51,26 @@ def _side_counts(system, A, B) -> tuple[int, int]:
             sum(u in B and v in B for u, v in ends))
 
 
+def _one_shot(g, T, A, r, p, s, t):
+    """The probe (r, p, s, t) asked of a search made for it alone."""
+    return find_segments_partitioned(SegmentSearch(g, T, A, p), r, p, s, t)
+
+
 class TestFindSegmentsPartitioned:
     def test_ab_segment(self):
-        sys_ = find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {3}, 1, 2, 0, 0)
+        sys_ = _one_shot(cycle_graph(6), {0, 3}, {0}, 1, 2, 0, 0)
         assert sys_ is not None and _side_counts(sys_, {0}, {3}) == (0, 0)
 
     def test_a_segment_two_internals(self):
-        sys_ = find_segments_partitioned(
-            cycle_graph(6), {0, 3}, {0, 3}, set(), 1, 2, 1, 0
-        )
+        sys_ = _one_shot(cycle_graph(6), {0, 3}, {0, 3}, 1, 2, 1, 0)
         assert sys_ is not None and _side_counts(sys_, {0, 3}, set()) == (1, 0)
 
     def test_a_segment_one_internal_gated(self):
-        assert (
-            find_segments_partitioned(cycle_graph(6), {0, 3}, {0, 3}, set(), 1, 1, 1, 0)
-            is None
-        )
+        assert _one_shot(cycle_graph(6), {0, 3}, {0, 3}, 1, 1, 1, 0) is None
 
     def test_split_exceeds_r(self):
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {3}, 1, 2, 1, 1)
-
-    def test_invalid_partition(self):
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {0, 3}, 1, 2, 0, 0)
+        with pytest.raises(PreconditionError, match="s \\+ t must not exceed r"):
+            _one_shot(cycle_graph(6), {0, 3}, {0}, 1, 2, 1, 1)
 
 
 def _combos(max_p=4):
@@ -104,12 +100,11 @@ class TestOracleEquivalence:
             g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.3, 0.7))
             T = set(rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
             A = {v for v in T if rng.random() < 0.5}
-            B = T - A
             table = segment_signatures(g, T, A, 4)
             for r, p in _combos():
                 for s in range(0, r + 1):
                     for t in range(0, r - s + 1):
-                        got = find_segments_partitioned(g, T, A, B, r, p, s, t)
+                        got = _one_shot(g, T, A, r, p, s, t)
                         want = (r, p, s, t) in table
                         assert (got is not None) == want, (
                             g.adj, sorted(T), sorted(A), r, p, s, t,
@@ -178,13 +173,8 @@ class TestSharedSearch:
             for k in (2, 3):
                 search = SegmentSearch(g, T, A, 3 * k - 2)
                 for r, p, s, t in _case_iii_probes(k):
-                    fresh_search = SegmentSearch(g, T, A, p)
-                    shared = find_segments_partitioned(
-                        g, T, A, T - A, r, p, s, t, search=search
-                    )
-                    fresh = find_segments_partitioned(
-                        g, T, A, T - A, r, p, s, t, search=fresh_search
-                    )
+                    shared = find_segments_partitioned(search, r, p, s, t)
+                    fresh = _one_shot(g, T, A, r, p, s, t)
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
                         assert shared.paths == fresh.paths
@@ -198,7 +188,7 @@ class TestSharedSearch:
                     probes += 1
                 search = SegmentSearch(g, T, (), 2 * k - 2)
                 for r, p in _case_ii_probes(k):
-                    shared = find_segments_partitioned(g, T, (), T, r, p, 0, r, search=search)
+                    shared = find_segments_partitioned(search, r, p, 0, r)
                     fresh = find_segments(g, T, r, p)
                     assert (shared is None) == (fresh is None)
                     if shared is not None:
@@ -207,39 +197,37 @@ class TestSharedSearch:
                     probes += 1
         assert probes > 1000 and found > 100 and found_two_a >= 5
 
-    def test_probe_must_match_search(self):
-        g = cycle_graph(6)
-        search = SegmentSearch(g, {0, 3}, {0}, 4)
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(g, {0, 3}, {3}, {0}, 1, 2, 0, 0, search=search)
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(g, {0, 3}, {0}, {3}, 3, 5, 0, 0, search=search)
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(g, {0, 3}, (), {0, 3}, 1, 2, 0, 1, search=search)
-        # a probe with r > p is checked like any other before it answers None
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(g, {0, 3}, {3}, {0}, 2, 1, 0, 0, search=search)
-        with pytest.raises(PreconditionError):
-            find_segments_partitioned(
-                g, {0, 3}, {0}, {3}, 2, 1, 0, 0,
-                search=SegmentSearch(cycle_graph(7), {0, 3}, {0}, 4),
-            )
-        # r bounds no level: a matching probe with r > p is None, not an error
-        assert find_segments_partitioned(g, {0, 3}, {0}, {3}, 5, 1, 0, 0, search=search) is None
-
-    def test_find_checks_its_own_range(self):
+    @pytest.mark.parametrize("r, p, s, t, message", [
+        (0, 2, 0, 0, "need r >= 1 and p >= 1"),
+        (1, 0, 0, 1, "need r >= 1 and p >= 1"),
+        (1, 1, 1, 1, "s + t must not exceed r"),
+        (2, 2, -1, 1, "s and t must be nonnegative"),
+        (2, 2, 1, -1, "s and t must be nonnegative"),
+        (1, 3, 0, 1, "probe (r=1, p=3) outside the search's range (r >= 1, p <= 2)"),
+        (4, 3, 0, 0, "probe (r=4, p=3) outside the search's range (r >= 1, p <= 2)"),
+    ])
+    def test_probe_checks_its_range_and_counts(self, r, p, s, t, message):
         # K4 on T = {0, 1, 2, 3} plus the outside path 0-4-5-6-1: the segment
         # 0..1 has 3 internals, past this search's pmax 2, so a None from
-        # find would read as a proof of absence
+        # the probe would read as a proof of absence
         g = build_graph(list(complete(4).edges()) + [(0, 4), (4, 5), (5, 6), (6, 1)], 7)
         T = {0, 1, 2, 3}
         assert find_segments(g, T, 1, 3) is not None
-        search = SegmentSearch(g, T, (), 2)
-        for r, p in ((1, 3), (0, 2)):  # past pmax, below one segment
-            with pytest.raises(PreconditionError, match="outside the search's range"):
-                search.find(r, p, 0, r)
+        search = SegmentSearch(g, T, {0}, 2)
+        with pytest.raises(PreconditionError) as info:
+            find_segments_partitioned(search, r, p, s, t)
+        assert str(info.value) == message
+        # a rejected probe builds nothing
+        assert search._levels is None
+
+    def test_levels_are_built_on_demand_and_r_bounds_none(self):
+        g = build_graph(list(complete(4).edges()) + [(0, 4), (4, 5), (5, 6), (6, 1)], 7)
+        search = SegmentSearch(g, {0, 1, 2, 3}, (), 2)
         # every level a probe within pmax needs is built on demand
-        assert search.find(1, 2, 0, 1) is None and search.find(2, 2, 0, 2) is None
+        assert find_segments_partitioned(search, 1, 2, 0, 1) is None
+        assert find_segments_partitioned(search, 2, 2, 0, 2) is None
+        # r bounds no level: a probe with r > p is None, not an error
+        assert find_segments_partitioned(search, 5, 1, 0, 0) is None
 
     def test_vertices_out_of_range(self):
         with pytest.raises(PreconditionError, match="out-of-range"):
@@ -258,7 +246,7 @@ class TestSharedSearch:
         search = SegmentSearch(g, {0, 4}, (), 4)
         for p in (3, 4):
             with pytest.raises(StateBudgetExceeded):
-                search.find(1, p, 0, 1)
+                find_segments_partitioned(search, 1, p, 0, 1)
 
     def test_a_trip_in_a_half_built_level_raises_again(self, monkeypatch):
         # T = {1, 3} joined by 1-2-3 and 1-2-0-3. At 9 states the probe
@@ -269,11 +257,11 @@ class TestSharedSearch:
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 9)
         search = SegmentSearch(g, {1, 3}, (), 2)
         with pytest.raises(StateBudgetExceeded):
-            search.find(1, 1, 0, 1)
+            find_segments_partitioned(search, 1, 1, 0, 1)
         assert search._levels is not None
         for p in (1, 2):
             with pytest.raises(StateBudgetExceeded):
-                search.find(1, p, 0, 1)
+                find_segments_partitioned(search, 1, p, 0, 1)
 
     def test_one_shot_probe_past_the_budget_raises(self, monkeypatch):
         # C5 with T = {0, 1}: the one segment 0-3-4-1 has 2 internals; made
@@ -285,7 +273,7 @@ class TestSharedSearch:
         with pytest.raises(StateBudgetExceeded):
             find_segments(g, {0, 1}, 1, 2)
         with pytest.raises(StateBudgetExceeded):
-            find_segments_partitioned(g, {0, 1}, {0}, {1}, 1, 2, 0, 0)
+            _one_shot(g, {0, 1}, {0}, 1, 2, 0, 0)
 
     def test_budget_trip_never_answers_no(self, monkeypatch):
         # an A-A outside path with one internal vertex is gated off, so the
@@ -321,7 +309,7 @@ class TestSharedSearch:
         # bounds the st-path, cycle and segment searches alike
         g = cycle_graph(8)
         search = SegmentSearch(g, {0, 4}, (), 4)
-        assert search.find(1, 3, 0, 1) is not None
+        assert find_segments_partitioned(search, 1, 3, 0, 1) is not None
         # K26 minus a perfect matching plus a star too small for an st probe;
         # mad 88 and k 0 put k' = 62 in the k range
         edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
@@ -337,9 +325,9 @@ class TestSharedSearch:
                 super().__init__(*args)
                 made.append(self)
 
-            def find(self, *args):
+            def query(self, *args):
                 try:
-                    return super().find(*args)
+                    return super().query(*args)
                 except StateBudgetExceeded:
                     tripped.append(self)
                     raise
@@ -347,7 +335,7 @@ class TestSharedSearch:
         monkeypatch.setattr(longpaths, "DET_STATE_BUDGET", 0)
         search = SegmentSearch(g, {0, 4}, (), 4)
         with pytest.raises(StateBudgetExceeded):
-            search.find(1, 3, 0, 1)
+            find_segments_partitioned(search, 1, 3, 0, 1)
         monkeypatch.setattr(segments, "SegmentSearch", Recorded)
         res = solver.case_small_dense(host, H, Fraction(88), 0)
         assert res.answer == "unknown" and res.stats["st_probes"] == 0
@@ -713,7 +701,7 @@ class TestChecksRaise:
             lambda *a: VerifyOutcome(False, "forced"),
         )
         with pytest.raises(ConstructionFailure):
-            find_segments_partitioned(cycle_graph(6), {0, 3}, {0}, {3}, 1, 2, 0, 0)
+            _one_shot(cycle_graph(6), {0, 3}, {0}, 1, 2, 0, 0)
         with pytest.raises(ConstructionFailure):
             find_segments(cycle_graph(6), {0, 3}, 1, 2)
 

@@ -521,16 +521,17 @@ class TestCaseBipartiteDense:
         # 1-internal segment exists), though the path route still decides yes;
         # k'=3 widens the window to [2,7] and the segment splice succeeds.
         # With mad 30 and |A| = 20, k = 13 gives k' = 3 and k = 11 gives k' = 1.
-        from madcycle.segments import find_segments_partitioned
+        from madcycle.segments import SegmentSearch, find_segments_partitioned
 
         a, b = 20, 80
         edges = [(i, a + j) for i in range(a) for j in range(b)]
         extra = [(20, 100), (100, 101), (101, 102), (102, 21)]
         g = build_graph(edges + extra, 103)
         H = frozenset(range(100))
-        A, B = frozenset(range(20)), frozenset(range(20, 100))
-        assert find_segments_partitioned(g, H, A, B, 1, 1, 0, 1) is None
-        assert find_segments_partitioned(g, H, A, B, 1, 3, 0, 1) is not None
+        A = frozenset(range(20))
+        search = SegmentSearch(g, H, A, 3)
+        assert find_segments_partitioned(search, 1, 1, 0, 1) is None
+        assert find_segments_partitioned(search, 1, 3, 0, 1) is not None
         res = case_bipartite_dense(g, H, A, Fraction(30), 13)
         assert res.answer == "yes" and res.stats["k_prime"] == 3
         assert len(res.certificate) >= 2 * 20 + 3
@@ -659,8 +660,8 @@ class TestNoGate:
         def fake_find_dense(g, k):
             return witness, ReductionTrace()
 
-        def nothing(g, H, A, B, r, p, s, t, search):
-            assert H == witness.vertices and 3 * r <= 2 * len(A)
+        def nothing(search, r, p, s, t):
+            assert search.T == witness.vertices and 3 * r <= 2 * len(A)
             probed.append((r, search.pmax))
 
         monkeypatch.setattr(solver, "find_dense", fake_find_dense)
@@ -815,9 +816,9 @@ class TestRouteOnly:
         ks = []
         real = routing.cover_side_through_pairs
 
-        def spy(h, a, b, pairs, k):
+        def spy(h, a, pairs, k):
             ks.append(k)
-            return real(h, a, b, pairs, k)
+            return real(h, a, pairs, k)
 
         monkeypatch.setattr(routing, "cover_side_through_pairs", spy)
         g = complete_bipartite(15, 15)
@@ -878,6 +879,84 @@ class TestPathMode:
     def test_path_mode_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             solve(build_graph([(0, 1)], 3), 0, mode="path")
+
+
+def _path_branch_cases():
+    """(graph, k, path-mode branch, want_vertices, the claimed length of the
+    inner cycle's certificate), one per branch path mode reaches."""
+    from madcycle.instances import gen_instance
+
+    from test_golden import _with_ears
+
+    bip, _ = gen_instance("lemma7_trace", {"branch": "bip_dense"}, 0)
+    return [
+        (petersen(), 1, "path_k0", 4, 5),
+        (petersen(), 4, "path[fallback]", 7, 8),
+        (gen_instance("gnp2c", {"n": 30, "prob": 0.2}, 1)[0], 2, "path[find_dense]", 8, 9),
+        (_with_ears(complete_minus_matching(26), [(0, 1, 2), (3, 1, 5)]), 4,
+         "path[case_ii]", 28, 29),
+        (_with_ears(bip, [(8, 3, 9)]), 4, "path[case_iii]", 20, 21),
+    ]
+
+
+class TestPathModeInnerCertificate:
+    """Path mode reads its path off a cycle of G plus a universal vertex
+    that the inner solve certified at want_vertices + 1 or more, so the path
+    keeps want_vertices; a cycle one vertex short is refused by that check."""
+
+    CASES = pytest.mark.parametrize(
+        "g, k, branch, want, claimed", _path_branch_cases(),
+        ids=[case[2] for case in _path_branch_cases()],
+    )
+
+    @CASES
+    def test_inner_cycle_is_certified_one_vertex_above_the_path(
+        self, monkeypatch, g, k, branch, want, claimed
+    ):
+        from madcycle import solver
+
+        claims = []
+
+        def spy(host, cert):
+            if isinstance(cert, CycleCertificate):
+                claims.append((host.n, cert.claimed_min_length))
+            return certify(host, cert)
+
+        monkeypatch.setattr(solver, "certify", spy)
+        res = solve(g, k, mode="path")
+        assert (res.answer, res.branch, res.threshold_len) == ("yes", branch, want)
+        assert claims == [(g.n + 1, claimed)] and claimed >= want + 1
+        assert len(res.path_certificate) >= want
+
+    @CASES
+    def test_an_inner_cycle_one_vertex_short_is_refused(
+        self, monkeypatch, g, k, branch, want, claimed
+    ):
+        # the planted fault: the inner cycle handed to certify has claimed - 1
+        # vertices, a run of the real cycle closed through the universal
+        # vertex, so it is a cycle of the host that only its length fails
+        from madcycle import solver
+
+        def short(host, cert):
+            if not isinstance(cert, CycleCertificate):
+                return certify(host, cert)
+            hub = next(v for v in host.vertices() if host.degree(v) == host.n - 1)
+            cyc = list(cert.vertices)
+            i = cyc.index(hub) if hub in cyc else len(cyc)
+            run = (cyc[i + 1:] + cyc[:i])[: cert.claimed_min_length - 2]
+            planted = CycleCertificate(tuple(run + [hub]), cert.claimed_min_length)
+            assert verify_cycle_certificate(host, CycleCertificate(planted.vertices))
+            return certify(host, planted)
+
+        monkeypatch.setattr(solver, "certify", short)
+        refused = f"length {claimed - 1} below claimed minimum {claimed}"
+        try:
+            res = solve(g, k, mode="path")
+        except ConstructionFailure as exc:
+            assert refused in str(exc), branch
+        else:
+            assert res.answer == "unknown" and refused in res.stats["reason"], branch
+            assert res.branch == branch and res.path_certificate is None
 
 
 def _all_pairs_outside_path(g, H, target):
@@ -1041,6 +1120,24 @@ class TestRoutedTakesTheTraceCore:
                                 lambda g, H, A, pairs, core=None: real_routed(g, H, A, pairs))
             again = solve(g, k, with_trace=True)
             assert emit_result(res) == emit_result(again)
+
+
+class TestRoutedPassesEveryPair:
+    """_routed hands routing the pairs as a list, so a repeated pair reaches
+    routing's duplicate check instead of collapsing in a set."""
+
+    @pytest.mark.parametrize("g, A, pair", [
+        (complete(6), frozenset(), (0, 1)),
+        (complete_bipartite(3, 3), frozenset(range(3)), (0, 3)),
+    ], ids=["hamiltonian", "cover_side"])
+    def test_a_repeated_pair_is_refused(self, g, A, pair):
+        from madcycle import solver
+
+        H = frozenset(g.vertices())
+        with pytest.raises(PreconditionError, match="duplicate pair in S"):
+            solver._routed(g, H, A, [pair, pair])
+        cycle = solver._routed(g, H, A, [pair])
+        assert verify_cycle_certificate(g, cycle)
 
 
 def _segment_system(T, *paths):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConstructionFailure, PreconditionError
-from .graph import Graph, require_verified, verify_density_certificate
+from .graph import Graph, edges_within, require_verified, verify_density_certificate
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,6 @@ def densest_decision(g: Graph, guess: Fraction) -> frozenset[int] | None:
     return None if splits is not None else found
 
 
-def _density_of(g: Graph, vs) -> Fraction:
-    vs = set(vs)
-    edges = sum(1 for u, v in g.edges() if u in vs and v in vs)
-    return Fraction(edges, len(vs))
-
-
 def _peel(g: Graph) -> tuple[Fraction, list[int]]:
     """One minimum-degree peeling: the highest density |E(S)|/|S| among the
     vertex sets S left before each removal, V included, and each vertex's
@@ -265,7 +259,7 @@ def mad_with_witness(g: Graph) -> DensityWitness:
         if splits is not None:
             require_verified(verify_density_certificate(g, found, best, splits))
             return DensityWitness(found, best)
-        d = _density_of(g, found) if found else None
+        d = Fraction(edges_within(g, found), len(found)) if found else None
         if d is None or d <= best:
             raise ConstructionFailure(
                 f"load flow at density {best} overflowed, yet its cut has density {d}"

@@ -129,6 +129,14 @@ def avg_degree(g: Graph) -> Fraction:
     return Fraction(2 * g.m, g.n)
 
 
+def edges_within(g: Graph, vertices) -> int:
+    """The number of edges of g with both ends in `vertices`, counted on
+    the neighbour masks."""
+    vs = set(vertices)
+    mask = mask_of(vs)
+    return sum((g.masks[v] & mask).bit_count() for v in vs) // 2
+
+
 # ---------------------------------------------------------------------------
 # subsets, connectivity, blocks
 

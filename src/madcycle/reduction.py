@@ -1,10 +1,11 @@
 """Density-preserving pruning: the four reduction rules over 2m/(n-1).
 
-Rules operate on an induced subgraph of a host graph, tracked as a vertex
-set with original ids preserved, so any cycle found in the survivor is
-verbatim a cycle of the host. The reduction builds the core once per round,
-and its trace hands the final core graph forward with its map to the host's
-ids: every later step works on that one graph.
+Each rule decides on the graph it is handed and answers in its labels. The
+reduction builds the core once per round, as the induced subgraph of the
+host labelled in ascending host id, runs the rules on it and maps their
+answers to host ids, so any cycle found in the survivor is verbatim a cycle
+of the host. Its trace hands the final core graph forward with its map to
+the host's ids: every later step works on that one graph.
 
 Rule order stands in for connectivity guards: every rule set starts with
 rules 1 and 2, and the core always keeps an edge, so rule 1 fires on every
@@ -27,6 +28,7 @@ from .graph import (
     avg_degree_of_set,
     blocks_and_cut_vertices,
     eg_bound,
+    edges_within,
     induced_subgraph,
     subset_components,
     two_separators,
@@ -65,72 +67,64 @@ class ReductionTrace:
         ]
 
 
-def _sub_eg(g: Graph, vs) -> Fraction:
-    sub, _ = induced_subgraph(g, vs)
-    return eg_bound(sub)
-
-
-def _keep_densest(sub: Graph, ids, vs: frozenset[int], parts):
+def _keep_densest(g: Graph, vs: frozenset[int], parts):
     """Rules 1 and 2: keep the part of greatest 2m/(n-1), ties to the part
-    with the least host id, and remove the rest of vs."""
-    best = min(parts, key=lambda p: (-_sub_eg(sub, p), min(ids[v] for v in p)))
-    keep = frozenset(ids[v] for v in best)
+    with the least vertex, and remove the rest of vs."""
+    best = min(parts, key=lambda p: (-Fraction(2 * edges_within(g, p), len(p) - 1), min(p)))
+    keep = frozenset(best)
     return keep, vs - keep
 
 
-def apply_rule(
-    g: Graph, vertices, rule: int
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """One application of a reduction rule to the induced subgraph g[vertices].
+def apply_rule(g: Graph, rule: int) -> tuple[frozenset[int], frozenset[int]] | None:
+    """One application of a reduction rule to g, answered in g's labels.
 
-    Returns (survivors, removed) or None when the rule does not apply.
-    Deterministic choices: maximize the surviving 2m/(n-1), ties to the part
-    with the smallest vertex id; rule 3 removes the smallest qualifying vertex;
-    rule 4 uses the lexicographically first (separator, component). Rule 4
-    reads two_separators, which the subgraph keeps: a later reader of the
-    same Graph object gets the pairs without a second scan.
+    Returns (survivors, removed) or None when the rule does not apply, as
+    on a graph of fewer than 2 vertices. Deterministic choices: maximize the
+    surviving 2m/(n-1), ties to the part with the least vertex; rule 3
+    removes the least qualifying vertex; rule 4 uses the lexicographically
+    first (separator, component). Rule 4 reads two_separators, which g
+    keeps: a later reader of the same Graph object gets the pairs without a
+    second scan.
     """
-    vs = frozenset(vertices)
-    if len(vs) < 2:
+    if g.n < 2:
         return None
-    sub, ids = induced_subgraph(g, vs)
+    vs = frozenset(g.vertices())
 
     if rule == 1:
-        if _lowpoint(sub)[0] is not None:  # connected; rule 2 reads the same DFS
+        if _lowpoint(g)[0] is not None:  # connected; rule 2 reads the same DFS
             return None
-        comps = [c for c in subset_components(sub, range(sub.n)) if len(c) >= 2]
-        return _keep_densest(sub, ids, vs, comps) if comps else None
+        comps = [c for c in subset_components(g, vs) if len(c) >= 2]
+        return _keep_densest(g, vs, comps) if comps else None
 
     if rule == 2:
-        blocks, cuts = blocks_and_cut_vertices(sub)
-        return _keep_densest(sub, ids, vs, blocks) if cuts else None
+        blocks, cuts = blocks_and_cut_vertices(g)
+        return _keep_densest(g, vs, blocks) if cuts else None
 
     if rule == 3:
-        if sub.n < 3:
+        if g.n < 3:
             return None
         # degree <= eg/2 = m/(n-1), in integers
-        for v in range(sub.n):
-            if sub.degree(v) * (sub.n - 1) <= sub.m:
-                keep = vs - {ids[v]}
-                return keep, frozenset({ids[v]})
+        for v in g.vertices():
+            if g.degree(v) * (g.n - 1) <= g.m:
+                return vs - {v}, frozenset({v})
         return None
 
     if rule == 4:
-        if sub.n < 4:
+        if g.n < 4:
             return None
-        seps = two_separators(sub)
-        before = eg_bound(sub)
+        seps = two_separators(g)
+        before = eg_bound(g)
         threshold = Fraction(2, 3) * before
         for x, y in seps:
-            for comp in subset_components(sub, set(range(sub.n)) - {x, y}):
-                if avg_degree_of_set(sub, comp) <= threshold:
+            for comp in subset_components(g, vs - {x, y}):
+                if avg_degree_of_set(g, comp) <= threshold:
+                    rest = vs.difference(comp)
                     # the density-preservation proof for this rule needs
                     # 2m/(n-1) > 6; below that, commit only non-decreasing
                     # applications (above it the check never fails)
-                    if _sub_eg(sub, set(range(sub.n)) - set(comp)) < before:
+                    if Fraction(2 * edges_within(g, rest), len(rest) - 1) < before:
                         continue
-                    removed = frozenset(ids[v] for v in comp)
-                    return vs - removed, removed
+                    return rest, frozenset(comp)
         return None
 
     raise PreconditionError(f"unknown rule {rule}")
@@ -171,7 +165,7 @@ def reduce_exhaustive(
         before = eg_bound(sub)
         fired = None
         for rule in rules:
-            res = apply_rule(sub, range(sub.n), rule)
+            res = apply_rule(sub, rule)
             if res is not None:
                 fired = (rule, res)
                 break

@@ -371,11 +371,11 @@ def solve(
     mad = mad_with_witness(g).mad
     if k == 0:
         # decided constructively with a strictly-longer-than-mad cycle, so the
-        # integer threshold is floor(mad)+1
-        base = dict(k=k, mad=mad, threshold_len=mad.numerator // mad.denominator + 1)
+        # integer threshold is the one _k0_cycle certifies, floor(mad)+1
         cert, tr = _k0_cycle(g)
         trace = tr.to_jsonable() if with_trace else None
-        return SolveResult("yes", certificate=cert, branch="k0", trace=trace, **base)
+        return SolveResult("yes", k=k, mad=mad, threshold_len=cert.claimed_min_length,
+                           certificate=cert, branch="k0", trace=trace)
     threshold = math.ceil(mad) + k
     base = dict(k=k, mad=mad, threshold_len=threshold)
 
@@ -414,7 +414,8 @@ def solve(
 
 
 def _solve_path(g, k, with_trace) -> SolveResult:
-    """Path mode: universal-vertex reduction with an adjusted k."""
+    """Path mode: one inner solve of the universal-vertex graph at an
+    adjusted k, at least 0."""
     if not is_connected(g):
         raise PreconditionError("path mode needs a connected graph")
     if g.n < 2:
@@ -430,22 +431,15 @@ def _solve_path(g, k, with_trace) -> SolveResult:
     mad_p = mad_with_witness(gp).mad
     k_plus = want_vertices + 1 - math.ceil(mad_p)
 
-    if k_plus <= 0:
-        cycle_cert, tr = _k0_cycle(gp)
-        trace = tr.to_jsonable() if with_trace else None
-        res = SolveResult("yes", branch="path_k0", trace=trace, **base)
-    else:
-        inner = solve(gp, k_plus, mode="cycle", with_trace=with_trace)
-        res = SolveResult(
-            inner.answer, branch=f"path[{inner.branch}]",
-            stats=inner.stats, trace=inner.trace, **base,
-        )
-        cycle_cert = inner.certificate
+    inner = solve(gp, max(k_plus, 0), with_trace=with_trace)
+    branch = "path_k0" if inner.branch == "k0" else f"path[{inner.branch}]"
+    res = SolveResult(inner.answer, branch=branch, stats=inner.stats,
+                      trace=inner.trace, **base)
     if res.answer == "yes":
-        # the cycle is certified at want_vertices + 1 or more: path_k0 at
-        # floor(mad_p)+1 >= ceil(mad_p) >= want_vertices + 1, every inner yes
-        # at its threshold ceil(mad_p) + k_plus = want_vertices + 1
-        seq = list(cycle_cert.vertices)
+        # the cycle is certified at want_vertices + 1 or more: k0 at
+        # floor(mad_p)+1 >= ceil(mad_p) >= want_vertices + 1 when k_plus <= 0,
+        # every other yes at its threshold ceil(mad_p) + k_plus = want_vertices + 1
+        seq = list(inner.certificate.vertices)
         if u in seq:
             # drop the universal vertex; the rest is a path of G
             i = seq.index(u)

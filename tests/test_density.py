@@ -275,8 +275,10 @@ class TestMadCache:
         assert (computed, hits) == (1, 1)
 
     def test_a_path_solve_computes_mad_for_g_and_its_universal_graph(self, monkeypatch):
+        # path_k0 is the inner solve's k0 branch: solve(gp, 0) and _k0_cycle
+        # each ask for gp's mad again, two hits and no second flow
         res, computed, hits = self._solve_counting(monkeypatch, path_graph(6), 1, "path")
-        assert res.branch == "path_k0" and computed == 2 and hits == 1
+        assert res.branch == "path_k0" and computed == 2 and hits == 2
         res, computed, hits = self._solve_counting(monkeypatch, petersen(), 2, "path")
         assert res.branch == "path[fallback]" and computed == 2 and hits == 2
 

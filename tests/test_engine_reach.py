@@ -1,16 +1,17 @@
 """Every statement of the trichotomy engine runs in some golden case, or is listed.
 
-The statements of `extract.py`, `cyclesearch.py` and `longpaths.dirac_cycle`
-are read from their syntax trees (docstrings aside). The golden fixture's
-solves and routing calls (`test_golden.py`) run under `sys.settrace`, and a
-statement runs when its first line emits a line event. A block is a run of
-consecutive unrun statements whose enclosing statement ran; it is named by
-its module, its function and its first line. The blocks must be exactly
-ALLOWED: a block that falls out of reach fails the test, and so does an
-allowed block that a golden case starts to run, so the list stays short and
-true. A branch that no solve reaches gets a golden case or goes; the list
-keeps only checks on input, verification failures, budget trips and the
-Dirac backstops.
+The statements of `extract.py`, `cyclesearch.py`, `longpaths.dirac_cycle`
+and `reduction.py` are read from their syntax trees (docstrings aside). The
+golden fixture's solves and routing calls (`test_golden.py`) run under
+`sys.settrace`, and a statement runs when its first line emits a line event.
+A block is a run of consecutive unrun statements whose enclosing statement
+ran; it is named by its module, its function and its first line, and
+several blocks may share a name. The blocks must be exactly ALLOWED: a
+block that falls out of reach fails the test, and so does an allowed block
+that a golden case starts to run, so the list stays short and true. A
+branch that no solve reaches gets a golden case or goes; the list keeps only
+checks on input, verification failures, budget trips and the Dirac
+backstops.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import types
 from collections import Counter
 from pathlib import Path
 
-from madcycle import cyclesearch, extract, longpaths
+from madcycle import cyclesearch, extract, longpaths, reduction
 
 import test_golden
 
-# (module, function, first line of an unrun block) -> why no golden case runs it
+# (module, function, first line of an unrun block) -> why no golden case runs
+# it; a tuple gives one reason for each of the blocks that share the name
 ALLOWED = {
     ("extract", "corollary5_engine",
      'raise PreconditionError(f"C is not a cycle of h: {chk.reason}")'):
@@ -92,10 +94,26 @@ ALLOWED = {
         "on 56,856 random 2-connected graphs reached it",
     ("longpaths", "dirac_cycle", "raise ConstructionFailure("):
         "Dirac backstop: the failure after the exact fallback",
+    ("reduction", "apply_rule", "return None"): (
+        "check on input: reduce_exhaustive hands the rules cores with an edge",
+        "check on input: rule 3 on 2 vertices; no rule leaves a core of 2 vertices "
+        "from a densest part, which holds a cycle",
+    ),
+    ("reduction", "apply_rule", 'raise PreconditionError(f"unknown rule {rule}")'):
+        "check on input: solves pass only ALL_RULES or K0_RULES",
+    ("reduction", "reduce_exhaustive",
+     'raise PreconditionError(f"rule set {rules} must start with rules 1 and 2")'):
+        "check on input: solves pass only ALL_RULES or K0_RULES",
+    ("reduction", "reduce_exhaustive",
+     'raise PreconditionError("reduction needs at least two vertices")'):
+        "check on input: solves reduce a densest part, which holds a cycle",
+    ("reduction", "reduce_exhaustive",
+     'raise PreconditionError("reduction needs at least one edge")'):
+        "check on input: solves reduce a densest part, which holds a cycle",
 }
 
 # module -> the functions read, or None for all of them
-TRACED = {extract: None, cyclesearch: None, longpaths: {"dirac_cycle"}}
+TRACED = {extract: None, cyclesearch: None, longpaths: {"dirac_cycle"}, reduction: None}
 
 
 def _functions(tree: ast.Module, only):
@@ -193,10 +211,16 @@ def golden_thunks():
     return out
 
 
+def allowed_blocks() -> Counter:
+    """Counter of the ALLOWED names, each counted once per reason."""
+    return Counter({key: len(why) if isinstance(why, tuple) else 1
+                    for key, why in ALLOWED.items()})
+
+
 def mismatch(unrun: Counter) -> tuple[list, list]:
     """(unlisted, stale): unrun blocks not in ALLOWED, and ALLOWED blocks
     that ran."""
-    allowed = Counter(ALLOWED.keys())
+    allowed = allowed_blocks()
     return sorted((unrun - allowed).elements()), sorted((allowed - unrun).elements())
 
 
@@ -212,7 +236,9 @@ def test_every_engine_statement_runs_in_a_golden_case_or_is_allowed():
 
 
 def test_every_allowed_block_has_a_reason():
-    assert all(reason.strip() for reason in ALLOWED.values())
+    reasons = [r for why in ALLOWED.values()
+               for r in (why if isinstance(why, tuple) else [why])]
+    assert all(reason.strip() for reason in reasons)
 
 
 PLANTED = '''\
@@ -236,4 +262,4 @@ def test_a_planted_statement_that_no_solve_runs_is_reported(tmp_path, monkeypatc
     planted = ("planted", "engine", 'planted = "a cycle longer than its graph"')
     assert unrun == Counter({planted: 1})
     # beside exactly the allowed blocks, the plant alone is reported
-    assert mismatch(unrun + Counter(ALLOWED.keys())) == ([planted], [])
+    assert mismatch(unrun + allowed_blocks()) == ([planted], [])

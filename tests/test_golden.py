@@ -106,6 +106,13 @@ def _solve_cases():
         _cliques(range(7), (7, 8, 9), extra=[(t, s) for t in (7, 8, 9) for s in (0, 1)]),
         [(7, 15, 6)],
     )
+    # K4 less the edge 01, and vertex 4 on the pair {1, 3}: rule 4 finds 4
+    # sparse, but cutting it off lowers 2m/(n-1) from 7/2 to 10/3, so the
+    # non-decrease guard skips it and no rule fires
+    guard4 = _with_ears(
+        build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 5),
+        [(0, 20, 1)],
+    )
     return [
         ("glue k0", _l7("glue"), dict(k=0)),
         ("glue k0 trace", _l7("glue"), dict(k=0, with_trace=True)),
@@ -202,6 +209,10 @@ def _solve_cases():
         ("K7+K3 on {0,1} ear15 k3 trace", rule4, dict(k=3, with_trace=True)),
         ("gnp25 p0.3 s4 k8 trace", _gen("gnp2c", seed=4, n=25, prob=0.3),
          dict(k=8, with_trace=True)),
+        ("K4-01+4 on {1,3} ear20 k1 trace", guard4, dict(k=1, with_trace=True)),
+        # rule 2 keeps the bowtie's first triangle, which is too small for rule 4
+        ("bowtie ear20 k1 trace", _with_ears(_cliques((0, 1, 2), (2, 3, 4)), [(0, 20, 4)]),
+         dict(k=1, with_trace=True)),
     ]
 
 

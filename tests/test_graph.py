@@ -19,7 +19,9 @@ from madcycle.graph import (
     avg_degree_of_set,
     blocks_and_cut_vertices,
     build_graph,
+    edges_within,
     eg_bound,
+    induced_subgraph,
     is_biconnected,
     is_connected,
     is_potentially_cyclable,
@@ -161,6 +163,18 @@ class TestDensityQuantities:
     def test_ad_empty_set(self):
         with pytest.raises(PreconditionError):
             avg_degree_of_set(complete(4), [])
+
+    def test_edges_within_counts_the_induced_subgraphs_edges(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            g = random_graph(rng, n, rng.random())
+            cases = [[], range(n), rng.sample(range(n), rng.randint(0, n))]
+            if n:
+                cases += [[rng.randrange(n)], rng.choices(range(n), k=n)]
+            for vs in cases:
+                assert edges_within(g, vs) == induced_subgraph(g, vs)[0].m, (g.adj, vs)
+        assert edges_within(complete(5), iter(range(4))) == 6
 
 
 def _parent_blocks_and_cut_vertices(g):

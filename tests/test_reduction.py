@@ -6,11 +6,15 @@ import pytest
 from madcycle.errors import PreconditionError
 from madcycle.graph import (
     Graph,
+    _lowpoint,
+    avg_degree_of_set,
+    blocks_and_cut_vertices,
     build_graph,
     eg_bound,
     induced_subgraph,
     is_biconnected,
     is_connected,
+    subset_components,
     two_separators,
     verify_cycle_certificate,
     CycleCertificate,
@@ -32,8 +36,85 @@ from conftest import (
 )
 
 
+def _host_sub_eg(g: Graph, vs) -> Fraction:
+    sub, _ = induced_subgraph(g, vs)
+    return eg_bound(sub)
+
+
+def _host_keep_densest(sub: Graph, ids, vs: frozenset[int], parts):
+    """Rules 1 and 2: keep the part of greatest 2m/(n-1), ties to the part
+    with the least host id, and remove the rest of vs."""
+    best = min(parts, key=lambda p: (-_host_sub_eg(sub, p), min(ids[v] for v in p)))
+    keep = frozenset(ids[v] for v in best)
+    return keep, vs - keep
+
+
+def _apply_rule_on_host(
+    g: Graph, vertices, rule: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """One application of a reduction rule to the induced subgraph g[vertices].
+
+    apply_rule when it took the host and a vertex set, built the subgraph
+    and mapped its answer to host ids; its body kept verbatim, with its two
+    helpers (_sub_eg and _keep_densest) renamed, as the differential
+    reference.
+    """
+    vs = frozenset(vertices)
+    if len(vs) < 2:
+        return None
+    sub, ids = induced_subgraph(g, vs)
+
+    if rule == 1:
+        if _lowpoint(sub)[0] is not None:  # connected; rule 2 reads the same DFS
+            return None
+        comps = [c for c in subset_components(sub, range(sub.n)) if len(c) >= 2]
+        return _host_keep_densest(sub, ids, vs, comps) if comps else None
+
+    if rule == 2:
+        blocks, cuts = blocks_and_cut_vertices(sub)
+        return _host_keep_densest(sub, ids, vs, blocks) if cuts else None
+
+    if rule == 3:
+        if sub.n < 3:
+            return None
+        # degree <= eg/2 = m/(n-1), in integers
+        for v in range(sub.n):
+            if sub.degree(v) * (sub.n - 1) <= sub.m:
+                keep = vs - {ids[v]}
+                return keep, frozenset({ids[v]})
+        return None
+
+    if rule == 4:
+        if sub.n < 4:
+            return None
+        seps = two_separators(sub)
+        before = eg_bound(sub)
+        threshold = Fraction(2, 3) * before
+        for x, y in seps:
+            for comp in subset_components(sub, set(range(sub.n)) - {x, y}):
+                if avg_degree_of_set(sub, comp) <= threshold:
+                    # the density-preservation proof for this rule needs
+                    # 2m/(n-1) > 6; below that, commit only non-decreasing
+                    # applications (above it the check never fails)
+                    if _host_sub_eg(sub, set(range(sub.n)) - set(comp)) < before:
+                        continue
+                    removed = frozenset(ids[v] for v in comp)
+                    return vs - removed, removed
+        return None
+
+    raise PreconditionError(f"unknown rule {rule}")
+
+
+def _on_subset(g, vertices, rule):
+    """apply_rule on the induced subgraph g[vertices], its answer mapped to
+    g's ids."""
+    sub, ids = induced_subgraph(g, vertices)
+    res = apply_rule(sub, rule)
+    return None if res is None else tuple(frozenset(ids[v] for v in part) for part in res)
+
+
 def _fraction_rule3(g, vertices):
-    """apply_rule(g, vertices, 3) when it compared each degree with the
+    """Rule 3 of _apply_rule_on_host when it compared each degree with the
     Fraction eg_bound(sub) / 2, kept verbatim as the differential reference."""
     vs = frozenset(vertices)
     if len(vs) < 2:
@@ -51,7 +132,7 @@ def _fraction_rule3(g, vertices):
 
 class TestApplyRule:
     def test_rule2_bowtie_keeps_lowest_triangle(self):
-        keep, removed = apply_rule(bowtie(), range(5), 2)
+        keep, removed = apply_rule(bowtie(), 2)
         assert keep == frozenset({0, 1, 2}) and removed == frozenset({3, 4})
         sub, _ = induced_subgraph(bowtie(), keep)
         assert eg_bound(sub) == 3 == eg_bound(bowtie())
@@ -62,7 +143,7 @@ class TestApplyRule:
             [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(4, 0), (4, 1)], 5
         )
         assert eg_bound(g) == 4
-        keep, removed = apply_rule(g, range(5), 3)
+        keep, removed = apply_rule(g, 3)
         assert removed == frozenset({4})
         sub, _ = induced_subgraph(g, keep)
         assert eg_bound(sub) == 4
@@ -75,7 +156,7 @@ class TestApplyRule:
             n = rng.randint(1, 20)
             g = random_graph(rng, n, rng.random())
             vs = rng.sample(range(n), rng.randint(0, n))
-            got = apply_rule(g, vs, 3)
+            got = _on_subset(g, vs, 3)
             assert got == _fraction_rule3(g, vs), (g.adj, vs)
             if got is not None:
                 fired += 1
@@ -90,18 +171,18 @@ class TestApplyRule:
             [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(0, 6), (6, 1)], 7
         )
         assert g.m == 17 and eg_bound(g) == Fraction(34, 6)
-        keep, removed = apply_rule(g, range(7), 4)
+        keep, removed = apply_rule(g, 4)
         assert removed == frozenset({6})
         sub, _ = induced_subgraph(g, keep)
         assert eg_bound(sub) == 6 >= Fraction(34, 6)
 
     def test_rule1_needs_disconnection(self):
-        assert apply_rule(complete(4), range(4), 1) is None
+        assert apply_rule(complete(4), 1) is None
 
     def test_rule2_rejects_disconnected(self):
         g = build_graph([(0, 1), (2, 3)], 4)
         with pytest.raises(PreconditionError):
-            apply_rule(g, range(4), 2)
+            apply_rule(g, 2)
 
     def test_rule4_rejects_a_cut_vertex(self):
         # two K4s sharing vertex 3
@@ -111,7 +192,15 @@ class TestApplyRule:
             7,
         )
         with pytest.raises(PreconditionError):
-            apply_rule(g, range(7), 4)
+            apply_rule(g, 4)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_is_none(self, n):
+        assert all(apply_rule(build_graph([], n), rule) is None for rule in ALL_RULES)
+
+    def test_unknown_rule_raises(self):
+        with pytest.raises(PreconditionError):
+            apply_rule(complete(3), 5)
 
 
 class TestReduceExhaustive:
@@ -258,7 +347,7 @@ def _chain(rng):
 
 def _reduce_per_rule_on_host(g, vertices=None, rules=ALL_RULES):
     """The reduction loop as it was when every rule ran on the host as
-    apply_rule(g, vs, ...); returns (core, steps, final separators), the
+    _apply_rule_on_host(g, vs, ...); returns (core, steps, final separators), the
     2-separators of the last core where rule 4 ran on it, else []."""
     vs = frozenset(g.vertices()) if vertices is None else frozenset(vertices)
     if len(vs) < 2:
@@ -278,7 +367,7 @@ def _reduce_per_rule_on_host(g, vertices=None, rules=ALL_RULES):
                 continue
             if rule == 4 and not is_biconnected(sub):
                 continue
-            res = apply_rule(g, vs, rule)
+            res = _apply_rule_on_host(g, vs, rule)
             if res is not None:
                 fired = (rule, res)
                 break
@@ -311,6 +400,33 @@ def _differential_inputs():
         else:
             out.append(_glued(rng))
     return out
+
+
+def _outcome(rule_call):
+    try:
+        return rule_call()
+    except PreconditionError as exc:
+        return PreconditionError, str(exc)
+
+
+class TestApplyRuleOnTheCore:
+    def test_same_answer_as_the_host_rule_on_every_subset(self):
+        # each rule on g[S], mapped to g's ids, answers as the three-argument
+        # rule on the host, None and PreconditionError included
+        rng = random.Random(37)
+        seen = {rule: set() for rule in ALL_RULES}
+        for g in _differential_inputs():
+            subsets = [range(g.n), [], [rng.randrange(g.n)]]
+            subsets += [rng.sample(range(g.n), rng.randint(2, g.n)) for _ in range(4)]
+            for vs in subsets:
+                for rule in ALL_RULES:
+                    got = _outcome(lambda: _on_subset(g, vs, rule))
+                    want = _outcome(lambda: _apply_rule_on_host(g, vs, rule))
+                    assert got == want, (g.adj, vs, rule)
+                    seen[rule].add("none" if want is None else
+                                   "raises" if want[0] is PreconditionError else "fires")
+        assert seen == {1: {"none", "fires"}, 2: {"none", "fires", "raises"},
+                        3: {"none", "fires"}, 4: {"none", "fires", "raises"}}
 
 
 class TestOneCorePerRound:

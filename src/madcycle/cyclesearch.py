@@ -342,9 +342,9 @@ def _closure(g: Graph, root: list[int], cuts, flip: bool, idx: int) -> list[int]
     if flip:
         path = path[::-1]
     l = len(path) - 1
-    mu, mw = g.masks[path[0]], g.masks[path[-1]]
-    a_idx = [i for i, v in enumerate(path) if mu >> v & 1]
-    b_idx = [i for i, v in enumerate(path) if mw >> v & 1]
+    pos = {v: i for i, v in enumerate(path)}
+    a_idx = _indices(g, path[0], pos, (), l, False)
+    b_idx = _indices(g, path[-1], pos, (), l, False)
     s, e, t = _shapes(l, g.has_edge(path[0], path[-1]), a_idx, b_idx)[idx]
     return path[s:e] + path[l : t - 1 : -1]
 

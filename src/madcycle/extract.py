@@ -154,23 +154,24 @@ def refine_vertex_cover_to_partition(
     only B's degree into A is checked."""
     X = frozenset(X)
     B = frozenset(h.vertices()) - X
+    masks = h.masks
     b_mask = mask_of(B)
     for u in bits_off(b_mask):
         # h.edges()'s first uncovered edge: the first u with a B-neighbour,
         # and its lowest one, which lies above u
-        if h.masks[u] & b_mask:
-            v = lowest_off(h.masks[u] & b_mask, ())
+        if masks[u] & b_mask:
+            v = lowest_off(masks[u] & b_mask, ())
             raise PreconditionError(f"X is not a vertex cover: edge ({u},{v}) uncovered")
     ad = avg_degree(h)
     if Fraction(2 * len(X)) > ad + 3 * k + 3:
         raise _refinement_failed("cover too large: |X| > (ad+3k+3)/2")
     p = len(X)
-    A = frozenset(v for v in X if (h.masks[v] & b_mask).bit_count() >= 2 * p)
+    A = frozenset(v for v in X if (masks[v] & b_mask).bit_count() >= 2 * p)
     if not A:
         raise _refinement_failed("no cover vertex has 2|X| neighbors outside")
     a_mask = mask_of(A)
     for v in B:
-        if (h.masks[v] & a_mask).bit_count() < len(A) - 2 * k - 2:
+        if (masks[v] & a_mask).bit_count() < len(A) - 2 * k - 2:
             raise _refinement_failed(f"vertex {v} has degree below |A|-2k-2 into A")
     return A, B
 

@@ -6,7 +6,7 @@ values; floating point never enters decision logic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,32 +14,43 @@ from .errors import ConstructionFailure, GraphInputError, PreconditionError
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency and bitmask
-    neighborhoods, compared and hashed by identity."""
+    """Simple undirected graph with sorted adjacency, compared and hashed by
+    identity. Its bitmask neighbourhoods, `masks`, are built on first read
+    and kept; a graph that no step reads them from never builds them."""
 
-    __slots__ = ("n", "adj", "m", "masks", "_blocks", "_seps")
+    __slots__ = ("n", "adj", "m", "_masks", "_blocks", "_seps")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        self._fill(n, adj, tuple(map(mask_of, adj)))
+        self.n, self.adj, self._masks = n, adj, None
+        self.m = sum(len(a) for a in adj) // 2
+        self._blocks = None  # the memo of _lowpoint
+        self._seps = None  # the memo of two_separators
 
     @classmethod
     def _from_masks(cls, n: int, adj, masks: tuple[int, ...]) -> "Graph":
         """The graph of `adj`, whose neighbour masks are already built."""
-        g = cls.__new__(cls)
-        g._fill(n, adj, masks)
+        g = cls(n, adj)
+        g._masks = masks
         return g
 
-    def _fill(self, n, adj, masks):
-        self.n, self.adj, self.masks = n, adj, masks
-        self.m = sum(len(a) for a in adj) // 2
-        self._blocks = None  # the memo of _lowpoint
-        self._seps = None  # the memo of two_separators
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The neighbour bitmask of each vertex, built from `adj` on first read.
+
+        Each read is a property call, so a hot loop binds `masks = g.masks`
+        once."""
+        if self._masks is None:
+            self._masks = tuple(map(mask_of, self.adj))
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
+        """Whether uv is an edge, by bisecting the sorted row of u."""
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def vertices(self) -> range:
         return range(self.n)
@@ -88,19 +99,15 @@ class Graph:
 
 def build_graph(edges, n: int) -> Graph:
     """Build a graph from an edge list; duplicates collapse, self-loops reject."""
-    masks = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
+    rows: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"vertex id out of range in edge ({u},{v}), n={n}")
         if u == v:
             raise GraphInputError(f"self-loop at vertex {u}")
-        if not masks[u] >> v & 1:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-            adj[u].append(v)
-            adj[v].append(u)
-    return Graph._from_masks(n, tuple(tuple(sorted(a)) for a in adj), tuple(masks))
+        rows[u].add(v)
+        rows[v].add(u)
+    return Graph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +138,9 @@ def avg_degree(g: Graph) -> Fraction:
 
 def edges_within(g: Graph, vertices) -> int:
     """The number of edges of g with both ends in `vertices`, counted on
-    the neighbour masks."""
+    their adjacency rows: one step per row entry, the sum of their degrees."""
     vs = set(vertices)
-    mask = mask_of(vs)
-    return sum((g.masks[v] & mask).bit_count() for v in vs) // 2
+    return sum(w in vs for v in vs for w in g.adj[v]) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,7 @@ def bits_off(mask: int, off=()) -> list[int]:
 
 def reach(g: Graph, start_mask: int, alive: int) -> int:
     """Mask of the vertices reachable inside `alive` from start_mask & alive."""
+    masks = g.masks
     comp = start_mask & alive
     frontier = comp
     while frontier:
@@ -200,7 +207,7 @@ def reach(g: Graph, start_mask: int, alive: int) -> int:
         while f:
             v = (f & -f).bit_length() - 1
             f &= f - 1
-            nxt |= g.masks[v]
+            nxt |= masks[v]
         frontier = nxt & alive & ~comp
         comp |= frontier
     return comp
@@ -220,8 +227,8 @@ def subset_components(g: Graph, vertices) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    alive = (1 << g.n) - 1
-    return reach(g, 1, alive) == alive
+    """Whether g is connected, by one lowpoint DFS, which reads no masks."""
+    return g.n == 0 or _cut_vertices(g) is not None
 
 
 def is_biconnected(g: Graph) -> bool:

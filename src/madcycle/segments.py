@@ -181,6 +181,7 @@ class SegmentSearch:
     # stage one: single segments
     def _build_alpha(self):
         g, T, A = self.g, self.T, self.A
+        masks = g.masks
         t_mask = mask_of(T)
         out_mask = ((1 << g.n) - 1) & ~t_mask
         max_pop = self.pmax + 1  # x plus at most pmax internals
@@ -201,7 +202,7 @@ class SegmentSearch:
                 while e:
                     v = (e & -e).bit_length() - 1
                     e &= e - 1
-                    ys = g.masks[v] & t_mask & ~(1 << x)
+                    ys = masks[v] & t_mask & ~(1 << x)
                     while ys:
                         y = (ys & -ys).bit_length() - 1
                         ys &= ys - 1
@@ -213,7 +214,7 @@ class SegmentSearch:
                 while e:
                     v = (e & -e).bit_length() - 1
                     e &= e - 1
-                    w = g.masks[v] & out_mask & ~ckey
+                    w = masks[v] & out_mask & ~ckey
                     while w:
                         u = (w & -w).bit_length() - 1
                         w &= w - 1

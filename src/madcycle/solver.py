@@ -319,10 +319,10 @@ def case_bipartite_dense(g: Graph, H, A, mad: Fraction, k: int, core=None) -> So
     H, A = frozenset(H), frozenset(A)
     if not A <= H:
         raise PreconditionError("A must be a subset of H")
-    b_mask = mask_of(H - A)
-    if any(g.masks[v] & b_mask for v in H - A):
+    masks, b_mask = g.masks, mask_of(H - A)
+    if any(masks[v] & b_mask for v in H - A):
         raise PreconditionError("B = H - A must be independent")
-    if not any(g.masks[v] & b_mask for v in A):
+    if not any(masks[v] & b_mask for v in A):
         raise PreconditionError("H needs an A-B edge")
     threshold = math.ceil(mad) + k
     k_prime = threshold - 2 * len(A)

@@ -16,6 +16,7 @@ from madcycle import cyclesearch
 from madcycle.cyclesearch import (
     _Extension,
     _closure,
+    _shapes,
     closure_lengths,
     find_cycle_at_least,
     greedy_extend,
@@ -385,6 +386,19 @@ def old_closures(g: Graph, path: list[int]) -> list[list[int]]:
     return out
 
 
+def mask_closure(g: Graph, root: list[int], cuts, flip: bool, idx: int) -> list[int]:
+    """_closure as it read the two end masks, kept verbatim."""
+    path = rotated(root, cuts)
+    if flip:
+        path = path[::-1]
+    l = len(path) - 1
+    mu, mw = g.masks[path[0]], g.masks[path[-1]]
+    a_idx = [i for i, v in enumerate(path) if mu >> v & 1]
+    b_idx = [i for i, v in enumerate(path) if mw >> v & 1]
+    s, e, t = _shapes(l, g.has_edge(path[0], path[-1]), a_idx, b_idx)[idx]
+    return path[s:e] + path[l : t - 1 : -1]
+
+
 def old_reopen(g: Graph, cycle: list[int]) -> list[int] | None:
     on = set(cycle)
     for idx, c in enumerate(cycle):
@@ -475,6 +489,17 @@ class TestClosureLengths:
         # each shape builds the closure it scores
         for idx, c in enumerate(built):
             assert _closure(g, path, cuts, flip, idx) == c
+
+    @settings(max_examples=400, deadline=None)
+    @given(_graph_path_cuts(), st.booleans())
+    def test_closure_equals_the_mask_body(self, case, flip):
+        g, path, cuts = case
+        g = Graph(g.n, g.adj)  # masks not yet built
+        shapes = len(closure_lengths(g, path, {v: i for i, v in enumerate(path)},
+                                     (rotated(path, cuts)[-1], cuts), flip))
+        got = [_closure(g, path, cuts, flip, idx) for idx in range(shapes)]
+        assert g._masks is None  # the closures read the adjacency only
+        assert got == [mask_closure(g, path, cuts, flip, idx) for idx in range(shapes)]
 
 
 def _k0_core(seed):

@@ -37,7 +37,7 @@ ALLOWED = {
         "so it raises only if growth fails and the greedy cover exceeds "
         "2 threshold - 3 delta; no census solve and no random small core does",
     ("extract", "refine_vertex_cover_to_partition",
-     "v = lowest_off(h.masks[u] & b_mask, ())"):
+     "v = lowest_off(masks[u] & b_mask, ())"):
         "check on input: the engine's cover is a cover",
     ("extract", "refine_vertex_cover_to_partition",
      'raise _refinement_failed("cover too large: |X| > (ad+3k+3)/2")'):

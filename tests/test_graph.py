@@ -135,6 +135,77 @@ class TestBuildGraph:
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
+def _parent_build_graph(edges, n):
+    """build_graph before masks were built on demand, kept verbatim but for
+    the returned adjacency and masks."""
+    masks = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"vertex id out of range in edge ({u},{v}), n={n}")
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u}")
+        if not masks[u] >> v & 1:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            adj[u].append(v)
+            adj[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adj), tuple(masks)
+
+
+class TestMasksOnDemand:
+    def test_no_graph_builds_masks_before_a_read(self):
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 4)
+        sub, _ = induced_subgraph(g, [0, 1, 2])
+        for h in (g, sub, Graph(g.n, g.adj)):
+            assert h._masks is None
+            masks = h.masks
+            assert masks == tuple(graph.mask_of(a) for a in h.adj)
+            assert h.masks is masks  # built once, then kept
+        # derived graphs keep the masks their caller already has
+        assert g.add_pairs([(0, 3)])._masks == (0b1110, 0b101, 0b1011, 0b101)
+        assert g.with_masks(g.masks)._masks == g.masks
+
+    def test_build_graph_same_graph_and_errors_as_the_parent(self):
+        rng = random.Random(67)
+        errors = Counter()
+        for _ in range(600):
+            n = rng.randint(1, 30)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))]
+            edges = [(u, v) for u, v in edges if u != v]
+            edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]  # duplicates
+            if rng.random() < 0.2:
+                bad = rng.choice([(n, 0), (0, -1), (rng.randrange(n),) * 2])
+                edges.insert(rng.randint(0, len(edges)), bad)
+            want = _outcome(_parent_build_graph, edges, n)
+            got = _outcome(build_graph, edges, n)
+            if want[0] == "raise":
+                assert got == want
+                errors["self-loop" if "self-loop" in want[1] else "out of range"] += 1
+                continue
+            assert (got.adj, got.masks) == want
+            assert got.m == sum(map(len, want[0])) // 2
+        assert errors["self-loop"] >= 20 and errors["out of range"] >= 20, errors
+
+    def test_has_edge_same_before_and_after_masks(self):
+        rng = random.Random(69)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 30), rng.uniform(0, 0.7))
+            if rng.random() < 0.5:
+                g = induced_subgraph(g, [v for v in range(g.n) if rng.random() < 0.8])[0]
+            else:
+                g = Graph(g.n, g.adj)
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+            assert g._masks is None
+            before = [g.has_edge(u, v) for u, v in pairs]
+            assert g._masks is None  # the adjacency answered
+            assert g.masks is not None
+            after = [g.has_edge(u, v) for u, v in pairs]
+            edges = set(g.edges())
+            assert before == after == [(min(u, v), max(u, v)) in edges for u, v in pairs]
+
+
 class TestDensityQuantities:
     def test_eg_complete(self):
         assert eg_bound(complete(4)) == 4

@@ -272,6 +272,45 @@ class TestK0WithoutSeparatorScan:
         assert k0_constructive_cycle(g).vertices == (3, 5, 0, 1, 2, 4)
 
 
+def _ring_plus_chords(n, chords, seed):
+    """The edgelist bytes of an n-cycle plus `chords` random chords."""
+    rng = random.Random(seed)
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    for _ in range(chords):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return (f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))).encode()
+
+
+class TestSparseWithoutMasks:
+    """Graphs build their neighbour masks on first read, and no step of a
+    sparse k = 0 solve reads them."""
+
+    def test_sparse_k0_op_builds_no_mask(self, monkeypatch):
+        import sys
+
+        from madcycle import graph
+        from madcycle.instances import parse_graph
+
+        real = graph.mask_of
+        built = []
+
+        def counted(vertices):
+            built.append(1)
+            return real(vertices)
+
+        # every module's binding of mask_of, graph's own included
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("madcycle")
+                    and getattr(mod, "mask_of", None) is real):
+                monkeypatch.setattr(mod, "mask_of", counted)
+        g = parse_graph(_ring_plus_chords(2000, 2000, 7))
+        res = solve(g, 0)
+        emit_result(res)
+        assert res.answer == "yes" and res.branch == "k0"
+        assert built == [] and g._masks is None
+        assert g.masks and built  # a read still builds them
+
+
 class TestDenseCoreThroughMasks:
     """The CI's case (iii) instance, K10 + I100 plus 16 one-vertex ears: the
     expansion certificate decides every 2-separator scan of its solve from a
